@@ -10,15 +10,7 @@
 //   7. narrow-stage fusion on/off — standard flat-to-nested, both the fused
 //      single-pass chains and the per-operator materializing baseline;
 //   8. fault injection & recovery sweep — standard flat-to-nested across
-//      fault rates (sim stays fault-invariant; recovery columns grow);
-//   9. flat open-addressing hash tables on/off — standard flat-to-nested,
-//      arena-backed linear probing vs. the std::unordered_map route
-//      (results and shuffle stats are bit-identical; only wall time and
-//      the flat-only table counters differ);
-//  10. columnar partition blocks on/off — standard flat-to-nested, typed
-//      column storage under the operators vs. the historical row vectors
-//      (again stats-transparent: only wall time and the columnar-only
-//      counters differ).
+//      fault rates (sim stays fault-invariant; recovery columns grow).
 #include <cstdio>
 #include <optional>
 
@@ -246,54 +238,6 @@ int main() {
           FormatDouble(r.recovery_sim_s, 2).c_str());
       rec(std::move(r));
     }
-  }
-  // 9. Flat open-addressing hash tables.
-  {
-    PrintHeader("Ablation 9: flat hash tables (standard flat-to-nested d2)");
-    Prepared p = Prepare(2, 0.0);
-    auto q = tpch::FlatToNested(2, tpch::Width::kNarrow).ValueOrDie();
-    exec::PipelineOptions on;
-    RunResult r_on = RunStd("flat hash ON", p, q, on, false);
-    exec::PipelineOptions off;
-    off.exec.enable_flat_hash = false;
-    RunResult r_off =
-        RunStd("flat hash OFF (std::unordered_map)", p, q, off, false);
-    // The flag only changes the hash-table implementation: every simulated
-    // stat must match, and the flat-only counters must vanish when off.
-    TRANCE_CHECK(r_on.shuffle_bytes == r_off.shuffle_bytes &&
-                     r_on.hash_build_rows == r_off.hash_build_rows &&
-                     r_on.hash_probe_hits == r_off.hash_probe_hits,
-                 "flat hash ablation must be stats-transparent");
-    TRANCE_CHECK(r_on.hash_table_bytes > 0 && r_off.hash_table_bytes == 0,
-                 "flat-only counters gate on the flag");
-    rec(std::move(r_on));
-    rec(std::move(r_off));
-  }
-  // 10. Columnar partition blocks.
-  {
-    PrintHeader("Ablation 10: columnar blocks (standard flat-to-nested d2)");
-    Prepared p = Prepare(2, 0.0);
-    auto q = tpch::FlatToNested(2, tpch::Width::kNarrow).ValueOrDie();
-    exec::PipelineOptions on;
-    RunResult r_on = RunStd("columnar ON", p, q, on, false);
-    exec::PipelineOptions off;
-    off.exec.enable_columnar = false;
-    RunResult r_off =
-        RunStd("columnar OFF (row vectors)", p, q, off, false);
-    // The flag only changes the storage representation: every simulated
-    // stat must match, and the columnar-only counters must vanish when off.
-    TRANCE_CHECK(r_on.shuffle_bytes == r_off.shuffle_bytes &&
-                     r_on.sim_s == r_off.sim_s &&
-                     r_on.peak_partition == r_off.peak_partition &&
-                     r_on.hash_build_rows == r_off.hash_build_rows &&
-                     r_on.hash_probe_hits == r_off.hash_probe_hits &&
-                     r_on.key_encode_bytes == r_off.key_encode_bytes,
-                 "columnar ablation must be stats-transparent");
-    TRANCE_CHECK(r_on.columnar_bytes > 0 && r_off.columnar_bytes == 0 &&
-                     r_off.column_to_row_conversions == 0,
-                 "columnar-only counters gate on the flag");
-    rec(std::move(r_on));
-    rec(std::move(r_off));
   }
   TRANCE_CHECK(WriteBenchReport("ablations", all).ok(), "bench report");
   return 0;

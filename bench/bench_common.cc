@@ -123,7 +123,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
   r.hash_resizes = stats.hash_resizes();
   r.hash_probe_len_max = stats.hash_probe_len_max();
   r.columnar_bytes = stats.columnar_bytes();
-  r.column_to_row_conversions = stats.column_to_row_conversions();
   r.spill_bytes_written = stats.spill_bytes_written();
   r.spill_bytes_read = stats.spill_bytes_read();
   r.spill_runs = stats.spill_runs();
@@ -253,8 +252,6 @@ Status WriteBenchReport(const std::string& bench_name,
     w.Uint(r.hash_probe_len_max);
     w.Key("columnar_bytes");
     w.Uint(r.columnar_bytes);
-    w.Key("column_to_row_conversions");
-    w.Uint(r.column_to_row_conversions);
     w.Key("spill_bytes_written");
     w.Uint(r.spill_bytes_written);
     w.Key("spill_bytes_read");

@@ -48,25 +48,21 @@ struct RunResult {
   uint64_t injected_faults = 0;
   uint64_t retries = 0;
   double recovery_sim_s = 0;
-  /// Encoded-key telemetry (PR 5): bytes written by the binary key codec
-  /// (0 when ExecOptions::enable_key_codec is off) and the codec-invariant
+  /// Encoded-key telemetry: bytes written by the binary key codec and the
   /// keyed hash-table counters (new keys built, lookups that hit, worst
   /// rows-per-key chain across stages). See docs/METRICS.md.
   uint64_t key_encode_bytes = 0;
   uint64_t hash_build_rows = 0;
   uint64_t hash_probe_hits = 0;
   uint64_t hash_max_chain = 0;
-  /// Flat hash-table telemetry (PR 7): table footprint, slot-array
-  /// doublings, longest probe sequence. All zero when
-  /// ExecOptions::enable_flat_hash is off. See docs/METRICS.md.
+  /// Flat hash-table telemetry: table footprint, slot-array doublings,
+  /// longest probe sequence. See docs/METRICS.md.
   uint64_t hash_table_bytes = 0;
   uint64_t hash_resizes = 0;
   uint64_t hash_probe_len_max = 0;
-  /// Columnar-block telemetry (PR 8): typed partition-block footprint built
-  /// by operators and rows materialized back out of blocks. Both zero when
-  /// ExecOptions::enable_columnar is off. See docs/METRICS.md.
+  /// Columnar-block telemetry: typed partition-block footprint built by
+  /// operators. See docs/METRICS.md.
   uint64_t columnar_bytes = 0;
-  uint64_t column_to_row_conversions = 0;
   /// Out-of-core spill telemetry (PR 9): bytes written to / streamed back
   /// from run files, run files produced, merge passes. All zero when
   /// nothing spills or ExecOptions::enable_spill is off. See

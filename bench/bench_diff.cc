@@ -103,7 +103,6 @@ const ScalarRule kScalarRules[] = {
     {"hash_resizes", Policy::kExact},
     {"hash_probe_len_max", Policy::kExact},
     {"columnar_bytes", Policy::kExact},
-    {"column_to_row_conversions", Policy::kExact},
     {"spill_bytes_written", Policy::kExact},
     {"spill_bytes_read", Policy::kExact},
     {"spill_runs", Policy::kExact},

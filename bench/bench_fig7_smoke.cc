@@ -4,10 +4,6 @@
 // numbers but that every route executes and the report schema stays in sync
 // with docs/METRICS.md.
 //
-// TRANCE_COLUMNAR=0 disables ExecOptions::enable_columnar (the PR 8 typed
-// partition-block path) and renames the report fig7_smoke_columnar_off, so
-// CI diffs both sides of the ablation against their own baselines.
-//
 // TRANCE_SPILL_FORCE=1 shrinks the per-partition memory cap to a few KB so
 // the out-of-core spill path (PR 9, runtime/spill.h) engages on every route
 // and renames the report fig7_smoke_spill: runs that would FAIL under the
@@ -24,13 +20,8 @@ int main() {
   cfg.scale = 0.001;
   cfg.max_depth = 1;
   cfg.num_threads = 1;
-  const char* columnar = std::getenv("TRANCE_COLUMNAR");
   const char* spill_force = std::getenv("TRANCE_SPILL_FORCE");
   std::string report = "fig7_smoke";
-  if (columnar != nullptr && std::strcmp(columnar, "0") == 0) {
-    cfg.enable_columnar = false;
-    report = "fig7_smoke_columnar_off";
-  }
   bool forced_spill = spill_force != nullptr && std::strcmp(spill_force, "1") == 0;
   if (forced_spill) {
     cfg.partition_memory_cap = 8ull << 10;  // saturates at this scale

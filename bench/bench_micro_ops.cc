@@ -3,19 +3,12 @@
 // sum aggregation with/without map-side combine, value shredding and
 // unshredding, heavy-key detection, and dedup.
 //
-// The keyed operators (join, nest, dedup) take a second argument toggling
-// ExecOptions::enable_key_codec, the binary-key/legacy-KeyView ablation of
-// PR 5; BM_FlatHashBuild/BM_FlatHashProbe compare the flat open-addressing
-// table against the std::unordered_map fallback directly (PR 7);
-// BM_ColumnScan/BM_ColumnProject compare typed PartitionBlock column loops
-// against the historical row-vector Field dispatch (PR 8). main()
-// additionally runs fixed-size rows/sec regression passes over dedup, join
-// build/probe, and nest — codec on/off to BENCH_micro_key_codec.json, flat
-// table on/off to BENCH_micro_flat_hash.json, columnar blocks on/off
-// (plus the raw scan comparison) to BENCH_micro_columnar.json, and the
-// block-resident vs pack-per-stage comparison to
-// BENCH_micro_resident.json — before the
-// google-benchmark suite starts.
+// BM_FlatHashBuild/BM_FlatHashProbe time the flat open-addressing table on
+// pre-encoded keys; BM_ColumnScan/BM_ColumnProject compare typed
+// PartitionBlock column loops against row-vector Field dispatch. main()
+// additionally runs a fixed-size rows/sec regression pass over dedup, join
+// build/probe, and nest with spilling forced and off, written to
+// BENCH_micro_spill.json, before the google-benchmark suite starts.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -66,7 +59,6 @@ Dataset MakeKv(Cluster* cluster, int64_t n, int64_t keys, double zipf,
 void BM_HashJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   Dataset l = MakeKv(&cluster, state.range(0), 1000, 0.0, 1);
   Dataset r = MakeKv(&cluster, 1000, 1000, 0.0, 2);
   for (auto _ : state) {
@@ -77,11 +69,7 @@ void BM_HashJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HashJoin)
-    ->Args({10000, 1})
-    ->Args({10000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000);
 
 void BM_BroadcastJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
@@ -134,7 +122,6 @@ BENCHMARK(BM_SumAggregate)->Args({100000, 1})->Args({100000, 0});
 void BM_NestGroup(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   Dataset ds = MakeKv(&cluster, state.range(0), 1024, 0.0, 4);
   for (auto _ : state) {
     auto out = runtime::NestGroup(&cluster, ds, {0}, {1}, "bag", "nest");
@@ -143,7 +130,7 @@ void BM_NestGroup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_NestGroup)->Args({100000, 1})->Args({100000, 0});
+BENCHMARK(BM_NestGroup)->Arg(100000);
 
 Dataset MakeDup(Cluster* cluster, int64_t n, int64_t distinct, uint64_t seed) {
   Rng rng(seed);
@@ -161,7 +148,6 @@ Dataset MakeDup(Cluster* cluster, int64_t n, int64_t distinct, uint64_t seed) {
 void BM_Distinct(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  cluster.set_key_codec_enabled(state.range(1) != 0);
   // ~16 duplicates per distinct row: the membership-test path dominates
   // (the path that historically deep-copied the whole row per test).
   Dataset ds = MakeDup(&cluster, state.range(0), state.range(0) / 16, 6);
@@ -172,7 +158,7 @@ void BM_Distinct(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Distinct)->Args({100000, 1})->Args({100000, 0});
+BENCHMARK(BM_Distinct)->Arg(100000);
 
 void BM_HeavyKeyDetection(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
@@ -232,75 +218,46 @@ std::vector<key_codec::EncodedKey> MakeEncodedKeys(int64_t n) {
   keys.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     Row row({Field::Int(i), Field::Str("k" + std::to_string(i))});
-    keys.push_back(key_codec::Materialize(enc.EncodeRow(row).ValueOrDie()));
+    keys.push_back(key_codec::Materialize(enc.EncodeRow(row)));
   }
   return keys;
 }
 
-/// Direct container ablation: insert n distinct pre-encoded keys into the
-/// flat table (arg 1 = 1) or the std::unordered_map fallback (arg 1 = 0),
-/// growth included (tables start empty, as nest/aggregate builds do).
-template <class Index>
-void FlatHashBuildLoop(benchmark::State& state,
-                       const std::vector<key_codec::EncodedKey>& keys) {
+/// Inserts n distinct pre-encoded keys into a flat table, growth included
+/// (tables start empty, as nest/aggregate builds do).
+void BM_FlatHashBuild(benchmark::State& state) {
+  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
   for (auto _ : state) {
-    Index idx;
+    flat_hash::FlatKeyIndex idx;
     for (const auto& k : keys) {
       benchmark::DoNotOptimize(
-          idx.FindOrInsert(key_codec::EncodedKeyView{k.hash, k.bytes}));
+          idx.FindOrInsert(key_codec::EncodedKeyRef{k.hash, k.bytes}));
     }
     benchmark::DoNotOptimize(idx.size());
   }
-}
-
-void BM_FlatHashBuild(benchmark::State& state) {
-  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
-  if (state.range(1) != 0) {
-    FlatHashBuildLoop<flat_hash::FlatKeyIndex>(state, keys);
-  } else {
-    FlatHashBuildLoop<flat_hash::StdKeyIndex>(state, keys);
-  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FlatHashBuild)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_FlatHashBuild)->Arg(1000)->Arg(100000);
 
-/// Probe side of the same ablation: every lookup hits a key built once
-/// outside the timed loop (the join-probe access pattern).
-template <class Index>
-void FlatHashProbeLoop(benchmark::State& state,
-                       const std::vector<key_codec::EncodedKey>& keys) {
-  Index idx(keys.size());
+/// Probe side: every lookup hits a key built once outside the timed loop
+/// (the join-probe access pattern).
+void BM_FlatHashProbe(benchmark::State& state) {
+  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
+  flat_hash::FlatKeyIndex idx(keys.size());
   for (const auto& k : keys) {
-    idx.FindOrInsert(key_codec::EncodedKeyView{k.hash, k.bytes});
+    idx.FindOrInsert(key_codec::EncodedKeyRef{k.hash, k.bytes});
   }
   for (auto _ : state) {
     uint64_t found = 0;
     for (const auto& k : keys) {
-      found += idx.Find(key_codec::EncodedKeyView{k.hash, k.bytes}) !=
-               Index::kNotFound;
+      found += idx.Find(key_codec::EncodedKeyRef{k.hash, k.bytes}) !=
+               flat_hash::FlatKeyIndex::kNotFound;
     }
     benchmark::DoNotOptimize(found);
   }
-}
-
-void BM_FlatHashProbe(benchmark::State& state) {
-  std::vector<key_codec::EncodedKey> keys = MakeEncodedKeys(state.range(0));
-  if (state.range(1) != 0) {
-    FlatHashProbeLoop<flat_hash::FlatKeyIndex>(state, keys);
-  } else {
-    FlatHashProbeLoop<flat_hash::StdKeyIndex>(state, keys);
-  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FlatHashProbe)
-    ->Args({1000, 1})
-    ->Args({1000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 0});
+BENCHMARK(BM_FlatHashProbe)->Arg(1000)->Arg(100000);
 
 namespace column = runtime::column;
 
@@ -488,351 +445,7 @@ BENCHMARK(BM_ValueUnshred)->Arg(100);
 }  // namespace
 
 // Fixed-size regression pass over the keyed operators — dedup, join
-// build/probe, nest — with the key codec on and off. Each run lands in
-// BENCH_micro_key_codec.json with its wall time, row counts, and the keyed
-// hash-table counters (key_encode_bytes is 0 on the codec_off runs), so the
-// ablation and the Distinct full-row-copy regression are machine-checkable.
-Status RunKeyCodecAblation() {
-  std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool codec : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(codec);
-    const std::string suffix = codec ? ".codec_on" : ".codec_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-  bench::PrintHeader("key codec ablation (rows/s = rows / wall)");
-  for (const auto& r : results) bench::PrintResult(r);
-  return bench::WriteBenchReport("micro_key_codec", results);
-}
-
-// Fixed-size regression pass over the same keyed workloads with the codec
-// on and ExecOptions::enable_flat_hash toggled — the flat-vs-unordered_map
-// container ablation. Results land in BENCH_micro_flat_hash.json; the
-// flat_off runs report hash_table_bytes/hash_resizes/hash_probe_len_max as
-// exactly 0 while every codec-invariant counter matches the flat_on runs.
-Status RunFlatHashAblation() {
-  std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool flat : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_flat_hash_enabled(flat);
-    const std::string suffix = flat ? ".flat_on" : ".flat_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-  bench::PrintHeader("flat hash ablation (rows/s = rows / wall)");
-  for (const auto& r : results) bench::PrintResult(r);
-  return bench::WriteBenchReport("micro_flat_hash", results);
-}
-
-// Fixed-size regression pass over the same keyed workloads with
-// ExecOptions::enable_columnar toggled — the typed partition-block ablation
-// of PR 8. The columnar_off runs report columnar_bytes /
-// column_to_row_conversions as exactly 0 while every pre-existing counter
-// (rows out, shuffle bytes, simulated time, keyed hash counters) matches the
-// columnar_on runs bit-for-bit; both properties are asserted in-binary
-// below. Two additional runs time a raw 64k-row int/real scan on the block
-// representation vs the historical row loop, so the PR's >= 2x scan target
-// is recorded in BENCH_micro_columnar.json (recorded, not hard-asserted —
-// absolute ratios are machine-dependent).
-Status RunColumnarAblation() {
-  std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool columnar : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_columnar_enabled(columnar);
-    const std::string suffix = columnar ? ".columnar_on" : ".columnar_off";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 6);
-    size_t rows = 0;
-    bench::RunResult r = bench::TimedRun(
-        "distinct" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset out,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          rows = out.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset l = MakeKv(&cluster, n, 1000, 0.0, 1);
-    Dataset d = MakeKv(&cluster, 1000, 1000, 0.0, 2);
-    r = bench::TimedRun("hash_join" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::HashJoin(&cluster, l, d, {0}, {0},
-                                         runtime::JoinType::kInner, "join"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-
-    Dataset kv = MakeKv(&cluster, n, 1024, 0.0, 4);
-    r = bench::TimedRun("nest" + suffix, &cluster, [&]() -> Status {
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out,
-          runtime::NestGroup(&cluster, kv, {0}, {1}, "bag", "nest"));
-      rows = out.NumRows();
-      return Status::OK();
-    });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-
-  // Stats transparency: run i (columnar on) against run i + 3 (off).
-  for (size_t i = 0; i < 3; ++i) {
-    const bench::RunResult& on = results[i];
-    const bench::RunResult& off = results[i + 3];
-    TRANCE_CHECK(on.ok && off.ok, "columnar ablation run failed");
-    TRANCE_CHECK(on.out_rows == off.out_rows,
-                 "columnar ablation: result rows differ for " + on.name);
-    TRANCE_CHECK(on.shuffle_bytes == off.shuffle_bytes &&
-                     on.max_stage_shuffle == off.max_stage_shuffle &&
-                     on.peak_partition == off.peak_partition,
-                 "columnar ablation: movement stats differ for " + on.name);
-    TRANCE_CHECK(on.sim_s == off.sim_s,
-                 "columnar ablation: sim time differs for " + on.name);
-    TRANCE_CHECK(on.key_encode_bytes == off.key_encode_bytes &&
-                     on.hash_build_rows == off.hash_build_rows &&
-                     on.hash_probe_hits == off.hash_probe_hits &&
-                     on.hash_max_chain == off.hash_max_chain,
-                 "columnar ablation: keyed counters differ for " + on.name);
-    TRANCE_CHECK(on.columnar_bytes > 0,
-                 "columnar ablation: no blocks built in " + on.name);
-    TRANCE_CHECK(off.columnar_bytes == 0 &&
-                     off.column_to_row_conversions == 0,
-                 "columnar ablation: counters leak into " + off.name);
-  }
-
-  // Raw scan comparison (the BM_ColumnScan shape, as recorded runs).
-  {
-    ClusterConfig cfg{.num_partitions = 1};
-    Cluster cluster(cfg);
-    std::vector<Row> rows = MakeScanRows(1 << 16);
-    column::PartitionBlock block =
-        column::PartitionBlock::FromRows(KvSchema(), rows);
-    const int reps = 400;
-    double sink = 0;
-    bench::RunResult r = bench::TimedRun(
-        "column_scan.block", &cluster, [&]() -> Status {
-          for (int rep = 0; rep < reps; ++rep) {
-            int64_t isum = 0;
-            double rsum = 0;
-            const int64_t* ks = block.col(0).ints();
-            const double* vs = block.col(1).reals();
-            for (size_t i = 0; i < block.NumRows(); ++i) {
-              isum += ks[i];
-              rsum += vs[i];
-            }
-            sink += static_cast<double>(isum) + rsum;
-          }
-          return Status::OK();
-        });
-    r.out_rows = rows.size() * reps;
-    results.push_back(std::move(r));
-
-    r = bench::TimedRun("column_scan.rows", &cluster, [&]() -> Status {
-      for (int rep = 0; rep < reps; ++rep) {
-        int64_t isum = 0;
-        double rsum = 0;
-        for (const Row& row : rows) {
-          isum += row.fields[0].AsInt();
-          rsum += row.fields[1].AsReal();
-        }
-        sink += static_cast<double>(isum) + rsum;
-      }
-      return Status::OK();
-    });
-    r.out_rows = rows.size() * reps;
-    results.push_back(std::move(r));
-    benchmark::DoNotOptimize(sink);
-  }
-
-  bench::PrintHeader("columnar ablation (rows/s = rows / wall)");
-  for (const auto& r : results) bench::PrintResult(r);
-  return bench::WriteBenchReport("micro_columnar", results);
-}
-
-// Resident-vs-pack ablation of PR 10: partitions now LIVE as typed blocks,
-// so a keyed chain (distinct -> nest) crosses its stage boundary without any
-// per-stage pack/unpack. The chain.resident run (columnar on) must report
-// column_to_row_conversions == 0 — asserted in-binary, the PR's acceptance
-// property — while chain.rows (columnar off) provides the historical
-// row-path comparison with bit-identical pre-existing stats. Two recorded
-// micro runs then quantify the boundary tax itself on a fixed 64k-row
-// partition crossing three simulated stage boundaries: repack.per_stage
-// re-packs (FromRows) and re-materializes (ToRows) at every boundary — the
-// PR-8/9 costume — while repack.resident crosses the same boundaries with
-// block-to-block AppendRowFrom copies, never touching rows (recorded, not
-// hard-asserted — absolute ratios are machine-dependent). Results land in
-// BENCH_micro_resident.json.
-Status RunResidentAblation() {
-  std::vector<bench::RunResult> results;
-  const int64_t n = 200000;
-  for (bool columnar : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
-    cluster.set_columnar_enabled(columnar);
-    const std::string suffix = columnar ? ".resident" : ".rows";
-
-    Dataset dup = MakeDup(&cluster, n, n / 16, 9);
-    size_t rows = 0;
-    bench::RunResult r =
-        bench::TimedRun("chain" + suffix, &cluster, [&]() -> Status {
-          TRANCE_ASSIGN_OR_RETURN(Dataset deduped,
-                                  runtime::Distinct(&cluster, dup, "dedup"));
-          TRANCE_ASSIGN_OR_RETURN(
-              Dataset nested,
-              runtime::NestGroup(&cluster, deduped, {0}, {1}, "bag", "nest"));
-          rows = nested.NumRows();
-          return Status::OK();
-        });
-    r.out_rows = rows;
-    results.push_back(std::move(r));
-  }
-  {
-    const bench::RunResult& resident = results[0];
-    const bench::RunResult& row_path = results[1];
-    TRANCE_CHECK(resident.ok && row_path.ok, "resident ablation run failed");
-    TRANCE_CHECK(resident.out_rows == row_path.out_rows,
-                 "resident ablation: result rows differ");
-    TRANCE_CHECK(resident.sim_s == row_path.sim_s &&
-                     resident.shuffle_bytes == row_path.shuffle_bytes &&
-                     resident.hash_build_rows == row_path.hash_build_rows,
-                 "resident ablation: pre-existing stats differ");
-    TRANCE_CHECK(resident.columnar_bytes > 0,
-                 "resident ablation: no blocks built");
-    TRANCE_CHECK(resident.column_to_row_conversions == 0,
-                 "resident ablation: block-resident chain converted rows");
-    TRANCE_CHECK(row_path.columnar_bytes == 0 &&
-                     row_path.column_to_row_conversions == 0,
-                 "resident ablation: counters leak into the row path");
-  }
-
-  // Boundary-tax comparison (recorded runs, column_scan idiom).
-  {
-    ClusterConfig cfg{.num_partitions = 1};
-    Cluster cluster(cfg);
-    std::vector<Row> rows = MakeScanRows(1 << 16);
-    const int reps = 40;
-    const int boundaries = 3;
-    double sink = 0;
-    bench::RunResult r =
-        bench::TimedRun("repack.per_stage", &cluster, [&]() -> Status {
-          for (int rep = 0; rep < reps; ++rep) {
-            std::vector<Row> cur = rows;
-            for (int b = 0; b < boundaries; ++b) {
-              column::PartitionBlock blk =
-                  column::PartitionBlock::FromRows(KvSchema(), cur);
-              cur = blk.ToRows();
-            }
-            sink += static_cast<double>(cur.size());
-          }
-          return Status::OK();
-        });
-    r.out_rows = rows.size() * reps;
-    results.push_back(std::move(r));
-
-    r = bench::TimedRun("repack.resident", &cluster, [&]() -> Status {
-      for (int rep = 0; rep < reps; ++rep) {
-        column::PartitionBlock cur =
-            column::PartitionBlock::FromRows(KvSchema(), rows);
-        for (int b = 0; b < boundaries; ++b) {
-          column::PartitionBlock next(KvSchema());
-          const size_t nrows = cur.NumRows();
-          for (size_t i = 0; i < nrows; ++i) next.AppendRowFrom(cur, i);
-          cur = std::move(next);
-        }
-        sink += static_cast<double>(cur.NumRows());
-      }
-      return Status::OK();
-    });
-    r.out_rows = rows.size() * reps;
-    results.push_back(std::move(r));
-    benchmark::DoNotOptimize(sink);
-  }
-
-  bench::PrintHeader("resident ablation (rows/s = rows / wall)");
-  for (const auto& r : results) bench::PrintResult(r);
-  return bench::WriteBenchReport("micro_resident", results);
-}
-
-// Fixed-size regression pass over the same keyed workloads for the
-// out-of-core spill path of PR 9. The .spill_forced runs use a 256 KiB
+// build/probe, nest — for the out-of-core spill path. The .spill_forced runs use a 256 KiB
 // per-partition memory cap — far under the working set, so shuffles, keyed
 // inputs and stage outputs all spill through runtime/spill.h run files —
 // while the .spill_off runs use the default (effectively unlimited) cap with
@@ -847,7 +460,6 @@ Status RunSpillAblation() {
     ClusterConfig cfg{.num_partitions = 8};
     if (forced) cfg.partition_memory_cap = 256ull << 10;
     Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(true);
     cluster.set_spill_enabled(forced);
     const std::string suffix = forced ? ".spill_forced" : ".spill_off";
 
@@ -923,10 +535,6 @@ Status RunSpillAblation() {
 }  // namespace trance
 
 int main(int argc, char** argv) {
-  TRANCE_CHECK(trance::RunKeyCodecAblation().ok(), "key codec ablation");
-  TRANCE_CHECK(trance::RunResidentAblation().ok(), "resident ablation");
-  TRANCE_CHECK(trance::RunFlatHashAblation().ok(), "flat hash ablation");
-  TRANCE_CHECK(trance::RunColumnarAblation().ok(), "columnar ablation");
   TRANCE_CHECK(trance::RunSpillAblation().ok(), "spill ablation");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -34,7 +34,6 @@ runtime::ClusterConfig MakeClusterConfig(const Fig7Config& cfg) {
 
 exec::PipelineOptions OptionsForConfig(Strategy s, const Fig7Config& cfg) {
   exec::PipelineOptions o = OptionsFor(s);
-  o.exec.enable_columnar = cfg.enable_columnar;
   o.exec.enable_spill = cfg.enable_spill;
   return o;
 }
@@ -72,7 +71,6 @@ StatusOr<NestedInput> PrepareNestedInput(const Fig7Config& cfg,
   TRANCE_ASSIGN_OR_RETURN(nrc::Program prep,
                           tpch::FlatToNested(depth, cfg.width));
   exec::ExecOptions prep_exec;
-  prep_exec.enable_columnar = cfg.enable_columnar;
   prep_exec.enable_spill = cfg.enable_spill;
   exec::PipelineOptions prep_opts;
   prep_opts.exec = prep_exec;

@@ -20,9 +20,6 @@ struct Fig7Config {
   int max_depth = 4;
   /// Thread budget forwarded to ClusterConfig::num_threads (0 = auto).
   int num_threads = 0;
-  /// Forwarded to ExecOptions::enable_columnar for every route (PR 8
-  /// ablation hook; results and simulated stats are flag-invariant).
-  bool enable_columnar = true;
   /// Forwarded to ExecOptions::enable_spill for every route (PR 9). With
   /// spilling on, a run over the memory cap completes through disk runs
   /// (spill_* counters > 0) instead of FAILing; results and all

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Bench smoke gate: Release-builds the bench binaries, runs one tiny Fig-7
-# pass covering every compilation route (bench_fig7_smoke) three times —
-# columnar blocks on (default), off (TRANCE_COLUMNAR=0), and under a forced
-# out-of-core spill (TRANCE_SPILL_FORCE=1 shrinks the memory cap so every
-# route must survive through disk runs), each diffed against its own
-# baseline — plus the ablation reports of bench_micro_ops (its
-# google-benchmark suite filtered out), then runs four machine-readable
-# drift gates:
+# pass covering every compilation route (bench_fig7_smoke) twice — as is,
+# and under a forced out-of-core spill (TRANCE_SPILL_FORCE=1 shrinks the
+# memory cap so every route must survive through disk runs), each diffed
+# against its own baseline — plus the spill ablation report of
+# bench_micro_ops (its google-benchmark suite filtered out), then runs three
+# machine-readable drift gates:
 #
 #   1. docs:     every key in the emitted BENCH_*.json reports AND in the
 #                event-log JSONL must appear in docs/METRICS.md as an exact
@@ -21,10 +20,6 @@
 #                wall-time warnings). A self-diff must pass and a tampered
 #                report must fail, so the gate itself is exercised on every
 #                run. Refresh workflow: EXPERIMENTS.md.
-#   4. resident: the columnar fig7 pass must keep its summed
-#                column_to_row_conversions under a pinned bound (>= 90%
-#                below the PR-9 pack-per-stage total) — partitions are
-#                block-resident, not repacked per stage.
 #
 # Usage: ci/bench_smoke.sh [build-dir]   (default: build-bench-smoke)
 set -euo pipefail
@@ -42,19 +37,14 @@ rm -f "$OUT_DIR"/BENCH_*.json "$OUT_DIR"/events.jsonl
 
 TRANCE_BENCH_OUT="$OUT_DIR" TRANCE_EVENT_LOG="$OUT_DIR/events.jsonl" \
   "$BUILD_DIR/bench/bench_fig7_smoke"
-# Same suite on the historical row path (writes
-# BENCH_fig7_smoke_columnar_off.json): the flag must stay runnable end to
-# end, and its report diffs against its own baseline below.
-TRANCE_BENCH_OUT="$OUT_DIR" TRANCE_COLUMNAR=0 \
-  "$BUILD_DIR/bench/bench_fig7_smoke"
 # Forced-spill pass (writes BENCH_fig7_smoke_spill.json): an 8 KiB memory
 # cap would FAIL every route without the spill path; the binary asserts
 # spill_runs > 0 and at least one completed route before writing the report.
 TRANCE_BENCH_OUT="$OUT_DIR" TRANCE_SPILL_FORCE=1 \
   "$BUILD_DIR/bench/bench_fig7_smoke"
-# bench_micro_ops writes BENCH_micro_key_codec.json from its main() before
-# the google-benchmark suite starts; filter every registered benchmark out
-# so only the ablation pass runs.
+# bench_micro_ops writes BENCH_micro_spill.json from its main() before the
+# google-benchmark suite starts; filter every registered benchmark out so
+# only the ablation pass runs.
 TRANCE_BENCH_OUT="$OUT_DIR" "$BUILD_DIR/bench/bench_micro_ops" \
   --benchmark_filter='^$'
 
@@ -114,22 +104,6 @@ for report in "$OUT_DIR"/BENCH_*.json; do
     fail=1
   fi
 done
-
-# --- gate 4: block-resident conversion bound -----------------------------
-# Partitions are block-resident end to end (PR 10): the columnar fig7 pass
-# must keep column_to_row_conversions at (near) zero. The bound is pinned at
-# a >= 90% reduction from the PR-9 pack-per-stage total (857,851); the
-# block-resident paths actually report 0, so any operator that regresses to
-# materializing block inputs trips this long before the baseline diff churns.
-CONV_BOUND=85785
-conv_total=$(grep -oE '"column_to_row_conversions":[0-9]+' \
-  "$OUT_DIR/BENCH_fig7_smoke.json" |
-  awk -F: '{s += $2} END {print s + 0}')
-if [ "$conv_total" -gt "$CONV_BOUND" ]; then
-  echo "CONVERSION BOUND EXCEEDED: fig7 columnar column_to_row_conversions" \
-    "total $conv_total > $CONV_BOUND (block-resident bound)"
-  fail=1
-fi
 
 # A synthetically regressed report must hard-fail, proving the gate bites.
 tampered="$OUT_DIR/tampered.json"

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # Documentation consistency gate, run by ci/sanitize.sh and ci/tsan.sh (or
-# standalone). Two checks:
+# standalone). Three checks:
 #
 #  1. Markdown link check: every relative link target referenced from the
 #     top-level docs and docs/*.md must exist in the tree (external http(s)
 #     links are not fetched).
 #  2. Doc-drift check: every field of the user-facing option structs
 #     (runtime::ClusterConfig, runtime::FaultConfig, runtime::spill::
-#     SpillConfig, exec::ExecOptions) must be mentioned by name somewhere in
-#     the documentation, so adding a knob without documenting it fails CI.
+#     SpillConfig, exec::ExecOptions, plan::OptimizerOptions) must be
+#     mentioned by name somewhere in the documentation, so adding a knob
+#     without documenting it fails CI.
+#  3. Reverse check: every enable_* token in the documentation must name a
+#     field of one of those structs, so a retired flag cannot linger in the
+#     docs.
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -57,13 +61,32 @@ check_struct() { # file struct_name
   done
 }
 
-check_struct src/runtime/cluster.h ClusterConfig
-check_struct src/runtime/fault.h FaultConfig
-check_struct src/runtime/spill.h SpillConfig
-check_struct src/exec/lowering.h ExecOptions
+STRUCTS=(
+  "src/runtime/cluster.h ClusterConfig"
+  "src/runtime/fault.h FaultConfig"
+  "src/runtime/spill.h SpillConfig"
+  "src/exec/lowering.h ExecOptions"
+  "src/plan/optimizer.h OptimizerOptions"
+)
+known_fields=""
+for entry in "${STRUCTS[@]}"; do
+  # shellcheck disable=SC2086  # "file struct" splits into two arguments
+  check_struct $entry
+  # shellcheck disable=SC2086
+  known_fields+="$(fields_of $entry)"$'\n'
+done
+
+# --- 3. documented enable_* tokens must be live option fields ------------
+while IFS= read -r tok; do
+  if ! grep -qxF "$tok" <<<"$known_fields"; then
+    echo "STALE OPTION IN DOCS: $tok names no field of the option structs" \
+      "(${STRUCTS[*]})"
+    fail=1
+  fi
+done < <(grep -ohE '\benable_[A-Za-z0-9_]+' "${DOCS[@]}" | sort -u)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways)"

@@ -6,13 +6,15 @@
 # `obs`, `fusion`, `faults`, `keys`, `flathash`, `columnar`, `spill`,
 # `metrics` and `events` — fault recovery retries tasks inside the parallel
 # loops, the encoded-key, flat hash-table, and columnar-block suites run
-# every keyed operator at 1, 4, and 8 threads, the spill suite forces
+# the Fig-7 suite and the keyed operators at 1, 4, and 8 threads, the spill
+# suite forces
 # concurrent fetch-side disk runs at those same thread counts, and the
 # telemetry suites hammer the sharded counters and the event ring from
 # worker threads)
 # under TSan. The partition-parallel runtime
 # oversubscribes threads on small machines, so data races are reachable
-# (and reported) even on a single core.
+# (and reported) even on a single core. A listed label that matches no test
+# fails the script, so the race-checked set cannot shrink silently.
 #
 # Usage: ci/tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -23,6 +25,17 @@ BUILD_DIR="${1:-build-tsan}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar spill)
+
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=thread -DTRANCE_WERROR=ON
 cmake --build "$BUILD_DIR" --target parallel_test obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test spill_test -j"$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L 'parallel|obs|fusion|faults|keys|flathash|metrics|events|columnar|spill' --output-on-failure -j"$(nproc)"
+for label in "${LABELS[@]}"; do
+  n=$(ctest --test-dir "$BUILD_DIR" -N -L "^${label}\$" |
+    sed -nE 's/^Total Tests: ([0-9]+)$/\1/p')
+  if [ "${n:-0}" -eq 0 ]; then
+    echo "tsan: label '$label' matches no tests"
+    exit 1
+  fi
+done
+ctest --test-dir "$BUILD_DIR" -L "^($(IFS='|'; echo "${LABELS[*]}"))\$" \
+  --output-on-failure -j"$(nproc)"

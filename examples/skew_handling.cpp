@@ -40,18 +40,16 @@ int main() {
   auto f = runtime::Source(&cluster, fact_schema, fact, "fact").ValueOrDie();
   auto d = runtime::Source(&cluster, dim_schema, dim, "dim").ValueOrDie();
 
-  // Heavy-key detection by per-partition sampling. This demo prints the key
-  // values, so it detects with the legacy KeyView storage (the debug
-  // rendering type); membership — and the joins below, which run on the
-  // default binary-codec path — is identical either way.
-  cluster.set_key_codec_enabled(false);
+  // Heavy-key detection by per-partition sampling. The set stores encoded
+  // keys, so the demo lists the heavy ones by probing its own key domain.
   skew::HeavyKeySet hk = skew::DetectHeavyKeys(&cluster, f, {0});
-  cluster.set_key_codec_enabled(true);
   std::printf("detected %zu heavy keys (threshold %.1f%% of sampled tuples "
-              "per partition):", hk.keys.size(),
+              "per partition):", hk.size(),
               100 * cluster.config().heavy_key_threshold);
-  for (const auto& k : hk.keys) {
-    std::printf(" %lld", static_cast<long long>(k.fields[0].AsInt()));
+  for (int64_t k = 0; k < 512; ++k) {
+    if (hk.IsHeavy(Row({Field::Int(k)}), {0})) {
+      std::printf(" %lld", static_cast<long long>(k));
+    }
   }
   std::printf("\n\n");
 

@@ -167,8 +167,7 @@ StatusOr<std::string> Executor::ExecuteProgram(
 /// `light`/`heavy` are the per-component transform chains (they may differ:
 /// add-index only runs on the light side when the heavy component is empty);
 /// `schema` / partitionings / `heavy_keys` track what the chain's output will
-/// look like, mirroring exactly what the unfused per-operator lowering would
-/// have produced.
+/// look like.
 struct Executor::Pending {
   SkewTriple input;
   std::vector<runtime::RowTransform> light;
@@ -223,20 +222,25 @@ StatusOr<SkewTriple> Executor::Flush(Pending pd) {
 
 StatusOr<Executor::Pending> Executor::ExecPending(const plan::PlanPtr& p) {
   using K = PlanNode::Kind;
-  if (options_.enable_stage_fusion) {
-    switch (p->kind()) {
-      case K::kSelect:
-      case K::kOuterSelect:
-      case K::kProject:
-      case K::kExtend:
-      case K::kUnnest:
-      case K::kAddIndex:
-        return ExecPendingNarrow(p);
-      default:
-        break;
+  switch (p->kind()) {
+    case K::kSelect:
+    case K::kOuterSelect:
+    case K::kProject:
+    case K::kExtend:
+    case K::kUnnest:
+    case K::kAddIndex: {
+      TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPendingNarrow(p));
+      if (options_.enable_stage_fusion || pd.light.empty()) return pd;
+      // Fusion off: the node's transform runs at once as a one-transform
+      // chain, attributed to the node's scope like any unfused operator.
+      runtime::StageScope stage_scope(cluster_, pd.light.back().scope);
+      TRANCE_ASSIGN_OR_RETURN(SkewTriple t, Flush(std::move(pd)));
+      return PendingFromTriple(std::move(t));
     }
+    default:
+      break;
   }
-  // Wide boundary (or fusion disabled): materialize.
+  // Wide boundary: materialize.
   TRANCE_ASSIGN_OR_RETURN(SkewTriple t, ExecNode(p));
   return PendingFromTriple(std::move(t));
 }
@@ -244,8 +248,8 @@ StatusOr<Executor::Pending> Executor::ExecPending(const plan::PlanPtr& p) {
 StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
     const plan::PlanPtr& p) {
   using K = PlanNode::Kind;
-  // Pre-order node numbering must match the unfused walk: take this node's
-  // scope before descending into the child.
+  // Pre-order node numbering (the EXPLAIN re-walk's order): take this
+  // node's scope before descending into the child.
   const std::string scope = obs::StageScopeName(scope_var_, next_node_id_++);
   TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPending(p->child()));
 
@@ -270,6 +274,8 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
     case K::kOuterSelect: {
       TRANCE_ASSIGN_OR_RETURN(auto pred,
                               CompilePredicate(p->cond(), pd.schema));
+      // Failing rows keep only the grouping-prefix columns; everything else
+      // goes NULL so the enclosing Gammas treat the row as a miss.
       std::vector<bool> keep(pd.schema.size(), false);
       for (const auto& name : p->keep_cols()) {
         TRANCE_ASSIGN_OR_RETURN(int i, pd.schema.Require(name));
@@ -373,11 +379,9 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
 
     case K::kAddIndex: {
       if (pd.input.heavy.NumRows() == 0) {
-        // The merge the unfused path does is a no-op on an empty heavy
-        // component, so add-index fuses: ids come from the same
-        // per-partition counters the standalone operator uses, over the
-        // same rows in the same order. Light side only — the unfused path
-        // records no heavy stage here either.
+        // Merging an empty heavy component is a no-op, so add-index fuses:
+        // ids come from per-partition counters over the light rows in
+        // order. Light side only — there is no heavy stage to run.
         runtime::RowTransform t = runtime::RowTransform::AddIndex("add_index");
         t.scope = scope;
         pd.light.push_back(std::move(t));
@@ -414,108 +418,6 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
     case K::kScan:
       return Get(p->relation());
 
-    case K::kSelect: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), in.schema()));
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::FilterRows(cluster_, in.light, pred, "select"));
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy,
-          runtime::FilterRows(cluster_, in.heavy, pred, "select.h"));
-      out.heavy_keys = in.heavy_keys;
-      return out;
-    }
-
-    case K::kOuterSelect: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      const Schema& schema = in.schema();
-      TRANCE_ASSIGN_OR_RETURN(auto pred, CompilePredicate(p->cond(), schema));
-      // Failing rows keep only the grouping-prefix columns; everything else
-      // goes NULL so the enclosing Gammas treat the row as a miss.
-      std::vector<bool> keep(schema.size(), false);
-      for (const auto& name : p->keep_cols()) {
-        TRANCE_ASSIGN_OR_RETURN(int i, schema.Require(name));
-        keep[static_cast<size_t>(i)] = true;
-      }
-      runtime::MapFn fn = [pred, keep](const Row& r) {
-        if (pred(r)) return r;
-        Row out = r;
-        for (size_t i = 0; i < out.fields.size(); ++i) {
-          if (!keep[i]) out.fields[i] = Field::Null();
-        }
-        return out;
-      };
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::MapRows(cluster_, in.light, schema, fn,
-                                      "outer_select", true));
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy, runtime::MapRows(cluster_, in.heavy, schema, fn,
-                                      "outer_select.h", true));
-      out.heavy_keys = in.heavy_keys;
-      return out;
-    }
-
-    case K::kProject:
-    case K::kExtend: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      const Schema& in_schema = in.schema();
-      bool extend = p->kind() == K::kExtend;
-
-      std::vector<ScalarFn> fns;
-      Schema out_schema;
-      if (extend) out_schema = in_schema;
-      for (const auto& c : p->columns()) {
-        TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(c.expr, in_schema));
-        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t,
-                                ScalarResultType(c.expr, in_schema));
-        fns.push_back(std::move(f));
-        out_schema.Append({c.name, t});
-      }
-      runtime::MapFn map = [fns, extend](const Row& r) {
-        Row out;
-        out.fields.reserve((extend ? r.fields.size() : 0) + fns.size());
-        if (extend) out.fields = r.fields;
-        for (const auto& f : fns) out.fields.push_back(f(r));
-        return out;
-      };
-      Partitioning part =
-          extend ? in.light.partitioning
-                 : ProjectPartitioning(in.light.partitioning, p->columns(),
-                                       in_schema);
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(
-          out.light, runtime::MapRows(cluster_, in.light, out_schema, map,
-                                      extend ? "extend" : "project", false,
-                                      part));
-      Partitioning hpart =
-          extend ? in.heavy.partitioning
-                 : ProjectPartitioning(in.heavy.partitioning, p->columns(),
-                                       in_schema);
-      TRANCE_ASSIGN_OR_RETURN(
-          out.heavy, runtime::MapRows(cluster_, in.heavy, out_schema, map,
-                                      extend ? "extend.h" : "project.h",
-                                      false, hpart));
-      // Heavy keys survive an Extend (column positions unchanged); a Project
-      // invalidates the recorded positions unless all key columns map.
-      if (extend) {
-        out.heavy_keys = in.heavy_keys;
-      } else if (in.heavy_keys.has_value()) {
-        Partitioning mapped = ProjectPartitioning(
-            Partitioning::Hash(in.heavy_keys->key_cols), p->columns(),
-            in_schema);
-        if (mapped.kind == Partitioning::Kind::kHash) {
-          // Copy the whole set so its storage mode rides along with the keys.
-          skew::HeavyKeySet hk = *in.heavy_keys;
-          hk.key_cols = mapped.key_cols;
-          out.heavy_keys = std::move(hk);
-        }
-      }
-      return out;
-    }
-
     case K::kJoin: {
       TRANCE_ASSIGN_OR_RETURN(SkewTriple l, Exec(p->child(0)));
       TRANCE_ASSIGN_OR_RETURN(SkewTriple r, Exec(p->child(1)));
@@ -540,53 +442,6 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
       TRANCE_ASSIGN_OR_RETURN(
           Dataset out,
           runtime::HashJoin(cluster_, lm, rm, lk, rk, type, "join"));
-      return SkewTriple::AllLight(std::move(out));
-    }
-
-    case K::kUnnest: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      TRANCE_ASSIGN_OR_RETURN(int bag, in.schema().Require(p->bag_col()));
-      const nrc::TypePtr& bag_t =
-          in.schema().col(static_cast<size_t>(bag)).type;
-      if (!bag_t->is_bag()) {
-        return Status::TypeError("unnest over non-bag column " + p->bag_col());
-      }
-      std::vector<std::string> inner_names;
-      if (bag_t->element()->is_tuple()) {
-        for (const auto& f : bag_t->element()->fields()) {
-          inner_names.push_back(p->alias() + "." + f.name);
-        }
-      } else {
-        inner_names.push_back(p->alias());
-      }
-      auto run = [&](const Dataset& ds,
-                     const std::string& nm) -> StatusOr<Dataset> {
-        StatusOr<Dataset> out =
-            p->outer()
-                ? runtime::OuterUnnest(cluster_, ds, bag,
-                                       p->unnest_id_attr(), nm)
-                : runtime::Unnest(cluster_, ds, bag, nm);
-        if (!out.ok()) return out;
-        RenameTail(&out->schema, inner_names.size(), inner_names);
-        return out;
-      };
-      SkewTriple out;
-      TRANCE_ASSIGN_OR_RETURN(out.light, run(in.light, "unnest"));
-      TRANCE_ASSIGN_OR_RETURN(out.heavy, run(in.heavy, "unnest.h"));
-      // Unnest removes the bag column: recorded heavy-key positions after it
-      // shift; conservatively drop them.
-      out.heavy_keys = std::nullopt;
-      return out;
-    }
-
-    case K::kAddIndex: {
-      TRANCE_ASSIGN_OR_RETURN(SkewTriple in, Exec(p->child()));
-      // Ids must be unique across components: merge first (cheap concat).
-      TRANCE_ASSIGN_OR_RETURN(Dataset merged,
-                              skew::MergeTriple(cluster_, in, "addindex"));
-      TRANCE_ASSIGN_OR_RETURN(
-          Dataset out, runtime::AddIndexColumn(cluster_, merged, p->id_attr(),
-                                               "add_index"));
       return SkewTriple::AllLight(std::move(out));
     }
 
@@ -673,6 +528,13 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
           runtime::Repartition(cluster_, merged, {label}, "bag_to_dict"));
       return SkewTriple::AllLight(std::move(out));
     }
+    case K::kSelect:
+    case K::kOuterSelect:
+    case K::kProject:
+    case K::kExtend:
+    case K::kUnnest:
+    case K::kAddIndex:
+      return Status::Internal("ExecNode on narrow plan node");
   }
   return Status::Internal("unhandled plan node in lowering");
 }

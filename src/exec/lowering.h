@@ -36,40 +36,9 @@ struct ExecOptions {
   /// that stream rows through the whole chain without materializing
   /// intermediate Datasets — the Spark/Tungsten narrow-stage pipelining the
   /// paper's generated bulk programs assume. Off = one stage per operator
-  /// (the historical behaviour), for ablations. Results and stats are
-  /// bit-identical either way, modulo stage count.
+  /// (each runs at once as a one-transform chain), for ablations. Results
+  /// and stats are bit-identical either way, modulo stage count.
   bool enable_stage_fusion = true;
-  /// Run every keyed runtime path (join build/probe, cogroup, nest,
-  /// reduce-by-key, dedup, heavy-key sampling and probes) on the compact
-  /// binary key codec of runtime/key_codec.h instead of the historical
-  /// KeyView deep-copy containers. Escape hatch for ablations: results,
-  /// partition placement, shuffle bytes, and all pre-existing stats are
-  /// bit-identical either way (tests/key_codec_test.cc); only the
-  /// key_encode_bytes counter differs (0 when off).
-  bool enable_key_codec = true;
-  /// Back the encoded-key operators with the open-addressing flat hash
-  /// table of runtime/flat_hash.h (arena-stored key bytes, memcmp probes,
-  /// no per-key allocation) instead of the node-based std::unordered_map.
-  /// Composes with enable_key_codec: it only takes effect on the encoded
-  /// path (the legacy KeyView containers have no encoded keys to index).
-  /// Escape hatch for ablations: rows, placement, shuffle bytes, and all
-  /// pre-existing stats are bit-identical either way
-  /// (tests/flat_hash_test.cc); only the flat-only counters
-  /// (hash_table_bytes/hash_resizes/hash_probe_len_max) differ (0 when
-  /// off).
-  bool enable_flat_hash = true;
-  /// Run partition storage under the operators through the typed columnar
-  /// blocks of runtime/column.h (ColumnVector<T> arrays, string arenas,
-  /// null bitmaps, variant fallback) instead of the historical
-  /// std::vector<Row> path: fused stages scan typed blocks, shuffles move
-  /// columns, and keyed builds reference (block, row-offset) pairs.
-  /// Composes with enable_key_codec / enable_flat_hash (the keyed-build
-  /// block applies on the encoded path only). Escape hatch for ablations:
-  /// rows, placement, shuffle bytes, and all pre-existing stats are
-  /// bit-identical either way (tests/columnar_test.cc); only the
-  /// columnar-only counters (columnar_bytes/column_to_row_conversions)
-  /// differ (0 when off).
-  bool enable_columnar = true;
   /// Spill partitions that cross the memory threshold to disk runs
   /// (runtime/spill.h, format in docs/STORAGE.md) and stream them back,
   /// instead of hard-failing with ResourceExhausted — the historical FAIL
@@ -87,11 +56,8 @@ class Executor {
  public:
   Executor(runtime::Cluster* cluster, ExecOptions options)
       : cluster_(cluster), options_(options) {
-    // The codec switch lives on the cluster so the runtime operators (and
-    // the skew layer) see it without threading options through every call.
-    cluster_->set_key_codec_enabled(options_.enable_key_codec);
-    cluster_->set_flat_hash_enabled(options_.enable_flat_hash);
-    cluster_->set_columnar_enabled(options_.enable_columnar);
+    // The spill policy lives on the cluster so the runtime operators see it
+    // without threading options through every call.
     cluster_->set_spill_enabled(options_.enable_spill);
   }
 
@@ -128,15 +94,16 @@ class Executor {
   StatusOr<skew::SkewTriple> Exec(const plan::PlanPtr& p);
   /// Executes `p`, leaving a trailing chain of narrow operators unflushed so
   /// a narrow parent can extend it. Wide operators and scans (stage-fusion
-  /// boundaries) return an empty chain over their materialized result.
+  /// boundaries) return an empty chain over their materialized result; with
+  /// stage fusion off, so does every narrow node (its one-transform chain
+  /// runs at once).
   StatusOr<Pending> ExecPending(const plan::PlanPtr& p);
   /// ExecPending for the six fusible narrow kinds: appends this node's
   /// transform to the child's pending chain.
   StatusOr<Pending> ExecPendingNarrow(const plan::PlanPtr& p);
   /// Runs a pending chain as one fused stage per skew component.
   StatusOr<skew::SkewTriple> Flush(Pending pd);
-  /// The per-node lowering (one stage per operator); used for every node
-  /// when stage fusion is off, and for wide nodes always.
+  /// The lowering of wide nodes and scans (stage-fusion boundaries).
   StatusOr<skew::SkewTriple> ExecNode(const plan::PlanPtr& p);
   static Pending PendingFromTriple(skew::SkewTriple t);
 

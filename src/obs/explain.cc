@@ -145,13 +145,6 @@ struct NodeStats {
     }
     return n;
   }
-  uint64_t column_to_row_conversions() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->column_to_row_conversions;
-    }
-    return n;
-  }
   uint64_t spill_bytes_written() const {
     uint64_t n = 0;
     for (const auto& e : entries) {
@@ -267,8 +260,7 @@ std::string StatsSuffix(const NodeStats& ns) {
     os << " key_bytes=" << FormatBytes(ns.key_encode_bytes());
   }
   if (ns.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(ns.columnar_bytes())
-       << " rowify=" << ns.column_to_row_conversions() << ")";
+    os << " col(blocks=" << FormatBytes(ns.columnar_bytes()) << ")";
   }
   if (ns.spill_bytes_written() > 0) {
     os << " spill(w=" << FormatBytes(ns.spill_bytes_written())
@@ -396,8 +388,7 @@ std::string ExplainAnalyze(const plan::PlanProgram& program,
     os << " key_bytes=" << FormatBytes(stats.key_encode_bytes());
   }
   if (stats.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(stats.columnar_bytes())
-       << " rowify=" << stats.column_to_row_conversions() << ")";
+    os << " col(blocks=" << FormatBytes(stats.columnar_bytes()) << ")";
   }
   if (stats.spill_bytes_written() > 0) {
     os << " spill(w=" << FormatBytes(stats.spill_bytes_written())

@@ -111,11 +111,9 @@ void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w) {
       w->Key("hash_probe_len_max");
       w->Uint(s.hash_probe_len_max);
     }
-    if (s.columnar_bytes > 0 || s.column_to_row_conversions > 0) {
+    if (s.columnar_bytes > 0) {
       w->Key("columnar_bytes");
       w->Uint(s.columnar_bytes);
-      w->Key("column_to_row_conversions");
-      w->Uint(s.column_to_row_conversions);
     }
     if (s.spill_bytes_written > 0 || s.spill_runs > 0) {
       w->Key("spill_bytes_written");
@@ -202,8 +200,6 @@ void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w) {
   w->Uint(stats.hash_probe_len_max());
   w->Key("columnar_bytes");
   w->Uint(stats.columnar_bytes());
-  w->Key("column_to_row_conversions");
-  w->Uint(stats.column_to_row_conversions());
   w->Key("spill_bytes_written");
   w->Uint(stats.spill_bytes_written());
   w->Key("spill_bytes_read");

@@ -6,6 +6,12 @@
 namespace trance {
 namespace runtime {
 
+uint64_t Cluster::BeginJob() {
+  std::lock_guard<std::mutex> lock(mu_);
+  last_stage_end_us_ = WallMicros();
+  return ++job_id_;
+}
+
 void Cluster::RecordStage(StageStats s) {
   s.sim_seconds =
       config_.stage_overhead_seconds +
@@ -97,10 +103,6 @@ void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
       .GetCounter("trance_columnar_bytes_total",
                   "typed partition-block footprint built by operators")
       ->Add(s.columnar_bytes);
-  metrics_
-      .GetCounter("trance_column_to_row_conversions_total",
-                  "rows materialized out of typed partition blocks")
-      ->Add(s.column_to_row_conversions);
   metrics_
       .GetCounter("trance_spill_bytes_written_total",
                   "bytes written to spill run files")

@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "runtime/dataset.h"
 #include "runtime/fault.h"
-#include "runtime/key_codec.h"
 #include "runtime/spill.h"
 #include "runtime/stats.h"
 #include "util/hash.h"
@@ -93,9 +92,11 @@ class Cluster {
   /// Starts a new job (one executed program): bumps the id that tags every
   /// event this cluster emits. Per-cluster — not process-global — so the id
   /// sequence of a workload is deterministic no matter what else ran in the
-  /// process. Returns the new id (first job is 1; 0 means "outside any
-  /// job"). Driver-side only.
-  uint64_t BeginJob() { return ++job_id_; }
+  /// process. Also restarts the stage wall clock, so the job's first stage
+  /// measures from here rather than from the previous job's last stage.
+  /// Returns the new id (first job is 1; 0 means "outside any job").
+  /// Driver-side only.
+  uint64_t BeginJob();
   uint64_t current_job_id() const { return job_id_; }
 
   int num_partitions() const { return config_.num_partitions; }
@@ -172,44 +173,6 @@ class Cluster {
     return static_cast<int>(SplitMix64(key_hash ^ config_.seed) %
                             static_cast<uint64_t>(config_.num_partitions));
   }
-  /// Target partition of an encoded key. The codec's hash is exactly
-  /// RowHashOn, so this places a key on the same partition whether the
-  /// caller routed via the codec or via the legacy hash — placement is
-  /// bit-identical with the codec on or off.
-  int PartitionOf(const key_codec::EncodedKey& k) const {
-    return PartitionOf(k.hash);
-  }
-  int PartitionOf(const key_codec::EncodedKeyView& k) const {
-    return PartitionOf(k.hash);
-  }
-
-  /// Whether keyed operators run on the compact binary key codec (default)
-  /// or the historical KeyView containers. Set by the executor from
-  /// ExecOptions::enable_key_codec; results and all pre-existing stats are
-  /// bit-identical either way (tests/key_codec_test.cc).
-  bool key_codec_enabled() const { return key_codec_enabled_; }
-  void set_key_codec_enabled(bool on) { key_codec_enabled_ = on; }
-
-  /// Whether the encoded-key operators use the open-addressing flat table
-  /// of runtime/flat_hash.h (default) or the node-based
-  /// std::unordered_map fallback. Only observable when the key codec is
-  /// enabled (the legacy KeyView path has no encoded keys to index). Set by
-  /// the executor from ExecOptions::enable_flat_hash; results and all
-  /// pre-existing stats are bit-identical either way
-  /// (tests/flat_hash_test.cc) — only the flat-only counters
-  /// (hash_table_bytes / hash_resizes / hash_probe_len_max) differ (0 when
-  /// off).
-  bool flat_hash_enabled() const { return flat_hash_enabled_; }
-  void set_flat_hash_enabled(bool on) { flat_hash_enabled_ = on; }
-
-  /// Whether operators run partitions through typed columnar blocks
-  /// (runtime/column.h, default) or the historical std::vector<Row> path.
-  /// Set by the executor from ExecOptions::enable_columnar; results,
-  /// placement, shuffle bytes, and every pre-existing stat are bit-identical
-  /// either way (tests/columnar_test.cc) — only the columnar-only counters
-  /// (columnar_bytes / column_to_row_conversions) differ (0 when off).
-  bool columnar_enabled() const { return columnar_enabled_; }
-  void set_columnar_enabled(bool on) { columnar_enabled_ = on; }
 
   /// Whether partitions over the memory threshold spill to disk runs
   /// (runtime/spill.h, default) instead of hard-failing with
@@ -257,9 +220,6 @@ class Cluster {
 
   ClusterConfig config_;
   int num_threads_;
-  bool key_codec_enabled_ = true;
-  bool flat_hash_enabled_ = true;
-  bool columnar_enabled_ = true;
   bool spill_enabled_ = true;
   FaultInjector injector_;
   /// Lazily created by spill_manager() under mu_.
@@ -276,9 +236,10 @@ class Cluster {
   mutable std::mutex mu_;
   JobStats stats_;
   std::vector<std::string> scope_stack_;
-  /// End timestamp (WallMicros) of the last recorded stage: the next stage's
-  /// wall interval starts here (everything between two records is, to a good
-  /// approximation, the later stage's work).
+  /// End timestamp (WallMicros) of the last recorded stage, or the start of
+  /// the current job: the next stage's wall interval starts here
+  /// (everything between two records is, to a good approximation, the later
+  /// stage's work).
   double last_stage_end_us_ = -1;
 };
 

@@ -6,10 +6,9 @@
 // offsets, and label/bag-typed (or type-unstable) cells in a variant fallback
 // column. Every column carries a null bitmap. Blocks are lossless: RowAt /
 // ToRows reproduce the exact Field values that went in, so Field::Hash,
-// Field::DeepSize, RowHashOn, and the key codec observe bit-identical values
-// on both representations — the invariant that keeps results, placement,
-// shuffle bytes, and every pre-existing JobStats field unchanged whether
-// ExecOptions::enable_columnar is on or off.
+// Field::DeepSize, RowHashOn, and the key codec observe exactly the values
+// a row vector would hold — the invariant that keeps sizes, placement, and
+// shuffle bytes those of the rows a block stores.
 //
 // Layout follows the ClickHouse ColumnVector<T> idiom (flat typed arrays, no
 // per-value dispatch on scan) and Thrill's cache-friendly flat item storage.
@@ -168,7 +167,7 @@ class AnyColumn {
 /// derive from the declared NRC types) and filled row-by-row or from an
 /// existing std::vector<Row>. Rows whose width disagrees with the schema
 /// demote the whole block to a ragged row-vector fallback, so the block is
-/// lossless for any input the row path accepts.
+/// lossless for any row.
 class PartitionBlock {
  public:
   PartitionBlock() = default;
@@ -215,7 +214,7 @@ class PartitionBlock {
   std::vector<AnyColumn> cols_;
   size_t num_rows_ = 0;
   // Fallback for rows whose width disagrees with the schema (width changes
-  // mid-pipeline are legal in the row path, e.g. between fused stage steps).
+  // mid-pipeline are legal, e.g. between fused stage steps).
   bool ragged_mode_ = false;
   std::vector<Row> ragged_;
 };

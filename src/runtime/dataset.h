@@ -3,15 +3,13 @@
 // partitioners: key-based (all rows with the same key on the same partition),
 // inherited / preserved / dropped / redefined by operators.
 //
-// Since the block-residence refactor a Dataset no longer commits to
-// std::vector<Row> storage: its PartitionStore holds each partition either as
-// a row vector (the historical representation, still used when
-// ExecOptions::enable_columnar is off and on the legacy keyed path) or as a
-// typed column::PartitionBlock (the resident representation of every
-// columnar-mode operator output). Blocks are lossless — RowAt / RowBytesAt /
-// HashRowOn observe the exact Field values a row vector would — so every
-// consumer that sizes, hashes, or materializes rows sees bit-identical values
-// in both residences.
+// Every partition is resident as a typed column::PartitionBlock. Blocks are
+// lossless — RowAt / RowBytesAt / HashRowOn observe the exact Field values
+// that went in — so everything that sizes, hashes, or materializes rows sees
+// the values a row vector would hold. No partition is ever held as a row
+// vector: operators materialize rows only transiently (a narrow chain's
+// input row, a join's output pair), and row vectors exist only at the
+// bridge to the interpreter and when a result is collected.
 #ifndef TRANCE_RUNTIME_DATASET_H_
 #define TRANCE_RUNTIME_DATASET_H_
 
@@ -74,127 +72,37 @@ struct Partitioning {
   }
 };
 
-/// Partition storage in one of two residences: row vectors or typed columnar
-/// blocks. Exactly one representation is populated at a time; the store never
-/// holds both, so there is a single source of truth for every partition.
-///
-/// Row boundaries are explicit: MaterializeRows / AppendRowsTo / RowAt are
-/// the only ways rows leave a block-resident store, which is what lets the
-/// runtime count column_to_row_conversions at true representation boundaries
-/// instead of per stage.
-class PartitionStore {
- public:
-  PartitionStore() = default;
-
-  static PartitionStore OfRows(std::vector<std::vector<Row>> parts) {
-    PartitionStore s;
-    s.rows_ = std::move(parts);
-    return s;
-  }
-  static PartitionStore OfBlocks(Schema schema,
-                                 std::vector<column::PartitionBlock> blocks) {
-    PartitionStore s;
-    s.block_resident_ = true;
-    s.schema_ = std::move(schema);
-    s.blocks_ = std::move(blocks);
-    return s;
-  }
-
-  /// Switches to row residence with `n` empty partitions.
-  void InitRows(size_t n) {
-    block_resident_ = false;
-    blocks_.clear();
-    rows_.assign(n, {});
-  }
-  /// Switches to block residence with `n` empty blocks typed by `schema`
-  /// (kept for partition resets).
-  void InitBlocks(size_t n, const Schema& schema) {
-    block_resident_ = true;
-    schema_ = schema;
-    rows_.clear();
-    blocks_.assign(n, column::PartitionBlock(schema));
-  }
-
-  bool block_resident() const { return block_resident_; }
-  size_t NumPartitions() const {
-    return block_resident_ ? blocks_.size() : rows_.size();
-  }
-  /// The schema blocks were typed with (block residence only).
-  const Schema& block_schema() const { return schema_; }
-
-  // Residence-specific accessors; valid only in the matching residence.
-  std::vector<Row>& rows(size_t p) { return rows_[p]; }
-  const std::vector<Row>& rows(size_t p) const { return rows_[p]; }
-  column::PartitionBlock& block(size_t p) { return blocks_[p]; }
-  const column::PartitionBlock& block(size_t p) const { return blocks_[p]; }
-  std::vector<column::PartitionBlock>& blocks() { return blocks_; }
-
-  size_t RowCount(size_t p) const {
-    return block_resident_ ? blocks_[p].NumRows() : rows_[p].size();
-  }
-  size_t NumRows() const {
-    size_t n = 0;
-    for (size_t p = 0; p < NumPartitions(); ++p) n += RowCount(p);
-    return n;
-  }
-  /// Materializes row i of partition p (transient read; not a counted
-  /// representation boundary).
-  Row RowAt(size_t p, size_t i) const {
-    return block_resident_ ? blocks_[p].RowAt(i) : rows_[p][i];
-  }
-  /// Field-accounting bytes of partition p: identical in both residences
-  /// (PartitionBlock::TotalRowBytes == sum of RowDeepSize).
-  uint64_t PartitionRowBytes(size_t p) const {
-    if (block_resident_) return blocks_[p].TotalRowBytes();
-    uint64_t s = 0;
-    for (const auto& r : rows_[p]) s += RowDeepSize(r);
-    return s;
-  }
-  /// Empties partition p in place, keeping its residence (a block partition
-  /// resets to a fresh schema-typed block — the recovery/spill reset).
-  void Clear(size_t p) {
-    if (block_resident_) {
-      blocks_[p] = column::PartitionBlock(schema_);
-    } else {
-      rows_[p].clear();
-    }
-  }
-  void AppendRowsTo(size_t p, std::vector<Row>* out) const {
-    if (block_resident_) {
-      blocks_[p].AppendRowsTo(out);
-    } else {
-      out->insert(out->end(), rows_[p].begin(), rows_[p].end());
-    }
-  }
-  std::vector<Row> MaterializeRows(size_t p) const {
-    if (block_resident_) return blocks_[p].ToRows();
-    return rows_[p];
-  }
-
- private:
-  bool block_resident_ = false;
-  Schema schema_;  // block residence only; typed resets
-  std::vector<std::vector<Row>> rows_;
-  std::vector<column::PartitionBlock> blocks_;
-};
-
 struct Dataset {
   Schema schema;
-  PartitionStore store;
+  /// One resident typed block per partition.
+  std::vector<column::PartitionBlock> parts;
   Partitioning partitioning;
 
-  size_t NumPartitions() const { return store.NumPartitions(); }
-  size_t PartitionRowCount(size_t p) const { return store.RowCount(p); }
-  Row RowAt(size_t p, size_t i) const { return store.RowAt(p, i); }
-  /// Partition p as a row vector (copy / materialization; tests and true row
-  /// boundaries only).
-  std::vector<Row> PartitionRows(size_t p) const {
-    return store.MaterializeRows(p);
+  /// A dataset of `n` empty partitions typed by `schema`.
+  static Dataset Empty(Schema schema, size_t n,
+                       Partitioning partitioning = Partitioning::None()) {
+    Dataset d;
+    d.parts.assign(n, column::PartitionBlock(schema));
+    d.schema = std::move(schema);
+    d.partitioning = std::move(partitioning);
+    return d;
   }
 
-  size_t NumRows() const { return store.NumRows(); }
-  /// Total deep-size footprint. The accounting walk recurses into nested
-  /// bags and is a hot path; `num_threads > 1` sizes partitions
+  size_t NumPartitions() const { return parts.size(); }
+  size_t PartitionRowCount(size_t p) const { return parts[p].NumRows(); }
+  Row RowAt(size_t p, size_t i) const { return parts[p].RowAt(i); }
+  /// Partition p as a row vector (a copy; tests and result inspection).
+  std::vector<Row> PartitionRows(size_t p) const { return parts[p].ToRows(); }
+  /// Resets partition p to an empty schema-typed block (the reset of a
+  /// discarded task attempt).
+  void ClearPartition(size_t p) { parts[p] = column::PartitionBlock(schema); }
+
+  size_t NumRows() const {
+    size_t n = 0;
+    for (const auto& b : parts) n += b.NumRows();
+    return n;
+  }
+  /// Total deep-size footprint. `num_threads > 1` sizes partitions
   /// concurrently (per-partition slots summed in partition order, so the
   /// result is identical for any thread count).
   uint64_t DeepSizeBytes(int num_threads = 1) const {
@@ -202,60 +110,32 @@ struct Dataset {
     for (uint64_t b : PartitionBytes(num_threads)) s += b;
     return s;
   }
-  /// Byte footprint of each partition. Block-resident partitions use the
-  /// block's own accounting (TotalRowBytes, no row materialization); it is
-  /// bit-identical to the RowDeepSize sum of the same rows.
+  /// Byte footprint of each partition: the blocks' Field accounting
+  /// (TotalRowBytes, no row materialization), equal to the RowDeepSize sum
+  /// of the same rows.
   std::vector<uint64_t> PartitionBytes(int num_threads = 1) const {
-    std::vector<uint64_t> out(store.NumPartitions(), 0);
+    std::vector<uint64_t> out(parts.size(), 0);
     util::ParallelFor(num_threads, out.size(), [&](size_t i) {
-      out[i] = store.PartitionRowBytes(i);
+      out[i] = parts[i].TotalRowBytes();
     });
     return out;
   }
-  /// All rows gathered into one vector, in partition order (tests / result
-  /// collection / broadcast — a true row boundary). Mirrors PartitionBytes:
-  /// `num_threads > 1` copies partitions concurrently into pre-computed
-  /// offsets, so the output is identical for any thread count.
+  /// All rows gathered into one vector, in partition order (result
+  /// collection). `num_threads > 1` copies partitions concurrently into
+  /// pre-computed offsets, so the output is identical for any thread count.
   std::vector<Row> Collect(int num_threads = 1) const {
-    const size_t nparts = store.NumPartitions();
+    const size_t nparts = parts.size();
     std::vector<size_t> offsets(nparts + 1, 0);
     for (size_t i = 0; i < nparts; ++i) {
-      offsets[i + 1] = offsets[i] + store.RowCount(i);
+      offsets[i + 1] = offsets[i] + parts[i].NumRows();
     }
     std::vector<Row> out(offsets.back());
     util::ParallelFor(num_threads, nparts, [&](size_t i) {
-      for (size_t r = 0; r < store.RowCount(i); ++r) {
-        out[offsets[i] + r] = store.RowAt(i, r);
+      for (size_t r = 0; r < parts[i].NumRows(); ++r) {
+        out[offsets[i] + r] = parts[i].RowAt(r);
       }
     });
     return out;
-  }
-
-  /// Columnar view of every partition (runtime/column.h blocks), built
-  /// partition-parallel. Lossless: FromBlocks(ToBlocks()) reproduces the
-  /// exact rows. Block-resident partitions are repacked from their
-  /// materialized rows so the result is append-constructed either way.
-  std::vector<column::PartitionBlock> ToBlocks(int num_threads = 1) const {
-    std::vector<column::PartitionBlock> out(store.NumPartitions());
-    util::ParallelFor(num_threads, out.size(), [&](size_t i) {
-      out[i] = column::PartitionBlock::FromRows(schema,
-                                                store.MaterializeRows(i));
-    });
-    return out;
-  }
-
-  static Dataset FromBlocks(Schema schema,
-                            const std::vector<column::PartitionBlock>& blocks,
-                            Partitioning partitioning = Partitioning::None(),
-                            int num_threads = 1) {
-    Dataset d;
-    d.schema = std::move(schema);
-    d.partitioning = std::move(partitioning);
-    d.store.InitRows(blocks.size());
-    util::ParallelFor(num_threads, blocks.size(), [&](size_t i) {
-      d.store.rows(i) = blocks[i].ToRows();
-    });
-    return d;
   }
 };
 

@@ -119,13 +119,15 @@ bool FieldLess(const Field& a, const Field& b) {
   if (a.is_real()) return a.AsReal() < b.AsReal();
   if (a.is_string()) return a.AsString() < b.AsString();
   if (a.is_bool()) return a.AsBool() < b.AsBool();
+  // A null label or bag differs from every non-null one under operator==
+  // (the empty one included), so it sorts first; treating it as empty here
+  // would make the bag sort in operator== pair up unequal elements.
   if (a.is_label()) {
-    const auto& pa = a.AsLabel() == nullptr
-                         ? std::vector<std::pair<std::string, Field>>{}
-                         : a.AsLabel()->params;
-    const auto& pb = b.AsLabel() == nullptr
-                         ? std::vector<std::pair<std::string, Field>>{}
-                         : b.AsLabel()->params;
+    if (a.AsLabel() == nullptr || b.AsLabel() == nullptr) {
+      return a.AsLabel() == nullptr && b.AsLabel() != nullptr;
+    }
+    const auto& pa = a.AsLabel()->params;
+    const auto& pb = b.AsLabel()->params;
     size_t n = std::min(pa.size(), pb.size());
     for (size_t i = 0; i < n; ++i) {
       if (pa[i].first != pb[i].first) return pa[i].first < pb[i].first;
@@ -135,8 +137,11 @@ bool FieldLess(const Field& a, const Field& b) {
     return pa.size() < pb.size();
   }
   // Bags: compare canonically sorted contents.
-  std::vector<Row> sa = a.AsBag() == nullptr ? std::vector<Row>{} : *a.AsBag();
-  std::vector<Row> sb = b.AsBag() == nullptr ? std::vector<Row>{} : *b.AsBag();
+  if (a.AsBag() == nullptr || b.AsBag() == nullptr) {
+    return a.AsBag() == nullptr && b.AsBag() != nullptr;
+  }
+  std::vector<Row> sa = *a.AsBag();
+  std::vector<Row> sb = *b.AsBag();
   std::sort(sa.begin(), sa.end(), RowLess);
   std::sort(sb.begin(), sb.end(), RowLess);
   size_t n = std::min(sa.size(), sb.size());
@@ -234,17 +239,6 @@ std::string RowToString(const Row& r) {
   parts.reserve(r.fields.size());
   for (const auto& f : r.fields) parts.push_back(f.ToString());
   return "(" + Join(parts, ", ") + ")";
-}
-
-KeyView ExtractKey(const Row& r, const std::vector<int>& cols) {
-  KeyView k;
-  k.fields.reserve(cols.size());
-  for (int c : cols) {
-    TRANCE_CHECK(c >= 0 && static_cast<size_t>(c) < r.fields.size(),
-                 "ExtractKey: bad column");
-    k.fields.push_back(r.fields[static_cast<size_t>(c)]);
-  }
-  return k;
 }
 
 }  // namespace runtime

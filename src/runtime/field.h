@@ -115,38 +115,6 @@ bool RowLess(const Row& a, const Row& b);
 uint64_t RowDeepSize(const Row& r);
 std::string RowToString(const Row& r);
 
-/// A projected key as a deep copy of its fields. Since the encoded-key
-/// refactor this is a debug/EXPLAIN rendering type and the container key of
-/// the legacy keyed path (ExecOptions::enable_key_codec = false); the hot
-/// keyed operators run on runtime/key_codec.h's compact binary keys.
-struct KeyView {
-  std::vector<Field> fields;
-
-  uint64_t Hash() const {
-    uint64_t h = 0x5EED;
-    for (const auto& f : fields) h = HashCombine(h, f.Hash());
-    return h;
-  }
-  friend bool operator==(const KeyView& a, const KeyView& b) {
-    if (a.fields.size() != b.fields.size()) return false;
-    for (size_t i = 0; i < a.fields.size(); ++i) {
-      if (!(a.fields[i] == b.fields[i])) return false;
-    }
-    return true;
-  }
-};
-
-KeyView ExtractKey(const Row& r, const std::vector<int>& cols);
-
-struct KeyViewHash {
-  size_t operator()(const KeyView& k) const {
-    return static_cast<size_t>(k.Hash());
-  }
-};
-struct KeyViewEq {
-  bool operator()(const KeyView& a, const KeyView& b) const { return a == b; }
-};
-
 }  // namespace runtime
 }  // namespace trance
 

@@ -25,18 +25,13 @@
 // reduce accumulators, dedup counts, the skew layer's heavy-key set) with
 // values living in caller-side vectors. Because callers never iterate the
 // table itself, internal ordering is unobservable and results stay
-// bit-identical to the map-based path.
-//
-// StdKeyIndex is the same interface over std::unordered_map<EncodedKey, …> —
-// the ExecOptions::enable_flat_hash escape hatch — so each operator's
-// encoded path is written once and instantiated with either container.
+// a pure function of the insertion sequence.
 #ifndef TRANCE_RUNTIME_FLAT_HASH_H_
 #define TRANCE_RUNTIME_FLAT_HASH_H_
 
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,7 +50,7 @@ class FlatKeyIndex {
 
   FlatKeyIndex() = default;
   /// `expected` pre-sizes the slot array so the common build loop never
-  /// resizes (matching the reserve() the map-based paths did).
+  /// resizes.
   explicit FlatKeyIndex(size_t expected) {
     if (expected > 0) Rehash(SlotCountFor(expected));
   }
@@ -63,7 +58,7 @@ class FlatKeyIndex {
   /// Returns {dense index, true} for a new key (its bytes are appended to
   /// the arena) or {existing index, false}. Indices are dense and assigned
   /// in first-insertion order: the i-th distinct key gets index i.
-  std::pair<uint32_t, bool> FindOrInsert(const key_codec::EncodedKeyView& k) {
+  std::pair<uint32_t, bool> FindOrInsert(const key_codec::EncodedKeyRef& k) {
     if (NeedsGrowth()) Rehash(slots_.empty() ? kMinSlots : slots_.size() * 2);
     const size_t mask = slots_.size() - 1;
     size_t b = static_cast<size_t>(SplitMix64(k.hash)) & mask;
@@ -91,7 +86,7 @@ class FlatKeyIndex {
   }
 
   /// Probe-only lookup; never allocates. Returns kNotFound when absent.
-  uint32_t Find(const key_codec::EncodedKeyView& k) const {
+  uint32_t Find(const key_codec::EncodedKeyRef& k) const {
     if (slots_.empty()) return kNotFound;
     const size_t mask = slots_.size() - 1;
     size_t b = static_cast<size_t>(SplitMix64(k.hash)) & mask;
@@ -113,9 +108,9 @@ class FlatKeyIndex {
 
   /// The key of dense index i as a view into the arena (valid for the
   /// table's lifetime — the arena only appends).
-  key_codec::EncodedKeyView KeyAt(uint32_t index) const {
+  key_codec::EncodedKeyRef KeyAt(uint32_t index) const {
     const KeyRef& r = keys_[index];
-    return key_codec::EncodedKeyView{
+    return key_codec::EncodedKeyRef{
         r.hash, std::string_view(arena_.data() + r.offset, r.len)};
   }
 
@@ -162,7 +157,7 @@ class FlatKeyIndex {
     return n;
   }
 
-  bool SlotMatches(const Slot& s, const key_codec::EncodedKeyView& k) const {
+  bool SlotMatches(const Slot& s, const key_codec::EncodedKeyRef& k) const {
     return s.hash == k.hash && s.len == k.bytes.size() &&
            std::memcmp(arena_.data() + s.offset, k.bytes.data(), s.len) == 0;
   }
@@ -189,55 +184,10 @@ class FlatKeyIndex {
   mutable uint64_t max_probe_ = 0;
 };
 
-/// The enable_flat_hash=false fallback: identical interface and dense-index
-/// semantics over the node-based map the encoded paths used before the flat
-/// table. Flat-only telemetry reads as zero so the escape hatch reproduces
-/// the historical stats exactly.
-class StdKeyIndex {
- public:
-  static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
-
-  StdKeyIndex() = default;
-  explicit StdKeyIndex(size_t expected) { map_.reserve(expected); }
-
-  std::pair<uint32_t, bool> FindOrInsert(const key_codec::EncodedKeyView& k) {
-    auto it = map_.find(k);
-    if (it != map_.end()) return {it->second, false};
-    uint32_t idx = static_cast<uint32_t>(map_.size());
-    auto [pos, inserted] = map_.emplace(key_codec::Materialize(k), idx);
-    dense_.push_back(&pos->first);
-    return {idx, inserted};
-  }
-
-  uint32_t Find(const key_codec::EncodedKeyView& k) const {
-    auto it = map_.find(k);
-    return it == map_.end() ? kNotFound : it->second;
-  }
-
-  key_codec::EncodedKeyView KeyAt(uint32_t index) const {
-    const key_codec::EncodedKey* k = dense_[index];
-    return key_codec::EncodedKeyView{k->hash, k->bytes};
-  }
-
-  size_t size() const { return map_.size(); }
-  uint64_t table_bytes() const { return 0; }
-  uint64_t resizes() const { return 0; }
-  uint64_t max_probe_len() const { return 0; }
-
- private:
-  std::unordered_map<key_codec::EncodedKey, uint32_t, key_codec::EncodedKeyHash,
-                     key_codec::EncodedKeyEq>
-      map_;
-  /// Dense-order key pointers (node-based map: stable across rehash).
-  std::vector<const key_codec::EncodedKey*> dense_;
-};
-
 /// Folds one finished table's telemetry into a task's KeyStats slot (summed
 /// per partition in slot order after the stage barrier, like every keyed
-/// counter). StdKeyIndex contributes zeros, so the three flat-only counters
-/// are exactly 0 when enable_flat_hash is off.
-template <class Index>
-inline void NoteTableStats(const Index& idx, key_codec::KeyStats* ks) {
+/// counter).
+inline void NoteTableStats(const FlatKeyIndex& idx, key_codec::KeyStats* ks) {
   ks->table_bytes += idx.table_bytes();
   ks->resizes += idx.resizes();
   if (idx.max_probe_len() > ks->probe_len_max) {

@@ -8,40 +8,36 @@
 //   bytes:  per column, one tag byte followed by the value encoding
 //           (see key_codec.cc for the exact layout; strings and label
 //           parameter names are u32-length-prefixed, labels encode their
-//           captured params recursively);
+//           captured params recursively, bags encode their elements'
+//           encodings in canonical — bytewise sorted — order);
 //   hash:   identical to RowHashOn(row, cols) — the order-insensitive
 //           per-column combine, so permuted key-column lists hash (and
 //           therefore partition) identically, preserving the
 //           Partitioning::IsHashOn reuse guarantee.
 //
-// Equality is memcmp over the bytes. This agrees with the legacy
-// KeyView-based hash containers: two keys collide in those containers iff
-// they are Field-equal AND Field-hash-equal per column, which is exactly
-// when their encodings are byte-identical (asserted by
-// tests/key_codec_test.cc over randomized values). The one deliberate
-// difference: keys are *values* — no per-probe std::vector<Field> deep
-// copy, no variant dispatch per comparison.
+// Equality is memcmp over the bytes. Two keys encode byte-identically iff
+// they are Field-equal AND Field-hash-equal per column (asserted by
+// tests/key_codec_test.cc over randomized values, nested bags included):
+// Field::operator== compares bags as multisets, and sorting the element
+// encodings makes the bag encoding independent of element order.
 //
-// Bag-typed fields are rejected at encode time with a Status (keyed
-// operators require flat keys; see docs/ARCHITECTURE.md, "Row & key
-// encoding"). KeyView survives only as a debug/EXPLAIN rendering type.
+// The encoder is total: every Field value, bags included, has an encoding.
 #ifndef TRANCE_RUNTIME_KEY_CODEC_H_
 #define TRANCE_RUNTIME_KEY_CODEC_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "runtime/column.h"
 #include "runtime/field.h"
-#include "util/status.h"
 
 namespace trance {
 namespace runtime {
 namespace key_codec {
 
-/// An owning encoded key: the map/set key type of the keyed operators.
+/// An owning encoded key.
 struct EncodedKey {
   uint64_t hash = 0;
   std::string bytes;
@@ -50,42 +46,15 @@ struct EncodedKey {
 /// A non-owning view over an encoder's scratch buffer; valid until the next
 /// Encode call on the same encoder. Probes use views so a lookup never
 /// allocates.
-struct EncodedKeyView {
+struct EncodedKeyRef {
   uint64_t hash = 0;
   std::string_view bytes;
 };
 
-/// Materializes a view into an owning key (one allocation, on insert only).
-inline EncodedKey Materialize(const EncodedKeyView& v) {
+/// Materializes a view into an owning key (one allocation).
+inline EncodedKey Materialize(const EncodedKeyRef& v) {
   return EncodedKey{v.hash, std::string(v.bytes)};
 }
-
-/// Transparent hash/equality so unordered containers keyed by EncodedKey
-/// accept EncodedKeyView probes without materializing.
-struct EncodedKeyHash {
-  using is_transparent = void;
-  size_t operator()(const EncodedKey& k) const {
-    return static_cast<size_t>(k.hash);
-  }
-  size_t operator()(const EncodedKeyView& k) const {
-    return static_cast<size_t>(k.hash);
-  }
-};
-struct EncodedKeyEq {
-  using is_transparent = void;
-  bool operator()(const EncodedKey& a, const EncodedKey& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKey& a, const EncodedKeyView& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKeyView& a, const EncodedKey& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-  bool operator()(const EncodedKeyView& a, const EncodedKeyView& b) const {
-    return a.hash == b.hash && a.bytes == b.bytes;
-  }
-};
 
 /// Hash-table telemetry of one keyed phase, merged per partition in slot
 /// order after the stage barrier (so the stage totals are thread-count
@@ -95,8 +64,6 @@ struct KeyStats {
   uint64_t build_rows = 0;    // rows inserted into keyed hash structures
   uint64_t probe_hits = 0;    // lookups that found an existing key
   uint64_t max_chain = 0;     // max input rows mapped onto a single key
-  /// Flat-table telemetry (runtime/flat_hash.h); exactly 0 when
-  /// enable_flat_hash is off, like encode_bytes with the codec off.
   uint64_t table_bytes = 0;    // slot array + arena footprint of flat tables
   uint64_t resizes = 0;        // flat-table slot-array doublings
   uint64_t probe_len_max = 0;  // longest open-addressing probe sequence
@@ -119,35 +86,37 @@ class KeyEncoder {
  public:
   /// Encodes row[cols] (in column-list order). The returned view aliases
   /// the internal buffer and is invalidated by the next Encode call.
-  /// Fails with TypeError on bag-typed fields.
-  StatusOr<EncodedKeyView> Encode(const Row& row, const std::vector<int>& cols);
+  EncodedKeyRef Encode(const Row& row, const std::vector<int>& cols);
 
   /// Encodes every field of the row (full-row key, e.g. dedup).
-  StatusOr<EncodedKeyView> EncodeRow(const Row& row);
+  EncodedKeyRef EncodeRow(const Row& row);
 
-  /// Incremental per-field API for callers that project keys column-wise
-  /// (runtime/column.h blocks). Begin() resets the scratch buffer,
+  /// Encodes the `cols` cells of row i of a partition block straight from
+  /// its column arenas; byte- and hash-identical to
+  /// Encode(block.RowAt(i), cols).
+  EncodedKeyRef EncodeAt(const column::PartitionBlock& block, size_t i,
+                         const std::vector<int>& cols);
+
+  /// Encodes every cell of row i of a partition block; identical to
+  /// EncodeRow(block.RowAt(i)).
+  EncodedKeyRef EncodeRowAt(const column::PartitionBlock& block, size_t i);
+
+  /// Incremental per-field API: Begin() resets the scratch buffer,
   /// Append(field) encodes one key column, Finish() seals and returns the
   /// view. The byte layout and hash are identical to Encode(row, cols) over
   /// the same fields in the same order.
   void Begin();
-  Status Append(const Field& f);
-  EncodedKeyView Finish();
+  void Append(const Field& f);
+  EncodedKeyRef Finish();
 
-  /// Total bytes of all successful encodings since construction/reset.
+  /// Total bytes of all encodings since construction.
   uint64_t bytes_encoded() const { return bytes_encoded_; }
-  void ResetByteCount() { bytes_encoded_ = 0; }
 
  private:
   std::string buf_;
   uint64_t hash_acc_ = 0;
   uint64_t bytes_encoded_ = 0;
 };
-
-/// The codec's key hash without materializing bytes: exactly
-/// RowHashOn(row, cols). Shuffle routing uses this (via RowHashOn), which
-/// is why partition placement is bit-identical with the codec on or off.
-uint64_t KeyHashOn(const Row& row, const std::vector<int>& cols);
 
 }  // namespace key_codec
 }  // namespace runtime

@@ -22,8 +22,9 @@ namespace trance {
 namespace runtime {
 
 // MapFn / FlatMapFn / PredFn live in runtime/stage_pipeline.h: the narrow
-// operators below are single-transform chains of the fused-stage runner, so
-// the fused and standalone paths share one implementation.
+// operators below (MapRows, AddIndexColumn) are single-transform chains of
+// the fused-stage runner, so the fused and standalone paths share one
+// implementation. Other narrow operators run as RowTransform chains.
 
 enum class JoinType { kInner, kLeftOuter };
 
@@ -39,20 +40,10 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<int> key_cols,
                                     const std::string& name);
 
-/// Row-wise map. `preserves_partitioning` keeps the input guarantee (caller
-/// asserts the key columns survive at the same indexes).
+/// Row-wise map; the output carries no partitioning guarantee.
 StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
                           Schema out_schema, const MapFn& fn,
-                          const std::string& name,
-                          bool preserves_partitioning = false,
-                          Partitioning out_partitioning = Partitioning::None());
-
-StatusOr<Dataset> FilterRows(Cluster* cluster, const Dataset& in,
-                             const PredFn& pred, const std::string& name);
-
-StatusOr<Dataset> FlatMapRows(Cluster* cluster, const Dataset& in,
-                              Schema out_schema, const FlatMapFn& fn,
-                              const std::string& name);
+                          const std::string& name);
 
 /// Hash-shuffles `in` on `key_cols`. No-op (zero movement) when the guarantee
 /// already holds.
@@ -112,24 +103,13 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
                                std::vector<int> value_cols,
                                bool map_side_combine, const std::string& name);
 
-/// Output schema of Unnest/OuterUnnest: the id column (when `id_col_name` is
-/// non-empty) then the outer columns minus the bag column, then the bag's
-/// element columns (collisions suffixed "__u"). Exposed so the fused-stage
-/// builder in exec/lowering can derive chain schemas without materializing.
+/// Output schema of an unnest / outer-unnest transform (RowTransform::Unnest
+/// / OuterUnnest): the id column (when `id_col_name` is non-empty) then the
+/// outer columns minus the bag column, then the bag's element columns
+/// (collisions suffixed "__u"). Exposed so the fused-stage builder in
+/// exec/lowering can derive chain schemas without materializing.
 StatusOr<Schema> UnnestedSchema(const Schema& in, int bag_col,
                                 const std::string& id_col_name);
-
-/// Unnest (mu): pairs each row with each element of its bag column, dropping
-/// the bag column. Rows with empty bags disappear. Purely partition-local.
-StatusOr<Dataset> Unnest(Cluster* cluster, const Dataset& in, int bag_col,
-                         const std::string& name);
-
-/// Outer-unnest (mu-bar): like Unnest but first extends each outer row with a
-/// unique id column `id_col_name` (prepended), and emits one NULL-padded row
-/// for an empty bag.
-StatusOr<Dataset> OuterUnnest(Cluster* cluster, const Dataset& in, int bag_col,
-                              const std::string& id_col_name,
-                              const std::string& name);
 
 /// Bag union of two datasets with identical schemas.
 StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,

@@ -47,10 +47,6 @@ std::string SanitizeTag(const std::string& tag) {
   return out.empty() ? std::string("stage") : out;
 }
 
-/// Rows per row-batch record inside a run file; bounds the in-memory frame
-/// buffer without affecting the restored row order.
-constexpr size_t kRowsPerRecord = 4096;
-
 }  // namespace
 
 SpillManager::SpillManager(SpillConfig config) : config_(std::move(config)) {
@@ -115,36 +111,6 @@ Status EnsureParentDir(const std::string& path) {
 
 }  // namespace
 
-Status SpillManager::WriteRowsRun(const std::string& path,
-                                  const std::vector<Row>& rows,
-                                  SpillCounters* c) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    root_created_ = true;
-  }
-  TRANCE_RETURN_NOT_OK(EnsureParentDir(path));
-  serde::BlockFileWriter writer;
-  TRANCE_RETURN_NOT_OK(
-      writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
-  std::vector<Row> batch;
-  batch.reserve(std::min(rows.size(), kRowsPerRecord));
-  for (size_t i = 0; i < rows.size(); i += kRowsPerRecord) {
-    size_t end = std::min(rows.size(), i + kRowsPerRecord);
-    batch.assign(rows.begin() + i, rows.begin() + end);
-    TRANCE_RETURN_NOT_OK(writer.WriteRows(batch));
-  }
-  TRANCE_RETURN_NOT_OK(writer.Close());
-  uint64_t bytes = writer.bytes_written();
-  TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
-  total_written_.fetch_add(bytes);
-  total_runs_.fetch_add(1);
-  if (c != nullptr) {
-    c->bytes_written += bytes;
-    c->runs += 1;
-  }
-  return Status::OK();
-}
-
 Status SpillManager::WriteBlockRun(const std::string& path,
                                    const column::PartitionBlock& block,
                                    SpillCounters* c) {
@@ -166,27 +132,6 @@ Status SpillManager::WriteBlockRun(const std::string& path,
     c->bytes_written += bytes;
     c->runs += 1;
   }
-  return Status::OK();
-}
-
-Status SpillManager::ReadRun(const std::string& path, std::vector<Row>* out,
-                             uint64_t* block_rows, SpillCounters* c) {
-  serde::BlockFileReader reader;
-  TRANCE_RETURN_NOT_OK(
-      reader.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
-  for (;;) {
-    size_t before = out->size();
-    uint8_t kind = 0;
-    TRANCE_ASSIGN_OR_RETURN(bool more, reader.ReadBatch(out, &kind));
-    if (!more) break;
-    if (kind == serde::kRecordBlock && block_rows != nullptr) {
-      *block_rows += out->size() - before;
-    }
-  }
-  uint64_t bytes = reader.bytes_read();
-  TRANCE_RETURN_NOT_OK(reader.Close());
-  total_read_.fetch_add(bytes);
-  if (c != nullptr) c->bytes_read += bytes;
   return Status::OK();
 }
 
@@ -224,46 +169,6 @@ void SpillManager::RemoveRun(const std::string& path) {
   if (config_.keep_files) return;
   std::error_code ec;
   fs::remove(path, ec);
-}
-
-Status SpillManager::SpillAndRestoreRows(uint64_t job, const std::string& tag,
-                                         size_t partition,
-                                         std::vector<Row>* rows,
-                                         SpillCounters* c) {
-  // Phase 1: partition the row sequence into bounded runs, moving rows out
-  // as each run fills so the spilled portion is actually released.
-  std::vector<std::string> runs;
-  std::vector<Row> chunk;
-  uint64_t chunk_bytes = 0;
-  auto flush_chunk = [&]() -> Status {
-    std::string path = RunPath(job, tag, partition, runs.size());
-    TRANCE_RETURN_NOT_OK(WriteRowsRun(path, chunk, c));
-    runs.push_back(std::move(path));
-    chunk.clear();
-    chunk_bytes = 0;
-    return Status::OK();
-  };
-  for (Row& r : *rows) {
-    chunk_bytes += RowDeepSize(r);
-    chunk.push_back(std::move(r));
-    if (chunk_bytes >= config_.max_run_bytes) {
-      TRANCE_RETURN_NOT_OK(flush_chunk());
-    }
-  }
-  if (!chunk.empty() || runs.empty()) {
-    TRANCE_RETURN_NOT_OK(flush_chunk());
-  }
-  rows->clear();
-  rows->shrink_to_fit();
-
-  // Phase 2: one merge pass — stream the runs back in run order, which is
-  // exactly the original row order.
-  for (const std::string& path : runs) {
-    TRANCE_RETURN_NOT_OK(ReadRun(path, rows, nullptr, c));
-  }
-  for (const std::string& path : runs) RemoveRun(path);
-  if (c != nullptr) c->merge_passes += 1;
-  return Status::OK();
 }
 
 Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,

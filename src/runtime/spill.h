@@ -2,10 +2,11 @@
 //
 // A SpillManager (one per Cluster) turns the paper's FAIL cells into
 // slow-but-correct runs: when a partition's working set crosses the spill
-// threshold, its rows are written to length-prefixed, checksummed run files
-// (docs/STORAGE.md) in a per-manager temp directory, then streamed back in
-// deterministic run order — so the restored row sequence, and therefore every
-// pre-existing stat computed from it, is bit-identical to the in-memory path.
+// threshold, its block is written as columnar block records to
+// length-prefixed, checksummed run files (docs/STORAGE.md) in a per-manager
+// temp directory, then streamed back in deterministic run order — so the
+// restored row sequence, and therefore every pre-existing stat computed from
+// it, is bit-identical to the in-memory path.
 // The Thrill external-memory-channel design: bounded runs, sequential I/O,
 // merge by fixed run order.
 //
@@ -13,7 +14,7 @@
 //   - ShuffleByKey fetch targets over budget spill their received buckets to
 //     one run per source partition and stream-merge them in source order;
 //   - keyed builds (join/cogroup/nest/reduce-by-key/dedup) spill oversized
-//     shuffled inputs to runs and re-hash the rows as they stream back;
+//     reused inputs to runs and build from the restored blocks;
 //   - detail::FinishStage spills any stage-output partition over the memory
 //     cap, which is what lets the memory check pass instead of failing.
 //
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "runtime/column.h"
-#include "runtime/field.h"
 #include "runtime/schema.h"
 #include "util/status.h"
 
@@ -108,18 +108,10 @@ class SpillManager {
   std::string RunPath(uint64_t job, const std::string& tag, size_t partition,
                       size_t run) const;
 
-  /// Writes one run file holding `rows` (row-batch records). Accounts the
-  /// file's bytes against the budget and into *c.
-  Status WriteRowsRun(const std::string& path, const std::vector<Row>& rows,
-                      SpillCounters* c);
   /// Writes one run file holding a columnar block (one block record).
+  /// Accounts the file's bytes against the budget and into *c.
   Status WriteBlockRun(const std::string& path,
                        const column::PartitionBlock& block, SpillCounters* c);
-  /// Streams a run back, appending its rows to *out in written order.
-  /// `block_rows`, when non-null, accumulates the rows that came from block
-  /// records (the disk-side analogue of column_to_row_conversions).
-  Status ReadRun(const std::string& path, std::vector<Row>* out,
-                 uint64_t* block_rows, SpillCounters* c);
   /// Streams a run back into a resident block (per-row appends, so the
   /// block's footprint matches a never-spilled block of the same rows).
   /// Block-record rows count into c->rowify_avoided.
@@ -128,19 +120,11 @@ class SpillManager {
   /// Deletes a restored run (no-op with keep_files) and releases its budget.
   void RemoveRun(const std::string& path);
 
-  /// The one-call spill site: writes *rows to max_run_bytes-bounded runs
-  /// (moving rows out as it goes), clears the vector, then streams every run
-  /// back in run order — restoring the identical row sequence — and removes
-  /// the runs. Counts one merge pass.
-  Status SpillAndRestoreRows(uint64_t job, const std::string& tag,
-                             size_t partition, std::vector<Row>* rows,
-                             SpillCounters* c);
-
-  /// Block-resident analogue of SpillAndRestoreRows: splits *block into
-  /// max_run_bytes-bounded chunk blocks (by RowBytesAt), writes each as one
-  /// block record run, resets *block to an empty schema-typed block, then
-  /// restores the identical row sequence via ReadRunIntoBlock and removes
-  /// the runs. Counts one merge pass; never materializes a row vector.
+  /// The one-call spill site: splits *block into max_run_bytes-bounded
+  /// chunk blocks (by RowBytesAt), writes each as one block record run,
+  /// resets *block to an empty schema-typed block, then restores the
+  /// identical row sequence via ReadRunIntoBlock and removes the runs.
+  /// Counts one merge pass; never materializes a row vector.
   Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                               size_t partition, const Schema& schema,
                               column::PartitionBlock* block,

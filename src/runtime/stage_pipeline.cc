@@ -9,6 +9,29 @@ namespace runtime {
 
 namespace detail {
 
+void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
+               size_t partition, uint64_t partition_bytes,
+               const spill::SpillCounters& c) {
+  stage->spill_bytes_written += c.bytes_written;
+  stage->spill_bytes_read += c.bytes_read;
+  stage->spill_runs += c.runs;
+  stage->spill_merge_passes += c.merge_passes;
+  stage->spill_rowify_avoided += c.rowify_avoided;
+  obs::EventLog& log = obs::GlobalEventLog();
+  if (!log.enabled()) return;
+  obs::Event(&log, "spill")
+      .U64("job", cluster->current_job_id())
+      .Str("op", op)
+      .U64("partition", partition)
+      .U64("partition_bytes", partition_bytes)
+      .U64("bytes_written", c.bytes_written)
+      .U64("bytes_read", c.bytes_read)
+      .U64("runs", c.runs)
+      .U64("merge_passes", c.merge_passes)
+      .U64("rowify_avoided", c.rowify_avoided)
+      .Emit();
+}
+
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    const std::string& name,
                    std::vector<uint64_t> part_bytes) {
@@ -32,44 +55,19 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   if (cluster->spill_enabled()) {
     uint64_t threshold = std::min(cluster->spill_threshold_bytes(),
                                   cluster->config().partition_memory_cap);
-    spill::SpillCounters c;
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= threshold) continue;
       spill::SpillCounters pc;
-      // Residence-preserving: block partitions round-trip as columnar serde
-      // records (no disk-side rowification) and come back block-resident.
-      spill_status =
-          result->store.block_resident()
-              ? cluster->spill_manager()->SpillAndRestoreBlock(
-                    cluster->current_job_id(), name, p, result->schema,
-                    &result->store.block(p), &pc)
-              : cluster->spill_manager()->SpillAndRestoreRows(
-                    cluster->current_job_id(), name, p,
-                    &result->store.rows(p), &pc);
+      // Blocks round-trip as columnar serde records (no disk-side
+      // rowification) and come back resident.
+      spill_status = cluster->spill_manager()->SpillAndRestoreBlock(
+          cluster->current_job_id(), name, p, result->schema,
+          &result->parts[p], &pc);
       if (!spill_status.ok()) break;
       spilled[p] = 1;
       any_spilled = true;
-      c += pc;
-      obs::EventLog& log = obs::GlobalEventLog();
-      if (log.enabled()) {
-        obs::Event(&log, "spill")
-            .U64("job", cluster->current_job_id())
-            .Str("op", name)
-            .U64("partition", p)
-            .U64("partition_bytes", part_bytes[p])
-            .U64("bytes_written", pc.bytes_written)
-            .U64("bytes_read", pc.bytes_read)
-            .U64("runs", pc.runs)
-            .U64("merge_passes", pc.merge_passes)
-            .U64("rowify_avoided", pc.rowify_avoided)
-            .Emit();
-      }
+      NoteSpill(cluster, &stage, name, p, part_bytes[p], pc);
     }
-    stage.spill_bytes_written += c.bytes_written;
-    stage.spill_bytes_read += c.bytes_read;
-    stage.spill_runs += c.runs;
-    stage.spill_merge_passes += c.merge_passes;
-    stage.spill_rowify_avoided += c.rowify_avoided;
   }
   cluster->RecordStage(std::move(stage));
   TRANCE_RETURN_NOT_OK(spill_status);
@@ -81,8 +79,8 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
 
 namespace {
 
-/// Whether the standalone form of this transform charges its emitted rows to
-/// the work meter (filter and add-index historically charge input only /
+/// Whether this transform, as the last of its chain, charges its emitted
+/// rows to the work meter (filter and add-index charge input only /
 /// nothing; the others charge input + output).
 bool ChargesEmitted(RowTransform::Kind k) {
   switch (k) {
@@ -171,17 +169,9 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   const bool charge_final = ChargesEmitted(chain.back().kind);
   const bool track_work = charge_input || charge_final;
 
-  const bool columnar = cluster->columnar_enabled();
-
-  Dataset out;
-  out.schema = std::move(out_schema);
   const size_t nparts = in.NumPartitions();
-  if (columnar) {
-    out.store.InitBlocks(nparts, out.schema);
-  } else {
-    out.store.InitRows(nparts);
-  }
-  out.partitioning = std::move(out_partitioning);
+  Dataset out = Dataset::Empty(std::move(out_schema), nparts,
+                               std::move(out_partitioning));
 
   // Per-partition accumulator slots, merged in partition order after the
   // barrier (bit-identical stats at any thread count).
@@ -193,14 +183,10 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   std::vector<std::vector<uint64_t>> transform_rows(
       nparts, std::vector<uint64_t>(len, 0));
 
-  // Columnar mode scans the (typically block-resident) input and appends
-  // emitted rows straight into the output partition's resident block — no
-  // pack/unpack round-trip on either side. Blocks are lossless, and all
-  // work/byte charges are computed from the identical Field values, so every
-  // pre-existing stat matches the row path bit-for-bit; only the new
-  // columnar_bytes counter observes the mode (the per-row reads feeding the
-  // chain are transient, so they do not count as conversions — see
-  // column_to_row_conversions in docs/METRICS.md).
+  // The chain scans the input block and appends emitted rows straight into
+  // the output partition's resident block. Each input row materializes
+  // transiently to feed the chain; work and byte charges are computed from
+  // the block's exact Field values.
 
   auto task = [&](size_t p) {
     // Per-partition id counters reproduce the standalone operators' uid
@@ -219,11 +205,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
           uint64_t sz = RowDeepSize(r);
           out_bytes[p] += sz;
           if (charge_final) work[p] += sz;
-          if (columnar) {
-            out.store.block(p).AppendRow(r);
-          } else {
-            out.store.rows(p).push_back(std::move(r));
-          }
+          out.parts[p].AppendRow(r);
         } else {
           avoided[p] += RowDeepSize(r);
           feed(i + 1, r);
@@ -295,23 +277,15 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
       }
     };
 
-    rows_in[p] = in.store.RowCount(p);
-    if (in.store.block_resident()) {
-      const column::PartitionBlock& in_block = in.store.block(p);
-      const size_t n = in_block.NumRows();
-      for (size_t i = 0; i < n; ++i) {
-        Row row = in_block.RowAt(i);  // transient: feeds the chain, then dies
-        if (charge_input) work[p] += RowDeepSize(row);
-        feed(0, row);
-      }
-    } else {
-      const std::vector<Row>& in_rows = in.store.rows(p);
-      for (const auto& row : in_rows) {
-        if (charge_input) work[p] += RowDeepSize(row);
-        feed(0, row);
-      }
+    const column::PartitionBlock& in_block = in.parts[p];
+    const size_t n = in_block.NumRows();
+    rows_in[p] = n;
+    for (size_t i = 0; i < n; ++i) {
+      Row row = in_block.RowAt(i);  // transient: feeds the chain, then dies
+      if (charge_input) work[p] += RowDeepSize(row);
+      feed(0, row);
     }
-    if (columnar) col_bytes[p] += out.store.block(p).ByteFootprint();
+    col_bytes[p] += out.parts[p].ByteFootprint();
   };
 
   StageStats stage;
@@ -321,7 +295,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   // mutates.
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       stage_name, nparts, &stage, task, [&](size_t p) {
-        out.store.Clear(p);
+        out.ClearPartition(p);
         work[p] = 0;
         rows_in[p] = 0;
         out_bytes[p] = 0;

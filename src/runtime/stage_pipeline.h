@@ -9,15 +9,15 @@
 // narrow dependencies into one pipelined stage (only shuffle boundaries
 // materialize), which the paper's generated bulk programs rely on.
 //
-// The standalone bulk operators (MapRows, FilterRows, FlatMapRows, Unnest,
-// OuterUnnest, AddIndexColumn in runtime/ops.cc) are single-transform chains
-// of the same runner, so the fused and standalone paths share one
+// Every narrow operator runs through this runner: unfused execution (and
+// the MapRows / AddIndexColumn helpers in runtime/ops.h) runs
+// single-transform chains, so fused and unfused stages share one
 // implementation and one stats discipline.
 //
 // Stats contract:
-//  - A single-transform chain records a StageStats bit-identical to the
-//    historical standalone operator (same op name, same work accounting, and
-//    no `fused_transforms`).
+//  - A single-transform chain records one StageStats named after the
+//    operator, charging its input and (per ChargesEmitted) its output, with
+//    no `fused_transforms`.
 //  - A multi-transform chain records ONE StageStats whose work charge is the
 //    input footprint plus the final transform's emitted bytes; the bytes the
 //    unfused pipeline would have materialized between transforms are summed
@@ -26,8 +26,8 @@
 //    back into one line per plan operator).
 //  - All accounting uses per-partition slots merged in partition order after
 //    the stage barrier, so outputs and stats are identical at any thread
-//    count. Per-partition uid counters reproduce the exact ids the
-//    standalone OuterUnnest/AddIndexColumn operators would have assigned.
+//    count. Per-partition uid counters make the ids of outer-unnest and
+//    add-index transforms identical fused or unfused.
 //  - The memory cap is enforced against the fused chain's peak — the final
 //    output partitions, the only rows the chain holds at once (intermediate
 //    rows stream through one at a time).
@@ -88,6 +88,13 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    const std::string& stage_name);
 
 namespace detail {
+/// Folds one partition's spill telemetry into the stage and emits its spill
+/// event. Driver-side only (post-barrier or sequential loops), in partition
+/// order, so spill counters and the event sequence are thread-count-invariant.
+void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
+               size_t partition, uint64_t partition_bytes,
+               const spill::SpillCounters& c);
+
 /// Stage barrier shared by the bulk operators and the fused-stage runner:
 /// finalizes row counts, stamps the memory high-water mark, records the
 /// stage and enforces the per-partition cap. `part_bytes`, when provided, is

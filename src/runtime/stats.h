@@ -73,29 +73,21 @@ struct StageStats {
   /// stages.
   uint64_t intermediate_bytes_avoided = 0;
   /// Keyed-operator telemetry (join build/probe, cogroup, nest, reduce,
-  /// dedup, heavy-key sampling). build/probe/chain are data-determined and
-  /// identical with the key codec on or off; key_encode_bytes is the bytes
-  /// of binary keys the codec produced (0 on the legacy KeyView path).
+  /// dedup, heavy-key sampling). build/probe/chain are data-determined;
+  /// key_encode_bytes is the bytes of binary keys the codec produced.
   uint64_t key_encode_bytes = 0;  // encoded key bytes produced this stage
   uint64_t hash_build_rows = 0;   // rows inserted into keyed hash structures
   uint64_t hash_probe_hits = 0;   // lookups that found an existing key
   uint64_t hash_max_chain = 0;    // max input rows mapped to a single key
   /// Flat hash-table telemetry (runtime/flat_hash.h): total slot-array +
   /// arena footprint of the stage's flat tables, slot-array doublings, and
-  /// the longest open-addressing probe sequence. All three are exactly 0
-  /// when ExecOptions::enable_flat_hash is off (the std::unordered_map
-  /// fallback), mirroring how key_encode_bytes is codec-only.
+  /// the longest open-addressing probe sequence.
   uint64_t hash_table_bytes = 0;
   uint64_t hash_resizes = 0;
   uint64_t hash_probe_len_max = 0;
   /// Columnar-block telemetry (runtime/column.h): footprint of the typed
-  /// partition blocks this stage built, and rows it materialized back out of
-  /// blocks as Row values. Both are exactly 0 when
-  /// ExecOptions::enable_columnar is off (the historical row path), like
-  /// hash_table_bytes with flat hash off; every pre-existing field is
-  /// bit-identical either way.
+  /// partition blocks this stage built.
   uint64_t columnar_bytes = 0;
-  uint64_t column_to_row_conversions = 0;
   /// Out-of-core spill telemetry (runtime/spill.h): bytes written to /
   /// streamed back from run files, run files produced, and stream-merge
   /// passes over them. All four are exactly 0 when nothing spills (and
@@ -176,7 +168,6 @@ class JobStats {
       hash_probe_len_max_ = s.hash_probe_len_max;
     }
     columnar_bytes_ += s.columnar_bytes;
-    column_to_row_conversions_ += s.column_to_row_conversions;
     spill_bytes_written_ += s.spill_bytes_written;
     spill_bytes_read_ += s.spill_bytes_read;
     spill_runs_ += s.spill_runs;
@@ -208,7 +199,7 @@ class JobStats {
   /// Total simulated recovery time (backoff + discarded attempts); reported
   /// separately from sim_seconds() so base stats stay fault-invariant.
   double recovery_sim_seconds() const { return recovery_sim_seconds_; }
-  /// Bytes of binary keys the key codec produced (0 when the codec is off).
+  /// Bytes of binary keys the key codec produced.
   uint64_t key_encode_bytes() const { return key_encode_bytes_; }
   /// Rows inserted into keyed hash structures across all stages.
   uint64_t hash_build_rows() const { return hash_build_rows_; }
@@ -216,19 +207,14 @@ class JobStats {
   uint64_t hash_probe_hits() const { return hash_probe_hits_; }
   /// Worst per-key chain (max over stages of the stage's longest chain).
   uint64_t hash_max_chain() const { return hash_max_chain_; }
-  /// Total flat hash-table footprint built across all stages (0 when
-  /// enable_flat_hash is off).
+  /// Total flat hash-table footprint built across all stages.
   uint64_t hash_table_bytes() const { return hash_table_bytes_; }
   /// Flat-table slot-array doublings across all stages.
   uint64_t hash_resizes() const { return hash_resizes_; }
   /// Longest open-addressing probe sequence any stage saw.
   uint64_t hash_probe_len_max() const { return hash_probe_len_max_; }
-  /// Total typed-block footprint operators built (0 when columnar is off).
+  /// Total typed-block footprint operators built.
   uint64_t columnar_bytes() const { return columnar_bytes_; }
-  /// Rows materialized back out of typed blocks (0 when columnar is off).
-  uint64_t column_to_row_conversions() const {
-    return column_to_row_conversions_;
-  }
   /// Bytes written to spill run files (0 when nothing spilled).
   uint64_t spill_bytes_written() const { return spill_bytes_written_; }
   /// Bytes streamed back from spill run files.
@@ -263,7 +249,6 @@ class JobStats {
     hash_resizes_ = 0;
     hash_probe_len_max_ = 0;
     columnar_bytes_ = 0;
-    column_to_row_conversions_ = 0;
     spill_bytes_written_ = 0;
     spill_bytes_read_ = 0;
     spill_runs_ = 0;
@@ -292,7 +277,6 @@ class JobStats {
   uint64_t hash_resizes_ = 0;
   uint64_t hash_probe_len_max_ = 0;
   uint64_t columnar_bytes_ = 0;
-  uint64_t column_to_row_conversions_ = 0;
   uint64_t spill_bytes_written_ = 0;
   uint64_t spill_bytes_read_ = 0;
   uint64_t spill_runs_ = 0;

@@ -1,7 +1,5 @@
 #include "skew/skew.h"
 
-#include <unordered_map>
-
 #include "util/hash.h"
 
 namespace trance {
@@ -9,37 +7,39 @@ namespace skew {
 
 using runtime::Cluster;
 using runtime::Dataset;
-using runtime::Field;
 using runtime::JoinType;
-using runtime::KeyView;
-using runtime::Partitioning;
 using runtime::Row;
 using runtime::StageStats;
+using runtime::column::PartitionBlock;
+using runtime::flat_hash::FlatKeyIndex;
 
 namespace key_codec = runtime::key_codec;
 
+namespace {
+
+/// Reusable per-thread scratch encoder for heavy-key probes.
+key_codec::KeyEncoder& ProbeEncoder() {
+  thread_local key_codec::KeyEncoder scratch;
+  return scratch;
+}
+
+}  // namespace
+
 bool HeavyKeySet::IsHeavy(const Row& row, const std::vector<int>& cols) const {
-  if (use_codec) {
-    if (use_flat ? flat.size() == 0 : encoded.empty()) return false;
-    // Reusable thread-local scratch buffer: membership tests allocate
-    // nothing (the historical path built a KeyView deep copy per probe).
-    thread_local key_codec::KeyEncoder scratch;
-    auto kv = scratch.Encode(row, cols);
-    // A key that cannot encode (bag-typed) was never sampled into the set.
-    if (!kv.ok()) return false;
-    if (use_flat) {
-      return flat.Find(kv.value()) !=
-             runtime::flat_hash::FlatKeyIndex::kNotFound;
-    }
-    return encoded.find(kv.value()) != encoded.end();
-  }
-  return keys.count(runtime::ExtractKey(row, cols)) > 0;
+  if (empty()) return false;
+  return keys.Find(ProbeEncoder().Encode(row, cols)) != FlatKeyIndex::kNotFound;
+}
+
+bool HeavyKeySet::IsHeavyAt(const PartitionBlock& block, size_t i,
+                            const std::vector<int>& cols) const {
+  if (empty()) return false;
+  return keys.Find(ProbeEncoder().EncodeAt(block, i, cols)) !=
+         FlatKeyIndex::kNotFound;
 }
 
 SkewTriple SkewTriple::AllLight(Dataset ds) {
   SkewTriple t;
-  t.heavy.schema = ds.schema;
-  t.heavy.store.InitRows(ds.NumPartitions());
+  t.heavy = Dataset::Empty(ds.schema, ds.NumPartitions());
   t.light = std::move(ds);
   t.heavy_keys = std::nullopt;
   return t;
@@ -51,41 +51,11 @@ StatusOr<Dataset> MergeTriple(Cluster* cluster, const SkewTriple& t,
   return runtime::UnionAll(cluster, t.light, t.heavy, name + ".merge");
 }
 
-namespace {
-
-/// Static codec gate, mirroring the keyed operators: key columns statically
-/// typed as bags keep the legacy KeyView storage.
-bool KeyColsEncodable(const runtime::Schema& s, const std::vector<int>& cols) {
-  for (int c : cols) {
-    const auto& t = s.col(static_cast<size_t>(c)).type;
-    if (t != nullptr && t->is_bag()) return false;
-  }
-  return true;
-}
-
-/// Dispatches the encoded sampling loop to its counting-index type (the
-/// keyed-operator WithKeyIndex idiom): the flat table by default, the
-/// node-based map when enable_flat_hash is off.
-template <class T>
-struct IndexTag {
-  using type = T;
-};
-template <class F>
-auto WithCountIndex(bool use_flat, F&& f) {
-  return use_flat ? f(IndexTag<runtime::flat_hash::FlatKeyIndex>{})
-                  : f(IndexTag<runtime::flat_hash::StdKeyIndex>{});
-}
-
-}  // namespace
-
 HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
                             std::vector<int> key_cols) {
   const auto& cfg = cluster->config();
   HeavyKeySet out;
   out.key_cols = key_cols;
-  out.use_codec =
-      cluster->key_codec_enabled() && KeyColsEncodable(in.schema, key_cols);
-  out.use_flat = out.use_codec && cluster->flat_hash_enabled();
   // Deterministic pseudo-random sampling (hash-selected positions; a fixed
   // stride would alias with cyclic key layouts).
   uint64_t stride = cfg.skew_sample_rate <= 0
@@ -97,83 +67,44 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
   key_codec::KeyStats ks;
   key_codec::KeyEncoder enc;  // encodes once per sampled row
   for (size_t p = 0; p < in.NumPartitions(); ++p) {
-    const size_t part_rows = in.PartitionRowCount(p);
-    // Per-partition sample frequencies. The count maintenance is identical
-    // in every mode (key identity coincides), so the heavy set — and the
-    // build/probe/chain telemetry — are codec- and flat-invariant. Sampled
-    // rows read transiently from the store in either residence (unsampled
-    // positions never materialize on block-resident input).
-    auto sample_hit = [&](size_t i) {
-      return Mix64((static_cast<uint64_t>(p) << 32) ^ i ^ cfg.seed) % stride ==
-             0;
-    };
+    const PartitionBlock& part = in.parts[p];
+    const size_t part_rows = part.NumRows();
+    // Per-partition sample frequencies, keyed by the sampled rows' encoded
+    // keys (read straight from the block; unsampled rows are never read).
+    FlatKeyIndex idx;
+    std::vector<size_t> cnt;  // dense index -> sample frequency
     size_t sampled = 0;
-    auto cutoff_of = [&] {
-      size_t cutoff = static_cast<size_t>(
-          cfg.heavy_key_threshold * static_cast<double>(sampled));
-      return cutoff < 2 ? size_t{2} : cutoff;
-    };
-    if (out.use_codec) {
-      WithCountIndex(out.use_flat, [&](auto tag) {
-        typename decltype(tag)::type idx;
-        std::vector<size_t> cnt;  // dense index -> sample frequency
-        for (size_t i = 0; i < part_rows; ++i) {
-          if (!sample_hit(i)) continue;
-          ++sampled;
-          stage.rows_in++;
-          auto kv = enc.Encode(in.RowAt(p, i), key_cols);
-          if (!kv.ok()) continue;  // unencodable key: never a heavy candidate
-          auto [gi, inserted] = idx.FindOrInsert(kv.value());
-          if (inserted) {
-            cnt.push_back(0);
-            ks.build_rows++;
-          } else {
-            ks.probe_hits++;
-          }
-          if (++cnt[gi] > ks.max_chain) ks.max_chain = cnt[gi];
-        }
-        runtime::flat_hash::NoteTableStats(idx, &ks);
-        if (sampled == 0) return;
-        const size_t cutoff = cutoff_of();
-        for (size_t gi = 0; gi < idx.size(); ++gi) {
-          if (cnt[gi] < cutoff) continue;
-          key_codec::EncodedKeyView k = idx.KeyAt(static_cast<uint32_t>(gi));
-          if (out.use_flat) {
-            out.flat.FindOrInsert(k);
-          } else {
-            out.encoded.insert(key_codec::Materialize(k));
-          }
-        }
-      });
-      continue;
-    }
-    std::unordered_map<KeyView, size_t, runtime::KeyViewHash,
-                       runtime::KeyViewEq>
-        counts;
     for (size_t i = 0; i < part_rows; ++i) {
-      if (!sample_hit(i)) continue;
+      if (Mix64((static_cast<uint64_t>(p) << 32) ^ i ^ cfg.seed) % stride !=
+          0) {
+        continue;
+      }
       ++sampled;
       stage.rows_in++;
-      auto [it, inserted] =
-          counts.try_emplace(runtime::ExtractKey(in.RowAt(p, i), key_cols), 0);
+      auto [gi, inserted] = idx.FindOrInsert(enc.EncodeAt(part, i, key_cols));
       if (inserted) {
+        cnt.push_back(0);
         ks.build_rows++;
       } else {
         ks.probe_hits++;
       }
-      if (++it->second > ks.max_chain) ks.max_chain = it->second;
+      if (++cnt[gi] > ks.max_chain) ks.max_chain = cnt[gi];
     }
+    runtime::flat_hash::NoteTableStats(idx, &ks);
     if (sampled == 0) continue;
-    const size_t cutoff = cutoff_of();
-    for (const auto& [k, c] : counts) {
-      if (c >= cutoff) out.keys.insert(k);
+    size_t cutoff = static_cast<size_t>(cfg.heavy_key_threshold *
+                                        static_cast<double>(sampled));
+    if (cutoff < 2) cutoff = 2;
+    for (size_t gi = 0; gi < idx.size(); ++gi) {
+      if (cnt[gi] >= cutoff) {
+        out.keys.FindOrInsert(idx.KeyAt(static_cast<uint32_t>(gi)));
+      }
     }
   }
   // The sampling pass is cheap but not free; account a small stage. The
   // heavy-key set itself is tiny (<= 100/threshold keys per partition) and is
   // broadcast to all workers.
-  ks.encode_bytes = enc.bytes_encoded();
-  stage.key_encode_bytes = ks.encode_bytes;
+  stage.key_encode_bytes = enc.bytes_encoded();
   stage.hash_build_rows = ks.build_rows;
   stage.hash_probe_hits = ks.probe_hits;
   stage.hash_max_chain = ks.max_chain;
@@ -196,25 +127,22 @@ StatusOr<SkewTriple> SplitByHeavyKeys(Cluster* cluster, const Dataset& in,
                        ? std::move(*known)
                        : DetectHeavyKeys(cluster, in, key_cols);
   SkewTriple out;
-  out.light.schema = in.schema;
-  out.heavy.schema = in.schema;
-  out.light.store.InitRows(in.NumPartitions());
-  out.heavy.store.InitRows(in.NumPartitions());
-  out.light.partitioning = in.partitioning;
-  out.heavy.partitioning = Partitioning::None();
+  out.light = Dataset::Empty(in.schema, in.NumPartitions(), in.partitioning);
+  out.heavy = Dataset::Empty(in.schema, in.NumPartitions());
   StageStats stage;
   stage.op = name + ".split";
+  // Rows route column-to-column into the light or heavy block of their
+  // partition; the key probe encodes straight from the input block.
   for (size_t p = 0; p < in.NumPartitions(); ++p) {
-    const size_t part_rows = in.PartitionRowCount(p);
+    const PartitionBlock& src = in.parts[p];
+    const size_t part_rows = src.NumRows();
     for (size_t i = 0; i < part_rows; ++i) {
-      Row row = in.RowAt(p, i);  // transient read in either residence
       ++stage.rows_in;
-      if (!hk.empty() && hk.IsHeavy(row, key_cols)) {
-        out.heavy.store.rows(p).push_back(std::move(row));
-      } else {
-        out.light.store.rows(p).push_back(std::move(row));
-      }
+      Dataset& dst = hk.IsHeavyAt(src, i, key_cols) ? out.heavy : out.light;
+      dst.parts[p].AppendRowFrom(src, i);
     }
+    stage.columnar_bytes += out.light.parts[p].ByteFootprint() +
+                            out.heavy.parts[p].ByteFootprint();
   }
   stage.rows_out = stage.rows_in;
   stage.heavy_key_count = hk.size();
@@ -243,8 +171,7 @@ StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
   }
   const HeavyKeySet& hk = *x.heavy_keys;
 
-  // Y_L = Y.filter(!hk(g(y))); Y_H = Y.filter(hk(g(y))). The copy keeps the
-  // set's storage mode along with its keys.
+  // Y_L = Y.filter(!hk(g(y))); Y_H = Y.filter(hk(g(y))).
   TRANCE_ASSIGN_OR_RETURN(Dataset y, MergeTriple(cluster, right, name + ".rhs"));
   HeavyKeySet rhk = hk;
   rhk.key_cols = right_keys;

@@ -18,7 +18,6 @@
 #define TRANCE_SKEW_SKEW_H_
 
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/cluster.h"
@@ -31,46 +30,22 @@
 namespace trance {
 namespace skew {
 
-/// The set of heavy keys of a dataset with respect to some key columns.
-/// Storage follows the runtime's keyed-container modes, fixed at detection
-/// time: with the key codec and flat table enabled the set is a
+/// The set of heavy keys of a dataset with respect to some key columns: a
 /// FlatKeyIndex used purely for membership (dense values unused — one arena
-/// holds every heavy key's bytes, probes are memcmp against contiguous
-/// memory); with the codec alone it is the node-based EncodedKey set; the
-/// legacy mode keeps the historical KeyView set (whose Contains path
-/// deep-copies the key per probe). IsHeavy encodes through a reusable
-/// thread-local scratch encoder on both encoded modes. Membership decisions
-/// are identical in all three modes.
+/// holds every heavy key's encoded bytes, probes are memcmp against
+/// contiguous memory). Probes encode through a reusable thread-local
+/// scratch encoder, so a membership test allocates nothing.
 struct HeavyKeySet {
   std::vector<int> key_cols;
-  /// Storage mode, fixed at detection time from the cluster's codec flag so
-  /// every later probe and copy uses one representation.
-  bool use_codec = false;
-  /// Flat-table storage (use_codec && the cluster's flat_hash flag at
-  /// detection time).
-  bool use_flat = false;
-  runtime::flat_hash::FlatKeyIndex flat;
-  std::unordered_set<runtime::key_codec::EncodedKey,
-                     runtime::key_codec::EncodedKeyHash,
-                     runtime::key_codec::EncodedKeyEq>
-      encoded;  // codec storage (use_codec && !use_flat)
-  std::unordered_set<runtime::KeyView, runtime::KeyViewHash,
-                     runtime::KeyViewEq>
-      keys;  // legacy storage (use_codec == false)
+  runtime::flat_hash::FlatKeyIndex keys;
 
   /// True when the row's projected key is in the heavy set.
   bool IsHeavy(const runtime::Row& row, const std::vector<int>& cols) const;
-  bool Contains(const runtime::Row& row, const std::vector<int>& cols) const {
-    return IsHeavy(row, cols);
-  }
-  bool empty() const {
-    if (use_flat) return flat.size() == 0;
-    return use_codec ? encoded.empty() : keys.empty();
-  }
-  size_t size() const {
-    if (use_flat) return flat.size();
-    return use_codec ? encoded.size() : keys.size();
-  }
+  /// IsHeavy over row i of a partition block, encoded from its arenas.
+  bool IsHeavyAt(const runtime::column::PartitionBlock& block, size_t i,
+                 const std::vector<int>& cols) const;
+  bool empty() const { return keys.size() == 0; }
+  size_t size() const { return keys.size(); }
 };
 
 /// A dataset split into light and heavy components. `heavy_keys` is the key

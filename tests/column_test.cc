@@ -10,13 +10,13 @@
 // demote the block to the ragged fallback without losing anything.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
-// Begin/Append/Finish produces byte- and hash-identical keys to
+// Begin/Append/Finish and EncodeAt produce byte- and hash-identical keys to
 // Encode(row, cols); Schema::FromBagType rejects null and non-bag types
 // with its documented TypeError and Schema::Require names the missing
 // column and the schema; Partitioning::IsHashOn handles permutations and
 // duplicate column lists on both the small (alloc-free) and large (sorted)
-// paths; Dataset::Collect and ToBlocks/FromBlocks are thread-count
-// invariant.
+// paths; Dataset::Collect is thread-count invariant, and a Dataset's blocks
+// serve the same rows and byte accounting as the row vectors they hold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -217,28 +217,28 @@ TEST(ColumnBlockTest, NullBitmapTracksNulls) {
 TEST(KeyEncoderColumnTest, IncrementalMatchesEncode) {
   Schema schema = MixedSchema();
   Rng rng(99);
-  // Keys over the scalar columns only (bags are rejected by the codec).
-  const std::vector<int> cols{0, 1, 2, 3};
+  // Keys over every column, the bag column included.
+  const std::vector<int> cols{0, 1, 2, 3, 4};
   std::vector<Row> rows = RandomRows(&rng, 300, schema.size());
+  PartitionBlock block = PartitionBlock::FromRows(schema, rows);
   key_codec::KeyEncoder whole;
   key_codec::KeyEncoder incremental;
-  for (const Row& r : rows) {
-    bool has_bag = false;
-    for (int c : cols) has_bag |= r.fields[c].is_bag();
-    if (has_bag) continue;
-    auto want = whole.Encode(r, cols);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    key_codec::EncodedKey expected = key_codec::Materialize(*want);
+  key_codec::KeyEncoder from_block;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    key_codec::EncodedKey expected =
+        key_codec::Materialize(whole.Encode(rows[i], cols));
     incremental.Begin();
-    for (int c : cols) {
-      ASSERT_TRUE(incremental.Append(r.fields[c]).ok());
-    }
-    key_codec::EncodedKeyView got = incremental.Finish();
+    for (int c : cols) incremental.Append(rows[i].fields[c]);
+    key_codec::EncodedKeyRef got = incremental.Finish();
     EXPECT_EQ(got.hash, expected.hash);
     EXPECT_EQ(std::string(got.bytes), expected.bytes);
+    key_codec::EncodedKeyRef at = from_block.EncodeAt(block, i, cols);
+    EXPECT_EQ(at.hash, expected.hash);
+    EXPECT_EQ(std::string(at.bytes), expected.bytes);
   }
-  // Byte accounting matches too: both encoders saw the same keys.
+  // Byte accounting matches too: all encoders saw the same keys.
   EXPECT_EQ(incremental.bytes_encoded(), whole.bytes_encoded());
+  EXPECT_EQ(from_block.bytes_encoded(), whole.bytes_encoded());
 }
 
 TEST(SchemaTest, FromBagTypeRejectsNullAndNonBag) {
@@ -306,11 +306,11 @@ TEST(PartitioningTest, IsHashOnHandlesPermutationsAndDuplicates) {
 }
 
 Dataset MakeDataset(Rng* rng, size_t nparts, size_t rows_per) {
-  Dataset d;
-  d.schema = MixedSchema();
-  d.store.InitRows(nparts);
+  Dataset d = Dataset::Empty(MixedSchema(), nparts);
   for (size_t p = 0; p < nparts; ++p) {
-    d.store.rows(p) = RandomRows(rng, rows_per, d.schema.size());
+    for (const Row& r : RandomRows(rng, rows_per, d.schema.size())) {
+      d.parts[p].AppendRow(r);
+    }
   }
   return d;
 }
@@ -338,89 +338,79 @@ TEST(DatasetTest, CollectIsThreadCountInvariant) {
 }
 
 TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
-  // The storage abstraction under Dataset: the same row sequence held in
-  // either residence serves identical reads through every accessor —
-  // RowCount, RowAt, MaterializeRows, AppendRowsTo, PartitionRowBytes —
-  // including empty partitions and rows that force the variant and ragged
-  // block fallbacks (RandomRows mixes types and NULLs deliberately).
+  // The storage under Dataset: a row sequence appended to a partition's
+  // block serves identical reads through every accessor — RowCount, RowAt,
+  // PartitionRows, Collect — including empty partitions and rows that force
+  // the variant and ragged block fallbacks (RandomRows mixes types and NULLs
+  // deliberately).
   Rng rng(11);
   Schema schema = MixedSchema();
   const size_t nparts = 5;
-  runtime::PartitionStore rows_store;
-  rows_store.InitRows(nparts);
-  runtime::PartitionStore block_store;
-  block_store.InitBlocks(nparts, schema);
+  Dataset d = Dataset::Empty(schema, nparts);
+  std::vector<std::vector<Row>> rows(nparts);
   for (size_t p = 0; p < nparts; ++p) {
     // Partition 2 stays empty on purpose.
-    std::vector<Row> rows =
-        p == 2 ? std::vector<Row>{} : RandomRows(&rng, 60 + 10 * p, schema.size());
-    for (const Row& r : rows) block_store.block(p).AppendRow(r);
-    rows_store.rows(p) = std::move(rows);
+    if (p != 2) rows[p] = RandomRows(&rng, 60 + 10 * p, schema.size());
+    for (const Row& r : rows[p]) d.parts[p].AppendRow(r);
   }
-  EXPECT_FALSE(rows_store.block_resident());
-  EXPECT_TRUE(block_store.block_resident());
-  ASSERT_EQ(rows_store.NumPartitions(), block_store.NumPartitions());
-  EXPECT_EQ(rows_store.NumRows(), block_store.NumRows());
+  std::vector<Row> all;
   for (size_t p = 0; p < nparts; ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
-    ASSERT_EQ(rows_store.RowCount(p), block_store.RowCount(p));
-    EXPECT_EQ(rows_store.PartitionRowBytes(p), block_store.PartitionRowBytes(p));
-    ExpectRowsEqual(rows_store.MaterializeRows(p),
-                    block_store.MaterializeRows(p));
-    std::vector<Row> from_rows;
-    rows_store.AppendRowsTo(p, &from_rows);
-    std::vector<Row> from_blocks;
-    block_store.AppendRowsTo(p, &from_blocks);
-    ExpectRowsEqual(from_rows, from_blocks);
-    for (size_t i = 0; i < rows_store.RowCount(p); ++i) {
-      ExpectRowsEqual({rows_store.RowAt(p, i)}, {block_store.RowAt(p, i)});
+    ASSERT_EQ(d.PartitionRowCount(p), rows[p].size());
+    ExpectRowsEqual(d.PartitionRows(p), rows[p]);
+    for (size_t i = 0; i < rows[p].size(); ++i) {
+      ExpectRowsEqual({d.RowAt(p, i)}, {rows[p][i]});
     }
-    // Clear preserves residence and empties the partition.
-    block_store.Clear(p);
-    EXPECT_TRUE(block_store.block_resident());
-    EXPECT_EQ(block_store.RowCount(p), 0u);
+    all.insert(all.end(), rows[p].begin(), rows[p].end());
+  }
+  EXPECT_EQ(d.NumRows(), all.size());
+  ExpectRowsEqual(d.Collect(), all);
+  // Clearing a partition resets it to an empty schema-typed block.
+  for (size_t p = 0; p < nparts; ++p) {
+    d.ClearPartition(p);
+    EXPECT_EQ(d.PartitionRowCount(p), 0u);
+    EXPECT_EQ(d.parts[p].NumCols(), schema.size());
   }
 }
 
 TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
-  // Satellite invariant: Dataset::PartitionBytes / DeepSizeBytes report the
-  // same numbers whichever residence holds the rows (RowBytesAt mirrors
-  // RowDeepSize cell by cell), at any thread count. Randomized over the
-  // full Field-kind mix, variant/ragged demotions included.
+  // Dataset::PartitionBytes / DeepSizeBytes report, from the blocks' own
+  // accounting, exactly the RowDeepSize sum of the rows they hold (RowBytesAt
+  // mirrors RowDeepSize cell by cell), at any thread count. Randomized over
+  // the full Field-kind mix, variant/ragged demotions included.
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;
-  Dataset by_rows;
-  by_rows.schema = schema;
-  by_rows.store.InitRows(nparts);
-  Dataset by_blocks;
-  by_blocks.schema = schema;
-  by_blocks.store.InitBlocks(nparts, schema);
+  Dataset d = Dataset::Empty(schema, nparts);
+  std::vector<uint64_t> row_bytes(nparts, 0);
+  uint64_t total = 0;
   for (size_t p = 0; p < nparts; ++p) {
-    std::vector<Row> rows = RandomRows(&rng, 40 + 17 * p, schema.size());
-    for (const Row& r : rows) by_blocks.store.block(p).AppendRow(r);
-    by_rows.store.rows(p) = std::move(rows);
+    for (const Row& r : RandomRows(&rng, 40 + 17 * p, schema.size())) {
+      d.parts[p].AppendRow(r);
+      row_bytes[p] += runtime::RowDeepSize(r);
+    }
+    total += row_bytes[p];
   }
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_EQ(by_rows.PartitionBytes(threads), by_blocks.PartitionBytes(threads));
-    EXPECT_EQ(by_rows.DeepSizeBytes(threads), by_blocks.DeepSizeBytes(threads));
+    EXPECT_EQ(d.PartitionBytes(threads), row_bytes);
+    EXPECT_EQ(d.DeepSizeBytes(threads), total);
   }
 }
 
 TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
+  // Rows taken out of a Dataset's blocks and packed into fresh blocks
+  // reproduce every partition exactly.
   Rng rng(6);
   Dataset d = MakeDataset(&rng, 5, 80);
+  Dataset back = Dataset::Empty(d.schema, d.NumPartitions());
+  for (size_t p = 0; p < d.NumPartitions(); ++p) {
+    back.parts[p] = PartitionBlock::FromRows(d.schema, d.PartitionRows(p));
+  }
   for (int threads : {1, 4}) {
-    auto blocks = d.ToBlocks(threads);
-    ASSERT_EQ(blocks.size(), d.NumPartitions());
-    Dataset back = Dataset::FromBlocks(d.schema, blocks,
-                                       Partitioning::None(), threads);
-    ASSERT_EQ(back.NumPartitions(), d.NumPartitions());
-    for (size_t p = 0; p < d.NumPartitions(); ++p) {
-      SCOPED_TRACE("partition " + std::to_string(p));
-      ExpectRowsEqual(back.PartitionRows(p), d.PartitionRows(p));
-    }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExpectRowsEqual(back.Collect(threads), d.Collect(threads));
+    EXPECT_EQ(back.PartitionBytes(threads), d.PartitionBytes(threads));
   }
 }
 

@@ -3,6 +3,9 @@
 // executor-level behaviours (broadcast threshold, program registry).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "exec/bridge.h"
 #include "exec/lowering.h"
 #include "exec/scalar_compiler.h"
@@ -156,6 +159,34 @@ TEST(ExecutorTest, BroadcastThresholdSelectsBroadcastJoin) {
     if (s.op.find("broadcast") != std::string::npos) saw_broadcast = true;
   }
   EXPECT_TRUE(saw_broadcast);
+}
+
+TEST(ExecutorTest, JobStartResetsStageWallClock) {
+  // A job's first stage measures from the job's start, not from the
+  // previous job's last stage: the idle time between two jobs belongs to
+  // neither job.
+  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 2});
+  exec::Executor ex(&cluster, {});
+  Schema kv({{"k", Type::Int()}, {"v", Type::Int()}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.push_back(Row({Field::Int(i % 10), Field::Int(i)}));
+  }
+  ex.Register("L", runtime::Source(&cluster, kv, rows, "L").ValueOrDie());
+  ex.Register("R", runtime::Source(&cluster, kv, rows, "R").ValueOrDie());
+  plan::PlanProgram program;
+  program.assignments.push_back(
+      {"Q", plan::PlanNode::Join(plan::PlanNode::Scan("L"),
+                                 plan::PlanNode::Scan("R"), {"k"}, {"k"},
+                                 false)});
+  ASSERT_TRUE(ex.ExecuteProgram(program).ok());
+  const size_t first_job_stages = cluster.stats().stages().size();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(ex.ExecuteProgram(program).ok());
+  ASSERT_GT(cluster.stats().stages().size(), first_job_stages);
+  const runtime::StageStats& first =
+      cluster.stats().stages()[first_job_stages];
+  EXPECT_LT(first.wall_dur_us, 25000.0) << "stage " << first.op;
 }
 
 TEST(ExecutorTest, MissingRelationIsKeyError) {

@@ -7,51 +7,37 @@
 // (identical 64-bit hash, different bytes) stay distinct; the empty key
 // (zero-length bytes) is a valid key; dense indices are stable for the
 // table's lifetime (erase-less semantics) and KeyAt round-trips every
-// inserted key byte-exactly through arena growth; StdKeyIndex satisfies the
-// same contract with zeroed flat-only telemetry.
+// inserted key byte-exactly through arena growth.
 //
-// Part 2 — end-to-end equivalence: every Fig-7 narrow-suite query, through
-// both compilation routes, produces identical per-partition rows (hence
-// identical placement), identical shuffle bytes, and identical pre-existing
-// JobStats with the flat table on and off, at 1, 4, and 8 threads. The
-// flat-only counters (hash_table_bytes / hash_resizes / hash_probe_len_max)
-// are nonzero on and exactly zero off, and they flow into EXPLAIN ANALYZE
-// ("flat(tbl=") and the JSON export.
+// Part 2 — every Fig-7 narrow-suite query, through both compilation routes,
+// produces identical per-partition rows (hence identical placement) and
+// identical JobStats with partition parallelism on (4 and 8 worker threads)
+// and off (the sequential one-thread path) — the flat-table counters
+// (hash_table_bytes / hash_resizes / hash_probe_len_max) included, since
+// per-partition tables are slot-merged in partition order. The counters
+// flow into EXPLAIN ANALYZE ("flat(tbl=") and the JSON export.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "exec/bridge.h"
-#include "exec/pipeline.h"
-#include "nrc/interp.h"
-#include "obs/explain.h"
+#include "fig7_suite.h"
 #include "obs/export.h"
-#include "runtime/cluster.h"
 #include "runtime/flat_hash.h"
 #include "runtime/key_codec.h"
-#include "runtime/ops.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 #include "util/random.h"
 
 namespace trance {
 namespace {
 
-using nrc::Value;
-using runtime::Dataset;
 using runtime::Field;
-using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
 namespace key_codec = runtime::key_codec;
 using runtime::flat_hash::FlatKeyIndex;
-using runtime::flat_hash::StdKeyIndex;
 
 // --- Part 1: table properties -------------------------------------------
 
@@ -61,8 +47,8 @@ key_codec::EncodedKey MakeKey(uint64_t hash, std::string bytes) {
   return key_codec::EncodedKey{hash, std::move(bytes)};
 }
 
-key_codec::EncodedKeyView View(const key_codec::EncodedKey& k) {
-  return key_codec::EncodedKeyView{k.hash, k.bytes};
+key_codec::EncodedKeyRef View(const key_codec::EncodedKey& k) {
+  return key_codec::EncodedKeyRef{k.hash, k.bytes};
 }
 
 /// Random key material with odd, varied lengths (0..40 bytes) so arena
@@ -76,10 +62,9 @@ key_codec::EncodedKey RandomKey(Rng* rng, uint64_t key_space) {
   return MakeKey(SplitMix64(id) ^ 0x9e3779b97f4a7c15ull, std::move(bytes));
 }
 
-template <class Index>
 void OracleParityRun(uint64_t seed, uint64_t key_space, int ops) {
   Rng rng(static_cast<int64_t>(seed));
-  Index idx;
+  FlatKeyIndex idx;
   std::unordered_map<std::string, uint32_t> oracle;
   std::vector<std::string> dense_bytes;  // oracle for KeyAt / index stability
   for (int i = 0; i < ops; ++i) {
@@ -89,7 +74,7 @@ void OracleParityRun(uint64_t seed, uint64_t key_space, int ops) {
       uint32_t got = idx.Find(View(k));
       auto it = oracle.find(k.bytes);
       if (it == oracle.end()) {
-        EXPECT_EQ(got, Index::kNotFound) << "op " << i;
+        EXPECT_EQ(got, FlatKeyIndex::kNotFound) << "op " << i;
       } else {
         EXPECT_EQ(got, it->second) << "op " << i;
       }
@@ -109,7 +94,7 @@ void OracleParityRun(uint64_t seed, uint64_t key_space, int ops) {
   // Erase-less stable indices: every key still maps to its original index
   // and KeyAt round-trips the bytes even after all intervening resizes.
   for (uint32_t gi = 0; gi < dense_bytes.size(); ++gi) {
-    key_codec::EncodedKeyView k = idx.KeyAt(gi);
+    key_codec::EncodedKeyRef k = idx.KeyAt(gi);
     EXPECT_EQ(std::string(k.bytes), dense_bytes[gi]) << "index " << gi;
     EXPECT_EQ(idx.Find(k), gi) << "index " << gi;
   }
@@ -118,11 +103,7 @@ void OracleParityRun(uint64_t seed, uint64_t key_space, int ops) {
 TEST(FlatHashTest, OracleParityWithResizes) {
   // 40k ops over ~6k distinct keys: the table doubles from 16 slots many
   // times while the probe/insert mix exercises every growth boundary.
-  OracleParityRun<FlatKeyIndex>(42, 6000, 40000);
-}
-
-TEST(FlatHashTest, StdKeyIndexSatisfiesSameContract) {
-  OracleParityRun<StdKeyIndex>(42, 6000, 40000);
+  OracleParityRun(42, 6000, 40000);
 }
 
 TEST(FlatHashTest, ForcedHashCollisionsStayDistinct) {
@@ -206,13 +187,6 @@ TEST(FlatHashTest, TelemetryCountsResizesAndFootprint) {
   }
   EXPECT_EQ(sized.resizes(), 0u);
   EXPECT_EQ(sized.table_bytes(), idx.table_bytes());
-
-  // StdKeyIndex reports the flat-only telemetry as zero.
-  StdKeyIndex std_idx;
-  std_idx.FindOrInsert(View(MakeKey(1, "a")));
-  EXPECT_EQ(std_idx.table_bytes(), 0u);
-  EXPECT_EQ(std_idx.resizes(), 0u);
-  EXPECT_EQ(std_idx.max_probe_len(), 0u);
 }
 
 TEST(FlatHashTest, ArenaStressOddLengthsManyResizes) {
@@ -236,289 +210,63 @@ TEST(FlatHashTest, ArenaStressOddLengthsManyResizes) {
     uint32_t i = static_cast<uint32_t>(rng.UniformRange(0, kKeys - 1));
     std::string bytes(static_cast<size_t>(i % 37), static_cast<char>(i % 251));
     bytes += std::to_string(i);
-    key_codec::EncodedKeyView got = idx.KeyAt(i);
+    key_codec::EncodedKeyRef got = idx.KeyAt(i);
     ASSERT_EQ(std::string(got.bytes), bytes) << i;
     EXPECT_EQ(idx.Find(View(MakeKey(SplitMix64(i * 2654435761ull), bytes))),
               i);
   }
 }
 
-// --- Part 2: end-to-end equivalence over the Fig-7 suite -----------------
-
-runtime::ClusterConfig Config(int num_threads) {
-  runtime::ClusterConfig c;
-  c.num_partitions = 8;
-  c.num_threads = num_threads;
-  return c;
-}
-
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
-    }
-  }
-}
-
-/// Full JobStats equality except wall-clock and the flat-only table
-/// counters (those are checked separately: nonzero on, zero off). Every
-/// pre-existing counter — including the PR-5 keyed trio and encode bytes —
-/// must be flat-hash-invariant.
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  EXPECT_EQ(a.key_encode_bytes(), b.key_encode_bytes());
-  EXPECT_EQ(a.hash_build_rows(), b.hash_build_rows());
-  EXPECT_EQ(a.hash_probe_hits(), b.hash_probe_hits());
-  EXPECT_EQ(a.hash_max_chain(), b.hash_max_chain());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.key_encode_bytes, sb.key_encode_bytes);
-    EXPECT_EQ(sa.hash_build_rows, sb.hash_build_rows);
-    EXPECT_EQ(sa.hash_probe_hits, sb.hash_probe_hits);
-    EXPECT_EQ(sa.hash_max_chain, sb.hash_max_chain);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
-  }
-}
-
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
-}
-
-struct StandardModeRun {
-  Dataset out;
-  JobStats stats;
-  std::string explain;
-};
-
-StandardModeRun RunStandardMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool flat, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_flat_hash = flat;
-  exec::Executor executor(&cluster, opts.exec);
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name)
-                  .ValueOrDie();
-    executor.Register(in.name, std::move(ds));
-  }
-  plan::PlanProgram compiled;
-  StandardModeRun r;
-  auto out = exec::RunStandard(q, &executor, opts, &compiled);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (out.ok()) r.out = std::move(out).value();
-  r.stats = cluster.stats();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
-  return r;
-}
-
-struct ShreddedModeRun {
-  exec::ShreddedRun run;
-  JobStats stats;
-};
-
-ShreddedModeRun RunShreddedMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool flat, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_flat_hash = flat;
-  exec::Executor executor(&cluster, opts.exec);
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    TRANCE_CHECK(
-        exec::RegisterShreddedInput(&executor, in.name, in.type, v->second,
-                                    seed)
-            .ok(),
-        "register shredded input");
-    seed += 1000000;
-  }
-  plan::PlanProgram compiled;
-  ShreddedModeRun r;
-  auto run = exec::RunShredded(q, &executor, opts,
-                               shred::MaterializeMode::kDomainElimination,
-                               &compiled);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) r.run = std::move(run).value();
-  r.stats = cluster.stats();
-  return r;
-}
-
-void ExpectSameShreddedRows(const exec::ShreddedRun& a,
-                            const exec::ShreddedRun& b) {
-  ExpectSameRows(a.top, b.top);
-  ASSERT_EQ(a.dicts.size(), b.dicts.size());
-  for (size_t i = 0; i < a.dicts.size(); ++i) {
-    SCOPED_TRACE("dict " + a.dicts[i].first);
-    EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
-    ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
-  }
-}
+// --- Part 2: the Fig-7 suite with partition parallelism on and off -------
 
 class FlatHashSuiteTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
-
-  StatusOr<nrc::Program> Query(Kind kind, int depth) {
-    switch (kind) {
-      case kFlatToNested:
-        return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-      case kNestedToNested:
-        return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-      case kNestedToFlat:
-        return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-    }
-    return Status::Internal("bad kind");
-  }
-
-  std::map<std::string, Value> Inputs(Kind kind, int depth) {
-    tpch::TpchConfig cfg;
-    cfg.scale = 0.0005;
-    auto values = TpchValues(tpch::Generate(cfg));
-    if (kind == kFlatToNested) return values;
-    auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-    nrc::Interpreter interp;
-    auto nested = interp.EvalProgram(prep, values);
-    TRANCE_CHECK(nested.ok(), "nested input prep");
-    return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
-  }
-};
+    : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
 TEST_P(FlatHashSuiteTest, StandardRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
-  StandardModeRun on1 = RunStandardMode(*q, values, true, 1);
-  StandardModeRun on4 = RunStandardMode(*q, values, true, 4);
-  StandardModeRun on8 = RunStandardMode(*q, values, true, 8);
-  StandardModeRun off1 = RunStandardMode(*q, values, false, 1);
-  StandardModeRun off4 = RunStandardMode(*q, values, false, 4);
-  StandardModeRun off8 = RunStandardMode(*q, values, false, 8);
-
-  // Each mode independently keeps the thread-count-independence contract —
-  // the flat-only counters included (per-partition tables are slot-merged
-  // in partition order, not completion order).
-  ExpectSameRows(on1.out, on4.out);
-  ExpectSameRows(on1.out, on8.out);
-  ExpectSameStats(on1.stats, on4.stats);
-  ExpectSameStats(on1.stats, on8.stats);
-  EXPECT_EQ(on1.stats.hash_table_bytes(), on4.stats.hash_table_bytes());
-  EXPECT_EQ(on1.stats.hash_table_bytes(), on8.stats.hash_table_bytes());
-  EXPECT_EQ(on1.stats.hash_resizes(), on4.stats.hash_resizes());
-  EXPECT_EQ(on1.stats.hash_probe_len_max(), on4.stats.hash_probe_len_max());
-  ExpectSameRows(off1.out, off4.out);
-  ExpectSameRows(off1.out, off8.out);
-  ExpectSameStats(off1.stats, off4.stats);
-  ExpectSameStats(off1.stats, off8.stats);
-
-  // Across modes: identical rows in identical partitions (placement) and
-  // identical pre-existing stats; only the flat-only counters differ.
-  ExpectSameRows(on1.out, off1.out);
-  ExpectSameStats(on1.stats, off1.stats);
-  if (on1.stats.hash_build_rows() > 0) {
-    EXPECT_GT(on1.stats.hash_table_bytes(), 0u);
+  fig7_suite::StandardRun seq = fig7_suite::RunStandard(*q, values, 1);
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    fig7_suite::StandardRun par = fig7_suite::RunStandard(*q, values, threads);
+    fig7_suite::ExpectSameRows(seq.out, par.out);
+    fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
-  EXPECT_EQ(off1.stats.hash_table_bytes(), 0u);
-  EXPECT_EQ(off1.stats.hash_resizes(), 0u);
-  EXPECT_EQ(off1.stats.hash_probe_len_max(), 0u);
+  // Every keyed build runs on a flat table.
+  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.hash_table_bytes() > 0);
 }
 
 TEST_P(FlatHashSuiteTest, ShreddedRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
-  ShreddedModeRun on1 = RunShreddedMode(*q, values, true, 1);
-  ShreddedModeRun on4 = RunShreddedMode(*q, values, true, 4);
-  ShreddedModeRun on8 = RunShreddedMode(*q, values, true, 8);
-  ShreddedModeRun off1 = RunShreddedMode(*q, values, false, 1);
-  ShreddedModeRun off4 = RunShreddedMode(*q, values, false, 4);
-  ShreddedModeRun off8 = RunShreddedMode(*q, values, false, 8);
-
-  ExpectSameShreddedRows(on1.run, on4.run);
-  ExpectSameShreddedRows(on1.run, on8.run);
-  ExpectSameStats(on1.stats, on4.stats);
-  ExpectSameStats(on1.stats, on8.stats);
-  EXPECT_EQ(on1.stats.hash_table_bytes(), on4.stats.hash_table_bytes());
-  EXPECT_EQ(on1.stats.hash_table_bytes(), on8.stats.hash_table_bytes());
-  ExpectSameShreddedRows(off1.run, off4.run);
-  ExpectSameShreddedRows(off1.run, off8.run);
-  ExpectSameStats(off1.stats, off4.stats);
-  ExpectSameStats(off1.stats, off8.stats);
-
-  ExpectSameShreddedRows(on1.run, off1.run);
-  ExpectSameStats(on1.stats, off1.stats);
-  EXPECT_EQ(off1.stats.hash_table_bytes(), 0u);
-  EXPECT_EQ(off1.stats.hash_resizes(), 0u);
-  EXPECT_EQ(off1.stats.hash_probe_len_max(), 0u);
-}
-
-std::string FlatHashParamName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
-         std::to_string(std::get<1>(info.param));
+  fig7_suite::ShreddedRun seq = fig7_suite::RunShredded(*q, values, 1);
+  for (int threads : {4, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    fig7_suite::ShreddedRun par = fig7_suite::RunShredded(*q, values, threads);
+    fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
+    fig7_suite::ExpectSameStats(seq.stats, par.stats);
+  }
+  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.hash_table_bytes() > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fig7NarrowSuite, FlatHashSuiteTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(0, 2, 4)),
-    FlatHashParamName);
+    fig7_suite::ParamName);
 
 // --- Counter plumbing ----------------------------------------------------
 
 TEST(FlatHashRuntimeTest, DistinctOnOffIdenticalAndCounted) {
-  auto run = [](bool flat) {
-    runtime::Cluster cluster(Config(1));
-    cluster.set_flat_hash_enabled(flat);
+  // On/off is partition parallelism, as in the suite above.
+  auto run = [](int threads) {
+    runtime::Cluster cluster(fig7_suite::Config(threads));
     std::vector<Row> rows;
     for (int64_t i = 0; i < 1000; ++i) {
       rows.push_back(Row({Field::Int(i % 100),
@@ -531,22 +279,17 @@ TEST(FlatHashRuntimeTest, DistinctOnOffIdenticalAndCounted) {
     auto out = runtime::Distinct(&cluster, ds, "dedup").ValueOrDie();
     return std::make_pair(std::move(out), cluster.stats());
   };
-  auto [on_out, on_stats] = run(true);
-  auto [off_out, off_stats] = run(false);
-  ExpectSameRows(on_out, off_out);
-  EXPECT_EQ(on_out.NumRows(), 100u);
-  const StageStats& on_stage = on_stats.stages().back();
-  const StageStats& off_stage = off_stats.stages().back();
-  // The PR-5 counters are implementation-invariant...
-  EXPECT_EQ(on_stage.hash_build_rows, off_stage.hash_build_rows);
-  EXPECT_EQ(on_stage.hash_probe_hits, off_stage.hash_probe_hits);
-  EXPECT_EQ(on_stage.hash_max_chain, off_stage.hash_max_chain);
-  EXPECT_EQ(on_stage.key_encode_bytes, off_stage.key_encode_bytes);
-  // ...while the flat-only trio gates on the flag.
-  EXPECT_GT(on_stage.hash_table_bytes, 0u);
-  EXPECT_EQ(off_stage.hash_table_bytes, 0u);
-  EXPECT_EQ(off_stage.hash_resizes, 0u);
-  EXPECT_EQ(off_stage.hash_probe_len_max, 0u);
+  auto [seq_out, seq_stats] = run(1);
+  auto [par_out, par_stats] = run(8);
+  fig7_suite::ExpectSameRows(seq_out, par_out);
+  fig7_suite::ExpectSameStats(seq_stats, par_stats);
+  EXPECT_EQ(seq_out.NumRows(), 100u);
+  const StageStats& stage = seq_stats.stages().back();
+  EXPECT_EQ(stage.hash_build_rows, 100u);
+  EXPECT_GT(stage.hash_table_bytes, 0u);
+  EXPECT_EQ(stage.hash_resizes, par_stats.stages().back().hash_resizes);
+  EXPECT_EQ(stage.hash_probe_len_max,
+            par_stats.stages().back().hash_probe_len_max);
 }
 
 TEST(FlatHashRuntimeTest, CountersVisibleInJsonAndExplain) {
@@ -554,8 +297,8 @@ TEST(FlatHashRuntimeTest, CountersVisibleInJsonAndExplain) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
-  StandardModeRun r = RunStandardMode(*q, values, true, 1);
+  auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
+  fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
   EXPECT_GT(r.stats.hash_table_bytes(), 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);
@@ -564,10 +307,6 @@ TEST(FlatHashRuntimeTest, CountersVisibleInJsonAndExplain) {
   EXPECT_NE(json.find("\"hash_probe_len_max\""), std::string::npos) << json;
 
   EXPECT_NE(r.explain.find("flat(tbl="), std::string::npos) << r.explain;
-
-  // With the flag off the explain suffix disappears (counters are zero).
-  StandardModeRun off = RunStandardMode(*q, values, false, 1);
-  EXPECT_EQ(off.explain.find("flat(tbl="), std::string::npos) << off.explain;
 }
 
 }  // namespace

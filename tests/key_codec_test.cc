@@ -1,61 +1,59 @@
 // Encoded-key codec tests (ctest label `keys`).
 //
 // Part 1 — codec properties: on randomized field values (NULLs, int/real
-// numeric edges, empty strings, nested and collapsed labels) the binary
-// encoding's byte equality coincides with the legacy container identity
-// (Field::operator== AND Field::Hash per column), the encoder's hash equals
-// RowHashOn (so the PR-3 commutative, order-insensitive guarantee survives —
-// permuted key columns hash and place identically), and bag-typed fields are
-// rejected with a Status.
+// numeric edges, empty strings, nested and collapsed labels, null, empty
+// and nested bags) the binary encoding's byte equality coincides with the
+// legacy container identity (Field::operator== AND Field::Hash per column),
+// and the encoder's hash equals RowHashOn (so the commutative,
+// order-insensitive guarantee survives — permuted key columns hash and
+// place identically). Bags encode canonically: element order never matters,
+// multiplicity, Int-vs-Real elements and null-vs-empty always do.
 //
-// Part 2 — end-to-end equivalence: every Fig-7 narrow-suite query, through
-// both compilation routes, produces identical per-partition rows (hence
-// identical placement), identical shuffle bytes, and identical pre-existing
-// JobStats with the codec on and off, at 1 and 4 threads; the keyed
-// hash-table counters are codec-invariant and key_encode_bytes is zero with
-// the codec off. The counters are visible in EXPLAIN ANALYZE and the JSON
-// export.
+// Part 2 — bag-valued keys end to end: Distinct, NestGroup, SumAggregate,
+// HashJoin and CoGroup keyed on a bag column produce the hand-computed
+// multiset results at 1 and 4 threads, with identical placement.
+//
+// Part 3 — every Fig-7 narrow-suite query, through both compilation routes,
+// produces identical per-partition rows and identical JobStats with
+// partition parallelism on (4 worker threads) and off (the sequential
+// one-thread path); the keyed counters are visible in EXPLAIN ANALYZE and
+// the JSON export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "exec/bridge.h"
-#include "exec/pipeline.h"
-#include "nrc/interp.h"
-#include "obs/explain.h"
+#include "fig7_suite.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
 #include "runtime/key_codec.h"
 #include "runtime/ops.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 #include "util/random.h"
 
 namespace trance {
 namespace {
 
-using nrc::Value;
+using runtime::BagPtr;
 using runtime::Dataset;
 using runtime::Field;
-using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
 namespace key_codec = runtime::key_codec;
 
 // --- Part 1: codec properties -------------------------------------------
 
-/// A randomized flat-key field drawn from every encodable kind, biased
-/// toward the edge cases the codec must keep distinct (or merge): repeated
-/// small integers, int-valued reals, signed zeros, empty strings, NULLs,
-/// and (at depth > 0) labels capturing nested parameters.
-Field RandomField(Rng* rng, int label_depth) {
-  switch (rng->UniformRange(0, label_depth > 0 ? 6 : 5)) {
+Field RandomBag(Rng* rng, int depth);
+
+/// A randomized key field drawn from every kind, biased toward the edge
+/// cases the codec must keep distinct (or merge): repeated small integers,
+/// int-valued reals, signed zeros, empty strings, NULLs, and (at depth > 0)
+/// labels capturing nested parameters and bags over small element domains.
+Field RandomField(Rng* rng, int depth) {
+  switch (rng->UniformRange(0, depth > 0 ? 7 : 5)) {
     case 0:
       return Field::Null();
     case 1:
@@ -76,16 +74,63 @@ Field RandomField(Rng* rng, int label_depth) {
       return Field::Int(rng->UniformRange(0, 1) == 0
                             ? std::numeric_limits<int64_t>::min()
                             : std::numeric_limits<int64_t>::max());
-    default: {
+    case 6: {
       std::vector<std::pair<std::string, Field>> params;
       int n = static_cast<int>(rng->UniformRange(0, 2));
       for (int i = 0; i < n; ++i) {
         params.emplace_back("p" + std::to_string(i),
-                            RandomField(rng, label_depth - 1));
+                            RandomField(rng, depth - 1));
       }
       return runtime::MakeLabel(std::move(params));
     }
+    default:
+      return RandomBag(rng, depth - 1);
   }
+}
+
+/// A null, empty, or small bag of one- or two-field rows. Elements come
+/// from a tiny domain (0/1 as Int or Real, "", NULL, nested bags) so equal,
+/// permuted, and Int-vs-Real-differing bags are all common.
+Field RandomBag(Rng* rng, int depth) {
+  if (rng->UniformRange(0, 7) == 0) return Field::Bag(BagPtr(nullptr));
+  std::vector<Row> elems;
+  for (int64_t i = 0, n = rng->UniformRange(0, 3); i < n; ++i) {
+    Row r;
+    for (int64_t f = 0, w = rng->UniformRange(1, 2); f < w; ++f) {
+      switch (rng->UniformRange(0, depth > 0 ? 4 : 3)) {
+        case 0:
+          r.fields.push_back(Field::Int(rng->UniformRange(0, 1)));
+          break;
+        case 1:
+          r.fields.push_back(
+              Field::Real(static_cast<double>(rng->UniformRange(0, 1))));
+          break;
+        case 2:
+          r.fields.push_back(Field::Str(""));
+          break;
+        case 3:
+          r.fields.push_back(Field::Null());
+          break;
+        default:
+          r.fields.push_back(RandomBag(rng, depth - 1));
+      }
+    }
+    elems.push_back(std::move(r));
+  }
+  return Field::Bag(std::move(elems));
+}
+
+/// The same runtime value with every bag's elements (recursively) in
+/// reversed order: operator== and Field::Hash treat it as the same value.
+Field Permuted(const Field& f) {
+  if (!f.is_bag() || f.AsBag() == nullptr) return f;
+  std::vector<Row> elems;
+  for (auto it = f.AsBag()->rbegin(); it != f.AsBag()->rend(); ++it) {
+    Row r;
+    for (const Field& ef : it->fields) r.fields.push_back(Permuted(ef));
+    elems.push_back(std::move(r));
+  }
+  return Field::Bag(std::move(elems));
 }
 
 /// The legacy container identity: two fields land in the same hash-map slot
@@ -104,22 +149,26 @@ TEST(KeyCodecTest, ByteEqualityMatchesLegacyContainerIdentity) {
   Rng rng(42);
   key_codec::KeyEncoder enc;
   std::vector<int> cols{0, 1};
+  int equal_bag_pairs = 0;
   for (int trial = 0; trial < 20000; ++trial) {
     Row a({RandomField(&rng, 2), RandomField(&rng, 2)});
-    Row b({RandomField(&rng, 2), RandomField(&rng, 2)});
-    auto ka = enc.Encode(a, cols);
-    ASSERT_TRUE(ka.ok()) << ka.status().ToString();
-    key_codec::EncodedKey ea = key_codec::Materialize(ka.value());
-    auto kb = enc.Encode(b, cols);
-    ASSERT_TRUE(kb.ok()) << kb.status().ToString();
-    bool bytes_equal = ea.bytes == kb.value().bytes;
+    // A third of the pairs compare a row against its bag-permuted copy,
+    // so equal multisets in different orders are exercised constantly.
+    Row b = rng.UniformRange(0, 2) == 0
+                ? Row({Permuted(a.fields[0]), Permuted(a.fields[1])})
+                : Row({RandomField(&rng, 2), RandomField(&rng, 2)});
+    key_codec::EncodedKey ea = key_codec::Materialize(enc.Encode(a, cols));
+    key_codec::EncodedKeyRef kb = enc.Encode(b, cols);
+    bool bytes_equal = ea.bytes == kb.bytes;
     EXPECT_EQ(bytes_equal, LegacySameKey(a, b))
         << "trial " << trial << ": " << runtime::RowToString(a) << " vs "
         << runtime::RowToString(b);
     if (bytes_equal) {
-      EXPECT_EQ(ea.hash, kb.value().hash);
+      EXPECT_EQ(ea.hash, kb.hash);
+      if (a.fields[0].is_bag()) ++equal_bag_pairs;
     }
   }
+  EXPECT_GT(equal_bag_pairs, 100);
 }
 
 TEST(KeyCodecTest, EncoderHashEqualsRowHashOn) {
@@ -128,10 +177,7 @@ TEST(KeyCodecTest, EncoderHashEqualsRowHashOn) {
   std::vector<int> cols{0, 1, 2};
   for (int trial = 0; trial < 5000; ++trial) {
     Row r({RandomField(&rng, 2), RandomField(&rng, 2), RandomField(&rng, 2)});
-    auto k = enc.Encode(r, cols);
-    ASSERT_TRUE(k.ok());
-    EXPECT_EQ(k.value().hash, runtime::RowHashOn(r, cols));
-    EXPECT_EQ(key_codec::KeyHashOn(r, cols), runtime::RowHashOn(r, cols));
+    EXPECT_EQ(enc.Encode(r, cols).hash, runtime::RowHashOn(r, cols));
   }
 }
 
@@ -143,27 +189,13 @@ TEST(KeyCodecTest, PermutedKeyColumnsHashAndPlaceIdentically) {
   key_codec::KeyEncoder enc;
   for (int trial = 0; trial < 2000; ++trial) {
     Row r({RandomField(&rng, 1), RandomField(&rng, 1), RandomField(&rng, 1)});
-    auto a = enc.Encode(r, {0, 1, 2});
-    ASSERT_TRUE(a.ok());
-    key_codec::EncodedKey ea = key_codec::Materialize(a.value());
-    auto b = enc.Encode(r, {2, 0, 1});
-    ASSERT_TRUE(b.ok());
-    // The per-column sum is commutative (the PR-3 RowHashOn guarantee), so
-    // hash — and therefore partition placement — ignores column order.
-    EXPECT_EQ(ea.hash, b.value().hash);
-    EXPECT_EQ(cluster.PartitionOf(ea), cluster.PartitionOf(b.value()));
+    uint64_t a = enc.Encode(r, {0, 1, 2}).hash;
+    uint64_t b = enc.Encode(r, {2, 0, 1}).hash;
+    // The per-column sum is commutative (the RowHashOn guarantee), so hash
+    // — and therefore partition placement — ignores column order.
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(cluster.PartitionOf(a), cluster.PartitionOf(b));
   }
-}
-
-TEST(KeyCodecTest, BagFieldsAreRejected) {
-  key_codec::KeyEncoder enc;
-  Row r({Field::Int(1), Field::Bag({Row({Field::Int(2)})})});
-  auto k = enc.Encode(r, {0, 1});
-  ASSERT_FALSE(k.ok());
-  EXPECT_EQ(k.status().code(), StatusCode::kTypeError)
-      << k.status().ToString();
-  // Columns that skip the bag encode fine.
-  EXPECT_TRUE(enc.Encode(r, {0}).ok());
 }
 
 TEST(KeyCodecTest, CollapsedLabelsEncodeIdentically) {
@@ -173,281 +205,294 @@ TEST(KeyCodecTest, CollapsedLabelsEncodeIdentically) {
   Field inner = runtime::MakeLabel({{"id", Field::Int(3)}});
   Field wrapped = runtime::MakeLabel({{"x", inner}});
   key_codec::KeyEncoder enc;
-  auto a = enc.Encode(Row({inner}), {0});
-  ASSERT_TRUE(a.ok());
-  key_codec::EncodedKey ea = key_codec::Materialize(a.value());
-  auto b = enc.Encode(Row({wrapped}), {0});
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(ea.bytes, b.value().bytes);
-  EXPECT_EQ(ea.hash, b.value().hash);
+  key_codec::EncodedKey ea = key_codec::Materialize(enc.Encode(Row({inner}), {0}));
+  key_codec::EncodedKeyRef b = enc.Encode(Row({wrapped}), {0});
+  EXPECT_EQ(ea.bytes, b.bytes);
+  EXPECT_EQ(ea.hash, b.hash);
 }
 
 TEST(KeyCodecTest, SignedZeroMergesNullLabelStaysDistinct) {
   key_codec::KeyEncoder enc;
-  auto pos = enc.Encode(Row({Field::Real(0.0)}), {0});
-  ASSERT_TRUE(pos.ok());
-  key_codec::EncodedKey epos = key_codec::Materialize(pos.value());
-  auto neg = enc.Encode(Row({Field::Real(-0.0)}), {0});
-  ASSERT_TRUE(neg.ok());
-  EXPECT_EQ(epos.bytes, neg.value().bytes);  // 0.0 == -0.0 and hashes agree
+  key_codec::EncodedKey pos =
+      key_codec::Materialize(enc.Encode(Row({Field::Real(0.0)}), {0}));
+  // 0.0 == -0.0 and their hashes agree.
+  EXPECT_EQ(pos.bytes, enc.Encode(Row({Field::Real(-0.0)}), {0}).bytes);
 
   // A null label pointer and a label with zero captured params are distinct
   // runtime values (distinct hashes) and must not merge.
-  auto null_label = enc.Encode(Row({Field::Label(nullptr)}), {0});
-  ASSERT_TRUE(null_label.ok());
-  key_codec::EncodedKey enull = key_codec::Materialize(null_label.value());
-  auto empty_label = enc.Encode(Row({runtime::MakeLabel({})}), {0});
-  ASSERT_TRUE(empty_label.ok());
-  EXPECT_NE(enull.bytes, empty_label.value().bytes);
+  key_codec::EncodedKey null_label =
+      key_codec::Materialize(enc.Encode(Row({Field::Label(nullptr)}), {0}));
+  EXPECT_NE(null_label.bytes,
+            enc.Encode(Row({runtime::MakeLabel({})}), {0}).bytes);
 }
 
-// --- Part 2: end-to-end equivalence over the Fig-7 suite -----------------
-
-runtime::ClusterConfig Config(int num_threads) {
-  runtime::ClusterConfig c;
-  c.num_partitions = 8;
-  c.num_threads = num_threads;
-  return c;
+/// Bytes of the one-column key `f`.
+std::string KeyBytes(const Field& f) {
+  key_codec::KeyEncoder enc;
+  return std::string(enc.Encode(Row({f}), {0}).bytes);
 }
 
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
+Field IntBag(std::vector<int64_t> xs) {
+  std::vector<Row> rows;
+  for (int64_t x : xs) rows.push_back(Row({Field::Int(x)}));
+  return Field::Bag(std::move(rows));
+}
+
+TEST(KeyCodecTest, BagEncodingIsCanonical) {
+  // Element order never reaches the bytes; multiplicity, element type, and
+  // null-vs-empty always do (each mirrors Field::operator== plus
+  // Field::Hash).
+  EXPECT_EQ(KeyBytes(IntBag({1, 2, 3})), KeyBytes(IntBag({3, 1, 2})));
+  EXPECT_NE(KeyBytes(IntBag({1, 2})), KeyBytes(IntBag({1, 1, 2})));
+  EXPECT_NE(KeyBytes(IntBag({1})),
+            KeyBytes(Field::Bag({Row({Field::Real(1.0)})})));
+  EXPECT_NE(KeyBytes(IntBag({})), KeyBytes(Field::Bag(BagPtr(nullptr))));
+  // Nested bags canonicalize at every level.
+  Field nested_a = Field::Bag({Row({IntBag({1, 2})}), Row({IntBag({})})});
+  Field nested_b = Field::Bag({Row({IntBag({})}), Row({IntBag({2, 1})})});
+  EXPECT_EQ(KeyBytes(nested_a), KeyBytes(nested_b));
+  EXPECT_NE(KeyBytes(nested_a),
+            KeyBytes(Field::Bag({Row({IntBag({1, 2})}), Row({IntBag({0})})})));
+  // A bag is never confused with the flat value it contains.
+  EXPECT_NE(KeyBytes(IntBag({1})), KeyBytes(Field::Int(1)));
+}
+
+// --- Part 2: bag-valued keys end to end -----------------------------------
+
+/// A canonical rendering that is strict where Field::operator== is lenient:
+/// Int and Real cells render differently, a null bag differs from an empty
+/// one, and bag elements are sorted so element order does not matter.
+std::string Canon(const Row& r);
+
+std::string Canon(const Field& f) {
+  if (f.is_null()) return "N";
+  if (f.is_int()) return "i" + std::to_string(f.AsInt());
+  if (f.is_real()) return "r" + std::to_string(f.AsReal());
+  if (f.is_string()) return "s'" + f.AsString() + "'";
+  if (f.is_bool()) return f.AsBool() ? "T" : "F";
+  if (f.is_label()) return "L" + f.ToString();
+  if (f.AsBag() == nullptr) return "nullbag";
+  std::vector<std::string> elems;
+  for (const Row& r : *f.AsBag()) elems.push_back(Canon(r));
+  std::sort(elems.begin(), elems.end());
+  std::string out = "{";
+  for (const std::string& e : elems) out += e + ";";
+  return out + "}";
+}
+
+std::string Canon(const Row& r) {
+  std::string out = "(";
+  for (const Field& f : r.fields) out += Canon(f) + ",";
+  return out + ")";
+}
+
+/// Order-insensitive, Int/Real- and null/empty-strict multiset equality.
+void ExpectSameMultiset(const std::vector<Row>& actual,
+                        const std::vector<Row>& expected) {
+  std::vector<std::string> a, e;
+  for (const Row& r : actual) a.push_back(Canon(r));
+  for (const Row& r : expected) e.push_back(Canon(r));
+  std::sort(a.begin(), a.end());
+  std::sort(e.begin(), e.end());
+  EXPECT_EQ(a, e);
+}
+
+// The key domain: K1 and K1p differ only in element order (one key); K2
+// adds a duplicate element; K3 holds Real(1.0) where K1 holds Int(1); K4 is
+// empty and K5 a null bag (two keys); K6 and K6p nest K1 and K1p (one key).
+Field K1() { return IntBag({1, 2}); }
+Field K1p() { return IntBag({2, 1}); }
+Field K2() { return IntBag({1, 1, 2}); }
+Field K3() { return Field::Bag({Row({Field::Real(1.0)}), Row({Field::Int(2)})}); }
+Field K4() { return IntBag({}); }
+Field K5() { return Field::Bag(BagPtr(nullptr)); }
+Field K6() { return Field::Bag({Row({K1()}), Row({K4()})}); }
+Field K6p() { return Field::Bag({Row({K4()}), Row({K1p()})}); }
+
+runtime::Schema BagKeySchema(const std::string& key, const std::string& val,
+                             nrc::TypePtr val_type) {
+  return runtime::Schema(
+      {{key, nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}))},
+       {val, std::move(val_type)}});
+}
+
+/// R(k, v): every key of the domain, with exact duplicate rows for K1, K4
+/// and K5.
+std::vector<Row> RRows() {
+  return {Row({K1(), Field::Int(10)}),  Row({K1p(), Field::Int(20)}),
+          Row({K2(), Field::Int(30)}),  Row({K3(), Field::Int(40)}),
+          Row({K4(), Field::Int(50)}),  Row({K5(), Field::Int(60)}),
+          Row({K6(), Field::Int(70)}),  Row({K6p(), Field::Int(80)}),
+          Row({K1(), Field::Int(10)}),  Row({K4(), Field::Int(50)}),
+          Row({K5(), Field::Int(60)})};
+}
+
+/// S(k2, w): one row per distinct key (in a different element order where
+/// the key allows it) plus a key R never holds.
+std::vector<Row> SRows() {
+  return {Row({K1p(), Field::Str("a")}), Row({K2(), Field::Str("b")}),
+          Row({K3(), Field::Str("c")}),  Row({K4(), Field::Str("d")}),
+          Row({K5(), Field::Str("e")}),  Row({K6p(), Field::Str("f")}),
+          Row({IntBag({3}), Field::Str("z")})};
+}
+
+/// Runs `op` on fresh R and S at 1 and 4 threads, checks the two results
+/// hold identical rows in identical partitions, and returns the 1-thread
+/// result's rows.
+template <class Op>
+std::vector<Row> RunOnBagKeys(Op op) {
+  std::vector<Dataset> results;
+  for (int threads : {1, 4}) {
+    runtime::ClusterConfig cfg = fig7_suite::Config(threads);
+    cfg.num_partitions = 4;
+    runtime::Cluster cluster(cfg);
+    Dataset r = runtime::Source(&cluster,
+                                BagKeySchema("k", "v", nrc::Type::Int()),
+                                RRows(), "r")
+                    .ValueOrDie();
+    Dataset s = runtime::Source(&cluster,
+                                BagKeySchema("k2", "w", nrc::Type::String()),
+                                SRows(), "s")
+                    .ValueOrDie();
+    StatusOr<Dataset> out = op(&cluster, r, s);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    if (!out.ok()) return {};
+    EXPECT_GT(cluster.stats().key_encode_bytes(), 0u);
+    results.push_back(std::move(out).value());
+  }
+  fig7_suite::ExpectSameRows(results[0], results[1]);
+  return results[0].Collect();
+}
+
+TEST(BagKeyTest, DistinctKeepsOneRowPerMultiset) {
+  std::vector<Row> got =
+      RunOnBagKeys([](runtime::Cluster* c, const Dataset& r, const Dataset&) {
+        // Dedup R's key column alone: K1/K1p and K6/K6p are one key each.
+        runtime::Schema keys({r.schema.col(0)});
+        StatusOr<Dataset> k = runtime::MapRows(
+            c, r, keys, [](const Row& row) { return Row({row.fields[0]}); },
+            "keys");
+        if (!k.ok()) return k;
+        return runtime::Distinct(c, *k, "dedup");
+      });
+  ExpectSameMultiset(got, {Row({K1()}), Row({K2()}), Row({K3()}),
+                           Row({K4()}), Row({K5()}), Row({K6()})});
+}
+
+TEST(BagKeyTest, NestGroupGroupsEqualMultisets) {
+  std::vector<Row> got =
+      RunOnBagKeys([](runtime::Cluster* c, const Dataset& r, const Dataset&) {
+        return runtime::NestGroup(c, r, {0}, {1}, "vs", "nest");
+      });
+  auto vs = [](std::vector<int64_t> xs) { return IntBag(std::move(xs)); };
+  ExpectSameMultiset(got, {Row({K1(), vs({10, 20, 10})}),
+                           Row({K2(), vs({30})}), Row({K3(), vs({40})}),
+                           Row({K4(), vs({50, 50})}),
+                           Row({K5(), vs({60, 60})}),
+                           Row({K6(), vs({70, 80})})});
+}
+
+TEST(BagKeyTest, SumAggregateSumsPerMultiset) {
+  for (bool combine : {true, false}) {
+    SCOPED_TRACE(combine ? "map-side combine" : "no combine");
+    std::vector<Row> got = RunOnBagKeys(
+        [combine](runtime::Cluster* c, const Dataset& r, const Dataset&) {
+          return runtime::SumAggregate(c, r, {0}, {1}, combine, "sum");
+        });
+    ExpectSameMultiset(
+        got, {Row({K1(), Field::Int(40)}), Row({K2(), Field::Int(30)}),
+              Row({K3(), Field::Int(40)}), Row({K4(), Field::Int(100)}),
+              Row({K5(), Field::Int(120)}), Row({K6(), Field::Int(150)})});
+  }
+}
+
+/// The join of R with S on the bag key: each R row pairs with the one S row
+/// holding an equal multiset.
+std::vector<Row> ExpectedJoin() {
+  const std::pair<int64_t, const char*> kMatches[] = {
+      {10, "a"}, {20, "a"}, {30, "b"}, {40, "c"}, {50, "d"}, {60, "e"},
+      {70, "f"}, {80, "f"}, {10, "a"}, {50, "d"}, {60, "e"}};
+  std::vector<Row> r = RRows();
+  std::vector<Row> s = SRows();
+  std::vector<Row> out;
+  for (size_t i = 0; i < r.size(); ++i) {
+    for (const Row& srow : s) {
+      if (srow.fields[1].AsString() != kMatches[i].second) continue;
+      out.push_back(Row({r[i].fields[0], r[i].fields[1], srow.fields[0],
+                         srow.fields[1]}));
     }
   }
+  return out;
 }
 
-/// Full JobStats equality except wall-clock fields. The keyed hash-table
-/// counters are included — they are codec-invariant by design; only
-/// key_encode_bytes may differ between modes (checked by the caller).
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  EXPECT_EQ(a.hash_build_rows(), b.hash_build_rows());
-  EXPECT_EQ(a.hash_probe_hits(), b.hash_probe_hits());
-  EXPECT_EQ(a.hash_max_chain(), b.hash_max_chain());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.hash_build_rows, sb.hash_build_rows);
-    EXPECT_EQ(sa.hash_probe_hits, sb.hash_probe_hits);
-    EXPECT_EQ(sa.hash_max_chain, sb.hash_max_chain);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
+TEST(BagKeyTest, HashJoinMatchesEqualMultisets) {
+  std::vector<Row> got =
+      RunOnBagKeys([](runtime::Cluster* c, const Dataset& r, const Dataset& s) {
+        return runtime::HashJoin(c, r, s, {0}, {0}, runtime::JoinType::kInner,
+                                 "join");
+      });
+  ExpectSameMultiset(got, ExpectedJoin());
+}
+
+TEST(BagKeyTest, CoGroupAttachesEqualMultisetMatches) {
+  std::vector<Row> got =
+      RunOnBagKeys([](runtime::Cluster* c, const Dataset& r, const Dataset& s) {
+        return runtime::CoGroup(c, r, s, {0}, {0}, {1}, "ws", "cogroup");
+      });
+  std::vector<Row> expected;
+  for (const Row& j : ExpectedJoin()) {
+    expected.push_back(
+        Row({j.fields[0], j.fields[1], Field::Bag({Row({j.fields[3]})})}));
   }
+  ExpectSameMultiset(got, expected);
 }
 
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
-}
-
-struct StandardModeRun {
-  Dataset out;
-  JobStats stats;
-  std::string explain;
-};
-
-StandardModeRun RunStandardMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool codec, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_key_codec = codec;
-  exec::Executor executor(&cluster, opts.exec);
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name)
-                  .ValueOrDie();
-    executor.Register(in.name, std::move(ds));
-  }
-  plan::PlanProgram compiled;
-  StandardModeRun r;
-  auto out = exec::RunStandard(q, &executor, opts, &compiled);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (out.ok()) r.out = std::move(out).value();
-  r.stats = cluster.stats();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
-  return r;
-}
-
-struct ShreddedModeRun {
-  exec::ShreddedRun run;
-  JobStats stats;
-};
-
-ShreddedModeRun RunShreddedMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool codec, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_key_codec = codec;
-  exec::Executor executor(&cluster, opts.exec);
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    TRANCE_CHECK(
-        exec::RegisterShreddedInput(&executor, in.name, in.type, v->second,
-                                    seed)
-            .ok(),
-        "register shredded input");
-    seed += 1000000;
-  }
-  plan::PlanProgram compiled;
-  ShreddedModeRun r;
-  auto run = exec::RunShredded(q, &executor, opts,
-                               shred::MaterializeMode::kDomainElimination,
-                               &compiled);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) r.run = std::move(run).value();
-  r.stats = cluster.stats();
-  return r;
-}
-
-void ExpectSameShreddedRows(const exec::ShreddedRun& a,
-                            const exec::ShreddedRun& b) {
-  ExpectSameRows(a.top, b.top);
-  ASSERT_EQ(a.dicts.size(), b.dicts.size());
-  for (size_t i = 0; i < a.dicts.size(); ++i) {
-    SCOPED_TRACE("dict " + a.dicts[i].first);
-    EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
-    ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
-  }
-}
+// --- Part 3: the Fig-7 suite with partition parallelism on and off -------
 
 class KeyCodecSuiteTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
-
-  StatusOr<nrc::Program> Query(Kind kind, int depth) {
-    switch (kind) {
-      case kFlatToNested:
-        return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-      case kNestedToNested:
-        return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-      case kNestedToFlat:
-        return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-    }
-    return Status::Internal("bad kind");
-  }
-
-  std::map<std::string, Value> Inputs(Kind kind, int depth) {
-    tpch::TpchConfig cfg;
-    cfg.scale = 0.0005;
-    auto values = TpchValues(tpch::Generate(cfg));
-    if (kind == kFlatToNested) return values;
-    auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-    nrc::Interpreter interp;
-    auto nested = interp.EvalProgram(prep, values);
-    TRANCE_CHECK(nested.ok(), "nested input prep");
-    return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
-  }
-};
+    : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
 TEST_P(KeyCodecSuiteTest, StandardRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
-  StandardModeRun on1 = RunStandardMode(*q, values, true, 1);
-  StandardModeRun on4 = RunStandardMode(*q, values, true, 4);
-  StandardModeRun off1 = RunStandardMode(*q, values, false, 1);
-  StandardModeRun off4 = RunStandardMode(*q, values, false, 4);
-
-  // Each mode independently keeps the thread-count-independence contract.
-  ExpectSameRows(on1.out, on4.out);
-  ExpectSameStats(on1.stats, on4.stats);
-  EXPECT_EQ(on1.stats.key_encode_bytes(), on4.stats.key_encode_bytes());
-  ExpectSameRows(off1.out, off4.out);
-  ExpectSameStats(off1.stats, off4.stats);
-
-  // Across modes: identical rows in identical partitions (placement) and
-  // identical stats, keyed counters included; only encode bytes may differ.
-  ExpectSameRows(on1.out, off1.out);
-  ExpectSameStats(on1.stats, off1.stats);
-  EXPECT_EQ(off1.stats.key_encode_bytes(), 0u);
+  fig7_suite::StandardRun seq = fig7_suite::RunStandard(*q, values, 1);
+  fig7_suite::StandardRun par = fig7_suite::RunStandard(*q, values, 4);
+  // Identical rows in identical partitions (placement) and identical
+  // stats, the keyed counters and encode bytes included.
+  fig7_suite::ExpectSameRows(seq.out, par.out);
+  fig7_suite::ExpectSameStats(seq.stats, par.stats);
+  // Every keyed build encodes its keys.
+  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.key_encode_bytes() > 0);
 }
 
 TEST_P(KeyCodecSuiteTest, ShreddedRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
-  ShreddedModeRun on1 = RunShreddedMode(*q, values, true, 1);
-  ShreddedModeRun on4 = RunShreddedMode(*q, values, true, 4);
-  ShreddedModeRun off1 = RunShreddedMode(*q, values, false, 1);
-  ShreddedModeRun off4 = RunShreddedMode(*q, values, false, 4);
-
-  ExpectSameShreddedRows(on1.run, on4.run);
-  ExpectSameStats(on1.stats, on4.stats);
-  ExpectSameShreddedRows(off1.run, off4.run);
-  ExpectSameStats(off1.stats, off4.stats);
-
-  ExpectSameShreddedRows(on1.run, off1.run);
-  ExpectSameStats(on1.stats, off1.stats);
-  EXPECT_EQ(off1.stats.key_encode_bytes(), 0u);
-}
-
-std::string KeyCodecParamName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
-         std::to_string(std::get<1>(info.param));
+  fig7_suite::ShreddedRun seq = fig7_suite::RunShredded(*q, values, 1);
+  fig7_suite::ShreddedRun par = fig7_suite::RunShredded(*q, values, 4);
+  fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
+  fig7_suite::ExpectSameStats(seq.stats, par.stats);
+  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.key_encode_bytes() > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fig7NarrowSuite, KeyCodecSuiteTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(0, 1, 2, 3, 4)),
-    KeyCodecParamName);
+    fig7_suite::ParamName);
 
 // --- Counter plumbing ----------------------------------------------------
 
 TEST(KeyCodecRuntimeTest, DistinctOnOffIdenticalAndCounted) {
-  auto run = [](bool codec) {
-    runtime::Cluster cluster(Config(1));
-    cluster.set_key_codec_enabled(codec);
+  // On/off is partition parallelism, as in the suite above.
+  auto run = [](int threads) {
+    runtime::Cluster cluster(fig7_suite::Config(threads));
     std::vector<Row> rows;
     for (int64_t i = 0; i < 1000; ++i) {
       rows.push_back(Row({Field::Int(i % 100),
@@ -460,22 +505,18 @@ TEST(KeyCodecRuntimeTest, DistinctOnOffIdenticalAndCounted) {
     auto out = runtime::Distinct(&cluster, ds, "dedup").ValueOrDie();
     return std::make_pair(std::move(out), cluster.stats());
   };
-  auto [on_out, on_stats] = run(true);
-  auto [off_out, off_stats] = run(false);
-  ExpectSameRows(on_out, off_out);
-  EXPECT_EQ(on_out.NumRows(), 100u);
+  auto [seq_out, seq_stats] = run(1);
+  auto [par_out, par_stats] = run(4);
+  fig7_suite::ExpectSameRows(seq_out, par_out);
+  fig7_suite::ExpectSameStats(seq_stats, par_stats);
+  EXPECT_EQ(seq_out.NumRows(), 100u);
   // The dedup stage is the last recorded; 100 distinct keys built, 900
-  // duplicate membership hits, 10 rows per key — identical in both modes.
-  const StageStats& on_stage = on_stats.stages().back();
-  const StageStats& off_stage = off_stats.stages().back();
-  EXPECT_EQ(on_stage.hash_build_rows, 100u);
-  EXPECT_EQ(on_stage.hash_probe_hits, 900u);
-  EXPECT_EQ(on_stage.hash_max_chain, 10u);
-  EXPECT_EQ(off_stage.hash_build_rows, on_stage.hash_build_rows);
-  EXPECT_EQ(off_stage.hash_probe_hits, on_stage.hash_probe_hits);
-  EXPECT_EQ(off_stage.hash_max_chain, on_stage.hash_max_chain);
-  EXPECT_GT(on_stage.key_encode_bytes, 0u);
-  EXPECT_EQ(off_stage.key_encode_bytes, 0u);
+  // duplicate membership hits, 10 rows per key.
+  const StageStats& stage = seq_stats.stages().back();
+  EXPECT_EQ(stage.hash_build_rows, 100u);
+  EXPECT_EQ(stage.hash_probe_hits, 900u);
+  EXPECT_EQ(stage.hash_max_chain, 10u);
+  EXPECT_GT(stage.key_encode_bytes, 0u);
 }
 
 TEST(KeyCodecRuntimeTest, CountersVisibleInJsonAndExplain) {
@@ -483,8 +524,8 @@ TEST(KeyCodecRuntimeTest, CountersVisibleInJsonAndExplain) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
-  StandardModeRun r = RunStandardMode(*q, values, true, 1);
+  auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
+  fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
   EXPECT_GT(r.stats.hash_build_rows(), 0u);
   EXPECT_GT(r.stats.key_encode_bytes(), 0u);
 

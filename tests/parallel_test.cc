@@ -102,6 +102,14 @@ struct OpsRun {
   JobStats stats;
 };
 
+/// One narrow transform run as its own stage (the unfused operator form).
+StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in, Schema out,
+                            RowTransform t) {
+  const std::string name = t.op;
+  return RunStagePipeline(cluster, in, std::move(out), {std::move(t)},
+                          Partitioning::None(), name);
+}
+
 OpsRun RunAllOps(int num_threads) {
   Cluster cluster(Config(num_threads));
   OpsRun run;
@@ -124,18 +132,20 @@ OpsRun RunAllOps(int num_threads) {
         return Row({r.fields[0], Field::Int(r.fields[1].AsInt() * 3)});
       },
       "map"));
-  const Dataset& filtered = keep(FilterRows(
-      &cluster, mapped,
-      [](const Row& r) { return r.fields[1].AsInt() % 2 == 0; }, "filter"));
-  const Dataset& flat = keep(FlatMapRows(
+  const Dataset& filtered = keep(RunNarrow(
+      &cluster, mapped, mapped_schema,
+      RowTransform::Filter("filter", [](const Row& r) {
+        return r.fields[1].AsInt() % 2 == 0;
+      })));
+  const Dataset& flat = keep(RunNarrow(
       &cluster, filtered, KvSchema(),
-      [](const Row& r, std::vector<Row>* out) {
+      RowTransform::FlatMap("flatmap", [](const Row& r,
+                                          std::vector<Row>* out) {
         out->push_back(r);
         if (r.fields[0].AsInt() % 3 == 0) {
           out->push_back(Row({r.fields[0], Field::Int(-1)}));
         }
-      },
-      "flatmap"));
+      })));
   const Dataset& parted = keep(Repartition(&cluster, flat, {0}, "repart"));
   keep(Repartition(&cluster, parted, {0}, "repart_noop"));
 
@@ -155,8 +165,14 @@ OpsRun RunAllOps(int num_threads) {
 
   int bag_col = nested.schema.IndexOf("vs");
   EXPECT_GE(bag_col, 0);
-  keep(Unnest(&cluster, nested, bag_col, "unnest"));
-  keep(OuterUnnest(&cluster, nested, bag_col, "uid", "outer_unnest"));
+  keep(RunNarrow(&cluster, nested,
+                 UnnestedSchema(nested.schema, bag_col, "").ValueOrDie(),
+                 RowTransform::Unnest("unnest", bag_col)));
+  keep(RunNarrow(&cluster, nested,
+                 UnnestedSchema(nested.schema, bag_col, "uid").ValueOrDie(),
+                 RowTransform::OuterUnnest("outer_unnest", bag_col,
+                                           /*with_id=*/true,
+                                           /*inner_width=*/1)));
 
   keep(UnionAll(&cluster, src, src2, "union"));
   keep(Distinct(&cluster, flat, "distinct"));

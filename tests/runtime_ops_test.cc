@@ -22,6 +22,14 @@ std::vector<Row> KvRows(std::vector<std::pair<int64_t, int64_t>> kv) {
   return rows;
 }
 
+/// One narrow transform run as its own stage (the unfused operator form).
+StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in, Schema out,
+                            RowTransform t) {
+  const std::string name = t.op;
+  return RunStagePipeline(cluster, in, std::move(out), {std::move(t)},
+                          Partitioning::None(), name);
+}
+
 TEST(FieldTest, EqualityAndHash) {
   EXPECT_EQ(Field::Int(3), Field::Int(3));
   EXPECT_NE(Field::Int(3), Field::Int(4));
@@ -46,6 +54,13 @@ TEST(FieldTest, BagMultisetEquality) {
   Field b = Field::Bag({Row({Field::Int(2)}), Row({Field::Int(1)})});
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
+  // A null and an empty inner bag are different elements, in either order.
+  Field null_bag = Field::Bag(BagPtr(nullptr));
+  Field empty_bag = Field::Bag(std::vector<Row>{});
+  Field c = Field::Bag({Row({null_bag}), Row({empty_bag})});
+  Field d = Field::Bag({Row({empty_bag}), Row({null_bag})});
+  EXPECT_EQ(c, d);
+  EXPECT_NE(c, Field::Bag({Row({empty_bag}), Row({empty_bag})}));
 }
 
 TEST(FieldTest, DeepSizeCountsNestedBags) {
@@ -365,7 +380,10 @@ TEST(OpsTest, UnnestFlattens) {
   rows.push_back(Row({Field::Int(2), Field::Bag(std::vector<Row>{})}));
   auto ds =
       Source(&cluster, nested_schema, std::move(rows), "in").ValueOrDie();
-  auto flat = Unnest(&cluster, ds, 1, "unnest").ValueOrDie();
+  auto flat = RunNarrow(&cluster, ds,
+                        UnnestedSchema(ds.schema, 1, "").ValueOrDie(),
+                        RowTransform::Unnest("unnest", 1))
+                  .ValueOrDie();
   EXPECT_EQ(flat.NumRows(), 2u);  // empty bag disappears
   EXPECT_EQ(flat.schema.size(), 2u);
   EXPECT_EQ(flat.schema.col(1).name, "x");
@@ -383,7 +401,11 @@ TEST(OpsTest, OuterUnnestKeepsEmptyAndAddsIds) {
   rows.push_back(Row({Field::Int(2), Field::Bag(std::vector<Row>{})}));
   auto ds =
       Source(&cluster, nested_schema, std::move(rows), "in").ValueOrDie();
-  auto flat = OuterUnnest(&cluster, ds, 1, "uid", "ou").ValueOrDie();
+  auto flat = RunNarrow(&cluster, ds,
+                        UnnestedSchema(ds.schema, 1, "uid").ValueOrDie(),
+                        RowTransform::OuterUnnest("ou", 1, /*with_id=*/true,
+                                                  /*inner_width=*/1))
+                  .ValueOrDie();
   EXPECT_EQ(flat.NumRows(), 3u);
   EXPECT_EQ(flat.schema.col(0).name, "uid");
   // The two rows of k=1 share a uid; the k=2 row has NULL x.
@@ -442,8 +464,10 @@ TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   Schema s({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
   auto ds = Source(&cluster, s, std::move(rows), "in");
   ASSERT_TRUE(ds.ok()) << "inputs are exempt from the cap";
-  auto filtered =
-      FilterRows(&cluster, *ds, [](const Row&) { return true; }, "copy");
+  auto filtered = RunNarrow(&cluster, *ds, s,
+                            RowTransform::Filter("copy", [](const Row&) {
+                              return true;
+                            }));
   ASSERT_FALSE(filtered.ok());
   EXPECT_TRUE(filtered.status().IsResourceExhausted());
 }

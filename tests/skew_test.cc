@@ -3,11 +3,16 @@
 // shuffle behaviour, and skew-aware BagToDict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "skew/skew.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace trance {
@@ -78,37 +83,74 @@ TEST(SkewTest, ThresholdBoundsHeavyKeyCount) {
 }
 
 TEST(SkewTest, EncodedAndLegacySamplingAgree) {
-  // Heavy-key detection is codec-invariant: the same hash-selected sample
-  // produces the same heavy set (count and membership) whether frequencies
-  // are keyed by encoded keys or legacy KeyView copies, and the sampling
-  // stage's telemetry — including the keyed hash-table counters — matches;
-  // only key_encode_bytes distinguishes the modes.
+  // The encoded heavy set agrees with a reference sampler keyed by the
+  // legacy container identity (Field::operator== plus Field::Hash): same
+  // hash-selected sample, same per-partition counts and cutoff, same heavy
+  // keys; the sampling stage's telemetry is thread-count-invariant.
   ClusterConfig cfg{.num_partitions = 4};
-  auto detect = [&](bool codec) {
-    Cluster cluster(cfg);
-    cluster.set_key_codec_enabled(codec);
+  auto detect = [&](int threads) {
+    ClusterConfig c = cfg;
+    c.num_threads = threads;
+    Cluster cluster(c);
     Dataset ds = Skewed(&cluster, 900, 50);
     cluster.stats().Reset();
     HeavyKeySet hk = DetectHeavyKeys(&cluster, ds, {0});
-    return std::make_pair(std::move(hk), cluster.stats().stages().back());
+    return std::make_tuple(std::move(hk), cluster.stats().stages().back(),
+                           std::move(ds));
   };
-  auto [enc, enc_stage] = detect(true);
-  auto [leg, leg_stage] = detect(false);
-  EXPECT_TRUE(enc.use_codec);
-  EXPECT_FALSE(leg.use_codec);
-  EXPECT_EQ(enc.size(), leg.size());
-  for (int64_t k : {int64_t{7}, int64_t{100}, int64_t{101}, int64_t{149}}) {
-    Row probe({Field::Int(k), Field::Int(0)});
-    EXPECT_EQ(enc.IsHeavy(probe, {0}), leg.IsHeavy(probe, {0})) << "key " << k;
+  auto [hk, stage, ds] = detect(1);
+  auto [hk4, stage4, ds4] = detect(4);
+
+  std::vector<int64_t> reference;  // heavy keys by the legacy identity
+  uint64_t sampled_total = 0;
+  const uint64_t stride = static_cast<uint64_t>(1.0 / cfg.skew_sample_rate);
+  for (size_t p = 0; p < ds.NumPartitions(); ++p) {
+    std::vector<std::pair<Field, size_t>> counts;
+    size_t sampled = 0;
+    for (size_t i = 0; i < ds.PartitionRowCount(p); ++i) {
+      if (Mix64((static_cast<uint64_t>(p) << 32) ^ i ^ cfg.seed) % stride !=
+          0) {
+        continue;
+      }
+      ++sampled;
+      Field k = ds.RowAt(p, i).fields[0];
+      auto it = std::find_if(counts.begin(), counts.end(), [&](const auto& e) {
+        return e.first == k && e.first.Hash() == k.Hash();
+      });
+      if (it == counts.end()) {
+        counts.emplace_back(k, 1);
+      } else {
+        ++it->second;
+      }
+    }
+    sampled_total += sampled;
+    size_t cutoff = static_cast<size_t>(cfg.heavy_key_threshold *
+                                        static_cast<double>(sampled));
+    if (cutoff < 2) cutoff = 2;
+    for (const auto& [k, n] : counts) {
+      if (n >= cutoff &&
+          std::find(reference.begin(), reference.end(), k.AsInt()) ==
+              reference.end()) {
+        reference.push_back(k.AsInt());
+      }
+    }
   }
-  EXPECT_EQ(enc_stage.rows_in, leg_stage.rows_in);
-  EXPECT_EQ(enc_stage.heavy_key_count, leg_stage.heavy_key_count);
-  EXPECT_EQ(enc_stage.shuffle_bytes, leg_stage.shuffle_bytes);
-  EXPECT_EQ(enc_stage.hash_build_rows, leg_stage.hash_build_rows);
-  EXPECT_EQ(enc_stage.hash_probe_hits, leg_stage.hash_probe_hits);
-  EXPECT_EQ(enc_stage.hash_max_chain, leg_stage.hash_max_chain);
-  EXPECT_GT(enc_stage.key_encode_bytes, 0u);
-  EXPECT_EQ(leg_stage.key_encode_bytes, 0u);
+  EXPECT_EQ(hk.size(), reference.size());
+  EXPECT_EQ(stage.rows_in, sampled_total);
+  for (int64_t k = 0; k < 200; ++k) {
+    Row probe({Field::Int(k), Field::Int(0)});
+    bool want = std::find(reference.begin(), reference.end(), k) !=
+                reference.end();
+    EXPECT_EQ(hk.IsHeavy(probe, {0}), want) << "key " << k;
+    EXPECT_EQ(hk4.IsHeavy(probe, {0}), want) << "key " << k;
+  }
+  EXPECT_EQ(stage.heavy_key_count, stage4.heavy_key_count);
+  EXPECT_EQ(stage.shuffle_bytes, stage4.shuffle_bytes);
+  EXPECT_EQ(stage.hash_build_rows, stage4.hash_build_rows);
+  EXPECT_EQ(stage.hash_probe_hits, stage4.hash_probe_hits);
+  EXPECT_EQ(stage.hash_max_chain, stage4.hash_max_chain);
+  EXPECT_EQ(stage.key_encode_bytes, stage4.key_encode_bytes);
+  EXPECT_GT(stage.key_encode_bytes, 0u);
 }
 
 TEST(SkewTest, SplitPartitionsRowsExactly) {

@@ -86,7 +86,6 @@ void ExpectSameStats(const JobStats& a, const JobStats& b) {
   EXPECT_EQ(a.hash_resizes(), b.hash_resizes());
   EXPECT_EQ(a.hash_probe_len_max(), b.hash_probe_len_max());
   EXPECT_EQ(a.columnar_bytes(), b.columnar_bytes());
-  EXPECT_EQ(a.column_to_row_conversions(), b.column_to_row_conversions());
   ASSERT_EQ(a.stages().size(), b.stages().size());
   for (size_t i = 0; i < a.stages().size(); ++i) {
     const StageStats& sa = a.stages()[i];
@@ -135,12 +134,10 @@ struct ModeRun {
 /// aborting on failure (capped spill-off runs are SUPPOSED to fail).
 ModeRun RunStandardMode(const nrc::Program& q,
                         const std::map<std::string, Value>& values,
-                        int threads, uint64_t cap, bool spill,
-                        bool columnar = true) {
+                        int threads, uint64_t cap, bool spill) {
   runtime::Cluster cluster(Config(threads, cap));
   exec::PipelineOptions opts;
   opts.exec.enable_spill = spill;
-  opts.exec.enable_columnar = columnar;
   exec::Executor executor(&cluster, opts.exec);
   ModeRun r;
   for (const auto& in : q.inputs) {
@@ -390,31 +387,34 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   // Block-resident partitions spill as columnar serde records: every row
   // that round-trips through disk without being rowified is counted in
-  // spill_rowify_avoided. The row route (columnar off) writes row batches
-  // and reports zero. The counter is visible in the JSON export and the
-  // EXPLAIN spill clause.
+  // spill_rowify_avoided — all of them, since every spill site writes block
+  // records. The counter is visible in the JSON export and the EXPLAIN
+  // spill clause.
   auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
   auto values = TpchValues(tpch::Generate(cfg));
 
-  ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true, true);
+  ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(col.ok) << col.status.ToString();
   EXPECT_GT(col.stats.spill_runs(), 0u);
   EXPECT_GT(col.stats.spill_rowify_avoided(), 0u);
+  uint64_t restored_rows = 0;
+  for (const StageStats& st : col.stats.stages()) {
+    if (st.spill_runs > 0) {
+      EXPECT_GT(st.spill_rowify_avoided, 0u) << "stage " << st.op;
+    }
+    restored_rows += st.spill_rowify_avoided;
+  }
+  EXPECT_EQ(restored_rows, col.stats.spill_rowify_avoided());
   std::string json = obs::JobStatsToJson(col.stats);
   EXPECT_NE(json.find("\"spill_rowify_avoided\""), std::string::npos) << json;
   EXPECT_NE(col.explain.find("rowify_avoided="), std::string::npos)
       << col.explain;
 
-  ModeRun row = RunStandardMode(*q, values, 1, kTinyCap, true, false);
-  ASSERT_TRUE(row.ok) << row.status.ToString();
-  EXPECT_GT(row.stats.spill_runs(), 0u);
-  EXPECT_EQ(row.stats.spill_rowify_avoided(), 0u);
-
   // Thread-count invariance, like every other spill counter.
-  ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true, true);
+  ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true);
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
   EXPECT_EQ(col.stats.spill_rowify_avoided(),
             col4.stats.spill_rowify_avoided());
@@ -445,6 +445,12 @@ TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
 
 // --- SpillManager unit tests ----------------------------------------------
 
+runtime::Schema RowsSchema() {
+  return runtime::Schema({{"k", nrc::Type::Int()},
+                          {"s", nrc::Type::String()},
+                          {"r", nrc::Type::Real()}});
+}
+
 std::vector<Row> MakeRows(size_t n, const std::string& salt) {
   std::vector<Row> rows;
   rows.reserve(n);
@@ -454,6 +460,24 @@ std::vector<Row> MakeRows(size_t n, const std::string& salt) {
                         Field::Real(i * 0.5)}});
   }
   return rows;
+}
+
+runtime::column::PartitionBlock MakeBlock(size_t n, const std::string& salt) {
+  return runtime::column::PartitionBlock::FromRows(RowsSchema(),
+                                                   MakeRows(n, salt));
+}
+
+void ExpectBlockRows(const runtime::column::PartitionBlock& block,
+                     const std::vector<Row>& expected) {
+  ASSERT_EQ(block.NumRows(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Row got = block.RowAt(i);
+    ASSERT_EQ(got.fields.size(), expected[i].fields.size()) << i;
+    for (size_t f = 0; f < got.fields.size(); ++f) {
+      EXPECT_EQ(got.fields[f], expected[i].fields[f])
+          << "row " << i << " field " << f;
+    }
+  }
 }
 
 TEST(SpillManagerTest, RunNamingIsDeterministicAndSanitized) {
@@ -473,20 +497,19 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   cfg.dir = ::testing::TempDir();
   cfg.max_run_bytes = 1024;  // force several runs
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(500, "value-");
-  std::vector<Row> expected = rows;
+  runtime::column::PartitionBlock block = MakeBlock(500, "value-");
   runtime::spill::SpillCounters c;
-  Status s = m.SpillAndRestoreRows(1, "stage(x)", 0, &rows, &c);
+  Status s =
+      m.SpillAndRestoreBlock(1, "stage(x)", 0, RowsSchema(), &block, &c);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
-  ASSERT_EQ(rows.size(), expected.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ASSERT_EQ(rows[i].fields.size(), expected[i].fields.size()) << i;
-    for (size_t f = 0; f < rows[i].fields.size(); ++f) {
-      EXPECT_EQ(rows[i].fields[f], expected[i].fields[f])
-          << "row " << i << " field " << f;
-    }
-  }
+  ExpectBlockRows(block, MakeRows(500, "value-"));
+  // The restore replays the per-row append sequence, so the block's own
+  // footprint is that of a block built the same way without spilling.
+  runtime::column::PartitionBlock appended(RowsSchema());
+  for (const Row& r : MakeRows(500, "value-")) appended.AppendRow(r);
+  EXPECT_EQ(block.ByteFootprint(), appended.ByteFootprint());
+  EXPECT_EQ(c.rowify_avoided, 500u);
   EXPECT_GT(c.runs, 1u);  // max_run_bytes forced a split
   EXPECT_EQ(c.merge_passes, 1u);
   EXPECT_GT(c.bytes_written, 0u);
@@ -501,9 +524,10 @@ TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
   cfg.dir = ::testing::TempDir();
   cfg.max_spill_bytes = 64;  // smaller than any real run
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(100, "big-");
+  runtime::column::PartitionBlock block = MakeBlock(100, "big-");
   runtime::spill::SpillCounters c;
-  Status s = m.SpillAndRestoreRows(2, "stage(y)", 0, &rows, &c);
+  Status s =
+      m.SpillAndRestoreBlock(2, "stage(y)", 0, RowsSchema(), &block, &c);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
   EXPECT_NE(s.ToString().find("spill byte budget exhausted"),
@@ -517,17 +541,17 @@ TEST(SpillManagerTest, RemoveRunReleasesBudget) {
   cfg.dir = ::testing::TempDir();
   cfg.max_spill_bytes = 16ull << 10;
   runtime::spill::SpillManager m(cfg);
-  std::vector<Row> rows = MakeRows(50, "r-");
+  runtime::column::PartitionBlock block = MakeBlock(50, "r-");
   runtime::spill::SpillCounters c;
   std::string path = m.RunPath(3, "budget", 0, 0);
-  ASSERT_TRUE(m.WriteRowsRun(path, rows, &c).ok());
+  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
   EXPECT_GT(m.on_disk_bytes(), 0u);
   // A second identical run would fit or not — irrelevant; removing the first
   // must return the budget to zero either way.
   m.RemoveRun(path);
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   // With the budget released the same run can be written again.
-  ASSERT_TRUE(m.WriteRowsRun(path, rows, &c).ok());
+  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
   m.RemoveRun(path);
 }
 
@@ -546,19 +570,12 @@ TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
   runtime::spill::SpillCounters c;
   std::string path = m.RunPath(4, "blocks", 1, 0);
   ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
-  std::vector<Row> back;
-  uint64_t block_rows = 0;
-  ASSERT_TRUE(m.ReadRun(path, &back, &block_rows, &c).ok());
+  runtime::column::PartitionBlock back(schema);
+  ASSERT_TRUE(m.ReadRunIntoBlock(path, &back, &c).ok());
   m.RemoveRun(path);
 
-  EXPECT_EQ(block_rows, rows.size());
-  ASSERT_EQ(back.size(), rows.size());
-  for (size_t i = 0; i < back.size(); ++i) {
-    for (size_t f = 0; f < back[i].fields.size(); ++f) {
-      EXPECT_EQ(back[i].fields[f], rows[i].fields[f])
-          << "row " << i << " field " << f;
-    }
-  }
+  EXPECT_EQ(c.rowify_avoided, rows.size());
+  ExpectBlockRows(back, rows);
   EXPECT_EQ(c.bytes_read, c.bytes_written);
 }
 
