@@ -106,28 +106,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
     r.wall_s = watch.ElapsedSeconds();
   }
   const auto& stats = cluster->stats();
-  r.sim_s = stats.sim_seconds();
-  r.shuffle_bytes = stats.total_shuffle_bytes();
-  r.max_stage_shuffle = stats.max_stage_shuffle_bytes();
-  r.peak_partition = stats.peak_partition_bytes();
-  r.fused_stages = stats.fused_stages();
-  r.intermediate_bytes_avoided = stats.intermediate_bytes_avoided();
-  r.injected_faults = stats.injected_faults();
-  r.retries = stats.retries();
-  r.recovery_sim_s = stats.recovery_sim_seconds();
-  r.key_encode_bytes = stats.key_encode_bytes();
-  r.hash_build_rows = stats.hash_build_rows();
-  r.hash_probe_hits = stats.hash_probe_hits();
-  r.hash_max_chain = stats.hash_max_chain();
-  r.hash_table_bytes = stats.hash_table_bytes();
-  r.hash_resizes = stats.hash_resizes();
-  r.hash_probe_len_max = stats.hash_probe_len_max();
-  r.columnar_bytes = stats.columnar_bytes();
-  r.spill_bytes_written = stats.spill_bytes_written();
-  r.spill_bytes_read = stats.spill_bytes_read();
-  r.spill_runs = stats.spill_runs();
-  r.spill_merge_passes = stats.spill_merge_passes();
-  r.spill_rowify_avoided = stats.spill_rowify_avoided();
   r.stats = stats;
   r.metrics = cluster->metrics().Snapshot();
   r.ok = st.ok();
@@ -150,16 +128,17 @@ void PrintResult(const RunResult& r) {
     return;
   }
   std::printf("%-44s %9.3f %9.2f %12s %12s %12s %8zu\n", r.name.c_str(),
-              r.wall_s, r.sim_s, FormatBytes(r.shuffle_bytes).c_str(),
-              FormatBytes(r.max_stage_shuffle).c_str(),
-              FormatBytes(r.peak_partition).c_str(), r.out_rows);
+              r.wall_s, r.stats.totals().sim_seconds,
+              FormatBytes(r.stats.totals().shuffle_bytes).c_str(),
+              FormatBytes(r.stats.max_stage_shuffle_bytes()).c_str(),
+              FormatBytes(r.stats.peak_partition_bytes()).c_str(), r.out_rows);
 }
 
 std::string Ratio(const RunResult& num, const RunResult& den,
-                  uint64_t RunResult::*field) {
-  if (!num.ok || !den.ok || den.*field == 0) return "n/a";
-  double v = static_cast<double>(num.*field) /
-             static_cast<double>(den.*field);
+                  RunMetric metric) {
+  if (!num.ok || !den.ok || metric(den) == 0) return "n/a";
+  double v = static_cast<double>(metric(num)) /
+             static_cast<double>(metric(den));
   return FormatDouble(v, 1) + "x";
 }
 
@@ -218,50 +197,17 @@ Status WriteBenchReport(const std::string& bench_name,
         wall_total_1thread += b.wall_s;
       }
     }
-    w.Key("sim_seconds");
-    w.Number(r.sim_s);
-    w.Key("shuffle_bytes");
-    w.Uint(r.shuffle_bytes);
     w.Key("max_stage_shuffle_bytes");
-    w.Uint(r.max_stage_shuffle);
+    w.Uint(r.stats.max_stage_shuffle_bytes());
     w.Key("peak_partition_bytes");
-    w.Uint(r.peak_partition);
+    w.Uint(r.stats.peak_partition_bytes());
     w.Key("fused_stages");
-    w.Uint(r.fused_stages);
-    w.Key("intermediate_bytes_avoided");
-    w.Uint(r.intermediate_bytes_avoided);
-    w.Key("injected_faults");
-    w.Uint(r.injected_faults);
-    w.Key("retries");
-    w.Uint(r.retries);
-    w.Key("recovery_sim_seconds");
-    w.Number(r.recovery_sim_s);
-    w.Key("key_encode_bytes");
-    w.Uint(r.key_encode_bytes);
-    w.Key("hash_build_rows");
-    w.Uint(r.hash_build_rows);
-    w.Key("hash_probe_hits");
-    w.Uint(r.hash_probe_hits);
-    w.Key("hash_max_chain");
-    w.Uint(r.hash_max_chain);
-    w.Key("hash_table_bytes");
-    w.Uint(r.hash_table_bytes);
-    w.Key("hash_resizes");
-    w.Uint(r.hash_resizes);
-    w.Key("hash_probe_len_max");
-    w.Uint(r.hash_probe_len_max);
-    w.Key("columnar_bytes");
-    w.Uint(r.columnar_bytes);
-    w.Key("spill_bytes_written");
-    w.Uint(r.spill_bytes_written);
-    w.Key("spill_bytes_read");
-    w.Uint(r.spill_bytes_read);
-    w.Key("spill_runs");
-    w.Uint(r.spill_runs);
-    w.Key("spill_merge_passes");
-    w.Uint(r.spill_merge_passes);
-    w.Key("spill_rowify_avoided");
-    w.Uint(r.spill_rowify_avoided);
+    w.Uint(r.stats.fused_stages());
+    for (const runtime::StatField& f : runtime::kStatFields) {
+      if (f.outputs & runtime::kOutBenchRun) {
+        obs::WriteStatField(f, r.stats.totals(), &w);
+      }
+    }
     w.Key("out_rows");
     w.Uint(r.out_rows);
     w.Key("job");

@@ -33,51 +33,9 @@ struct RunResult {
   /// operator execution; see ClusterConfig::num_threads).
   int num_threads = 1;
   double wall_s = 0;
-  double sim_s = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t max_stage_shuffle = 0;
-  uint64_t peak_partition = 0;
-  /// Stage-fusion telemetry: stages that ran a fused narrow chain, and the
-  /// bytes of intermediate Datasets the fusion never materialized.
-  uint64_t fused_stages = 0;
-  uint64_t intermediate_bytes_avoided = 0;
-  /// Fault-injection telemetry (all zero unless the run's cluster enabled
-  /// ClusterConfig::faults): faults injected, task re-executions performed,
-  /// and the simulated recovery time (backoff + discarded work — reported
-  /// separately from sim_s, which stays fault-invariant). See docs/METRICS.md.
-  uint64_t injected_faults = 0;
-  uint64_t retries = 0;
-  double recovery_sim_s = 0;
-  /// Encoded-key telemetry: bytes written by the binary key codec and the
-  /// keyed hash-table counters (new keys built, lookups that hit, worst
-  /// rows-per-key chain across stages). See docs/METRICS.md.
-  uint64_t key_encode_bytes = 0;
-  uint64_t hash_build_rows = 0;
-  uint64_t hash_probe_hits = 0;
-  uint64_t hash_max_chain = 0;
-  /// Flat hash-table telemetry: table footprint, slot-array doublings,
-  /// longest probe sequence. See docs/METRICS.md.
-  uint64_t hash_table_bytes = 0;
-  uint64_t hash_resizes = 0;
-  uint64_t hash_probe_len_max = 0;
-  /// Columnar-block telemetry: typed partition-block footprint built by
-  /// operators. See docs/METRICS.md.
-  uint64_t columnar_bytes = 0;
-  /// Out-of-core spill telemetry (PR 9): bytes written to / streamed back
-  /// from run files, run files produced, merge passes. All zero when
-  /// nothing spills or ExecOptions::enable_spill is off. See
-  /// docs/METRICS.md and docs/STORAGE.md.
-  uint64_t spill_bytes_written = 0;
-  uint64_t spill_bytes_read = 0;
-  uint64_t spill_runs = 0;
-  uint64_t spill_merge_passes = 0;
-  /// Rows restored from columnar spill records without a disk-side
-  /// row-form conversion (PR 10): block-resident partitions spill and
-  /// restore in columnar form end to end.
-  uint64_t spill_rowify_avoided = 0;
   size_t out_rows = 0;
-  /// Full per-stage telemetry of the run (partition histograms, movement
-  /// decisions, straggler summary) for the JSON bench report.
+  /// Full per-stage telemetry of the run; every statistic is read from
+  /// here (`stats.totals()` for job totals, see runtime/stats.h).
   runtime::JobStats stats;
   /// Snapshot of the cluster's metric registry at the end of the run.
   /// Serialized generically into the report's per-run `metrics` object, so
@@ -128,9 +86,12 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
 void PrintHeader(const std::string& title);
 void PrintResult(const RunResult& r);
 
+/// A byte quantity read off a run (e.g. its total shuffle).
+using RunMetric = uint64_t (*)(const RunResult&);
+
 /// Ratio helper for the shuffle-comparison tables ("n/a" on zero/FAIL).
 std::string Ratio(const RunResult& num, const RunResult& den,
-                  uint64_t RunResult::*field);
+                  RunMetric metric);
 
 // --- Observability hooks -------------------------------------------------
 

@@ -2,18 +2,23 @@
 // (bench/baselines/) with per-metric, direction-aware policies:
 //
 //   - correctness-adjacent invariants (row counts, shuffle bytes, hash and
-//     fusion counters, fault telemetry, the whole `metrics` registry dump)
-//     are deterministic for a given workload, so ANY difference is a hard
-//     failure — either a real regression or a behavior change that needs a
-//     deliberate baseline refresh (see EXPERIMENTS.md);
+//     fusion counters, fault telemetry, every stage of the `job` object, the
+//     whole `metrics` registry dump) are deterministic for a given workload,
+//     so ANY difference is a hard failure — either a real regression or a
+//     behavior change that needs a deliberate baseline refresh (see
+//     EXPERIMENTS.md);
 //   - simulated times compare with a tiny relative tolerance (they are
 //     deterministic doubles; the tolerance only absorbs serialization);
 //   - wall-clock times only soft-warn, and only in the slower direction —
 //     the CI container has one noisy CPU, so wall time is not gateable.
 //
+// Statistics take their policy from their determinism class in the
+// runtime's statistic table (runtime/stats.h): exact hard-fails, sim allows
+// 1e-9 relative, wall is skipped.
+//
 // Exit status: 0 = pass (warnings allowed), 1 = hard difference, 2 = usage
 // or parse error. Run twice on the same build it must pass by construction;
-// ci/bench_smoke.sh also checks that a tampered report fails.
+// ci/bench_smoke.sh also checks that tampered reports fail.
 //
 // Usage: bench_diff <baseline.json> <candidate.json> [--max-wall-ratio R]
 //        bench_diff --check-events <events.jsonl>
@@ -28,6 +33,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "runtime/stats.h"
 
 namespace {
 
@@ -68,66 +74,111 @@ const JsonValue* FindRun(const JsonValue& runs, const std::string& name) {
   return nullptr;
 }
 
-/// How one per-run scalar is compared.
+/// How one value is compared.
 enum class Policy {
   kExact,     // deterministic invariant: any difference hard-fails
   kSimTime,   // deterministic double: hard-fail outside 1e-9 relative
   kWallSoft,  // wall clock: warn only, and only when slower than
               // baseline * max_wall_ratio
-  kInfo,      // machine-dependent (thread budget): never compared
+  kInfo,      // machine-dependent (thread budget, stage wall time): never
+              // compared
+  kRegistry,  // the `metrics` dump: every series deterministic, compared
+              // like kSimTime; a candidate-only series warns (new metric)
 };
 
-struct ScalarRule {
-  const char* key;
-  Policy policy;
-};
+Policy PolicyFor(trance::runtime::StatClass c) {
+  switch (c) {
+    case trance::runtime::StatClass::kExact:
+      return Policy::kExact;
+    case trance::runtime::StatClass::kSim:
+      return Policy::kSimTime;
+    case trance::runtime::StatClass::kWall:
+      return Policy::kInfo;
+  }
+  return Policy::kExact;
+}
 
-// Every scalar WriteBenchReport emits for a run. Keys absent from both
-// reports are skipped (e.g. fail_reason on ok runs, speedup fields on
-// baseline-less reports).
-const ScalarRule kScalarRules[] = {
-    {"ok", Policy::kExact},
-    {"out_rows", Policy::kExact},
-    {"shuffle_bytes", Policy::kExact},
-    {"max_stage_shuffle_bytes", Policy::kExact},
-    {"peak_partition_bytes", Policy::kExact},
-    {"fused_stages", Policy::kExact},
-    {"intermediate_bytes_avoided", Policy::kExact},
-    {"injected_faults", Policy::kExact},
-    {"retries", Policy::kExact},
-    {"key_encode_bytes", Policy::kExact},
-    {"hash_build_rows", Policy::kExact},
-    {"hash_probe_hits", Policy::kExact},
-    {"hash_max_chain", Policy::kExact},
-    {"hash_table_bytes", Policy::kExact},
-    {"hash_resizes", Policy::kExact},
-    {"hash_probe_len_max", Policy::kExact},
-    {"columnar_bytes", Policy::kExact},
-    {"spill_bytes_written", Policy::kExact},
-    {"spill_bytes_read", Policy::kExact},
-    {"spill_runs", Policy::kExact},
-    {"spill_merge_passes", Policy::kExact},
-    {"spill_rowify_avoided", Policy::kExact},
-    {"sim_seconds", Policy::kSimTime},
-    {"recovery_sim_seconds", Policy::kSimTime},
-    {"wall_seconds", Policy::kWallSoft},
-    {"wall_seconds_1thread", Policy::kInfo},
-    {"speedup_vs_1thread", Policy::kInfo},
-    {"num_threads", Policy::kInfo},
-};
+/// Policy of a report key: a statistic's determinism class (runtime
+/// table), the wall-clock and machine-dependent run keys by name, exact for
+/// everything else (ok, out_rows, the derived totals, op, scope, movement,
+/// load summaries, fused transforms, fault events). Keys absent from both
+/// reports are skipped (e.g. fail_reason on ok runs).
+Policy KeyPolicy(const std::string& key) {
+  for (const trance::runtime::StatField& f : trance::runtime::kStatFields) {
+    if (key == f.key) return PolicyFor(f.cls);
+  }
+  if (key == "wall_seconds") return Policy::kWallSoft;
+  if (key == "wall_seconds_1thread" || key == "speedup_vs_1thread" ||
+      key == "num_threads") {
+    return Policy::kInfo;
+  }
+  // The registry holds no wall-clock metrics, so every series must match.
+  if (key == "metrics") return Policy::kRegistry;
+  return Policy::kExact;
+}
 
 double AsNumber(const JsonValue& v) {
   if (v.kind == JsonValue::Kind::kBool) return v.b ? 1 : 0;
   return v.num;
 }
 
-void DiffScalar(DiffState* st, const std::string& where, const char* key,
-                Policy policy, const JsonValue* base, const JsonValue* cand) {
+/// Compares one value under `policy`. Objects recurse key by key: inside
+/// `metrics` every series keeps kRegistry, elsewhere each key takes its
+/// KeyPolicy. Arrays compare element by element (stages match by index),
+/// strings exactly.
+void DiffValue(DiffState* st, const std::string& label, Policy policy,
+               const JsonValue* base, const JsonValue* cand) {
   if (policy == Policy::kInfo) return;
   if (base == nullptr && cand == nullptr) return;
-  const std::string label = where + "." + key;
   if (base == nullptr || cand == nullptr) {
     st->Fail(label + ": present in only one report");
+    return;
+  }
+  const bool base_num = base->kind == JsonValue::Kind::kNumber ||
+                        base->kind == JsonValue::Kind::kBool;
+  const bool cand_num = cand->kind == JsonValue::Kind::kNumber ||
+                        cand->kind == JsonValue::Kind::kBool;
+  if (base->kind != cand->kind && !(base_num && cand_num)) {
+    st->Fail(label + ": kind changed");
+    return;
+  }
+  if (base->is_object()) {
+    auto key_policy = [&](const std::string& key) {
+      return policy == Policy::kRegistry ? policy : KeyPolicy(key);
+    };
+    for (const auto& [key, bval] : base->obj) {
+      DiffValue(st, label + "." + key, key_policy(key), &bval,
+                cand->Find(key));
+    }
+    for (const auto& [key, cval] : cand->obj) {
+      if (base->Find(key) != nullptr) continue;
+      if (policy == Policy::kRegistry) {
+        st->Warn(label + "." + key +
+                 ": new metric not in baseline (refresh baselines, see "
+                 "EXPERIMENTS.md)");
+      } else {
+        DiffValue(st, label + "." + key, key_policy(key), nullptr, &cval);
+      }
+    }
+    return;
+  }
+  if (base->is_array()) {
+    if (base->arr.size() != cand->arr.size()) {
+      st->Fail(label + ": " + std::to_string(base->arr.size()) +
+               " entries in baseline, " + std::to_string(cand->arr.size()) +
+               " in candidate");
+    }
+    for (size_t i = 0; i < base->arr.size() && i < cand->arr.size(); ++i) {
+      DiffValue(st, label + "[" + std::to_string(i) + "]", Policy::kExact,
+                &base->arr[i], &cand->arr[i]);
+    }
+    return;
+  }
+  if (!base_num) {
+    if (base->str != cand->str) {
+      st->Fail(label + ": baseline=\"" + base->str + "\" candidate=\"" +
+               cand->str + "\"");
+    }
     return;
   }
   const double b = AsNumber(*base);
@@ -139,6 +190,7 @@ void DiffScalar(DiffState* st, const std::string& where, const char* key,
       }
       break;
     case Policy::kSimTime:
+    case Policy::kRegistry:
       if (!NearlyEqual(b, c)) {
         st->Fail(label + ": baseline=" + FmtNum(b) + " candidate=" + FmtNum(c));
       }
@@ -151,59 +203,6 @@ void DiffScalar(DiffState* st, const std::string& where, const char* key,
       break;
     case Policy::kInfo:
       break;
-  }
-}
-
-/// Generic structural diff of a run's `metrics` registry dump. Counters and
-/// gauges are numbers; histograms are nested objects — recurse. The registry
-/// holds no wall-clock metrics, so everything here is deterministic and any
-/// numeric difference hard-fails. A key present only in the candidate is a
-/// newly-registered metric (warn: the baseline wants a refresh); a key
-/// present only in the baseline means a metric disappeared (fail).
-void DiffMetricsObject(DiffState* st, const std::string& where,
-                       const JsonValue& base, const JsonValue& cand) {
-  for (const auto& [key, bval] : base.obj) {
-    const JsonValue* cval = cand.Find(key);
-    const std::string label = where + "." + key;
-    if (cval == nullptr) {
-      st->Fail(label + ": metric missing from candidate");
-      continue;
-    }
-    if (bval.kind == JsonValue::Kind::kObject) {
-      if (cval->kind != JsonValue::Kind::kObject) {
-        st->Fail(label + ": kind changed");
-      } else {
-        DiffMetricsObject(st, label, bval, *cval);
-      }
-      continue;
-    }
-    if (!NearlyEqual(AsNumber(bval), AsNumber(*cval))) {
-      st->Fail(label + ": baseline=" + FmtNum(AsNumber(bval)) +
-               " candidate=" + FmtNum(AsNumber(*cval)));
-    }
-  }
-  for (const auto& [key, cval] : cand.obj) {
-    (void)cval;
-    if (base.Find(key) == nullptr) {
-      st->Warn(where + "." + key +
-               ": new metric not in baseline (refresh baselines, see "
-               "EXPERIMENTS.md)");
-    }
-  }
-}
-
-void DiffRun(DiffState* st, const std::string& name, const JsonValue& base,
-             const JsonValue& cand) {
-  for (const ScalarRule& rule : kScalarRules) {
-    DiffScalar(st, name, rule.key, rule.policy, base.Find(rule.key),
-               cand.Find(rule.key));
-  }
-  const JsonValue* bm = base.Find("metrics");
-  const JsonValue* cm = cand.Find("metrics");
-  if (bm != nullptr && cm != nullptr) {
-    DiffMetricsObject(st, name + ".metrics", *bm, *cm);
-  } else if (bm != nullptr || cm != nullptr) {
-    st->Fail(name + ".metrics: present in only one report");
   }
 }
 
@@ -346,7 +345,7 @@ int main(int argc, char** argv) {
       st.Fail(n->str + ": run missing from candidate");
       continue;
     }
-    DiffRun(&st, n->str, br, *cr);
+    DiffValue(&st, n->str, Policy::kExact, &br, cr);
   }
   for (const JsonValue& cr : cruns->arr) {
     const JsonValue* n = cr.Find("name");

@@ -507,23 +507,27 @@ Status RunSpillAblation() {
     TRANCE_CHECK(forced.ok && off.ok, "spill ablation run failed");
     TRANCE_CHECK(forced.out_rows == off.out_rows,
                  "spill ablation: result rows differ for " + forced.name);
-    TRANCE_CHECK(forced.shuffle_bytes == off.shuffle_bytes &&
-                     forced.max_stage_shuffle == off.max_stage_shuffle &&
-                     forced.peak_partition == off.peak_partition,
+    const runtime::StageStats& f = forced.stats.totals();
+    const runtime::StageStats& o = off.stats.totals();
+    TRANCE_CHECK(f.shuffle_bytes == o.shuffle_bytes &&
+                     forced.stats.max_stage_shuffle_bytes() ==
+                         off.stats.max_stage_shuffle_bytes() &&
+                     forced.stats.peak_partition_bytes() ==
+                         off.stats.peak_partition_bytes(),
                  "spill ablation: movement stats differ for " + forced.name);
-    TRANCE_CHECK(forced.sim_s == off.sim_s,
+    TRANCE_CHECK(f.sim_seconds == o.sim_seconds,
                  "spill ablation: sim time differs for " + forced.name);
-    TRANCE_CHECK(forced.key_encode_bytes == off.key_encode_bytes &&
-                     forced.hash_build_rows == off.hash_build_rows &&
-                     forced.hash_probe_hits == off.hash_probe_hits &&
-                     forced.hash_max_chain == off.hash_max_chain,
+    TRANCE_CHECK(f.key_encode_bytes == o.key_encode_bytes &&
+                     f.hash_build_rows == o.hash_build_rows &&
+                     f.hash_probe_hits == o.hash_probe_hits &&
+                     f.hash_max_chain == o.hash_max_chain,
                  "spill ablation: keyed counters differ for " + forced.name);
-    TRANCE_CHECK(forced.spill_runs > 0 && forced.spill_bytes_written > 0,
+    TRANCE_CHECK(f.spill_runs > 0 && f.spill_bytes_written > 0,
                  "spill ablation: nothing spilled in " + forced.name);
-    TRANCE_CHECK(forced.spill_bytes_read == forced.spill_bytes_written,
+    TRANCE_CHECK(f.spill_bytes_read == f.spill_bytes_written,
                  "spill ablation: restore did not stream every spilled byte");
-    TRANCE_CHECK(off.spill_bytes_written == 0 && off.spill_bytes_read == 0 &&
-                     off.spill_runs == 0 && off.spill_merge_passes == 0,
+    TRANCE_CHECK(o.spill_bytes_written == 0 && o.spill_bytes_read == 0 &&
+                     o.spill_runs == 0 && o.spill_merge_passes == 0,
                  "spill ablation: counters leak into " + off.name);
   }
 

@@ -16,10 +16,12 @@
 #   2. events:   the TRANCE_EVENT_LOG output of the smoke bench must be
 #                schema-valid JSONL (bench_diff --check-events).
 #   3. baseline: each report is diffed against bench/baselines/ with
-#                bench_diff (hard-fail on deterministic invariants, soft
-#                wall-time warnings). A self-diff must pass and a tampered
-#                report must fail, so the gate itself is exercised on every
-#                run. Refresh workflow: EXPERIMENTS.md.
+#                bench_diff (hard-fail on deterministic invariants, per-run
+#                scalars and every stage of `job` alike; soft wall-time
+#                warnings). A self-diff must pass and two tampered reports
+#                (a run scalar, a stage counter) must fail, so the gate
+#                itself is exercised on every run. Refresh workflow:
+#                EXPERIMENTS.md.
 #
 # Usage: ci/bench_smoke.sh [build-dir]   (default: build-bench-smoke)
 set -euo pipefail
@@ -105,16 +107,23 @@ for report in "$OUT_DIR"/BENCH_*.json; do
   fi
 done
 
-# A synthetically regressed report must hard-fail, proving the gate bites.
-tampered="$OUT_DIR/tampered.json"
-sed -E 's/"out_rows":[0-9]+/"out_rows":999999999/' \
-  "$OUT_DIR/BENCH_fig7_smoke.json" >"$tampered"
-if "$BUILD_DIR/bench/bench_diff" "$OUT_DIR/BENCH_fig7_smoke.json" \
-  "$tampered" >/dev/null; then
-  echo "TAMPER CHECK FAILED: bench_diff accepted a regressed report"
-  fail=1
-fi
-rm -f "$tampered"
+# Synthetically regressed reports must hard-fail, proving the gate bites:
+# one per-run scalar, and one stage counter inside `job` (total_work_bytes
+# appears only in stages; sed edits its first occurrence).
+tamper_check() { # description sed-expression
+  local tampered="$OUT_DIR/tampered.json"
+  sed -E "$2" "$OUT_DIR/BENCH_fig7_smoke.json" >"$tampered"
+  if "$BUILD_DIR/bench/bench_diff" "$OUT_DIR/BENCH_fig7_smoke.json" \
+    "$tampered" >/dev/null; then
+    echo "TAMPER CHECK FAILED: bench_diff accepted a report with $1"
+    fail=1
+  fi
+  rm -f "$tampered"
+}
+tamper_check "a regressed out_rows" \
+  's/"out_rows":[0-9]+/"out_rows":999999999/'
+tamper_check "one stage's total_work_bytes changed" \
+  's/"total_work_bytes":([0-9]+)/"total_work_bytes":1\1/'
 
 if [ "$fail" -ne 0 ]; then
   echo "bench_smoke: FAILED"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate, run by ci/sanitize.sh and ci/tsan.sh (or
-# standalone). Three checks:
+# standalone). Four checks:
 #
 #  1. Markdown link check: every relative link target referenced from the
 #     top-level docs and docs/*.md must exist in the tree (external http(s)
@@ -13,6 +13,11 @@
 #  3. Reverse check: every enable_* token in the documentation must name a
 #     field of one of those structs, so a retired flag cannot linger in the
 #     docs.
+#  4. Statistic table: every uint64_t field of runtime::StageStats must have
+#     a kStatFields row (&StageStats::<field>) in src/runtime/stats.h, and
+#     every row's JSON key and registry series must be a backtick token in
+#     docs/METRICS.md. (ci/bench_smoke.sh only sees the keys a smoke run
+#     happens to emit; this check sees every row.)
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -85,8 +90,34 @@ while IFS= read -r tok; do
   fi
 done < <(grep -ohE '\benable_[A-Za-z0-9_]+' "${DOCS[@]}" | sort -u)
 
+# --- 4. the statistic table vs StageStats and docs/METRICS.md -------------
+STATS_H=src/runtime/stats.h
+table=$(awk '/kStatFields\[\] = \{/ { t = 1 } t { print } t && /^};/ { t = 0 }' \
+  "$STATS_H")
+[ -n "$table" ] || { echo "NO STATISTIC TABLE: kStatFields not found in $STATS_H"; fail=1; }
+while IFS= read -r field; do
+  if ! grep -qF "&StageStats::$field," <<<"$table"; then
+    echo "STATISTIC WITHOUT TABLE ROW: StageStats::$field has no kStatFields" \
+      "row in $STATS_H"
+    fail=1
+  fi
+done < <(awk '/^struct StageStats \{/ { s = 1; next } s && /^};/ { s = 0 } s' \
+           "$STATS_H" | grep -oE '^\s*uint64_t\s+[A-Za-z0-9_]+' |
+           awk '{ print $2 }')
+while IFS= read -r tok; do
+  if ! grep -qF "\`$tok\`" docs/METRICS.md; then
+    echo "UNDOCUMENTED STATISTIC: $tok (a kStatFields key or series in" \
+      "$STATS_H) is not a backtick token in docs/METRICS.md"
+    fail=1
+  fi
+done < <({
+  grep -oE '\{"[A-Za-z0-9_]+", &StageStats::' <<<"$table" |
+    sed -E 's/^\{"//; s/",.*$//'
+  grep -oE '"trance_[A-Za-z0-9_]+"' <<<"$table" | tr -d '"'
+} | sort -u)
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table)"

@@ -67,8 +67,8 @@ Status Run() {
       std::printf(", dict[%s]=%zu rows", path.c_str(), ds.NumRows());
     }
     std::printf("  (shuffle %s, sim %.2fs)\n",
-                FormatBytes(cluster.stats().total_shuffle_bytes()).c_str(),
-                cluster.stats().sim_seconds());
+                FormatBytes(cluster.stats().totals().shuffle_bytes).c_str(),
+                cluster.stats().totals().sim_seconds);
     if (step == biomed::kNumSteps) {
       std::printf("\ntop driver-gene candidates (gene, hub score):\n");
       for (const auto& row : runtime::Take(run.top, 8)) {

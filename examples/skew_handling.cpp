@@ -61,11 +61,11 @@ int main() {
   std::printf("plain shuffle join:  %8zu rows, shuffle %9s, max recv %9s, "
               "sim %.3fs\n",
               plain.NumRows(),
-              FormatBytes(cluster.stats().total_shuffle_bytes()).c_str(),
+              FormatBytes(cluster.stats().totals().shuffle_bytes).c_str(),
               FormatBytes(cluster.stats().stages().back()
                               .max_partition_recv_bytes)
                   .c_str(),
-              cluster.stats().sim_seconds());
+              cluster.stats().totals().sim_seconds);
 
   // Skew-aware join: the heavy keys' rows stay where they are; the matching
   // dimension rows are broadcast.
@@ -78,8 +78,8 @@ int main() {
   std::printf("skew-aware join:     %8zu rows, shuffle %9s, sim %.3fs "
               "(light %zu + heavy %zu)\n",
               aware.NumRows(),
-              FormatBytes(cluster.stats().total_shuffle_bytes()).c_str(),
-              cluster.stats().sim_seconds(), aware.light.NumRows(),
+              FormatBytes(cluster.stats().totals().shuffle_bytes).c_str(),
+              cluster.stats().totals().sim_seconds, aware.light.NumRows(),
               aware.heavy.NumRows());
   return 0;
 }

@@ -50,26 +50,13 @@ struct NodeStats {
   uint64_t rows_out() const {
     return entries.empty() ? 0 : entries.back().rows_out();
   }
-  uint64_t shuffle_bytes() const {
-    uint64_t s = 0;
+  /// The owned stages folded with each statistic's job aggregation.
+  StageStats owned() const {
+    StageStats acc;
     for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->shuffle_bytes;
+      if (e.owns_stage) runtime::FoldStage(*e.stage, &acc);
     }
-    return s;
-  }
-  uint64_t bytes_avoided() const {
-    uint64_t s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->intermediate_bytes_avoided;
-    }
-    return s;
-  }
-  double sim_seconds() const {
-    double s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->sim_seconds;
-    }
-    return s;
+    return acc;
   }
   double straggler() const {
     double worst = 1.0;
@@ -79,127 +66,6 @@ struct NodeStats {
       if (f > worst) worst = f;
     }
     return worst;
-  }
-  uint64_t heavy_keys() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->heavy_key_count;
-    }
-    return n;
-  }
-  uint64_t key_encode_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->key_encode_bytes;
-    }
-    return n;
-  }
-  uint64_t hash_build_rows() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_build_rows;
-    }
-    return n;
-  }
-  uint64_t hash_probe_hits() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_probe_hits;
-    }
-    return n;
-  }
-  uint64_t hash_max_chain() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage && e.stage->hash_max_chain > n) n = e.stage->hash_max_chain;
-    }
-    return n;
-  }
-  uint64_t hash_table_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_table_bytes;
-    }
-    return n;
-  }
-  uint64_t hash_resizes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->hash_resizes;
-    }
-    return n;
-  }
-  uint64_t hash_probe_len_max() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage && e.stage->hash_probe_len_max > n) {
-        n = e.stage->hash_probe_len_max;
-      }
-    }
-    return n;
-  }
-  uint64_t columnar_bytes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->columnar_bytes;
-    }
-    return n;
-  }
-  uint64_t spill_bytes_written() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_bytes_written;
-    }
-    return n;
-  }
-  uint64_t spill_bytes_read() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_bytes_read;
-    }
-    return n;
-  }
-  uint64_t spill_runs() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_runs;
-    }
-    return n;
-  }
-  uint64_t spill_merge_passes() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_merge_passes;
-    }
-    return n;
-  }
-  uint64_t spill_rowify_avoided() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->spill_rowify_avoided;
-    }
-    return n;
-  }
-  uint64_t injected_faults() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->injected_faults;
-    }
-    return n;
-  }
-  uint64_t retries() const {
-    uint64_t n = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) n += e.stage->retries;
-    }
-    return n;
-  }
-  double recovery_sim_seconds() const {
-    double s = 0;
-    for (const auto& e : entries) {
-      if (e.owns_stage) s += e.stage->recovery_sim_seconds;
-    }
-    return s;
   }
   /// Movement modes used, deduplicated, in first-use order.
   std::string movements() const {
@@ -226,60 +92,63 @@ struct NodeStats {
   }
 };
 
+std::string FormatStat(const runtime::StatField& f, const StageStats& s) {
+  if (f.unit == runtime::StatUnit::kBytes) return FormatBytes(s.*f.u64);
+  if (f.f64 != nullptr) return FormatDouble(s.*f.f64, 3) + "s";
+  return std::to_string(s.*f.u64);
+}
+
+/// The one clause printer: appends ` ht(build=.. hits=.. chain=..)`,
+/// ` key_bytes=..` and the like for each group in `groups` with a nonzero
+/// field in `s`, in group order, tokens in table order.
+void AppendClauses(const StageStats& s, uint32_t groups,
+                   std::ostringstream* os) {
+  const uint32_t shown = groups & runtime::ShownStatGroups(s);
+  for (int g = 0; g < runtime::kNumStatGroups; ++g) {
+    const auto group = static_cast<runtime::StatGroup>(g);
+    if (!(shown & runtime::StatGroupBit(group))) continue;
+    const char* prefix = runtime::StatGroupPrefix(group);
+    *os << ' ';
+    if (prefix != nullptr) *os << prefix << '(';
+    const char* sep = "";
+    for (const runtime::StatField& f : runtime::kStatFields) {
+      if (f.group != group || f.token == nullptr) continue;
+      if ((f.outputs & runtime::kOutTokenIfNonzero) && f.IsZero(s)) continue;
+      *os << sep << f.token << '=' << FormatStat(f, s);
+      sep = " ";
+    }
+    if (prefix != nullptr) *os << ')';
+  }
+}
+
+/// `  [rows=.. shuffle=.. mode=.. straggler=..x work(..) <clauses> sim=..s]`
+/// for a node (`t` = its owned stages folded) or an unattributed stage.
+std::string StageSuffix(uint64_t rows, const StageStats& t,
+                        const std::string& mode, double straggler,
+                        const std::vector<uint64_t>* work) {
+  std::ostringstream os;
+  os << "  [rows=" << rows << " shuffle=" << FormatBytes(t.shuffle_bytes)
+     << " mode=" << mode << " straggler=" << FormatDouble(straggler, 2)
+     << "x";
+  if (work != nullptr) {
+    LoadSummary ls = SummarizeLoads(*work);
+    os << " work(p50/p95/max)=" << FormatBytes(ls.p50) << "/"
+       << FormatBytes(ls.p95) << "/" << FormatBytes(ls.max);
+  }
+  AppendClauses(t, runtime::kAllStatGroups, &os);
+  os << " sim=" << FormatDouble(t.sim_seconds, 3) << "s]";
+  return os.str();
+}
+
 std::string StatsSuffix(const NodeStats& ns) {
   if (ns.empty()) return "  [no stages recorded]";
   if (ns.fused_only()) {
     // Mid-chain operator of a fused stage: it has per-transform row counts
     // but no stage boundary (no shuffle, no materialization) of its own.
-    std::ostringstream os;
-    os << "  [rows=" << ns.rows_out() << " fused]";
-    return os.str();
+    return "  [rows=" + std::to_string(ns.rows_out()) + " fused]";
   }
-  std::ostringstream os;
-  os << "  [rows=" << ns.rows_out()
-     << " shuffle=" << FormatBytes(ns.shuffle_bytes())
-     << " mode=" << ns.movements()
-     << " straggler=" << FormatDouble(ns.straggler(), 2) << "x";
-  if (const std::vector<uint64_t>* work = ns.dominant_work()) {
-    LoadSummary ls = SummarizeLoads(*work);
-    os << " work(p50/p95/max)=" << FormatBytes(ls.p50) << "/"
-       << FormatBytes(ls.p95) << "/" << FormatBytes(ls.max);
-  }
-  if (ns.heavy_keys() > 0) os << " heavy_keys=" << ns.heavy_keys();
-  if (ns.hash_build_rows() > 0 || ns.hash_probe_hits() > 0) {
-    os << " ht(build=" << ns.hash_build_rows()
-       << " hits=" << ns.hash_probe_hits()
-       << " chain=" << ns.hash_max_chain() << ")";
-  }
-  if (ns.hash_table_bytes() > 0) {
-    os << " flat(tbl=" << FormatBytes(ns.hash_table_bytes())
-       << " resizes=" << ns.hash_resizes()
-       << " probe=" << ns.hash_probe_len_max() << ")";
-  }
-  if (ns.key_encode_bytes() > 0) {
-    os << " key_bytes=" << FormatBytes(ns.key_encode_bytes());
-  }
-  if (ns.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(ns.columnar_bytes()) << ")";
-  }
-  if (ns.spill_bytes_written() > 0) {
-    os << " spill(w=" << FormatBytes(ns.spill_bytes_written())
-       << " r=" << FormatBytes(ns.spill_bytes_read())
-       << " runs=" << ns.spill_runs() << " merges=" << ns.spill_merge_passes();
-    if (ns.spill_rowify_avoided() > 0) {
-      os << " rowify_avoided=" << ns.spill_rowify_avoided();
-    }
-    os << ")";
-  }
-  if (ns.bytes_avoided() > 0) {
-    os << " avoided=" << FormatBytes(ns.bytes_avoided());
-  }
-  if (ns.injected_faults() > 0) {
-    os << " faults=" << ns.injected_faults() << " retries=" << ns.retries()
-       << " recovery=" << FormatDouble(ns.recovery_sim_seconds(), 3) << "s";
-  }
-  os << " sim=" << FormatDouble(ns.sim_seconds(), 3) << "s]";
-  return os.str();
+  return StageSuffix(ns.rows_out(), ns.owned(), ns.movements(),
+                     ns.straggler(), ns.dominant_work());
 }
 
 void Walk(const plan::PlanPtr& p, const std::string& var, int depth,
@@ -348,64 +217,34 @@ std::string ExplainAnalyze(const plan::PlanProgram& program,
   if (!unattributed.empty()) {
     os << "unattributed stages:\n";
     for (const auto* s : unattributed) {
-      os << "  " << s->op << "  [rows=" << s->rows_out
-         << " shuffle=" << FormatBytes(s->shuffle_bytes)
-         << " mode=" << runtime::DataMovementName(s->movement)
-         << " straggler=" << FormatDouble(s->ImbalanceFactor(), 2) << "x";
-      if (s->injected_faults > 0) {
-        os << " faults=" << s->injected_faults << " retries=" << s->retries
-           << " recovery=" << FormatDouble(s->recovery_sim_seconds, 3) << "s";
-      }
-      os << " sim=" << FormatDouble(s->sim_seconds, 3) << "s]\n";
+      os << "  " << s->op
+         << StageSuffix(s->rows_out, *s, runtime::DataMovementName(s->movement),
+                        s->ImbalanceFactor(), nullptr)
+         << "\n";
     }
   }
 
+  // Job footer: fixed fields, then the same clauses as the node lines
+  // (fusion's next to fused_stages, heavy keys as a fixed field).
+  const StageStats& t = stats.totals();
   runtime::StragglerSummary sk = stats.straggler();
   os << "job: stages=" << stats.stages().size();
-  if (stats.fused_stages() > 0) {
-    os << " fused_stages=" << stats.fused_stages()
-       << " avoided=" << FormatBytes(stats.intermediate_bytes_avoided());
-  }
-  os << " shuffle=" << FormatBytes(stats.total_shuffle_bytes())
+  if (stats.fused_stages() > 0) os << " fused_stages=" << stats.fused_stages();
+  AppendClauses(t, runtime::StatGroupBit(runtime::StatGroup::kFusion), &os);
+  os << " shuffle=" << FormatBytes(t.shuffle_bytes)
      << " max_stage_shuffle=" << FormatBytes(stats.max_stage_shuffle_bytes())
      << " peak_partition=" << FormatBytes(stats.peak_partition_bytes())
-     << " max_partition_recv=" << FormatBytes(sk.max_partition_recv_bytes)
-     << " max_partition_work=" << FormatBytes(sk.max_partition_work_bytes)
+     << " max_partition_recv=" << FormatBytes(t.max_partition_recv_bytes)
+     << " max_partition_work=" << FormatBytes(t.max_partition_work_bytes)
      << " straggler=" << FormatDouble(sk.worst_imbalance, 2) << "x"
      << (sk.worst_stage.empty() ? "" : "@" + sk.worst_stage)
-     << " heavy_keys=" << sk.heavy_key_count;
-  if (stats.hash_build_rows() > 0 || stats.hash_probe_hits() > 0) {
-    os << " ht(build=" << stats.hash_build_rows()
-       << " hits=" << stats.hash_probe_hits()
-       << " chain=" << stats.hash_max_chain() << ")";
-  }
-  if (stats.hash_table_bytes() > 0) {
-    os << " flat(tbl=" << FormatBytes(stats.hash_table_bytes())
-       << " resizes=" << stats.hash_resizes()
-       << " probe=" << stats.hash_probe_len_max() << ")";
-  }
-  if (stats.key_encode_bytes() > 0) {
-    os << " key_bytes=" << FormatBytes(stats.key_encode_bytes());
-  }
-  if (stats.columnar_bytes() > 0) {
-    os << " col(blocks=" << FormatBytes(stats.columnar_bytes()) << ")";
-  }
-  if (stats.spill_bytes_written() > 0) {
-    os << " spill(w=" << FormatBytes(stats.spill_bytes_written())
-       << " r=" << FormatBytes(stats.spill_bytes_read())
-       << " runs=" << stats.spill_runs()
-       << " merges=" << stats.spill_merge_passes();
-    if (stats.spill_rowify_avoided() > 0) {
-      os << " rowify_avoided=" << stats.spill_rowify_avoided();
-    }
-    os << ")";
-  }
-  if (stats.injected_faults() > 0) {
-    os << " injected_faults=" << stats.injected_faults()
-       << " retries=" << stats.retries()
-       << " recovery=" << FormatDouble(stats.recovery_sim_seconds(), 3) << "s";
-  }
-  os << " sim=" << FormatDouble(stats.sim_seconds(), 3) << "s\n";
+     << " heavy_keys=" << t.heavy_key_count;
+  AppendClauses(t,
+                runtime::kAllStatGroups &
+                    ~runtime::StatGroupBit(runtime::StatGroup::kHeavyKeys) &
+                    ~runtime::StatGroupBit(runtime::StatGroup::kFusion),
+                &os);
+  os << " sim=" << FormatDouble(t.sim_seconds, 3) << "s\n";
   return os.str();
 }
 

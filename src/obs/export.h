@@ -14,6 +14,10 @@
 namespace trance {
 namespace obs {
 
+/// Writes `"<f.key>": <value of f in s>` into an open object.
+void WriteStatField(const runtime::StatField& f, const runtime::StageStats& s,
+                    JsonWriter* w);
+
 /// Writes one JobStats as a JSON object into an open writer (callable in a
 /// larger document, e.g. the per-run array of a benchmark report).
 void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w);

@@ -49,95 +49,29 @@ void Cluster::RecordStage(StageStats s) {
 }
 
 void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
-  // Registry half: every JobStats total the stage contributes also lands in
-  // the metric registry, from this one site. Integer quantities are
-  // counters; maxima are SetMax gauges; accumulated sim-time is an Add
-  // gauge (driver-sequential here, so the floating-point order — and hence
-  // the value — is deterministic).
+  // Registry half: one series per kStatFields row that names one, from this
+  // one site (stats.h). Integer sums are counters; maxima are SetMax gauges;
+  // doubles are Add gauges (driver-sequential here, so the floating-point
+  // order — and hence the value — is deterministic). The three series after
+  // the loop are derived from the stage rather than read off one field.
+  for (const StatField& f : kStatFields) {
+    if (f.series == nullptr) continue;
+    if (f.agg == StatAgg::kMax) {
+      metrics_.GetGauge(f.series, f.help)->SetMax(f.AsDouble(s));
+    } else if (f.f64 != nullptr) {
+      metrics_.GetGauge(f.series, f.help)->Add(s.*f.f64);
+    } else {
+      metrics_.GetCounter(f.series, f.help)->Add(s.*f.u64);
+    }
+  }
   metrics_
       .GetCounter("trance_stages_total", "stages recorded, by data movement",
                   {{"movement", DataMovementName(s.movement)}})
       ->Increment();
-  metrics_.GetCounter("trance_rows_in_total", "rows consumed by stages")
-      ->Add(s.rows_in);
-  metrics_.GetCounter("trance_rows_out_total", "rows produced by stages")
-      ->Add(s.rows_out);
-  metrics_
-      .GetCounter("trance_shuffle_bytes_total",
-                  "bytes moved between partitions")
-      ->Add(s.shuffle_bytes);
-  metrics_.GetCounter("trance_work_bytes_total", "bytes processed by workers")
-      ->Add(s.total_work_bytes);
-  metrics_
-      .GetCounter("trance_heavy_keys_total", "keys flagged by the skew sampler")
-      ->Add(s.heavy_key_count);
-  metrics_
-      .GetCounter("trance_key_encode_bytes_total",
-                  "binary key bytes produced by the key codec")
-      ->Add(s.key_encode_bytes);
-  metrics_
-      .GetCounter("trance_hash_build_rows_total",
-                  "rows inserted into keyed hash structures")
-      ->Add(s.hash_build_rows);
-  metrics_
-      .GetCounter("trance_hash_probe_hits_total",
-                  "keyed lookups that found an existing key")
-      ->Add(s.hash_probe_hits);
-  metrics_
-      .GetGauge("trance_hash_max_chain",
-                "max input rows mapped to a single key")
-      ->SetMax(static_cast<double>(s.hash_max_chain));
-  metrics_
-      .GetCounter("trance_hash_table_bytes_total",
-                  "flat hash-table footprint built by keyed operators")
-      ->Add(s.hash_table_bytes);
-  metrics_
-      .GetCounter("trance_hash_resizes_total",
-                  "flat hash-table slot-array doublings")
-      ->Add(s.hash_resizes);
-  metrics_
-      .GetGauge("trance_hash_probe_len_max",
-                "longest open-addressing probe sequence")
-      ->SetMax(static_cast<double>(s.hash_probe_len_max));
-  metrics_
-      .GetCounter("trance_columnar_bytes_total",
-                  "typed partition-block footprint built by operators")
-      ->Add(s.columnar_bytes);
-  metrics_
-      .GetCounter("trance_spill_bytes_written_total",
-                  "bytes written to spill run files")
-      ->Add(s.spill_bytes_written);
-  metrics_
-      .GetCounter("trance_spill_bytes_read_total",
-                  "bytes streamed back from spill run files")
-      ->Add(s.spill_bytes_read);
-  metrics_
-      .GetCounter("trance_spill_runs_total", "spill run files produced")
-      ->Add(s.spill_runs);
-  metrics_
-      .GetCounter("trance_spill_merge_passes_total",
-                  "stream-merge passes over spill runs")
-      ->Add(s.spill_merge_passes);
-  metrics_
-      .GetCounter("trance_spill_rowify_avoided_total",
-                  "rows restored from columnar spill records without "
-                  "row-form conversion")
-      ->Add(s.spill_rowify_avoided);
   metrics_
       .GetGauge("trance_max_stage_shuffle_bytes",
                 "largest single-stage shuffle")
       ->SetMax(static_cast<double>(s.shuffle_bytes));
-  metrics_
-      .GetGauge("trance_mem_high_water_bytes",
-                "largest stage-output partition footprint")
-      ->SetMax(static_cast<double>(s.mem_high_water_bytes));
-  metrics_
-      .GetGauge("trance_sim_seconds_total", "accumulated simulated job time")
-      ->Add(s.sim_seconds);
-  metrics_
-      .GetGauge("trance_recovery_sim_seconds_total",
-                "accumulated simulated recovery time")
-      ->Add(s.recovery_sim_seconds);
   metrics_
       .GetHistogram("trance_stage_imbalance",
                     "per-stage straggler factor (max/mean worker load)",

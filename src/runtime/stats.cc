@@ -30,18 +30,11 @@ double StageStats::ImbalanceFactor() const {
 StragglerSummary JobStats::straggler() const {
   StragglerSummary out;
   for (const auto& s : stages_) {
-    if (s.max_partition_recv_bytes > out.max_partition_recv_bytes) {
-      out.max_partition_recv_bytes = s.max_partition_recv_bytes;
-    }
-    if (s.max_partition_work_bytes > out.max_partition_work_bytes) {
-      out.max_partition_work_bytes = s.max_partition_work_bytes;
-    }
     double f = s.ImbalanceFactor();
     if (f > out.worst_imbalance) {
       out.worst_imbalance = f;
       out.worst_stage = s.op;
     }
-    out.heavy_key_count += s.heavy_key_count;
   }
   return out;
 }
@@ -49,20 +42,22 @@ StragglerSummary JobStats::straggler() const {
 std::string JobStats::ToString() const {
   std::ostringstream os;
   StragglerSummary sk = straggler();
+  const StageStats& t = totals_;
   os << "JobStats{stages=" << stages_.size()
-     << ", shuffle=" << FormatBytes(totals_.shuffle_bytes)
+     << ", shuffle=" << FormatBytes(t.shuffle_bytes)
      << ", max_stage_shuffle=" << FormatBytes(max_stage_shuffle_)
      << ", peak_partition=" << FormatBytes(peak_partition_bytes_)
-     << ", max_partition_recv=" << FormatBytes(sk.max_partition_recv_bytes)
-     << ", max_partition_work=" << FormatBytes(sk.max_partition_work_bytes)
+     << ", max_partition_recv=" << FormatBytes(t.max_partition_recv_bytes)
+     << ", max_partition_work=" << FormatBytes(t.max_partition_work_bytes)
      << ", straggler=" << FormatDouble(sk.worst_imbalance, 2) << "x"
      << (sk.worst_stage.empty() ? "" : "@" + sk.worst_stage)
-     << ", heavy_keys=" << sk.heavy_key_count;
-  if (injected_faults_ > 0) {
-    os << ", injected_faults=" << injected_faults_ << ", retries=" << retries_
-       << ", recovery=" << FormatDouble(recovery_sim_seconds_, 3) << "s";
+     << ", heavy_keys=" << t.heavy_key_count;
+  if (t.injected_faults > 0) {
+    os << ", injected_faults=" << t.injected_faults
+       << ", retries=" << t.retries
+       << ", recovery=" << FormatDouble(t.recovery_sim_seconds, 3) << "s";
   }
-  os << ", sim_time=" << FormatDouble(sim_seconds_, 3) << "s}";
+  os << ", sim_time=" << FormatDouble(t.sim_seconds, 3) << "s}";
   for (const auto& s : stages_) {
     os << "\n  " << s.op << ": in=" << s.rows_in << " out=" << s.rows_out
        << " shuffle=" << FormatBytes(s.shuffle_bytes)

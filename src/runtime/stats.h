@@ -10,12 +10,14 @@
 //
 // Beyond the scalar aggregates, each stage carries per-partition send/recv/
 // work histograms, the broadcast-vs-shuffle decision, the heavy-key count
-// from the skew sampler, and a memory high-water mark; JobStats aggregates
-// them into a job-wide straggler/imbalance summary (src/obs turns these into
-// EXPLAIN ANALYZE reports, percentile summaries and Chrome trace exports).
+// from the skew sampler, and a memory high-water mark. The statistic table
+// (kStatFields, below) describes every scalar field once; JobStats folds the
+// stages into job totals with it, and src/obs turns both into EXPLAIN
+// ANALYZE reports, JSON, percentile summaries and Chrome trace exports.
 #ifndef TRANCE_RUNTIME_STATS_H_
 #define TRANCE_RUNTIME_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -131,48 +133,248 @@ struct StageStats {
   double ImbalanceFactor() const;
 };
 
-/// Job-wide straggler / skew summary (the aggregate the per-stage maxima
-/// previously never surfaced).
+// --- The statistic table ---------------------------------------------------
+//
+// Each scalar StageStats field is described once, by one row of kStatFields:
+// its JSON key, how a job folds it over stages, its registry series, its
+// determinism class and its EXPLAIN ANALYZE clause. JobStats totals,
+// Cluster::PublishStage, obs::WriteJobStats, EXPLAIN ANALYZE, the bench
+// report's per-run scalars and bench_diff's policies all loop over the
+// table. StageStats stays a plain counters struct; the table only describes
+// it.
+
+/// How a job folds a field over its stages.
+enum class StatAgg : uint8_t { kSum, kMax };
+
+/// What a run-to-run comparison may expect of a field.
+enum class StatClass : uint8_t {
+  kExact,  // integer function of the data: identical at any thread count,
+           // under recovered faults and under spilling (its own group aside)
+  kSim,    // cost-model double: deterministic, compared at 1e-9 relative
+  kWall,   // wall clock: varies run to run, never gated
+};
+
+/// Unit of a field; fixes how EXPLAIN ANALYZE formats it.
+enum class StatUnit : uint8_t { kCount, kBytes, kSimSeconds, kMicros };
+
+/// EXPLAIN ANALYZE clause groups, in print order. A group is shown when any
+/// of its fields is nonzero: EXPLAIN prints its clause and a stage's JSON
+/// object carries its keys. kNone fields are always in the stage JSON and
+/// print in EXPLAIN only as fixed line fields, if at all.
+enum class StatGroup : uint8_t {
+  kNone,
+  kHeavyKeys,  // heavy_keys=N
+  kHashTable,  // ht(build= hits= chain=)
+  kFlatTable,  // flat(tbl= resizes= probe=)
+  kKeyBytes,   // key_bytes=B
+  kColumnar,   // col(blocks=B)
+  kSpill,      // spill(w= r= runs= merges= rowify_avoided=)
+  kFusion,     // avoided=B
+  kFaults,     // faults=N retries=N recovery=Ss
+};
+inline constexpr int kNumStatGroups = static_cast<int>(StatGroup::kFaults) + 1;
+
+constexpr uint32_t StatGroupBit(StatGroup g) {
+  return 1u << static_cast<int>(g);
+}
+/// Every clause group (kNone excluded).
+inline constexpr uint32_t kAllStatGroups =
+    ((1u << kNumStatGroups) - 1) & ~StatGroupBit(StatGroup::kNone);
+
+/// Parenthesised clause prefix of a group (` ht(build=...)`), or nullptr
+/// when the group's tokens print bare.
+constexpr const char* StatGroupPrefix(StatGroup g) {
+  switch (g) {
+    case StatGroup::kHashTable:
+      return "ht";
+    case StatGroup::kFlatTable:
+      return "flat";
+    case StatGroup::kColumnar:
+      return "col";
+    case StatGroup::kSpill:
+      return "spill";
+    default:
+      return nullptr;
+  }
+}
+
+/// Outputs a row reaches besides JobStats::totals() and the stage JSON
+/// object, which every row reaches.
+enum StatOutput : uint8_t {
+  kOutJobTotals = 1,       // `totals` object of the job-stats JSON
+  kOutBenchRun = 2,        // per-run scalar of BENCH_<name>.json
+  kOutTokenIfNonzero = 4,  // EXPLAIN prints the token only when nonzero
+};
+
+/// One row of the statistic table.
+struct StatField {
+  const char* key;                      // JSON key (stage, totals, bench run)
+  uint64_t StageStats::*u64 = nullptr;  // the field: an integer counter...
+  double StageStats::*f64 = nullptr;    // ...or a double (exactly one is set)
+  StatAgg agg;
+  StatClass cls;
+  StatUnit unit;
+  uint8_t outputs;     // StatOutput bits
+  const char* series;  // registry series, or nullptr
+  const char* help;    // registry help text
+  StatGroup group;
+  const char* token;  // EXPLAIN token within the group, or nullptr
+
+  constexpr StatField(const char* k, uint64_t StageStats::*m, StatAgg a,
+                      StatClass c, StatUnit u, uint8_t o, const char* s,
+                      const char* h, StatGroup g, const char* t)
+      : key(k), u64(m), agg(a), cls(c), unit(u), outputs(o), series(s),
+        help(h), group(g), token(t) {}
+  constexpr StatField(const char* k, double StageStats::*m, StatAgg a,
+                      StatClass c, StatUnit u, uint8_t o, const char* s,
+                      const char* h, StatGroup g, const char* t)
+      : key(k), f64(m), agg(a), cls(c), unit(u), outputs(o), series(s),
+        help(h), group(g), token(t) {}
+
+  bool IsZero(const StageStats& s) const {
+    return u64 != nullptr ? s.*u64 == 0 : s.*f64 == 0;
+  }
+  /// The value as a double (exact for integers below 2^53).
+  double AsDouble(const StageStats& s) const {
+    return u64 != nullptr ? static_cast<double>(s.*u64) : s.*f64;
+  }
+  /// Folds stage `s` into `acc` with this row's aggregation.
+  void Fold(const StageStats& s, StageStats* acc) const {
+    if (u64 != nullptr) {
+      acc->*u64 = agg == StatAgg::kSum ? acc->*u64 + s.*u64
+                                       : std::max(acc->*u64, s.*u64);
+    } else {
+      acc->*f64 = agg == StatAgg::kSum ? acc->*f64 + s.*f64
+                                       : std::max(acc->*f64, s.*f64);
+    }
+  }
+};
+
+namespace stat_rows {
+using enum StatAgg;
+using enum StatClass;
+using enum StatUnit;
+using enum StatGroup;
+inline constexpr uint8_t kJob = kOutJobTotals;
+inline constexpr uint8_t kJobBench = kOutJobTotals | kOutBenchRun;
+
+// Columns: JSON key and field; job aggregation; class; unit; outputs;
+// registry series and help; EXPLAIN group and token. Rows follow StageStats
+// order, which is also the key order of the JSON objects and the token order
+// inside a clause. A max row publishes a SetMax gauge, a double row an Add
+// gauge, any other row a counter. Three series belong to events rather than
+// stages and are published there: trance_fused_stages_total and
+// trance_intermediate_bytes_avoided_total (fused stages, stage_pipeline.cc)
+// and trance_task_retries_total (the recovery loop, cluster.cc).
+inline constexpr StatField kStatFields[] = {
+    {"rows_in", &StageStats::rows_in, kSum, kExact, kCount, 0,
+     "trance_rows_in_total", "rows consumed by stages", kNone, nullptr},
+    {"rows_out", &StageStats::rows_out, kSum, kExact, kCount, 0,
+     "trance_rows_out_total", "rows produced by stages", kNone, nullptr},
+    {"shuffle_bytes", &StageStats::shuffle_bytes, kSum, kExact, kBytes,
+     kJobBench, "trance_shuffle_bytes_total", "bytes moved between partitions",
+     kNone, nullptr},
+    {"max_partition_recv_bytes", &StageStats::max_partition_recv_bytes, kMax,
+     kExact, kBytes, kJob, nullptr, nullptr, kNone, nullptr},
+    {"max_partition_work_bytes", &StageStats::max_partition_work_bytes, kMax,
+     kExact, kBytes, kJob, nullptr, nullptr, kNone, nullptr},
+    {"total_work_bytes", &StageStats::total_work_bytes, kSum, kExact, kBytes, 0,
+     "trance_work_bytes_total", "bytes processed by workers", kNone, nullptr},
+    {"mem_high_water_bytes", &StageStats::mem_high_water_bytes, kMax, kExact,
+     kBytes, 0, "trance_mem_high_water_bytes",
+     "largest stage-output partition footprint", kNone, nullptr},
+    {"heavy_key_count", &StageStats::heavy_key_count, kSum, kExact, kCount,
+     kJob, "trance_heavy_keys_total", "keys flagged by the skew sampler",
+     kHeavyKeys, "heavy_keys"},
+    {"intermediate_bytes_avoided", &StageStats::intermediate_bytes_avoided,
+     kSum, kExact, kBytes, kJobBench, nullptr, nullptr, kFusion, "avoided"},
+    {"key_encode_bytes", &StageStats::key_encode_bytes, kSum, kExact, kBytes,
+     kJobBench, "trance_key_encode_bytes_total",
+     "binary key bytes produced by the key codec", kKeyBytes, "key_bytes"},
+    {"hash_build_rows", &StageStats::hash_build_rows, kSum, kExact, kCount,
+     kJobBench, "trance_hash_build_rows_total",
+     "rows inserted into keyed hash structures", kHashTable, "build"},
+    {"hash_probe_hits", &StageStats::hash_probe_hits, kSum, kExact, kCount,
+     kJobBench, "trance_hash_probe_hits_total",
+     "keyed lookups that found an existing key", kHashTable, "hits"},
+    {"hash_max_chain", &StageStats::hash_max_chain, kMax, kExact, kCount,
+     kJobBench, "trance_hash_max_chain",
+     "max input rows mapped to a single key", kHashTable, "chain"},
+    {"hash_table_bytes", &StageStats::hash_table_bytes, kSum, kExact, kBytes,
+     kJobBench, "trance_hash_table_bytes_total",
+     "flat hash-table footprint built by keyed operators", kFlatTable, "tbl"},
+    {"hash_resizes", &StageStats::hash_resizes, kSum, kExact, kCount,
+     kJobBench, "trance_hash_resizes_total",
+     "flat hash-table slot-array doublings", kFlatTable, "resizes"},
+    {"hash_probe_len_max", &StageStats::hash_probe_len_max, kMax, kExact,
+     kCount, kJobBench, "trance_hash_probe_len_max",
+     "longest open-addressing probe sequence", kFlatTable, "probe"},
+    {"columnar_bytes", &StageStats::columnar_bytes, kSum, kExact, kBytes,
+     kJobBench, "trance_columnar_bytes_total",
+     "typed partition-block footprint built by operators", kColumnar,
+     "blocks"},
+    {"spill_bytes_written", &StageStats::spill_bytes_written, kSum, kExact,
+     kBytes, kJobBench, "trance_spill_bytes_written_total",
+     "bytes written to spill run files", kSpill, "w"},
+    {"spill_bytes_read", &StageStats::spill_bytes_read, kSum, kExact, kBytes,
+     kJobBench, "trance_spill_bytes_read_total",
+     "bytes streamed back from spill run files", kSpill, "r"},
+    {"spill_runs", &StageStats::spill_runs, kSum, kExact, kCount, kJobBench,
+     "trance_spill_runs_total", "spill run files produced", kSpill, "runs"},
+    {"spill_merge_passes", &StageStats::spill_merge_passes, kSum, kExact,
+     kCount, kJobBench, "trance_spill_merge_passes_total",
+     "stream-merge passes over spill runs", kSpill, "merges"},
+    {"spill_rowify_avoided", &StageStats::spill_rowify_avoided, kSum, kExact,
+     kCount, kJobBench | kOutTokenIfNonzero,
+     "trance_spill_rowify_avoided_total",
+     "rows restored from columnar spill records without row-form conversion",
+     kSpill, "rowify_avoided"},
+    {"injected_faults", &StageStats::injected_faults, kSum, kExact, kCount,
+     kJobBench, nullptr, nullptr, kFaults, "faults"},
+    {"retries", &StageStats::retries, kSum, kExact, kCount, kJobBench, nullptr,
+     nullptr, kFaults, "retries"},
+    {"recovery_sim_seconds", &StageStats::recovery_sim_seconds, kSum, kSim,
+     kSimSeconds, kJobBench, "trance_recovery_sim_seconds_total",
+     "accumulated simulated recovery time", kFaults, "recovery"},
+    {"sim_seconds", &StageStats::sim_seconds, kSum, kSim, kSimSeconds,
+     kJobBench, "trance_sim_seconds_total", "accumulated simulated job time",
+     kNone, nullptr},
+    {"wall_dur_us", &StageStats::wall_dur_us, kSum, kWall, kMicros, 0, nullptr,
+     nullptr, kNone, nullptr},
+};
+}  // namespace stat_rows
+using stat_rows::kStatFields;
+
+/// Folds every table row of stage `s` into `acc` (sum or max per row).
+inline void FoldStage(const StageStats& s, StageStats* acc) {
+  for (const StatField& f : kStatFields) f.Fold(s, acc);
+}
+
+/// StatGroupBit(g) set for every group with a nonzero field in `s`, plus
+/// StatGroup::kNone, which is always shown.
+inline uint32_t ShownStatGroups(const StageStats& s) {
+  uint32_t shown = StatGroupBit(StatGroup::kNone);
+  for (const StatField& f : kStatFields) {
+    if (!f.IsZero(s)) shown |= StatGroupBit(f.group);
+  }
+  return shown;
+}
+
+/// The stage with the worst straggler factor (max/mean worker load).
 struct StragglerSummary {
-  uint64_t max_partition_recv_bytes = 0;  // worst single-stage receiver
-  uint64_t max_partition_work_bytes = 0;  // worst single-stage worker
-  double worst_imbalance = 1.0;           // max over stages of max/mean work
-  std::string worst_stage;                // op name of that stage
-  uint64_t heavy_key_count = 0;           // total keys flagged by the sampler
+  double worst_imbalance = 1.0;  // max over stages of max/mean work
+  std::string worst_stage;       // op name of that stage
 };
 
 /// Accumulated statistics for one logical job (query execution).
 class JobStats {
  public:
   void AddStage(StageStats s) {
-    totals_.shuffle_bytes += s.shuffle_bytes;
-    totals_.rows_in += s.rows_in;
-    totals_.rows_out += s.rows_out;
-    totals_.total_work_bytes += s.total_work_bytes;
+    FoldStage(s, &totals_);
     if (s.shuffle_bytes > max_stage_shuffle_) {
       max_stage_shuffle_ = s.shuffle_bytes;
     }
-    sim_seconds_ += s.sim_seconds;
     if (!s.fused_transforms.empty()) ++fused_stages_;
-    intermediate_bytes_avoided_ += s.intermediate_bytes_avoided;
-    injected_faults_ += s.injected_faults;
-    retries_ += s.retries;
-    recovery_sim_seconds_ += s.recovery_sim_seconds;
-    key_encode_bytes_ += s.key_encode_bytes;
-    hash_build_rows_ += s.hash_build_rows;
-    hash_probe_hits_ += s.hash_probe_hits;
-    if (s.hash_max_chain > hash_max_chain_) hash_max_chain_ = s.hash_max_chain;
-    hash_table_bytes_ += s.hash_table_bytes;
-    hash_resizes_ += s.hash_resizes;
-    if (s.hash_probe_len_max > hash_probe_len_max_) {
-      hash_probe_len_max_ = s.hash_probe_len_max;
-    }
-    columnar_bytes_ += s.columnar_bytes;
-    spill_bytes_written_ += s.spill_bytes_written;
-    spill_bytes_read_ += s.spill_bytes_read;
-    spill_runs_ += s.spill_runs;
-    spill_merge_passes_ += s.spill_merge_passes;
-    spill_rowify_avoided_ += s.spill_rowify_avoided;
     stages_.push_back(std::move(s));
   }
 
@@ -181,80 +383,19 @@ class JobStats {
   }
 
   const std::vector<StageStats>& stages() const { return stages_; }
-  uint64_t total_shuffle_bytes() const { return totals_.shuffle_bytes; }
+  /// Every kStatFields field folded over the stages with its row's
+  /// aggregation (the non-table members stay empty).
+  const StageStats& totals() const { return totals_; }
   /// The largest single-stage shuffle ("max data shuffle" in Section 6).
   uint64_t max_stage_shuffle_bytes() const { return max_stage_shuffle_; }
   uint64_t peak_partition_bytes() const { return peak_partition_bytes_; }
-  double sim_seconds() const { return sim_seconds_; }
   /// Stages that ran a fused chain of narrow transforms.
   uint64_t fused_stages() const { return fused_stages_; }
-  /// Total bytes fusion kept from materializing between narrow operators.
-  uint64_t intermediate_bytes_avoided() const {
-    return intermediate_bytes_avoided_;
-  }
-  /// Faults injected across all stages (0 on fault-free runs).
-  uint64_t injected_faults() const { return injected_faults_; }
-  /// Task re-executions the recovery loop performed.
-  uint64_t retries() const { return retries_; }
-  /// Total simulated recovery time (backoff + discarded attempts); reported
-  /// separately from sim_seconds() so base stats stay fault-invariant.
-  double recovery_sim_seconds() const { return recovery_sim_seconds_; }
-  /// Bytes of binary keys the key codec produced.
-  uint64_t key_encode_bytes() const { return key_encode_bytes_; }
-  /// Rows inserted into keyed hash structures across all stages.
-  uint64_t hash_build_rows() const { return hash_build_rows_; }
-  /// Keyed lookups that found an existing key across all stages.
-  uint64_t hash_probe_hits() const { return hash_probe_hits_; }
-  /// Worst per-key chain (max over stages of the stage's longest chain).
-  uint64_t hash_max_chain() const { return hash_max_chain_; }
-  /// Total flat hash-table footprint built across all stages.
-  uint64_t hash_table_bytes() const { return hash_table_bytes_; }
-  /// Flat-table slot-array doublings across all stages.
-  uint64_t hash_resizes() const { return hash_resizes_; }
-  /// Longest open-addressing probe sequence any stage saw.
-  uint64_t hash_probe_len_max() const { return hash_probe_len_max_; }
-  /// Total typed-block footprint operators built.
-  uint64_t columnar_bytes() const { return columnar_bytes_; }
-  /// Bytes written to spill run files (0 when nothing spilled).
-  uint64_t spill_bytes_written() const { return spill_bytes_written_; }
-  /// Bytes streamed back from spill run files.
-  uint64_t spill_bytes_read() const { return spill_bytes_read_; }
-  /// Spill run files produced across all stages.
-  uint64_t spill_runs() const { return spill_runs_; }
-  /// Stream-merge passes over spill runs.
-  uint64_t spill_merge_passes() const { return spill_merge_passes_; }
-  /// Rows restored from spill block records straight into resident blocks
-  /// (disk-side rowifications avoided by block residence).
-  uint64_t spill_rowify_avoided() const { return spill_rowify_avoided_; }
 
-  /// Job-wide aggregation of the per-stage skew quantities.
+  /// The worst-imbalance stage.
   StragglerSummary straggler() const;
 
-  void Reset() {
-    stages_.clear();
-    totals_ = StageStats{};
-    max_stage_shuffle_ = 0;
-    peak_partition_bytes_ = 0;
-    sim_seconds_ = 0;
-    fused_stages_ = 0;
-    intermediate_bytes_avoided_ = 0;
-    injected_faults_ = 0;
-    retries_ = 0;
-    recovery_sim_seconds_ = 0;
-    key_encode_bytes_ = 0;
-    hash_build_rows_ = 0;
-    hash_probe_hits_ = 0;
-    hash_max_chain_ = 0;
-    hash_table_bytes_ = 0;
-    hash_resizes_ = 0;
-    hash_probe_len_max_ = 0;
-    columnar_bytes_ = 0;
-    spill_bytes_written_ = 0;
-    spill_bytes_read_ = 0;
-    spill_runs_ = 0;
-    spill_merge_passes_ = 0;
-    spill_rowify_avoided_ = 0;
-  }
+  void Reset() { *this = JobStats(); }
 
   std::string ToString() const;
 
@@ -263,25 +404,7 @@ class JobStats {
   StageStats totals_;
   uint64_t max_stage_shuffle_ = 0;
   uint64_t peak_partition_bytes_ = 0;
-  double sim_seconds_ = 0;
   uint64_t fused_stages_ = 0;
-  uint64_t intermediate_bytes_avoided_ = 0;
-  uint64_t injected_faults_ = 0;
-  uint64_t retries_ = 0;
-  double recovery_sim_seconds_ = 0;
-  uint64_t key_encode_bytes_ = 0;
-  uint64_t hash_build_rows_ = 0;
-  uint64_t hash_probe_hits_ = 0;
-  uint64_t hash_max_chain_ = 0;
-  uint64_t hash_table_bytes_ = 0;
-  uint64_t hash_resizes_ = 0;
-  uint64_t hash_probe_len_max_ = 0;
-  uint64_t columnar_bytes_ = 0;
-  uint64_t spill_bytes_written_ = 0;
-  uint64_t spill_bytes_read_ = 0;
-  uint64_t spill_runs_ = 0;
-  uint64_t spill_merge_passes_ = 0;
-  uint64_t spill_rowify_avoided_ = 0;
 };
 
 }  // namespace runtime

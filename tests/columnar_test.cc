@@ -33,7 +33,7 @@ TEST_P(ColumnarSuiteTest, StandardRouteOnOffIdentical) {
     fig7_suite::ExpectSameRows(seq.out, par.out);
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
-  EXPECT_GT(seq.stats.columnar_bytes(), 0u);
+  EXPECT_GT(seq.stats.totals().columnar_bytes, 0u);
 }
 
 TEST_P(ColumnarSuiteTest, ShreddedRouteOnOffIdentical) {
@@ -49,7 +49,7 @@ TEST_P(ColumnarSuiteTest, ShreddedRouteOnOffIdentical) {
     fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
-  EXPECT_GT(seq.stats.columnar_bytes(), 0u);
+  EXPECT_GT(seq.stats.totals().columnar_bytes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,7 +96,7 @@ TEST(ColumnarRuntimeTest, CountersVisibleInJsonAndExplain) {
   cfg.scale = 0.0005;
   auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
   fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
-  EXPECT_GT(r.stats.columnar_bytes(), 0u);
+  EXPECT_GT(r.stats.totals().columnar_bytes, 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);
   EXPECT_NE(json.find("\"columnar_bytes\""), std::string::npos) << json;

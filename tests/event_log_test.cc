@@ -197,9 +197,9 @@ LoggedRun RunWithLog(int num_threads, bool log_enabled) {
     r.events.push_back(ParsedWithoutWall(line));
   }
   const runtime::JobStats& stats = cluster.stats();
-  r.shuffle_bytes = stats.total_shuffle_bytes();
+  r.shuffle_bytes = stats.totals().shuffle_bytes;
   r.stages = stats.stages().size();
-  r.sim_seconds = stats.sim_seconds();
+  r.sim_seconds = stats.totals().sim_seconds;
   log.Enable(false);
   log.Clear();
   return r;

@@ -19,6 +19,7 @@
 #include "runtime/cluster.h"
 #include "runtime/fault.h"
 #include "runtime/ops.h"
+#include "stats_testing.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -33,6 +34,8 @@ using runtime::FaultKind;
 using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
+using runtime::StatGroup;
+using stats_testing::ExpectSameStats;
 
 // --- FaultInjector unit tests --------------------------------------------
 
@@ -159,44 +162,14 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
   }
 }
 
-/// Stats-transparency check: every non-recovery field equal between a
-/// fault-free run `a` and a recovered run `b` (or two recovered runs).
-void ExpectSameBaseStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.max_partition_work_bytes, sb.max_partition_work_bytes);
-    EXPECT_EQ(sa.max_partition_recv_bytes, sb.max_partition_recv_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.partition_recv_bytes, sb.partition_recv_bytes);
-    EXPECT_EQ(sa.partition_send_bytes, sb.partition_send_bytes);
-    EXPECT_EQ(sa.intermediate_bytes_avoided, sb.intermediate_bytes_avoided);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
-  }
-}
-
 /// The fault schedule itself must be deterministic: two runs with the same
 /// seed (at any thread count) record identical fault telemetry, event for
 /// event.
 void ExpectSameFaultTelemetry(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.injected_faults(), b.injected_faults());
-  EXPECT_EQ(a.retries(), b.retries());
-  EXPECT_DOUBLE_EQ(a.recovery_sim_seconds(), b.recovery_sim_seconds());
+  EXPECT_EQ(a.totals().injected_faults, b.totals().injected_faults);
+  EXPECT_EQ(a.totals().retries, b.totals().retries);
+  EXPECT_DOUBLE_EQ(a.totals().recovery_sim_seconds,
+                   b.totals().recovery_sim_seconds);
   ASSERT_EQ(a.stages().size(), b.stages().size());
   for (size_t i = 0; i < a.stages().size(); ++i) {
     const StageStats& sa = a.stages()[i];
@@ -339,21 +312,22 @@ TEST_P(FaultSuiteTest, StandardRouteRecoveryIsTransparent) {
   StandardRun repeat1 = RunStandardWith(*q, values, FaultedConfig(1));
 
   // Faults were actually injected and recovered from.
-  EXPECT_GT(faulted1.stats.injected_faults(), 0u);
-  EXPECT_EQ(faulted1.stats.retries(), faulted1.stats.injected_faults());
-  EXPECT_GT(faulted1.stats.recovery_sim_seconds(), 0.0);
+  EXPECT_GT(faulted1.stats.totals().injected_faults, 0u);
+  EXPECT_EQ(faulted1.stats.totals().retries,
+            faulted1.stats.totals().injected_faults);
+  EXPECT_GT(faulted1.stats.totals().recovery_sim_seconds, 0.0);
 
   // Recovery is stats-transparent: identical rows and base stats vs. the
   // fault-free run.
   ExpectSameRows(clean.out, faulted1.out);
-  ExpectSameBaseStats(clean.stats, faulted1.stats);
-  EXPECT_EQ(clean.stats.injected_faults(), 0u);
-  EXPECT_EQ(clean.stats.recovery_sim_seconds(), 0.0);
+  ExpectSameStats(clean.stats, faulted1.stats, StatGroup::kFaults);
+  EXPECT_EQ(clean.stats.totals().injected_faults, 0u);
+  EXPECT_EQ(clean.stats.totals().recovery_sim_seconds, 0.0);
 
   // The fault schedule is deterministic: independent of thread count and
   // reproducible across runs with the same seed.
   ExpectSameRows(faulted1.out, faulted4.out);
-  ExpectSameBaseStats(faulted1.stats, faulted4.stats);
+  ExpectSameStats(faulted1.stats, faulted4.stats, StatGroup::kFaults);
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
   ExpectSameRows(faulted1.out, repeat1.out);
   ExpectSameFaultTelemetry(faulted1.stats, repeat1.stats);
@@ -370,11 +344,11 @@ TEST_P(FaultSuiteTest, ShreddedRouteRecoveryIsTransparent) {
   ShreddedRunResult faulted1 = RunShreddedWith(*q, values, FaultedConfig(1));
   ShreddedRunResult faulted4 = RunShreddedWith(*q, values, FaultedConfig(4));
 
-  EXPECT_GT(faulted1.stats.injected_faults(), 0u);
+  EXPECT_GT(faulted1.stats.totals().injected_faults, 0u);
   ExpectSameShreddedRows(clean.run, faulted1.run);
-  ExpectSameBaseStats(clean.stats, faulted1.stats);
+  ExpectSameStats(clean.stats, faulted1.stats, StatGroup::kFaults);
   ExpectSameShreddedRows(faulted1.run, faulted4.run);
-  ExpectSameBaseStats(faulted1.stats, faulted4.stats);
+  ExpectSameStats(faulted1.stats, faulted4.stats, StatGroup::kFaults);
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
 }
 
@@ -441,7 +415,7 @@ TEST(FaultRecoveryTest, SufficientBudgetAlwaysRecovers) {
   runtime::Dataset in = SmallSource(&cluster);
   auto out = runtime::Repartition(&cluster, in, {0}, "repart(small)");
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT(cluster.stats().injected_faults(), 0u);
+  EXPECT_GT(cluster.stats().totals().injected_faults, 0u);
 
   runtime::ClusterConfig clean_cfg;
   clean_cfg.num_partitions = 4;

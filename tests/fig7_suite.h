@@ -1,7 +1,7 @@
 // Shared fixture for the Fig-7 narrow-suite tests: builds each query kind
 // at a given depth with its inputs, runs it through the standard or the
 // shredded route on a fresh cluster, and compares two runs row by row
-// (partition placement included) and stat by stat.
+// (partition placement included) and stat by stat (stats_testing.h).
 #ifndef TRANCE_TESTS_FIG7_SUITE_H_
 #define TRANCE_TESTS_FIG7_SUITE_H_
 
@@ -18,11 +18,14 @@
 #include "obs/explain.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
+#include "stats_testing.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
 namespace trance {
 namespace fig7_suite {
+
+using stats_testing::ExpectSameStats;
 
 inline runtime::ClusterConfig Config(int num_threads) {
   runtime::ClusterConfig c;
@@ -47,48 +50,6 @@ inline void ExpectSameRows(const runtime::Dataset& a,
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Full JobStats equality except the wall-clock fields: movement, memory,
-/// simulated time, the keyed hash-table counters and encode bytes, the
-/// flat-table footprint, and the columnar footprint, per job and per stage.
-inline void ExpectSameStats(const runtime::JobStats& a,
-                            const runtime::JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  EXPECT_EQ(a.key_encode_bytes(), b.key_encode_bytes());
-  EXPECT_EQ(a.hash_build_rows(), b.hash_build_rows());
-  EXPECT_EQ(a.hash_probe_hits(), b.hash_probe_hits());
-  EXPECT_EQ(a.hash_max_chain(), b.hash_max_chain());
-  EXPECT_EQ(a.hash_table_bytes(), b.hash_table_bytes());
-  EXPECT_EQ(a.hash_resizes(), b.hash_resizes());
-  EXPECT_EQ(a.hash_probe_len_max(), b.hash_probe_len_max());
-  EXPECT_EQ(a.columnar_bytes(), b.columnar_bytes());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const runtime::StageStats& sa = a.stages()[i];
-    const runtime::StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.key_encode_bytes, sb.key_encode_bytes);
-    EXPECT_EQ(sa.hash_build_rows, sb.hash_build_rows);
-    EXPECT_EQ(sa.hash_probe_hits, sb.hash_probe_hits);
-    EXPECT_EQ(sa.hash_max_chain, sb.hash_max_chain);
-    EXPECT_EQ(sa.hash_table_bytes, sb.hash_table_bytes);
-    EXPECT_EQ(sa.columnar_bytes, sb.columnar_bytes);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
   }
 }
 

@@ -236,7 +236,8 @@ TEST_P(FlatHashSuiteTest, StandardRouteOnOffIdentical) {
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
   // Every keyed build runs on a flat table.
-  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.hash_table_bytes() > 0);
+  EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
+            seq.stats.totals().hash_table_bytes > 0);
 }
 
 TEST_P(FlatHashSuiteTest, ShreddedRouteOnOffIdentical) {
@@ -252,7 +253,8 @@ TEST_P(FlatHashSuiteTest, ShreddedRouteOnOffIdentical) {
     fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
-  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.hash_table_bytes() > 0);
+  EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
+            seq.stats.totals().hash_table_bytes > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -299,7 +301,7 @@ TEST(FlatHashRuntimeTest, CountersVisibleInJsonAndExplain) {
   cfg.scale = 0.0005;
   auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
   fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
-  EXPECT_GT(r.stats.hash_table_bytes(), 0u);
+  EXPECT_GT(r.stats.totals().hash_table_bytes, 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);
   EXPECT_NE(json.find("\"hash_table_bytes\""), std::string::npos) << json;

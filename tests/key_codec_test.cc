@@ -357,7 +357,7 @@ std::vector<Row> RunOnBagKeys(Op op) {
     StatusOr<Dataset> out = op(&cluster, r, s);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     if (!out.ok()) return {};
-    EXPECT_GT(cluster.stats().key_encode_bytes(), 0u);
+    EXPECT_GT(cluster.stats().totals().key_encode_bytes, 0u);
     results.push_back(std::move(out).value());
   }
   fig7_suite::ExpectSameRows(results[0], results[1]);
@@ -465,7 +465,8 @@ TEST_P(KeyCodecSuiteTest, StandardRouteOnOffIdentical) {
   fig7_suite::ExpectSameRows(seq.out, par.out);
   fig7_suite::ExpectSameStats(seq.stats, par.stats);
   // Every keyed build encodes its keys.
-  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.key_encode_bytes() > 0);
+  EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
+            seq.stats.totals().key_encode_bytes > 0);
 }
 
 TEST_P(KeyCodecSuiteTest, ShreddedRouteOnOffIdentical) {
@@ -478,7 +479,8 @@ TEST_P(KeyCodecSuiteTest, ShreddedRouteOnOffIdentical) {
   fig7_suite::ShreddedRun par = fig7_suite::RunShredded(*q, values, 4);
   fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
   fig7_suite::ExpectSameStats(seq.stats, par.stats);
-  EXPECT_EQ(seq.stats.hash_build_rows() > 0, seq.stats.key_encode_bytes() > 0);
+  EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
+            seq.stats.totals().key_encode_bytes > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -526,8 +528,8 @@ TEST(KeyCodecRuntimeTest, CountersVisibleInJsonAndExplain) {
   cfg.scale = 0.0005;
   auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
   fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
-  EXPECT_GT(r.stats.hash_build_rows(), 0u);
-  EXPECT_GT(r.stats.key_encode_bytes(), 0u);
+  EXPECT_GT(r.stats.totals().hash_build_rows, 0u);
+  EXPECT_GT(r.stats.totals().key_encode_bytes, 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);
   EXPECT_NE(json.find("\"key_encode_bytes\""), std::string::npos) << json;

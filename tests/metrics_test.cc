@@ -1,7 +1,8 @@
 // MetricRegistry: typed handles, thread-sharded counter exactness, snapshot
 // ordering, Prometheus/JSON exposition, reset semantics — and the contract
 // that the registry's values agree with JobStats on real query runs and are
-// bit-identical at any thread count.
+// bit-identical at any thread count. Also checks that every row of the
+// statistic table (runtime/stats.h) reaches every output it declares.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,12 +11,15 @@
 #include <vector>
 
 #include "exec/pipeline.h"
+#include "obs/explain.h"
+#include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/cluster.h"
 #include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "util/strings.h"
 
 namespace trance {
 namespace {
@@ -215,12 +219,9 @@ Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {
 /// cluster's registry snapshot plus its JobStats-derived expectations.
 struct QueryRun {
   std::map<std::string, uint64_t> counters;
+  std::map<std::string, double> gauges;
   std::string prometheus;
-  uint64_t shuffle_bytes = 0;
-  uint64_t rows_in = 0;
-  uint64_t rows_out = 0;
-  uint64_t hash_build_rows = 0;
-  uint64_t hash_probe_hits = 0;
+  runtime::StageStats totals;
   uint64_t stages = 0;
 };
 
@@ -243,29 +244,33 @@ QueryRun RunSmallQuery(int num_threads) {
   for (const MetricSample& s : cluster.metrics().Snapshot()) {
     if (s.kind == MetricKind::kCounter) {
       r.counters[s.ExpositionName()] = s.counter_value;
+    } else if (s.kind == MetricKind::kGauge) {
+      r.gauges[s.ExpositionName()] = s.gauge_value;
     }
   }
   r.prometheus = cluster.metrics().ToPrometheusText();
-  const runtime::JobStats& stats = cluster.stats();
-  r.shuffle_bytes = stats.total_shuffle_bytes();
-  for (const auto& st : stats.stages()) {
-    r.rows_in += st.rows_in;
-    r.rows_out += st.rows_out;
-  }
-  r.hash_build_rows = stats.hash_build_rows();
-  r.hash_probe_hits = stats.hash_probe_hits();
-  r.stages = stats.stages().size();
+  r.totals = cluster.stats().totals();
+  r.stages = cluster.stats().stages().size();
   return r;
 }
 
 TEST(MetricRegistryIntegrationTest, RegistryAgreesWithJobStats) {
   QueryRun r = RunSmallQuery(1);
   ASSERT_GT(r.stages, 0u);
-  EXPECT_EQ(r.counters.at("trance_shuffle_bytes_total"), r.shuffle_bytes);
-  EXPECT_EQ(r.counters.at("trance_rows_in_total"), r.rows_in);
-  EXPECT_EQ(r.counters.at("trance_rows_out_total"), r.rows_out);
-  EXPECT_EQ(r.counters.at("trance_hash_build_rows_total"), r.hash_build_rows);
-  EXPECT_EQ(r.counters.at("trance_hash_probe_hits_total"), r.hash_probe_hits);
+  // Every statistic with a series: counters equal the job total exactly;
+  // gauges (maxima and sim-time sums) equal it as a double.
+  for (const runtime::StatField& f : runtime::kStatFields) {
+    if (f.series == nullptr) continue;
+    SCOPED_TRACE(f.series);
+    if (f.agg == runtime::StatAgg::kMax || f.f64 != nullptr) {
+      ASSERT_EQ(r.gauges.count(f.series), 1u);
+      EXPECT_EQ(r.gauges.at(f.series), f.AsDouble(r.totals));
+    } else {
+      ASSERT_EQ(r.counters.count(f.series), 1u);
+      EXPECT_EQ(r.counters.at(f.series), r.totals.*f.u64);
+    }
+  }
+  EXPECT_GT(r.totals.hash_build_rows, 0u);
   // Every stage is counted in exactly one movement label.
   uint64_t stages_total = 0;
   for (const auto& [name, value] : r.counters) {
@@ -276,7 +281,7 @@ TEST(MetricRegistryIntegrationTest, RegistryAgreesWithJobStats) {
   // And the same numbers surface in the Prometheus text with no extra
   // plumbing (spot check one).
   EXPECT_NE(r.prometheus.find("trance_shuffle_bytes_total " +
-                              std::to_string(r.shuffle_bytes) + "\n"),
+                              std::to_string(r.totals.shuffle_bytes) + "\n"),
             std::string::npos)
       << r.prometheus;
 }
@@ -291,6 +296,109 @@ TEST(MetricRegistryIntegrationTest, MetricsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.prometheus, base.prometheus);
     EXPECT_EQ(r.counters, base.counters);
   }
+}
+
+// --- The statistic table reaches every output ------------------------------
+
+/// The EXPLAIN text of one table value, formatted independently of the
+/// clause printer.
+std::string ExplainText(const runtime::StatField& f,
+                        const runtime::StageStats& s) {
+  if (f.unit == runtime::StatUnit::kBytes) return FormatBytes(s.*f.u64);
+  if (f.unit == runtime::StatUnit::kSimSeconds) {
+    return FormatDouble(s.*f.f64, 3) + "s";
+  }
+  return std::to_string(s.*f.u64);
+}
+
+/// True iff `line` holds the clause term `token=text` (after a space or a
+/// group's opening parenthesis).
+bool HasTerm(const std::string& line, const std::string& token,
+             const std::string& text) {
+  const std::string term = token + "=" + text;
+  for (size_t at = line.find(term); at != std::string::npos;
+       at = line.find(term, at + 1)) {
+    if (at > 0 && (line[at - 1] == ' ' || line[at - 1] == '(')) return true;
+  }
+  return false;
+}
+
+// For each row: a fresh cluster records one synthetic stage with only that
+// field set, to a value no other row uses, and the value must surface in
+// JobStats::totals(), the row's registry series, the job JSON (the stage
+// object, and `totals` for job rows) and the EXPLAIN ANALYZE footer (rows
+// with a token). RecordStage stamps sim_seconds from the cost model (here
+// the stage overhead alone) and wall_dur_us from the clock.
+TEST(StatTableTest, EveryRowReachesEveryOutput) {
+  uint64_t row = 0;
+  for (const runtime::StatField& f : runtime::kStatFields) {
+    SCOPED_TRACE(f.key);
+    ++row;
+    const uint64_t value = 100 + 7 * row;  // < 1 KiB: FormatBytes is exact
+    const double seconds = static_cast<double>(value) / 1024;
+    const bool stamped_sim = f.f64 == &runtime::StageStats::sim_seconds;
+    const bool wall = f.cls == runtime::StatClass::kWall;
+
+    runtime::ClusterConfig cfg;
+    cfg.num_partitions = 4;
+    cfg.num_threads = 1;
+    cfg.stage_overhead_seconds = stamped_sim ? seconds : 0;
+    cfg.seconds_per_cpu_byte = 0;
+    cfg.seconds_per_net_byte = 0;
+    runtime::Cluster cluster(cfg);
+    runtime::StageStats s;
+    s.op = "synthetic";
+    if (f.u64 != nullptr) {
+      s.*f.u64 = value;
+    } else if (!stamped_sim && !wall) {
+      s.*f.f64 = seconds;
+    }
+    cluster.RecordStage(s);
+
+    const runtime::JobStats& stats = cluster.stats();
+    ASSERT_EQ(stats.stages().size(), 1u);
+    const runtime::StageStats& recorded = stats.stages()[0];
+    const double expected = wall ? f.AsDouble(recorded)
+                            : f.u64 != nullptr ? static_cast<double>(value)
+                                               : seconds;
+    EXPECT_EQ(f.AsDouble(recorded), expected);
+    EXPECT_EQ(f.AsDouble(stats.totals()), expected);
+
+    if (f.series != nullptr) {
+      bool found = false;
+      for (const MetricSample& m : cluster.metrics().Snapshot()) {
+        if (m.name != f.series) continue;
+        found = true;
+        EXPECT_EQ(m.kind == MetricKind::kCounter
+                      ? static_cast<double>(m.counter_value)
+                      : m.gauge_value,
+                  expected);
+      }
+      EXPECT_TRUE(found) << f.series;
+    }
+
+    auto json = obs::ParseJson(obs::JobStatsToJson(stats));
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    const obs::JsonValue* stage = &json->Find("stages")->arr.at(0);
+    ASSERT_NE(stage->Find(f.key), nullptr);
+    EXPECT_EQ(stage->Find(f.key)->num, expected);
+    const obs::JsonValue* totals = json->Find("totals")->Find(f.key);
+    if (f.outputs & runtime::kOutJobTotals) {
+      ASSERT_NE(totals, nullptr);
+      EXPECT_EQ(totals->num, expected);
+    } else {
+      EXPECT_EQ(totals, nullptr);
+    }
+
+    if (f.token != nullptr) {
+      const std::string explain =
+          obs::ExplainAnalyze(plan::PlanProgram{}, stats);
+      const std::string footer = explain.substr(explain.find("\njob: ") + 1);
+      EXPECT_TRUE(HasTerm(footer, f.token, ExplainText(f, recorded)))
+          << footer;
+    }
+  }
+  EXPECT_GT(row, 25u);
 }
 
 }  // namespace

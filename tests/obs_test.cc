@@ -213,11 +213,11 @@ TEST(StatsTest, ImbalanceFactorAndStragglerSummary) {
   job.AddStage(skewed);
   job.AddStage(untracked);
   runtime::StragglerSummary sk = job.straggler();
-  EXPECT_EQ(sk.max_partition_recv_bytes, 999u);
-  EXPECT_EQ(sk.max_partition_work_bytes, 370u);
+  EXPECT_EQ(job.totals().max_partition_recv_bytes, 999u);
+  EXPECT_EQ(job.totals().max_partition_work_bytes, 370u);
   EXPECT_DOUBLE_EQ(sk.worst_imbalance, 3.7);
   EXPECT_EQ(sk.worst_stage, "skewed_join");
-  EXPECT_EQ(sk.heavy_key_count, 3u);
+  EXPECT_EQ(job.totals().heavy_key_count, 3u);
 
   std::string s = job.ToString();
   EXPECT_NE(s.find("straggler=3.70x@skewed_join"), std::string::npos);

@@ -114,9 +114,9 @@ TEST(OpsTest, RepartitionOnExistingGuaranteeShufflesNothing) {
   auto ds = Source(&cluster, KvSchema(), KvRows({{1, 1}, {2, 2}, {3, 3}}), "in")
                 .ValueOrDie();
   auto p1 = Repartition(&cluster, ds, {0}, "r1").ValueOrDie();
-  uint64_t before = cluster.stats().total_shuffle_bytes();
+  uint64_t before = cluster.stats().totals().shuffle_bytes;
   auto p2 = Repartition(&cluster, p1, {0}, "r2").ValueOrDie();
-  EXPECT_EQ(cluster.stats().total_shuffle_bytes(), before);
+  EXPECT_EQ(cluster.stats().totals().shuffle_bytes, before);
 }
 
 TEST(OpsTest, RepartitionOnPermutedKeysShufflesNothing) {
@@ -134,9 +134,9 @@ TEST(OpsTest, RepartitionOnPermutedKeysShufflesNothing) {
   auto ds = Source(&cluster, schema, std::move(rows), "in").ValueOrDie();
   auto p1 = Repartition(&cluster, ds, {0, 1}, "r1").ValueOrDie();
   EXPECT_TRUE(p1.partitioning.IsHashOn({1, 0}));
-  uint64_t before = cluster.stats().total_shuffle_bytes();
+  uint64_t before = cluster.stats().totals().shuffle_bytes;
   auto p2 = Repartition(&cluster, p1, {1, 0}, "r2").ValueOrDie();
-  EXPECT_EQ(cluster.stats().total_shuffle_bytes(), before);
+  EXPECT_EQ(cluster.stats().totals().shuffle_bytes, before);
   // Placement under the permuted guarantee must match hashing on the
   // permuted key list exactly (reuse must not mis-place any row).
   for (size_t p = 0; p < p2.NumPartitions(); ++p) {
@@ -171,13 +171,13 @@ TEST(OpsTest, HashJoinReusesPermutedPartitioning) {
         Row({Field::Int(i % 6), Field::Int(i % 4), Field::Int(100 + i)}));
   }
   auto r = Source(&cluster, rs, std::move(rrows), "r").ValueOrDie();
-  uint64_t before = cluster.stats().total_shuffle_bytes();
+  uint64_t before = cluster.stats().totals().shuffle_bytes;
   auto j =
       HashJoin(&cluster, lp, r, {0, 1}, {0, 1}, JoinType::kInner, "join");
   ASSERT_TRUE(j.ok()) << j.status().ToString();
   // Only the right side moved; the permuted left guarantee was reused.
   uint64_t right_size = r.DeepSizeBytes();
-  EXPECT_LE(cluster.stats().total_shuffle_bytes() - before, right_size);
+  EXPECT_LE(cluster.stats().totals().shuffle_bytes - before, right_size);
   // Exact expected multiplicity: keys match when (a,b) == (x,y).
   size_t expected = 0;
   for (const auto& lr : l.Collect()) {
@@ -356,14 +356,14 @@ TEST(OpsTest, MapSideCombineShufflesLess) {
   {
     Cluster c1(cfg);
     auto ds = Source(&c1, KvSchema(), KvRows(kv), "in").ValueOrDie();
-    uint64_t base = c1.stats().total_shuffle_bytes();
+    uint64_t base = c1.stats().totals().shuffle_bytes;
     SumAggregate(&c1, ds, {0}, {1}, true, "sum").ValueOrDie();
-    uint64_t combined = c1.stats().total_shuffle_bytes() - base;
+    uint64_t combined = c1.stats().totals().shuffle_bytes - base;
     Cluster c2(cfg);
     auto ds2 = Source(&c2, KvSchema(), KvRows(kv), "in").ValueOrDie();
-    uint64_t base2 = c2.stats().total_shuffle_bytes();
+    uint64_t base2 = c2.stats().totals().shuffle_bytes;
     SumAggregate(&c2, ds2, {0}, {1}, false, "sum").ValueOrDie();
-    uint64_t uncombined = c2.stats().total_shuffle_bytes() - base2;
+    uint64_t uncombined = c2.stats().totals().shuffle_bytes - base2;
     EXPECT_LT(combined * 10, uncombined);
   }
 }
@@ -500,7 +500,7 @@ TEST(OpsTest, SimulatedTimeReflectsStragglers) {
     auto ds = Source(&cluster, KvSchema(), KvRows(kv), "in").ValueOrDie();
     cluster.stats().Reset();
     Repartition(&cluster, ds, {0}, "shuffle").ValueOrDie();
-    return cluster.stats().sim_seconds();
+    return cluster.stats().totals().sim_seconds;
   };
   EXPECT_GT(run(true), run(false) * 2);
 }

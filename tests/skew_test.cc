@@ -239,7 +239,7 @@ TEST(SkewTest, SkewAwareJoinShufflesLessOnSkew) {
       runtime::HashJoin(&cluster, l, r, {0}, {0}, JoinType::kInner, "j")
           .ValueOrDie();
     }
-    return cluster.stats().total_shuffle_bytes();
+    return cluster.stats().totals().shuffle_bytes;
   };
   EXPECT_LT(run(true) * 5, run(false));
 }
@@ -269,7 +269,7 @@ TEST(SkewTest, BagToDictLeavesHeavyLabelsInPlace) {
   // The heavy rows did not move: their shuffle contribution is zero beyond
   // the light repartition.
   uint64_t heavy_bytes = triple.heavy.DeepSizeBytes();
-  EXPECT_LT(cluster.stats().total_shuffle_bytes(), heavy_bytes);
+  EXPECT_LT(cluster.stats().totals().shuffle_bytes, heavy_bytes);
 }
 
 }  // namespace

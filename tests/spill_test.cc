@@ -23,6 +23,7 @@
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
+#include "stats_testing.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -34,6 +35,8 @@ using runtime::Dataset;
 using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
+using runtime::StatGroup;
+using stats_testing::ExpectSameStats;
 using runtime::Field;
 
 // The forced cap: far below the working set of every suite query at scale
@@ -64,49 +67,6 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
             << "partition " << p << " row " << i << " field " << f;
       }
     }
-  }
-}
-
-/// Full JobStats equality except wall-clock and the spill-only counters
-/// (checked separately: nonzero when forced, zero otherwise). Every
-/// pre-existing counter — movement, fusion, keyed, flat-table, and columnar
-/// telemetry — must be spill-invariant.
-void ExpectSameStats(const JobStats& a, const JobStats& b) {
-  EXPECT_EQ(a.total_shuffle_bytes(), b.total_shuffle_bytes());
-  EXPECT_EQ(a.max_stage_shuffle_bytes(), b.max_stage_shuffle_bytes());
-  EXPECT_EQ(a.peak_partition_bytes(), b.peak_partition_bytes());
-  EXPECT_EQ(a.fused_stages(), b.fused_stages());
-  EXPECT_EQ(a.intermediate_bytes_avoided(), b.intermediate_bytes_avoided());
-  EXPECT_EQ(a.sim_seconds(), b.sim_seconds());
-  EXPECT_EQ(a.key_encode_bytes(), b.key_encode_bytes());
-  EXPECT_EQ(a.hash_build_rows(), b.hash_build_rows());
-  EXPECT_EQ(a.hash_probe_hits(), b.hash_probe_hits());
-  EXPECT_EQ(a.hash_max_chain(), b.hash_max_chain());
-  EXPECT_EQ(a.hash_table_bytes(), b.hash_table_bytes());
-  EXPECT_EQ(a.hash_resizes(), b.hash_resizes());
-  EXPECT_EQ(a.hash_probe_len_max(), b.hash_probe_len_max());
-  EXPECT_EQ(a.columnar_bytes(), b.columnar_bytes());
-  ASSERT_EQ(a.stages().size(), b.stages().size());
-  for (size_t i = 0; i < a.stages().size(); ++i) {
-    const StageStats& sa = a.stages()[i];
-    const StageStats& sb = b.stages()[i];
-    SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
-    EXPECT_EQ(sa.op, sb.op);
-    EXPECT_EQ(sa.scope, sb.scope);
-    EXPECT_EQ(sa.rows_in, sb.rows_in);
-    EXPECT_EQ(sa.rows_out, sb.rows_out);
-    EXPECT_EQ(sa.shuffle_bytes, sb.shuffle_bytes);
-    EXPECT_EQ(sa.total_work_bytes, sb.total_work_bytes);
-    EXPECT_EQ(sa.mem_high_water_bytes, sb.mem_high_water_bytes);
-    EXPECT_EQ(sa.partition_work_bytes, sb.partition_work_bytes);
-    EXPECT_EQ(sa.partition_recv_bytes, sb.partition_recv_bytes);
-    EXPECT_EQ(sa.partition_send_bytes, sb.partition_send_bytes);
-    EXPECT_EQ(sa.key_encode_bytes, sb.key_encode_bytes);
-    EXPECT_EQ(sa.hash_build_rows, sb.hash_build_rows);
-    EXPECT_EQ(sa.hash_probe_hits, sb.hash_probe_hits);
-    EXPECT_EQ(sa.hash_max_chain, sb.hash_max_chain);
-    EXPECT_EQ(sa.hash_table_bytes, sb.hash_table_bytes);
-    EXPECT_EQ(sa.sim_seconds, sb.sim_seconds);
   }
 }
 
@@ -217,10 +177,10 @@ void ExpectSameShreddedRows(const exec::ShreddedRun& a,
 }
 
 void ExpectZeroSpill(const JobStats& s) {
-  EXPECT_EQ(s.spill_bytes_written(), 0u);
-  EXPECT_EQ(s.spill_bytes_read(), 0u);
-  EXPECT_EQ(s.spill_runs(), 0u);
-  EXPECT_EQ(s.spill_merge_passes(), 0u);
+  EXPECT_EQ(s.totals().spill_bytes_written, 0u);
+  EXPECT_EQ(s.totals().spill_bytes_read, 0u);
+  EXPECT_EQ(s.totals().spill_runs, 0u);
+  EXPECT_EQ(s.totals().spill_merge_passes, 0u);
 }
 
 class SpillSuiteTest : public ::testing::TestWithParam<std::tuple<int, int>> {
@@ -276,12 +236,12 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   // ...with identical rows in identical partitions and identical
   // pre-existing stats, and real spill traffic.
   ExpectSameRows(uncapped.out, spill1.out);
-  ExpectSameStats(uncapped.stats, spill1.stats);
-  EXPECT_GT(spill1.stats.spill_runs(), 0u);
-  EXPECT_GT(spill1.stats.spill_bytes_written(), 0u);
-  EXPECT_EQ(spill1.stats.spill_bytes_read(),
-            spill1.stats.spill_bytes_written());
-  EXPECT_GT(spill1.stats.spill_merge_passes(), 0u);
+  ExpectSameStats(uncapped.stats, spill1.stats, StatGroup::kSpill);
+  EXPECT_GT(spill1.stats.totals().spill_runs, 0u);
+  EXPECT_GT(spill1.stats.totals().spill_bytes_written, 0u);
+  EXPECT_EQ(spill1.stats.totals().spill_bytes_read,
+            spill1.stats.totals().spill_bytes_written);
+  EXPECT_GT(spill1.stats.totals().spill_merge_passes, 0u);
   // The uncapped run (256 MiB default cap) never touches the disk.
   ExpectZeroSpill(uncapped.stats);
 
@@ -295,16 +255,16 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   ExpectSameRows(spill1.out, spill8.out);
   ExpectSameStats(spill1.stats, spill4.stats);
   ExpectSameStats(spill1.stats, spill8.stats);
-  EXPECT_EQ(spill1.stats.spill_bytes_written(),
-            spill4.stats.spill_bytes_written());
-  EXPECT_EQ(spill1.stats.spill_bytes_written(),
-            spill8.stats.spill_bytes_written());
-  EXPECT_EQ(spill1.stats.spill_runs(), spill4.stats.spill_runs());
-  EXPECT_EQ(spill1.stats.spill_runs(), spill8.stats.spill_runs());
-  EXPECT_EQ(spill1.stats.spill_merge_passes(),
-            spill4.stats.spill_merge_passes());
-  EXPECT_EQ(spill1.stats.spill_merge_passes(),
-            spill8.stats.spill_merge_passes());
+  EXPECT_EQ(spill1.stats.totals().spill_bytes_written,
+            spill4.stats.totals().spill_bytes_written);
+  EXPECT_EQ(spill1.stats.totals().spill_bytes_written,
+            spill8.stats.totals().spill_bytes_written);
+  EXPECT_EQ(spill1.stats.totals().spill_runs, spill4.stats.totals().spill_runs);
+  EXPECT_EQ(spill1.stats.totals().spill_runs, spill8.stats.totals().spill_runs);
+  EXPECT_EQ(spill1.stats.totals().spill_merge_passes,
+            spill4.stats.totals().spill_merge_passes);
+  EXPECT_EQ(spill1.stats.totals().spill_merge_passes,
+            spill8.stats.totals().spill_merge_passes);
 }
 
 TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
@@ -324,18 +284,18 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
   ASSERT_TRUE(spill8.ok) << spill8.status.ToString();
 
   ExpectSameShreddedRows(uncapped.run, spill1.run);
-  ExpectSameStats(uncapped.stats, spill1.stats);
-  EXPECT_GT(spill1.stats.spill_runs(), 0u);
+  ExpectSameStats(uncapped.stats, spill1.stats, StatGroup::kSpill);
+  EXPECT_GT(spill1.stats.totals().spill_runs, 0u);
   ExpectZeroSpill(uncapped.stats);
 
   ExpectSameShreddedRows(spill1.run, spill4.run);
   ExpectSameShreddedRows(spill1.run, spill8.run);
   ExpectSameStats(spill1.stats, spill4.stats);
   ExpectSameStats(spill1.stats, spill8.stats);
-  EXPECT_EQ(spill1.stats.spill_bytes_written(),
-            spill4.stats.spill_bytes_written());
-  EXPECT_EQ(spill1.stats.spill_bytes_written(),
-            spill8.stats.spill_bytes_written());
+  EXPECT_EQ(spill1.stats.totals().spill_bytes_written,
+            spill4.stats.totals().spill_bytes_written);
+  EXPECT_EQ(spill1.stats.totals().spill_bytes_written,
+            spill8.stats.totals().spill_bytes_written);
 }
 
 std::string SpillParamName(
@@ -362,7 +322,7 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 
   ModeRun forced = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(forced.ok) << forced.status.ToString();
-  EXPECT_GT(forced.stats.spill_bytes_written(), 0u);
+  EXPECT_GT(forced.stats.totals().spill_bytes_written, 0u);
 
   std::string json = obs::JobStatsToJson(forced.stats);
   EXPECT_NE(json.find("\"spill_bytes_written\""), std::string::npos) << json;
@@ -398,8 +358,8 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
 
   ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(col.ok) << col.status.ToString();
-  EXPECT_GT(col.stats.spill_runs(), 0u);
-  EXPECT_GT(col.stats.spill_rowify_avoided(), 0u);
+  EXPECT_GT(col.stats.totals().spill_runs, 0u);
+  EXPECT_GT(col.stats.totals().spill_rowify_avoided, 0u);
   uint64_t restored_rows = 0;
   for (const StageStats& st : col.stats.stages()) {
     if (st.spill_runs > 0) {
@@ -407,7 +367,7 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
     }
     restored_rows += st.spill_rowify_avoided;
   }
-  EXPECT_EQ(restored_rows, col.stats.spill_rowify_avoided());
+  EXPECT_EQ(restored_rows, col.stats.totals().spill_rowify_avoided);
   std::string json = obs::JobStatsToJson(col.stats);
   EXPECT_NE(json.find("\"spill_rowify_avoided\""), std::string::npos) << json;
   EXPECT_NE(col.explain.find("rowify_avoided="), std::string::npos)
@@ -416,8 +376,8 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   // Thread-count invariance, like every other spill counter.
   ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true);
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
-  EXPECT_EQ(col.stats.spill_rowify_avoided(),
-            col4.stats.spill_rowify_avoided());
+  EXPECT_EQ(col.stats.totals().spill_rowify_avoided,
+            col4.stats.totals().spill_rowify_avoided);
 }
 
 TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
