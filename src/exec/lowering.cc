@@ -164,20 +164,16 @@ StatusOr<std::string> Executor::ExecuteProgram(
 }
 
 /// One fusible narrow operator chain accumulated over a materialized input.
-/// `light`/`heavy` are the per-component transform chains (they may differ:
-/// add-index only runs on the light side when the heavy component is empty);
-/// `schema` / partitionings / `heavy_keys` track what the chain's output will
-/// look like.
+/// `chain` runs over the light component and, when it holds rows, the heavy
+/// one; `schema` / partitionings / `heavy_keys` track what the chain's output
+/// will look like.
 struct Executor::Pending {
   SkewTriple input;
-  std::vector<runtime::RowTransform> light;
-  std::vector<runtime::RowTransform> heavy;
+  std::vector<runtime::RowTransform> chain;
   Schema schema;
   Partitioning light_part;
   Partitioning heavy_part;
   std::optional<skew::HeavyKeySet> heavy_keys;
-  /// Base operator names in chain order, for the fused stage label.
-  std::vector<std::string> ops;
 };
 
 Executor::Pending Executor::PendingFromTriple(SkewTriple t) {
@@ -196,25 +192,25 @@ StatusOr<SkewTriple> Executor::Exec(const plan::PlanPtr& p) {
 }
 
 StatusOr<SkewTriple> Executor::Flush(Pending pd) {
-  if (pd.light.empty()) return std::move(pd.input);
+  if (pd.chain.empty()) return std::move(pd.input);
+  std::vector<std::string> ops;
+  for (const auto& t : pd.chain) ops.push_back(t.op);
   const std::string base =
-      pd.ops.size() == 1 ? pd.ops[0] : "fused(" + Join(pd.ops, "+") + ")";
+      ops.size() == 1 ? ops[0] : "fused(" + Join(ops, "+") + ")";
   SkewTriple out;
   TRANCE_ASSIGN_OR_RETURN(
       out.light, runtime::RunStagePipeline(cluster_, pd.input.light, pd.schema,
-                                           pd.light, pd.light_part, base));
-  if (pd.heavy.empty()) {
-    // No heavy-side stages (the chain went all-light at an add-index): the
-    // empty heavy component passes through; only its schema is refreshed so
-    // the triple stays internally consistent.
-    out.heavy = std::move(pd.input.heavy);
-    out.heavy.schema = pd.schema;
-    out.heavy.partitioning = pd.heavy_part;
+                                           pd.chain, pd.light_part, base));
+  if (pd.input.heavy.NumRows() == 0) {
+    // No heavy rows, no heavy stage: the heavy component stays empty, typed
+    // with the chain's output schema.
+    out.heavy = Dataset::Empty(pd.schema, pd.input.heavy.NumPartitions(),
+                               pd.heavy_part);
   } else {
     TRANCE_ASSIGN_OR_RETURN(
         out.heavy,
         runtime::RunStagePipeline(cluster_, pd.input.heavy, pd.schema,
-                                  pd.heavy, pd.heavy_part, base + ".h"));
+                                  pd.chain, pd.heavy_part, base + ".h"));
   }
   out.heavy_keys = std::move(pd.heavy_keys);
   return out;
@@ -230,10 +226,10 @@ StatusOr<Executor::Pending> Executor::ExecPending(const plan::PlanPtr& p) {
     case K::kUnnest:
     case K::kAddIndex: {
       TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPendingNarrow(p));
-      if (options_.enable_stage_fusion || pd.light.empty()) return pd;
+      if (options_.enable_stage_fusion || pd.chain.empty()) return pd;
       // Fusion off: the node's transform runs at once as a one-transform
       // chain, attributed to the node's scope like any unfused operator.
-      runtime::StageScope stage_scope(cluster_, pd.light.back().scope);
+      runtime::StageScope stage_scope(cluster_, pd.chain.back().scope);
       TRANCE_ASSIGN_OR_RETURN(SkewTriple t, Flush(std::move(pd)));
       return PendingFromTriple(std::move(t));
     }
@@ -253,21 +249,16 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
   const std::string scope = obs::StageScopeName(scope_var_, next_node_id_++);
   TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPending(p->child()));
 
-  auto add = [&pd, &scope](runtime::RowTransform lt, runtime::RowTransform ht,
-                           std::string op) {
-    lt.scope = scope;
-    ht.scope = scope;
-    pd.light.push_back(std::move(lt));
-    pd.heavy.push_back(std::move(ht));
-    pd.ops.push_back(std::move(op));
+  auto add = [&pd, &scope](runtime::RowTransform t) {
+    t.scope = scope;
+    pd.chain.push_back(std::move(t));
   };
 
   switch (p->kind()) {
     case K::kSelect: {
       TRANCE_ASSIGN_OR_RETURN(auto pred,
                               CompilePredicate(p->cond(), pd.schema));
-      add(runtime::RowTransform::Filter("select", pred),
-          runtime::RowTransform::Filter("select.h", pred), "select");
+      add(runtime::RowTransform::Filter("select", std::move(pred)));
       return pd;
     }
 
@@ -289,8 +280,7 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
         }
         return out;
       };
-      add(runtime::RowTransform::Map("outer_select", fn),
-          runtime::RowTransform::Map("outer_select.h", fn), "outer_select");
+      add(runtime::RowTransform::Map("outer_select", std::move(fn)));
       return pd;
     }
 
@@ -330,9 +320,8 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
           }
         }
       }
-      add(runtime::RowTransform::Map(extend ? "extend" : "project", map),
-          runtime::RowTransform::Map(extend ? "extend.h" : "project.h", map),
-          extend ? "extend" : "project");
+      add(runtime::RowTransform::Map(extend ? "extend" : "project",
+                                     std::move(map)));
       pd.schema = std::move(out_schema);
       return pd;
     }
@@ -360,13 +349,9 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
         size_t inner_width = out_schema.size() - (with_id ? 1 : 0) -
                              (pd.schema.size() - 1);
         add(runtime::RowTransform::OuterUnnest("unnest", bag, with_id,
-                                               inner_width),
-            runtime::RowTransform::OuterUnnest("unnest.h", bag, with_id,
-                                               inner_width),
-            "unnest");
+                                               inner_width));
       } else {
-        add(runtime::RowTransform::Unnest("unnest", bag),
-            runtime::RowTransform::Unnest("unnest.h", bag), "unnest");
+        add(runtime::RowTransform::Unnest("unnest", bag));
       }
       pd.schema = std::move(out_schema);
       pd.light_part = Partitioning::None();
@@ -381,11 +366,8 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
       if (pd.input.heavy.NumRows() == 0) {
         // Merging an empty heavy component is a no-op, so add-index fuses:
         // ids come from per-partition counters over the light rows in
-        // order. Light side only — there is no heavy stage to run.
-        runtime::RowTransform t = runtime::RowTransform::AddIndex("add_index");
-        t.scope = scope;
-        pd.light.push_back(std::move(t));
-        pd.ops.push_back("add_index");
+        // order.
+        add(runtime::RowTransform::AddIndex("add_index"));
         pd.schema.Append({p->id_attr(), nrc::Type::Int()});
         pd.heavy_part = Partitioning::None();
         pd.heavy_keys = std::nullopt;

@@ -3,10 +3,10 @@
 // Spark code generator — the target is the in-process cluster simulator.
 //
 // Every dataset flows through the executor as a skew-triple (light, heavy,
-// heavy-keys). In the default mode the heavy component is empty and
-// operators behave exactly like their standard implementations; with
-// `skew_aware` set, joins and BagToDict use the Fig. 6 skew-aware variants
-// and nest operators merge components (Section 5).
+// heavy-keys). In the default mode the heavy component is empty, no stage
+// runs over it, and operators behave exactly like their standard
+// implementations; with `skew_aware` set, joins and BagToDict use the Fig. 6
+// skew-aware variants and nest operators merge components (Section 5).
 #ifndef TRANCE_EXEC_LOWERING_H_
 #define TRANCE_EXEC_LOWERING_H_
 
@@ -85,7 +85,7 @@ class Executor {
   const ExecOptions& options() const { return options_; }
 
  private:
-  /// A chain of fusible narrow transforms accumulated over a materialized
+  /// One chain of fusible narrow transforms accumulated over a materialized
   /// `input` triple but not yet run (the narrow-chain batcher of stage
   /// fusion). Defined in lowering.cc.
   struct Pending;
@@ -101,7 +101,9 @@ class Executor {
   /// ExecPending for the six fusible narrow kinds: appends this node's
   /// transform to the child's pending chain.
   StatusOr<Pending> ExecPendingNarrow(const plan::PlanPtr& p);
-  /// Runs a pending chain as one fused stage per skew component.
+  /// Runs a pending chain as one fused stage over the light component and,
+  /// only when the heavy component holds rows, one more (`<base>.h`) over
+  /// the heavy component; an empty heavy component records no stage.
   StatusOr<skew::SkewTriple> Flush(Pending pd);
   /// The lowering of wide nodes and scans (stage-fusion boundaries).
   StatusOr<skew::SkewTriple> ExecNode(const plan::PlanPtr& p);

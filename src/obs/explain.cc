@@ -113,7 +113,6 @@ void AppendClauses(const StageStats& s, uint32_t groups,
     const char* sep = "";
     for (const runtime::StatField& f : runtime::kStatFields) {
       if (f.group != group || f.token == nullptr) continue;
-      if ((f.outputs & runtime::kOutTokenIfNonzero) && f.IsZero(s)) continue;
       *os << sep << f.token << '=' << FormatStat(f, s);
       sep = " ";
     }

@@ -205,11 +205,10 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
   // exceed the spill threshold writes one run per non-empty source bucket
   // (clearing the bucket as it goes), then stream-merges the runs back in
   // fixed source order straight into the resident output block — the
-  // identical row sequence the in-memory concatenation produces (each
-  // restored row counts into rowify_avoided). The spill decision and every
-  // run are pure functions of the routed bytes, and the per-target counter
-  // slots are folded in target order after the barrier, so results and
-  // stats stay thread-count-invariant.
+  // identical row sequence the in-memory concatenation produces. The spill
+  // decision and every run are pure functions of the routed bytes, and the
+  // per-target counter slots are folded in target order after the barrier,
+  // so results and stats stay thread-count-invariant.
   const bool spill_on = cluster->spill_enabled();
   const uint64_t spill_threshold = cluster->spill_threshold_bytes();
   std::vector<spill::SpillCounters> spill_slots(n);

@@ -679,8 +679,7 @@ StatusOr<bool> BlockFileReader::ReadBatch(std::vector<Row>* out,
   return true;
 }
 
-StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out,
-                                              uint8_t* kind) {
+StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out) {
   uint8_t record_kind = 0;
   std::string payload;
   TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind, &payload));
@@ -688,7 +687,6 @@ StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out,
   std::vector<Row> rows;
   TRANCE_RETURN_NOT_OK(ParseRecordPayload(record_kind, payload, &rows));
   for (const Row& r : rows) out->AppendRow(r);
-  if (kind != nullptr) *kind = record_kind;
   return true;
 }
 

@@ -156,9 +156,8 @@ class BlockFileReader {
   /// block-resident restore. The append sequence is exactly what
   /// AppendRowFrom of the written rows would produce, so the restored
   /// block's ByteFootprint matches a never-spilled block built from the same
-  /// rows. `kind` as in ReadBatch.
-  StatusOr<bool> ReadBatchInto(column::PartitionBlock* out,
-                               uint8_t* kind = nullptr);
+  /// rows.
+  StatusOr<bool> ReadBatchInto(column::PartitionBlock* out);
 
   Status Close();
   uint64_t bytes_read() const { return in_.bytes_read(); }

@@ -142,13 +142,8 @@ Status SpillManager::ReadRunIntoBlock(const std::string& path,
   TRANCE_RETURN_NOT_OK(
       reader.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
   for (;;) {
-    size_t before = out->NumRows();
-    uint8_t kind = 0;
-    TRANCE_ASSIGN_OR_RETURN(bool more, reader.ReadBatchInto(out, &kind));
+    TRANCE_ASSIGN_OR_RETURN(bool more, reader.ReadBatchInto(out));
     if (!more) break;
-    if (kind == serde::kRecordBlock && c != nullptr) {
-      c->rowify_avoided += out->NumRows() - before;
-    }
   }
   uint64_t bytes = reader.bytes_read();
   TRANCE_RETURN_NOT_OK(reader.Close());

@@ -70,17 +70,12 @@ struct SpillCounters {
   uint64_t bytes_read = 0;
   uint64_t runs = 0;
   uint64_t merge_passes = 0;
-  /// Rows restored from block records straight into a resident block
-  /// (ReadRunIntoBlock) — each would have been a disk-side rowification
-  /// before partitions were block-resident.
-  uint64_t rowify_avoided = 0;
 
   SpillCounters& operator+=(const SpillCounters& o) {
     bytes_written += o.bytes_written;
     bytes_read += o.bytes_read;
     runs += o.runs;
     merge_passes += o.merge_passes;
-    rowify_avoided += o.rowify_avoided;
     return *this;
   }
 };
@@ -114,7 +109,6 @@ class SpillManager {
                        const column::PartitionBlock& block, SpillCounters* c);
   /// Streams a run back into a resident block (per-row appends, so the
   /// block's footprint matches a never-spilled block of the same rows).
-  /// Block-record rows count into c->rowify_avoided.
   Status ReadRunIntoBlock(const std::string& path,
                           column::PartitionBlock* out, SpillCounters* c);
   /// Deletes a restored run (no-op with keep_files) and releases its budget.

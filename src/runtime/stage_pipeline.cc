@@ -16,7 +16,6 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
   stage->spill_bytes_read += c.bytes_read;
   stage->spill_runs += c.runs;
   stage->spill_merge_passes += c.merge_passes;
-  stage->spill_rowify_avoided += c.rowify_avoided;
   obs::EventLog& log = obs::GlobalEventLog();
   if (!log.enabled()) return;
   obs::Event(&log, "spill")
@@ -28,7 +27,6 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
       .U64("bytes_read", c.bytes_read)
       .U64("runs", c.runs)
       .U64("merge_passes", c.merge_passes)
-      .U64("rowify_avoided", c.rowify_avoided)
       .Emit();
 }
 
@@ -58,8 +56,7 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= threshold) continue;
       spill::SpillCounters pc;
-      // Blocks round-trip as columnar serde records (no disk-side
-      // rowification) and come back resident.
+      // Blocks round-trip as columnar serde records and come back resident.
       spill_status = cluster->spill_manager()->SpillAndRestoreBlock(
           cluster->current_job_id(), name, p, result->schema,
           &result->parts[p], &pc);

@@ -54,9 +54,9 @@ struct RowTransform {
   enum class Kind { kMap, kFilter, kFlatMap, kUnnest, kOuterUnnest, kAddIndex };
 
   Kind kind = Kind::kMap;
-  /// Display name of the operator (e.g. "select", "project.h"); becomes the
-  /// stage op for single-transform chains and a fused_transforms entry
-  /// otherwise.
+  /// Display name of the operator (e.g. "select", "project"): the
+  /// fused_transforms entry of a multi-transform chain. The lowering also
+  /// builds stage names from it (a heavy-component stage adds ".h").
   std::string op;
   /// Plan-node attribution for EXPLAIN ANALYZE; empty outside plan execution.
   std::string scope;

@@ -99,11 +99,6 @@ struct StageStats {
   uint64_t spill_bytes_read = 0;
   uint64_t spill_runs = 0;
   uint64_t spill_merge_passes = 0;
-  /// Rows a block-resident spill restored column-wise (block record →
-  /// resident block) instead of materializing as Row values — the disk-side
-  /// rowifications the resident representation avoided. Like the other
-  /// spill counters it is 0 when nothing spills.
-  uint64_t spill_rowify_avoided = 0;
   /// Fault-injection & recovery telemetry (empty/zero on fault-free runs and
   /// when the injector is disabled). Every non-recovery field above is
   /// bit-identical between a fault-free run and a run whose injected faults
@@ -168,7 +163,7 @@ enum class StatGroup : uint8_t {
   kFlatTable,  // flat(tbl= resizes= probe=)
   kKeyBytes,   // key_bytes=B
   kColumnar,   // col(blocks=B)
-  kSpill,      // spill(w= r= runs= merges= rowify_avoided=)
+  kSpill,      // spill(w= r= runs= merges=)
   kFusion,     // avoided=B
   kFaults,     // faults=N retries=N recovery=Ss
 };
@@ -201,9 +196,8 @@ constexpr const char* StatGroupPrefix(StatGroup g) {
 /// Outputs a row reaches besides JobStats::totals() and the stage JSON
 /// object, which every row reaches.
 enum StatOutput : uint8_t {
-  kOutJobTotals = 1,       // `totals` object of the job-stats JSON
-  kOutBenchRun = 2,        // per-run scalar of BENCH_<name>.json
-  kOutTokenIfNonzero = 4,  // EXPLAIN prints the token only when nonzero
+  kOutJobTotals = 1,  // `totals` object of the job-stats JSON
+  kOutBenchRun = 2,   // per-run scalar of BENCH_<name>.json
 };
 
 /// One row of the statistic table.
@@ -324,11 +318,6 @@ inline constexpr StatField kStatFields[] = {
     {"spill_merge_passes", &StageStats::spill_merge_passes, kSum, kExact,
      kCount, kJobBench, "trance_spill_merge_passes_total",
      "stream-merge passes over spill runs", kSpill, "merges"},
-    {"spill_rowify_avoided", &StageStats::spill_rowify_avoided, kSum, kExact,
-     kCount, kJobBench | kOutTokenIfNonzero,
-     "trance_spill_rowify_avoided_total",
-     "rows restored from columnar spill records without row-form conversion",
-     kSpill, "rowify_avoided"},
     {"injected_faults", &StageStats::injected_faults, kSum, kExact, kCount,
      kJobBench, nullptr, nullptr, kFaults, "faults"},
     {"retries", &StageStats::retries, kSum, kExact, kCount, kJobBench, nullptr,

@@ -183,13 +183,18 @@ StatusOr<SkewTriple> SkewAwareJoin(Cluster* cluster, const SkewTriple& left,
       Dataset light, runtime::HashJoin(cluster, x.light, ysplit.light,
                                        left_keys, right_keys, type,
                                        name + ".light"));
-  TRANCE_ASSIGN_OR_RETURN(
-      Dataset heavy,
-      runtime::BroadcastJoin(cluster, x.heavy, ysplit.heavy, left_keys,
-                             right_keys, type, name + ".heavy"));
   SkewTriple out;
+  if (x.heavy.NumRows() == 0) {
+    // Heavy output rows come only from left heavy rows: without any, the
+    // broadcast join would record an empty stage.
+    out.heavy = Dataset::Empty(light.schema, x.heavy.NumPartitions());
+  } else {
+    TRANCE_ASSIGN_OR_RETURN(
+        out.heavy,
+        runtime::BroadcastJoin(cluster, x.heavy, ysplit.heavy, left_keys,
+                               right_keys, type, name + ".heavy"));
+  }
   out.light = std::move(light);
-  out.heavy = std::move(heavy);
   // Key columns keep their positions (left columns lead the join output).
   HeavyKeySet out_hk = hk;
   out_hk.key_cols = left_keys;

@@ -31,6 +31,7 @@ using runtime::JobStats;
 using runtime::Row;
 using runtime::StageStats;
 using stats_testing::ExpectSameStats;
+using stats_testing::IsHeavyStage;
 
 runtime::ClusterConfig Config(int num_threads) {
   runtime::ClusterConfig c;
@@ -156,6 +157,14 @@ ShreddedModeRun RunShreddedMode(const nrc::Program& q,
   return r;
 }
 
+/// The skew-unaware route never holds heavy rows, so it records no stage
+/// over a heavy component.
+void ExpectNoHeavyStages(const JobStats& stats) {
+  for (const StageStats& s : stats.stages()) {
+    EXPECT_FALSE(IsHeavyStage(s)) << s.op;
+  }
+}
+
 void ExpectSameShreddedRows(const exec::ShreddedRun& a,
                             const exec::ShreddedRun& b) {
   ExpectSameRows(a.top, b.top);
@@ -225,6 +234,8 @@ TEST_P(FusionSuiteTest, StandardRouteOnOffIdentical) {
             off1.stats.max_stage_shuffle_bytes());
   EXPECT_EQ(ExplainRowCounts(on1.explain), ExplainRowCounts(off1.explain))
       << "fusion ON:\n" << on1.explain << "fusion OFF:\n" << off1.explain;
+  ExpectNoHeavyStages(on1.stats);
+  ExpectNoHeavyStages(off1.stats);
 
   EXPECT_EQ(off1.stats.fused_stages(), 0u);
   EXPECT_EQ(off1.stats.totals().intermediate_bytes_avoided, 0u);
@@ -258,6 +269,8 @@ TEST_P(FusionSuiteTest, ShreddedRouteOnOffIdentical) {
             off1.stats.max_stage_shuffle_bytes());
   EXPECT_EQ(ExplainRowCounts(on1.explain), ExplainRowCounts(off1.explain))
       << "fusion ON:\n" << on1.explain << "fusion OFF:\n" << off1.explain;
+  ExpectNoHeavyStages(on1.stats);
+  ExpectNoHeavyStages(off1.stats);
 
   EXPECT_EQ(off1.stats.fused_stages(), 0u);
   EXPECT_EQ(off1.stats.totals().intermediate_bytes_avoided, 0u);

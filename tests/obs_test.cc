@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <set>
@@ -355,6 +356,18 @@ tpch::TpchData SmallTpch() {
   return tpch::Generate(cfg);
 }
 
+/// The `rows=` EXPLAIN ANALYZE prints on the root line of assignment `var`,
+/// or -1 when there is no such line.
+long long RootRows(const std::string& explain, const std::string& var) {
+  const std::string header = "\n" + var + " <=\n";
+  const size_t line = explain.find(header);
+  if (line == std::string::npos) return -1;
+  const size_t begin = line + header.size();
+  const size_t rows = explain.find("[rows=", begin);
+  if (rows == std::string::npos || rows > explain.find('\n', begin)) return -1;
+  return std::strtoll(explain.c_str() + rows + 6, nullptr, 10);
+}
+
 TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
   tpch::TpchData data = SmallTpch();
   runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 4});
@@ -377,6 +390,10 @@ TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
   EXPECT_NE(ex.find("work(p50/p95/max)="), std::string::npos);
   // The job summary footer.
   EXPECT_NE(ex.find("job: stages="), std::string::npos) << ex;
+  // The result's root operator prints the result's row count.
+  EXPECT_EQ(RootRows(ex, compiled.assignments.back().var),
+            static_cast<long long>(out->NumRows()))
+      << ex;
 
   // Every executed plan-node scope must round-trip: no stage with a
   // non-empty scope may end up unattributed.
@@ -427,6 +444,11 @@ TEST(ExplainAnalyzeTest, ShreddedRunShowsPerOperatorStats) {
   // The shredded route ends dictionary assignments in BagToDict.
   EXPECT_NE(ex.find("BagToDict"), std::string::npos) << ex;
   EXPECT_NE(ex.find("job: stages="), std::string::npos);
+  // The root operator of the top-level assignment prints the top bag's
+  // row count.
+  EXPECT_EQ(RootRows(ex, program->result().var + "_F"),
+            static_cast<long long>(run->top.NumRows()))
+      << ex;
 }
 
 TEST(ExplainAnalyzeTest, JobStatsJsonIsValid) {

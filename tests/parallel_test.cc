@@ -9,6 +9,8 @@
 #include <deque>
 
 #include "exec/pipeline.h"
+#include "fig7_suite.h"
+#include "nrc/interp.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
@@ -20,6 +22,7 @@ namespace runtime {
 namespace {
 
 using stats_testing::ExpectSameStats;
+using stats_testing::IsHeavyStage;
 
 // Thread counts under test: 1 is the inline sequential path, 4 and 8
 // exercise the pool (oversubscribed on small machines, which is fine — the
@@ -237,6 +240,65 @@ TEST(ParallelDeterminismTest, Fig7ShreddedRoute) {
     ASSERT_TRUE(RegisterTpch(&executor, data).ok());
     auto run = exec::RunShredded(*program, &executor, {});
     ASSERT_TRUE(run.ok()) << run.status().ToString();
+    if (threads == 1) {
+      baseline = std::move(run).value();
+      baseline_stats = cluster.stats();
+    } else {
+      ExpectSameRows(baseline.top, run->top);
+      ASSERT_EQ(baseline.dicts.size(), run->dicts.size());
+      for (size_t i = 0; i < baseline.dicts.size(); ++i) {
+        SCOPED_TRACE("dict " + baseline.dicts[i].first);
+        EXPECT_EQ(baseline.dicts[i].first, run->dicts[i].first);
+        ExpectSameRows(baseline.dicts[i].second, run->dicts[i].second);
+      }
+      ExpectSameStats(baseline_stats, cluster.stats());
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, SkewAwareShreddedRoute) {
+  // The wide nested-to-nested depth-2 query over Zipf-skewed keys on the
+  // skew-aware shredded route: heavy-key sampling, skew-aware joins and
+  // BagToDict, and narrow chains over heavy components. The interpreter
+  // builds the nested COP input.
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.0005;
+  cfg.skew = 2.0;
+  auto tables = fig7_suite::TpchValues(tpch::Generate(cfg));
+  auto prep = tpch::FlatToNested(2, tpch::Width::kWide);
+  auto program = tpch::NestedToNested(2, tpch::Width::kWide);
+  ASSERT_TRUE(prep.ok()) << prep.status().ToString();
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  nrc::Interpreter interp;
+  auto nested = interp.EvalProgram(*prep, tables);
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  tables["COP"] = nested->at(prep->result().var);
+
+  exec::PipelineOptions opts;
+  opts.exec.skew_aware = true;
+  exec::ShreddedRun baseline;
+  JobStats baseline_stats;
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    Cluster cluster(Config(threads));
+    exec::Executor executor(&cluster, opts.exec);
+    int64_t seed = 0;
+    for (const auto& in : program->inputs) {
+      ASSERT_TRUE(exec::RegisterShreddedInput(&executor, in.name, in.type,
+                                              tables.at(in.name), seed)
+                      .ok());
+      seed += 1000000;
+    }
+    auto run = exec::RunShredded(*program, &executor, opts);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    // Heavy stages run only over heavy rows.
+    size_t heavy_stages = 0;
+    for (const StageStats& s : cluster.stats().stages()) {
+      if (!IsHeavyStage(s)) continue;
+      ++heavy_stages;
+      EXPECT_GT(s.rows_in, 0u) << s.op;
+    }
+    EXPECT_GT(heavy_stages, 0u);
     if (threads == 1) {
       baseline = std::move(run).value();
       baseline_stats = cluster.stats();

@@ -199,6 +199,44 @@ TEST(SkewTest, SkewAwareJoinMatchesPlainJoin) {
   EXPECT_EQ(histogram(plain), histogram(merged));
 }
 
+TEST(SkewTest, SkewAwareJoinWithoutHeavyKeysRunsNoHeavyJoin) {
+  // Uniform keys have no heavy keys: the skew-aware join is the light hash
+  // join alone, and its heavy component is empty with the join schema.
+  Cluster cluster(ClusterConfig{.num_partitions = 4});
+  std::vector<Row> lrows;
+  std::vector<Row> rrows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    lrows.push_back(Row({Field::Int(i), Field::Int(i)}));
+    if (i % 3 == 0) rrows.push_back(Row({Field::Int(i), Field::Int(-i)}));
+  }
+  auto l = runtime::Source(&cluster, KvSchema(), std::move(lrows), "l")
+               .ValueOrDie();
+  Schema rs({{"k2", nrc::Type::Int()}, {"w", nrc::Type::Int()}});
+  auto r = runtime::Source(&cluster, rs, std::move(rrows), "r").ValueOrDie();
+
+  auto plain = runtime::HashJoin(&cluster, l, r, {0}, {0}, JoinType::kInner,
+                                 "plain")
+                   .ValueOrDie();
+  cluster.stats().Reset();
+  auto aware = SkewAwareJoin(&cluster, SkewTriple::AllLight(l),
+                             SkewTriple::AllLight(r), {0}, {0},
+                             JoinType::kInner, "aware")
+                   .ValueOrDie();
+  for (const auto& s : cluster.stats().stages()) {
+    EXPECT_NE(s.op, "aware.heavy");
+  }
+  EXPECT_EQ(aware.heavy.NumRows(), 0u);
+  EXPECT_EQ(aware.heavy.schema.ToString(), plain.schema.ToString());
+  ASSERT_EQ(aware.light.NumPartitions(), plain.NumPartitions());
+  for (size_t p = 0; p < plain.NumPartitions(); ++p) {
+    ASSERT_EQ(aware.light.PartitionRowCount(p), plain.PartitionRowCount(p));
+    for (size_t i = 0; i < plain.PartitionRowCount(p); ++i) {
+      EXPECT_TRUE(aware.light.RowAt(p, i).fields == plain.RowAt(p, i).fields)
+          << "partition " << p << " row " << i;
+    }
+  }
+}
+
 TEST(SkewTest, SkewAwareOuterJoinKeepsMisses) {
   Cluster cluster(ClusterConfig{.num_partitions = 4});
   Dataset l = Skewed(&cluster, 200, 20);  // key 7 heavy; no match on right

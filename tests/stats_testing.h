@@ -67,6 +67,12 @@ inline void ExpectSameStats(
   }
 }
 
+/// Whether stage `s` ran over a heavy skew component: a narrow chain's
+/// `<op>.h` stage or a skew-aware join's `<name>.heavy` broadcast.
+inline bool IsHeavyStage(const runtime::StageStats& s) {
+  return s.op.ends_with(".h") || s.op.ends_with(".heavy");
+}
+
 }  // namespace stats_testing
 }  // namespace trance
 
