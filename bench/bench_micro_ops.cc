@@ -347,30 +347,42 @@ BENCHMARK(BM_ColumnProject)->Args({65536, 1})->Args({65536, 0});
 
 namespace serde = runtime::serde;
 
-/// Rows for the serde throughput benchmarks: the dup shape (int key, short
-/// string), written in the 4096-row records the spill manager uses.
+/// The serde throughput benchmarks time the path spill takes: one typed
+/// int + string block (the dup shape: int key, short string) written as a
+/// block record and decoded straight back into columns.
 std::string SerdeBenchPath() {
   return (std::filesystem::temp_directory_path() /
           ("trance-serde-bench-" + std::to_string(::getpid()) + ".trs"))
       .string();
 }
 
-/// Serde write throughput (PR 9): serialize n rows into a run file through
-/// BlockFileWriter (bytes/s is the number to watch; docs/STORAGE.md format).
-void BM_SerdeWrite(benchmark::State& state) {
-  Rng rng(11);
+Schema SerdeBenchSchema() {
+  return Schema({{"k", nrc::Type::Int()}, {"v", nrc::Type::String()}});
+}
+
+column::PartitionBlock SerdeBenchBlock(int64_t n, uint64_t seed) {
+  Rng rng(seed);
   std::vector<Row> rows;
-  rows.reserve(static_cast<size_t>(state.range(0)));
-  for (int64_t i = 0; i < state.range(0); ++i) {
+  rows.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
     int64_t k = rng.UniformRange(0, 1 << 20);
     rows.push_back(Row({Field::Int(k), Field::Str("p" + std::to_string(k))}));
   }
+  return column::PartitionBlock::FromRows(SerdeBenchSchema(), rows);
+}
+
+/// Serde write throughput: serialize the block into a run file through
+/// BlockFileWriter::WriteBlock (bytes/s is the number to watch;
+/// docs/STORAGE.md format).
+void BM_SerdeWrite(benchmark::State& state) {
+  const column::PartitionBlock block =
+      SerdeBenchBlock(state.range(0), 11);
   const std::string path = SerdeBenchPath();
   uint64_t bytes = 0;
   for (auto _ : state) {
     serde::BlockFileWriter writer;
     TRANCE_CHECK(writer.Open(path).ok(), "serde bench open");
-    TRANCE_CHECK(writer.WriteRows(rows).ok(), "serde bench write");
+    TRANCE_CHECK(writer.WriteBlock(block).ok(), "serde bench write");
     TRANCE_CHECK(writer.Close().ok(), "serde bench close");
     bytes = writer.bytes_written();
     benchmark::DoNotOptimize(bytes);
@@ -381,34 +393,29 @@ void BM_SerdeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SerdeWrite)->Arg(65536);
 
-/// Serde read throughput (PR 9): stream the same run file back into rows.
+/// Serde read throughput: decode the same run file back into a fresh block
+/// through BlockFileReader::ReadBatchInto.
 void BM_SerdeRead(benchmark::State& state) {
-  Rng rng(12);
-  std::vector<Row> rows;
-  rows.reserve(static_cast<size_t>(state.range(0)));
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    int64_t k = rng.UniformRange(0, 1 << 20);
-    rows.push_back(Row({Field::Int(k), Field::Str("p" + std::to_string(k))}));
-  }
   const std::string path = SerdeBenchPath();
   {
     serde::BlockFileWriter writer;
     TRANCE_CHECK(writer.Open(path).ok(), "serde bench open");
-    TRANCE_CHECK(writer.WriteRows(rows).ok(), "serde bench write");
+    TRANCE_CHECK(writer.WriteBlock(SerdeBenchBlock(state.range(0), 12)).ok(),
+                 "serde bench write");
     TRANCE_CHECK(writer.Close().ok(), "serde bench close");
   }
   uint64_t bytes = 0;
   for (auto _ : state) {
     serde::BlockFileReader reader;
     TRANCE_CHECK(reader.Open(path).ok(), "serde bench open");
-    std::vector<Row> back;
-    back.reserve(rows.size());
+    column::PartitionBlock back(SerdeBenchSchema());
     for (;;) {
-      auto more = reader.ReadBatch(&back);
+      auto more = reader.ReadBatchInto(&back);
       TRANCE_CHECK(more.ok(), "serde bench read");
       if (!more.value()) break;
     }
-    TRANCE_CHECK(back.size() == rows.size(), "serde bench row count");
+    TRANCE_CHECK(back.NumRows() == static_cast<size_t>(state.range(0)),
+                 "serde bench row count");
     bytes = reader.bytes_read();
     TRANCE_CHECK(reader.Close().ok(), "serde bench close");
     benchmark::DoNotOptimize(back);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate, run by ci/sanitize.sh and ci/tsan.sh (or
-# standalone). Four checks:
+# standalone). Five checks:
 #
 #  1. Markdown link check: every relative link target referenced from the
 #     top-level docs and docs/*.md must exist in the tree (external http(s)
@@ -18,6 +18,10 @@
 #     every row's JSON key and registry series must be a backtick token in
 #     docs/METRICS.md. (ci/bench_smoke.sh only sees the keys a smoke run
 #     happens to emit; this check sees every row.)
+#  5. Storage spec: the `version` value in the file-header table of
+#     docs/STORAGE.md must equal kFormatVersion in src/runtime/serde.h, and
+#     every checksum vector in its reference-vector table (a row whose first
+#     cell is a quoted input) must appear in tests/serde_test.cc.
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -116,8 +120,31 @@ done < <({
   grep -oE '"trance_[A-Za-z0-9_]+"' <<<"$table" | tr -d '"'
 } | sort -u)
 
+# --- 5. the storage spec vs the serde code and tests ----------------------
+STORAGE=docs/STORAGE.md
+spec_version=$(grep -E '^\| *4 *\| *2 *\| *version *\|' "$STORAGE" |
+  sed -nE 's/.*`u16` `([0-9]+)`.*/\1/p' || true)
+code_version=$(grep -oE 'kFormatVersion = [0-9]+;' src/runtime/serde.h |
+  grep -oE '[0-9]+' || true)
+if [ -z "$spec_version" ] || [ "$spec_version" != "$code_version" ]; then
+  echo "FORMAT VERSION DRIFT: $STORAGE file header says version" \
+    "'${spec_version}', src/runtime/serde.h kFormatVersion is '${code_version}'"
+  fail=1
+fi
+vectors=$(grep -E '^\| *`"' "$STORAGE" | grep -oE '0x[0-9a-fA-F]{16}' || true)
+if [ -z "$vectors" ]; then
+  echo "NO CHECKSUM VECTORS: no reference-vector rows found in $STORAGE"
+  fail=1
+fi
+for v in $vectors; do
+  if ! grep -qiF "$v" tests/serde_test.cc; then
+    echo "UNTESTED CHECKSUM VECTOR: $v (from $STORAGE) is not in tests/serde_test.cc"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table + storage spec)"

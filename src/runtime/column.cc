@@ -1,7 +1,5 @@
 #include "runtime/column.h"
 
-#include "util/status.h"
-
 namespace trance {
 namespace runtime {
 namespace column {
@@ -36,30 +34,55 @@ void AnyColumn::DemoteToVariant() {
   kind_ = Kind::kVariant;
 }
 
-void AnyColumn::Append(const Field& f) {
-  if (kind_ != Kind::kVariant && !f.is_null() && !FieldMatchesKind(f, kind_)) {
-    DemoteToVariant();
-  }
-  bool null = f.is_null();
+void AnyColumn::AppendNull() {
   switch (kind_) {
     case Kind::kInt64:
-      ints_.Append(null ? 0 : f.AsInt());
+      ints_.Append(0);
       break;
     case Kind::kReal:
-      reals_.Append(null ? 0.0 : f.AsReal());
+      reals_.Append(0.0);
       break;
     case Kind::kBool:
-      bools_.Append(null ? 0 : (f.AsBool() ? 1 : 0));
+      bools_.Append(0);
       break;
     case Kind::kString:
-      strs_.Append(null ? std::string_view() : std::string_view(f.AsString()));
+      strs_.Append(std::string_view());
+      break;
+    case Kind::kVariant:
+      variant_.push_back(Field::Null());
+      variant_bytes_ += variant_.back().DeepSize();
+      break;
+  }
+  nulls_.Append(true);
+}
+
+void AnyColumn::Append(const Field& f) {
+  if (f.is_null()) {
+    AppendNull();
+    return;
+  }
+  if (kind_ != Kind::kVariant && !FieldMatchesKind(f, kind_)) {
+    DemoteToVariant();
+  }
+  switch (kind_) {
+    case Kind::kInt64:
+      AppendInt64(f.AsInt());
+      break;
+    case Kind::kReal:
+      AppendReal(f.AsReal());
+      break;
+    case Kind::kBool:
+      AppendBool(f.AsBool());
+      break;
+    case Kind::kString:
+      AppendString(f.AsString());
       break;
     case Kind::kVariant:
       variant_.push_back(f);
       variant_bytes_ += f.DeepSize();
+      nulls_.Append(false);
       break;
   }
-  nulls_.Append(null);
 }
 
 void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {

@@ -25,6 +25,7 @@
 #include "runtime/field.h"
 #include "runtime/schema.h"
 #include "util/hash.h"
+#include "util/status.h"
 
 namespace trance {
 namespace runtime {
@@ -54,9 +55,13 @@ class StringColumn {
     offsets_.push_back(chars_.size());
   }
   std::string_view At(size_t i) const {
-    uint64_t begin = i == 0 ? 0 : offsets_[i - 1];
-    return std::string_view(chars_.data() + begin, offsets_[i] - begin);
+    return std::string_view(chars_.data() + Begin(i), End(i) - Begin(i));
   }
+  /// Arena offsets where value i begins and ends; Begin(size()) is the
+  /// arena length.
+  uint64_t Begin(size_t i) const { return i == 0 ? 0 : offsets_[i - 1]; }
+  uint64_t End(size_t i) const { return offsets_[i]; }
+  const char* chars() const { return chars_.data(); }
   size_t size() const { return offsets_.size(); }
   uint64_t ByteFootprint() const {
     return chars_.capacity() + offsets_.capacity() * sizeof(uint64_t);
@@ -81,6 +86,16 @@ class NullBitmap {
   }
   bool IsNull(size_t i) const {
     return (words_[i / 64] >> (i % 64)) & 1;
+  }
+  /// Null bits of rows [begin, begin + 64), row begin + k at bit k; rows at
+  /// or past size() read as not null. Requires begin < size().
+  uint64_t Bits64(size_t begin) const {
+    const size_t w = begin / 64, shift = begin % 64;
+    uint64_t bits = words_[w] >> shift;
+    if (shift != 0 && w + 1 < words_.size()) {
+      bits |= words_[w + 1] << (64 - shift);
+    }
+    return bits;
   }
   bool any() const { return any_; }
   size_t size() const { return size_; }
@@ -128,6 +143,17 @@ class AnyColumn {
   /// the kinds differ.
   void AppendFrom(const AnyColumn& src, size_t i);
 
+  // Typed appends for decoders that hold raw column values; each is valid
+  // only for the matching kind. AppendNull is valid for every kind.
+  void AppendNull();
+  void AppendInt64(int64_t v) { ints_.Append(v); nulls_.Append(false); }
+  void AppendReal(double v) { reals_.Append(v); nulls_.Append(false); }
+  void AppendBool(bool v) { bools_.Append(v ? 1 : 0); nulls_.Append(false); }
+  void AppendString(std::string_view s) {
+    strs_.Append(s);
+    nulls_.Append(false);
+  }
+
   bool IsNull(size_t i) const { return nulls_.IsNull(i); }
 
   /// Materializes cell i as a Field, bit-identical to the Field appended.
@@ -148,6 +174,7 @@ class AnyColumn {
   const double* reals() const { return reals_.data(); }
   const uint8_t* bools() const { return bools_.data(); }
   const StringColumn& strings() const { return strs_; }
+  const Field* variants() const { return variant_.data(); }
   const NullBitmap& nulls() const { return nulls_; }
 
  private:
@@ -180,6 +207,19 @@ class PartitionBlock {
   /// Column-wise copy of row i of src. Falls back to AppendRow when either
   /// block is ragged or the widths differ.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
+  /// Appends n rows column by column: fill(c, &column) must append exactly
+  /// n cells to column c. For decoders that hold whole columns; the block
+  /// must not be ragged.
+  template <typename Fill>
+  void AppendColumns(size_t n, Fill&& fill) {
+    TRANCE_CHECK(!ragged_mode_, "PartitionBlock::AppendColumns: ragged block");
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      fill(c, &cols_[c]);
+      TRANCE_CHECK(cols_[c].size() == num_rows_ + n,
+                   "PartitionBlock::AppendColumns: column length mismatch");
+    }
+    num_rows_ += n;
+  }
 
   size_t NumRows() const { return ragged_mode_ ? ragged_.size() : num_rows_; }
   size_t NumCols() const { return cols_.size(); }

@@ -219,23 +219,29 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
     const std::string tag = stage->op + ".shuffle_fetch";
     const uint64_t job = cluster->current_job_id();
     std::vector<std::string> runs;
-    for (size_t p = 0; p < in_n; ++p) {
-      out.bytes[t] += buckets[p].bytes[t];
-      auto& src = buckets[p].blocks[t];
-      if (src.NumRows() == 0) continue;
-      std::string path = sm->RunPath(job, tag, t, runs.size());
-      TRANCE_RETURN_NOT_OK(sm->WriteBlockRun(path, src, c));
-      src = PartitionBlock(in.schema);
-      runs.push_back(std::move(path));
-    }
-    // One merge pass: streaming the runs in write order restores the exact
-    // source-order concatenation. ReadRunIntoBlock replays the same per-row
-    // append sequence the in-memory concatenation performs, so the restored
-    // block's footprint equals the never-spilled one.
-    for (const std::string& path : runs) {
-      TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out.parts[t], c));
-    }
+    auto spill_and_restore = [&]() -> Status {
+      for (size_t p = 0; p < in_n; ++p) {
+        out.bytes[t] += buckets[p].bytes[t];
+        auto& src = buckets[p].blocks[t];
+        if (src.NumRows() == 0) continue;
+        std::string path = sm->RunPath(job, tag, t, runs.size());
+        TRANCE_RETURN_NOT_OK(sm->WriteBlockRun(path, src, c));
+        src = PartitionBlock(in.schema);
+        runs.push_back(std::move(path));
+      }
+      // One merge pass: streaming the runs in write order restores the
+      // exact source-order concatenation. ReadRunIntoBlock appends each
+      // column's values one at a time, as the in-memory concatenation does,
+      // so the restored block's footprint equals the never-spilled one.
+      for (const std::string& path : runs) {
+        TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out.parts[t], c));
+      }
+      return Status::OK();
+    };
+    Status s = spill_and_restore();
+    // Success or failure, the runs leave the disk and the budget.
     for (const std::string& path : runs) sm->RemoveRun(path);
+    TRANCE_RETURN_NOT_OK(s);
     c->merge_passes += 1;
     return Status::OK();
   };

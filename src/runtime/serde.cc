@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -67,13 +68,70 @@ Status ParsePod(const char* data, size_t size, size_t* pos, T* out,
 
 }  // namespace
 
-uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed) {
+// --- XXH64 ----------------------------------------------------------------
+// The reference algorithm (docs/STORAGE.md "Checksum"): four 64-bit lanes
+// consume 32-byte stripes, then the 8-, 4- and 1-byte tail steps and the
+// avalanche. Lanes load little-endian, which memcpy gives on every platform
+// this simulator targets.
+
+namespace {
+
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+template <typename T>
+T Load(const unsigned char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t lane) {
+  return Rotl(acc + lane * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t h, uint64_t acc) {
+  return (h ^ Round(0, acc)) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
+uint64_t Xxh64(const void* data, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
+  const unsigned char* const end = p + n;
+  uint64_t h;
+  if (n >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2, v2 = kPrime2, v3 = 0, v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Load<uint64_t>(p));
+      v2 = Round(v2, Load<uint64_t>(p + 8));
+      v3 = Round(v3, Load<uint64_t>(p + 16));
+      v4 = Round(v4, Load<uint64_t>(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    h = MergeRound(MergeRound(MergeRound(MergeRound(h, v1), v2), v3), v4);
+  } else {
+    h = kPrime5;
   }
+  h += n;
+  for (; end - p >= 8; p += 8) {
+    h = Rotl(h ^ Round(0, Load<uint64_t>(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = Rotl(h ^ (Load<uint32_t>(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = Rotl(h ^ (*p * kPrime5), 11) * kPrime1;
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -357,220 +415,250 @@ Status ParseField(const char* data, size_t size, size_t* pos, Field* out) {
   }
 }
 
-void AppendRowBatchPayload(const std::vector<Row>& rows, std::string* out) {
-  AppendU64(rows.size(), out);
-  for (const Row& r : rows) {
-    AppendU32(static_cast<uint32_t>(r.fields.size()), out);
-    for (const Field& f : r.fields) AppendField(f, out);
+namespace {
+
+/// Appends the has_nulls flag of rows [begin, end) and, when one of them is
+/// NULL, their bitmap words rebased to the range.
+void AppendNullBitmap(const column::NullBitmap& nulls, size_t begin,
+                      size_t end, std::string* out) {
+  const size_t flag_at = out->size();
+  AppendU8(0, out);
+  if (!nulls.any()) return;
+  uint64_t seen = 0;
+  for (size_t row = begin; row < end; row += 64) {
+    uint64_t word = nulls.Bits64(row);
+    if (end - row < 64) word &= (uint64_t{1} << (end - row)) - 1;
+    seen |= word;
+    AppendU64(word, out);
+  }
+  if (seen == 0) {
+    out->resize(flag_at + 1);  // no NULL in the range: drop the words
+  } else {
+    (*out)[flag_at] = 1;
   }
 }
 
-void AppendBlockPayload(const column::PartitionBlock& block,
-                        std::string* out) {
+}  // namespace
+
+void AppendBlockPayload(const column::PartitionBlock& block, size_t begin,
+                        size_t end, std::string* out) {
+  const size_t rows = end - begin;
   if (block.ragged()) {
     AppendU32(0, out);  // num_cols = 0 marks the ragged row fallback
-    AppendU64(block.NumRows(), out);
+    AppendU64(rows, out);
     AppendU8(1, out);
-    for (size_t i = 0; i < block.NumRows(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
       Row r = block.RowAt(i);
       AppendU32(static_cast<uint32_t>(r.fields.size()), out);
       for (const Field& f : r.fields) AppendField(f, out);
     }
     return;
   }
-  size_t rows = block.NumRows();
   AppendU32(static_cast<uint32_t>(block.NumCols()), out);
   AppendU64(rows, out);
   AppendU8(0, out);
-  size_t words = (rows + 63) / 64;
   for (size_t c = 0; c < block.NumCols(); ++c) {
     const column::AnyColumn& col = block.col(c);
-    bool has_nulls = col.nulls().any();
-    AppendU8(has_nulls ? 1 : 0, out);
-    if (has_nulls) {
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        for (size_t b = 0; b < 64; ++b) {
-          size_t i = w * 64 + b;
-          if (i < rows && col.IsNull(i)) word |= uint64_t{1} << b;
-        }
-        AppendU64(word, out);
-      }
-    }
+    AppendNullBitmap(col.nulls(), begin, end, out);
     switch (col.kind()) {
       case column::AnyColumn::Kind::kInt64:
         AppendU8(kColInt64, out);
-        out->append(reinterpret_cast<const char*>(col.ints()),
+        out->append(reinterpret_cast<const char*>(col.ints() + begin),
                     rows * sizeof(int64_t));
         break;
       case column::AnyColumn::Kind::kReal:
         AppendU8(kColReal, out);
-        out->append(reinterpret_cast<const char*>(col.reals()),
+        out->append(reinterpret_cast<const char*>(col.reals() + begin),
                     rows * sizeof(double));
         break;
       case column::AnyColumn::Kind::kBool:
         AppendU8(kColBool, out);
-        out->append(reinterpret_cast<const char*>(col.bools()), rows);
+        out->append(reinterpret_cast<const char*>(col.bools() + begin), rows);
         break;
       case column::AnyColumn::Kind::kString: {
         AppendU8(kColString, out);
         const column::StringColumn& s = col.strings();
-        uint64_t chars = 0;
-        for (size_t i = 0; i < rows; ++i) chars += s.At(i).size();
+        const uint64_t base = s.Begin(begin);
+        const uint64_t chars = s.Begin(end) - base;
         AppendU64(chars, out);
-        // The arena is contiguous and value 0 starts at offset 0, so the
-        // whole character region is one append.
-        if (chars > 0) out->append(s.At(0).data(), chars);
-        uint64_t end = 0;
-        for (size_t i = 0; i < rows; ++i) {
-          end += s.At(i).size();
-          AppendU64(end, out);
+        out->append(s.chars() + base, chars);
+        size_t at = out->size();
+        out->resize(at + rows * sizeof(uint64_t));
+        for (size_t i = begin; i < end; ++i, at += sizeof(uint64_t)) {
+          const uint64_t rebased = s.End(i) - base;
+          std::memcpy(out->data() + at, &rebased, sizeof(rebased));
         }
         break;
       }
       case column::AnyColumn::Kind::kVariant:
         AppendU8(kColVariant, out);
-        for (size_t i = 0; i < rows; ++i) AppendField(col.At(i), out);
+        for (size_t i = begin; i < end; ++i) {
+          AppendField(col.variants()[i], out);
+        }
         break;
     }
   }
 }
 
-Status ParseRecordPayload(uint8_t kind, const std::string& payload,
-                          std::vector<Row>* out) {
-  const char* data = payload.data();
-  size_t size = payload.size();
+namespace {
+
+/// One validated column section of a typed block record: views into the
+/// payload, plus the parsed cells of a variant column.
+struct ColumnSection {
+  uint8_t kind = 0;
+  const char* nulls = nullptr;   // bitmap words; nullptr when has_nulls = 0
+  const char* values = nullptr;  // int/real/bool values, or string end offsets
+  const char* arena = nullptr;   // string bytes
+  std::vector<Field> cells;      // variant cells
+
+  bool IsNull(size_t i) const {
+    if (nulls == nullptr) return false;
+    uint64_t word;
+    std::memcpy(&word, nulls + (i / 64) * sizeof(word), sizeof(word));
+    return ((word >> (i % 64)) & 1) != 0;
+  }
+  uint64_t Word(size_t i) const {
+    uint64_t v;
+    std::memcpy(&v, values + i * sizeof(v), sizeof(v));
+    return v;
+  }
+  int64_t Int(size_t i) const { return static_cast<int64_t>(Word(i)); }
+  double Real(size_t i) const { return std::bit_cast<double>(Word(i)); }
+  bool Bool(size_t i) const { return values[i] != 0; }
+  std::string_view Str(size_t i) const {
+    const uint64_t begin = i == 0 ? 0 : Word(i - 1);
+    return std::string_view(arena + begin, Word(i) - begin);
+  }
+
+  /// Cell i as a Field; NULL cells ignore their value slot.
+  Field FieldAt(size_t i) const {
+    if (kind == kColVariant) return cells[i];
+    if (IsNull(i)) return Field::Null();
+    switch (kind) {
+      case kColInt64: return Field::Int(Int(i));
+      case kColReal: return Field::Real(Real(i));
+      case kColBool: return Field::Bool(Bool(i));
+      default: return Field::Str(std::string(Str(i)));
+    }
+  }
+};
+
+/// A block-record payload after validation. Nothing in it has been appended
+/// anywhere yet.
+struct BlockRecord {
+  size_t rows = 0;
+  bool ragged = false;
+  std::vector<Row> ragged_rows;
+  std::vector<ColumnSection> cols;
+};
+
+column::AnyColumn::Kind KindOfCode(uint8_t code) {
+  switch (code) {
+    case kColInt64: return column::AnyColumn::Kind::kInt64;
+    case kColReal: return column::AnyColumn::Kind::kReal;
+    case kColBool: return column::AnyColumn::Kind::kBool;
+    case kColString: return column::AnyColumn::Kind::kString;
+    default: return column::AnyColumn::Kind::kVariant;
+  }
+}
+
+/// Checks that `count` fixed-width values of `width` bytes fit in what is
+/// left of the payload, without overflowing the multiplication.
+Status Need(size_t size, size_t pos, uint64_t count, size_t width,
+            const char* what) {
+  if (count > (size - pos) / width) return Truncated(what);
+  return Status::OK();
+}
+
+/// Validates a whole block-record payload (docs/STORAGE.md "Record kind 2")
+/// into *rec. Variant cells and ragged rows are parsed here; typed values
+/// stay in the payload.
+Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
   size_t pos = 0;
-  if (kind == kRecordRowBatch) {
-    uint64_t nrows = 0;
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "batch size"));
-    out->reserve(out->size() +
-                 static_cast<size_t>(std::min<uint64_t>(nrows, 1 << 20)));
-    for (uint64_t i = 0; i < nrows; ++i) {
+  uint32_t ncols = 0;
+  uint64_t nrows = 0;
+  uint8_t ragged = 0;
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
+  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
+  const size_t n = static_cast<size_t>(nrows);
+  rec->rows = n;
+  rec->ragged = ragged != 0;
+  if (rec->ragged) {
+    // Guard the reserve: every row takes at least its 4-byte width.
+    rec->ragged_rows.reserve(std::min<size_t>(n, (size - pos) / 4));
+    for (size_t i = 0; i < n; ++i) {
       Row r;
       TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-      out->push_back(std::move(r));
-    }
-  } else if (kind == kRecordBlock) {
-    uint32_t ncols = 0;
-    uint64_t nrows = 0;
-    uint8_t ragged = 0;
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
-    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
-    size_t n = static_cast<size_t>(nrows);
-    if (ragged != 0) {
-      out->reserve(out->size() + std::min<size_t>(n, 1 << 20));
-      for (size_t i = 0; i < n; ++i) {
-        Row r;
-        TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-        out->push_back(std::move(r));
-      }
-    } else {
-      // Decode column-wise into a cell matrix, then emit rows. Null cells
-      // override the stored default value slot, matching AnyColumn::At.
-      std::vector<std::vector<Field>> cols(ncols);
-      std::vector<std::vector<uint64_t>> null_words(ncols);
-      size_t words = (n + 63) / 64;
-      for (uint32_t c = 0; c < ncols; ++c) {
-        uint8_t has_nulls = 0;
-        TRANCE_RETURN_NOT_OK(
-            ParsePod(data, size, &pos, &has_nulls, "null flag"));
-        if (has_nulls) {
-          null_words[c].resize(words);
-          for (size_t w = 0; w < words; ++w) {
-            TRANCE_RETURN_NOT_OK(
-                ParsePod(data, size, &pos, &null_words[c][w], "null bitmap"));
-          }
-        }
-        auto is_null = [&](size_t i) {
-          return has_nulls && ((null_words[c][i / 64] >> (i % 64)) & 1) != 0;
-        };
-        uint8_t col_kind = 0;
-        TRANCE_RETURN_NOT_OK(
-            ParsePod(data, size, &pos, &col_kind, "column kind"));
-        std::vector<Field>& cells = cols[c];
-        cells.reserve(std::min<size_t>(n, 1 << 20));
-        switch (col_kind) {
-          case kColInt64:
-            for (size_t i = 0; i < n; ++i) {
-              int64_t v = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &v, "int column"));
-              cells.push_back(is_null(i) ? Field::Null() : Field::Int(v));
-            }
-            break;
-          case kColReal:
-            for (size_t i = 0; i < n; ++i) {
-              uint64_t bits = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &bits, "real column"));
-              double v;
-              std::memcpy(&v, &bits, sizeof(v));
-              cells.push_back(is_null(i) ? Field::Null() : Field::Real(v));
-            }
-            break;
-          case kColBool:
-            for (size_t i = 0; i < n; ++i) {
-              uint8_t v = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &v, "bool column"));
-              cells.push_back(is_null(i) ? Field::Null()
-                                         : Field::Bool(v != 0));
-            }
-            break;
-          case kColString: {
-            uint64_t chars = 0;
-            TRANCE_RETURN_NOT_OK(
-                ParsePod(data, size, &pos, &chars, "string arena length"));
-            if (size - pos < chars) return Truncated("string arena");
-            size_t arena_begin = pos;
-            pos += static_cast<size_t>(chars);
-            uint64_t prev = 0;
-            for (size_t i = 0; i < n; ++i) {
-              uint64_t end = 0;
-              TRANCE_RETURN_NOT_OK(
-                  ParsePod(data, size, &pos, &end, "string offsets"));
-              if (end < prev || end > chars) {
-                return Status::Invalid(
-                    "serde: corrupt string offsets (non-monotonic or out of "
-                    "arena)");
-              }
-              cells.push_back(
-                  is_null(i)
-                      ? Field::Null()
-                      : Field::Str(std::string(
-                            data + arena_begin + static_cast<size_t>(prev),
-                            static_cast<size_t>(end - prev))));
-              prev = end;
-            }
-            break;
-          }
-          case kColVariant:
-            for (size_t i = 0; i < n; ++i) {
-              Field f;
-              TRANCE_RETURN_NOT_OK(ParseField(data, size, &pos, &f));
-              cells.push_back(std::move(f));
-            }
-            break;
-          default:
-            return Status::Invalid("serde: unknown column kind " +
-                                   std::to_string(static_cast<int>(col_kind)));
-        }
-      }
-      out->reserve(out->size() + std::min<size_t>(n, 1 << 20));
-      for (size_t i = 0; i < n; ++i) {
-        Row r;
-        r.fields.reserve(ncols);
-        for (uint32_t c = 0; c < ncols; ++c) {
-          r.fields.push_back(std::move(cols[c][i]));
-        }
-        out->push_back(std::move(r));
-      }
+      rec->ragged_rows.push_back(std::move(r));
     }
   } else {
-    return Status::Invalid("serde: unknown record kind " +
-                           std::to_string(static_cast<int>(kind)));
+    // Every column section takes at least its two flag bytes.
+    rec->cols.reserve(std::min<size_t>(ncols, (size - pos) / 2));
+    const uint64_t words = nrows / 64 + (nrows % 64 != 0 ? 1 : 0);
+    for (uint32_t c = 0; c < ncols; ++c) {
+      ColumnSection s;
+      uint8_t has_nulls = 0;
+      TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &has_nulls, "null flag"));
+      if (has_nulls != 0) {
+        TRANCE_RETURN_NOT_OK(
+            Need(size, pos, words, sizeof(uint64_t), "null bitmap"));
+        s.nulls = data + pos;
+        pos += static_cast<size_t>(words) * sizeof(uint64_t);
+      }
+      TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &s.kind, "column kind"));
+      switch (s.kind) {
+        case kColInt64:
+        case kColReal:
+          TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, sizeof(uint64_t),
+                                    s.kind == kColInt64 ? "int column"
+                                                        : "real column"));
+          s.values = data + pos;
+          pos += n * sizeof(uint64_t);
+          break;
+        case kColBool:
+          TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, 1, "bool column"));
+          s.values = data + pos;
+          pos += n;
+          break;
+        case kColString: {
+          uint64_t chars = 0;
+          TRANCE_RETURN_NOT_OK(
+              ParsePod(data, size, &pos, &chars, "string arena length"));
+          TRANCE_RETURN_NOT_OK(Need(size, pos, chars, 1, "string arena"));
+          s.arena = data + pos;
+          pos += static_cast<size_t>(chars);
+          TRANCE_RETURN_NOT_OK(
+              Need(size, pos, nrows, sizeof(uint64_t), "string offsets"));
+          s.values = data + pos;
+          pos += n * sizeof(uint64_t);
+          uint64_t prev = 0;
+          for (size_t i = 0; i < n; ++i) {
+            const uint64_t end = s.Word(i);
+            if (end < prev || end > chars) {
+              return Status::Invalid(
+                  "serde: corrupt string offsets (non-monotonic or out of "
+                  "arena)");
+            }
+            prev = end;
+          }
+          break;
+        }
+        case kColVariant:
+          // Every cell takes at least its tag byte.
+          s.cells.reserve(std::min<size_t>(n, size - pos));
+          for (size_t i = 0; i < n; ++i) {
+            Field f;
+            TRANCE_RETURN_NOT_OK(ParseField(data, size, &pos, &f));
+            s.cells.push_back(std::move(f));
+          }
+          break;
+        default:
+          return Status::Invalid("serde: unknown column kind " +
+                                 std::to_string(static_cast<int>(s.kind)));
+      }
+      rec->cols.push_back(std::move(s));
+    }
   }
   if (pos != size) {
     return Status::Invalid("serde: record payload has " +
@@ -578,6 +666,68 @@ Status ParseRecordPayload(uint8_t kind, const std::string& payload,
   }
   return Status::OK();
 }
+
+/// Appends the n cells of one section to a column, one value at a time.
+void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
+  if (s.kind == kColVariant) {
+    for (size_t i = 0; i < n; ++i) col->Append(s.cells[i]);
+    return;
+  }
+  if (col->kind() != KindOfCode(s.kind)) {
+    // A destination column of another kind gets Fields (AnyColumn::Append
+    // demotes it as appending the written rows would).
+    for (size_t i = 0; i < n; ++i) col->Append(s.FieldAt(i));
+    return;
+  }
+  // Typed cells go straight into the column arrays and the string arena,
+  // one loop per kind.
+  auto each = [&](auto append_value) {
+    for (size_t i = 0; i < n; ++i) {
+      if (s.IsNull(i)) {
+        col->AppendNull();
+      } else {
+        append_value(i);
+      }
+    }
+  };
+  switch (s.kind) {
+    case kColInt64:
+      each([&](size_t i) { col->AppendInt64(s.Int(i)); });
+      break;
+    case kColReal:
+      each([&](size_t i) { col->AppendReal(s.Real(i)); });
+      break;
+    case kColBool:
+      each([&](size_t i) { col->AppendBool(s.Bool(i)); });
+      break;
+    default:
+      each([&](size_t i) { col->AppendString(s.Str(i)); });
+      break;
+  }
+}
+
+/// Appends a validated record to *out: column by column when the widths
+/// agree, else row by row through AppendRow.
+void AppendRecord(const BlockRecord& rec, column::PartitionBlock* out) {
+  if (rec.ragged) {
+    for (const Row& r : rec.ragged_rows) out->AppendRow(r);
+    return;
+  }
+  if (out->ragged() || out->NumCols() != rec.cols.size()) {
+    for (size_t i = 0; i < rec.rows; ++i) {
+      Row r;
+      r.fields.reserve(rec.cols.size());
+      for (const ColumnSection& s : rec.cols) r.fields.push_back(s.FieldAt(i));
+      out->AppendRow(r);
+    }
+    return;
+  }
+  out->AppendColumns(rec.rows, [&](size_t c, column::AnyColumn* col) {
+    AppendSection(rec.cols[c], rec.rows, col);
+  });
+}
+
+}  // namespace
 
 // --- file-level writer / reader ------------------------------------------
 
@@ -590,26 +740,20 @@ Status BlockFileWriter::Open(const std::string& path, size_t buffer_bytes) {
   return out_.Append(header.data(), header.size());
 }
 
-Status BlockFileWriter::WriteRecord(uint8_t kind, const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 17);
-  AppendU8(kind, &frame);
-  AppendU64(payload.size(), &frame);
-  frame.append(payload);
-  AppendU64(Fnv1a64(payload.data(), payload.size()), &frame);
-  return out_.Append(frame.data(), frame.size());
+Status BlockFileWriter::WriteBlockPayload(const std::string& payload) {
+  std::string head;
+  AppendU8(kRecordBlock, &head);
+  AppendU64(payload.size(), &head);
+  const uint64_t sum = Xxh64(payload.data(), payload.size());
+  TRANCE_RETURN_NOT_OK(out_.Append(head.data(), head.size()));
+  TRANCE_RETURN_NOT_OK(out_.Append(payload.data(), payload.size()));
+  return out_.Append(&sum, sizeof(sum));
 }
 
 Status BlockFileWriter::WriteBlock(const column::PartitionBlock& block) {
   std::string payload;
-  AppendBlockPayload(block, &payload);
-  return WriteRecord(kRecordBlock, payload);
-}
-
-Status BlockFileWriter::WriteRows(const std::vector<Row>& rows) {
-  std::string payload;
-  AppendRowBatchPayload(rows, &payload);
-  return WriteRecord(kRecordRowBatch, payload);
+  AppendBlockPayload(block, 0, block.NumRows(), &payload);
+  return WriteBlockPayload(payload);
 }
 
 Status BlockFileWriter::Close() { return out_.Close(); }
@@ -634,8 +778,7 @@ Status BlockFileReader::Open(const std::string& path, size_t buffer_bytes) {
   return Status::OK();
 }
 
-StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
-                                           std::string* payload) {
+StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind) {
   TRANCE_ASSIGN_OR_RETURN(bool eof, in_.AtEof());
   if (eof) return false;
   uint64_t payload_len = 0;
@@ -655,11 +798,11 @@ StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
         std::to_string(payload_len) + " payload bytes with only " +
         std::to_string(remaining) + " bytes left in the file");
   }
-  payload->assign(static_cast<size_t>(payload_len), '\0');
-  TRANCE_RETURN_NOT_OK(in_.Read(payload->data(), payload->size()));
+  payload_.resize(static_cast<size_t>(payload_len));
+  TRANCE_RETURN_NOT_OK(in_.Read(payload_.data(), payload_.size()));
   uint64_t stored_sum = 0;
   TRANCE_RETURN_NOT_OK(in_.Read(&stored_sum, sizeof(stored_sum)));
-  uint64_t actual_sum = Fnv1a64(payload->data(), payload->size());
+  uint64_t actual_sum = Xxh64(payload_.data(), payload_.size());
   if (stored_sum != actual_sum) {
     return Status::Invalid("serde: checksum mismatch (stored " +
                            std::to_string(stored_sum) + ", computed " +
@@ -668,25 +811,18 @@ StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind,
   return true;
 }
 
-StatusOr<bool> BlockFileReader::ReadBatch(std::vector<Row>* out,
-                                          uint8_t* kind) {
-  uint8_t record_kind = 0;
-  std::string payload;
-  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind, &payload));
-  if (!more) return false;
-  TRANCE_RETURN_NOT_OK(ParseRecordPayload(record_kind, payload, out));
-  if (kind != nullptr) *kind = record_kind;
-  return true;
-}
-
 StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out) {
-  uint8_t record_kind = 0;
-  std::string payload;
-  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&record_kind, &payload));
+  uint8_t kind = 0;
+  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&kind));
   if (!more) return false;
-  std::vector<Row> rows;
-  TRANCE_RETURN_NOT_OK(ParseRecordPayload(record_kind, payload, &rows));
-  for (const Row& r : rows) out->AppendRow(r);
+  if (kind != kRecordBlock) {
+    return Status::Invalid("serde: unknown record kind " +
+                           std::to_string(static_cast<int>(kind)));
+  }
+  BlockRecord rec;
+  TRANCE_RETURN_NOT_OK(
+      ParseBlockRecord(payload_.data(), payload_.size(), &rec));
+  AppendRecord(rec, out);
   return true;
 }
 

@@ -1,5 +1,5 @@
 // Binary partition serialization: a versioned, length-prefixed on-disk
-// format for PartitionBlock / Row over buffered file reader/writer classes.
+// format for PartitionBlock over buffered file reader/writer classes.
 //
 // This is the spill format of runtime/spill.h and the ROADMAP's persistent
 // dataset/dictionary cache format. The byte-level wire layout — magic,
@@ -14,11 +14,12 @@
 // (recursively), bag (recursively), plus variant and ragged block fallbacks —
 // deserializes bit-identical to what was written. Corrupt, truncated, or
 // version-mismatched input returns a clean Status (never crashes, never
-// returns partial rows).
+// appends part of a record).
 //
 // Idiom: RaftKeeper's NativeBlockInputStream over
 // ReadBufferFromFileDescriptor / WriteBufferFromFileDescriptor, and Thrill's
-// external-memory channel block files.
+// external-memory block files: typed column bytes go from the block to the
+// file and back without passing through rows.
 #ifndef TRANCE_RUNTIME_SERDE_H_
 #define TRANCE_RUNTIME_SERDE_H_
 
@@ -40,15 +41,21 @@ inline constexpr uint32_t kMagic = 0x424E5254u;
 
 /// Format version. Readers reject any other value with a clean Status;
 /// see docs/STORAGE.md "Versioning rules" before bumping.
-inline constexpr uint16_t kFormatVersion = 1;
+inline constexpr uint16_t kFormatVersion = 2;
 
-/// Record kinds (the `kind` byte of each record frame).
-inline constexpr uint8_t kRecordRowBatch = 1;
+/// Record kind of a columnar block record (the `kind` byte of each record
+/// frame). Kind 1, the row batch of version 1, is retired: a version-2
+/// reader rejects it as an unknown record kind.
 inline constexpr uint8_t kRecordBlock = 2;
 
-/// 64-bit FNV-1a over the record payload; the record trailer. Exposed so
-/// tests and independent readers can recompute it.
-uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed = 0xcbf29ce484222325ull);
+/// Fixed sizes of the layout: the file header, and the frame around each
+/// record payload (kind byte, payload length, checksum trailer).
+inline constexpr uint64_t kFileHeaderBytes = 8;
+inline constexpr uint64_t kRecordFrameBytes = 17;
+
+/// XXH64 with seed 0 over the record payload; the record trailer. Exposed
+/// so tests and independent readers can recompute it.
+uint64_t Xxh64(const void* data, size_t n);
 
 /// Buffered file writer over a POSIX descriptor (write(2) behind an
 /// app-side buffer). Append never short-writes: it either buffers/flushes
@@ -113,8 +120,7 @@ class BufferedFileReader {
   uint64_t file_size_ = 0;
 };
 
-/// Writes one block/row-batch file: [file header][record]*. One writer per
-/// file; records are independent, so a file can hold any mix of kinds.
+/// Writes one block file: [file header][record]*. One writer per file.
 class BlockFileWriter {
  public:
   BlockFileWriter() = default;
@@ -122,23 +128,23 @@ class BlockFileWriter {
   /// Creates/truncates `path` and writes the file header.
   Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
 
-  /// Appends one kRecordBlock record. Ragged blocks serialize their row
-  /// fallback; columnar blocks serialize column-wise.
+  /// Appends one block record holding the whole block. Ragged blocks
+  /// serialize their row fallback; columnar blocks serialize column-wise.
   Status WriteBlock(const column::PartitionBlock& block);
 
-  /// Appends one kRecordRowBatch record.
-  Status WriteRows(const std::vector<Row>& rows);
+  /// Appends one block record around a payload AppendBlockPayload built:
+  /// the frame head, the payload and the checksum go to the buffered file
+  /// without an intermediate frame copy.
+  Status WriteBlockPayload(const std::string& payload);
 
   Status Close();
   uint64_t bytes_written() const { return out_.bytes_written(); }
 
  private:
-  Status WriteRecord(uint8_t kind, const std::string& payload);
-
   BufferedFileWriter out_;
 };
 
-/// Reads a block/row-batch file record by record, materializing rows.
+/// Reads a block file record by record into resident blocks.
 class BlockFileReader {
  public:
   BlockFileReader() = default;
@@ -146,39 +152,41 @@ class BlockFileReader {
   /// Opens `path` and validates magic + version.
   Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
 
-  /// Appends the next record's rows to *out (block records materialize
-  /// through the same Field values that were written — bit-exact). Returns
-  /// false cleanly at end of file. `kind`, when non-null, receives the
-  /// record kind so callers can account block→row materializations.
-  StatusOr<bool> ReadBatch(std::vector<Row>* out, uint8_t* kind = nullptr);
-
-  /// Appends the next record's rows into *out via per-row AppendRow — the
-  /// block-resident restore. The append sequence is exactly what
-  /// AppendRowFrom of the written rows would produce, so the restored
-  /// block's ByteFootprint matches a never-spilled block built from the same
-  /// rows.
+  /// Decodes the next record straight into *out's typed columns: int, real
+  /// and bool values and string bytes go from the payload into the column
+  /// arrays and the string arena; only variant cells parse Fields. Ragged
+  /// records, and a destination whose width differs from the record's, take
+  /// the row path (AppendRow). The whole record — lengths, column kinds,
+  /// string offsets, trailing bytes — is validated before the first append,
+  /// so an error leaves *out unchanged. Cells are appended one at a time in
+  /// row order, so the restored block's ByteFootprint equals that of a
+  /// block built by appending the written rows. Returns false cleanly at
+  /// end of file.
   StatusOr<bool> ReadBatchInto(column::PartitionBlock* out);
 
   Status Close();
   uint64_t bytes_read() const { return in_.bytes_read(); }
 
  private:
-  /// Reads one record frame (kind + payload), validating length and
+  /// Reads one record frame into kind + payload_, validating length and
   /// checksum. Returns false cleanly at end of file.
-  StatusOr<bool> ReadRecord(uint8_t* kind, std::string* payload);
+  StatusOr<bool> ReadRecord(uint8_t* kind);
 
   BufferedFileReader in_;
+  std::string payload_;
 };
 
 // Payload codecs, exposed for tests and for embedding records in other
 // containers. AppendField/ParseField implement the recursive tagged field
-// encoding shared by both record kinds.
+// encoding of variant cells and ragged rows.
 void AppendField(const Field& f, std::string* out);
-void AppendRowBatchPayload(const std::vector<Row>& rows, std::string* out);
-void AppendBlockPayload(const column::PartitionBlock& block, std::string* out);
+/// Appends the block-record payload of rows [begin, end) of `block`; the
+/// whole block is [0, NumRows()). String offsets are rebased to the range
+/// and each null bitmap covers only the range, so the bytes equal those of
+/// a block built from just those rows.
+void AppendBlockPayload(const column::PartitionBlock& block, size_t begin,
+                        size_t end, std::string* out);
 Status ParseField(const char* data, size_t size, size_t* pos, Field* out);
-Status ParseRecordPayload(uint8_t kind, const std::string& payload,
-                          std::vector<Row>* out);
 
 }  // namespace serde
 }  // namespace runtime

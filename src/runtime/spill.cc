@@ -114,18 +114,36 @@ Status EnsureParentDir(const std::string& path) {
 Status SpillManager::WriteBlockRun(const std::string& path,
                                    const column::PartitionBlock& block,
                                    SpillCounters* c) {
+  std::string payload;
+  return WriteRangeRun(path, block, 0, block.NumRows(), &payload, c);
+}
+
+Status SpillManager::WriteRangeRun(const std::string& path,
+                                   const column::PartitionBlock& block,
+                                   size_t begin, size_t end,
+                                   std::string* payload, SpillCounters* c) {
+  payload->clear();
+  serde::AppendBlockPayload(block, begin, end, payload);
+  // The file's size is known before it exists: charge the budget first, so
+  // a run the budget refuses never reaches the disk.
+  const uint64_t bytes =
+      serde::kFileHeaderBytes + serde::kRecordFrameBytes + payload->size();
+  TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
   {
     std::lock_guard<std::mutex> lock(mu_);
     root_created_ = true;
   }
-  TRANCE_RETURN_NOT_OK(EnsureParentDir(path));
+  Status s = EnsureParentDir(path);
   serde::BlockFileWriter writer;
-  TRANCE_RETURN_NOT_OK(
-      writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
-  TRANCE_RETURN_NOT_OK(writer.WriteBlock(block));
-  TRANCE_RETURN_NOT_OK(writer.Close());
-  uint64_t bytes = writer.bytes_written();
-  TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
+  if (s.ok()) {
+    s = writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes));
+  }
+  if (s.ok()) s = writer.WriteBlockPayload(*payload);
+  if (s.ok()) s = writer.Close();
+  if (!s.ok()) {
+    RemoveRun(path);
+    return s;
+  }
   total_written_.fetch_add(bytes);
   total_runs_.fetch_add(1);
   if (c != nullptr) {
@@ -171,40 +189,41 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                                           const Schema& schema,
                                           column::PartitionBlock* block,
                                           SpillCounters* c) {
-  // Phase 1: split the block's row sequence into bounded chunk blocks, each
-  // written as one block record run. Chunks copy column-wise (AppendRowFrom);
-  // the source block is released wholesale after the last run lands.
   std::vector<std::string> runs;
-  column::PartitionBlock chunk(schema);
-  uint64_t chunk_bytes = 0;
-  auto flush_chunk = [&]() -> Status {
+  std::string payload;
+  auto write_run = [&](size_t begin, size_t end) -> Status {
     std::string path = RunPath(job, tag, partition, runs.size());
-    TRANCE_RETURN_NOT_OK(WriteBlockRun(path, chunk, c));
+    TRANCE_RETURN_NOT_OK(WriteRangeRun(path, *block, begin, end, &payload, c));
     runs.push_back(std::move(path));
-    chunk = column::PartitionBlock(schema);
-    chunk_bytes = 0;
     return Status::OK();
   };
-  const size_t n = block->NumRows();
-  for (size_t i = 0; i < n; ++i) {
-    chunk_bytes += block->RowBytesAt(i);
-    chunk.AppendRowFrom(*block, i);
-    if (chunk_bytes >= config_.max_run_bytes) {
-      TRANCE_RETURN_NOT_OK(flush_chunk());
+  auto spill_and_restore = [&]() -> Status {
+    // Phase 1: a run ends at the row whose RowBytesAt brings it to
+    // max_run_bytes; each range is serialized straight from the block. The
+    // block is released wholesale after the last run lands.
+    const size_t n = block->NumRows();
+    size_t begin = 0;
+    uint64_t run_bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      run_bytes += block->RowBytesAt(i);
+      if (run_bytes >= config_.max_run_bytes) {
+        TRANCE_RETURN_NOT_OK(write_run(begin, i + 1));
+        begin = i + 1;
+        run_bytes = 0;
+      }
     }
-  }
-  if (chunk.NumRows() > 0 || runs.empty()) {
-    TRANCE_RETURN_NOT_OK(flush_chunk());
-  }
-  *block = column::PartitionBlock(schema);
-
-  // Phase 2: one merge pass — restore the runs in run order into the fresh
-  // block. Per-row appends replay the identical growth sequence, so the
-  // restored block's ByteFootprint equals the never-spilled equivalent.
-  for (const std::string& path : runs) {
-    TRANCE_RETURN_NOT_OK(ReadRunIntoBlock(path, block, c));
-  }
+    if (begin < n || runs.empty()) TRANCE_RETURN_NOT_OK(write_run(begin, n));
+    *block = column::PartitionBlock(schema);
+    // Phase 2: one merge pass — restore the runs in run order into the
+    // fresh block.
+    for (const std::string& path : runs) {
+      TRANCE_RETURN_NOT_OK(ReadRunIntoBlock(path, block, c));
+    }
+    return Status::OK();
+  };
+  Status s = spill_and_restore();
   for (const std::string& path : runs) RemoveRun(path);
+  TRANCE_RETURN_NOT_OK(s);
   if (c != nullptr) c->merge_passes += 1;
   return Status::OK();
 }

@@ -104,21 +104,25 @@ class SpillManager {
                       size_t run) const;
 
   /// Writes one run file holding a columnar block (one block record).
-  /// Accounts the file's bytes against the budget and into *c.
+  /// Charges the file's bytes against the budget before the file exists,
+  /// and into *c once it is written; on any error nothing of the run stays
+  /// on disk or in the budget.
   Status WriteBlockRun(const std::string& path,
                        const column::PartitionBlock& block, SpillCounters* c);
-  /// Streams a run back into a resident block (per-row appends, so the
-  /// block's footprint matches a never-spilled block of the same rows).
+  /// Streams a run back into a resident block. The decoder appends into
+  /// the typed columns one value at a time, so the block's footprint
+  /// matches a never-spilled block of the same rows.
   Status ReadRunIntoBlock(const std::string& path,
                           column::PartitionBlock* out, SpillCounters* c);
   /// Deletes a restored run (no-op with keep_files) and releases its budget.
   void RemoveRun(const std::string& path);
 
-  /// The one-call spill site: splits *block into max_run_bytes-bounded
-  /// chunk blocks (by RowBytesAt), writes each as one block record run,
-  /// resets *block to an empty schema-typed block, then restores the
-  /// identical row sequence via ReadRunIntoBlock and removes the runs.
-  /// Counts one merge pass; never materializes a row vector.
+  /// The one-call spill site: cuts *block's row sequence into
+  /// max_run_bytes-bounded ranges (by RowBytesAt), serializes each range
+  /// straight from the block as one block record run, resets *block to an
+  /// empty schema-typed block, then restores the identical row sequence via
+  /// ReadRunIntoBlock. Counts one merge pass. Success or failure, the runs
+  /// it wrote are removed and their budget released before it returns.
   Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                               size_t partition, const Schema& schema,
                               column::PartitionBlock* block,
@@ -132,9 +136,14 @@ class SpillManager {
   const std::string& root_dir() const { return root_; }
 
  private:
-  /// Creates the run's parent directory and charges `bytes` against the
-  /// budget; fails with ResourceExhausted when the budget would overflow.
+  /// Charges `bytes` against the budget; fails with ResourceExhausted when
+  /// the budget would overflow.
   Status AccountRun(const std::string& path, uint64_t bytes);
+  /// Writes rows [begin, end) of `block` as one run (see WriteBlockRun);
+  /// `payload` is scratch space reused across runs.
+  Status WriteRangeRun(const std::string& path,
+                       const column::PartitionBlock& block, size_t begin,
+                       size_t end, std::string* payload, SpillCounters* c);
 
   SpillConfig config_;
   std::string root_;

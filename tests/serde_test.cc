@@ -3,11 +3,13 @@
 // The runtime/serde.h wire format (docs/STORAGE.md) must round-trip every
 // Field value bit-exactly — nulls, int64 extremes, exact IEEE doubles (NaN
 // payloads included), strings, bools, recursive labels, recursive bags — in
-// both record kinds (row batches and columnar blocks, typed and ragged, with
-// null bitmaps and the variant fallback). And it must reject, with a clean
-// Status (never a crash, never partial rows), every malformed input we can
-// produce: truncation at any byte, single-byte corruption anywhere in the
-// file, checksum tampering, a bad magic, and a version from the future.
+// block records (typed and ragged, with null bitmaps and the variant
+// fallback), decoded straight into a block's columns. And it must reject,
+// with a clean Status (never a crash, never a partly appended record), every
+// malformed input we can produce: truncation at any byte, single-byte
+// corruption anywhere in the file, checksum tampering, a bad magic, a
+// version from the future, and checksum-valid records that lie about their
+// structure.
 #include "runtime/serde.h"
 
 #include <gtest/gtest.h>
@@ -152,36 +154,41 @@ Field RandomField(std::mt19937_64* rng, int depth) {
   }
 }
 
-// gtest ASSERT macros return void; tiny shim for use inside ReadAll.
-#define ASSERT_TRUE_OR_RETURN(expr)                            \
-  do {                                                         \
-    if (!(expr).ok()) {                                        \
-      ADD_FAILURE() << (expr).status().ToString();             \
-      return out;                                              \
-    }                                                          \
-  } while (0)
-
-std::vector<Row> ReadAll(const std::string& path,
-                         std::vector<uint8_t>* kinds = nullptr) {
+/// Reads every record of `path` into *block; returns the first non-OK
+/// status, or OK if the file parses end to end. Must never crash, whatever
+/// the bytes. `records`, when non-null, receives the record count.
+Status ReadInto(const std::string& path, column::PartitionBlock* block,
+                size_t* records = nullptr) {
   serde::BlockFileReader reader;
   Status open = reader.Open(path);
-  EXPECT_TRUE(open.ok()) << open.ToString();
-  std::vector<Row> out;
+  if (!open.ok()) return open;
   for (;;) {
-    uint8_t kind = 0;
-    auto more = reader.ReadBatch(&out, &kind);
-    ASSERT_TRUE_OR_RETURN(more);
+    auto more = reader.ReadBatchInto(block);
+    if (!more.ok()) return more.status();
     if (!more.value()) break;
-    if (kinds != nullptr) kinds->push_back(kind);
+    if (records != nullptr) ++*records;
   }
-  EXPECT_TRUE(reader.Close().ok());
-  return out;
+  return reader.Close();
+}
+
+/// Reads every record of `path` into one block of `schema` and returns its
+/// rows.
+std::vector<Row> ReadAll(const std::string& path, const Schema& schema,
+                         size_t* records = nullptr) {
+  column::PartitionBlock block(schema);
+  Status s = ReadInto(path, &block, records);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return block.ToRows();
+}
+
+/// A type whose columns use the variant fallback and so hold any Field.
+nrc::TypePtr BagOfInts() {
+  return nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}));
 }
 
 // --- round trips ----------------------------------------------------------
 
 TEST(SerdeRoundTripTest, ScalarExtremes) {
-  std::vector<Row> rows;
   Row r;
   r.fields = {
       Field::Null(),
@@ -201,18 +208,40 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
       Field::Bool(true),
       Field::Bool(false),
   };
-  rows.push_back(std::move(r));
+  // The same row twice: once in typed columns (the column encodings), once
+  // in variant columns (the field encoding). Both records decode into the
+  // variant block, so the typed record also takes the Field path.
+  std::vector<Column> typed_cols, variant_cols;
+  for (size_t i = 0; i < r.fields.size(); ++i) {
+    nrc::TypePtr t = i < 4    ? nrc::Type::Int()
+                     : i < 11 ? nrc::Type::Real()
+                     : i < 14 ? nrc::Type::String()
+                              : nrc::Type::Bool();
+    typed_cols.push_back({"c" + std::to_string(i), t});
+    variant_cols.push_back({"c" + std::to_string(i), BagOfInts()});
+  }
+  Schema typed(typed_cols), variant(variant_cols);
+  std::vector<Row> rows{r};
 
   std::string path = TestPath("scalars");
   serde::BlockFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteRows(rows).ok());
+  ASSERT_TRUE(
+      writer.WriteBlock(column::PartitionBlock::FromRows(typed, rows)).ok());
+  ASSERT_TRUE(
+      writer.WriteBlock(column::PartitionBlock::FromRows(variant, rows)).ok());
   ASSERT_TRUE(writer.Close().ok());
 
-  std::vector<uint8_t> kinds;
-  std::vector<Row> back = ReadAll(path, &kinds);
-  ASSERT_EQ(kinds, std::vector<uint8_t>{serde::kRecordRowBatch});
-  ExpectRowsBitEq(rows, back);
+  size_t records = 0;
+  std::vector<Row> back = ReadAll(path, variant, &records);
+  EXPECT_EQ(records, 2u);
+  ExpectRowsBitEq({r, r}, back);
+  // And the typed record alone, decoded into typed columns.
+  serde::BlockFileReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  column::PartitionBlock typed_back(typed);
+  ASSERT_TRUE(reader.ReadBatchInto(&typed_back).ok());
+  ExpectRowsBitEq(rows, typed_back.ToRows());
   std::remove(path.c_str());
 }
 
@@ -232,14 +261,19 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
   std::vector<Row> rows;
   rows.push_back(Row{{Field::Label(outer), Field::Bag(bag_outer),
                       Field::Label(nullptr), Field::Bag(std::vector<Row>{})}});
+  Schema schema({{"l", nrc::Type::Label()},
+                 {"g", BagOfInts()},
+                 {"nl", nrc::Type::Label()},
+                 {"ng", BagOfInts()}});
 
   std::string path = TestPath("recursive");
   serde::BlockFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteRows(rows).ok());
+  ASSERT_TRUE(
+      writer.WriteBlock(column::PartitionBlock::FromRows(schema, rows)).ok());
   ASSERT_TRUE(writer.Close().ok());
 
-  std::vector<Row> back = ReadAll(path);
+  std::vector<Row> back = ReadAll(path, schema);
   ASSERT_EQ(back.size(), 1u);
   // A null LabelPtr comes back as an empty label; a null BagPtr as an empty
   // bag — value-equal under operator== either way.
@@ -250,13 +284,40 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
   std::remove(path.c_str());
 }
 
+/// A random cell for a column of `type_code`: 0 int, 1 real, 2 string,
+/// 3 bool (each NULL a quarter of the time), 4 mixed (any Field, labels and
+/// bags included).
+Field RandomCell(std::mt19937_64* rng, int type_code) {
+  if (type_code == 4) return RandomField(rng, 2);
+  if ((*rng)() % 4 == 0) return Field::Null();
+  for (;;) {
+    Field f = RandomField(rng, 0);
+    if ((type_code == 0 && f.is_int()) || (type_code == 1 && f.is_real()) ||
+        (type_code == 2 && f.is_string()) || (type_code == 3 && f.is_bool())) {
+      return f;
+    }
+  }
+}
+
 TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
+  const nrc::TypePtr kTypes[] = {nrc::Type::Int(), nrc::Type::Real(),
+                                 nrc::Type::String(), nrc::Type::Bool(),
+                                 BagOfInts()};
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     std::mt19937_64 rng(seed);
+    std::vector<int> codes(rng() % 6);
+    std::vector<Column> cols;
+    for (size_t c = 0; c < codes.size(); ++c) {
+      codes[c] = static_cast<int>(rng() % 5);
+      cols.push_back({"c" + std::to_string(c), kTypes[codes[c]]});
+    }
+    Schema schema(cols);
     std::vector<Row> rows;
-    size_t n = 1 + rng() % 50;
+    size_t n = 1 + rng() % 200;
     for (size_t i = 0; i < n; ++i) {
-      rows.push_back(RandomRow(&rng, 2, rng() % 6));
+      Row r;
+      for (int code : codes) r.fields.push_back(RandomCell(&rng, code));
+      rows.push_back(std::move(r));
     }
     std::string path = TestPath("random" + std::to_string(seed));
     serde::BlockFileWriter writer;
@@ -265,16 +326,20 @@ TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
     size_t half = rows.size() / 2;
     std::vector<Row> first(rows.begin(), rows.begin() + half);
     std::vector<Row> second(rows.begin() + half, rows.end());
-    ASSERT_TRUE(writer.WriteRows(first).ok());
-    ASSERT_TRUE(writer.WriteRows(second).ok());
+    ASSERT_TRUE(
+        writer.WriteBlock(column::PartitionBlock::FromRows(schema, first))
+            .ok());
+    ASSERT_TRUE(
+        writer.WriteBlock(column::PartitionBlock::FromRows(schema, second))
+            .ok());
     uint64_t written = writer.bytes_written();
     ASSERT_TRUE(writer.Close().ok());
 
     serde::BlockFileReader reader;
     ASSERT_TRUE(reader.Open(path).ok());
-    std::vector<Row> back;
+    column::PartitionBlock back(schema);
     for (;;) {
-      auto more = reader.ReadBatch(&back);
+      auto more = reader.ReadBatchInto(&back);
       ASSERT_TRUE(more.ok()) << "seed " << seed << ": "
                              << more.status().ToString();
       if (!more.value()) break;
@@ -282,7 +347,10 @@ TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
     // A full scan consumes exactly the bytes the writer produced.
     EXPECT_EQ(reader.bytes_read(), written) << "seed " << seed;
     ASSERT_TRUE(reader.Close().ok());
-    ExpectRowsBitEq(rows, back);
+    ExpectRowsBitEq(rows, back.ToRows());
+    EXPECT_EQ(back.ByteFootprint(),
+              column::PartitionBlock::FromRows(schema, rows).ByteFootprint())
+        << "seed " << seed;
     std::remove(path.c_str());
   }
 }
@@ -292,8 +360,7 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
                  {"r", nrc::Type::Real()},
                  {"b", nrc::Type::Bool()},
                  {"s", nrc::Type::String()},
-                 {"g", nrc::Type::Bag(
-                           nrc::Type::Tuple({{"x", nrc::Type::Int()}}))}});
+                 {"g", BagOfInts()}});
   std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) {
     Row r;
@@ -316,9 +383,9 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
   ASSERT_TRUE(writer.WriteBlock(block).ok());
   ASSERT_TRUE(writer.Close().ok());
 
-  std::vector<uint8_t> kinds;
-  std::vector<Row> back = ReadAll(path, &kinds);
-  ASSERT_EQ(kinds, std::vector<uint8_t>{serde::kRecordBlock});
+  size_t records = 0;
+  std::vector<Row> back = ReadAll(path, schema, &records);
+  EXPECT_EQ(records, 1u);
   // The materialized rows must match what the in-memory block materializes.
   std::vector<Row> expected;
   block.AppendRowsTo(&expected);
@@ -342,33 +409,42 @@ TEST(SerdeRoundTripTest, RaggedBlockFallback) {
 
   std::vector<Row> expected;
   block.AppendRowsTo(&expected);
-  std::vector<Row> back = ReadAll(path);
+  std::vector<Row> back = ReadAll(path, schema);
   ExpectRowsBitEq(expected, back);
   std::remove(path.c_str());
 }
 
 TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
+  // Typed and ragged block records in one file. The ragged record turns the
+  // destination ragged, so the last typed record takes the row path.
   Schema schema({{"k", nrc::Type::Int()}});
-  std::vector<Row> batch{Row{{Field::Int(10)}}, Row{{Field::Int(20)}}};
-  column::PartitionBlock block = column::PartitionBlock::FromRows(
-      schema, {Row{{Field::Int(30)}}, Row{{Field::Int(40)}}});
+  column::PartitionBlock ragged(schema);
+  ragged.AppendRow(Row{{Field::Int(30)}});
+  ragged.AppendRow(Row{{Field::Int(40), Field::Str("x")}});
+  ASSERT_TRUE(ragged.ragged());
 
   std::string path = TestPath("mixed");
   serde::BlockFileWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteRows(batch).ok());
-  ASSERT_TRUE(writer.WriteBlock(block).ok());
-  ASSERT_TRUE(writer.WriteRows(batch).ok());
+  ASSERT_TRUE(writer
+                  .WriteBlock(column::PartitionBlock::FromRows(
+                      schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}))
+                  .ok());
+  ASSERT_TRUE(writer.WriteBlock(ragged).ok());
+  ASSERT_TRUE(writer
+                  .WriteBlock(column::PartitionBlock::FromRows(
+                      schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}}))
+                  .ok());
   ASSERT_TRUE(writer.Close().ok());
 
-  std::vector<uint8_t> kinds;
-  std::vector<Row> back = ReadAll(path, &kinds);
-  EXPECT_EQ(kinds, (std::vector<uint8_t>{serde::kRecordRowBatch,
-                                         serde::kRecordBlock,
-                                         serde::kRecordRowBatch}));
-  ASSERT_EQ(back.size(), 6u);
-  EXPECT_EQ(back[2].fields[0].AsInt(), 30);
-  EXPECT_EQ(back[5].fields[0].AsInt(), 20);
+  size_t records = 0;
+  std::vector<Row> back = ReadAll(path, schema, &records);
+  EXPECT_EQ(records, 3u);
+  ExpectRowsBitEq(
+      {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}, Row{{Field::Int(30)}},
+       Row{{Field::Int(40), Field::Str("x")}}, Row{{Field::Int(50)}},
+       Row{{Field::Int(60)}}},
+      back);
   std::remove(path.c_str());
 }
 
@@ -385,19 +461,17 @@ void DumpFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Reads the whole file; returns the first non-OK status, or OK if the file
-/// parses end to end. Must never crash, whatever the bytes.
+Schema SampleSchema() {
+  return Schema({{"i", nrc::Type::Int()},
+                 {"s", nrc::Type::String()},
+                 {"b", nrc::Type::Bool()},
+                 {"r", nrc::Type::Real()},
+                 {"g", BagOfInts()}});
+}
+
 Status TryReadAll(const std::string& path) {
-  serde::BlockFileReader reader;
-  Status open = reader.Open(path);
-  if (!open.ok()) return open;
-  std::vector<Row> out;
-  for (;;) {
-    auto more = reader.ReadBatch(&out);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-  }
-  return reader.Close();
+  column::PartitionBlock block(SampleSchema());
+  return ReadInto(path, &block);
 }
 
 std::string WriteSampleFile(const std::string& name) {
@@ -410,8 +484,31 @@ std::string WriteSampleFile(const std::string& name) {
   std::string path = TestPath(name);
   serde::BlockFileWriter writer;
   EXPECT_TRUE(writer.Open(path).ok());
-  EXPECT_TRUE(writer.WriteRows(rows).ok());
+  EXPECT_TRUE(
+      writer.WriteBlock(column::PartitionBlock::FromRows(SampleSchema(), rows))
+          .ok());
   EXPECT_TRUE(writer.Close().ok());
+  return path;
+}
+
+/// Writes a file holding one record of `kind` around `payload`, with a
+/// valid header and checksum, so the decoder sees the payload's lies.
+std::string WriteRawRecord(const std::string& name, uint8_t kind,
+                           const std::string& payload) {
+  std::string bytes;
+  uint32_t magic = serde::kMagic;
+  uint16_t version = serde::kFormatVersion, flags = 0;
+  uint64_t len = payload.size();
+  uint64_t sum = serde::Xxh64(payload.data(), payload.size());
+  bytes.append(reinterpret_cast<const char*>(&magic), 4);
+  bytes.append(reinterpret_cast<const char*>(&version), 2);
+  bytes.append(reinterpret_cast<const char*>(&flags), 2);
+  bytes.push_back(static_cast<char>(kind));
+  bytes.append(reinterpret_cast<const char*>(&len), 8);
+  bytes.append(payload);
+  bytes.append(reinterpret_cast<const char*>(&sum), 8);
+  std::string path = TestPath(name);
+  DumpFile(path, bytes);
   return path;
 }
 
@@ -489,31 +586,44 @@ TEST(SerdeCorruptionTest, FutureVersionIsRejectedByName) {
   Status s = TryReadAll(path);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
-  EXPECT_NE(s.ToString().find("unsupported format version 2"),
+  EXPECT_NE(s.ToString().find("unsupported format version 3"),
             std::string::npos)
       << s.ToString();
   std::remove(path.c_str());
 }
 
 TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
-  std::vector<Row> out;
+  auto read_raw = [](uint8_t kind, const std::string& payload) {
+    std::string path = WriteRawRecord("lie", kind, payload);
+    Status s = TryReadAll(path);
+    std::remove(path.c_str());
+    return s;
+  };
 
-  // Unknown record kind.
-  Status s = serde::ParseRecordPayload(99, "", &out);
-  EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
-  EXPECT_NE(s.ToString().find("unknown record kind"), std::string::npos);
+  // Unknown record kinds, the retired row batch (kind 1) among them.
+  for (uint8_t kind : {uint8_t{1}, uint8_t{99}}) {
+    Status s = read_raw(kind, "");
+    EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.ToString().find("unknown record kind"), std::string::npos)
+        << s.ToString();
+  }
 
-  // Unknown field tag inside a row batch.
+  // Unknown field tag inside a variant column: the single cell's tag sits
+  // after the 13-byte record head and the has_nulls and kind bytes.
+  Schema bags({{"g", BagOfInts()}});
   std::string payload;
-  serde::AppendRowBatchPayload({Row{{Field::Int(1)}}}, &payload);
+  serde::AppendBlockPayload(
+      column::PartitionBlock::FromRows(bags, {Row{{Field::Int(1)}}}), 0, 1,
+      &payload);
   std::string bad = payload;
-  bad[12] = '\x7f';  // the field tag of the single field
-  s = serde::ParseRecordPayload(serde::kRecordRowBatch, bad, &out);
+  bad[15] = '\x7f';
+  Status s = read_raw(serde::kRecordBlock, bad);
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find("unknown field tag"), std::string::npos)
+      << s.ToString();
 
-  // Trailing garbage after a well-formed batch.
-  bad = payload + std::string(3, '\0');
-  s = serde::ParseRecordPayload(serde::kRecordRowBatch, bad, &out);
+  // Trailing garbage after a well-formed block.
+  s = read_raw(serde::kRecordBlock, payload + std::string(3, '\0'));
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("trailing bytes"), std::string::npos)
       << s.ToString();
@@ -529,21 +639,82 @@ TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
 
   // Non-monotonic string offsets in a block column.
-  Schema schema({{"s", nrc::Type::String()}});
+  Schema strings({{"s", nrc::Type::String()}});
   column::PartitionBlock block = column::PartitionBlock::FromRows(
-      schema, {Row{{Field::Str("ab")}}, Row{{Field::Str("cd")}}});
+      strings, {Row{{Field::Str("ab")}}, Row{{Field::Str("cd")}}});
   std::string bp;
-  serde::AppendBlockPayload(block, &bp);
+  serde::AppendBlockPayload(block, 0, block.NumRows(), &bp);
   // Offsets are the last 16 bytes (two u64 ends); swap them.
   std::string swapped = bp;
   std::memcpy(swapped.data() + swapped.size() - 16,
               bp.data() + bp.size() - 8, 8);
   std::memcpy(swapped.data() + swapped.size() - 8,
               bp.data() + bp.size() - 16, 8);
-  s = serde::ParseRecordPayload(serde::kRecordBlock, swapped, &out);
+  s = read_raw(serde::kRecordBlock, swapped);
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("string offsets"), std::string::npos)
       << s.ToString();
+}
+
+TEST(SerdeCorruptionTest, StructuralLiesLeaveTheBlockUnchanged) {
+  // Checksum-valid records whose first columns are sound and whose later
+  // bytes lie. The decoder must name the lie and append nothing, so a
+  // destination that already holds rows keeps them, and its footprint.
+  Schema schema({{"k", nrc::Type::Int()},
+                 {"s", nrc::Type::String()},
+                 {"k2", nrc::Type::Int()}});
+  const std::vector<Row> resident{
+      Row{{Field::Int(7), Field::Str("resident"), Field::Int(70)}},
+      Row{{Field::Null(), Field::Str(""), Field::Int(71)}},
+      Row{{Field::Int(9), Field::Null(), Field::Null()}}};
+  std::string payload;
+  serde::AppendBlockPayload(
+      column::PartitionBlock::FromRows(
+          schema, {Row{{Field::Int(1), Field::Str("ab"), Field::Int(10)}},
+                   Row{{Field::Int(2), Field::Str("cd"), Field::Int(20)}}}),
+      0, 2, &payload);
+  // Layout: 13-byte head; k: flags 2 + 16 values; s: flags 2 + arena
+  // length 8 + 4 bytes + 16 offsets; k2: flags 2 + 16 values.
+  ASSERT_EQ(payload.size(), 13u + 18u + 30u + 18u);
+  const size_t last_offset = 13 + 18 + 2 + 8 + 4 + 8;
+  const size_t k2_kind = 13 + 18 + 30 + 1;
+
+  std::string past_arena = payload;
+  uint64_t far = 4 + 100;
+  std::memcpy(past_arena.data() + last_offset, &far, sizeof(far));
+  std::string unknown_kind = payload;
+  unknown_kind[k2_kind] = 9;
+  std::string ragged_lie;
+  serde::AppendBlockPayload(
+      column::PartitionBlock::FromRows(
+          schema, {Row{{Field::Int(1)}}, Row{{Field::Int(2)}}}),
+      0, 2, &ragged_lie);
+  // The second row's only field: a tag byte, then 8 value bytes.
+  ragged_lie[ragged_lie.size() - 9] = '\x7f';
+
+  const std::pair<std::string, std::string> lies[] = {
+      {past_arena, "string offsets"},
+      {payload.substr(0, payload.size() - 8), "int column"},
+      {unknown_kind, "unknown column kind"},
+      {payload + "xyz", "trailing bytes"},
+      {ragged_lie, "unknown field tag"},
+  };
+  for (const auto& [lie, problem] : lies) {
+    SCOPED_TRACE(problem);
+    column::PartitionBlock block =
+        column::PartitionBlock::FromRows(schema, resident);
+    const uint64_t footprint = block.ByteFootprint();
+    std::string path = WriteRawRecord("partial", serde::kRecordBlock, lie);
+    Status s = ReadInto(path, &block);
+    std::remove(path.c_str());
+    ASSERT_FALSE(s.ok());
+    EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.ToString().find(problem), std::string::npos) << s.ToString();
+    EXPECT_EQ(block.NumRows(), resident.size());
+    EXPECT_EQ(block.ByteFootprint(), footprint);
+    EXPECT_FALSE(block.ragged());
+    ExpectRowsBitEq(resident, block.ToRows());
+  }
 }
 
 TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
@@ -556,7 +727,7 @@ TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
   bytes.append(reinterpret_cast<const char*>(&version), 2);
   bytes.append(reinterpret_cast<const char*>(&flags), 2);
   // ...then a frame claiming an absurd payload length.
-  bytes.push_back(static_cast<char>(serde::kRecordRowBatch));
+  bytes.push_back(static_cast<char>(serde::kRecordBlock));
   uint64_t lie = uint64_t{1} << 50;
   bytes.append(reinterpret_cast<const char*>(&lie), 8);
   DumpFile(path, bytes);
@@ -569,24 +740,72 @@ TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
 }
 
 TEST(SerdeFormatTest, HeaderBytesMatchTheSpec) {
-  // docs/STORAGE.md promises the first 8 on-disk bytes: "TRNB", version 1
+  // docs/STORAGE.md promises the first 8 on-disk bytes: "TRNB", version 2
   // little-endian, flags 0.
   std::string path = WriteSampleFile("header");
   std::string bytes = SlurpFile(path);
   ASSERT_GE(bytes.size(), 8u);
   EXPECT_EQ(bytes.substr(0, 4), "TRNB");
-  EXPECT_EQ(static_cast<uint8_t>(bytes[4]), 1);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[4]), 2);
   EXPECT_EQ(static_cast<uint8_t>(bytes[5]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[6]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0);
   std::remove(path.c_str());
 }
 
-TEST(SerdeFormatTest, Fnv1a64MatchesReferenceVectors) {
-  // Standard FNV-1a 64 test vectors (offset basis as default seed).
-  EXPECT_EQ(serde::Fnv1a64("", 0), 0xcbf29ce484222325ull);
-  EXPECT_EQ(serde::Fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(serde::Fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+TEST(SerdeFormatTest, Xxh64MatchesReferenceVectors) {
+  // Public XXH64 vectors (seed 0). Between them they cover the empty input,
+  // the 32-byte stripe loop (43 bytes), and the 8-byte (14 and 43 bytes),
+  // 4-byte (14 bytes) and 1-byte (1, 3, 14 and 43 bytes) tail steps.
+  auto h = [](const std::string& s) {
+    return serde::Xxh64(s.data(), s.size());
+  };
+  EXPECT_EQ(h(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(h("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(h("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(h("message digest"), 0x066ed728fceeb3beull);
+  EXPECT_EQ(h("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcull);
+}
+
+TEST(SerdeFormatTest, RangePayloadMatchesBlockOfTheRange) {
+  // AppendBlockPayload(block, b, e) must equal, byte for byte, the payload
+  // of a block built from rows [b, e) alone: null bitmaps shifted to the
+  // range (and absent when the range holds no NULL), string offsets rebased.
+  Schema schema({{"i", nrc::Type::Int()},
+                 {"r", nrc::Type::Real()},
+                 {"b", nrc::Type::Bool()},
+                 {"s", nrc::Type::String()},
+                 {"g", BagOfInts()}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 300; ++i) {
+    Row r;
+    r.fields.push_back(i % 7 == 3 ? Field::Null() : Field::Int(i * 11));
+    r.fields.push_back(i < 40 && i % 9 == 0 ? Field::Null()
+                                             : Field::Real(i * 0.5));
+    r.fields.push_back(i % 13 == 1 ? Field::Null() : Field::Bool(i % 2 == 0));
+    const char letter = static_cast<char>('a' + i % 26);
+    r.fields.push_back(i % 5 == 2 ? Field::Null()
+                                  : Field::Str(std::string(i % 4, letter)));
+    r.fields.push_back(i % 6 == 0 ? Field::Null()
+                                  : Field::Bag({Row{{Field::Int(i)}}}));
+    rows.push_back(std::move(r));
+  }
+  column::PartitionBlock block = column::PartitionBlock::FromRows(schema, rows);
+  const std::pair<size_t, size_t> ranges[] = {
+      {0, 300}, {5, 70}, {63, 129}, {64, 128}, {70, 200},
+      {100, 101}, {77, 77}, {131, 300}, {1, 299}};
+  for (const auto& [b, e] : ranges) {
+    SCOPED_TRACE("rows [" + std::to_string(b) + ", " + std::to_string(e) + ")");
+    std::string range;
+    serde::AppendBlockPayload(block, b, e, &range);
+    std::vector<Row> slice(rows.begin() + b, rows.begin() + e);
+    std::string expected;
+    serde::AppendBlockPayload(column::PartitionBlock::FromRows(schema, slice),
+                              0, slice.size(), &expected);
+    EXPECT_EQ(range.size(), expected.size());
+    EXPECT_TRUE(range == expected);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <tuple>
@@ -23,6 +24,7 @@
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
+#include "runtime/ops.h"
 #include "stats_testing.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -173,6 +175,16 @@ void ExpectSameShreddedRows(const exec::ShreddedRun& a,
     EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
     ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
   }
+}
+
+size_t RegularFilesUnder(const std::string& dir) {
+  size_t files = 0;
+  std::error_code ec;
+  for (std::filesystem::recursive_directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->is_regular_file()) ++files;
+  }
+  return files;
 }
 
 void ExpectZeroSpill(const JobStats& s) {
@@ -360,6 +372,39 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
 }
 
+TEST(SpillRuntimeTest, FailedFetchSpillRemovesItsRuns) {
+  // Every row shares one key, so one shuffle target receives all four
+  // source buckets: above the spill threshold, while each source partition
+  // stays below it. The target's fetch-side spill writes one run per bucket
+  // until the budget refuses one; the failed spill must leave no run on
+  // disk or in the budget.
+  runtime::ClusterConfig cfg = Config(1, 0);
+  cfg.num_partitions = 4;
+  cfg.spill.dir = ::testing::TempDir();
+  cfg.spill.threshold_bytes = 12ull << 10;
+  cfg.spill.max_spill_bytes = 6ull << 10;
+  runtime::Cluster cluster(cfg);
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    rows.push_back(
+        Row{{Field::Int(0), Field::Str("value-" + std::to_string(i))}});
+  }
+  runtime::Schema schema(
+      {{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
+  auto src = runtime::Source(&cluster, schema, std::move(rows), "src");
+  ASSERT_TRUE(src.ok()) << src.status().ToString();
+  ExpectZeroSpill(cluster.stats());
+  auto out = runtime::Repartition(&cluster, *src, {0}, "regroup");
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsResourceExhausted()) << out.status().ToString();
+  EXPECT_NE(out.status().ToString().find("shuffle_fetch"), std::string::npos)
+      << out.status().ToString();
+  runtime::spill::SpillManager* m = cluster.spill_manager();
+  EXPECT_GT(m->total_runs(), 0u);
+  EXPECT_EQ(m->on_disk_bytes(), 0u);
+  EXPECT_EQ(RegularFilesUnder(m->root_dir()), 0u) << "under " << m->root_dir();
+}
+
 TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
   // enable_spill=false must reproduce the pre-spill world exactly: the
   // ResourceExhausted message names the stage, the partition, the observed
@@ -407,6 +452,34 @@ runtime::column::PartitionBlock MakeBlock(size_t n, const std::string& salt) {
                                                    MakeRows(n, salt));
 }
 
+/// Every column kind, NULLs in each: int, string, real, bool, and a bag
+/// column (variant storage).
+runtime::Schema AllKindsSchema() {
+  return runtime::Schema(
+      {{"k", nrc::Type::Int()},
+       {"s", nrc::Type::String()},
+       {"r", nrc::Type::Real()},
+       {"b", nrc::Type::Bool()},
+       {"g", nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}))}});
+}
+
+std::vector<Row> MakeAllKindsRows(size_t n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = static_cast<int64_t>(i);
+    rows.push_back(Row{
+        {i % 7 == 0 ? Field::Null() : Field::Int(v),
+         i % 5 == 1 ? Field::Null() : Field::Str("value-" + std::to_string(i)),
+         i % 11 == 2 ? Field::Null() : Field::Real(i * 0.5),
+         i % 3 == 0 ? Field::Null() : Field::Bool(i % 2 == 0),
+         i % 4 == 3 ? Field::Null()
+                    : Field::Bag({Row{{Field::Int(v)}},
+                                  Row{{Field::Null()}}})}});
+  }
+  return rows;
+}
+
 void ExpectBlockRows(const runtime::column::PartitionBlock& block,
                      const std::vector<Row>& expected) {
   ASSERT_EQ(block.NumRows(), expected.size());
@@ -437,17 +510,19 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   cfg.dir = ::testing::TempDir();
   cfg.max_run_bytes = 1024;  // force several runs
   runtime::spill::SpillManager m(cfg);
-  runtime::column::PartitionBlock block = MakeBlock(500, "value-");
+  runtime::column::PartitionBlock block =
+      runtime::column::PartitionBlock::FromRows(AllKindsSchema(),
+                                                MakeAllKindsRows(500));
   runtime::spill::SpillCounters c;
   Status s =
-      m.SpillAndRestoreBlock(1, "stage(x)", 0, RowsSchema(), &block, &c);
+      m.SpillAndRestoreBlock(1, "stage(x)", 0, AllKindsSchema(), &block, &c);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
-  ExpectBlockRows(block, MakeRows(500, "value-"));
-  // The restore replays the per-row append sequence, so the block's own
+  ExpectBlockRows(block, MakeAllKindsRows(500));
+  // The restore appends one value at a time per column, so the block's own
   // footprint is that of a block built the same way without spilling.
-  runtime::column::PartitionBlock appended(RowsSchema());
-  for (const Row& r : MakeRows(500, "value-")) appended.AppendRow(r);
+  runtime::column::PartitionBlock appended(AllKindsSchema());
+  for (const Row& r : MakeAllKindsRows(500)) appended.AppendRow(r);
   EXPECT_EQ(block.ByteFootprint(), appended.ByteFootprint());
   EXPECT_GT(c.runs, 1u);  // max_run_bytes forced a split
   EXPECT_EQ(c.merge_passes, 1u);
@@ -473,6 +548,26 @@ TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
             std::string::npos)
       << s.ToString();
   EXPECT_NE(s.ToString().find("budget"), std::string::npos) << s.ToString();
+}
+
+TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
+  // The budget admits five runs and refuses the sixth. The failed call must
+  // never create the sixth file and must take the five it wrote off the
+  // disk and out of the budget.
+  runtime::spill::SpillConfig cfg;
+  cfg.dir = ::testing::TempDir();
+  cfg.max_run_bytes = 1024;
+  cfg.max_spill_bytes = 3000;
+  runtime::spill::SpillManager m(cfg);
+  runtime::column::PartitionBlock block = MakeBlock(500, "value-");
+  runtime::spill::SpillCounters c;
+  Status s =
+      m.SpillAndRestoreBlock(5, "stage(z)", 0, RowsSchema(), &block, &c);
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
+  EXPECT_EQ(c.runs, 5u);
+  EXPECT_EQ(m.on_disk_bytes(), 0u);
+  EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
 }
 
 TEST(SpillManagerTest, RemoveRunReleasesBudget) {
