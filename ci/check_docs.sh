@@ -19,9 +19,12 @@
 #     docs/METRICS.md. (ci/bench_smoke.sh only sees the keys a smoke run
 #     happens to emit; this check sees every row.)
 #  5. Storage spec: the `version` value in the file-header table of
-#     docs/STORAGE.md must equal kFormatVersion in src/runtime/serde.h, and
-#     every checksum vector in its reference-vector table (a row whose first
-#     cell is a quoted input) must appear in tests/serde_test.cc.
+#     docs/STORAGE.md must equal kFormatVersion in src/runtime/serde.h; the
+#     codes and names of its column-kind table must equal the kCol*
+#     constants and those of its field-tag table the kField* constants in
+#     src/runtime/serde.cc; and every checksum vector in its reference-vector
+#     table (a row whose first cell is a quoted input), and the checksum
+#     bytes of its worked example, must appear in tests/serde_test.cc.
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -142,9 +145,46 @@ for v in $vectors; do
     fail=1
   fi
 done
+# The code tables: "<code> <name>" pairs from a STORAGE.md section's table
+# rows, and from the matching constants of src/runtime/serde.cc (kColInt64 =
+# 0 gives "0 int64").
+section() { # heading
+  awk -v h="$1" '$0 == h { s = 1; next } s && /^#/ { s = 0 } s' "$STORAGE"
+}
+spec_pairs() { # heading cell-regex
+  section "$1" |
+    sed -nE 's/^\| *`?('"$2"')`? *\| *([a-z0-9]+) *\|.*/\1 \2/p' | sort
+}
+code_pairs() { # constant-prefix
+  grep -oE "k$1[A-Za-z0-9]+ = [0-9a-fA-Fx]+;" src/runtime/serde.cc |
+    sed -E "s/^k$1([A-Za-z0-9]+) = ([0-9a-fA-Fx]+);/\2 \1/" |
+    awk '{ print $1, tolower($2) }' | sort
+}
+check_table() { # what heading cell-regex constant-prefix
+  local spec code
+  spec=$(spec_pairs "$2" "$3")
+  code=$(code_pairs "$4")
+  if [ -z "$spec" ] || [ "$spec" != "$code" ]; then
+    echo "$1 DRIFT: $STORAGE '$2' table lists [$(echo $spec)]," \
+      "src/runtime/serde.cc k$4* constants are [$(echo $code)]"
+    fail=1
+  fi
+}
+check_table "COLUMN KIND" "### Column encodings" "[0-9]+" "Col"
+check_table "FIELD TAG" "## The recursive field encoding" "0x[0-9a-f]{2}" "Field"
+example_sum=$(section "### Worked example" | grep -E 'XXH64 of the payload' |
+  grep -oE '^([0-9a-f]{2} ){7}[0-9a-f]{2}' || true)
+if [ -z "$example_sum" ]; then
+  echo "NO WORKED-EXAMPLE CHECKSUM: no 'XXH64 of the payload' line in $STORAGE"
+  fail=1
+elif ! grep -qiF "$example_sum" tests/serde_test.cc; then
+  echo "UNTESTED WORKED EXAMPLE: checksum bytes '$example_sum' (from" \
+    "$STORAGE) are not in tests/serde_test.cc"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table + storage spec)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table + storage spec and its code tables)"

@@ -9,10 +9,17 @@ namespace {
 
 using nrc::Expr;
 using nrc::ExprPtr;
-using nrc::Type;
 using nrc::TypePtr;
 using runtime::Field;
 using runtime::Row;
+
+/// Resolves a column of `schema` for nrc::ScalarExprType.
+nrc::ColumnTypeFn SchemaColumnType(const runtime::Schema& schema) {
+  return [&schema](const std::string& name) -> StatusOr<TypePtr> {
+    TRANCE_ASSIGN_OR_RETURN(int idx, schema.Require(name));
+    return schema.col(static_cast<size_t>(idx)).type;
+  };
+}
 
 StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
   using K = Expr::Kind;
@@ -45,14 +52,9 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
     case K::kPrimOp: {
       TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
       TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
-      TRANCE_ASSIGN_OR_RETURN(TypePtr ta,
-                              ScalarResultType(e->child(0), schema));
-      TRANCE_ASSIGN_OR_RETURN(TypePtr tb,
-                              ScalarResultType(e->child(1), schema));
-      bool int_result =
-          e->prim_op() != nrc::PrimOpKind::kDiv && ta->is_scalar() &&
-          tb->is_scalar() && ta->scalar_kind() != nrc::ScalarKind::kReal &&
-          tb->scalar_kind() != nrc::ScalarKind::kReal;
+      TRANCE_ASSIGN_OR_RETURN(TypePtr t,
+                              nrc::ScalarExprType(e, SchemaColumnType(schema)));
+      const bool int_result = t->scalar_kind() == nrc::ScalarKind::kInt;
       nrc::PrimOpKind op = e->prim_op();
       return ScalarFn([a, b, op, int_result](const Row& r) -> Field {
         Field fa = a(r), fb = b(r);
@@ -150,33 +152,7 @@ StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
 
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
                                         const runtime::Schema& schema) {
-  using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kConst:
-      return Type::Scalar(e->const_value().kind);
-    case K::kVarRef: {
-      TRANCE_ASSIGN_OR_RETURN(int idx, schema.Require(e->var_name()));
-      return schema.col(static_cast<size_t>(idx)).type;
-    }
-    case K::kPrimOp: {
-      TRANCE_ASSIGN_OR_RETURN(TypePtr a, ScalarResultType(e->child(0), schema));
-      TRANCE_ASSIGN_OR_RETURN(TypePtr b, ScalarResultType(e->child(1), schema));
-      if (e->prim_op() == nrc::PrimOpKind::kDiv) return Type::Real();
-      if ((a->is_scalar() && a->scalar_kind() == nrc::ScalarKind::kReal) ||
-          (b->is_scalar() && b->scalar_kind() == nrc::ScalarKind::kReal)) {
-        return Type::Real();
-      }
-      return Type::Int();
-    }
-    case K::kCmp:
-    case K::kBoolOp:
-    case K::kNot:
-      return Type::Bool();
-    case K::kNewLabel:
-      return Type::Label();
-    default:
-      return Status::NotImplemented("no static type for this expression kind");
-  }
+  return nrc::ScalarExprType(e, SchemaColumnType(schema));
 }
 
 StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(

@@ -8,6 +8,7 @@
 #include <functional>
 
 #include "nrc/expr.h"
+#include "nrc/typecheck.h"
 #include "runtime/field.h"
 #include "runtime/schema.h"
 #include "util/status.h"
@@ -22,7 +23,8 @@ using ScalarFn = std::function<runtime::Field(const runtime::Row&)>;
 StatusOr<ScalarFn> CompileScalar(const nrc::ExprPtr& e,
                                  const runtime::Schema& schema);
 
-/// Static result type of a compiled scalar expression.
+/// Static result type of a compiled scalar expression: nrc::ScalarExprType
+/// over the schema's columns.
 StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
                                         const runtime::Schema& schema);
 

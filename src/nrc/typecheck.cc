@@ -9,17 +9,9 @@ namespace {
 
 Status Err(const std::string& msg) { return Status::TypeError(msg); }
 
-/// Numeric result type of a binary arithmetic op.
-StatusOr<TypePtr> NumericJoin(const TypePtr& a, const TypePtr& b) {
-  if (!a->is_numeric() || !b->is_numeric()) {
-    return Err("arithmetic on non-numeric types " + a->ToString() + ", " +
-               b->ToString());
-  }
-  if (a->scalar_kind() == ScalarKind::kReal ||
-      b->scalar_kind() == ScalarKind::kReal) {
-    return Type::Real();
-  }
-  return Type::Int();
+bool IsReal(const TypePtr& t) {
+  return t != nullptr && t->is_scalar() &&
+         t->scalar_kind() == ScalarKind::kReal;
 }
 
 bool ComparableScalars(const TypePtr& a, const TypePtr& b) {
@@ -30,6 +22,38 @@ bool ComparableScalars(const TypePtr& a, const TypePtr& b) {
 }
 
 }  // namespace
+
+TypePtr ArithmeticType(PrimOpKind op, const TypePtr& a, const TypePtr& b) {
+  if (op == PrimOpKind::kDiv || IsReal(a) || IsReal(b)) return Type::Real();
+  return Type::Int();
+}
+
+StatusOr<TypePtr> ScalarExprType(const ExprPtr& e,
+                                 const ColumnTypeFn& column_type) {
+  using K = Expr::Kind;
+  switch (e->kind()) {
+    case K::kConst:
+      return Type::Scalar(e->const_value().kind);
+    case K::kVarRef:
+      return column_type(e->var_name());
+    case K::kPrimOp: {
+      TRANCE_ASSIGN_OR_RETURN(TypePtr a,
+                              ScalarExprType(e->child(0), column_type));
+      TRANCE_ASSIGN_OR_RETURN(TypePtr b,
+                              ScalarExprType(e->child(1), column_type));
+      return ArithmeticType(e->prim_op(), a, b);
+    }
+    case K::kCmp:
+    case K::kBoolOp:
+    case K::kNot:
+      return Type::Bool();
+    case K::kNewLabel:
+      return Type::Label();
+    default:
+      return Status::NotImplemented(
+          "no static scalar type for this expression kind");
+  }
+}
 
 StatusOr<TypePtr> Typechecker::Check(const ExprPtr& e, const TypeEnv& env) {
   auto it = keys_.find(e.get());
@@ -127,7 +151,11 @@ StatusOr<TypePtr> Typechecker::CheckImpl(const ExprPtr& e,
     case K::kPrimOp: {
       TRANCE_ASSIGN_OR_RETURN(TypePtr a, Check(e->child(0), env));
       TRANCE_ASSIGN_OR_RETURN(TypePtr b, Check(e->child(1), env));
-      return NumericJoin(a, b);
+      if (!a->is_numeric() || !b->is_numeric()) {
+        return Err("arithmetic on non-numeric types " + a->ToString() + ", " +
+                   b->ToString());
+      }
+      return ArithmeticType(e->prim_op(), a, b);
     }
     case K::kCmp: {
       TRANCE_ASSIGN_OR_RETURN(TypePtr a, Check(e->child(0), env));

@@ -6,6 +6,7 @@
 #ifndef TRANCE_NRC_TYPECHECK_H_
 #define TRANCE_NRC_TYPECHECK_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -48,6 +49,22 @@ class Typechecker {
   std::vector<ExprPtr> owned_;
   std::unordered_map<const Expr*, TypePtr> keys_;
 };
+
+/// The one arithmetic typing rule, shared by the typechecker, the plan
+/// columns the unnester declares and the closures the scalar compiler
+/// builds: division is real; otherwise the result is real if either operand
+/// is real, else int.
+TypePtr ArithmeticType(PrimOpKind op, const TypePtr& a, const TypePtr& b);
+
+/// Resolves a column name to its type; an unknown name is an error.
+using ColumnTypeFn = std::function<StatusOr<TypePtr>(const std::string&)>;
+
+/// Static type of a plan scalar expression (constants, column references
+/// resolved by `column_type`, arithmetic, comparisons, boolean operators and
+/// NewLabel): the type a plan declares for a computed column, and the kind
+/// of every non-NULL value its compiled closure yields.
+StatusOr<TypePtr> ScalarExprType(const ExprPtr& e,
+                                 const ColumnTypeFn& column_type);
 
 /// The per-type default value returned by get() on non-singleton bags.
 class Value;

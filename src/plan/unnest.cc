@@ -123,6 +123,18 @@ struct Ctx {
   std::map<std::string, Binding> vars;   // live comprehension variables
 };
 
+/// Static type of a rewritten plan expression over the pipeline columns.
+StatusOr<TypePtr> ColumnExprType(const ExprPtr& e, const Ctx& ctx) {
+  return nrc::ScalarExprType(
+      e, [&](const std::string& col) -> StatusOr<TypePtr> {
+        auto it = ctx.cols.find(col);
+        if (it == ctx.cols.end()) {
+          return Status::Internal("unknown pipeline column " + col);
+        }
+        return it->second;
+      });
+}
+
 struct Qualifier {
   bool is_gen = false;
   std::string var;
@@ -203,8 +215,6 @@ class Compiler {
   /// Rewrites an NRC scalar expression over comprehension variables into a
   /// plan expression over pipeline columns.
   StatusOr<ExprPtr> RewriteScalar(const ExprPtr& e, const Ctx& ctx);
-  /// Scalar type of a rewritten plan expression.
-  StatusOr<TypePtr> TypeOfScalar(const ExprPtr& e, const Ctx& ctx);
 
   /// True if the expression produces a bag under the current bindings.
   bool IsBagExpr(const ExprPtr& e, const Ctx& ctx);
@@ -318,40 +328,6 @@ StatusOr<ExprPtr> Compiler::RewriteScalar(const ExprPtr& e, const Ctx& ctx) {
     }
     default:
       return NotSupported("scalar expression kind in plan pipeline");
-  }
-}
-
-StatusOr<TypePtr> Compiler::TypeOfScalar(const ExprPtr& e, const Ctx& ctx) {
-  using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kConst:
-      return Type::Scalar(e->const_value().kind);
-    case K::kVarRef: {
-      auto it = ctx.cols.find(e->var_name());
-      if (it == ctx.cols.end()) {
-        return Status::Internal("TypeOfScalar: unknown column " +
-                                e->var_name());
-      }
-      return it->second;
-    }
-    case K::kPrimOp: {
-      TRANCE_ASSIGN_OR_RETURN(TypePtr a, TypeOfScalar(e->child(0), ctx));
-      TRANCE_ASSIGN_OR_RETURN(TypePtr b, TypeOfScalar(e->child(1), ctx));
-      if (e->prim_op() == nrc::PrimOpKind::kDiv) return Type::Real();
-      if ((a->is_scalar() && a->scalar_kind() == nrc::ScalarKind::kReal) ||
-          (b->is_scalar() && b->scalar_kind() == nrc::ScalarKind::kReal)) {
-        return Type::Real();
-      }
-      return Type::Int();
-    }
-    case K::kCmp:
-    case K::kBoolOp:
-    case K::kNot:
-      return Type::Bool();
-    case K::kNewLabel:
-      return Type::Label();
-    default:
-      return NotSupported("TypeOfScalar on unsupported node");
   }
 }
 
@@ -495,7 +471,7 @@ Status Compiler::AddGenerator(const Qualifier& gen,
     PlanPtr left = ctx->plan;
     if (!lkey_exprs.empty()) {
       for (const auto& c : lkey_exprs) {
-        TRANCE_ASSIGN_OR_RETURN(TypePtr t, TypeOfScalar(c.expr, *ctx));
+        TRANCE_ASSIGN_OR_RETURN(TypePtr t, ColumnExprType(c.expr, *ctx));
         ctx->cols[c.name] = t;
       }
       left = PlanNode::Extend(left, lkey_exprs);
@@ -611,7 +587,7 @@ StatusOr<Compiler::LevelOut> Compiler::ProcessHead(const ExprPtr& head,
   }
   if (!extend_cols.empty()) {
     for (const auto& c : extend_cols) {
-      TRANCE_ASSIGN_OR_RETURN(TypePtr t, TypeOfScalar(c.expr, ctx));
+      TRANCE_ASSIGN_OR_RETURN(TypePtr t, ColumnExprType(c.expr, ctx));
       ctx.cols[c.name] = t;
     }
     ctx.plan = PlanNode::Extend(ctx.plan, extend_cols);

@@ -6,32 +6,34 @@ namespace column {
 
 namespace {
 
-bool FieldMatchesKind(const Field& f, AnyColumn::Kind k) {
-  switch (k) {
-    case AnyColumn::Kind::kInt64: return f.is_int();
-    case AnyColumn::Kind::kReal: return f.is_real();
-    case AnyColumn::Kind::kBool: return f.is_bool();
-    case AnyColumn::Kind::kString: return f.is_string();
-    case AnyColumn::Kind::kVariant: return true;
-  }
-  return true;
+/// TRANCE_CHECK message for a value a column does not accept.
+std::string Rejected(AnyColumn::Kind kind, const Field& f) {
+  return std::string("AnyColumn::Append: ") + AnyColumn::KindName(kind) +
+         " column cannot hold " + f.ToString();
 }
 
 }  // namespace
 
-void AnyColumn::DemoteToVariant() {
-  size_t n = size();
-  std::vector<Field> cells;
-  cells.reserve(n);
-  for (size_t i = 0; i < n; ++i) cells.push_back(At(i));
-  variant_ = std::move(cells);
-  variant_bytes_ = 0;
-  for (const auto& f : variant_) variant_bytes_ += f.DeepSize();
-  ints_ = ColumnVector<int64_t>();
-  reals_ = ColumnVector<double>();
-  bools_ = ColumnVector<uint8_t>();
-  strs_ = StringColumn();
-  kind_ = Kind::kVariant;
+const char* AnyColumn::KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kInt64: return "int64";
+    case Kind::kReal: return "real";
+    case Kind::kBool: return "bool";
+    case Kind::kString: return "string";
+    case Kind::kVariant: return "variant";
+  }
+  return "variant";
+}
+
+bool AnyColumn::Accepts(const Field& f) const {
+  switch (kind_) {
+    case Kind::kInt64: return f.is_null() || f.is_int();
+    case Kind::kReal: return f.is_null() || f.is_real();
+    case Kind::kBool: return f.is_null() || f.is_bool();
+    case Kind::kString: return f.is_null() || f.is_string();
+    case Kind::kVariant: return true;
+  }
+  return true;
 }
 
 void AnyColumn::AppendNull() {
@@ -61,20 +63,21 @@ void AnyColumn::Append(const Field& f) {
     AppendNull();
     return;
   }
-  if (kind_ != Kind::kVariant && !FieldMatchesKind(f, kind_)) {
-    DemoteToVariant();
-  }
   switch (kind_) {
     case Kind::kInt64:
+      TRANCE_CHECK(f.is_int(), Rejected(kind_, f));
       AppendInt64(f.AsInt());
       break;
     case Kind::kReal:
+      TRANCE_CHECK(f.is_real(), Rejected(kind_, f));
       AppendReal(f.AsReal());
       break;
     case Kind::kBool:
+      TRANCE_CHECK(f.is_bool(), Rejected(kind_, f));
       AppendBool(f.AsBool());
       break;
     case Kind::kString:
+      TRANCE_CHECK(f.is_string(), Rejected(kind_, f));
       AppendString(f.AsString());
       break;
     case Kind::kVariant:
@@ -86,10 +89,9 @@ void AnyColumn::Append(const Field& f) {
 }
 
 void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {
-  if (kind_ != src.kind_) {
-    Append(src.At(i));
-    return;
-  }
+  TRANCE_CHECK(kind_ == src.kind_,
+               std::string("AnyColumn::AppendFrom: ") + KindName(src.kind_) +
+                   " cell into a " + KindName(kind_) + " column");
   bool null = src.nulls_.IsNull(i);
   switch (kind_) {
     case Kind::kInt64:
@@ -184,37 +186,21 @@ PartitionBlock PartitionBlock::FromRows(const Schema& schema,
   return b;
 }
 
-void PartitionBlock::DemoteToRagged() {
-  std::vector<Row> rows;
-  rows.reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    Row r;
-    r.fields.reserve(cols_.size());
-    for (const auto& c : cols_) r.fields.push_back(c.At(i));
-    rows.push_back(std::move(r));
-  }
-  ragged_ = std::move(rows);
-  ragged_mode_ = true;
-  cols_.clear();
-  num_rows_ = 0;
-}
-
 void PartitionBlock::AppendRow(const Row& r) {
-  if (!ragged_mode_ && r.fields.size() != cols_.size()) DemoteToRagged();
-  if (ragged_mode_) {
-    ragged_.push_back(r);
-    return;
-  }
+  TRANCE_CHECK(r.fields.size() == cols_.size(),
+               "PartitionBlock::AppendRow: row of " +
+                   std::to_string(r.fields.size()) + " fields in a block of " +
+                   std::to_string(cols_.size()) + " columns");
   for (size_t c = 0; c < cols_.size(); ++c) cols_[c].Append(r.fields[c]);
   ++num_rows_;
 }
 
 void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
-  if (ragged_mode_ || src.ragged_mode_ ||
-      src.cols_.size() != cols_.size()) {
-    AppendRow(src.RowAt(i));
-    return;
-  }
+  TRANCE_CHECK(src.cols_.size() == cols_.size(),
+               "PartitionBlock::AppendRowFrom: row of a " +
+                   std::to_string(src.cols_.size()) +
+                   "-column block into a block of " +
+                   std::to_string(cols_.size()) + " columns");
   for (size_t c = 0; c < cols_.size(); ++c) {
     cols_[c].AppendFrom(src.cols_[c], i);
   }
@@ -222,7 +208,6 @@ void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
 }
 
 Row PartitionBlock::RowAt(size_t i) const {
-  if (ragged_mode_) return ragged_[i];
   Row r;
   r.fields.reserve(cols_.size());
   for (const auto& c : cols_) r.fields.push_back(c.At(i));
@@ -230,12 +215,10 @@ Row PartitionBlock::RowAt(size_t i) const {
 }
 
 Field PartitionBlock::FieldAt(size_t row, size_t col) const {
-  if (ragged_mode_) return ragged_[row].fields[col];
   return cols_[col].At(row);
 }
 
 bool PartitionBlock::IsNull(size_t row, size_t col) const {
-  if (ragged_mode_) return ragged_[row].fields[col].is_null();
   return cols_[col].IsNull(row);
 }
 
@@ -252,7 +235,6 @@ void PartitionBlock::AppendRowsTo(std::vector<Row>* out) const {
 }
 
 uint64_t PartitionBlock::RowBytesAt(size_t i) const {
-  if (ragged_mode_) return RowDeepSize(ragged_[i]);
   uint64_t s = 8;  // RowDeepSize row overhead
   for (const auto& c : cols_) s += c.CellBytes(i);
   return s;
@@ -266,7 +248,6 @@ uint64_t PartitionBlock::TotalRowBytes() const {
 }
 
 uint64_t PartitionBlock::HashRowOn(size_t i, const std::vector<int>& cols) const {
-  if (ragged_mode_) return RowHashOn(ragged_[i], cols);
   // Identical combine to field.cc RowHashOn (commutative sum of finalized
   // per-column hashes).
   uint64_t h = 0x5EED;
@@ -279,11 +260,6 @@ uint64_t PartitionBlock::HashRowOn(size_t i, const std::vector<int>& cols) const
 }
 
 uint64_t PartitionBlock::ByteFootprint() const {
-  if (ragged_mode_) {
-    uint64_t s = ragged_.capacity() * sizeof(Row);
-    for (const auto& r : ragged_) s += RowDeepSize(r);
-    return s;
-  }
   uint64_t s = 0;
   for (const auto& c : cols_) s += c.ByteFootprint();
   return s;

@@ -3,12 +3,20 @@
 // A PartitionBlock stores one Dataset partition as typed columns instead of
 // std::vector<Row> of variant Fields: int64/double/uint8 values live in
 // contiguous ColumnVector<T> arrays, strings in a shared char arena with
-// offsets, and label/bag-typed (or type-unstable) cells in a variant fallback
-// column. Every column carries a null bitmap. Blocks are lossless: RowAt /
-// ToRows reproduce the exact Field values that went in, so Field::Hash,
-// Field::DeepSize, RowHashOn, and the key codec observe exactly the values
-// a row vector would hold — the invariant that keeps sizes, placement, and
-// shuffle bytes those of the rows a block stores.
+// offsets, and label-, bag- and date-typed cells in a variant column of
+// whole Fields. Every column carries a null bitmap.
+//
+// The declared schema is authoritative. A column's kind is fixed when the
+// block is built, every row has the schema's width, and a typed column holds
+// only NULL or values of its kind. Inside the engine a row that breaks its
+// schema is a compiler bug and fails a TRANCE_CHECK; rows from outside are
+// checked where they enter (runtime::Source, serde::BlockFileReader) and
+// rejected with a Status.
+//
+// Blocks are lossless: RowAt / ToRows reproduce the exact Field values that
+// went in, so Field::Hash, Field::DeepSize, RowHashOn, and the key codec
+// observe exactly the values a row vector would hold — the invariant that
+// keeps sizes, placement, and shuffle bytes those of the rows a block stores.
 //
 // Layout follows the ClickHouse ColumnVector<T> idiom (flat typed arrays, no
 // per-value dispatch on scan) and Thrill's cache-friendly flat item storage.
@@ -107,16 +115,17 @@ class NullBitmap {
   bool any_ = false;
 };
 
-/// One schema column in typed form. Scalar int/real/bool/string columns use
-/// the flat representations above; label/bag/date-typed columns — and any
-/// column whose runtime values do not match the declared scalar type — fall
-/// back to a variant column of whole Fields.
+/// One schema column in typed form. Int, real, bool and string columns use
+/// the flat representations above and hold only NULL or values of their
+/// kind; label-, bag- and date-typed columns, and columns with no declared
+/// type, are variant columns of whole Fields that accept any value. The
+/// kind never changes after construction.
 class AnyColumn {
  public:
   enum class Kind { kInt64, kReal, kBool, kString, kVariant };
 
   /// Storage kind for a declared NRC column type. Label, bag, tuple, dict,
-  /// and date columns use the variant fallback.
+  /// and date columns, and a missing type, are variant.
   static Kind KindForType(const nrc::TypePtr& type) {
     if (type == nullptr || !type->is_scalar()) return Kind::kVariant;
     switch (type->scalar_kind()) {
@@ -129,18 +138,24 @@ class AnyColumn {
     return Kind::kVariant;
   }
 
+  /// The kind's name, as docs/STORAGE.md's column-kind table spells it.
+  static const char* KindName(Kind kind);
+
   explicit AnyColumn(Kind kind = Kind::kVariant) : kind_(kind) {}
 
   Kind kind() const { return kind_; }
   size_t size() const { return nulls_.size(); }
 
-  /// Appends one cell. NULLs set the bitmap bit and a default value slot; a
-  /// value that does not match the column's typed kind demotes the whole
-  /// column to kVariant first (losslessly), so blocks never reject data.
+  /// True if `f` may enter this column: NULL, any value of a variant column,
+  /// or a value of a typed column's kind.
+  bool Accepts(const Field& f) const;
+
+  /// Appends one cell. NULLs set the bitmap bit and a default value slot. A
+  /// value the column does not accept fails a TRANCE_CHECK.
   void Append(const Field& f);
 
-  /// Typed-copy append from another column; falls back to Append(At(i)) when
-  /// the kinds differ.
+  /// Typed-copy append of cell i of `src`, which must be of the same kind
+  /// (TRANCE_CHECK).
   void AppendFrom(const AnyColumn& src, size_t i);
 
   // Typed appends for decoders that hold raw column values; each is valid
@@ -178,8 +193,6 @@ class AnyColumn {
   const NullBitmap& nulls() const { return nulls_; }
 
  private:
-  void DemoteToVariant();
-
   Kind kind_;
   ColumnVector<int64_t> ints_;
   ColumnVector<double> reals_;
@@ -191,10 +204,10 @@ class AnyColumn {
 };
 
 /// One partition in columnar form. Constructed from a Schema (column kinds
-/// derive from the declared NRC types) and filled row-by-row or from an
-/// existing std::vector<Row>. Rows whose width disagrees with the schema
-/// demote the whole block to a ragged row-vector fallback, so the block is
-/// lossless for any row.
+/// derive from the declared NRC types) and filled row-by-row, column-wise
+/// from another block, or from an existing std::vector<Row>. Every row has
+/// the schema's width and every cell is accepted by its column; anything
+/// else fails a TRANCE_CHECK.
 class PartitionBlock {
  public:
   PartitionBlock() = default;
@@ -203,16 +216,15 @@ class PartitionBlock {
   static PartitionBlock FromRows(const Schema& schema,
                                  const std::vector<Row>& rows);
 
+  /// Appends a row of the block's width.
   void AppendRow(const Row& r);
-  /// Column-wise copy of row i of src. Falls back to AppendRow when either
-  /// block is ragged or the widths differ.
+  /// Column-wise copy of row i of src, a block of the same width and column
+  /// kinds.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
   /// Appends n rows column by column: fill(c, &column) must append exactly
-  /// n cells to column c. For decoders that hold whole columns; the block
-  /// must not be ragged.
+  /// n cells to column c. For decoders that hold whole columns.
   template <typename Fill>
   void AppendColumns(size_t n, Fill&& fill) {
-    TRANCE_CHECK(!ragged_mode_, "PartitionBlock::AppendColumns: ragged block");
     for (size_t c = 0; c < cols_.size(); ++c) {
       fill(c, &cols_[c]);
       TRANCE_CHECK(cols_[c].size() == num_rows_ + n,
@@ -221,12 +233,12 @@ class PartitionBlock {
     num_rows_ += n;
   }
 
-  size_t NumRows() const { return ragged_mode_ ? ragged_.size() : num_rows_; }
+  size_t NumRows() const { return num_rows_; }
   size_t NumCols() const { return cols_.size(); }
 
   /// Materializes row i; bit-identical to the row appended.
   Row RowAt(size_t i) const;
-  /// Materializes cell (row, col). Valid in ragged mode too.
+  /// Materializes cell (row, col).
   Field FieldAt(size_t row, size_t col) const;
   bool IsNull(size_t row, size_t col) const;
 
@@ -245,18 +257,11 @@ class PartitionBlock {
   /// Field accounting); feeds the columnar_bytes counter.
   uint64_t ByteFootprint() const;
 
-  bool ragged() const { return ragged_mode_; }
   const AnyColumn& col(size_t i) const { return cols_[i]; }
 
  private:
-  void DemoteToRagged();
-
   std::vector<AnyColumn> cols_;
   size_t num_rows_ = 0;
-  // Fallback for rows whose width disagrees with the schema (width changes
-  // mid-pipeline are legal, e.g. between fused stage steps).
-  bool ragged_mode_ = false;
-  std::vector<Row> ragged_;
 };
 
 }  // namespace column

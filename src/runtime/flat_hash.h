@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "runtime/key_codec.h"
+#include "runtime/stats.h"
 #include "util/hash.h"
 
 namespace trance {
@@ -184,14 +185,15 @@ class FlatKeyIndex {
   mutable uint64_t max_probe_ = 0;
 };
 
-/// Folds one finished table's telemetry into a task's KeyStats slot (summed
+/// Folds one finished table's telemetry into the hash_table_bytes,
+/// hash_resizes and hash_probe_len_max fields of a task's stats slot (folded
 /// per partition in slot order after the stage barrier, like every keyed
 /// counter).
-inline void NoteTableStats(const FlatKeyIndex& idx, key_codec::KeyStats* ks) {
-  ks->table_bytes += idx.table_bytes();
-  ks->resizes += idx.resizes();
-  if (idx.max_probe_len() > ks->probe_len_max) {
-    ks->probe_len_max = idx.max_probe_len();
+inline void NoteTableStats(const FlatKeyIndex& idx, StageStats* ks) {
+  ks->hash_table_bytes += idx.table_bytes();
+  ks->hash_resizes += idx.resizes();
+  if (idx.max_probe_len() > ks->hash_probe_len_max) {
+    ks->hash_probe_len_max = idx.max_probe_len();
   }
 }
 

@@ -129,9 +129,6 @@ EncodedKeyRef KeyEncoder::EncodeAt(const column::PartitionBlock& block,
 
 EncodedKeyRef KeyEncoder::EncodeRowAt(const column::PartitionBlock& block,
                                       size_t i) {
-  // A ragged block's rows need not match the schema width; encode the row's
-  // own fields, exactly as EncodeRow would.
-  if (block.ragged()) return EncodeRow(block.RowAt(i));
   Begin();
   for (size_t c = 0; c < block.NumCols(); ++c) Append(block.FieldAt(i, c));
   return Finish();

@@ -42,35 +42,24 @@ class WorkMeter {
   std::vector<uint64_t> work_;
 };
 
-/// Per-partition keyed-phase telemetry, following the same slot discipline
-/// as WorkMeter: each task owns slot p, Finalize folds the slots in
-/// partition order after the stage barrier (stats stay thread-count
-/// invariant). A stage with several keyed loops (e.g. SumAggregate's
-/// combine + final passes) finalizes one meter per loop; the StageStats
-/// fields accumulate.
+/// Per-partition keyed-phase telemetry — key_encode_bytes and the hash_*
+/// fields of StageStats — following the same slot discipline as WorkMeter:
+/// each task owns slot p, Finalize folds the slots in partition order after
+/// the stage barrier with each field's kStatFields aggregation (stats stay
+/// thread-count invariant). A stage with several keyed loops (e.g.
+/// SumAggregate's combine + final passes) finalizes one meter per loop; the
+/// StageStats fields accumulate.
 class KeyStatsMeter {
  public:
   explicit KeyStatsMeter(size_t parts) : slots_(parts) {}
-  key_codec::KeyStats& slot(size_t p) { return slots_[p]; }
-  void Reset(size_t p) { slots_[p] = key_codec::KeyStats{}; }
+  StageStats& slot(size_t p) { return slots_[p]; }
+  void Reset(size_t p) { slots_[p] = StageStats{}; }
   void Finalize(StageStats* s) const {
-    key_codec::KeyStats total;
-    for (const auto& k : slots_) total.Merge(k);
-    s->key_encode_bytes += total.encode_bytes;
-    s->hash_build_rows += total.build_rows;
-    s->hash_probe_hits += total.probe_hits;
-    if (total.max_chain > s->hash_max_chain) {
-      s->hash_max_chain = total.max_chain;
-    }
-    s->hash_table_bytes += total.table_bytes;
-    s->hash_resizes += total.resizes;
-    if (total.probe_len_max > s->hash_probe_len_max) {
-      s->hash_probe_len_max = total.probe_len_max;
-    }
+    for (const StageStats& k : slots_) FoldStage(k, s);
   }
 
  private:
-  std::vector<key_codec::KeyStats> slots_;
+  std::vector<StageStats> slots_;
 };
 
 /// Returns the first non-OK per-partition task error in partition order (so
@@ -372,7 +361,7 @@ Row NullPadRight(const Row& l, size_t right_width) {
 uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
                    const std::vector<int>& lk, const std::vector<int>& rk,
                    JoinType type, size_t right_width, PartitionBlock* out,
-                   key_codec::KeyStats* ks) {
+                   StageStats* ks) {
   uint64_t out_bytes = 0;
   auto emit = [&](const Row& row) {
     out_bytes += RowDeepSize(row);
@@ -388,12 +377,13 @@ uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
     auto [gi, inserted] = built.FindOrInsert(enc.EncodeAt(right, i, rk));
     if (inserted) {
       chains.emplace_back();
-      ks->build_rows++;
+      ks->hash_build_rows++;
     } else {
-      ks->probe_hits++;
+      ks->hash_probe_hits++;
     }
     chains[gi].push_back(static_cast<uint32_t>(i));
-    if (chains[gi].size() > ks->max_chain) ks->max_chain = chains[gi].size();
+    ks->hash_max_chain =
+        std::max<uint64_t>(ks->hash_max_chain, chains[gi].size());
   }
   const size_t ln = left.NumRows();
   for (size_t j = 0; j < ln; ++j) {
@@ -402,7 +392,7 @@ uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
       uint32_t gi = built.Find(enc.EncodeAt(left, j, lk));
       if (gi != FlatKeyIndex::kNotFound) {
         matched = true;
-        ks->probe_hits++;
+        ks->hash_probe_hits++;
         Row l = left.RowAt(j);
         for (uint32_t ri : chains[gi]) emit(ConcatRows(l, right.RowAt(ri)));
       }
@@ -411,9 +401,41 @@ uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
       emit(NullPadRight(left.RowAt(j), right_width));
     }
   }
-  ks->encode_bytes += enc.bytes_encoded();
+  ks->key_encode_bytes += enc.bytes_encoded();
   flat_hash::NoteTableStats(built, ks);
   return out_bytes;
+}
+
+/// Checks row i of source `op` before it enters `block`, a block of `schema`:
+/// the schema's width, and a value each typed column accepts. Rows come from
+/// outside the engine, so a mismatch is a TypeError naming the source, the
+/// row and the column.
+Status CheckSourceRow(const std::string& op, size_t i, const Row& row,
+                      const Schema& schema, const PartitionBlock& block) {
+  const size_t width = schema.size(), got = row.fields.size();
+  auto reject = [&](const std::string& what) {
+    return Status::TypeError(op + ": row " + std::to_string(i) + " " + what);
+  };
+  if (got != width) {
+    std::string what = "has " + std::to_string(got) + " fields where " +
+                       schema.ToString() + " has " + std::to_string(width);
+    if (got < width) {
+      what += ": column '" + schema.col(got).name + "' is missing";
+    } else if (width > 0) {
+      what += ": field " + std::to_string(width) +
+              " is past the last column '" + schema.col(width - 1).name + "'";
+    }
+    return reject(what);
+  }
+  for (size_t c = 0; c < width; ++c) {
+    if (!block.col(c).Accepts(row.fields[c])) {
+      const Column& col = schema.col(c);
+      return reject("column '" + col.name + "' declared " +
+                    col.type->ToString() + " cannot hold " +
+                    row.fields[c].ToString());
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -421,13 +443,19 @@ uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
 StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
                          std::vector<Row> rows, const std::string& name) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
-  // Sources land block-resident: the driver appends each row to its
-  // round-robin partition block, so downstream stages start from columns.
-  // Driver-sequential, so the footprint charge is thread-count-invariant.
+  const std::string op = "source(" + name + ")";
+  // Sources land block-resident: the driver checks each row against the
+  // schema and appends it to its round-robin partition block, so downstream
+  // stages start from columns. Driver-sequential, so the footprint charge is
+  // thread-count-invariant.
   Dataset ds = Dataset::Empty(std::move(schema), n);
-  for (size_t i = 0; i < rows.size(); ++i) ds.parts[i % n].AppendRow(rows[i]);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    PartitionBlock& block = ds.parts[i % n];
+    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, rows[i], ds.schema, block));
+    block.AppendRow(rows[i]);
+  }
   StageStats stage;
-  stage.op = "source(" + name + ")";
+  stage.op = op;
   for (const auto& b : ds.parts) stage.columnar_bytes += b.ByteFootprint();
   // Inputs are pre-cached ("runtime starts after caching all inputs"): they
   // are not charged against the per-partition memory cap.
@@ -442,14 +470,23 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<int> key_cols,
                                     const std::string& name) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
+  const std::string op = "source_partitioned(" + name + ")";
+  for (int c : key_cols) {
+    if (c < 0 || static_cast<size_t>(c) >= schema.size()) {
+      return Status::Invalid(op + ": key column " + std::to_string(c) +
+                             " is not a column of " + schema.ToString());
+    }
+  }
   Dataset ds = Dataset::Empty(std::move(schema), n);
-  for (const auto& row : rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, row, ds.schema, ds.parts[0]));
     int target = cluster->PartitionOf(RowHashOn(row, key_cols));
     ds.parts[static_cast<size_t>(target)].AppendRow(row);
   }
   ds.partitioning = Partitioning::Hash(std::move(key_cols));
   StageStats stage;
-  stage.op = "source_partitioned(" + name + ")";
+  stage.op = op;
   for (const auto& b : ds.parts) stage.columnar_bytes += b.ByteFootprint();
   stage.rows_in = ds.NumRows();
   stage.rows_out = ds.NumRows();
@@ -666,7 +703,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     const PartitionBlock& src = sp.parts[p];
     std::vector<std::pair<std::vector<Field>, std::vector<Row>>> groups;
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
-    key_codec::KeyStats& ks = kmeter.slot(p);
+    StageStats& ks = kmeter.slot(p);
     FlatKeyIndex index;
     key_codec::KeyEncoder enc;
     const size_t rows = src.NumRows();
@@ -675,11 +712,11 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       if (inserted) {
         groups.emplace_back(FieldsAt(src, i, key_cols), std::vector<Row>{});
         group_rows.push_back(0);
-        ks.build_rows++;
+        ks.hash_build_rows++;
       } else {
-        ks.probe_hits++;
+        ks.hash_probe_hits++;
       }
-      if (++group_rows[gi] > ks.max_chain) ks.max_chain = group_rows[gi];
+      ks.hash_max_chain = std::max(ks.hash_max_chain, ++group_rows[gi]);
       // NULL-to-empty-bag cast: a miss row marks a key with no inner
       // elements (outer join/unnest miss); it creates the group only.
       bool miss = !miss_cols.empty();
@@ -691,7 +728,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       }
       if (!miss) groups[gi].second.push_back(Row(FieldsAt(src, i, value_cols)));
     }
-    ks.encode_bytes += enc.bytes_encoded();
+    ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, &ks);
     PartitionBlock& dst = out.parts[p];
     for (auto& [key_fields, members] : groups) {
@@ -772,8 +809,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     bool seen = false;
   };
   auto aggregate = [&](const PartitionBlock& src, bool rows_are_partial,
-                       key_codec::KeyStats* ks,
-                       PartitionBlock* dst) -> uint64_t {
+                       StageStats* ks, PartitionBlock* dst) -> uint64_t {
     std::vector<std::pair<std::vector<Field>, Acc>> groups;
     std::vector<uint64_t> group_rows;
     const std::vector<int>& cols = rows_are_partial ? partial_keys : key_cols;
@@ -791,11 +827,11 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         acc.sums.assign(value_cols.size(), 0.0);
         groups.emplace_back(FieldsAt(src, i, cols), std::move(acc));
         group_rows.push_back(0);
-        ks->build_rows++;
+        ks->hash_build_rows++;
       } else {
-        ks->probe_hits++;
+        ks->hash_probe_hits++;
       }
-      if (++group_rows[gi] > ks->max_chain) ks->max_chain = group_rows[gi];
+      ks->hash_max_chain = std::max(ks->hash_max_chain, ++group_rows[gi]);
       Acc& acc = groups[gi].second;
       bool all_null = !value_cols.empty();
       for (size_t vi = 0; vi < value_cols.size(); ++vi) {
@@ -808,7 +844,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         if (!f.is_null()) acc.sums[vi] += f.AsNumber();  // lone NULL casts to 0
       }
     }
-    ks->encode_bytes += enc.bytes_encoded();
+    ks->key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, ks);
     uint64_t emitted = 0;
     for (auto& [key_fields, acc] : groups) {
@@ -1010,7 +1046,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         // and probes without materializing; the first occurrence of each
         // key copies column-to-column into the output block. Per-key
         // duplicate counts (the chain stat) live densely beside the index.
-        key_codec::KeyStats& ks = kmeter.slot(p);
+        StageStats& ks = kmeter.slot(p);
         const PartitionBlock& src = sp.parts[p];
         PartitionBlock& dst = out.parts[p];
         FlatKeyIndex seen;
@@ -1021,16 +1057,16 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
           auto [gi, inserted] = seen.FindOrInsert(enc.EncodeRowAt(src, i));
           if (inserted) {
             counts.push_back(1);
-            ks.build_rows++;
-            if (ks.max_chain < 1) ks.max_chain = 1;
+            ks.hash_build_rows++;
+            ks.hash_max_chain = std::max<uint64_t>(ks.hash_max_chain, 1);
             out_bytes[p] += src.RowBytesAt(i);
             dst.AppendRowFrom(src, i);
           } else {
-            ks.probe_hits++;
-            if (++counts[gi] > ks.max_chain) ks.max_chain = counts[gi];
+            ks.hash_probe_hits++;
+            ks.hash_max_chain = std::max(ks.hash_max_chain, ++counts[gi]);
           }
         }
-        ks.encode_bytes += enc.bytes_encoded();
+        ks.key_encode_bytes += enc.bytes_encoded();
         flat_hash::NoteTableStats(seen, &ks);
         col_bytes[p] += dst.ByteFootprint();
         work.Add(p, sp.bytes[p] + out_bytes[p]);
@@ -1081,7 +1117,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   std::vector<uint64_t> col_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
   auto cogroup_task = [&](size_t p) {
-    key_codec::KeyStats& ks = kmeter.slot(p);
+    StageStats& ks = kmeter.slot(p);
     const PartitionBlock& lb = lsp.parts[p];
     const PartitionBlock& rb = rsp.parts[p];
     PartitionBlock& dst = out.parts[p];
@@ -1094,13 +1130,14 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       auto [gi, inserted] = built.FindOrInsert(enc.EncodeAt(rb, i, right_keys));
       if (inserted) {
         chains.emplace_back();
-        ks.build_rows++;
+        ks.hash_build_rows++;
       } else {
-        ks.probe_hits++;
+        ks.hash_probe_hits++;
       }
       // The bag member projects straight from the block's arenas.
       chains[gi].push_back(Row(FieldsAt(rb, i, right_value_cols)));
-      if (chains[gi].size() > ks.max_chain) ks.max_chain = chains[gi].size();
+      ks.hash_max_chain =
+          std::max<uint64_t>(ks.hash_max_chain, chains[gi].size());
     }
     const size_t lrows = lb.NumRows();
     for (size_t j = 0; j < lrows; ++j) {
@@ -1108,7 +1145,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       if (!HasNullKeyAt(lb, j, left_keys)) {
         uint32_t gi = built.Find(enc.EncodeAt(lb, j, left_keys));
         if (gi != FlatKeyIndex::kNotFound) {
-          ks.probe_hits++;
+          ks.hash_probe_hits++;
           matches = &chains[gi];
         }
       }
@@ -1120,7 +1157,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       out_bytes[p] += sz;
       dst.AppendRow(row);
     }
-    ks.encode_bytes += enc.bytes_encoded();
+    ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(built, &ks);
     work.Add(p, lsp.bytes[p] + rsp.bytes[p]);
     col_bytes[p] += dst.ByteFootprint();

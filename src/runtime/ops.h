@@ -29,12 +29,16 @@ namespace runtime {
 enum class JoinType { kInner, kLeftOuter };
 
 /// Creates a dataset from local rows, distributed round-robin (no
-/// partitioning guarantee — like a freshly read input).
+/// partitioning guarantee — like a freshly read input). Each row is checked
+/// against the schema: a row of another width, or a non-NULL value of
+/// another kind in an int, real, bool or string column, is a TypeError
+/// naming the source, the row and the column.
 StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
                          std::vector<Row> rows, const std::string& name);
 
 /// Creates a dataset partitioned by `key_cols` (pre-partitioned input, e.g.
-/// the materialized output of a previous query step).
+/// the materialized output of a previous query step). Rows are checked as
+/// in Source; a key column outside the schema is Invalid.
 StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<Row> rows,
                                     std::vector<int> key_cols,

@@ -443,20 +443,8 @@ void AppendNullBitmap(const column::NullBitmap& nulls, size_t begin,
 void AppendBlockPayload(const column::PartitionBlock& block, size_t begin,
                         size_t end, std::string* out) {
   const size_t rows = end - begin;
-  if (block.ragged()) {
-    AppendU32(0, out);  // num_cols = 0 marks the ragged row fallback
-    AppendU64(rows, out);
-    AppendU8(1, out);
-    for (size_t i = begin; i < end; ++i) {
-      Row r = block.RowAt(i);
-      AppendU32(static_cast<uint32_t>(r.fields.size()), out);
-      for (const Field& f : r.fields) AppendField(f, out);
-    }
-    return;
-  }
   AppendU32(static_cast<uint32_t>(block.NumCols()), out);
   AppendU64(rows, out);
-  AppendU8(0, out);
   for (size_t c = 0; c < block.NumCols(); ++c) {
     const column::AnyColumn& col = block.col(c);
     AppendNullBitmap(col.nulls(), begin, end, out);
@@ -502,8 +490,8 @@ void AppendBlockPayload(const column::PartitionBlock& block, size_t begin,
 
 namespace {
 
-/// One validated column section of a typed block record: views into the
-/// payload, plus the parsed cells of a variant column.
+/// One validated column section of a block record: views into the payload,
+/// plus the parsed cells of a variant column.
 struct ColumnSection {
   uint8_t kind = 0;
   const char* nulls = nullptr;   // bitmap words; nullptr when has_nulls = 0
@@ -529,26 +517,12 @@ struct ColumnSection {
     const uint64_t begin = i == 0 ? 0 : Word(i - 1);
     return std::string_view(arena + begin, Word(i) - begin);
   }
-
-  /// Cell i as a Field; NULL cells ignore their value slot.
-  Field FieldAt(size_t i) const {
-    if (kind == kColVariant) return cells[i];
-    if (IsNull(i)) return Field::Null();
-    switch (kind) {
-      case kColInt64: return Field::Int(Int(i));
-      case kColReal: return Field::Real(Real(i));
-      case kColBool: return Field::Bool(Bool(i));
-      default: return Field::Str(std::string(Str(i)));
-    }
-  }
 };
 
 /// A block-record payload after validation. Nothing in it has been appended
 /// anywhere yet.
 struct BlockRecord {
   size_t rows = 0;
-  bool ragged = false;
-  std::vector<Row> ragged_rows;
   std::vector<ColumnSection> cols;
 };
 
@@ -571,94 +545,81 @@ Status Need(size_t size, size_t pos, uint64_t count, size_t width,
 }
 
 /// Validates a whole block-record payload (docs/STORAGE.md "Record kind 2")
-/// into *rec. Variant cells and ragged rows are parsed here; typed values
-/// stay in the payload.
+/// into *rec. Variant cells are parsed here; typed values stay in the
+/// payload.
 Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
   size_t pos = 0;
   uint32_t ncols = 0;
   uint64_t nrows = 0;
-  uint8_t ragged = 0;
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ncols, "column count"));
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &nrows, "row count"));
-  TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &ragged, "ragged flag"));
   const size_t n = static_cast<size_t>(nrows);
   rec->rows = n;
-  rec->ragged = ragged != 0;
-  if (rec->ragged) {
-    // Guard the reserve: every row takes at least its 4-byte width.
-    rec->ragged_rows.reserve(std::min<size_t>(n, (size - pos) / 4));
-    for (size_t i = 0; i < n; ++i) {
-      Row r;
-      TRANCE_RETURN_NOT_OK(ParseRow(data, size, &pos, &r));
-      rec->ragged_rows.push_back(std::move(r));
+  // Every column section takes at least its two flag bytes.
+  rec->cols.reserve(std::min<size_t>(ncols, (size - pos) / 2));
+  const uint64_t words = nrows / 64 + (nrows % 64 != 0 ? 1 : 0);
+  for (uint32_t c = 0; c < ncols; ++c) {
+    ColumnSection s;
+    uint8_t has_nulls = 0;
+    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &has_nulls, "null flag"));
+    if (has_nulls != 0) {
+      TRANCE_RETURN_NOT_OK(
+          Need(size, pos, words, sizeof(uint64_t), "null bitmap"));
+      s.nulls = data + pos;
+      pos += static_cast<size_t>(words) * sizeof(uint64_t);
     }
-  } else {
-    // Every column section takes at least its two flag bytes.
-    rec->cols.reserve(std::min<size_t>(ncols, (size - pos) / 2));
-    const uint64_t words = nrows / 64 + (nrows % 64 != 0 ? 1 : 0);
-    for (uint32_t c = 0; c < ncols; ++c) {
-      ColumnSection s;
-      uint8_t has_nulls = 0;
-      TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &has_nulls, "null flag"));
-      if (has_nulls != 0) {
+    TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &s.kind, "column kind"));
+    switch (s.kind) {
+      case kColInt64:
+      case kColReal:
+        TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, sizeof(uint64_t),
+                                  s.kind == kColInt64 ? "int column"
+                                                      : "real column"));
+        s.values = data + pos;
+        pos += n * sizeof(uint64_t);
+        break;
+      case kColBool:
+        TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, 1, "bool column"));
+        s.values = data + pos;
+        pos += n;
+        break;
+      case kColString: {
+        uint64_t chars = 0;
         TRANCE_RETURN_NOT_OK(
-            Need(size, pos, words, sizeof(uint64_t), "null bitmap"));
-        s.nulls = data + pos;
-        pos += static_cast<size_t>(words) * sizeof(uint64_t);
-      }
-      TRANCE_RETURN_NOT_OK(ParsePod(data, size, &pos, &s.kind, "column kind"));
-      switch (s.kind) {
-        case kColInt64:
-        case kColReal:
-          TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, sizeof(uint64_t),
-                                    s.kind == kColInt64 ? "int column"
-                                                        : "real column"));
-          s.values = data + pos;
-          pos += n * sizeof(uint64_t);
-          break;
-        case kColBool:
-          TRANCE_RETURN_NOT_OK(Need(size, pos, nrows, 1, "bool column"));
-          s.values = data + pos;
-          pos += n;
-          break;
-        case kColString: {
-          uint64_t chars = 0;
-          TRANCE_RETURN_NOT_OK(
-              ParsePod(data, size, &pos, &chars, "string arena length"));
-          TRANCE_RETURN_NOT_OK(Need(size, pos, chars, 1, "string arena"));
-          s.arena = data + pos;
-          pos += static_cast<size_t>(chars);
-          TRANCE_RETURN_NOT_OK(
-              Need(size, pos, nrows, sizeof(uint64_t), "string offsets"));
-          s.values = data + pos;
-          pos += n * sizeof(uint64_t);
-          uint64_t prev = 0;
-          for (size_t i = 0; i < n; ++i) {
-            const uint64_t end = s.Word(i);
-            if (end < prev || end > chars) {
-              return Status::Invalid(
-                  "serde: corrupt string offsets (non-monotonic or out of "
-                  "arena)");
-            }
-            prev = end;
+            ParsePod(data, size, &pos, &chars, "string arena length"));
+        TRANCE_RETURN_NOT_OK(Need(size, pos, chars, 1, "string arena"));
+        s.arena = data + pos;
+        pos += static_cast<size_t>(chars);
+        TRANCE_RETURN_NOT_OK(
+            Need(size, pos, nrows, sizeof(uint64_t), "string offsets"));
+        s.values = data + pos;
+        pos += n * sizeof(uint64_t);
+        uint64_t prev = 0;
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t end = s.Word(i);
+          if (end < prev || end > chars) {
+            return Status::Invalid(
+                "serde: corrupt string offsets (non-monotonic or out of "
+                "arena)");
           }
-          break;
+          prev = end;
         }
-        case kColVariant:
-          // Every cell takes at least its tag byte.
-          s.cells.reserve(std::min<size_t>(n, size - pos));
-          for (size_t i = 0; i < n; ++i) {
-            Field f;
-            TRANCE_RETURN_NOT_OK(ParseField(data, size, &pos, &f));
-            s.cells.push_back(std::move(f));
-          }
-          break;
-        default:
-          return Status::Invalid("serde: unknown column kind " +
-                                 std::to_string(static_cast<int>(s.kind)));
+        break;
       }
-      rec->cols.push_back(std::move(s));
+      case kColVariant:
+        // Every cell takes at least its tag byte.
+        s.cells.reserve(std::min<size_t>(n, size - pos));
+        for (size_t i = 0; i < n; ++i) {
+          Field f;
+          TRANCE_RETURN_NOT_OK(ParseField(data, size, &pos, &f));
+          s.cells.push_back(std::move(f));
+        }
+        break;
+      default:
+        return Status::Invalid("serde: unknown column kind " +
+                               std::to_string(static_cast<int>(s.kind)));
     }
+    rec->cols.push_back(std::move(s));
   }
   if (pos != size) {
     return Status::Invalid("serde: record payload has " +
@@ -667,16 +628,37 @@ Status ParseBlockRecord(const char* data, size_t size, BlockRecord* rec) {
   return Status::OK();
 }
 
-/// Appends the n cells of one section to a column, one value at a time.
+/// Checks a validated record against the block it is about to enter: as
+/// many columns, each of the destination column's kind.
+Status CheckRecordFits(const BlockRecord& rec,
+                       const column::PartitionBlock& out) {
+  const size_t got = rec.cols.size(), want = out.NumCols();
+  if (got != want) {
+    return Status::Invalid(
+        "serde: record has " + std::to_string(got) +
+        " columns where the destination block has " + std::to_string(want) +
+        " (column " + std::to_string(std::min(got, want)) +
+        " is missing from the " + (got < want ? "record" : "destination") +
+        ")");
+  }
+  for (size_t c = 0; c < got; ++c) {
+    const column::AnyColumn::Kind kind = KindOfCode(rec.cols[c].kind);
+    if (kind != out.col(c).kind()) {
+      return Status::Invalid(
+          "serde: record column " + std::to_string(c) + " is " +
+          column::AnyColumn::KindName(kind) +
+          " where the destination column is " +
+          column::AnyColumn::KindName(out.col(c).kind()));
+    }
+  }
+  return Status::OK();
+}
+
+/// Appends the n cells of one section to a column of its kind, one value at
+/// a time.
 void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
   if (s.kind == kColVariant) {
     for (size_t i = 0; i < n; ++i) col->Append(s.cells[i]);
-    return;
-  }
-  if (col->kind() != KindOfCode(s.kind)) {
-    // A destination column of another kind gets Fields (AnyColumn::Append
-    // demotes it as appending the written rows would).
-    for (size_t i = 0; i < n; ++i) col->Append(s.FieldAt(i));
     return;
   }
   // Typed cells go straight into the column arrays and the string arena,
@@ -704,27 +686,6 @@ void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
       each([&](size_t i) { col->AppendString(s.Str(i)); });
       break;
   }
-}
-
-/// Appends a validated record to *out: column by column when the widths
-/// agree, else row by row through AppendRow.
-void AppendRecord(const BlockRecord& rec, column::PartitionBlock* out) {
-  if (rec.ragged) {
-    for (const Row& r : rec.ragged_rows) out->AppendRow(r);
-    return;
-  }
-  if (out->ragged() || out->NumCols() != rec.cols.size()) {
-    for (size_t i = 0; i < rec.rows; ++i) {
-      Row r;
-      r.fields.reserve(rec.cols.size());
-      for (const ColumnSection& s : rec.cols) r.fields.push_back(s.FieldAt(i));
-      out->AppendRow(r);
-    }
-    return;
-  }
-  out->AppendColumns(rec.rows, [&](size_t c, column::AnyColumn* col) {
-    AppendSection(rec.cols[c], rec.rows, col);
-  });
 }
 
 }  // namespace
@@ -822,7 +783,10 @@ StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out) {
   BlockRecord rec;
   TRANCE_RETURN_NOT_OK(
       ParseBlockRecord(payload_.data(), payload_.size(), &rec));
-  AppendRecord(rec, out);
+  TRANCE_RETURN_NOT_OK(CheckRecordFits(rec, *out));
+  out->AppendColumns(rec.rows, [&](size_t c, column::AnyColumn* col) {
+    AppendSection(rec.cols[c], rec.rows, col);
+  });
   return true;
 }
 

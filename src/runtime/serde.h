@@ -4,17 +4,18 @@
 // This is the spill format of runtime/spill.h and the ROADMAP's persistent
 // dataset/dictionary cache format. The byte-level wire layout — magic,
 // version, record framing, per-column encodings, null bitmaps, the recursive
-// field encoding (labels/bags/variant fallbacks), and the checksum — is
+// field encoding of variant cells (labels, bags), and the checksum — is
 // specified in docs/STORAGE.md precisely enough to write an independent
 // reader; this header is the implementation of that spec and must not drift
 // from it (ci/check_docs.sh + tests/serde_test.cc).
 //
-// Round-trip contract: every Field value the columnar path accepts — NULL,
-// int64, real (exact IEEE bit pattern, NaNs included), string, bool, label
-// (recursively), bag (recursively), plus variant and ragged block fallbacks —
-// deserializes bit-identical to what was written. Corrupt, truncated, or
-// version-mismatched input returns a clean Status (never crashes, never
-// appends part of a record).
+// Round-trip contract: every Field value a block holds — NULL, int64, real
+// (exact IEEE bit pattern, NaNs included), string, bool, label
+// (recursively), bag (recursively) — deserializes bit-identical to what was
+// written, into a block of the same schema. Corrupt, truncated, or
+// version-mismatched input, and a record that does not fit its destination
+// block, return a clean Status (never crash, never append part of a
+// record).
 //
 // Idiom: RaftKeeper's NativeBlockInputStream over
 // ReadBufferFromFileDescriptor / WriteBufferFromFileDescriptor, and Thrill's
@@ -41,11 +42,11 @@ inline constexpr uint32_t kMagic = 0x424E5254u;
 
 /// Format version. Readers reject any other value with a clean Status;
 /// see docs/STORAGE.md "Versioning rules" before bumping.
-inline constexpr uint16_t kFormatVersion = 2;
+inline constexpr uint16_t kFormatVersion = 3;
 
 /// Record kind of a columnar block record (the `kind` byte of each record
-/// frame). Kind 1, the row batch of version 1, is retired: a version-2
-/// reader rejects it as an unknown record kind.
+/// frame). Kind 1, the row batch of version 1, is retired: the reader
+/// rejects it as an unknown record kind.
 inline constexpr uint8_t kRecordBlock = 2;
 
 /// Fixed sizes of the layout: the file header, and the frame around each
@@ -128,8 +129,7 @@ class BlockFileWriter {
   /// Creates/truncates `path` and writes the file header.
   Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
 
-  /// Appends one block record holding the whole block. Ragged blocks
-  /// serialize their row fallback; columnar blocks serialize column-wise.
+  /// Appends one block record holding the whole block, column by column.
   Status WriteBlock(const column::PartitionBlock& block);
 
   /// Appends one block record around a payload AppendBlockPayload built:
@@ -154,14 +154,13 @@ class BlockFileReader {
 
   /// Decodes the next record straight into *out's typed columns: int, real
   /// and bool values and string bytes go from the payload into the column
-  /// arrays and the string arena; only variant cells parse Fields. Ragged
-  /// records, and a destination whose width differs from the record's, take
-  /// the row path (AppendRow). The whole record — lengths, column kinds,
-  /// string offsets, trailing bytes — is validated before the first append,
-  /// so an error leaves *out unchanged. Cells are appended one at a time in
-  /// row order, so the restored block's ByteFootprint equals that of a
-  /// block built by appending the written rows. Returns false cleanly at
-  /// end of file.
+  /// arrays and the string arena; only variant cells parse Fields. The whole
+  /// record — lengths, column kinds, string offsets, trailing bytes, and its
+  /// column count and kinds against *out's — is validated before the first
+  /// append, so an error leaves *out unchanged. Cells are appended one at a
+  /// time in row order, so the restored block's ByteFootprint equals that
+  /// of a block built by appending the written rows. Returns false cleanly
+  /// at end of file.
   StatusOr<bool> ReadBatchInto(column::PartitionBlock* out);
 
   Status Close();
@@ -178,7 +177,7 @@ class BlockFileReader {
 
 // Payload codecs, exposed for tests and for embedding records in other
 // containers. AppendField/ParseField implement the recursive tagged field
-// encoding of variant cells and ragged rows.
+// encoding of variant cells.
 void AppendField(const Field& f, std::string* out);
 /// Appends the block-record payload of rows [begin, end) of `block`; the
 /// whole block is [0, NumRows()). String offsets are rebased to the range

@@ -1,5 +1,7 @@
 #include "skew/skew.h"
 
+#include <algorithm>
+
 #include "util/hash.h"
 
 namespace trance {
@@ -64,7 +66,6 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
   if (stride == 0) stride = 1;
   StageStats stage;
   stage.op = "heavy_keys";
-  key_codec::KeyStats ks;
   key_codec::KeyEncoder enc;  // encodes once per sampled row
   for (size_t p = 0; p < in.NumPartitions(); ++p) {
     const PartitionBlock& part = in.parts[p];
@@ -84,13 +85,14 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
       auto [gi, inserted] = idx.FindOrInsert(enc.EncodeAt(part, i, key_cols));
       if (inserted) {
         cnt.push_back(0);
-        ks.build_rows++;
+        stage.hash_build_rows++;
       } else {
-        ks.probe_hits++;
+        stage.hash_probe_hits++;
       }
-      if (++cnt[gi] > ks.max_chain) ks.max_chain = cnt[gi];
+      stage.hash_max_chain =
+          std::max<uint64_t>(stage.hash_max_chain, ++cnt[gi]);
     }
-    runtime::flat_hash::NoteTableStats(idx, &ks);
+    runtime::flat_hash::NoteTableStats(idx, &stage);
     if (sampled == 0) continue;
     size_t cutoff = static_cast<size_t>(cfg.heavy_key_threshold *
                                         static_cast<double>(sampled));
@@ -105,12 +107,6 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
   // heavy-key set itself is tiny (<= 100/threshold keys per partition) and is
   // broadcast to all workers.
   stage.key_encode_bytes = enc.bytes_encoded();
-  stage.hash_build_rows = ks.build_rows;
-  stage.hash_probe_hits = ks.probe_hits;
-  stage.hash_max_chain = ks.max_chain;
-  stage.hash_table_bytes = ks.table_bytes;
-  stage.hash_resizes = ks.resizes;
-  stage.hash_probe_len_max = ks.probe_len_max;
   stage.shuffle_bytes =
       out.size() * 16 * static_cast<uint64_t>(cluster->num_partitions());
   stage.heavy_key_count = out.size();

@@ -1,13 +1,14 @@
 // Columnar partition-block tests (ctest label `columnar`).
 //
 // Part 1 — randomized round-trip property: rows drawn over every Field kind
-// (ints, reals including -0.0, bools, strings of odd lengths, NULLs,
-// labels, nested bags, plus deliberate type-mismatches that demote a typed
-// column to the variant fallback) survive FromRows -> RowAt / ToRows
-// byte-identically, and the block's accounting mirrors the row path
-// exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
-// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn. Width-changing rows
-// demote the block to the ragged fallback without losing anything.
+// (ints, reals including -0.0, bools, strings of odd lengths, NULLs, and
+// nested bags mixed with stray strings in the variant column) survive
+// FromRows -> RowAt / ToRows byte-identically, every column keeps the kind
+// its declared type gives it, and the block's accounting mirrors the row
+// path exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
+// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn. Rows that break the
+// schema never reach a block: runtime::Source rejects them with a Status
+// naming the source, the row and the column.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
 // Begin/Append/Finish and EncodeAt produce byte- and hash-identical keys to
@@ -23,10 +24,12 @@
 #include <string>
 #include <vector>
 
+#include "runtime/cluster.h"
 #include "runtime/column.h"
 #include "runtime/dataset.h"
 #include "runtime/field.h"
 #include "runtime/key_codec.h"
+#include "runtime/ops.h"
 #include "runtime/schema.h"
 #include "util/random.h"
 
@@ -51,15 +54,12 @@ Schema MixedSchema() {
                            {{"x", nrc::Type::Int()}}))}});
 }
 
-/// A random field for column `col` of MixedSchema: mostly type-matching,
-/// sometimes NULL, sometimes deliberately mismatched (forcing the variant
-/// demotion path), including the hash edge cases (-0.0, empty strings).
+/// A random field for column `col` of MixedSchema: a value of the column's
+/// declared type or NULL, including the hash edge cases (-0.0, empty
+/// strings). The variant bag column also draws stray strings, so variant
+/// accounting sees mixed Field kinds.
 Field RandomField(Rng* rng, size_t col) {
   if (rng->NextBool(0.15)) return Field::Null();
-  if (rng->NextBool(0.1)) {
-    // Type-unstable cell: legal in the row path, must demote losslessly.
-    return Field::Str("stray-" + std::to_string(rng->Uniform(5)));
-  }
   switch (col) {
     case 0:
       return Field::Int(static_cast<int64_t>(rng->NextU64()));
@@ -71,6 +71,9 @@ Field RandomField(Rng* rng, size_t col) {
     case 3:
       return Field::Str(rng->NextString(rng->Uniform(23)));
     default: {
+      if (rng->NextBool(0.1)) {
+        return Field::Str("stray-" + std::to_string(rng->Uniform(5)));
+      }
       std::vector<Row> bag;
       for (uint64_t i = 0, n = rng->Uniform(3); i < n; ++i) {
         bag.push_back(Row({Field::Int(rng->UniformRange(0, 9))}));
@@ -112,7 +115,12 @@ TEST(ColumnBlockTest, RandomizedRoundTripAndAccounting) {
     std::vector<Row> rows = RandomRows(&rng, 500, schema.size());
     PartitionBlock block = PartitionBlock::FromRows(schema, rows);
     ASSERT_EQ(block.NumRows(), rows.size());
-    EXPECT_FALSE(block.ragged());
+    // Each column keeps the kind its declared type gives it.
+    for (size_t c = 0; c < schema.size(); ++c) {
+      EXPECT_EQ(block.col(c).kind(),
+                AnyColumn::KindForType(schema.col(c).type))
+          << "col " << c;
+    }
 
     ExpectRowsEqual(block.ToRows(), rows);
     const std::vector<int> all_cols{0, 1, 2, 3, 4};
@@ -154,31 +162,94 @@ TEST(ColumnBlockTest, TypedColumnsUseFlatStorage) {
   EXPECT_GT(block.ByteFootprint(), 0u);
 }
 
-TEST(ColumnBlockTest, TypeMismatchDemotesToVariantLosslessly) {
-  Schema schema({{"k", nrc::Type::Int()}});
-  PartitionBlock block(schema);
-  block.AppendRow(Row({Field::Int(1)}));
-  block.AppendRow(Row({Field::Int(2)}));
-  ASSERT_EQ(block.col(0).kind(), AnyColumn::Kind::kInt64);
-  block.AppendRow(Row({Field::Str("not an int")}));
-  EXPECT_EQ(block.col(0).kind(), AnyColumn::Kind::kVariant);
-  EXPECT_EQ(block.FieldAt(0, 0), Field::Int(1));
-  EXPECT_EQ(block.FieldAt(1, 0), Field::Int(2));
-  EXPECT_EQ(block.FieldAt(2, 0), Field::Str("not an int"));
+/// The schema the Source tests feed: typed int and real columns and a
+/// variant bag column.
+Schema SourceSchema() {
+  return Schema({{"k", nrc::Type::Int()},
+                 {"v", nrc::Type::Real()},
+                 {"g", nrc::Type::Bag(nrc::Type::Tuple(
+                           {{"x", nrc::Type::Int()}}))}});
 }
 
-TEST(ColumnBlockTest, WidthMismatchDemotesToRaggedLosslessly) {
-  Schema schema({{"a", nrc::Type::Int()}, {"b", nrc::Type::Int()}});
-  std::vector<Row> rows;
-  rows.push_back(Row({Field::Int(1), Field::Int(2)}));
-  rows.push_back(Row({Field::Int(3)}));  // width change mid-pipeline
-  rows.push_back(Row({Field::Int(4), Field::Int(5), Field::Int(6)}));
-  PartitionBlock block = PartitionBlock::FromRows(schema, rows);
-  EXPECT_TRUE(block.ragged());
-  ExpectRowsEqual(block.ToRows(), rows);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(block.RowBytesAt(i), runtime::RowDeepSize(rows[i]));
-    EXPECT_EQ(block.HashRowOn(i, {0}), runtime::RowHashOn(rows[i], {0}));
+Field EmptyBag() { return Field::Bag(std::vector<Row>{}); }
+
+/// Feeds a good row then `bad` to both Source and SourcePartitioned (keyed on
+/// columns 0 and 2) and expects each to reject it with a TypeError naming
+/// the source, row 1 and `column`. The partitioned source checks each row
+/// before hashing it, so even a row that lacks its key column is a TypeError
+/// rather than an abort.
+void ExpectSourcesReject(const Row& bad, const std::string& column) {
+  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 3});
+  const Row good({Field::Int(1), Field::Real(0.5), EmptyBag()});
+  auto plain =
+      runtime::Source(&cluster, SourceSchema(), {good, bad}, "plain");
+  ASSERT_FALSE(plain.ok());
+  EXPECT_EQ(plain.status().code(), StatusCode::kTypeError);
+  const std::string msg = plain.status().ToString();
+  EXPECT_NE(msg.find("source(plain): row 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(column), std::string::npos) << msg;
+
+  auto part = runtime::SourcePartitioned(&cluster, SourceSchema(),
+                                         {good, bad}, {0, 2}, "part");
+  ASSERT_FALSE(part.ok());
+  EXPECT_EQ(part.status().code(), StatusCode::kTypeError);
+  const std::string pmsg = part.status().ToString();
+  EXPECT_NE(pmsg.find("source_partitioned(part): row 1"), std::string::npos)
+      << pmsg;
+  EXPECT_NE(pmsg.find(column), std::string::npos) << pmsg;
+}
+
+TEST(ColumnBlockTest, SourceRejectsRowsOfTheWrongWidth) {
+  {
+    SCOPED_TRACE("short row");
+    ExpectSourcesReject(Row({Field::Int(1), Field::Real(0.5)}), "column 'g'");
+  }
+  {
+    SCOPED_TRACE("long row");
+    ExpectSourcesReject(
+        Row({Field::Int(1), Field::Real(0.5), EmptyBag(), Field::Int(4)}),
+        "column 'g'");
+  }
+
+  // A key column outside the schema is Invalid and named, before any row is
+  // hashed on it.
+  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 3});
+  const std::vector<Row> rows{
+      Row({Field::Int(1), Field::Real(0.5), EmptyBag()})};
+  auto bad_key =
+      runtime::SourcePartitioned(&cluster, SourceSchema(), rows, {5}, "keys");
+  ASSERT_FALSE(bad_key.ok());
+  EXPECT_EQ(bad_key.status().code(), StatusCode::kInvalidArgument);
+  const std::string kmsg = bad_key.status().ToString();
+  EXPECT_NE(kmsg.find("source_partitioned(keys): key column 5"),
+            std::string::npos)
+      << kmsg;
+}
+
+TEST(ColumnBlockTest, SourceRejectsCellsOfTheWrongKind) {
+  // NULL is valid in every column, and the variant column takes any Field.
+  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 3});
+  const std::vector<Row> fine{
+      Row({Field::Int(1), Field::Real(0.5), EmptyBag()}),
+      Row({Field::Null(), Field::Null(), Field::Null()}),
+      Row({Field::Int(2), Field::Real(1.5), Field::Str("s")}),
+      Row({Field::Int(3), Field::Real(2.5), Field::Int(7)})};
+  auto ok = runtime::Source(&cluster, SourceSchema(), fine, "fine");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->NumRows(), fine.size());
+  auto ok_part = runtime::SourcePartitioned(&cluster, SourceSchema(), fine,
+                                            {0, 2}, "fine");
+  ASSERT_TRUE(ok_part.ok()) << ok_part.status().ToString();
+
+  {
+    SCOPED_TRACE("string in an int column");
+    ExpectSourcesReject(Row({Field::Str("one"), Field::Real(0.5), EmptyBag()}),
+                        "column 'k' declared int cannot hold \"one\"");
+  }
+  {
+    SCOPED_TRACE("int in a real column");
+    ExpectSourcesReject(Row({Field::Int(1), Field::Int(2), EmptyBag()}),
+                        "column 'v' declared real cannot hold 2");
   }
 }
 
@@ -340,9 +411,8 @@ TEST(DatasetTest, CollectIsThreadCountInvariant) {
 TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
   // The storage under Dataset: a row sequence appended to a partition's
   // block serves identical reads through every accessor — RowCount, RowAt,
-  // PartitionRows, Collect — including empty partitions and rows that force
-  // the variant and ragged block fallbacks (RandomRows mixes types and NULLs
-  // deliberately).
+  // PartitionRows, Collect — including empty partitions, NULLs in every
+  // column and mixed Field kinds in the variant column.
   Rng rng(11);
   Schema schema = MixedSchema();
   const size_t nparts = 5;
@@ -377,7 +447,7 @@ TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
   // Dataset::PartitionBytes / DeepSizeBytes report, from the blocks' own
   // accounting, exactly the RowDeepSize sum of the rows they hold (RowBytesAt
   // mirrors RowDeepSize cell by cell), at any thread count. Randomized over
-  // the full Field-kind mix, variant/ragged demotions included.
+  // the full Field-kind mix, NULLs and the variant column included.
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;

@@ -1,12 +1,17 @@
-// Unit tests for the NRC type system, AST construction, and the shredded
-// type derivation prerequisites (flatness predicates).
+// Unit tests for the NRC type system, AST construction, the shredded type
+// derivation prerequisites (flatness predicates), and the one arithmetic
+// typing rule the typechecker, the plan compiler and both evaluators share.
 #include <gtest/gtest.h>
 
+#include "exec/scalar_compiler.h"
 #include "nrc/builder.h"
 #include "nrc/expr.h"
+#include "nrc/interp.h"
 #include "nrc/printer.h"
 #include "nrc/type.h"
 #include "nrc/typecheck.h"
+#include "runtime/field.h"
+#include "runtime/schema.h"
 
 namespace trance {
 namespace nrc {
@@ -208,6 +213,65 @@ TEST(TypecheckTest, LambdaAndLookup) {
   auto lam = tc.Check(Expr::Lambda("l2", Expr::Lookup(V("D"), V("l2"))), env);
   ASSERT_TRUE(lam.ok());
   EXPECT_TRUE((*lam)->is_dict());
+}
+
+TEST(TypecheckTest, ArithmeticFollowsTheSharedRule) {
+  using dsl::V;
+  // `a / b` over ints is real, as every evaluator computes it.
+  Typechecker div_tc;
+  auto div = div_tc.Check(dsl::Div(V("a"), V("b")),
+                          {{"a", Type::Int()}, {"b", Type::Int()}});
+  ASSERT_TRUE(div.ok()) << div.status().ToString();
+  EXPECT_TRUE(TypeEquals(*div, Type::Real())) << (*div)->ToString();
+
+  // For + - * / over every int/real pairing: the typechecker's type, the
+  // shared scalar type, the kind of the interpreter's value and the kind of
+  // the compiled closure's Field all agree.
+  const PrimOpKind ops[] = {PrimOpKind::kAdd, PrimOpKind::kSub,
+                            PrimOpKind::kMul, PrimOpKind::kDiv};
+  for (bool a_real : {false, true}) {
+    for (bool b_real : {false, true}) {
+      for (PrimOpKind op : ops) {
+        SCOPED_TRACE(std::string(PrimOpName(op)) + " over " +
+                     (a_real ? "real" : "int") + ", " +
+                     (b_real ? "real" : "int"));
+        const TypePtr ta = a_real ? Type::Real() : Type::Int();
+        const TypePtr tb = b_real ? Type::Real() : Type::Int();
+        ExprPtr e = Expr::PrimOp(op, V("a"), V("b"));
+
+        Typechecker tc;
+        auto checked = tc.Check(e, {{"a", ta}, {"b", tb}});
+        ASSERT_TRUE(checked.ok()) << checked.status().ToString();
+        auto shared = ScalarExprType(
+            e, [&](const std::string& col) -> StatusOr<TypePtr> {
+              return col == "a" ? ta : tb;
+            });
+        ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+        EXPECT_TRUE(TypeEquals(*checked, *shared));
+        const bool real = (*shared)->scalar_kind() == ScalarKind::kReal;
+        EXPECT_EQ(real, op == PrimOpKind::kDiv || a_real || b_real);
+
+        EnvPtr env = Env::Bind(Env::Empty(), "a",
+                               a_real ? Value::Real(6) : Value::Int(6));
+        env = Env::Bind(env, "b", b_real ? Value::Real(4) : Value::Int(4));
+        Interpreter interp;
+        auto value = interp.Eval(e, env);
+        ASSERT_TRUE(value.ok()) << value.status().ToString();
+        EXPECT_EQ(value->is_real(), real);
+        EXPECT_EQ(value->is_int(), !real);
+
+        runtime::Schema schema({{"a", ta}, {"b", tb}});
+        auto fn = exec::CompileScalar(e, schema);
+        ASSERT_TRUE(fn.ok()) << fn.status().ToString();
+        runtime::Row row(
+            {a_real ? runtime::Field::Real(6) : runtime::Field::Int(6),
+             b_real ? runtime::Field::Real(4) : runtime::Field::Int(4)});
+        const runtime::Field f = (*fn)(row);
+        EXPECT_EQ(f.is_real(), real);
+        EXPECT_EQ(f.is_int(), !real);
+      }
+    }
+  }
 }
 
 TEST(PrinterTest, PrintsRunningExampleConstructs) {

@@ -3,13 +3,14 @@
 // The runtime/serde.h wire format (docs/STORAGE.md) must round-trip every
 // Field value bit-exactly — nulls, int64 extremes, exact IEEE doubles (NaN
 // payloads included), strings, bools, recursive labels, recursive bags — in
-// block records (typed and ragged, with null bitmaps and the variant
-// fallback), decoded straight into a block's columns. And it must reject,
+// block records (typed columns with null bitmaps, and variant columns),
+// decoded straight into the columns of a block of the same schema; and the
+// bytes of the spec's worked example must come out exactly. It must reject,
 // with a clean Status (never a crash, never a partly appended record), every
 // malformed input we can produce: truncation at any byte, single-byte
 // corruption anywhere in the file, checksum tampering, a bad magic, a
-// version from the future, and checksum-valid records that lie about their
-// structure.
+// version from the future, checksum-valid records that lie about their
+// structure, and records that do not fit their destination block.
 #include "runtime/serde.h"
 
 #include <gtest/gtest.h>
@@ -209,8 +210,8 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
       Field::Bool(false),
   };
   // The same row twice: once in typed columns (the column encodings), once
-  // in variant columns (the field encoding). Both records decode into the
-  // variant block, so the typed record also takes the Field path.
+  // in variant columns (the field encoding). Each record decodes into a
+  // block of its own schema.
   std::vector<Column> typed_cols, variant_cols;
   for (size_t i = 0; i < r.fields.size(); ++i) {
     nrc::TypePtr t = i < 4    ? nrc::Type::Int()
@@ -232,16 +233,19 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
       writer.WriteBlock(column::PartitionBlock::FromRows(variant, rows)).ok());
   ASSERT_TRUE(writer.Close().ok());
 
-  size_t records = 0;
-  std::vector<Row> back = ReadAll(path, variant, &records);
-  EXPECT_EQ(records, 2u);
-  ExpectRowsBitEq({r, r}, back);
-  // And the typed record alone, decoded into typed columns.
   serde::BlockFileReader reader;
   ASSERT_TRUE(reader.Open(path).ok());
-  column::PartitionBlock typed_back(typed);
-  ASSERT_TRUE(reader.ReadBatchInto(&typed_back).ok());
+  column::PartitionBlock typed_back(typed), variant_back(variant);
+  for (column::PartitionBlock* back : {&typed_back, &variant_back}) {
+    auto more = reader.ReadBatchInto(back);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    ASSERT_TRUE(more.value());
+  }
+  auto more = reader.ReadBatchInto(&variant_back);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_FALSE(more.value());  // exactly the two records
   ExpectRowsBitEq(rows, typed_back.ToRows());
+  ExpectRowsBitEq(rows, variant_back.ToRows());
   std::remove(path.c_str());
 }
 
@@ -375,7 +379,6 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
     rows.push_back(std::move(r));
   }
   column::PartitionBlock block = column::PartitionBlock::FromRows(schema, rows);
-  ASSERT_FALSE(block.ragged());
 
   std::string path = TestPath("block");
   serde::BlockFileWriter writer;
@@ -393,35 +396,9 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
   std::remove(path.c_str());
 }
 
-TEST(SerdeRoundTripTest, RaggedBlockFallback) {
-  Schema schema({{"a", nrc::Type::Int()}, {"b", nrc::Type::String()}});
-  column::PartitionBlock block(schema);
-  block.AppendRow(Row{{Field::Int(1), Field::Str("x")}});
-  block.AppendRow(Row{{Field::Int(2)}});  // width mismatch demotes to ragged
-  block.AppendRow(Row{{Field::Str("y"), Field::Int(3), Field::Bool(false)}});
-  ASSERT_TRUE(block.ragged());
-
-  std::string path = TestPath("ragged");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteBlock(block).ok());
-  ASSERT_TRUE(writer.Close().ok());
-
-  std::vector<Row> expected;
-  block.AppendRowsTo(&expected);
-  std::vector<Row> back = ReadAll(path, schema);
-  ExpectRowsBitEq(expected, back);
-  std::remove(path.c_str());
-}
-
 TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
-  // Typed and ragged block records in one file. The ragged record turns the
-  // destination ragged, so the last typed record takes the row path.
+  // Several block records in one file decode into one block in file order.
   Schema schema({{"k", nrc::Type::Int()}});
-  column::PartitionBlock ragged(schema);
-  ragged.AppendRow(Row{{Field::Int(30)}});
-  ragged.AppendRow(Row{{Field::Int(40), Field::Str("x")}});
-  ASSERT_TRUE(ragged.ragged());
 
   std::string path = TestPath("mixed");
   serde::BlockFileWriter writer;
@@ -430,7 +407,6 @@ TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
                   .WriteBlock(column::PartitionBlock::FromRows(
                       schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}))
                   .ok());
-  ASSERT_TRUE(writer.WriteBlock(ragged).ok());
   ASSERT_TRUE(writer
                   .WriteBlock(column::PartitionBlock::FromRows(
                       schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}}))
@@ -439,12 +415,10 @@ TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
 
   size_t records = 0;
   std::vector<Row> back = ReadAll(path, schema, &records);
-  EXPECT_EQ(records, 3u);
-  ExpectRowsBitEq(
-      {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}, Row{{Field::Int(30)}},
-       Row{{Field::Int(40), Field::Str("x")}}, Row{{Field::Int(50)}},
-       Row{{Field::Int(60)}}},
-      back);
+  EXPECT_EQ(records, 2u);
+  ExpectRowsBitEq({Row{{Field::Int(10)}}, Row{{Field::Int(20)}},
+                   Row{{Field::Int(50)}}, Row{{Field::Int(60)}}},
+                  back);
   std::remove(path.c_str());
 }
 
@@ -586,7 +560,7 @@ TEST(SerdeCorruptionTest, FutureVersionIsRejectedByName) {
   Status s = TryReadAll(path);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
-  EXPECT_NE(s.ToString().find("unsupported format version 3"),
+  EXPECT_NE(s.ToString().find("unsupported format version 4"),
             std::string::npos)
       << s.ToString();
   std::remove(path.c_str());
@@ -609,14 +583,14 @@ TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
   }
 
   // Unknown field tag inside a variant column: the single cell's tag sits
-  // after the 13-byte record head and the has_nulls and kind bytes.
+  // after the 12-byte record head and the has_nulls and kind bytes.
   Schema bags({{"g", BagOfInts()}});
   std::string payload;
   serde::AppendBlockPayload(
       column::PartitionBlock::FromRows(bags, {Row{{Field::Int(1)}}}), 0, 1,
       &payload);
   std::string bad = payload;
-  bad[15] = '\x7f';
+  bad[14] = '\x7f';
   Status s = read_raw(serde::kRecordBlock, bad);
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("unknown field tag"), std::string::npos)
@@ -658,46 +632,61 @@ TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
 
 TEST(SerdeCorruptionTest, StructuralLiesLeaveTheBlockUnchanged) {
   // Checksum-valid records whose first columns are sound and whose later
-  // bytes lie. The decoder must name the lie and append nothing, so a
-  // destination that already holds rows keeps them, and its footprint.
+  // bytes lie, or that do not fit the destination block. The decoder must
+  // name the problem and append nothing, so a destination that already holds
+  // rows keeps them, and its footprint.
   Schema schema({{"k", nrc::Type::Int()},
-                 {"s", nrc::Type::String()},
-                 {"k2", nrc::Type::Int()}});
+                 {"k2", nrc::Type::Int()},
+                 {"s", nrc::Type::String()}});
   const std::vector<Row> resident{
-      Row{{Field::Int(7), Field::Str("resident"), Field::Int(70)}},
-      Row{{Field::Null(), Field::Str(""), Field::Int(71)}},
+      Row{{Field::Int(7), Field::Int(70), Field::Str("resident")}},
+      Row{{Field::Null(), Field::Int(71), Field::Str("")}},
       Row{{Field::Int(9), Field::Null(), Field::Null()}}};
   std::string payload;
   serde::AppendBlockPayload(
       column::PartitionBlock::FromRows(
-          schema, {Row{{Field::Int(1), Field::Str("ab"), Field::Int(10)}},
-                   Row{{Field::Int(2), Field::Str("cd"), Field::Int(20)}}}),
+          schema, {Row{{Field::Int(1), Field::Int(10), Field::Str("ab")}},
+                   Row{{Field::Int(2), Field::Int(20), Field::Str("cd")}}}),
       0, 2, &payload);
-  // Layout: 13-byte head; k: flags 2 + 16 values; s: flags 2 + arena
-  // length 8 + 4 bytes + 16 offsets; k2: flags 2 + 16 values.
-  ASSERT_EQ(payload.size(), 13u + 18u + 30u + 18u);
-  const size_t last_offset = 13 + 18 + 2 + 8 + 4 + 8;
-  const size_t k2_kind = 13 + 18 + 30 + 1;
+  // Layout: 12-byte head; k: flags 2 + 16 values; k2: flags 2 + 16 values;
+  // s: flags 2 + arena length 8 + 4 bytes + 16 offsets.
+  ASSERT_EQ(payload.size(), 12u + 18u + 18u + 30u);
+  const size_t k2_values = 12 + 18 + 2;
+  const size_t k2_kind = 12 + 18 + 1;
+  const size_t last_offset = 12 + 18 + 18 + 2 + 8 + 4 + 8;
 
   std::string past_arena = payload;
   uint64_t far = 4 + 100;
   std::memcpy(past_arena.data() + last_offset, &far, sizeof(far));
   std::string unknown_kind = payload;
   unknown_kind[k2_kind] = 9;
-  std::string ragged_lie;
+  // Sound records that do not fit: one column short, and a string where the
+  // destination's column 1 is int.
+  std::string short_record;
   serde::AppendBlockPayload(
       column::PartitionBlock::FromRows(
-          schema, {Row{{Field::Int(1)}}, Row{{Field::Int(2)}}}),
-      0, 2, &ragged_lie);
-  // The second row's only field: a tag byte, then 8 value bytes.
-  ragged_lie[ragged_lie.size() - 9] = '\x7f';
+          Schema({{"k", nrc::Type::Int()}, {"k2", nrc::Type::Int()}}),
+          {Row{{Field::Int(1), Field::Int(10)}}}),
+      0, 1, &short_record);
+  std::string string_for_int;
+  serde::AppendBlockPayload(
+      column::PartitionBlock::FromRows(
+          Schema({{"k", nrc::Type::Int()},
+                  {"s", nrc::Type::String()},
+                  {"k2", nrc::Type::Int()}}),
+          {Row{{Field::Int(1), Field::Str("ab"), Field::Int(10)}}}),
+      0, 1, &string_for_int);
 
   const std::pair<std::string, std::string> lies[] = {
       {past_arena, "string offsets"},
-      {payload.substr(0, payload.size() - 8), "int column"},
+      {payload.substr(0, k2_values + 8), "int column"},
       {unknown_kind, "unknown column kind"},
       {payload + "xyz", "trailing bytes"},
-      {ragged_lie, "unknown field tag"},
+      {short_record,
+       "record has 2 columns where the destination block has 3 (column 2 is "
+       "missing from the record)"},
+      {string_for_int,
+       "record column 1 is string where the destination column is int64"},
   };
   for (const auto& [lie, problem] : lies) {
     SCOPED_TRACE(problem);
@@ -712,7 +701,6 @@ TEST(SerdeCorruptionTest, StructuralLiesLeaveTheBlockUnchanged) {
     EXPECT_NE(s.ToString().find(problem), std::string::npos) << s.ToString();
     EXPECT_EQ(block.NumRows(), resident.size());
     EXPECT_EQ(block.ByteFootprint(), footprint);
-    EXPECT_FALSE(block.ragged());
     ExpectRowsBitEq(resident, block.ToRows());
   }
 }
@@ -740,17 +728,62 @@ TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
 }
 
 TEST(SerdeFormatTest, HeaderBytesMatchTheSpec) {
-  // docs/STORAGE.md promises the first 8 on-disk bytes: "TRNB", version 2
+  // docs/STORAGE.md promises the first 8 on-disk bytes: "TRNB", version 3
   // little-endian, flags 0.
   std::string path = WriteSampleFile("header");
   std::string bytes = SlurpFile(path);
   ASSERT_GE(bytes.size(), 8u);
   EXPECT_EQ(bytes.substr(0, 4), "TRNB");
-  EXPECT_EQ(static_cast<uint8_t>(bytes[4]), 2);
+  EXPECT_EQ(static_cast<uint8_t>(bytes[4]), 3);
   EXPECT_EQ(static_cast<uint8_t>(bytes[5]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[6]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0);
   std::remove(path.c_str());
+}
+
+TEST(SerdeFormatTest, WorkedExampleMatchesTheSpec) {
+  // docs/STORAGE.md "Worked example", line for line: one block record of a
+  // single string column holding "ab" and NULL.
+  const char* const kSpec[] = {
+      "54 52 4e 42 03 00 00 00",  // header: "TRNB", v3, flags 0
+      "02",                       // record kind 2 (block)
+      "30 00 00 00 00 00 00 00",  // payload_len = 48
+      "01 00 00 00",              // num_cols = 1
+      "02 00 00 00 00 00 00 00",  // num_rows = 2
+      "01",                       // has_nulls = 1
+      "02 00 00 00 00 00 00 00",  // null bitmap: row 1 is NULL
+      "03",                       // col_kind 3 (string)
+      "02 00 00 00 00 00 00 00",  // arena_len = 2
+      "61 62",                    // arena: "ab"
+      "02 00 00 00 00 00 00 00",  // end[0] = 2
+      "02 00 00 00 00 00 00 00",  // end[1] = 2 (NULL: empty)
+      "31 32 14 72 d1 31 4b c9",  // XXH64 of the payload
+  };
+  std::string expected;
+  for (const char* line : kSpec) {
+    for (const char* p = line; *p != '\0'; p += p[2] == ' ' ? 3 : 2) {
+      expected.push_back(
+          static_cast<char>(std::stoi(std::string(p, 2), nullptr, 16)));
+    }
+  }
+  ASSERT_EQ(expected.size(), 73u);
+
+  Schema schema({{"s", nrc::Type::String()}});
+  std::string path = TestPath("worked_example");
+  serde::BlockFileWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  ASSERT_TRUE(writer
+                  .WriteBlock(column::PartitionBlock::FromRows(
+                      schema, {Row{{Field::Str("ab")}}, Row{{Field::Null()}}}))
+                  .ok());
+  ASSERT_TRUE(writer.Close().ok());
+  const std::string bytes = SlurpFile(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(bytes.size(), expected.size());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(bytes[i]), static_cast<uint8_t>(expected[i]))
+        << "byte " << i;
+  }
 }
 
 TEST(SerdeFormatTest, Xxh64MatchesReferenceVectors) {

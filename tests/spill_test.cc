@@ -599,7 +599,6 @@ TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
   for (auto& r : rows) r.fields.pop_back();  // match the two-column schema
   runtime::column::PartitionBlock block =
       runtime::column::PartitionBlock::FromRows(schema, rows);
-  ASSERT_FALSE(block.ragged());
 
   runtime::spill::SpillCounters c;
   std::string path = m.RunPath(4, "blocks", 1, 0);
