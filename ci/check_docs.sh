@@ -10,9 +10,13 @@
 #     SpillConfig, exec::ExecOptions, plan::OptimizerOptions) must be
 #     mentioned by name somewhere in the documentation, so adding a knob
 #     without documenting it fails CI.
-#  3. Reverse check: every enable_* token in the documentation must name a
-#     field of one of those structs, so a retired flag cannot linger in the
-#     docs.
+#  3. Reverse check: each of those structs has an option table in the
+#     "Configuration reference" of docs/ARCHITECTURE.md (the table under the
+#     line naming the struct), and its field rows (first cell a backtick
+#     name) are exactly the struct's fields, so a retired knob's row fails
+#     like an undocumented field does. And every enable_* token in the
+#     documentation must name a field of one of those structs, so a retired
+#     flag cannot linger anywhere in the docs.
 #  4. Statistic table: every uint64_t field of runtime::StageStats must have
 #     a kStatFields row (&StageStats::<field>) in src/runtime/stats.h, and
 #     every row's JSON key and registry series must be a backtick token in
@@ -52,15 +56,15 @@ done
 
 # --- 2. option-struct fields must appear in the docs --------------------
 # Extracts field names from a struct definition: lines like
-#   <type> <name> = <default>;   or   <type> <name>;
+#   <type> <name> = <default>;   <type> <name>{...};   or   <type> <name>;
 fields_of() { # file struct_name
   awk -v s="struct $2 {" '
     index($0, s) { in_s = 1; next }
     in_s && /^};/ { in_s = 0 }
     in_s' "$1" |
     grep -vE '^\s*(//|/\*|\*)' |
-    grep -oE '[A-Za-z_][A-Za-z0-9_]*\s*(=[^;]*)?;' |
-    sed -E 's/\s*=.*$//; s/;$//' | sed -E 's/^\s+|\s+$//g'
+    grep -oE '[A-Za-z_][A-Za-z0-9_]*\s*(\{[^}]*\}|=[^;]*)?;' |
+    sed -E 's/\s*(=|\{).*$//; s/;$//' | sed -E 's/^\s+|\s+$//g'
 }
 
 check_struct() { # file struct_name
@@ -88,7 +92,39 @@ for entry in "${STRUCTS[@]}"; do
   known_fields+="$(fields_of $entry)"$'\n'
 done
 
-# --- 3. documented enable_* tokens must be live option fields ------------
+# --- 3. option tables name exactly the live fields ----------------------
+ARCH=docs/ARCHITECTURE.md
+# "<struct> <field>" per field row of the Configuration reference tables; a
+# table belongs to the struct named by the last `ns::Struct` line above it.
+table_rows=$(awk '
+  /^### Configuration reference/ { s = 1; next }
+  s && /^#/ { s = 0 }
+  s && /^`[A-Za-z_:]+` \(/ { st = $1; gsub(/`/, "", st); sub(/.*::/, "", st) }
+  s && /^\| `[A-Za-z0-9_]+` \|/ { f = $2; gsub(/`/, "", f); print st, f }
+' "$ARCH")
+for entry in "${STRUCTS[@]}"; do
+  read -r file struct <<<"$entry"
+  rows=$(awk -v s="$struct" '$1 == s { print $2 }' <<<"$table_rows" | sort)
+  live=$(fields_of "$file" "$struct" | sort)
+  if [ -z "$rows" ]; then
+    echo "NO OPTION TABLE: $struct ($file) has no table in $ARCH's" \
+      "Configuration reference"
+    fail=1
+    continue
+  fi
+  for f in $(comm -23 <(echo "$rows") <(echo "$live")); do
+    echo "STALE OPTION ROW: $ARCH's $struct table has a row for '$f'," \
+      "which is not a field of $struct ($file)"
+    fail=1
+  done
+  for f in $(comm -13 <(echo "$rows") <(echo "$live")); do
+    echo "MISSING OPTION ROW: $struct::$f ($file) has no row in $ARCH's" \
+      "$struct table"
+    fail=1
+  done
+done
+
+# Documented enable_* tokens must be live option fields.
 while IFS= read -r tok; do
   if ! grep -qxF "$tok" <<<"$known_fields"; then
     echo "STALE OPTION IN DOCS: $tok names no field of the option structs" \
@@ -187,4 +223,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + statistic table + storage spec and its code tables)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + option tables + statistic table + storage spec and its code tables)"

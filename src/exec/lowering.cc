@@ -414,8 +414,7 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
       TRANCE_ASSIGN_OR_RETURN(Dataset lm, skew::MergeTriple(cluster_, l, "j"));
       TRANCE_ASSIGN_OR_RETURN(Dataset rm, skew::MergeTriple(cluster_, r, "j"));
       if (options_.auto_broadcast &&
-          rm.DeepSizeBytes(cluster_->num_threads()) <=
-              cluster_->config().broadcast_threshold) {
+          rm.DeepSizeBytes() <= cluster_->config().broadcast_threshold) {
         TRANCE_ASSIGN_OR_RETURN(
             Dataset out, runtime::BroadcastJoin(cluster_, lm, rm, lk, rk,
                                                 type, "broadcast_join"));

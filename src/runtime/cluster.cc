@@ -106,10 +106,6 @@ void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
   }
 }
 
-Status Cluster::CheckMemory(const Dataset& ds, const std::string& op) {
-  return CheckMemoryBytes(ds.PartitionBytes(num_threads_), op);
-}
-
 spill::SpillManager* Cluster::spill_manager() {
   std::lock_guard<std::mutex> lock(mu_);
   if (spill_manager_ == nullptr) {

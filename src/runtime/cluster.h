@@ -12,7 +12,6 @@
 
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "runtime/dataset.h"
 #include "runtime/fault.h"
 #include "runtime/spill.h"
 #include "runtime/stats.h"
@@ -28,7 +27,8 @@ struct ClusterConfig {
   /// paper; scaled down with the data).
   int num_partitions = 16;
   /// Per-partition memory cap; exceeding it is the paper's FAIL ("crashed due
-  /// to memory saturation of a node").
+  /// to memory saturation of a node"), or, with spilling on, where every
+  /// spill site engages.
   uint64_t partition_memory_cap = 256ull << 20;
   /// Collections smaller than this may be broadcast (paper: Spark broadcasts
   /// anything under 10MB).
@@ -152,15 +152,12 @@ class Cluster {
   /// current operator scope (if any).
   void RecordStage(StageStats s);
 
-  /// Fails with ResourceExhausted if any partition of `ds` exceeds the
-  /// per-partition memory cap.
-  Status CheckMemory(const Dataset& ds, const std::string& op);
-  /// Same check over precomputed per-partition byte footprints (lets callers
-  /// that already walked the dataset avoid a second deep-size pass).
-  /// `spilled`, when non-null, marks partitions whose working set was spilled
-  /// to disk (runtime/spill.h): they still count toward the peak-bytes
-  /// telemetry — so mem_high_water / peak_partition_bytes match an uncapped
-  /// run — but no longer fail the cap check.
+  /// Fails with ResourceExhausted if any of a stage's per-partition byte
+  /// footprints (Dataset::PartitionBytes) exceeds the per-partition memory
+  /// cap. `spilled`, when non-null, marks partitions whose working set was
+  /// spilled to disk (runtime/spill.h): they still count toward the
+  /// peak-bytes telemetry — so mem_high_water / peak_partition_bytes match
+  /// an uncapped run — but no longer fail the cap check.
   Status CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
                           const std::string& op,
                           const std::vector<uint8_t>* spilled = nullptr);
@@ -174,7 +171,7 @@ class Cluster {
                             static_cast<uint64_t>(config_.num_partitions));
   }
 
-  /// Whether partitions over the memory threshold spill to disk runs
+  /// Whether partitions over the memory cap spill to disk runs
   /// (runtime/spill.h, default) instead of hard-failing with
   /// ResourceExhausted — the historical FAIL behavior. Set by the executor
   /// from ExecOptions::enable_spill; results, placement, and every
@@ -189,13 +186,6 @@ class Cluster {
   /// that never spill never touch the filesystem). Driver- and task-callable;
   /// the manager's own methods are thread-safe.
   spill::SpillManager* spill_manager();
-
-  /// The partition-byte threshold above which spill sites engage:
-  /// config().spill.threshold_bytes, defaulting to the memory cap.
-  uint64_t spill_threshold_bytes() const {
-    return config_.spill.threshold_bytes > 0 ? config_.spill.threshold_bytes
-                                             : config_.partition_memory_cap;
-  }
 
   /// Operator-scope stack for plan-node attribution of stages (EXPLAIN
   /// ANALYZE): stages recorded while a scope is active carry its name.

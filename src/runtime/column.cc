@@ -52,10 +52,10 @@ void AnyColumn::AppendNull() {
       break;
     case Kind::kVariant:
       variant_.push_back(Field::Null());
-      variant_bytes_ += variant_.back().DeepSize();
       break;
   }
   nulls_.Append(true);
+  cell_bytes_ += 8;  // a NULL charges 8 in every kind (field.cc)
 }
 
 void AnyColumn::Append(const Field& f) {
@@ -82,8 +82,8 @@ void AnyColumn::Append(const Field& f) {
       break;
     case Kind::kVariant:
       variant_.push_back(f);
-      variant_bytes_ += f.DeepSize();
       nulls_.Append(false);
+      cell_bytes_ += f.DeepSize();
       break;
   }
 }
@@ -93,6 +93,7 @@ void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {
                std::string("AnyColumn::AppendFrom: ") + KindName(src.kind_) +
                    " cell into a " + KindName(kind_) + " column");
   bool null = src.nulls_.IsNull(i);
+  cell_bytes_ += src.CellBytes(i);
   switch (kind_) {
     case Kind::kInt64:
       ints_.Append(src.ints_[i]);
@@ -108,7 +109,6 @@ void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {
       break;
     case Kind::kVariant:
       variant_.push_back(src.variant_[i]);
-      variant_bytes_ += src.variant_[i].DeepSize();
       break;
   }
   nulls_.Append(null);
@@ -167,7 +167,7 @@ uint64_t AnyColumn::ByteFootprint() const {
     case Kind::kBool: return b + bools_.ByteFootprint();
     case Kind::kString: return b + strs_.ByteFootprint();
     case Kind::kVariant:
-      return b + variant_.capacity() * sizeof(Field) + variant_bytes_;
+      return b + variant_.capacity() * sizeof(Field) + cell_bytes_;
   }
   return b;
 }
@@ -241,9 +241,8 @@ uint64_t PartitionBlock::RowBytesAt(size_t i) const {
 }
 
 uint64_t PartitionBlock::TotalRowBytes() const {
-  uint64_t s = 0;
-  size_t n = NumRows();
-  for (size_t i = 0; i < n; ++i) s += RowBytesAt(i);
+  uint64_t s = 8 * static_cast<uint64_t>(num_rows_);
+  for (const auto& c : cols_) s += c.cell_bytes();
   return s;
 }
 

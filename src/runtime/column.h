@@ -161,12 +161,25 @@ class AnyColumn {
   // Typed appends for decoders that hold raw column values; each is valid
   // only for the matching kind. AppendNull is valid for every kind.
   void AppendNull();
-  void AppendInt64(int64_t v) { ints_.Append(v); nulls_.Append(false); }
-  void AppendReal(double v) { reals_.Append(v); nulls_.Append(false); }
-  void AppendBool(bool v) { bools_.Append(v ? 1 : 0); nulls_.Append(false); }
+  void AppendInt64(int64_t v) {
+    ints_.Append(v);
+    nulls_.Append(false);
+    cell_bytes_ += 8;
+  }
+  void AppendReal(double v) {
+    reals_.Append(v);
+    nulls_.Append(false);
+    cell_bytes_ += 8;
+  }
+  void AppendBool(bool v) {
+    bools_.Append(v ? 1 : 0);
+    nulls_.Append(false);
+    cell_bytes_ += 8;
+  }
   void AppendString(std::string_view s) {
     strs_.Append(s);
     nulls_.Append(false);
+    cell_bytes_ += 32 + s.size();
   }
 
   bool IsNull(size_t i) const { return nulls_.IsNull(i); }
@@ -178,6 +191,9 @@ class AnyColumn {
   /// Matches field.cc exactly: 8 for null/int/real/bool, 32 + length for
   /// strings, DeepSize of the stored Field for variant cells.
   uint64_t CellBytes(size_t i) const;
+  /// CellBytes summed over every cell, kept as a running total by each
+  /// append.
+  uint64_t cell_bytes() const { return cell_bytes_; }
 
   /// Field::Hash of cell i without materializing scalar cells.
   uint64_t CellHash(size_t i) const;
@@ -200,7 +216,7 @@ class AnyColumn {
   StringColumn strs_;
   std::vector<Field> variant_;
   NullBitmap nulls_;
-  uint64_t variant_bytes_ = 0;  // accumulated DeepSize of variant cells
+  uint64_t cell_bytes_ = 0;  // running sum of CellBytes
 };
 
 /// One partition in columnar form. Constructed from a Schema (column kinds
@@ -248,6 +264,8 @@ class PartitionBlock {
   /// Bytes Field accounting charges for row i — identical to
   /// RowDeepSize(RowAt(i)) without materializing.
   uint64_t RowBytesAt(size_t i) const;
+  /// RowBytesAt summed over every row: the 8-byte row overhead per row plus
+  /// each column's running cell total, without visiting a row.
   uint64_t TotalRowBytes() const;
 
   /// RowHashOn(RowAt(i), cols) without materializing scalar cells.

@@ -6,10 +6,12 @@
 // Every partition is resident as a typed column::PartitionBlock. Blocks are
 // lossless — RowAt / RowBytesAt / HashRowOn observe the exact Field values
 // that went in — so everything that sizes, hashes, or materializes rows sees
-// the values a row vector would hold. No partition is ever held as a row
-// vector: operators materialize rows only transiently (a narrow chain's
-// input row, a join's output pair), and row vectors exist only at the
-// bridge to the interpreter and when a result is collected.
+// the values a row vector would hold. A block keeps its byte total as rows
+// are appended, so only the block knows how many bytes a partition holds.
+// No partition is ever held as a row vector: operators materialize rows only
+// transiently (a narrow chain's input row, a join's output pair), and row
+// vectors exist only at the bridge to the interpreter and when a result is
+// collected.
 #ifndef TRANCE_RUNTIME_DATASET_H_
 #define TRANCE_RUNTIME_DATASET_H_
 
@@ -102,22 +104,18 @@ struct Dataset {
     for (const auto& b : parts) n += b.NumRows();
     return n;
   }
-  /// Total deep-size footprint. `num_threads > 1` sizes partitions
-  /// concurrently (per-partition slots summed in partition order, so the
-  /// result is identical for any thread count).
-  uint64_t DeepSizeBytes(int num_threads = 1) const {
+  /// Total deep-size footprint of every partition.
+  uint64_t DeepSizeBytes() const {
     uint64_t s = 0;
-    for (uint64_t b : PartitionBytes(num_threads)) s += b;
+    for (const auto& b : parts) s += b.TotalRowBytes();
     return s;
   }
-  /// Byte footprint of each partition: the blocks' Field accounting
-  /// (TotalRowBytes, no row materialization), equal to the RowDeepSize sum
-  /// of the same rows.
-  std::vector<uint64_t> PartitionBytes(int num_threads = 1) const {
-    std::vector<uint64_t> out(parts.size(), 0);
-    util::ParallelFor(num_threads, out.size(), [&](size_t i) {
-      out[i] = parts[i].TotalRowBytes();
-    });
+  /// Byte footprint of each partition: the blocks' running Field accounting
+  /// (TotalRowBytes), equal to the RowDeepSize sum of the same rows.
+  std::vector<uint64_t> PartitionBytes() const {
+    std::vector<uint64_t> out;
+    out.reserve(parts.size());
+    for (const auto& b : parts) out.push_back(b.TotalRowBytes());
     return out;
   }
   /// All rows gathered into one vector, in partition order (result

@@ -14,41 +14,18 @@ namespace {
 
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
-// Stage barrier and spill telemetry shared with the fused-stage runner.
+// Stage barrier, work histogram and spill telemetry shared with the
+// fused-stage runner.
 using detail::FinishStage;
 using detail::NoteSpill;
-
-/// Accumulates per-partition processed bytes and finalizes max/total plus
-/// the per-partition work histogram. Add() is called from partition-parallel
-/// loops: each task writes only its own slot p, and Finalize() (called after
-/// the stage barrier) folds the slots in partition order — so the resulting
-/// stats are bit-identical to a sequential run.
-class WorkMeter {
- public:
-  explicit WorkMeter(size_t parts) : work_(parts, 0) {}
-  void Add(size_t p, uint64_t bytes) { work_[p] += bytes; }
-  /// Clears slot p (recovery reset of a discarded task attempt). Only valid
-  /// while a single task loop owns the slot.
-  void Reset(size_t p) { work_[p] = 0; }
-  void Finalize(StageStats* s) const {
-    for (uint64_t w : work_) {
-      s->total_work_bytes += w;
-      if (w > s->max_partition_work_bytes) s->max_partition_work_bytes = w;
-    }
-    s->partition_work_bytes = work_;
-  }
-
- private:
-  std::vector<uint64_t> work_;
-};
+using detail::SetWork;
 
 /// Per-partition keyed-phase telemetry — key_encode_bytes and the hash_*
-/// fields of StageStats — following the same slot discipline as WorkMeter:
-/// each task owns slot p, Finalize folds the slots in partition order after
-/// the stage barrier with each field's kStatFields aggregation (stats stay
-/// thread-count invariant). A stage with several keyed loops (e.g.
-/// SumAggregate's combine + final passes) finalizes one meter per loop; the
-/// StageStats fields accumulate.
+/// fields of StageStats: each task owns slot p, Finalize folds the slots in
+/// partition order after the stage barrier with each field's kStatFields
+/// aggregation (stats stay thread-count invariant). A stage with several
+/// keyed loops (e.g. SumAggregate's combine + final passes) finalizes one
+/// meter per loop; the StageStats fields accumulate.
 class KeyStatsMeter {
  public:
   explicit KeyStatsMeter(size_t parts) : slots_(parts) {}
@@ -96,122 +73,102 @@ std::vector<Field> FieldsAt(const PartitionBlock& b, size_t i,
   return out;
 }
 
-/// Partitions entering an operator's partition-local phase, as the
-/// producing shuffle (or reused input) holds them, with the deep-size
-/// footprint of each partition. The bytes ride along from the shuffle
-/// (where every row was sized exactly once) so the work meter and memory
-/// check never re-walk rows a shuffle already sized.
-struct ShuffledParts {
-  std::vector<PartitionBlock> parts;
-  std::vector<uint64_t> bytes;
-};
+/// Sum of the blocks' ByteFootprint (the columnar_bytes charge of blocks a
+/// stage built).
+uint64_t Footprint(const std::vector<PartitionBlock>& blocks) {
+  uint64_t s = 0;
+  for (const auto& b : blocks) s += b.ByteFootprint();
+  return s;
+}
 
 /// Hash-shuffles `in` to num_partitions buckets keyed on key_cols, recording
-/// exact cross-partition movement into `stage`. Two-phase and
-/// partition-parallel:
+/// exact cross-partition movement into `stage`, and returns the shuffled
+/// partitions. Two-phase and partition-parallel:
 ///   1. each input partition routes its rows by target partition into its
-///      own bucket blocks, sizing every row once (the size feeds movement
-///      accounting and the output footprint);
+///      own bucket blocks;
 ///   2. each target partition concatenates its buckets in fixed
 ///      input-partition order.
 /// Phase 2's fixed order reproduces the sequential row order exactly, and
-/// the movement histograms are merged in partition order at the phase-1
-/// barrier, so output and stats are identical for any thread count.
+/// the movement histograms are derived from the bucket blocks' byte totals
+/// in partition order at the phase-1 barrier — a bucket whose target is
+/// another partition moved every byte and row it holds — so output and
+/// stats are identical for any thread count.
 ///
 /// Shuffles move columns, not rows: the map side routes cells block-to-block
-/// straight out of the resident input block (HashRowOn == RowHashOn,
-/// RowBytesAt == RowDeepSize), and the fetch side concatenates the
-/// per-target buckets into the resident output block.
+/// straight out of the resident input block (HashRowOn == RowHashOn), and
+/// the fetch side concatenates the per-target buckets into the resident
+/// output block.
 ///
 /// Fault model: phase-1 (map side) tasks read only the immutable input, so a
 /// crash fault re-runs them after discarding the partition's buckets; phase-2
 /// (fetch side) consumes the buckets destructively, so its faults are
 /// fetch-style — they strike before the task touches the buckets (null
 /// reset) and the retry re-fetches.
-StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
-                                     const std::vector<int>& key_cols,
-                                     StageStats* stage) {
+StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
+    Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
+    StageStats* stage) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
   const size_t in_n = in.NumPartitions();
 
-  struct SourceBuckets {
-    std::vector<PartitionBlock> blocks;  // [target]
-    std::vector<uint64_t> bytes;         // [target] all routed bytes
-    std::vector<uint64_t> moved;         // [target] bytes that changed partition
-    uint64_t sent = 0;                   // total bytes leaving this partition
-    uint64_t moved_rows = 0;             // rows that changed partition
-  };
-  std::vector<SourceBuckets> buckets(in_n);
-  std::vector<uint64_t> map_col_bytes(in_n, 0);
+  std::vector<std::vector<PartitionBlock>> buckets(in_n);  // [source][target]
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       stage->op + ".shuffle_map", in_n, stage,
       [&](size_t p) {
-        SourceBuckets& b = buckets[p];
-        b.bytes.assign(n, 0);
-        b.moved.assign(n, 0);
-        b.blocks.assign(n, PartitionBlock(in.schema));
+        std::vector<PartitionBlock>& b = buckets[p];
+        b.assign(n, PartitionBlock(in.schema));
         const PartitionBlock& src = in.parts[p];
         const size_t rows = src.NumRows();
         for (size_t i = 0; i < rows; ++i) {
           size_t target = static_cast<size_t>(
               cluster->PartitionOf(src.HashRowOn(i, key_cols)));
-          uint64_t sz = src.RowBytesAt(i);
-          b.bytes[target] += sz;
-          if (target != p) {
-            b.moved[target] += sz;
-            b.sent += sz;
-            ++b.moved_rows;
-          }
-          b.blocks[target].AppendRowFrom(src, i);
-        }
-        for (const auto& tb : b.blocks) {
-          map_col_bytes[p] += tb.ByteFootprint();
+          b[target].AppendRowFrom(src, i);
         }
       },
-      [&](size_t p) {
-        buckets[p] = SourceBuckets{};
-        map_col_bytes[p] = 0;
-      }));
+      [&](size_t p) { buckets[p].clear(); }));
 
   std::vector<uint64_t> recv(n, 0);
   std::vector<uint64_t> send(std::max(in_n, n), 0);
+  std::vector<uint64_t> routed(n, 0);  // [target] every byte routed there
   uint64_t moved_rows = 0;
   uint64_t moved_bytes = 0;
   for (size_t p = 0; p < in_n; ++p) {
-    send[p] = buckets[p].sent;
-    stage->shuffle_bytes += buckets[p].sent;
-    moved_rows += buckets[p].moved_rows;
-    moved_bytes += buckets[p].sent;
-    for (size_t t = 0; t < n; ++t) recv[t] += buckets[p].moved[t];
+    stage->columnar_bytes += Footprint(buckets[p]);
+    for (size_t t = 0; t < n; ++t) {
+      const PartitionBlock& bucket = buckets[p][t];
+      const uint64_t bytes = bucket.TotalRowBytes();
+      routed[t] += bytes;
+      if (t == p) continue;
+      send[p] += bytes;
+      recv[t] += bytes;
+      moved_rows += bucket.NumRows();
+    }
+    moved_bytes += send[p];
   }
+  stage->shuffle_bytes += moved_bytes;
 
-  ShuffledParts out;
-  out.parts.assign(n, PartitionBlock(in.schema));
-  out.bytes.assign(n, 0);
-  std::vector<uint64_t> fetch_col_bytes(n, 0);
+  std::vector<PartitionBlock> out(n, PartitionBlock(in.schema));
 
   // Fetch-side spill (runtime/spill.h): a target whose total received bytes
-  // exceed the spill threshold writes one run per non-empty source bucket
+  // exceed the memory cap writes one run per non-empty source bucket
   // (clearing the bucket as it goes), then stream-merges the runs back in
   // fixed source order straight into the resident output block — the
   // identical row sequence the in-memory concatenation produces. The spill
   // decision and every run are pure functions of the routed bytes, and the
-  // per-target counter slots are folded in target order after the barrier,
+  // per-target spill slots are folded in target order after the barrier,
   // so results and stats stay thread-count-invariant.
   const bool spill_on = cluster->spill_enabled();
-  const uint64_t spill_threshold = cluster->spill_threshold_bytes();
-  std::vector<spill::SpillCounters> spill_slots(n);
+  const uint64_t cap = cluster->config().partition_memory_cap;
+  std::vector<StageStats> spill_slots(n);
   std::vector<Status> spill_errs(n, Status::OK());
   auto spill_fetch_target = [&](size_t t) -> Status {
     spill::SpillManager* sm = cluster->spill_manager();
-    spill::SpillCounters* c = &spill_slots[t];
+    StageStats* c = &spill_slots[t];
     const std::string tag = stage->op + ".shuffle_fetch";
     const uint64_t job = cluster->current_job_id();
     std::vector<std::string> runs;
     auto spill_and_restore = [&]() -> Status {
       for (size_t p = 0; p < in_n; ++p) {
-        out.bytes[t] += buckets[p].bytes[t];
-        auto& src = buckets[p].blocks[t];
+        auto& src = buckets[p][t];
         if (src.NumRows() == 0) continue;
         std::string path = sm->RunPath(job, tag, t, runs.size());
         TRANCE_RETURN_NOT_OK(sm->WriteBlockRun(path, src, c));
@@ -223,7 +180,7 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
       // column's values one at a time, as the in-memory concatenation does,
       // so the restored block's footprint equals the never-spilled one.
       for (const std::string& path : runs) {
-        TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out.parts[t], c));
+        TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out[t], c));
       }
       return Status::OK();
     };
@@ -231,37 +188,31 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
     // Success or failure, the runs leave the disk and the budget.
     for (const std::string& path : runs) sm->RemoveRun(path);
     TRANCE_RETURN_NOT_OK(s);
-    c->merge_passes += 1;
+    c->spill_merge_passes += 1;
     return Status::OK();
   };
 
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       stage->op + ".shuffle_fetch", n, stage,
       [&](size_t t) {
-        uint64_t total_bytes = 0;
-        for (size_t p = 0; p < in_n; ++p) total_bytes += buckets[p].bytes[t];
-        if (spill_on && total_bytes > spill_threshold) {
+        if (spill_on && routed[t] > cap) {
           spill_errs[t] = spill_fetch_target(t);
-        } else {
-          PartitionBlock& dst = out.parts[t];
-          for (size_t p = 0; p < in_n; ++p) {
-            const auto& src = buckets[p].blocks[t];
-            const size_t rows = src.NumRows();
-            for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
-          }
-          out.bytes[t] = total_bytes;
+          return;
         }
-        fetch_col_bytes[t] += out.parts[t].ByteFootprint();
+        for (size_t p = 0; p < in_n; ++p) {
+          const auto& src = buckets[p][t];
+          const size_t rows = src.NumRows();
+          for (size_t i = 0; i < rows; ++i) out[t].AppendRowFrom(src, i);
+        }
       },
       nullptr));
   TRANCE_RETURN_NOT_OK(FirstError(spill_errs));
   for (size_t t = 0; t < n; ++t) {
-    if (spill_slots[t].runs == 0 && spill_slots[t].merge_passes == 0) continue;
-    NoteSpill(cluster, stage, stage->op + ".shuffle_fetch", t, out.bytes[t],
-              spill_slots[t]);
+    const StageStats& c = spill_slots[t];
+    if (c.spill_runs == 0 && c.spill_merge_passes == 0) continue;
+    NoteSpill(cluster, stage, stage->op + ".shuffle_fetch", t, routed[t], c);
   }
-  for (uint64_t b : map_col_bytes) stage->columnar_bytes += b;
-  for (uint64_t b : fetch_col_bytes) stage->columnar_bytes += b;
+  stage->columnar_bytes += Footprint(out);
 
   for (uint64_t b : recv) {
     if (b > stage->max_partition_recv_bytes) {
@@ -292,32 +243,30 @@ StatusOr<ShuffledParts> ShuffleByKey(Cluster* cluster, const Dataset& in,
 }
 
 /// Shuffle path of operators that group/join on `key_cols`: reuses the input
-/// partitions (zero movement — and still one sizing walk for the work meter)
-/// when the guarantee already holds, otherwise hash-shuffles.
-StatusOr<ShuffledParts> ShuffleOrReuse(Cluster* cluster, const Dataset& in,
-                                       const std::vector<int>& key_cols,
-                                       StageStats* stage) {
+/// partitions (zero movement) when the guarantee already holds, otherwise
+/// hash-shuffles.
+StatusOr<std::vector<PartitionBlock>> ShuffleOrReuse(
+    Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
+    StageStats* stage) {
   if (!in.partitioning.IsHashOn(key_cols)) {
     return ShuffleByKey(cluster, in, key_cols, stage);
   }
-  ShuffledParts out;
-  out.parts = in.parts;
-  out.bytes = in.PartitionBytes(cluster->num_threads());
+  std::vector<PartitionBlock> out = in.parts;
   // Keyed-input spill: on the reuse path no shuffle bounds the partitions,
   // so an oversized keyed-build input spills to block runs here and streams
   // back in the original order — the downstream index build then inserts
   // the identical row sequence (same hash_* stats, same group emission
   // order). Driver-side, in partition order.
   if (cluster->spill_enabled()) {
-    const uint64_t threshold = cluster->spill_threshold_bytes();
-    for (size_t p = 0; p < out.parts.size(); ++p) {
-      if (out.bytes[p] <= threshold) continue;
-      spill::SpillCounters pc;
+    const uint64_t cap = cluster->config().partition_memory_cap;
+    for (size_t p = 0; p < out.size(); ++p) {
+      const uint64_t bytes = out[p].TotalRowBytes();
+      if (bytes <= cap) continue;
+      StageStats slot;
       TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
           cluster->current_job_id(), stage->op + ".keyed_input", p, in.schema,
-          &out.parts[p], &pc));
-      NoteSpill(cluster, stage, stage->op + ".keyed_input", p, out.bytes[p],
-                pc);
+          &out[p], &slot));
+      NoteSpill(cluster, stage, stage->op + ".keyed_input", p, bytes, slot);
     }
   }
   return out;
@@ -352,21 +301,16 @@ Row NullPadRight(const Row& l, size_t right_width) {
 }
 
 /// Partition-local hash join of `left` against the build block `right`,
-/// appending the output rows to `out` and returning their deep-size
-/// footprint; keyed telemetry goes to *ks. The flat table is keyed by
-/// compact binary keys encoded straight from the blocks' arenas (one arena
-/// append per distinct key, no per-probe allocation) and maps each key to a
-/// dense chain of row offsets into the build block. `right_width` NULL-pads
-/// left-outer misses (an empty right partition must still pad fully).
-uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
-                   const std::vector<int>& lk, const std::vector<int>& rk,
-                   JoinType type, size_t right_width, PartitionBlock* out,
-                   StageStats* ks) {
-  uint64_t out_bytes = 0;
-  auto emit = [&](const Row& row) {
-    out_bytes += RowDeepSize(row);
-    out->AppendRow(row);
-  };
+/// appending the output rows to `out`; keyed telemetry goes to *ks. The
+/// flat table is keyed by compact binary keys encoded straight from the
+/// blocks' arenas (one arena append per distinct key, no per-probe
+/// allocation) and maps each key to a dense chain of row offsets into the
+/// build block. `right_width` NULL-pads left-outer misses (an empty right
+/// partition must still pad fully).
+void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
+               const std::vector<int>& lk, const std::vector<int>& rk,
+               JoinType type, size_t right_width, PartitionBlock* out,
+               StageStats* ks) {
   const size_t rn = right.NumRows();
   FlatKeyIndex built(rn);
   std::vector<std::vector<uint32_t>> chains;
@@ -394,16 +338,17 @@ uint64_t LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
         matched = true;
         ks->hash_probe_hits++;
         Row l = left.RowAt(j);
-        for (uint32_t ri : chains[gi]) emit(ConcatRows(l, right.RowAt(ri)));
+        for (uint32_t ri : chains[gi]) {
+          out->AppendRow(ConcatRows(l, right.RowAt(ri)));
+        }
       }
     }
     if (!matched && type == JoinType::kLeftOuter) {
-      emit(NullPadRight(left.RowAt(j), right_width));
+      out->AppendRow(NullPadRight(left.RowAt(j), right_width));
     }
   }
   ks->key_encode_bytes += enc.bytes_encoded();
   flat_hash::NoteTableStats(built, ks);
-  return out_bytes;
 }
 
 /// Checks row i of source `op` before it enters `block`, a block of `schema`:
@@ -438,6 +383,22 @@ Status CheckSourceRow(const std::string& op, size_t i, const Row& row,
   return Status::OK();
 }
 
+/// Checks that every index in `cols`, operator `op`'s `list` column list,
+/// names a column of `schema`. The operators take column indices from their
+/// callers, so a bad index is Invalid naming the operator, the list, the
+/// index and the schema, before it can reach a block.
+Status CheckColumns(const std::string& op, const std::string& list,
+                    const std::vector<int>& cols, const Schema& schema) {
+  for (int c : cols) {
+    if (c < 0 || static_cast<size_t>(c) >= schema.size()) {
+      return Status::Invalid(op + ": " + list + " column " +
+                             std::to_string(c) + " is not a column of " +
+                             schema.ToString());
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
@@ -456,7 +417,7 @@ StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
   }
   StageStats stage;
   stage.op = op;
-  for (const auto& b : ds.parts) stage.columnar_bytes += b.ByteFootprint();
+  stage.columnar_bytes = Footprint(ds.parts);
   // Inputs are pre-cached ("runtime starts after caching all inputs"): they
   // are not charged against the per-partition memory cap.
   stage.rows_in = ds.NumRows();
@@ -471,12 +432,7 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     const std::string& name) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
   const std::string op = "source_partitioned(" + name + ")";
-  for (int c : key_cols) {
-    if (c < 0 || static_cast<size_t>(c) >= schema.size()) {
-      return Status::Invalid(op + ": key column " + std::to_string(c) +
-                             " is not a column of " + schema.ToString());
-    }
-  }
+  TRANCE_RETURN_NOT_OK(CheckColumns(op, "key", key_cols, schema));
   Dataset ds = Dataset::Empty(std::move(schema), n);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
@@ -487,7 +443,7 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
   ds.partitioning = Partitioning::Hash(std::move(key_cols));
   StageStats stage;
   stage.op = op;
-  for (const auto& b : ds.parts) stage.columnar_bytes += b.ByteFootprint();
+  stage.columnar_bytes = Footprint(ds.parts);
   stage.rows_in = ds.NumRows();
   stage.rows_out = ds.NumRows();
   cluster->RecordStage(std::move(stage));
@@ -505,23 +461,19 @@ StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
 StatusOr<Dataset> Repartition(Cluster* cluster, const Dataset& in,
                               std::vector<int> key_cols,
                               const std::string& name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "key", key_cols, in.schema));
   StageStats stage;
   stage.op = name;
   stage.rows_in = in.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts sp,
-                          ShuffleOrReuse(cluster, in, key_cols, &stage));
   Dataset out;
   out.schema = in.schema;
   // The shuffled partitions ARE the output — blocks stay resident.
-  out.parts = std::move(sp.parts);
+  TRANCE_ASSIGN_OR_RETURN(out.parts,
+                          ShuffleOrReuse(cluster, in, key_cols, &stage));
   out.partitioning = Partitioning::Hash(std::move(key_cols));
-  WorkMeter work(out.NumPartitions());
-  for (size_t p = 0; p < out.NumPartitions(); ++p) {
-    work.Add(p, sp.bytes[p]);
-  }
-  work.Finalize(&stage);
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(sp.bytes)));
+  SetWork(&stage, out.NumPartitions(),
+          [&](size_t p) { return out.parts[p].TotalRowBytes(); });
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
@@ -529,42 +481,38 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
                            const Dataset& right, std::vector<int> left_keys,
                            std::vector<int> right_keys, JoinType type,
                            const std::string& name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "left key", left_keys, left.schema));
+  TRANCE_RETURN_NOT_OK(
+      CheckColumns(name, "right key", right_keys, right.schema));
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts lsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> lsp,
                           ShuffleOrReuse(cluster, left, left_keys, &stage));
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts rsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> rsp,
                           ShuffleOrReuse(cluster, right, right_keys, &stage));
 
-  const size_t nparts = lsp.parts.size();
+  const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
-  WorkMeter work(nparts);
   KeyStatsMeter kmeter(nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
-        out_bytes[p] = LocalJoin(lsp.parts[p], rsp.parts[p], left_keys,
-                                 right_keys, type, right.schema.size(),
-                                 &out.parts[p], &kmeter.slot(p));
-        col_bytes[p] = out.parts[p].ByteFootprint();
-        work.Add(p, lsp.bytes[p] + rsp.bytes[p] + out_bytes[p]);
+        LocalJoin(lsp[p], rsp[p], left_keys, right_keys, type,
+                  right.schema.size(), &out.parts[p], &kmeter.slot(p));
       },
       [&](size_t p) {
         out.ClearPartition(p);
-        out_bytes[p] = 0;
-        col_bytes[p] = 0;
-        work.Reset(p);
         kmeter.Reset(p);
       }));
-  work.Finalize(&stage);
   kmeter.Finalize(&stage);
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  SetWork(&stage, nparts, [&](size_t p) {
+    return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
+           out.parts[p].TotalRowBytes();
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(left_keys));
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
@@ -573,22 +521,22 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
                                 std::vector<int> left_keys,
                                 std::vector<int> right_keys, JoinType type,
                                 const std::string& name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "left key", left_keys, left.schema));
+  TRANCE_RETURN_NOT_OK(
+      CheckColumns(name, "right key", right_keys, right.schema));
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
   // The broadcast replicates the right side to every partition, as one
   // block: right's partitions concatenated in partition order, built once
-  // on the driver and read by every partition's hash build. One parallel
-  // sizing pass covers the movement accounting and the send histogram.
+  // on the driver and read by every partition's hash build. The blocks'
+  // byte totals give the movement accounting and the send histogram.
   PartitionBlock bcast(right.schema);
   for (const auto& part : right.parts) {
     for (size_t i = 0; i < part.NumRows(); ++i) bcast.AppendRowFrom(part, i);
   }
   stage.columnar_bytes += bcast.ByteFootprint();
-  std::vector<uint64_t> right_bytes =
-      right.PartitionBytes(cluster->num_threads());
-  uint64_t bcast_bytes = 0;
-  for (uint64_t b : right_bytes) bcast_bytes += b;
+  const uint64_t bcast_bytes = bcast.TotalRowBytes();
   const uint64_t n = static_cast<uint64_t>(cluster->num_partitions());
   stage.shuffle_bytes += bcast_bytes * n;
   stage.max_partition_recv_bytes =
@@ -619,42 +567,33 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   {
     std::vector<uint64_t> send(right.NumPartitions(), 0);
     for (size_t p = 0; p < right.NumPartitions(); ++p) {
-      send[p] = right_bytes[p] * n;
+      send[p] = right.parts[p].TotalRowBytes() * n;
     }
     AccumulateHistogram(&stage.partition_send_bytes, send);
   }
 
   const size_t nparts = left.NumPartitions();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
-  std::vector<uint64_t> left_bytes =
-      left.PartitionBytes(cluster->num_threads());
-  WorkMeter work(nparts);
   KeyStatsMeter kmeter(nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
-        out_bytes[p] = LocalJoin(left.parts[p], bcast, left_keys, right_keys,
-                                 type, right.schema.size(), &out.parts[p],
-                                 &kmeter.slot(p));
-        col_bytes[p] = out.parts[p].ByteFootprint();
-        work.Add(p, left_bytes[p] + bcast_bytes + out_bytes[p]);
+        LocalJoin(left.parts[p], bcast, left_keys, right_keys, type,
+                  right.schema.size(), &out.parts[p], &kmeter.slot(p));
       },
       [&](size_t p) {
         out.ClearPartition(p);
-        out_bytes[p] = 0;
-        col_bytes[p] = 0;
-        work.Reset(p);
         kmeter.Reset(p);
       }));
-  work.Finalize(&stage);
   kmeter.Finalize(&stage);
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  SetWork(&stage, nparts, [&](size_t p) {
+    return left.parts[p].TotalRowBytes() + bcast_bytes +
+           out.parts[p].TotalRowBytes();
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   // Left rows did not move: the left guarantee (if any) is preserved.
   out.partitioning = left.partitioning;
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
@@ -664,6 +603,10 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
                             const std::string& bag_col_name,
                             const std::string& name,
                             std::vector<int> indicator_cols) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "key", key_cols, in.schema));
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "value", value_cols, in.schema));
+  TRANCE_RETURN_NOT_OK(
+      CheckColumns(name, "indicator", indicator_cols, in.schema));
   // Fallback miss rule: all non-bag value columns NULL.
   std::vector<int> miss_cols = indicator_cols;
   if (miss_cols.empty()) {
@@ -675,7 +618,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
   StageStats stage;
   stage.op = name;
   stage.rows_in = in.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
                           ShuffleOrReuse(cluster, in, key_cols, &stage));
 
   Schema out_schema;
@@ -690,17 +633,14 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
   out_schema.Append(
       {bag_col_name, nrc::Type::Bag(nrc::Type::Tuple(std::move(bag_fields)))});
 
-  const size_t nparts = sp.parts.size();
+  const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  WorkMeter work(nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
   auto nest_task = [&](size_t p) {
     // Groups are (key fields of the first row that created the group,
     // members), in first-seen order; members project straight from the
     // block's arenas.
-    const PartitionBlock& src = sp.parts[p];
+    const PartitionBlock& src = sp[p];
     std::vector<std::pair<std::vector<Field>, std::vector<Row>>> groups;
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
     StageStats& ks = kmeter.slot(p);
@@ -734,30 +674,25 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     for (auto& [key_fields, members] : groups) {
       Row row(std::move(key_fields));
       row.fields.push_back(Field::Bag(std::move(members)));
-      out_bytes[p] += RowDeepSize(row);
       dst.AppendRow(row);
     }
-    col_bytes[p] += dst.ByteFootprint();
-    work.Add(p, sp.bytes[p] + out_bytes[p]);
   };
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage, nest_task, [&](size_t p) {
         out.ClearPartition(p);
-        out_bytes[p] = 0;
-        col_bytes[p] = 0;
-        work.Reset(p);
         kmeter.Reset(p);
       }));
-  work.Finalize(&stage);
   kmeter.Finalize(&stage);
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  SetWork(&stage, nparts, [&](size_t p) {
+    return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   std::vector<int> out_keys;
   for (int i = 0; i < static_cast<int>(key_cols.size()); ++i) {
     out_keys.push_back(i);
   }
   out.partitioning = Partitioning::Hash(std::move(out_keys));
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
@@ -776,6 +711,8 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
                                std::vector<int> value_cols,
                                bool map_side_combine,
                                const std::string& name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "key", key_cols, in.schema));
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "value", value_cols, in.schema));
   StageStats stage;
   stage.op = name;
   stage.rows_in = in.NumRows();
@@ -798,10 +735,10 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   }
 
   // Local aggregation of one partition block into (key, sums) rows appended
-  // to `dst`; returns their deep-size footprint. A row whose value fields
-  // are all NULL marks an outer miss: it creates the group but contributes
-  // nothing; groups with no contribution emit NULL values. Groups keep the
-  // key fields of the first row that created them, in first-seen order.
+  // to `dst`. A row whose value fields are all NULL marks an outer miss: it
+  // creates the group but contributes nothing; groups with no contribution
+  // emit NULL values. Groups keep the key fields of the first row that
+  // created them, in first-seen order.
   // Reads only its arguments and the (const) captured column metadata, so
   // the partition-parallel loops below may share it.
   struct Acc {
@@ -809,7 +746,7 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     bool seen = false;
   };
   auto aggregate = [&](const PartitionBlock& src, bool rows_are_partial,
-                       StageStats* ks, PartitionBlock* dst) -> uint64_t {
+                       StageStats* ks, PartitionBlock* dst) {
     std::vector<std::pair<std::vector<Field>, Acc>> groups;
     std::vector<uint64_t> group_rows;
     const std::vector<int>& cols = rows_are_partial ? partial_keys : key_cols;
@@ -846,7 +783,6 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     }
     ks->key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, ks);
-    uint64_t emitted = 0;
     for (auto& [key_fields, acc] : groups) {
       Row row(std::move(key_fields));
       for (size_t i = 0; i < acc.sums.size(); ++i) {
@@ -858,116 +794,84 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
                         : Field::Real(acc.sums[i]));
         }
       }
-      emitted += RowDeepSize(row);
       dst->AppendRow(row);
     }
-    return emitted;
   };
 
   const size_t in_parts = in.NumPartitions();
-  WorkMeter work(in_parts);
   Dataset partial = Dataset::Empty(out_schema, in_parts);
-  std::vector<uint64_t> pre_col_bytes(in_parts, 0);
-  // The aggregate runs up to three task loops over the same work meter, so
-  // each loop accumulates into its own local vector (folded into the meter
-  // after its barrier): a recovery reset may then zero the current loop's
-  // slot without destroying an earlier loop's contribution.
-  {
-    std::vector<uint64_t> local_work(in_parts, 0);
-    if (map_side_combine) {
-      std::vector<uint64_t> in_bytes =
-          in.PartitionBytes(cluster->num_threads());
-      KeyStatsMeter kmeter(in_parts);
-      TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-          name + ".combine", in_parts, &stage,
-          [&](size_t p) {
-            uint64_t partial_bytes = aggregate(
-                in.parts[p], false, &kmeter.slot(p), &partial.parts[p]);
-            pre_col_bytes[p] += partial.parts[p].ByteFootprint();
-            local_work[p] = in_bytes[p] + partial_bytes;
-          },
-          [&](size_t p) {
-            partial.ClearPartition(p);
-            local_work[p] = 0;
-            pre_col_bytes[p] = 0;
-            kmeter.Reset(p);
-          }));
-      kmeter.Finalize(&stage);
-    } else {
-      // Reshape rows to (key, value) layout without combining; cells
-      // project straight from the input block.
-      TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-          name + ".reshape", in_parts, &stage,
-          [&](size_t p) {
-            const PartitionBlock& src = in.parts[p];
-            PartitionBlock& dst = partial.parts[p];
-            uint64_t in_bytes = 0;
-            const size_t rows = src.NumRows();
-            for (size_t i = 0; i < rows; ++i) {
-              in_bytes += src.RowBytesAt(i);
-              // NULLs pass through so the final aggregation pass can apply
-              // the miss-marker rule uniformly.
-              Row r(FieldsAt(src, i, key_cols));
-              for (int c : value_cols) {
-                r.fields.push_back(src.FieldAt(i, static_cast<size_t>(c)));
-              }
-              dst.AppendRow(r);
+  if (map_side_combine) {
+    KeyStatsMeter kmeter(in_parts);
+    TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
+        name + ".combine", in_parts, &stage,
+        [&](size_t p) {
+          aggregate(in.parts[p], false, &kmeter.slot(p), &partial.parts[p]);
+        },
+        [&](size_t p) {
+          partial.ClearPartition(p);
+          kmeter.Reset(p);
+        }));
+    kmeter.Finalize(&stage);
+  } else {
+    // Reshape rows to (key, value) layout without combining; cells
+    // project straight from the input block.
+    TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
+        name + ".reshape", in_parts, &stage,
+        [&](size_t p) {
+          const PartitionBlock& src = in.parts[p];
+          PartitionBlock& dst = partial.parts[p];
+          const size_t rows = src.NumRows();
+          for (size_t i = 0; i < rows; ++i) {
+            // NULLs pass through so the final aggregation pass can apply
+            // the miss-marker rule uniformly.
+            Row r(FieldsAt(src, i, key_cols));
+            for (int c : value_cols) {
+              r.fields.push_back(src.FieldAt(i, static_cast<size_t>(c)));
             }
-            pre_col_bytes[p] += dst.ByteFootprint();
-            local_work[p] = in_bytes;
-          },
-          [&](size_t p) {
-            partial.ClearPartition(p);
-            local_work[p] = 0;
-            pre_col_bytes[p] = 0;
-          }));
-    }
-    for (size_t p = 0; p < in_parts; ++p) work.Add(p, local_work[p]);
+            dst.AppendRow(r);
+          }
+        },
+        [&](size_t p) { partial.ClearPartition(p); }));
   }
-  for (uint64_t b : pre_col_bytes) stage.columnar_bytes += b;
+  stage.columnar_bytes += Footprint(partial.parts);
   partial.partitioning = in.partitioning.IsHashOn(key_cols)
                              ? Partitioning::Hash(partial_keys)
                              : Partitioning::None();
 
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
                           ShuffleOrReuse(cluster, partial, partial_keys,
                                          &stage));
 
-  const size_t nparts = sp.parts.size();
+  const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
-  std::vector<uint64_t> fin_col_bytes(nparts, 0);
-  {
-    std::vector<uint64_t> local_work(nparts, 0);
-    KeyStatsMeter kmeter(nparts);
-    TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-        name, nparts, &stage,
-        [&](size_t p) {
-          out_bytes[p] =
-              aggregate(sp.parts[p], true, &kmeter.slot(p), &out.parts[p]);
-          fin_col_bytes[p] += out.parts[p].ByteFootprint();
-          local_work[p] = sp.bytes[p] + out_bytes[p];
-        },
-        [&](size_t p) {
-          out.ClearPartition(p);
-          out_bytes[p] = 0;
-          fin_col_bytes[p] = 0;
-          local_work[p] = 0;
-          kmeter.Reset(p);
-        }));
-    kmeter.Finalize(&stage);
-    for (size_t p = 0; p < nparts; ++p) work.Add(p, local_work[p]);
-  }
-  work.Finalize(&stage);
-  for (uint64_t b : fin_col_bytes) stage.columnar_bytes += b;
+  KeyStatsMeter kmeter(nparts);
+  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
+      name, nparts, &stage,
+      [&](size_t p) {
+        aggregate(sp[p], true, &kmeter.slot(p), &out.parts[p]);
+      },
+      [&](size_t p) {
+        out.ClearPartition(p);
+        kmeter.Reset(p);
+      }));
+  kmeter.Finalize(&stage);
+  // The pre-shuffle pass charges its input (and, combining, its partial
+  // rows); the final pass charges its input and output.
+  SetWork(&stage, in_parts, [&](size_t p) {
+    uint64_t w = in.parts[p].TotalRowBytes();
+    if (map_side_combine) w += partial.parts[p].TotalRowBytes();
+    if (p < nparts) w += sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+    return w;
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(partial_keys);
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
 StatusOr<Schema> UnnestedSchema(const Schema& in, int bag_col,
                                 const std::string& id_col_name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns("unnest", "bag", {bag_col}, in));
   const auto& bag_type = in.col(static_cast<size_t>(bag_col)).type;
   if (!bag_type->is_bag()) {
     return Status::TypeError("unnest on non-bag column " +
@@ -995,12 +899,22 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
   if (a.schema.size() != b.schema.size()) {
     return Status::TypeError("union of schemas with different widths");
   }
+  for (size_t c = 0; c < a.schema.size(); ++c) {
+    const auto ka = column::AnyColumn::KindForType(a.schema.col(c).type);
+    const auto kb = column::AnyColumn::KindForType(b.schema.col(c).type);
+    if (ka != kb) {
+      return Status::TypeError(
+          name + ": column " + std::to_string(c) + " '" +
+          a.schema.col(c).name + "' is " + column::AnyColumn::KindName(ka) +
+          " in the first input and " + column::AnyColumn::KindName(kb) +
+          " in the second");
+    }
+  }
   const size_t nparts = std::max(a.NumPartitions(), b.NumPartitions());
   Dataset out = Dataset::Empty(a.schema, nparts);
   StageStats stage;
   stage.op = name;
   stage.rows_in = a.NumRows() + b.NumRows();
-  std::vector<uint64_t> col_bytes(nparts, 0);
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
@@ -1011,13 +925,9 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
           const size_t rows = src.NumRows();
           for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
         }
-        col_bytes[p] = dst.ByteFootprint();
       },
-      [&](size_t p) {
-        out.ClearPartition(p);
-        col_bytes[p] = 0;
-      }));
-  for (uint64_t bts : col_bytes) stage.columnar_bytes += bts;
+      [&](size_t p) { out.ClearPartition(p); }));
+  stage.columnar_bytes += Footprint(out.parts);
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
@@ -1031,14 +941,11 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   for (int i = 0; i < static_cast<int>(in.schema.size()); ++i) {
     all_cols.push_back(i);
   }
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
                           ShuffleOrReuse(cluster, in, all_cols, &stage));
-  const size_t nparts = sp.parts.size();
+  const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(in.schema, nparts);
-  WorkMeter work(nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
@@ -1047,7 +954,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         // key copies column-to-column into the output block. Per-key
         // duplicate counts (the chain stat) live densely beside the index.
         StageStats& ks = kmeter.slot(p);
-        const PartitionBlock& src = sp.parts[p];
+        const PartitionBlock& src = sp[p];
         PartitionBlock& dst = out.parts[p];
         FlatKeyIndex seen;
         std::vector<uint64_t> counts;
@@ -1059,7 +966,6 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
             counts.push_back(1);
             ks.hash_build_rows++;
             ks.hash_max_chain = std::max<uint64_t>(ks.hash_max_chain, 1);
-            out_bytes[p] += src.RowBytesAt(i);
             dst.AppendRowFrom(src, i);
           } else {
             ks.hash_probe_hits++;
@@ -1068,22 +974,18 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         }
         ks.key_encode_bytes += enc.bytes_encoded();
         flat_hash::NoteTableStats(seen, &ks);
-        col_bytes[p] += dst.ByteFootprint();
-        work.Add(p, sp.bytes[p] + out_bytes[p]);
       },
       [&](size_t p) {
         out.ClearPartition(p);
-        out_bytes[p] = 0;
-        col_bytes[p] = 0;
-        work.Reset(p);
         kmeter.Reset(p);
       }));
-  work.Finalize(&stage);
   kmeter.Finalize(&stage);
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  SetWork(&stage, nparts, [&](size_t p) {
+    return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(all_cols));
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 
@@ -1093,12 +995,17 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
                           std::vector<int> right_value_cols,
                           const std::string& bag_col_name,
                           const std::string& name) {
+  TRANCE_RETURN_NOT_OK(CheckColumns(name, "left key", left_keys, left.schema));
+  TRANCE_RETURN_NOT_OK(
+      CheckColumns(name, "right key", right_keys, right.schema));
+  TRANCE_RETURN_NOT_OK(
+      CheckColumns(name, "right value", right_value_cols, right.schema));
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts lsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> lsp,
                           ShuffleOrReuse(cluster, left, left_keys, &stage));
-  TRANCE_ASSIGN_OR_RETURN(ShuffledParts rsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> rsp,
                           ShuffleOrReuse(cluster, right, right_keys, &stage));
 
   Schema out_schema = left.schema;
@@ -1110,16 +1017,13 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   out_schema.Append(
       {bag_col_name, nrc::Type::Bag(nrc::Type::Tuple(std::move(bag_fields)))});
 
-  const size_t nparts = lsp.parts.size();
+  const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  WorkMeter work(nparts);
-  std::vector<uint64_t> out_bytes(nparts, 0);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   KeyStatsMeter kmeter(nparts);
   auto cogroup_task = [&](size_t p) {
     StageStats& ks = kmeter.slot(p);
-    const PartitionBlock& lb = lsp.parts[p];
-    const PartitionBlock& rb = rsp.parts[p];
+    const PartitionBlock& lb = lsp[p];
+    const PartitionBlock& rb = rsp[p];
     PartitionBlock& dst = out.parts[p];
     FlatKeyIndex built;
     std::vector<std::vector<Row>> chains;  // dense index -> right projections
@@ -1152,30 +1056,24 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       Row row = lb.RowAt(j);  // transient: emitted immediately
       row.fields.push_back(matches == nullptr ? Field::Bag(std::vector<Row>{})
                                               : Field::Bag(*matches));
-      uint64_t sz = RowDeepSize(row);
-      work.Add(p, sz);
-      out_bytes[p] += sz;
       dst.AppendRow(row);
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(built, &ks);
-    work.Add(p, lsp.bytes[p] + rsp.bytes[p]);
-    col_bytes[p] += dst.ByteFootprint();
   };
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage, cogroup_task, [&](size_t p) {
         out.ClearPartition(p);
-        out_bytes[p] = 0;
-        col_bytes[p] = 0;
-        work.Reset(p);
         kmeter.Reset(p);
       }));
-  work.Finalize(&stage);
   kmeter.Finalize(&stage);
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  SetWork(&stage, nparts, [&](size_t p) {
+    return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
+           out.parts[p].TotalRowBytes();
+  });
+  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(left_keys));
-  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name,
-                                   std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
 

@@ -21,7 +21,7 @@
 namespace trance {
 namespace runtime {
 
-// MapFn / FlatMapFn / PredFn live in runtime/stage_pipeline.h: the narrow
+// MapFn / PredFn live in runtime/stage_pipeline.h: the narrow
 // operators below (MapRows, AddIndexColumn) are single-transform chains of
 // the fused-stage runner, so the fused and standalone paths share one
 // implementation. Other narrow operators run as RowTransform chains.

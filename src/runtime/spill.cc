@@ -17,6 +17,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Buffer size of the serde file reader and writer.
+constexpr size_t kIoBufferBytes = 64 * 1024;
+
 /// Process-wide manager sequence; keeps concurrent clusters (tests run many)
 /// in disjoint directories while staying deterministic per process.
 std::atomic<uint64_t>& InstanceCounter() {
@@ -58,7 +61,6 @@ SpillManager::SpillManager(SpillConfig config) : config_(std::move(config)) {
 }
 
 SpillManager::~SpillManager() {
-  if (config_.keep_files) return;
   bool created;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -113,7 +115,7 @@ Status EnsureParentDir(const std::string& path) {
 
 Status SpillManager::WriteBlockRun(const std::string& path,
                                    const column::PartitionBlock& block,
-                                   SpillCounters* c) {
+                                   StageStats* c) {
   std::string payload;
   return WriteRangeRun(path, block, 0, block.NumRows(), &payload, c);
 }
@@ -121,7 +123,7 @@ Status SpillManager::WriteBlockRun(const std::string& path,
 Status SpillManager::WriteRangeRun(const std::string& path,
                                    const column::PartitionBlock& block,
                                    size_t begin, size_t end,
-                                   std::string* payload, SpillCounters* c) {
+                                   std::string* payload, StageStats* c) {
   payload->clear();
   serde::AppendBlockPayload(block, begin, end, payload);
   // The file's size is known before it exists: charge the budget first, so
@@ -135,38 +137,31 @@ Status SpillManager::WriteRangeRun(const std::string& path,
   }
   Status s = EnsureParentDir(path);
   serde::BlockFileWriter writer;
-  if (s.ok()) {
-    s = writer.Open(path, static_cast<size_t>(config_.io_buffer_bytes));
-  }
+  if (s.ok()) s = writer.Open(path, kIoBufferBytes);
   if (s.ok()) s = writer.WriteBlockPayload(*payload);
   if (s.ok()) s = writer.Close();
   if (!s.ok()) {
     RemoveRun(path);
     return s;
   }
-  total_written_.fetch_add(bytes);
   total_runs_.fetch_add(1);
-  if (c != nullptr) {
-    c->bytes_written += bytes;
-    c->runs += 1;
-  }
+  c->spill_bytes_written += bytes;
+  c->spill_runs += 1;
   return Status::OK();
 }
 
 Status SpillManager::ReadRunIntoBlock(const std::string& path,
                                       column::PartitionBlock* out,
-                                      SpillCounters* c) {
+                                      StageStats* c) {
   serde::BlockFileReader reader;
-  TRANCE_RETURN_NOT_OK(
-      reader.Open(path, static_cast<size_t>(config_.io_buffer_bytes)));
+  TRANCE_RETURN_NOT_OK(reader.Open(path, kIoBufferBytes));
   for (;;) {
     TRANCE_ASSIGN_OR_RETURN(bool more, reader.ReadBatchInto(out));
     if (!more) break;
   }
   uint64_t bytes = reader.bytes_read();
   TRANCE_RETURN_NOT_OK(reader.Close());
-  total_read_.fetch_add(bytes);
-  if (c != nullptr) c->bytes_read += bytes;
+  c->spill_bytes_read += bytes;
   return Status::OK();
 }
 
@@ -179,7 +174,6 @@ void SpillManager::RemoveRun(const std::string& path) {
       file_bytes_.erase(it);
     }
   }
-  if (config_.keep_files) return;
   std::error_code ec;
   fs::remove(path, ec);
 }
@@ -188,7 +182,7 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                                           size_t partition,
                                           const Schema& schema,
                                           column::PartitionBlock* block,
-                                          SpillCounters* c) {
+                                          StageStats* c) {
   std::vector<std::string> runs;
   std::string payload;
   auto write_run = [&](size_t begin, size_t end) -> Status {
@@ -224,7 +218,7 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
   Status s = spill_and_restore();
   for (const std::string& path : runs) RemoveRun(path);
   TRANCE_RETURN_NOT_OK(s);
-  if (c != nullptr) c->merge_passes += 1;
+  c->spill_merge_passes += 1;
   return Status::OK();
 }
 

@@ -11,11 +11,8 @@ namespace detail {
 
 void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
                size_t partition, uint64_t partition_bytes,
-               const spill::SpillCounters& c) {
-  stage->spill_bytes_written += c.bytes_written;
-  stage->spill_bytes_read += c.bytes_read;
-  stage->spill_runs += c.runs;
-  stage->spill_merge_passes += c.merge_passes;
+               const StageStats& spilled) {
+  FoldStage(spilled, stage);
   obs::EventLog& log = obs::GlobalEventLog();
   if (!log.enabled()) return;
   obs::Event(&log, "spill")
@@ -23,26 +20,35 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
       .Str("op", op)
       .U64("partition", partition)
       .U64("partition_bytes", partition_bytes)
-      .U64("bytes_written", c.bytes_written)
-      .U64("bytes_read", c.bytes_read)
-      .U64("runs", c.runs)
-      .U64("merge_passes", c.merge_passes)
+      .U64("bytes_written", spilled.spill_bytes_written)
+      .U64("bytes_read", spilled.spill_bytes_read)
+      .U64("runs", spilled.spill_runs)
+      .U64("merge_passes", spilled.spill_merge_passes)
       .Emit();
 }
 
-Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
-                   const std::string& name,
-                   std::vector<uint64_t> part_bytes) {
-  stage.rows_out = result->NumRows();
-  if (part_bytes.empty()) {
-    part_bytes = result->PartitionBytes(cluster->num_threads());
+void SetWork(StageStats* stage, size_t n,
+             const std::function<uint64_t(size_t)>& work_of) {
+  stage->partition_work_bytes.assign(n, 0);
+  for (size_t p = 0; p < n; ++p) {
+    const uint64_t w = work_of(p);
+    stage->partition_work_bytes[p] = w;
+    stage->total_work_bytes += w;
+    stage->max_partition_work_bytes =
+        std::max(stage->max_partition_work_bytes, w);
   }
+}
+
+Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
+                   const std::string& name) {
+  stage.rows_out = result->NumRows();
+  const std::vector<uint64_t> part_bytes = result->PartitionBytes();
   for (uint64_t b : part_bytes) {
     if (b > stage.mem_high_water_bytes) stage.mem_high_water_bytes = b;
   }
   // Out-of-core fallback: partitions whose output footprint crosses the
-  // spill threshold are written to disk runs and streamed back (identical
-  // row sequence — see runtime/spill.h), turning what the memory check below
+  // memory cap are written to disk runs and streamed back (identical row
+  // sequence — see runtime/spill.h), turning what the memory check below
   // would fail into a slow-but-correct stage. Driver-side, in partition
   // order, so spill counters and events are thread-count-invariant; the
   // recorded peak bytes are untouched, keeping mem_high_water /
@@ -51,19 +57,18 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   std::vector<uint8_t> spilled(part_bytes.size(), 0);
   bool any_spilled = false;
   if (cluster->spill_enabled()) {
-    uint64_t threshold = std::min(cluster->spill_threshold_bytes(),
-                                  cluster->config().partition_memory_cap);
+    const uint64_t cap = cluster->config().partition_memory_cap;
     for (size_t p = 0; p < part_bytes.size(); ++p) {
-      if (part_bytes[p] <= threshold) continue;
-      spill::SpillCounters pc;
+      if (part_bytes[p] <= cap) continue;
+      StageStats slot;
       // Blocks round-trip as columnar serde records and come back resident.
       spill_status = cluster->spill_manager()->SpillAndRestoreBlock(
           cluster->current_job_id(), name, p, result->schema,
-          &result->parts[p], &pc);
+          &result->parts[p], &slot);
       if (!spill_status.ok()) break;
       spilled[p] = 1;
       any_spilled = true;
-      NoteSpill(cluster, &stage, name, p, part_bytes[p], pc);
+      NoteSpill(cluster, &stage, name, p, part_bytes[p], slot);
     }
   }
   cluster->RecordStage(std::move(stage));
@@ -77,12 +82,11 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
 namespace {
 
 /// Whether this transform, as the last of its chain, charges its emitted
-/// rows to the work meter (filter and add-index charge input only /
-/// nothing; the others charge input + output).
+/// rows as work (filter and add-index charge input only / nothing; the
+/// others charge input + output).
 bool ChargesEmitted(RowTransform::Kind k) {
   switch (k) {
     case RowTransform::Kind::kMap:
-    case RowTransform::Kind::kFlatMap:
     case RowTransform::Kind::kUnnest:
     case RowTransform::Kind::kOuterUnnest:
       return true;
@@ -108,14 +112,6 @@ RowTransform RowTransform::Filter(std::string op, PredFn fn) {
   t.kind = Kind::kFilter;
   t.op = std::move(op);
   t.pred = std::move(fn);
-  return t;
-}
-
-RowTransform RowTransform::FlatMap(std::string op, FlatMapFn fn) {
-  RowTransform t;
-  t.kind = Kind::kFlatMap;
-  t.op = std::move(op);
-  t.flat_map = std::move(fn);
   return t;
 }
 
@@ -164,7 +160,6 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
     if (t.kind != RowTransform::Kind::kAddIndex) charge_input = true;
   }
   const bool charge_final = ChargesEmitted(chain.back().kind);
-  const bool track_work = charge_input || charge_final;
 
   const size_t nparts = in.NumPartitions();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts,
@@ -172,18 +167,15 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
 
   // Per-partition accumulator slots, merged in partition order after the
   // barrier (bit-identical stats at any thread count).
-  std::vector<uint64_t> work(nparts, 0);
-  std::vector<uint64_t> rows_in(nparts, 0);
-  std::vector<uint64_t> out_bytes(nparts, 0);
   std::vector<uint64_t> avoided(nparts, 0);
-  std::vector<uint64_t> col_bytes(nparts, 0);
   std::vector<std::vector<uint64_t>> transform_rows(
       nparts, std::vector<uint64_t>(len, 0));
 
   // The chain scans the input block and appends emitted rows straight into
   // the output partition's resident block. Each input row materializes
-  // transiently to feed the chain; work and byte charges are computed from
-  // the block's exact Field values.
+  // transiently to feed the chain; intermediate rows are sized as they pass,
+  // and work charges are read off the input and output blocks' byte totals
+  // after the barrier.
 
   auto task = [&](size_t p) {
     // Per-partition id counters reproduce the standalone operators' uid
@@ -199,9 +191,6 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
       auto emit = [&](Row r) {
         ++t_rows[i];
         if (i + 1 == len) {
-          uint64_t sz = RowDeepSize(r);
-          out_bytes[p] += sz;
-          if (charge_final) work[p] += sz;
           out.parts[p].AppendRow(r);
         } else {
           avoided[p] += RowDeepSize(r);
@@ -215,12 +204,6 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
         case RowTransform::Kind::kFilter:
           if (t.pred(row)) emit(row);
           break;
-        case RowTransform::Kind::kFlatMap: {
-          std::vector<Row> buf;
-          t.flat_map(row, &buf);
-          for (auto& r : buf) emit(std::move(r));
-          break;
-        }
         case RowTransform::Kind::kUnnest: {
           const Field& bag = row.fields[static_cast<size_t>(t.bag_col)];
           if (!bag.is_bag() || bag.AsBag() == nullptr) break;
@@ -276,13 +259,9 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
 
     const column::PartitionBlock& in_block = in.parts[p];
     const size_t n = in_block.NumRows();
-    rows_in[p] = n;
     for (size_t i = 0; i < n; ++i) {
-      Row row = in_block.RowAt(i);  // transient: feeds the chain, then dies
-      if (charge_input) work[p] += RowDeepSize(row);
-      feed(0, row);
+      feed(0, in_block.RowAt(i));  // transient: feeds the chain, then dies
     }
-    col_bytes[p] += out.parts[p].ByteFootprint();
   };
 
   StageStats stage;
@@ -293,29 +272,22 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       stage_name, nparts, &stage, task, [&](size_t p) {
         out.ClearPartition(p);
-        work[p] = 0;
-        rows_in[p] = 0;
-        out_bytes[p] = 0;
         avoided[p] = 0;
-        col_bytes[p] = 0;
         transform_rows[p].assign(len, 0);
       }));
 
   // Pre-set attribution to the chain's last plan node (RecordStage falls
   // back to the cluster scope stack only when this stays empty).
   stage.scope = chain.back().scope;
-  for (uint64_t n : rows_in) stage.rows_in += n;
-  if (track_work) {
-    for (uint64_t w : work) {
-      stage.total_work_bytes += w;
-      if (w > stage.max_partition_work_bytes) {
-        stage.max_partition_work_bytes = w;
-      }
-    }
-    stage.partition_work_bytes = std::move(work);
+  stage.rows_in = in.NumRows();
+  if (charge_input || charge_final) {
+    detail::SetWork(&stage, nparts, [&](size_t p) {
+      return (charge_input ? in.parts[p].TotalRowBytes() : 0) +
+             (charge_final ? out.parts[p].TotalRowBytes() : 0);
+    });
   }
   for (uint64_t b : avoided) stage.intermediate_bytes_avoided += b;
-  for (uint64_t b : col_bytes) stage.columnar_bytes += b;
+  for (const auto& b : out.parts) stage.columnar_bytes += b.ByteFootprint();
   if (len > 1) {
     stage.fused_transforms.resize(len);
     for (size_t i = 0; i < len; ++i) {
@@ -340,8 +312,8 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                       {1.0, 2.0, 3.0, 4.0, 6.0, 8.0})
         ->Observe(static_cast<double>(len));
   }
-  TRANCE_RETURN_NOT_OK(detail::FinishStage(cluster, std::move(stage), &out,
-                                           stage_name, std::move(out_bytes)));
+  TRANCE_RETURN_NOT_OK(
+      detail::FinishStage(cluster, std::move(stage), &out, stage_name));
   return out;
 }
 

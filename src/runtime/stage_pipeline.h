@@ -1,7 +1,7 @@
 // Fused narrow-stage execution.
 //
 // A RowTransform is one partition-local ("narrow") operator expressed as a
-// reusable row-level rewrite: map, filter, flatmap, unnest, outer-unnest or
+// reusable row-level rewrite: map, filter, unnest, outer-unnest or
 // add-index. RunStagePipeline runs a *chain* of transforms as one stage:
 // every input row is fed through the whole chain in a single per-partition
 // pass, so nothing between two narrow operators is ever materialized as a
@@ -24,10 +24,11 @@
 //    into `intermediate_bytes_avoided`, and each transform reports its own
 //    emitted-row count in `fused_transforms` (EXPLAIN ANALYZE expands these
 //    back into one line per plan operator).
-//  - All accounting uses per-partition slots merged in partition order after
-//    the stage barrier, so outputs and stats are identical at any thread
-//    count. Per-partition uid counters make the ids of outer-unnest and
-//    add-index transforms identical fused or unfused.
+//  - Work charges are read off the input and output blocks' byte totals
+//    after the stage barrier; the other accounting uses per-partition slots
+//    merged in partition order after the barrier, so outputs and stats are
+//    identical at any thread count. Per-partition uid counters make the ids
+//    of outer-unnest and add-index transforms identical fused or unfused.
 //  - The memory cap is enforced against the fused chain's peak — the final
 //    output partitions, the only rows the chain holds at once (intermediate
 //    rows stream through one at a time).
@@ -46,12 +47,11 @@ namespace trance {
 namespace runtime {
 
 using MapFn = std::function<Row(const Row&)>;
-using FlatMapFn = std::function<void(const Row&, std::vector<Row>*)>;
 using PredFn = std::function<bool(const Row&)>;
 
 /// One narrow operator as a row-level rewrite, runnable standalone or fused.
 struct RowTransform {
-  enum class Kind { kMap, kFilter, kFlatMap, kUnnest, kOuterUnnest, kAddIndex };
+  enum class Kind { kMap, kFilter, kUnnest, kOuterUnnest, kAddIndex };
 
   Kind kind = Kind::kMap;
   /// Display name of the operator (e.g. "select", "project"): the
@@ -63,14 +63,12 @@ struct RowTransform {
 
   MapFn map;            // kMap
   PredFn pred;          // kFilter
-  FlatMapFn flat_map;   // kFlatMap
   int bag_col = -1;     // kUnnest / kOuterUnnest
   bool with_id = false;     // kOuterUnnest: prepend a unique id column
   size_t inner_width = 0;   // kOuterUnnest: NULL pad width for empty bags
 
   static RowTransform Map(std::string op, MapFn fn);
   static RowTransform Filter(std::string op, PredFn fn);
-  static RowTransform FlatMap(std::string op, FlatMapFn fn);
   static RowTransform Unnest(std::string op, int bag_col);
   static RowTransform OuterUnnest(std::string op, int bag_col, bool with_id,
                                   size_t inner_width);
@@ -88,22 +86,26 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    const std::string& stage_name);
 
 namespace detail {
-/// Folds one partition's spill telemetry into the stage and emits its spill
-/// event. Driver-side only (post-barrier or sequential loops), in partition
-/// order, so spill counters and the event sequence are thread-count-invariant.
+/// Folds one partition's spill slot (the spill_* fields the SpillManager
+/// wrote) into the stage and emits its spill event. Driver-side only
+/// (post-barrier or sequential loops), in partition order, so spill counters
+/// and the event sequence are thread-count-invariant.
 void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
                size_t partition, uint64_t partition_bytes,
-               const spill::SpillCounters& c);
+               const StageStats& spilled);
+
+/// Sets the stage's per-partition work histogram to work_of(p) for p in
+/// [0, n), and its total and max. Called after the stage's barriers, so
+/// work_of reads finished blocks.
+void SetWork(StageStats* stage, size_t n,
+             const std::function<uint64_t(size_t)>& work_of);
 
 /// Stage barrier shared by the bulk operators and the fused-stage runner:
-/// finalizes row counts, stamps the memory high-water mark, records the
-/// stage and enforces the per-partition cap. `part_bytes`, when provided, is
-/// the precomputed footprint of `result`'s partitions (from the operator's
-/// own single sizing pass); when empty the result is walked here (in
-/// parallel).
+/// finalizes row counts, stamps the memory high-water mark from the result
+/// blocks' byte totals, spills partitions over the cap, records the stage
+/// and enforces the per-partition cap.
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
-                   const std::string& name,
-                   std::vector<uint64_t> part_bytes = {});
+                   const std::string& name);
 }  // namespace detail
 
 }  // namespace runtime

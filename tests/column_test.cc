@@ -6,9 +6,10 @@
 // FromRows -> RowAt / ToRows byte-identically, every column keeps the kind
 // its declared type gives it, and the block's accounting mirrors the row
 // path exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
-// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn. Rows that break the
-// schema never reach a block: runtime::Source rejects them with a Status
-// naming the source, the row and the column.
+// RowBytesAt == RowDeepSize, HashRowOn == RowHashOn, and the running
+// TotalRowBytes equals the RowDeepSize sum on every fill path. Rows that
+// break the schema never reach a block: runtime::Source rejects them with a
+// Status naming the source, the row and the column.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
 // Begin/Append/Finish and EncodeAt produce byte- and hash-identical keys to
@@ -94,6 +95,17 @@ std::vector<Row> RandomRows(Rng* rng, size_t n, size_t width) {
   return rows;
 }
 
+/// The block's running byte total equals the RowDeepSize sum of `rows` (the
+/// rows it holds) and its own RowBytesAt sum.
+void ExpectByteTotals(const PartitionBlock& block,
+                      const std::vector<Row>& rows) {
+  uint64_t deep = 0, at = 0;
+  for (const Row& r : rows) deep += runtime::RowDeepSize(r);
+  for (size_t i = 0; i < block.NumRows(); ++i) at += block.RowBytesAt(i);
+  EXPECT_EQ(block.TotalRowBytes(), deep);
+  EXPECT_EQ(block.TotalRowBytes(), at);
+}
+
 void ExpectRowsEqual(const std::vector<Row>& a, const std::vector<Row>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -142,6 +154,7 @@ TEST(ColumnBlockTest, RandomizedRoundTripAndAccounting) {
       EXPECT_EQ(block.HashRowOn(i, {3, 0}),
                 runtime::RowHashOn(rows[i], {3, 0}));
     }
+    ExpectByteTotals(block, rows);
   }
 }
 
@@ -266,7 +279,8 @@ TEST(ColumnBlockTest, AppendRowFromMatchesAppendRow) {
   }
   ExpectRowsEqual(via_copy.ToRows(), rows);
   ExpectRowsEqual(via_rows.ToRows(), rows);
-  EXPECT_EQ(via_copy.TotalRowBytes(), via_rows.TotalRowBytes());
+  ExpectByteTotals(via_copy, rows);
+  ExpectByteTotals(via_rows, rows);
 }
 
 TEST(ColumnBlockTest, NullBitmapTracksNulls) {
@@ -435,19 +449,22 @@ TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
   }
   EXPECT_EQ(d.NumRows(), all.size());
   ExpectRowsEqual(d.Collect(), all);
-  // Clearing a partition resets it to an empty schema-typed block.
+  // Clearing a partition resets it to an empty schema-typed block, whose
+  // byte total starts again from zero.
   for (size_t p = 0; p < nparts; ++p) {
     d.ClearPartition(p);
     EXPECT_EQ(d.PartitionRowCount(p), 0u);
     EXPECT_EQ(d.parts[p].NumCols(), schema.size());
+    EXPECT_EQ(d.parts[p].TotalRowBytes(), 0u);
   }
+  EXPECT_EQ(d.DeepSizeBytes(), 0u);
 }
 
 TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
-  // Dataset::PartitionBytes / DeepSizeBytes report, from the blocks' own
-  // accounting, exactly the RowDeepSize sum of the rows they hold (RowBytesAt
-  // mirrors RowDeepSize cell by cell), at any thread count. Randomized over
-  // the full Field-kind mix, NULLs and the variant column included.
+  // Dataset::PartitionBytes / DeepSizeBytes report, from the blocks' running
+  // totals, exactly the RowDeepSize sum of the rows they hold (RowBytesAt
+  // mirrors RowDeepSize cell by cell). Randomized over the full Field-kind
+  // mix, NULLs and the variant column included.
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;
@@ -455,17 +472,17 @@ TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
   std::vector<uint64_t> row_bytes(nparts, 0);
   uint64_t total = 0;
   for (size_t p = 0; p < nparts; ++p) {
-    for (const Row& r : RandomRows(&rng, 40 + 17 * p, schema.size())) {
+    const std::vector<Row> rows =
+        RandomRows(&rng, 40 + 17 * p, schema.size());
+    for (const Row& r : rows) {
       d.parts[p].AppendRow(r);
       row_bytes[p] += runtime::RowDeepSize(r);
     }
+    ExpectByteTotals(d.parts[p], rows);
     total += row_bytes[p];
   }
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_EQ(d.PartitionBytes(threads), row_bytes);
-    EXPECT_EQ(d.DeepSizeBytes(threads), total);
-  }
+  EXPECT_EQ(d.PartitionBytes(), row_bytes);
+  EXPECT_EQ(d.DeepSizeBytes(), total);
 }
 
 TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
@@ -480,8 +497,8 @@ TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     ExpectRowsEqual(back.Collect(threads), d.Collect(threads));
-    EXPECT_EQ(back.PartitionBytes(threads), d.PartitionBytes(threads));
   }
+  EXPECT_EQ(back.PartitionBytes(), d.PartitionBytes());
 }
 
 }  // namespace

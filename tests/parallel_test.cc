@@ -113,15 +113,21 @@ OpsRun RunAllOps(int num_threads) {
       RowTransform::Filter("filter", [](const Row& r) {
         return r.fields[1].AsInt() % 2 == 0;
       })));
-  const Dataset& flat = keep(RunNarrow(
+  // A fused map + unnest chain fans each row out into its value and, for
+  // keys divisible by 3, a second row (k, -1): duplicate keys for the
+  // repartition and dedup below.
+  const Dataset& flat = keep(RunStagePipeline(
       &cluster, filtered, KvSchema(),
-      RowTransform::FlatMap("flatmap", [](const Row& r,
-                                          std::vector<Row>* out) {
-        out->push_back(r);
-        if (r.fields[0].AsInt() % 3 == 0) {
-          out->push_back(Row({r.fields[0], Field::Int(-1)}));
-        }
-      })));
+      {RowTransform::Map("fan_out",
+                         [](const Row& r) {
+                           std::vector<Row> vs{Row({r.fields[1]})};
+                           if (r.fields[0].AsInt() % 3 == 0) {
+                             vs.push_back(Row({Field::Int(-1)}));
+                           }
+                           return Row({r.fields[0], Field::Bag(std::move(vs))});
+                         }),
+       RowTransform::Unnest("unnest_fan_out", 1)},
+      Partitioning::None(), "fan_out"));
   const Dataset& parted = keep(Repartition(&cluster, flat, {0}, "repart"));
   keep(Repartition(&cluster, parted, {0}, "repart_noop"));
 

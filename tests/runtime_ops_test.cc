@@ -449,6 +449,75 @@ TEST(OpsTest, CoGroupAttachesMatchBags) {
   }
 }
 
+TEST(OpsTest, ColumnIndicesOutsideTheSchemaAreRejected) {
+  // The operators take column indices from their callers: an index outside
+  // the input's schema is Invalid naming the operator, the list, the index
+  // and the schema, and is caught before any stage runs. A union of inputs
+  // whose columns differ in kind is a TypeError naming the column.
+  Cluster cluster(ClusterConfig{.num_partitions = 4});
+  auto in = Source(&cluster, KvSchema(), KvRows({{1, 10}, {2, 20}, {1, 30}}),
+                   "in");
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  const size_t stages = cluster.stats().stages().size();
+  auto expect_invalid = [&](const Status& s, const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    const std::string msg = s.ToString();
+    EXPECT_NE(msg.find(what + " is not a column of " + KvSchema().ToString()),
+              std::string::npos)
+        << msg;
+  };
+  const Dataset& d = *in;
+  expect_invalid(Repartition(&cluster, d, {5}, "repart").status(),
+                 "repart: key column 5");
+  expect_invalid(
+      HashJoin(&cluster, d, d, {5}, {0}, JoinType::kInner, "join").status(),
+      "join: left key column 5");
+  expect_invalid(
+      HashJoin(&cluster, d, d, {0}, {5}, JoinType::kInner, "join").status(),
+      "join: right key column 5");
+  expect_invalid(
+      BroadcastJoin(&cluster, d, d, {5}, {0}, JoinType::kInner, "bjoin")
+          .status(),
+      "bjoin: left key column 5");
+  expect_invalid(
+      BroadcastJoin(&cluster, d, d, {0}, {-1}, JoinType::kInner, "bjoin")
+          .status(),
+      "bjoin: right key column -1");
+  expect_invalid(NestGroup(&cluster, d, {0}, {9}, "vs", "nest").status(),
+                 "nest: value column 9");
+  expect_invalid(NestGroup(&cluster, d, {7}, {1}, "vs", "nest").status(),
+                 "nest: key column 7");
+  expect_invalid(NestGroup(&cluster, d, {0}, {1}, "vs", "nest", {4}).status(),
+                 "nest: indicator column 4");
+  expect_invalid(SumAggregate(&cluster, d, {0}, {9}, true, "agg").status(),
+                 "agg: value column 9");
+  expect_invalid(SumAggregate(&cluster, d, {3}, {1}, false, "agg").status(),
+                 "agg: key column 3");
+  expect_invalid(
+      CoGroup(&cluster, d, d, {0}, {0}, {9}, "m", "cogroup").status(),
+      "cogroup: right value column 9");
+  expect_invalid(
+      CoGroup(&cluster, d, d, {2}, {0}, {1}, "m", "cogroup").status(),
+      "cogroup: left key column 2");
+  expect_invalid(UnnestedSchema(KvSchema(), 7, "").status(),
+                 "unnest: bag column 7");
+  EXPECT_EQ(cluster.stats().stages().size(), stages);
+
+  Schema str_key({{"k", nrc::Type::String()}, {"v", nrc::Type::Int()}});
+  auto strs =
+      Source(&cluster, str_key, {Row({Field::Str("a"), Field::Int(1)})}, "s");
+  ASSERT_TRUE(strs.ok()) << strs.status().ToString();
+  auto u = UnionAll(&cluster, d, *strs, "union");
+  ASSERT_FALSE(u.ok());
+  EXPECT_EQ(u.status().code(), StatusCode::kTypeError);
+  EXPECT_NE(u.status().ToString().find(
+                "union: column 0 'k' is int64 in the first input and string "
+                "in the second"),
+            std::string::npos)
+      << u.status().ToString();
+}
+
 TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   // Inputs are exempt (pre-cached), but the first real operator over them
   // must hit the cap.

@@ -374,14 +374,14 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
 
 TEST(SpillRuntimeTest, FailedFetchSpillRemovesItsRuns) {
   // Every row shares one key, so one shuffle target receives all four
-  // source buckets: above the spill threshold, while each source partition
-  // stays below it. The target's fetch-side spill writes one run per bucket
+  // source buckets: above the memory cap, while each source partition stays
+  // below it. The target's fetch-side spill writes one run per bucket
   // until the budget refuses one; the failed spill must leave no run on
   // disk or in the budget.
   runtime::ClusterConfig cfg = Config(1, 0);
   cfg.num_partitions = 4;
+  cfg.partition_memory_cap = 12ull << 10;
   cfg.spill.dir = ::testing::TempDir();
-  cfg.spill.threshold_bytes = 12ull << 10;
   cfg.spill.max_spill_bytes = 6ull << 10;
   runtime::Cluster cluster(cfg);
   std::vector<Row> rows;
@@ -480,9 +480,12 @@ std::vector<Row> MakeAllKindsRows(size_t n) {
   return rows;
 }
 
+/// The block holds exactly `expected`, and its running byte total equals
+/// their RowDeepSize sum and its own RowBytesAt sum.
 void ExpectBlockRows(const runtime::column::PartitionBlock& block,
                      const std::vector<Row>& expected) {
   ASSERT_EQ(block.NumRows(), expected.size());
+  uint64_t deep = 0, at = 0;
   for (size_t i = 0; i < expected.size(); ++i) {
     const Row got = block.RowAt(i);
     ASSERT_EQ(got.fields.size(), expected[i].fields.size()) << i;
@@ -490,7 +493,11 @@ void ExpectBlockRows(const runtime::column::PartitionBlock& block,
       EXPECT_EQ(got.fields[f], expected[i].fields[f])
           << "row " << i << " field " << f;
     }
+    deep += runtime::RowDeepSize(expected[i]);
+    at += block.RowBytesAt(i);
   }
+  EXPECT_EQ(block.TotalRowBytes(), deep);
+  EXPECT_EQ(block.TotalRowBytes(), at);
 }
 
 TEST(SpillManagerTest, RunNamingIsDeterministicAndSanitized) {
@@ -513,7 +520,7 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   runtime::column::PartitionBlock block =
       runtime::column::PartitionBlock::FromRows(AllKindsSchema(),
                                                 MakeAllKindsRows(500));
-  runtime::spill::SpillCounters c;
+  runtime::StageStats c;
   Status s =
       m.SpillAndRestoreBlock(1, "stage(x)", 0, AllKindsSchema(), &block, &c);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -524,13 +531,13 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   runtime::column::PartitionBlock appended(AllKindsSchema());
   for (const Row& r : MakeAllKindsRows(500)) appended.AppendRow(r);
   EXPECT_EQ(block.ByteFootprint(), appended.ByteFootprint());
-  EXPECT_GT(c.runs, 1u);  // max_run_bytes forced a split
-  EXPECT_EQ(c.merge_passes, 1u);
-  EXPECT_GT(c.bytes_written, 0u);
-  EXPECT_EQ(c.bytes_read, c.bytes_written);
+  EXPECT_GT(c.spill_runs, 1u);  // max_run_bytes forced a split
+  EXPECT_EQ(c.spill_merge_passes, 1u);
+  EXPECT_GT(c.spill_bytes_written, 0u);
+  EXPECT_EQ(c.spill_bytes_read, c.spill_bytes_written);
   // Runs are removed after restore: nothing left on disk or in the budget.
   EXPECT_EQ(m.on_disk_bytes(), 0u);
-  EXPECT_EQ(m.total_runs(), c.runs);
+  EXPECT_EQ(m.total_runs(), c.spill_runs);
 }
 
 TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
@@ -539,7 +546,7 @@ TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
   cfg.max_spill_bytes = 64;  // smaller than any real run
   runtime::spill::SpillManager m(cfg);
   runtime::column::PartitionBlock block = MakeBlock(100, "big-");
-  runtime::spill::SpillCounters c;
+  runtime::StageStats c;
   Status s =
       m.SpillAndRestoreBlock(2, "stage(y)", 0, RowsSchema(), &block, &c);
   ASSERT_FALSE(s.ok());
@@ -560,12 +567,12 @@ TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
   cfg.max_spill_bytes = 3000;
   runtime::spill::SpillManager m(cfg);
   runtime::column::PartitionBlock block = MakeBlock(500, "value-");
-  runtime::spill::SpillCounters c;
+  runtime::StageStats c;
   Status s =
       m.SpillAndRestoreBlock(5, "stage(z)", 0, RowsSchema(), &block, &c);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
-  EXPECT_EQ(c.runs, 5u);
+  EXPECT_EQ(c.spill_runs, 5u);
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
 }
@@ -576,7 +583,7 @@ TEST(SpillManagerTest, RemoveRunReleasesBudget) {
   cfg.max_spill_bytes = 16ull << 10;
   runtime::spill::SpillManager m(cfg);
   runtime::column::PartitionBlock block = MakeBlock(50, "r-");
-  runtime::spill::SpillCounters c;
+  runtime::StageStats c;
   std::string path = m.RunPath(3, "budget", 0, 0);
   ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
   EXPECT_GT(m.on_disk_bytes(), 0u);
@@ -590,25 +597,25 @@ TEST(SpillManagerTest, RemoveRunReleasesBudget) {
 }
 
 TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
+  // Every column kind with NULLs: the restore appends typed cells through
+  // the typed appends and variant cells through Append, and each keeps the
+  // block's byte total.
   runtime::spill::SpillConfig cfg;
   cfg.dir = ::testing::TempDir();
   runtime::spill::SpillManager m(cfg);
-  runtime::Schema schema(
-      {{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
-  std::vector<Row> rows = MakeRows(64, "blk-");
-  for (auto& r : rows) r.fields.pop_back();  // match the two-column schema
+  const std::vector<Row> rows = MakeAllKindsRows(64);
   runtime::column::PartitionBlock block =
-      runtime::column::PartitionBlock::FromRows(schema, rows);
+      runtime::column::PartitionBlock::FromRows(AllKindsSchema(), rows);
 
-  runtime::spill::SpillCounters c;
+  runtime::StageStats c;
   std::string path = m.RunPath(4, "blocks", 1, 0);
   ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
-  runtime::column::PartitionBlock back(schema);
+  runtime::column::PartitionBlock back(AllKindsSchema());
   ASSERT_TRUE(m.ReadRunIntoBlock(path, &back, &c).ok());
   m.RemoveRun(path);
 
   ExpectBlockRows(back, rows);
-  EXPECT_EQ(c.bytes_read, c.bytes_written);
+  EXPECT_EQ(c.spill_bytes_read, c.spill_bytes_written);
 }
 
 }  // namespace
