@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the runtime primitives and the
 // shredding kernels: shuffle hash join vs broadcast join, nest vs cogroup,
 // sum aggregation with/without map-side combine, value shredding and
-// unshredding, heavy-key detection, and dedup.
+// unshredding, heavy-key detection, and dedup. The broadcast join and the
+// sum aggregation also run on string keys, the key-encoding path of string
+// cells.
 //
 // BM_FlatHashBuild/BM_FlatHashProbe time the flat open-addressing table on
 // pre-encoded keys; BM_ColumnScan/BM_ColumnProject compare typed
@@ -38,21 +40,32 @@ using runtime::Field;
 using runtime::Row;
 using runtime::Schema;
 
-Schema KvSchema() {
-  return Schema({{"k", nrc::Type::Int()}, {"v", nrc::Type::Real()}});
+Schema KvSchema(bool string_keys = false) {
+  return Schema({{"k", string_keys ? nrc::Type::String() : nrc::Type::Int()},
+                 {"v", nrc::Type::Real()}});
 }
 
+/// n (key, value) rows over `keys` Zipf-distributed keys. String keys are
+/// TPC-H-style customer names ("Customer#000000042"), the key shape of the
+/// narrow_unnest workload.
 Dataset MakeKv(Cluster* cluster, int64_t n, int64_t keys, double zipf,
-               uint64_t seed) {
+               uint64_t seed, bool string_keys = false) {
   Rng rng(seed);
   ZipfSampler sampler(static_cast<size_t>(keys), zipf);
   std::vector<Row> rows;
   rows.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    rows.push_back(Row({Field::Int(static_cast<int64_t>(sampler.Sample(&rng))),
-                        Field::Real(rng.NextDouble())}));
+    const auto k = static_cast<int64_t>(sampler.Sample(&rng));
+    Field key = Field::Int(k);
+    if (string_keys) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "Customer#%09lld",
+                    static_cast<long long>(k));
+      key = Field::Str(name);
+    }
+    rows.push_back(Row({std::move(key), Field::Real(rng.NextDouble())}));
   }
-  return runtime::Source(cluster, KvSchema(), std::move(rows), "kv")
+  return runtime::Source(cluster, KvSchema(string_keys), std::move(rows), "kv")
       .ValueOrDie();
 }
 
@@ -71,11 +84,13 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(10000)->Arg(100000);
 
+/// arg 1 = 1 joins on string keys, arg 1 = 0 on int keys.
 void BM_BroadcastJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  Dataset l = MakeKv(&cluster, state.range(0), 1000, 0.0, 1);
-  Dataset r = MakeKv(&cluster, 1000, 1000, 0.0, 2);
+  const bool string_keys = state.range(1) != 0;
+  Dataset l = MakeKv(&cluster, state.range(0), 1000, 0.0, 1, string_keys);
+  Dataset r = MakeKv(&cluster, 1000, 1000, 0.0, 2, string_keys);
   for (auto _ : state) {
     auto j = runtime::BroadcastJoin(&cluster, l, r, {0}, {0},
                                     runtime::JoinType::kInner, "bjoin");
@@ -84,7 +99,11 @@ void BM_BroadcastJoin(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BroadcastJoin)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BroadcastJoin)
+    ->Args({10000, 0})
+    ->Args({100000, 0})
+    ->Args({10000, 1})
+    ->Args({100000, 1});
 
 void BM_SkewAwareJoin(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
@@ -104,10 +123,13 @@ void BM_SkewAwareJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_SkewAwareJoin)->Arg(10000)->Arg(100000);
 
+/// arg 1 = 1 combines map-side; arg 2 = 1 groups on string keys, 0 on int
+/// keys.
 void BM_SumAggregate(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};
   Cluster cluster(cfg);
-  Dataset ds = MakeKv(&cluster, state.range(0), 64, 0.0, 3);
+  Dataset ds =
+      MakeKv(&cluster, state.range(0), 64, 0.0, 3, state.range(2) != 0);
   bool combine = state.range(1) != 0;
   for (auto _ : state) {
     auto out =
@@ -117,7 +139,11 @@ void BM_SumAggregate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SumAggregate)->Args({100000, 1})->Args({100000, 0});
+BENCHMARK(BM_SumAggregate)
+    ->Args({100000, 1, 0})
+    ->Args({100000, 0, 0})
+    ->Args({100000, 1, 1})
+    ->Args({100000, 0, 1});
 
 void BM_NestGroup(benchmark::State& state) {
   ClusterConfig cfg{.num_partitions = 8};

@@ -207,6 +207,26 @@ void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
   ++num_rows_;
 }
 
+void PartitionBlock::AppendPairFrom(const PartitionBlock& left, size_t i,
+                                    const PartitionBlock* right, size_t j) {
+  const size_t lw = left.cols_.size();
+  const size_t rw = right == nullptr ? 0 : right->cols_.size();
+  TRANCE_CHECK(right == nullptr ? lw <= cols_.size() : lw + rw == cols_.size(),
+               "PartitionBlock::AppendPairFrom: a pair of " +
+                   std::to_string(lw) + " + " + std::to_string(rw) +
+                   " columns into a block of " + std::to_string(cols_.size()) +
+                   " columns");
+  for (size_t c = 0; c < lw; ++c) cols_[c].AppendFrom(left.cols_[c], i);
+  for (size_t c = lw; c < cols_.size(); ++c) {
+    if (right == nullptr) {
+      cols_[c].AppendNull();
+    } else {
+      cols_[c].AppendFrom(right->cols_[c - lw], j);
+    }
+  }
+  ++num_rows_;
+}
+
 Row PartitionBlock::RowAt(size_t i) const {
   Row r;
   r.fields.reserve(cols_.size());

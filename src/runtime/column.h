@@ -237,8 +237,15 @@ class PartitionBlock {
   /// Column-wise copy of row i of src, a block of the same width and column
   /// kinds.
   void AppendRowFrom(const PartitionBlock& src, size_t i);
+  /// Appends a join's output pair column-wise: row i of `left` in the
+  /// leading columns, then row j of `right`, or NULL in every remaining
+  /// column when `right` is null (a left-outer miss). The block's columns
+  /// are left's followed by right's, kind for kind.
+  void AppendPairFrom(const PartitionBlock& left, size_t i,
+                      const PartitionBlock* right, size_t j);
   /// Appends n rows column by column: fill(c, &column) must append exactly
-  /// n cells to column c. For decoders that hold whole columns.
+  /// n cells to column c. For decoders that hold whole columns and keyed
+  /// operators that emit their groups a column at a time.
   template <typename Fill>
   void AppendColumns(size_t n, Fill&& fill) {
     for (size_t c = 0; c < cols_.size(); ++c) {

@@ -39,29 +39,44 @@ void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(b), 8);
 }
 
+// The scalar encodings, shared by Field values and typed column cells.
+void PutInt(std::string* out, int64_t v) {
+  out->push_back(static_cast<char>(kInt));
+  PutU64(out, static_cast<uint64_t>(v));
+}
+
+void PutReal(std::string* out, double d) {
+  // Normalize -0.0 to 0.0: Field::operator== and HashDouble both treat
+  // them as the same key, so their encodings must be byte-identical too.
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  out->push_back(static_cast<char>(kReal));
+  PutU64(out, bits);
+}
+
+void PutString(std::string* out, std::string_view s) {
+  out->push_back(static_cast<char>(kString));
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
+}
+
+void PutBool(std::string* out, bool b) {
+  out->push_back(static_cast<char>(kBool));
+  out->push_back(b ? '\1' : '\0');
+}
+
 void EncodeField(const Field& f, std::string* out) {
   if (f.is_null()) {
     out->push_back(static_cast<char>(kNull));
   } else if (f.is_int()) {
-    out->push_back(static_cast<char>(kInt));
-    PutU64(out, static_cast<uint64_t>(f.AsInt()));
+    PutInt(out, f.AsInt());
   } else if (f.is_real()) {
-    // Normalize -0.0 to 0.0: Field::operator== and HashDouble both treat
-    // them as the same key, so their encodings must be byte-identical too.
-    double d = f.AsReal();
-    if (d == 0.0) d = 0.0;
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    out->push_back(static_cast<char>(kReal));
-    PutU64(out, bits);
+    PutReal(out, f.AsReal());
   } else if (f.is_string()) {
-    const std::string& s = f.AsString();
-    out->push_back(static_cast<char>(kString));
-    PutU32(out, static_cast<uint32_t>(s.size()));
-    out->append(s);
+    PutString(out, f.AsString());
   } else if (f.is_bool()) {
-    out->push_back(static_cast<char>(kBool));
-    out->push_back(f.AsBool() ? '\1' : '\0');
+    PutBool(out, f.AsBool());
   } else if (f.is_label()) {
     const LabelPtr& l = f.AsLabel();
     if (l == nullptr) {
@@ -123,15 +138,44 @@ EncodedKeyRef KeyEncoder::EncodeRow(const Row& row) {
 EncodedKeyRef KeyEncoder::EncodeAt(const column::PartitionBlock& block,
                                    size_t i, const std::vector<int>& cols) {
   Begin();
-  for (int c : cols) Append(block.FieldAt(i, static_cast<size_t>(c)));
+  for (int c : cols) AppendCell(block.col(static_cast<size_t>(c)), i);
   return Finish();
 }
 
 EncodedKeyRef KeyEncoder::EncodeRowAt(const column::PartitionBlock& block,
                                       size_t i) {
   Begin();
-  for (size_t c = 0; c < block.NumCols(); ++c) Append(block.FieldAt(i, c));
+  for (size_t c = 0; c < block.NumCols(); ++c) AppendCell(block.col(c), i);
   return Finish();
+}
+
+void KeyEncoder::AppendCell(const column::AnyColumn& col, size_t i) {
+  using Kind = column::AnyColumn::Kind;
+  if (col.kind() == Kind::kVariant) {
+    Append(col.variants()[i]);
+    return;
+  }
+  hash_acc_ += SplitMix64(col.CellHash(i));
+  if (col.IsNull(i)) {
+    buf_.push_back(static_cast<char>(kNull));
+    return;
+  }
+  switch (col.kind()) {
+    case Kind::kInt64:
+      PutInt(&buf_, col.ints()[i]);
+      break;
+    case Kind::kReal:
+      PutReal(&buf_, col.reals()[i]);
+      break;
+    case Kind::kBool:
+      PutBool(&buf_, col.bools()[i] != 0);
+      break;
+    case Kind::kString:
+      PutString(&buf_, col.strings().At(i));
+      break;
+    case Kind::kVariant:
+      break;
+  }
 }
 
 void KeyEncoder::Begin() {

@@ -68,14 +68,16 @@ class KeyEncoder {
   /// Encodes every field of the row (full-row key, e.g. dedup).
   EncodedKeyRef EncodeRow(const Row& row);
 
-  /// Encodes the `cols` cells of row i of a partition block straight from
-  /// its column arenas; byte- and hash-identical to
+  /// Encodes the `cols` cells of row i of a partition block. Int, real,
+  /// bool and string cells are read from the typed arrays and hashed with
+  /// AnyColumn::CellHash, so no Field is built; a variant cell (label, bag,
+  /// date) is encoded from its stored Field. Byte- and hash-identical to
   /// Encode(block.RowAt(i), cols).
   EncodedKeyRef EncodeAt(const column::PartitionBlock& block, size_t i,
                          const std::vector<int>& cols);
 
-  /// Encodes every cell of row i of a partition block; identical to
-  /// EncodeRow(block.RowAt(i)).
+  /// Encodes every cell of row i of a partition block, as EncodeAt does;
+  /// identical to EncodeRow(block.RowAt(i)).
   EncodedKeyRef EncodeRowAt(const column::PartitionBlock& block, size_t i);
 
   /// Incremental per-field API: Begin() resets the scratch buffer,
@@ -90,6 +92,9 @@ class KeyEncoder {
   uint64_t bytes_encoded() const { return bytes_encoded_; }
 
  private:
+  /// Append for cell i of a block column.
+  void AppendCell(const column::AnyColumn& col, size_t i);
+
   std::string buf_;
   uint64_t hash_acc_ = 0;
   uint64_t bytes_encoded_ = 0;

@@ -12,6 +12,7 @@ namespace runtime {
 
 namespace {
 
+using column::AnyColumn;
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
 // Stage barrier, work histogram and spill telemetry shared with the
@@ -64,7 +65,7 @@ bool HasNullKeyAt(const PartitionBlock& b, size_t i,
   return false;
 }
 
-/// The `cols` cells of row i (group key storage, bag members).
+/// The `cols` cells of row i: the fields of a nest or cogroup bag member.
 std::vector<Field> FieldsAt(const PartitionBlock& b, size_t i,
                             const std::vector<int>& cols) {
   std::vector<Field> out;
@@ -284,33 +285,16 @@ Schema JoinSchema(const Schema& l, const Schema& r) {
   return out;
 }
 
-Row ConcatRows(const Row& l, const Row& r) {
-  Row out;
-  out.fields = l.fields;
-  out.fields.reserve(l.fields.size() + r.fields.size());
-  out.fields.insert(out.fields.end(), r.fields.begin(), r.fields.end());
-  return out;
-}
-
-Row NullPadRight(const Row& l, size_t right_width) {
-  Row out;
-  out.fields = l.fields;
-  out.fields.reserve(l.fields.size() + right_width);
-  for (size_t i = 0; i < right_width; ++i) out.fields.push_back(Field::Null());
-  return out;
-}
-
 /// Partition-local hash join of `left` against the build block `right`,
 /// appending the output rows to `out`; keyed telemetry goes to *ks. The
 /// flat table is keyed by compact binary keys encoded straight from the
 /// blocks' arenas (one arena append per distinct key, no per-probe
 /// allocation) and maps each key to a dense chain of row offsets into the
-/// build block. `right_width` NULL-pads left-outer misses (an empty right
-/// partition must still pad fully).
+/// build block. Each output pair is copied column by column from the two
+/// blocks; a left-outer miss gets NULL in every right column.
 void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
                const std::vector<int>& lk, const std::vector<int>& rk,
-               JoinType type, size_t right_width, PartitionBlock* out,
-               StageStats* ks) {
+               JoinType type, PartitionBlock* out, StageStats* ks) {
   const size_t rn = right.NumRows();
   FlatKeyIndex built(rn);
   std::vector<std::vector<uint32_t>> chains;
@@ -337,14 +321,11 @@ void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
       if (gi != FlatKeyIndex::kNotFound) {
         matched = true;
         ks->hash_probe_hits++;
-        Row l = left.RowAt(j);
-        for (uint32_t ri : chains[gi]) {
-          out->AppendRow(ConcatRows(l, right.RowAt(ri)));
-        }
+        for (uint32_t ri : chains[gi]) out->AppendPairFrom(left, j, &right, ri);
       }
     }
     if (!matched && type == JoinType::kLeftOuter) {
-      out->AppendRow(NullPadRight(left.RowAt(j), right_width));
+      out->AppendPairFrom(left, j, nullptr, 0);
     }
   }
   ks->key_encode_bytes += enc.bytes_encoded();
@@ -498,8 +479,8 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage,
       [&](size_t p) {
-        LocalJoin(lsp[p], rsp[p], left_keys, right_keys, type,
-                  right.schema.size(), &out.parts[p], &kmeter.slot(p));
+        LocalJoin(lsp[p], rsp[p], left_keys, right_keys, type, &out.parts[p],
+                  &kmeter.slot(p));
       },
       [&](size_t p) {
         out.ClearPartition(p);
@@ -579,7 +560,7 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
       name, nparts, &stage,
       [&](size_t p) {
         LocalJoin(left.parts[p], bcast, left_keys, right_keys, type,
-                  right.schema.size(), &out.parts[p], &kmeter.slot(p));
+                  &out.parts[p], &kmeter.slot(p));
       },
       [&](size_t p) {
         out.ClearPartition(p);
@@ -637,11 +618,11 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
   KeyStatsMeter kmeter(nparts);
   auto nest_task = [&](size_t p) {
-    // Groups are (key fields of the first row that created the group,
-    // members), in first-seen order; members project straight from the
-    // block's arenas.
+    // Groups are (the row that created the group, members), in first-seen
+    // order; members project straight from the block's arenas.
     const PartitionBlock& src = sp[p];
-    std::vector<std::pair<std::vector<Field>, std::vector<Row>>> groups;
+    std::vector<size_t> first;              // per group: its first row
+    std::vector<std::vector<Row>> members;  // per group: its bag
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
     StageStats& ks = kmeter.slot(p);
     FlatKeyIndex index;
@@ -650,7 +631,8 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     for (size_t i = 0; i < rows; ++i) {
       auto [gi, inserted] = index.FindOrInsert(enc.EncodeAt(src, i, key_cols));
       if (inserted) {
-        groups.emplace_back(FieldsAt(src, i, key_cols), std::vector<Row>{});
+        first.push_back(i);
+        members.emplace_back();
         group_rows.push_back(0);
         ks.hash_build_rows++;
       } else {
@@ -666,16 +648,19 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
           break;
         }
       }
-      if (!miss) groups[gi].second.push_back(Row(FieldsAt(src, i, value_cols)));
+      if (!miss) members[gi].push_back(Row(FieldsAt(src, i, value_cols)));
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, &ks);
-    PartitionBlock& dst = out.parts[p];
-    for (auto& [key_fields, members] : groups) {
-      Row row(std::move(key_fields));
-      row.fields.push_back(Field::Bag(std::move(members)));
-      dst.AppendRow(row);
-    }
+    // Key cells copy column-wise from each group's first row.
+    out.parts[p].AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
+      if (c < key_cols.size()) {
+        const AnyColumn& from = src.col(static_cast<size_t>(key_cols[c]));
+        for (size_t i : first) col->AppendFrom(from, i);
+        return;
+      }
+      for (auto& bag : members) col->Append(Field::Bag(std::move(bag)));
+    });
   };
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage, nest_task, [&](size_t p) {
@@ -721,81 +706,95 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   for (int c : key_cols) {
     out_schema.Append(in.schema.col(static_cast<size_t>(c)));
   }
+  // Sums read the typed arrays, so each value column must be declared int
+  // or real; an int column sums into an int column, a real one into a real.
   std::vector<bool> is_int;
   for (int c : value_cols) {
     const auto& col = in.schema.col(static_cast<size_t>(c));
+    const auto kind = AnyColumn::KindForType(col.type);
+    if (kind != AnyColumn::Kind::kInt64 && kind != AnyColumn::Kind::kReal) {
+      return Status::TypeError(
+          name + ": value column " + std::to_string(c) + " '" + col.name +
+          "' is " + (col.type == nullptr ? "untyped" : col.type->ToString()) +
+          ", not int or real");
+    }
     out_schema.Append(col);
-    is_int.push_back(col.type->is_scalar() &&
-                     col.type->scalar_kind() == nrc::ScalarKind::kInt);
+    is_int.push_back(kind == AnyColumn::Kind::kInt64);
   }
 
   std::vector<int> partial_keys;
   for (int i = 0; i < static_cast<int>(key_cols.size()); ++i) {
     partial_keys.push_back(i);
   }
+  const size_t nk = key_cols.size(), nv = value_cols.size();
 
   // Local aggregation of one partition block into (key, sums) rows appended
   // to `dst`. A row whose value fields are all NULL marks an outer miss: it
   // creates the group but contributes nothing; groups with no contribution
-  // emit NULL values. Groups keep the key fields of the first row that
+  // emit NULL values. Groups keep the key cells of the first row that
   // created them, in first-seen order.
   // Reads only its arguments and the (const) captured column metadata, so
   // the partition-parallel loops below may share it.
-  struct Acc {
-    std::vector<double> sums;
-    bool seen = false;
-  };
   auto aggregate = [&](const PartitionBlock& src, bool rows_are_partial,
                        StageStats* ks, PartitionBlock* dst) {
-    std::vector<std::pair<std::vector<Field>, Acc>> groups;
-    std::vector<uint64_t> group_rows;
     const std::vector<int>& cols = rows_are_partial ? partial_keys : key_cols;
-    auto value_col_of = [&](size_t vi) {
-      return rows_are_partial ? key_cols.size() + vi
-                              : static_cast<size_t>(value_cols[vi]);
-    };
+    std::vector<const AnyColumn*> vals;
+    for (size_t vi = 0; vi < nv; ++vi) {
+      vals.push_back(&src.col(rows_are_partial
+                                  ? nk + vi
+                                  : static_cast<size_t>(value_cols[vi])));
+    }
+    std::vector<size_t> first;  // per group: its first row
+    std::vector<double> sums;   // group g's sums at [g * nv, (g + 1) * nv)
+    std::vector<bool> seen;     // per group: some row contributed
+    std::vector<uint64_t> group_rows;
     FlatKeyIndex index;
     key_codec::KeyEncoder enc;
     const size_t rows = src.NumRows();
     for (size_t i = 0; i < rows; ++i) {
       auto [gi, inserted] = index.FindOrInsert(enc.EncodeAt(src, i, cols));
       if (inserted) {
-        Acc acc;
-        acc.sums.assign(value_cols.size(), 0.0);
-        groups.emplace_back(FieldsAt(src, i, cols), std::move(acc));
+        first.push_back(i);
+        sums.resize(sums.size() + nv, 0.0);
+        seen.push_back(false);
         group_rows.push_back(0);
         ks->hash_build_rows++;
       } else {
         ks->hash_probe_hits++;
       }
       ks->hash_max_chain = std::max(ks->hash_max_chain, ++group_rows[gi]);
-      Acc& acc = groups[gi].second;
-      bool all_null = !value_cols.empty();
-      for (size_t vi = 0; vi < value_cols.size(); ++vi) {
-        if (!src.IsNull(i, value_col_of(vi))) all_null = false;
+      bool all_null = nv > 0;
+      for (const AnyColumn* v : vals) {
+        if (!v->IsNull(i)) all_null = false;
       }
       if (all_null) continue;  // miss marker: group exists, no contribution
-      acc.seen = true;
-      for (size_t vi = 0; vi < value_cols.size(); ++vi) {
-        Field f = src.FieldAt(i, value_col_of(vi));
-        if (!f.is_null()) acc.sums[vi] += f.AsNumber();  // lone NULL casts to 0
+      seen[gi] = true;
+      double* acc = sums.data() + gi * nv;
+      for (size_t vi = 0; vi < nv; ++vi) {
+        const AnyColumn& v = *vals[vi];
+        if (v.IsNull(i)) continue;  // a lone NULL casts to 0
+        acc[vi] += is_int[vi] ? static_cast<double>(v.ints()[i]) : v.reals()[i];
       }
     }
     ks->key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, ks);
-    for (auto& [key_fields, acc] : groups) {
-      Row row(std::move(key_fields));
-      for (size_t i = 0; i < acc.sums.size(); ++i) {
-        if (!acc.seen) {
-          row.fields.push_back(Field::Null());
+    dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
+      if (c < nk) {
+        const AnyColumn& from = src.col(static_cast<size_t>(cols[c]));
+        for (size_t i : first) col->AppendFrom(from, i);
+        return;
+      }
+      const size_t vi = c - nk;
+      for (size_t g = 0; g < first.size(); ++g) {
+        if (!seen[g]) {
+          col->AppendNull();
+        } else if (is_int[vi]) {
+          col->AppendInt64(static_cast<int64_t>(sums[g * nv + vi]));
         } else {
-          row.fields.push_back(
-              is_int[i] ? Field::Int(static_cast<int64_t>(acc.sums[i]))
-                        : Field::Real(acc.sums[i]));
+          col->AppendReal(sums[g * nv + vi]);
         }
       }
-      dst->AppendRow(row);
-    }
+    });
   };
 
   const size_t in_parts = in.NumPartitions();
@@ -813,23 +812,20 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         }));
     kmeter.Finalize(&stage);
   } else {
-    // Reshape rows to (key, value) layout without combining; cells
-    // project straight from the input block.
+    // Reshape rows to (key, value) layout without combining: every cell
+    // copies column-wise from the input block. NULLs pass through so the
+    // final aggregation pass can apply the miss-marker rule uniformly.
+    std::vector<int> reshape = key_cols;
+    reshape.insert(reshape.end(), value_cols.begin(), value_cols.end());
     TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
         name + ".reshape", in_parts, &stage,
         [&](size_t p) {
           const PartitionBlock& src = in.parts[p];
-          PartitionBlock& dst = partial.parts[p];
           const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) {
-            // NULLs pass through so the final aggregation pass can apply
-            // the miss-marker rule uniformly.
-            Row r(FieldsAt(src, i, key_cols));
-            for (int c : value_cols) {
-              r.fields.push_back(src.FieldAt(i, static_cast<size_t>(c)));
-            }
-            dst.AppendRow(r);
-          }
+          partial.parts[p].AppendColumns(rows, [&](size_t c, AnyColumn* col) {
+            const AnyColumn& from = src.col(static_cast<size_t>(reshape[c]));
+            for (size_t i = 0; i < rows; ++i) col->AppendFrom(from, i);
+          });
         },
         [&](size_t p) { partial.ClearPartition(p); }));
   }
@@ -873,7 +869,7 @@ StatusOr<Schema> UnnestedSchema(const Schema& in, int bag_col,
                                 const std::string& id_col_name) {
   TRANCE_RETURN_NOT_OK(CheckColumns("unnest", "bag", {bag_col}, in));
   const auto& bag_type = in.col(static_cast<size_t>(bag_col)).type;
-  if (!bag_type->is_bag()) {
+  if (bag_type == nullptr || !bag_type->is_bag()) {
     return Status::TypeError("unnest on non-bag column " +
                              in.col(static_cast<size_t>(bag_col)).name);
   }
@@ -1024,7 +1020,6 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
     StageStats& ks = kmeter.slot(p);
     const PartitionBlock& lb = lsp[p];
     const PartitionBlock& rb = rsp[p];
-    PartitionBlock& dst = out.parts[p];
     FlatKeyIndex built;
     std::vector<std::vector<Row>> chains;  // dense index -> right projections
     key_codec::KeyEncoder enc;
@@ -1043,23 +1038,42 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       ks.hash_max_chain =
           std::max<uint64_t>(ks.hash_max_chain, chains[gi].size());
     }
+    // Each left row's match chain, or kNotFound for a miss (an empty bag).
     const size_t lrows = lb.NumRows();
+    std::vector<uint32_t> matches(lrows, FlatKeyIndex::kNotFound);
     for (size_t j = 0; j < lrows; ++j) {
-      const std::vector<Row>* matches = nullptr;
-      if (!HasNullKeyAt(lb, j, left_keys)) {
-        uint32_t gi = built.Find(enc.EncodeAt(lb, j, left_keys));
-        if (gi != FlatKeyIndex::kNotFound) {
-          ks.hash_probe_hits++;
-          matches = &chains[gi];
-        }
+      if (HasNullKeyAt(lb, j, left_keys)) continue;
+      uint32_t gi = built.Find(enc.EncodeAt(lb, j, left_keys));
+      if (gi != FlatKeyIndex::kNotFound) {
+        ks.hash_probe_hits++;
+        matches[j] = gi;
       }
-      Row row = lb.RowAt(j);  // transient: emitted immediately
-      row.fields.push_back(matches == nullptr ? Field::Bag(std::vector<Row>{})
-                                              : Field::Bag(*matches));
-      dst.AppendRow(row);
     }
     ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(built, &ks);
+    // The left row copies column-wise; the bag cell follows it. Bags are
+    // immutable, so left rows with the same key share one.
+    const size_t lw = lb.NumCols();
+    const BagPtr empty = std::make_shared<const std::vector<Row>>();
+    std::vector<BagPtr> bags(chains.size());
+    out.parts[p].AppendColumns(lrows, [&](size_t c, AnyColumn* col) {
+      if (c < lw) {
+        const AnyColumn& from = lb.col(c);
+        for (size_t j = 0; j < lrows; ++j) col->AppendFrom(from, j);
+        return;
+      }
+      for (uint32_t gi : matches) {
+        if (gi == FlatKeyIndex::kNotFound) {
+          col->Append(Field::Bag(empty));
+          continue;
+        }
+        if (bags[gi] == nullptr) {
+          bags[gi] = std::make_shared<const std::vector<Row>>(
+              std::move(chains[gi]));
+        }
+        col->Append(Field::Bag(bags[gi]));
+      }
+    });
   };
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
       name, nparts, &stage, cogroup_task, [&](size_t p) {

@@ -7,21 +7,26 @@
 // its declared type gives it, and the block's accounting mirrors the row
 // path exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
 // RowBytesAt == RowDeepSize, HashRowOn == RowHashOn, and the running
-// TotalRowBytes equals the RowDeepSize sum on every fill path. Rows that
-// break the schema never reach a block: runtime::Source rejects them with a
-// Status naming the source, the row and the column.
+// TotalRowBytes equals the RowDeepSize sum on every fill path. Blocks the
+// keyed operators assemble column-wise (join pairs, NULL padding,
+// AppendColumns group emission) equal the blocks AppendRow builds, down to
+// the footprint. Rows that break the schema never reach a block:
+// runtime::Source rejects them with a Status naming the source, the row and
+// the column.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
-// Begin/Append/Finish and EncodeAt produce byte- and hash-identical keys to
-// Encode(row, cols); Schema::FromBagType rejects null and non-bag types
-// with its documented TypeError and Schema::Require names the missing
-// column and the schema; Partitioning::IsHashOn handles permutations and
-// duplicate column lists on both the small (alloc-free) and large (sorted)
-// paths; Dataset::Collect is thread-count invariant, and a Dataset's blocks
-// serve the same rows and byte accounting as the row vectors they hold.
+// Begin/Append/Finish, EncodeAt (repeated and permuted key lists included)
+// and EncodeRowAt produce byte- and hash-identical keys to the row encoder;
+// Schema::FromBagType rejects null and non-bag types with its documented
+// TypeError and Schema::Require names the missing column and the schema;
+// Partitioning::IsHashOn handles permutations and duplicate column lists on
+// both the small (alloc-free) and large (sorted) paths; Dataset::Collect is
+// thread-count invariant, and a Dataset's blocks serve the same rows and byte
+// accounting as the row vectors they hold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -283,6 +288,114 @@ TEST(ColumnBlockTest, AppendRowFromMatchesAppendRow) {
   ExpectByteTotals(via_rows, rows);
 }
 
+/// `built` (filled column-wise) and `by_row` (filled by AppendRow) hold the
+/// same cells as `rows`, with the same byte totals and the same footprint;
+/// real columns also match bit for bit, so -0.0 stays -0.0.
+void ExpectSameBlock(const PartitionBlock& built, const PartitionBlock& by_row,
+                     const std::vector<Row>& rows) {
+  ExpectRowsEqual(built.ToRows(), rows);
+  ExpectRowsEqual(by_row.ToRows(), rows);
+  ExpectByteTotals(built, rows);
+  ExpectByteTotals(by_row, rows);
+  EXPECT_EQ(built.ByteFootprint(), by_row.ByteFootprint());
+  ASSERT_EQ(built.NumCols(), by_row.NumCols());
+  for (size_t c = 0; c < built.NumCols(); ++c) {
+    if (built.col(c).kind() != AnyColumn::Kind::kReal) continue;
+    EXPECT_EQ(std::memcmp(built.col(c).reals(), by_row.col(c).reals(),
+                          rows.size() * sizeof(double)),
+              0)
+        << "col " << c;
+  }
+}
+
+TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
+  // The keyed operators build their output column by column: a join appends
+  // each pair with AppendPairFrom and NULL-pads a left-outer miss, and the
+  // aggregate, nest and cogroup emit every group through AppendColumns. Each
+  // must build the block AppendRow builds from the same rows, down to the
+  // byte totals the work charges read and the footprint columnar_bytes
+  // reads.
+  Schema schema = MixedSchema();
+  Rng rng(31);
+  std::vector<Row> left_rows = RandomRows(&rng, 150, schema.size());
+  std::vector<Row> right_rows = RandomRows(&rng, 90, schema.size());
+  PartitionBlock left = PartitionBlock::FromRows(schema, left_rows);
+  PartitionBlock right = PartitionBlock::FromRows(schema, right_rows);
+
+  {
+    SCOPED_TRACE("join pairs");
+    Schema pair_schema = schema;
+    for (const auto& c : schema.columns()) {
+      pair_schema.Append({c.name + "__r", c.type});
+    }
+    PartitionBlock pairs(pair_schema);
+    std::vector<Row> rows;
+    for (size_t i = 0; i < left_rows.size(); ++i) {
+      if (rng.NextBool(0.2)) {  // a left-outer miss
+        pairs.AppendPairFrom(left, i, nullptr, 0);
+        Row r = left_rows[i];
+        r.fields.resize(pair_schema.size());  // Field() is NULL
+        rows.push_back(std::move(r));
+        continue;
+      }
+      for (uint64_t k = 0, n = rng.Uniform(4); k < n; ++k) {
+        const size_t j = rng.Uniform(right_rows.size());
+        pairs.AppendPairFrom(left, i, &right, j);
+        Row r = left_rows[i];
+        r.fields.insert(r.fields.end(), right_rows[j].fields.begin(),
+                        right_rows[j].fields.end());
+        rows.push_back(std::move(r));
+      }
+    }
+    ExpectSameBlock(pairs, PartitionBlock::FromRows(pair_schema, rows), rows);
+  }
+
+  {
+    SCOPED_TRACE("group emission");
+    // Key cells copied from each group's first row (repeats allowed), then
+    // an int and a real sum column (typed appends or NULL) and a bag column.
+    const std::vector<int> keys{3, 0, 4, 1};
+    Schema out;
+    for (int k : keys) out.Append(schema.col(static_cast<size_t>(k)));
+    out.Append({"isum", nrc::Type::Int()});
+    out.Append({"rsum", nrc::Type::Real()});
+    out.Append({"bag", schema.col(4).type});
+    std::vector<size_t> first;
+    std::vector<Row> rows;
+    for (int g = 0; g < 70; ++g) {
+      const size_t i = rng.Uniform(left_rows.size());
+      first.push_back(i);
+      Row r;
+      for (int k : keys) r.fields.push_back(left_rows[i].fields[k]);
+      const bool seen = !rng.NextBool(0.2);
+      r.fields.push_back(seen ? Field::Int(rng.UniformRange(-50, 50))
+                              : Field::Null());
+      r.fields.push_back(
+          !seen ? Field::Null()
+                : Field::Real(rng.NextBool(0.2) ? -0.0
+                                                : rng.UniformReal(-9, 9)));
+      r.fields.push_back(RandomField(&rng, 4));
+      rows.push_back(std::move(r));
+    }
+    PartitionBlock groups(out);
+    groups.AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
+      for (size_t g = 0; g < first.size(); ++g) {
+        const Field& want = rows[g].fields[c];
+        if (c < keys.size()) {
+          col->AppendFrom(left.col(static_cast<size_t>(keys[c])), first[g]);
+        } else if (c == keys.size() + 2 || want.is_null()) {
+          col->Append(want);
+        } else if (c == keys.size()) {
+          col->AppendInt64(want.AsInt());
+        } else {
+          col->AppendReal(want.AsReal());
+        }
+      }
+    });
+    ExpectSameBlock(groups, PartitionBlock::FromRows(out, rows), rows);
+  }
+}
+
 TEST(ColumnBlockTest, NullBitmapTracksNulls) {
   Schema schema({{"s", nrc::Type::String()}});
   PartitionBlock block(schema);
@@ -324,6 +437,26 @@ TEST(KeyEncoderColumnTest, IncrementalMatchesEncode) {
   // Byte accounting matches too: all encoders saw the same keys.
   EXPECT_EQ(incremental.bytes_encoded(), whole.bytes_encoded());
   EXPECT_EQ(from_block.bytes_encoded(), whole.bytes_encoded());
+
+  // The other block entry points match the row encoder as well: the
+  // full-row key (Distinct's) and a repeated, permuted key list.
+  const std::vector<int> permuted{3, 0, 3, 1};
+  key_codec::KeyEncoder row_whole, row_block, perm_whole, perm_block;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    key_codec::EncodedKey want_row =
+        key_codec::Materialize(row_whole.EncodeRow(rows[i]));
+    key_codec::EncodedKeyRef got_row = row_block.EncodeRowAt(block, i);
+    EXPECT_EQ(got_row.hash, want_row.hash);
+    EXPECT_EQ(std::string(got_row.bytes), want_row.bytes);
+    key_codec::EncodedKey want_perm =
+        key_codec::Materialize(perm_whole.Encode(rows[i], permuted));
+    key_codec::EncodedKeyRef got_perm = perm_block.EncodeAt(block, i, permuted);
+    EXPECT_EQ(got_perm.hash, want_perm.hash);
+    EXPECT_EQ(std::string(got_perm.bytes), want_perm.bytes);
+  }
+  EXPECT_EQ(row_block.bytes_encoded(), row_whole.bytes_encoded());
+  EXPECT_EQ(perm_block.bytes_encoded(), perm_whole.bytes_encoded());
 }
 
 TEST(SchemaTest, FromBagTypeRejectsNullAndNonBag) {

@@ -518,6 +518,56 @@ TEST(OpsTest, ColumnIndicesOutsideTheSchemaAreRejected) {
       << u.status().ToString();
 }
 
+TEST(OpsTest, NonNumericSumColumnsAreRejected) {
+  // SumAggregate reads its sums from int and real columns, so a value column
+  // of any other declared type, or of none, is a TypeError naming the
+  // operator, the column, its name and its type, caught before any stage
+  // runs. UnnestedSchema treats an untyped column as a non-bag.
+  Cluster cluster(ClusterConfig{.num_partitions = 2});
+  const nrc::TypePtr bag =
+      nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}));
+  struct Case {
+    nrc::TypePtr type;
+    Field value;
+    std::string named;
+  };
+  const std::vector<Case> cases = {
+      {nrc::Type::String(), Field::Str("a"), nrc::Type::String()->ToString()},
+      {nrc::Type::Bool(), Field::Bool(true), nrc::Type::Bool()->ToString()},
+      {bag, Field::Bag(std::vector<Row>{Row({Field::Int(1)})}),
+       bag->ToString()},
+      {nullptr, Field::Int(1), "untyped"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.named);
+    Schema schema({{"k", nrc::Type::Int()}, {"v", c.type}});
+    auto in = Source(&cluster, schema,
+                     {Row({Field::Int(1), c.value}),
+                      Row({Field::Int(1), c.value})},
+                     "in");
+    ASSERT_TRUE(in.ok()) << in.status().ToString();
+    const size_t stages = cluster.stats().stages().size();
+    for (bool combine : {true, false}) {
+      auto agg = SumAggregate(&cluster, *in, {0}, {1}, combine, "agg");
+      ASSERT_FALSE(agg.ok());
+      EXPECT_EQ(agg.status().code(), StatusCode::kTypeError);
+      EXPECT_NE(agg.status().ToString().find("agg: value column 1 'v' is " +
+                                             c.named + ", not int or real"),
+                std::string::npos)
+          << agg.status().ToString();
+    }
+    EXPECT_EQ(cluster.stats().stages().size(), stages);
+  }
+
+  auto unnest = UnnestedSchema(
+      Schema({{"k", nrc::Type::Int()}, {"g", nullptr}}), 1, "");
+  ASSERT_FALSE(unnest.ok());
+  EXPECT_EQ(unnest.status().code(), StatusCode::kTypeError);
+  EXPECT_NE(unnest.status().ToString().find("unnest on non-bag column g"),
+            std::string::npos)
+      << unnest.status().ToString();
+}
+
 TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   // Inputs are exempt (pre-cached), but the first real operator over them
   // must hit the cap.
