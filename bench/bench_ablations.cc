@@ -225,7 +225,6 @@ int main() {
     auto q = tpch::FlatToNested(2, tpch::Width::kNarrow).ValueOrDie();
     for (double rate : {0.0, 0.05, 0.2}) {
       auto ccfg = BenchClusterConfig(8, kCap, 48 << 10);
-      ccfg.faults.enabled = rate > 0;
       ccfg.faults.fault_rate = rate;
       RunResult r = RunStdCfg("fault rate " + FormatDouble(rate, 2), p, q, {},
                               false, ccfg);

@@ -11,9 +11,12 @@
 # under ASan), the spill-format suites (labels `serde` and `spill` — byte
 # parsers over corrupt input are exactly what ASan is for), the telemetry
 # suites (labels `metrics` and `events`), the skew-module suite (label
-# `skew` — heavy-key sets, skew-aware join and BagToDict) and the operator
+# `skew` — heavy-key sets, skew-aware join and BagToDict), the operator
 # suite (label `ops` — the keyed loops that read typed key and value cells
-# and assemble their output column by column) under the sanitizers.
+# and assemble their output column by column) and the determinism suite
+# (label `parallel` — every bulk operator at several thread counts and
+# under injected faults, whose recovery discards and rebuilds blocks) under
+# the sanitizers.
 # TRANCE_WERROR keeps the build warning-clean. A listed label that matches
 # no test fails the script, so the sanitized set cannot shrink silently.
 #
@@ -26,10 +29,10 @@ BUILD_DIR="${1:-build-sanitize}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
-LABELS=(obs fusion faults keys flathash metrics events columnar serde spill skew ops)
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
-cmake --build "$BUILD_DIR" --target obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test skew_test runtime_ops_test -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target parallel_test obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test skew_test runtime_ops_test -j"$(nproc)"
 for label in "${LABELS[@]}"; do
   n=$(ctest --test-dir "$BUILD_DIR" -N -L "^${label}\$" |
     sed -nE 's/^Total Tests: ([0-9]+)$/\1/p')

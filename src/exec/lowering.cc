@@ -413,8 +413,10 @@ StatusOr<SkewTriple> Executor::ExecNode(const plan::PlanPtr& p) {
       }
       TRANCE_ASSIGN_OR_RETURN(Dataset lm, skew::MergeTriple(cluster_, l, "j"));
       TRANCE_ASSIGN_OR_RETURN(Dataset rm, skew::MergeTriple(cluster_, r, "j"));
-      if (options_.auto_broadcast &&
-          rm.DeepSizeBytes() <= cluster_->config().broadcast_threshold) {
+      // Join sides under the cluster's broadcast_threshold are broadcast
+      // ("Broadcast operations are deferred to Spark, which broadcasts
+      // anything under 10MB").
+      if (rm.DeepSizeBytes() <= cluster_->config().broadcast_threshold) {
         TRANCE_ASSIGN_OR_RETURN(
             Dataset out, runtime::BroadcastJoin(cluster_, lm, rm, lk, rk,
                                                 type, "broadcast_join"));

@@ -27,10 +27,6 @@ struct ExecOptions {
   bool skew_aware = false;
   /// Map-side combine for Gamma-plus (partial aggregation before shuffle).
   bool map_side_combine = true;
-  /// Automatically broadcast join sides under the cluster's
-  /// broadcast_threshold ("Broadcast operations are deferred to Spark, which
-  /// broadcasts anything under 10MB").
-  bool auto_broadcast = true;
   /// Fuse chains of consecutive partition-local plan operators (select,
   /// outer-select, project, extend, unnest, add-index) into single stages
   /// that stream rows through the whole chain without materializing

@@ -3,9 +3,8 @@
 #include <set>
 
 #include "exec/bridge.h"
-#include "obs/trace.h"
-#include "plan/unnest.h"
 #include "nrc/typecheck.h"
+#include "obs/trace.h"
 #include "plan/unnest.h"
 
 namespace trance {
@@ -14,20 +13,17 @@ namespace exec {
 namespace {
 using TraceSpan = obs::Tracer::Span;
 obs::Tracer* Trc() { return &obs::Tracer::Global(); }
-}  // namespace
 
-StatusOr<runtime::Dataset> RunStandard(const nrc::Program& program,
-                                       Executor* executor,
-                                       const PipelineOptions& options,
-                                       plan::PlanProgram* compiled_out) {
-  TraceSpan pipeline_span(Trc(), "standard_pipeline");
+/// The compile steps both routes share: typecheck, unnest to plans and
+/// optimize, each under its own trace span.
+StatusOr<plan::PlanProgram> CompilePlans(const nrc::Program& program,
+                                         const PipelineOptions& options) {
   nrc::TypeEnv env;
   {
     TraceSpan span(Trc(), "typecheck");
     nrc::Typechecker tc;
     TRANCE_ASSIGN_OR_RETURN(env, tc.CheckProgram(program));
   }
-
   plan::PlanProgram plans;
   {
     TraceSpan span(Trc(), "unnest");
@@ -36,11 +32,18 @@ StatusOr<runtime::Dataset> RunStandard(const nrc::Program& program,
     plan::Unnester unnester(input_env);
     TRANCE_ASSIGN_OR_RETURN(plans, unnester.CompileProgram(program));
   }
-  {
-    TraceSpan span(Trc(), "optimize");
-    TRANCE_ASSIGN_OR_RETURN(
-        plans, plan::OptimizeProgram(plans, env, options.optimizer));
-  }
+  TraceSpan span(Trc(), "optimize");
+  return plan::OptimizeProgram(plans, env, options.optimizer);
+}
+}  // namespace
+
+StatusOr<runtime::Dataset> RunStandard(const nrc::Program& program,
+                                       Executor* executor,
+                                       const PipelineOptions& options,
+                                       plan::PlanProgram* compiled_out) {
+  TraceSpan pipeline_span(Trc(), "standard_pipeline");
+  TRANCE_ASSIGN_OR_RETURN(plan::PlanProgram plans,
+                          CompilePlans(program, options));
   if (compiled_out != nullptr) *compiled_out = plans;
 
   TraceSpan span(Trc(), "execute");
@@ -114,26 +117,8 @@ StatusOr<ShreddedRun> RunShredded(const nrc::Program& program,
         "baseline materialization kept a match construct; only the "
         "interpreter can evaluate this program");
   }
-  nrc::TypeEnv env;
-  {
-    TraceSpan span(Trc(), "typecheck");
-    nrc::Typechecker tc;
-    TRANCE_ASSIGN_OR_RETURN(env, tc.CheckProgram(mat.program));
-  }
-
-  plan::PlanProgram plans;
-  {
-    TraceSpan span(Trc(), "unnest");
-    nrc::TypeEnv input_env;
-    for (const auto& in : mat.program.inputs) input_env[in.name] = in.type;
-    plan::Unnester unnester(input_env);
-    TRANCE_ASSIGN_OR_RETURN(plans, unnester.CompileProgram(mat.program));
-  }
-  {
-    TraceSpan span(Trc(), "optimize");
-    TRANCE_ASSIGN_OR_RETURN(
-        plans, plan::OptimizeProgram(plans, env, options.optimizer));
-  }
+  TRANCE_ASSIGN_OR_RETURN(plan::PlanProgram plans,
+                          CompilePlans(mat.program, options));
 
   // Dictionary assignments get the BagToDict cast: label partitioning
   // guarantee, skew-aware in skew mode (Fig. 6).

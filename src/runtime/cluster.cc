@@ -116,14 +116,10 @@ spill::SpillManager* Cluster::spill_manager() {
 
 Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
                                  const std::string& op,
-                                 const std::vector<uint8_t>* spilled) {
+                                 uint64_t spilled_partitions) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t peak = 0;
   size_t peak_partition = 0;
-  uint64_t spilled_partitions = 0;
-  if (spilled != nullptr) {
-    for (uint8_t f : *spilled) spilled_partitions += f ? 1 : 0;
-  }
   // Publishes the check's outcome into the registry and event log; shared by
   // the pass and fail exits so every check is visible either way. The event
   // names the observed peak (value and partition) next to the configured cap
@@ -162,9 +158,7 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
       peak = b;
       peak_partition = p;
     }
-    bool was_spilled = spilled != nullptr && p < spilled->size() &&
-                       (*spilled)[p] != 0;
-    if (b > config_.partition_memory_cap && !was_spilled) {
+    if (b > config_.partition_memory_cap && !spill_enabled_) {
       // Name the stage, the plan-node scope, the partition, and the exact
       // observed/configured byte counts so EXPLAIN ANALYZE readers and test
       // failures can attribute the saturation without a debugger.

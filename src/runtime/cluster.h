@@ -51,9 +51,9 @@ struct ClusterConfig {
   /// model).
   int num_threads = 0;
   /// Fault injection & recovery (off by default; see runtime/fault.h and
-  /// docs/ARCHITECTURE.md). With faults enabled and a sufficient retry
-  /// budget, results and all non-recovery stats are bit-identical to a
-  /// fault-free run.
+  /// docs/ARCHITECTURE.md). With a positive fault rate and a sufficient
+  /// retry budget, results and all non-recovery stats are bit-identical to
+  /// a fault-free run.
   FaultConfig faults{};
   /// Out-of-core spill knobs (runtime/spill.h, docs/STORAGE.md). Whether the
   /// spill sites engage at all is the executor's ExecOptions::enable_spill;
@@ -152,15 +152,16 @@ class Cluster {
   /// current operator scope (if any).
   void RecordStage(StageStats s);
 
-  /// Fails with ResourceExhausted if any of a stage's per-partition byte
-  /// footprints (Dataset::PartitionBytes) exceeds the per-partition memory
-  /// cap. `spilled`, when non-null, marks partitions whose working set was
-  /// spilled to disk (runtime/spill.h): they still count toward the
-  /// peak-bytes telemetry — so mem_high_water / peak_partition_bytes match
-  /// an uncapped run — but no longer fail the cap check.
+  /// Fails with ResourceExhausted if, with spilling off, any of a stage's
+  /// per-partition byte footprints (Dataset::PartitionBytes) exceeds the
+  /// per-partition memory cap. With spilling on, the stage barrier has
+  /// already spilled every partition over the cap to disk (runtime/spill.h):
+  /// those still count toward the peak-bytes telemetry — so mem_high_water
+  /// / peak_partition_bytes match an uncapped run — but never fail the
+  /// check. `spilled_partitions` (how many spilled) goes to the event log.
   Status CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
                           const std::string& op,
-                          const std::vector<uint8_t>* spilled = nullptr);
+                          uint64_t spilled_partitions = 0);
 
   /// Target partition of a key hash. The splitmix64 finalizer decorrelates
   /// partition assignment from low-bit structure in the key hash; the

@@ -24,7 +24,6 @@
 #include "runtime/column.h"
 #include "runtime/field.h"
 #include "runtime/schema.h"
-#include "util/thread_pool.h"
 
 namespace trance {
 namespace runtime {
@@ -45,28 +44,11 @@ struct Partitioning {
   /// True when the guarantee covers hashing on `cols` in ANY order: the
   /// partitioner (RowHashOn) combines per-column hashes commutatively, so a
   /// dataset hashed on {a,b} places every row exactly where hashing on
-  /// {b,a} would — a permuted key list needs no re-shuffle.
-  ///
-  /// This runs once per keyed operator, so the common short-key case (≤4
-  /// columns) compares occurrence counts in place — no allocation, no sort.
-  /// Counting (rather than membership tests) keeps duplicate-bearing lists
-  /// correct: {1,1,2} is not a permutation of {1,2,2}.
+  /// {b,a} would — a permuted key list needs no re-shuffle. Comparing the
+  /// sorted lists keeps duplicate-bearing lists correct: {1,1,2} is not a
+  /// permutation of {1,2,2}.
   bool IsHashOn(const std::vector<int>& cols) const {
     if (kind != Kind::kHash || key_cols.size() != cols.size()) return false;
-    if (key_cols == cols) return true;
-    size_t n = cols.size();
-    if (n <= 4) {
-      for (size_t i = 0; i < n; ++i) {
-        int needle = cols[i];
-        int in_cols = 0, in_keys = 0;
-        for (size_t j = 0; j < n; ++j) {
-          in_cols += cols[j] == needle;
-          in_keys += key_cols[j] == needle;
-        }
-        if (in_cols != in_keys) return false;
-      }
-      return true;
-    }
     std::vector<int> a = key_cols;
     std::vector<int> b = cols;
     std::sort(a.begin(), a.end());
@@ -120,20 +102,13 @@ struct Dataset {
     return out;
   }
   /// All rows gathered into one vector, in partition order (result
-  /// collection). `num_threads > 1` copies partitions concurrently into
-  /// pre-computed offsets, so the output is identical for any thread count.
-  std::vector<Row> Collect(int num_threads = 1) const {
-    const size_t nparts = parts.size();
-    std::vector<size_t> offsets(nparts + 1, 0);
-    for (size_t i = 0; i < nparts; ++i) {
-      offsets[i + 1] = offsets[i] + parts[i].NumRows();
+  /// collection).
+  std::vector<Row> Collect() const {
+    std::vector<Row> out;
+    out.reserve(NumRows());
+    for (const auto& b : parts) {
+      for (size_t r = 0; r < b.NumRows(); ++r) out.push_back(b.RowAt(r));
     }
-    std::vector<Row> out(offsets.back());
-    util::ParallelFor(num_threads, nparts, [&](size_t i) {
-      for (size_t r = 0; r < parts[i].NumRows(); ++r) {
-        out[offsets[i] + r] = parts[i].RowAt(r);
-      }
-    });
     return out;
   }
 };

@@ -1,5 +1,7 @@
 #include "runtime/fault.h"
 
+#include <iterator>
+
 #include "obs/metrics.h"
 #include "util/hash.h"
 
@@ -28,15 +30,9 @@ const char* FaultKindName(FaultKind k) {
   return "?";
 }
 
-FaultInjector::FaultInjector(const FaultConfig& config) : config_(config) {
-  if (config_.inject_worker_crash) kinds_.push_back(FaultKind::kWorkerCrash);
-  if (config_.inject_fetch_loss) kinds_.push_back(FaultKind::kFetchLoss);
-  if (config_.inject_resource_exhausted) {
-    kinds_.push_back(FaultKind::kResourceExhausted);
-  }
-  active_ = config_.enabled && config_.fault_rate > 0.0 && !kinds_.empty() &&
-            config_.max_faults_per_task > 0;
-}
+FaultInjector::FaultInjector(const FaultConfig& config)
+    : config_(config),
+      active_(config.fault_rate > 0.0 && config.max_faults_per_task > 0) {}
 
 FaultKind FaultInjector::Decide(uint64_t stage_seq, size_t partition,
                                 int attempt) const {
@@ -53,13 +49,17 @@ FaultKind FaultInjector::Decide(uint64_t stage_seq, size_t partition,
   // Top 53 bits -> uniform double in [0, 1).
   double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   if (u >= config_.fault_rate) return FaultKind::kNone;
-  return kinds_[SplitMix64(h) % kinds_.size()];
+  static constexpr FaultKind kKinds[] = {FaultKind::kWorkerCrash,
+                                         FaultKind::kFetchLoss,
+                                         FaultKind::kResourceExhausted};
+  return kKinds[SplitMix64(h) % std::size(kKinds)];
 }
 
 double FaultInjector::BackoffSeconds(int attempt) const {
-  double b = config_.backoff_base_seconds;
-  for (int i = 0; i < attempt && b < config_.backoff_max_seconds; ++i) b *= 2;
-  return b < config_.backoff_max_seconds ? b : config_.backoff_max_seconds;
+  constexpr double kBaseSeconds = 0.5, kMaxSeconds = 8.0;
+  double b = kBaseSeconds;
+  for (int i = 0; i < attempt && b < kMaxSeconds; ++i) b *= 2;
+  return b < kMaxSeconds ? b : kMaxSeconds;
 }
 
 }  // namespace runtime

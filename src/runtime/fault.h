@@ -32,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace trance {
 namespace obs {
@@ -57,13 +56,12 @@ void PublishFaultInjected(obs::MetricRegistry* metrics, FaultKind kind);
 
 /// Fault-injection + recovery knobs, embedded in ClusterConfig as `faults`.
 struct FaultConfig {
-  /// Master switch. Off (the default) costs one branch per stage.
-  bool enabled = false;
   /// Seed of the injector's hash stream. Independent of the cluster seed so
   /// fault placement can vary while data placement stays fixed.
   uint64_t seed = 0xfa0170;
   /// Probability that a given (stage, partition, attempt) task attempt
-  /// faults. Evaluated independently per attempt.
+  /// faults. Evaluated independently per attempt. Injection is on iff this
+  /// is positive; off (the default) costs one branch per stage.
   double fault_rate = 0.0;
   /// The injector stops failing a task after this many faults on it, which
   /// guarantees recovery succeeds whenever max_task_retries >= this value
@@ -72,14 +70,6 @@ struct FaultConfig {
   /// Recovery budget: re-executions allowed per task before the job fails
   /// with ResourceExhausted (the stage is named in the message).
   int max_task_retries = 4;
-  /// Bounded exponential backoff charged to recovery_sim_seconds before
-  /// retry i: min(backoff_base_seconds * 2^i, backoff_max_seconds).
-  double backoff_base_seconds = 0.5;
-  double backoff_max_seconds = 8.0;
-  /// Which kinds the injector may pick (all on by default).
-  bool inject_worker_crash = true;
-  bool inject_fetch_loss = true;
-  bool inject_resource_exhausted = true;
 };
 
 /// One injected fault, recorded on the StageStats of the stage it hit.
@@ -104,13 +94,13 @@ class FaultInjector {
   /// `attempt` of the stage with driver-side sequence number `stage_seq`.
   FaultKind Decide(uint64_t stage_seq, size_t partition, int attempt) const;
 
-  /// Simulated backoff charged before retrying after the fault on `attempt`.
+  /// Simulated backoff charged before retrying after the fault on `attempt`:
+  /// bounded exponential, min(0.5 s * 2^attempt, 8 s).
   double BackoffSeconds(int attempt) const;
 
  private:
   FaultConfig config_;
   bool active_ = false;
-  std::vector<FaultKind> kinds_;  // enabled kinds, selection order fixed
 };
 
 }  // namespace runtime

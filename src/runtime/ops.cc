@@ -15,30 +15,13 @@ namespace {
 using column::AnyColumn;
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
-// Stage barrier, work histogram and spill telemetry shared with the
-// fused-stage runner.
+// Partition-task runner, stage barrier, work histogram and spill telemetry
+// shared with the fused-stage runner.
 using detail::FinishStage;
 using detail::NoteSpill;
+using detail::RunPartitionTasks;
 using detail::SetWork;
-
-/// Per-partition keyed-phase telemetry — key_encode_bytes and the hash_*
-/// fields of StageStats: each task owns slot p, Finalize folds the slots in
-/// partition order after the stage barrier with each field's kStatFields
-/// aggregation (stats stay thread-count invariant). A stage with several
-/// keyed loops (e.g. SumAggregate's combine + final passes) finalizes one
-/// meter per loop; the StageStats fields accumulate.
-class KeyStatsMeter {
- public:
-  explicit KeyStatsMeter(size_t parts) : slots_(parts) {}
-  StageStats& slot(size_t p) { return slots_[p]; }
-  void Reset(size_t p) { slots_[p] = StageStats{}; }
-  void Finalize(StageStats* s) const {
-    for (const StageStats& k : slots_) FoldStage(k, s);
-  }
-
- private:
-  std::vector<StageStats> slots_;
-};
+using detail::SpillOverCap;
 
 /// Returns the first non-OK per-partition task error in partition order (so
 /// the surfaced error is deterministic regardless of thread interleaving).
@@ -257,19 +240,10 @@ StatusOr<std::vector<PartitionBlock>> ShuffleOrReuse(
   // so an oversized keyed-build input spills to block runs here and streams
   // back in the original order — the downstream index build then inserts
   // the identical row sequence (same hash_* stats, same group emission
-  // order). Driver-side, in partition order.
-  if (cluster->spill_enabled()) {
-    const uint64_t cap = cluster->config().partition_memory_cap;
-    for (size_t p = 0; p < out.size(); ++p) {
-      const uint64_t bytes = out[p].TotalRowBytes();
-      if (bytes <= cap) continue;
-      StageStats slot;
-      TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
-          cluster->current_job_id(), stage->op + ".keyed_input", p, in.schema,
-          &out[p], &slot));
-      NoteSpill(cluster, stage, stage->op + ".keyed_input", p, bytes, slot);
-    }
-  }
+  // order).
+  StatusOr<size_t> spilled = SpillOverCap(
+      cluster, stage, stage->op + ".keyed_input", in.schema, &out);
+  TRANCE_RETURN_NOT_OK(spilled.status());
   return out;
 }
 
@@ -475,23 +449,15 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
 
   const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
-  KeyStatsMeter kmeter(nparts);
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage,
-      [&](size_t p) {
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
         LocalJoin(lsp[p], rsp[p], left_keys, right_keys, type, &out.parts[p],
-                  &kmeter.slot(p));
-      },
-      [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
+                  ks);
       }));
-  kmeter.Finalize(&stage);
   SetWork(&stage, nparts, [&](size_t p) {
     return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
            out.parts[p].TotalRowBytes();
   });
-  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(left_keys));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
@@ -555,23 +521,15 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
 
   const size_t nparts = left.NumPartitions();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
-  KeyStatsMeter kmeter(nparts);
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage,
-      [&](size_t p) {
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
         LocalJoin(left.parts[p], bcast, left_keys, right_keys, type,
-                  &out.parts[p], &kmeter.slot(p));
-      },
-      [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
+                  &out.parts[p], ks);
       }));
-  kmeter.Finalize(&stage);
   SetWork(&stage, nparts, [&](size_t p) {
     return left.parts[p].TotalRowBytes() + bcast_bytes +
            out.parts[p].TotalRowBytes();
   });
-  stage.columnar_bytes += Footprint(out.parts);
   // Left rows did not move: the left guarantee (if any) is preserved.
   out.partitioning = left.partitioning;
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
@@ -616,15 +574,14 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
 
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  KeyStatsMeter kmeter(nparts);
-  auto nest_task = [&](size_t p) {
+  auto nest_task = [&](size_t p, StageStats* slot) {
     // Groups are (the row that created the group, members), in first-seen
     // order; members project straight from the block's arenas.
     const PartitionBlock& src = sp[p];
     std::vector<size_t> first;              // per group: its first row
     std::vector<std::vector<Row>> members;  // per group: its bag
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
-    StageStats& ks = kmeter.slot(p);
+    StageStats& ks = *slot;
     FlatKeyIndex index;
     key_codec::KeyEncoder enc;
     const size_t rows = src.NumRows();
@@ -662,16 +619,11 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       for (auto& bag : members) col->Append(Field::Bag(std::move(bag)));
     });
   };
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage, nest_task, [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
-      }));
-  kmeter.Finalize(&stage);
+  TRANCE_RETURN_NOT_OK(
+      RunPartitionTasks(cluster, name, &stage, &out, nest_task));
   SetWork(&stage, nparts, [&](size_t p) {
     return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
   });
-  stage.columnar_bytes += Footprint(out.parts);
   std::vector<int> out_keys;
   for (int i = 0; i < static_cast<int>(key_cols.size()); ++i) {
     out_keys.push_back(i);
@@ -800,36 +752,28 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   const size_t in_parts = in.NumPartitions();
   Dataset partial = Dataset::Empty(out_schema, in_parts);
   if (map_side_combine) {
-    KeyStatsMeter kmeter(in_parts);
-    TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-        name + ".combine", in_parts, &stage,
-        [&](size_t p) {
-          aggregate(in.parts[p], false, &kmeter.slot(p), &partial.parts[p]);
-        },
-        [&](size_t p) {
-          partial.ClearPartition(p);
-          kmeter.Reset(p);
+    TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+        cluster, name + ".combine", &stage, &partial,
+        [&](size_t p, StageStats* ks) {
+          aggregate(in.parts[p], false, ks, &partial.parts[p]);
         }));
-    kmeter.Finalize(&stage);
   } else {
     // Reshape rows to (key, value) layout without combining: every cell
     // copies column-wise from the input block. NULLs pass through so the
     // final aggregation pass can apply the miss-marker rule uniformly.
     std::vector<int> reshape = key_cols;
     reshape.insert(reshape.end(), value_cols.begin(), value_cols.end());
-    TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-        name + ".reshape", in_parts, &stage,
-        [&](size_t p) {
+    TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+        cluster, name + ".reshape", &stage, &partial,
+        [&](size_t p, StageStats*) {
           const PartitionBlock& src = in.parts[p];
           const size_t rows = src.NumRows();
           partial.parts[p].AppendColumns(rows, [&](size_t c, AnyColumn* col) {
             const AnyColumn& from = src.col(static_cast<size_t>(reshape[c]));
             for (size_t i = 0; i < rows; ++i) col->AppendFrom(from, i);
           });
-        },
-        [&](size_t p) { partial.ClearPartition(p); }));
+        }));
   }
-  stage.columnar_bytes += Footprint(partial.parts);
   partial.partitioning = in.partitioning.IsHashOn(key_cols)
                              ? Partitioning::Hash(partial_keys)
                              : Partitioning::None();
@@ -840,17 +784,10 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
 
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  KeyStatsMeter kmeter(nparts);
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage,
-      [&](size_t p) {
-        aggregate(sp[p], true, &kmeter.slot(p), &out.parts[p]);
-      },
-      [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
+        aggregate(sp[p], true, ks, &out.parts[p]);
       }));
-  kmeter.Finalize(&stage);
   // The pre-shuffle pass charges its input (and, combining, its partial
   // rows); the final pass charges its input and output.
   SetWork(&stage, in_parts, [&](size_t p) {
@@ -859,7 +796,6 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     if (p < nparts) w += sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
     return w;
   });
-  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(partial_keys);
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
@@ -911,9 +847,8 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
   StageStats stage;
   stage.op = name;
   stage.rows_in = a.NumRows() + b.NumRows();
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage,
-      [&](size_t p) {
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, name, &stage, &out, [&](size_t p, StageStats*) {
         PartitionBlock& dst = out.parts[p];
         for (const Dataset* d : {&a, &b}) {
           if (p >= d->NumPartitions()) continue;
@@ -921,9 +856,7 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
           const size_t rows = src.NumRows();
           for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
         }
-      },
-      [&](size_t p) { out.ClearPartition(p); }));
-  stage.columnar_bytes += Footprint(out.parts);
+      }));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
@@ -941,15 +874,13 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
                           ShuffleOrReuse(cluster, in, all_cols, &stage));
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(in.schema, nparts);
-  KeyStatsMeter kmeter(nparts);
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage,
-      [&](size_t p) {
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, name, &stage, &out, [&](size_t p, StageStats* slot) {
         // The membership test encodes every column straight off the block
         // and probes without materializing; the first occurrence of each
         // key copies column-to-column into the output block. Per-key
         // duplicate counts (the chain stat) live densely beside the index.
-        StageStats& ks = kmeter.slot(p);
+        StageStats& ks = *slot;
         const PartitionBlock& src = sp[p];
         PartitionBlock& dst = out.parts[p];
         FlatKeyIndex seen;
@@ -970,16 +901,10 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         }
         ks.key_encode_bytes += enc.bytes_encoded();
         flat_hash::NoteTableStats(seen, &ks);
-      },
-      [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
       }));
-  kmeter.Finalize(&stage);
   SetWork(&stage, nparts, [&](size_t p) {
     return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
   });
-  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(all_cols));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
@@ -1015,9 +940,8 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
 
   const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  KeyStatsMeter kmeter(nparts);
-  auto cogroup_task = [&](size_t p) {
-    StageStats& ks = kmeter.slot(p);
+  auto cogroup_task = [&](size_t p, StageStats* slot) {
+    StageStats& ks = *slot;
     const PartitionBlock& lb = lsp[p];
     const PartitionBlock& rb = rsp[p];
     FlatKeyIndex built;
@@ -1075,17 +999,12 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
       }
     });
   };
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, nparts, &stage, cogroup_task, [&](size_t p) {
-        out.ClearPartition(p);
-        kmeter.Reset(p);
-      }));
-  kmeter.Finalize(&stage);
+  TRANCE_RETURN_NOT_OK(
+      RunPartitionTasks(cluster, name, &stage, &out, cogroup_task));
   SetWork(&stage, nparts, [&](size_t p) {
     return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
            out.parts[p].TotalRowBytes();
   });
-  stage.columnar_bytes += Footprint(out.parts);
   out.partitioning = Partitioning::Hash(std::move(left_keys));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;

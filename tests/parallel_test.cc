@@ -3,7 +3,9 @@
 // per-partition rows AND identical JobStats (shuffle bytes, per-partition
 // histograms, simulated time) for any thread count. This is the contract
 // that makes the thread pool a pure wall-clock optimization: the simulated
-// cluster's behavior is a function of the data only.
+// cluster's behavior is a function of the data only. The same operator set
+// run under injected faults must match the fault-free run outside the fault
+// counters, which checks every operator's recovery.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -47,10 +49,11 @@ void ExpectSameRows(const Dataset& a, const Dataset& b) {
   }
 }
 
-ClusterConfig Config(int num_threads) {
+ClusterConfig Config(int num_threads, double fault_rate = 0.0) {
   ClusterConfig c;
   c.num_partitions = 8;
   c.num_threads = num_threads;
+  c.faults.fault_rate = fault_rate;
   return c;
 }
 
@@ -70,7 +73,8 @@ std::vector<Row> KvRows(int n, int key_mod) {
 }
 
 /// Runs one instance of every bulk operator on a cluster with the given
-/// thread budget; returns every intermediate dataset plus the job stats.
+/// thread budget and fault rate; returns every intermediate dataset plus the
+/// job stats.
 struct OpsRun {
   // deque: later keep() calls must not invalidate references to earlier
   // outputs (operators chain off them).
@@ -86,8 +90,8 @@ StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in, Schema out,
                           Partitioning::None(), name);
 }
 
-OpsRun RunAllOps(int num_threads) {
-  Cluster cluster(Config(num_threads));
+OpsRun RunAllOps(int num_threads, double fault_rate = 0.0) {
+  Cluster cluster(Config(num_threads, fault_rate));
   OpsRun run;
   auto keep = [&run](StatusOr<Dataset> ds) -> const Dataset& {
     EXPECT_TRUE(ds.ok()) << ds.status().ToString();
@@ -176,6 +180,25 @@ TEST(ParallelDeterminismTest, AllBulkOperators) {
       ExpectSameRows(baseline.outputs[i], parallel.outputs[i]);
     }
     ExpectSameStats(baseline.stats, parallel.stats);
+  }
+}
+
+// Every operator's recovery discards a crashed attempt's rows and telemetry:
+// with half of all task attempts faulting (at most twice per task, within
+// the default retry budget), every output and every non-recovery statistic
+// equals the fault-free run's, at any thread count.
+TEST(ParallelDeterminismTest, AllBulkOperatorsRecoverFromFaults) {
+  OpsRun baseline = RunAllOps(1);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    OpsRun faulted = RunAllOps(threads, /*fault_rate=*/0.5);
+    EXPECT_GT(faulted.stats.totals().injected_faults, 0u);
+    ASSERT_EQ(baseline.outputs.size(), faulted.outputs.size());
+    for (size_t i = 0; i < baseline.outputs.size(); ++i) {
+      SCOPED_TRACE("output " + std::to_string(i));
+      ExpectSameRows(baseline.outputs[i], faulted.outputs[i]);
+    }
+    ExpectSameStats(baseline.stats, faulted.stats, StatGroup::kFaults);
   }
 }
 

@@ -394,7 +394,6 @@ TEST(ShreddedPipelineTest, FlatToNested) {
 TEST(ShreddedPipelineTest, SkewAwareShreddedAgrees) {
   exec::PipelineOptions opts;
   opts.exec.skew_aware = true;
-  opts.exec.auto_broadcast = false;
   ExpectShreddedRuntimeAgreement(RunningExampleProgram(),
                                  {{"COP", MakeCop()}, {"Part", MakePart()}},
                                  opts);

@@ -388,7 +388,6 @@ TEST(StandardPipelineTest, SkewAwareModeAgrees) {
   srows.push_back(T2("k", Value::Int(7), "b", Value::Int(1000)));
   exec::PipelineOptions skew_opts;
   skew_opts.exec.skew_aware = true;
-  skew_opts.exec.auto_broadcast = false;
   ExpectAgreement(p, {{"R", Value::Bag(rrows)}, {"S", Value::Bag(srows)}},
                   skew_opts);
 }
