@@ -478,20 +478,21 @@ BENCHMARK(BM_ValueUnshred)->Arg(100);
 }  // namespace
 
 // Fixed-size regression pass over the keyed operators — dedup, join
-// build/probe, nest — for the out-of-core spill path. The .spill_forced runs use a 256 KiB
-// per-partition memory cap — far under the working set, so shuffles, keyed
-// inputs and stage outputs all spill through runtime/spill.h run files —
-// while the .spill_off runs use the default (effectively unlimited) cap with
-// ExecOptions-level spilling disabled. Stats transparency is asserted
-// in-binary: rows, movement stats, simulated time and keyed counters are
-// bit-identical across the pair, the forced runs report spill_* > 0, and the
-// off runs report exactly 0. Results land in BENCH_micro_spill.json.
+// build/probe, nest — for the out-of-core spill path. The .spill_forced runs
+// use a 64 KiB per-partition memory cap — under every operator's output
+// partitions, so the stage barrier spills them through runtime/spill.h run
+// files — while the .spill_off runs use the default (effectively unlimited)
+// cap with ExecOptions-level spilling disabled. Stats transparency is
+// asserted in-binary: rows, movement stats, simulated time and keyed
+// counters are bit-identical across the pair, the forced runs report
+// spill_* > 0, and the off runs report exactly 0. Results land in
+// BENCH_micro_spill.json.
 Status RunSpillAblation() {
   std::vector<bench::RunResult> results;
   const int64_t n = 200000;
   for (bool forced : {true, false}) {
     ClusterConfig cfg{.num_partitions = 8};
-    if (forced) cfg.partition_memory_cap = 256ull << 10;
+    if (forced) cfg.partition_memory_cap = 64ull << 10;
     Cluster cluster(cfg);
     cluster.set_spill_enabled(forced);
     const std::string suffix = forced ? ".spill_forced" : ".spill_off";

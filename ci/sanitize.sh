@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI-style sanitizer pass: checks the docs for drift (ci/check_docs.sh)
-# and the bench-report schema (ci/bench_smoke.sh), then builds the tree
-# with TRANCE_SANITIZE=ON (ASan + UBSan) into its own build directory and
-# runs the fast observability suite (ctest label `obs`), the stage-fusion
+# and the bench-report schema (ci/bench_smoke.sh), then builds every test
+# binary (target trance_tests, compiled in parallel) with
+# TRANCE_SANITIZE=ON (ASan + UBSan) into its own build directory and runs
+# the fast observability suite (ctest label `obs`), the stage-fusion
 # equivalence suite (label `fusion`), the fault-recovery suite (label
 # `faults`), the encoded-key suite (label `keys` — bag-key encodings
 # recurse through nested element rows), the flat hash-table suite (label
@@ -32,7 +33,7 @@ ci/bench_smoke.sh
 LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
-cmake --build "$BUILD_DIR" --target parallel_test obs_test fusion_test fault_test key_codec_test flat_hash_test metrics_test event_log_test column_test columnar_test serde_test spill_test skew_test runtime_ops_test -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target trance_tests -j"$(nproc)"
 for label in "${LABELS[@]}"; do
   n=$(ctest --test-dir "$BUILD_DIR" -N -L "^${label}\$" |
     sed -nE 's/^Total Tests: ([0-9]+)$/\1/p')

@@ -198,7 +198,7 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
         task(p);
         return;
       }
-      if (reset != nullptr && k != FaultKind::kFetchLoss) {
+      if (k != FaultKind::kFetchLoss) {
         // Crash-type fault: the attempt runs and its partial output is
         // discarded — re-execution then recomputes slot p from the stage's
         // still-held input partitions (lineage recovery).

@@ -27,8 +27,8 @@ struct ClusterConfig {
   /// paper; scaled down with the data).
   int num_partitions = 16;
   /// Per-partition memory cap; exceeding it is the paper's FAIL ("crashed due
-  /// to memory saturation of a node"), or, with spilling on, where every
-  /// spill site engages.
+  /// to memory saturation of a node"), or, with spilling on, where the stage
+  /// barrier spills the partition instead.
   uint64_t partition_memory_cap = 256ull << 20;
   /// Collections smaller than this may be broadcast (paper: Spark broadcasts
   /// anything under 10MB).
@@ -56,8 +56,8 @@ struct ClusterConfig {
   /// a fault-free run.
   FaultConfig faults{};
   /// Out-of-core spill knobs (runtime/spill.h, docs/STORAGE.md). Whether the
-  /// spill sites engage at all is the executor's ExecOptions::enable_spill;
-  /// this configures where runs go and how they are bounded once they do.
+  /// stage barrier spills at all is the executor's ExecOptions::enable_spill;
+  /// this configures where runs go and how they are bounded once it does.
   spill::SpillConfig spill{};
 };
 
@@ -125,10 +125,6 @@ class Cluster {
   ///     partitions, i.e. lineage recovery;
   ///   - fetch-loss faults strike before any work: the task is skipped and
   ///     retried.
-  /// When `reset` is null the task cannot be unwound mid-flight (e.g. the
-  /// shuffle's fetch phase moves rows destructively), so every fault is
-  /// handled pre-task like a fetch loss; results are identical either way
-  /// because tasks are deterministic.
   ///
   /// Each fault is appended to stage->fault_events and counted in
   /// stage->injected_faults / retries / partition_retries (merged in slot
@@ -184,8 +180,8 @@ class Cluster {
   void set_spill_enabled(bool on) { spill_enabled_ = on; }
 
   /// The cluster's spill manager (created lazily on first use so clusters
-  /// that never spill never touch the filesystem). Driver- and task-callable;
-  /// the manager's own methods are thread-safe.
+  /// that never spill never touch the filesystem). The stage barrier
+  /// (detail::FinishStage), the one spill site, writes its runs through it.
   spill::SpillManager* spill_manager();
 
   /// Operator-scope stack for plan-node attribution of stages (EXPLAIN

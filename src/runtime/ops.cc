@@ -4,7 +4,6 @@
 
 #include "runtime/flat_hash.h"
 #include "runtime/key_codec.h"
-#include "runtime/spill.h"
 #include "util/hash.h"
 
 namespace trance {
@@ -15,22 +14,11 @@ namespace {
 using column::AnyColumn;
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
-// Partition-task runner, stage barrier, work histogram and spill telemetry
-// shared with the fused-stage runner.
+// Partition-task runner, stage barrier and work histogram shared with the
+// fused-stage runner.
 using detail::FinishStage;
-using detail::NoteSpill;
 using detail::RunPartitionTasks;
 using detail::SetWork;
-using detail::SpillOverCap;
-
-/// Returns the first non-OK per-partition task error in partition order (so
-/// the surfaced error is deterministic regardless of thread interleaving).
-Status FirstError(const std::vector<Status>& errs) {
-  for (const Status& e : errs) {
-    if (!e.ok()) return e;
-  }
-  return Status::OK();
-}
 
 /// Accumulates `add` into `into[i]`, growing the histogram on first use (a
 /// stage may run several shuffles, e.g. both sides of a join).
@@ -84,10 +72,10 @@ uint64_t Footprint(const std::vector<PartitionBlock>& blocks) {
 /// output block.
 ///
 /// Fault model: phase-1 (map side) tasks read only the immutable input, so a
-/// crash fault re-runs them after discarding the partition's buckets; phase-2
-/// (fetch side) consumes the buckets destructively, so its faults are
-/// fetch-style — they strike before the task touches the buckets (null
-/// reset) and the retry re-fetches.
+/// crash fault re-runs them after discarding the partition's buckets.
+/// Phase 2 (fetch side) only reads the buckets, so it runs through
+/// RunPartitionTasks like every stage that builds a Dataset: a crashed
+/// attempt's output block is discarded and the retry re-fetches.
 StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
     Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
     StageStats* stage) {
@@ -112,16 +100,14 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
 
   std::vector<uint64_t> recv(n, 0);
   std::vector<uint64_t> send(std::max(in_n, n), 0);
-  std::vector<uint64_t> routed(n, 0);  // [target] every byte routed there
   uint64_t moved_rows = 0;
   uint64_t moved_bytes = 0;
   for (size_t p = 0; p < in_n; ++p) {
     stage->columnar_bytes += Footprint(buckets[p]);
     for (size_t t = 0; t < n; ++t) {
+      if (t == p) continue;
       const PartitionBlock& bucket = buckets[p][t];
       const uint64_t bytes = bucket.TotalRowBytes();
-      routed[t] += bytes;
-      if (t == p) continue;
       send[p] += bytes;
       recv[t] += bytes;
       moved_rows += bucket.NumRows();
@@ -130,73 +116,16 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
   }
   stage->shuffle_bytes += moved_bytes;
 
-  std::vector<PartitionBlock> out(n, PartitionBlock(in.schema));
-
-  // Fetch-side spill (runtime/spill.h): a target whose total received bytes
-  // exceed the memory cap writes one run per non-empty source bucket
-  // (clearing the bucket as it goes), then stream-merges the runs back in
-  // fixed source order straight into the resident output block — the
-  // identical row sequence the in-memory concatenation produces. The spill
-  // decision and every run are pure functions of the routed bytes, and the
-  // per-target spill slots are folded in target order after the barrier,
-  // so results and stats stay thread-count-invariant.
-  const bool spill_on = cluster->spill_enabled();
-  const uint64_t cap = cluster->config().partition_memory_cap;
-  std::vector<StageStats> spill_slots(n);
-  std::vector<Status> spill_errs(n, Status::OK());
-  auto spill_fetch_target = [&](size_t t) -> Status {
-    spill::SpillManager* sm = cluster->spill_manager();
-    StageStats* c = &spill_slots[t];
-    const std::string tag = stage->op + ".shuffle_fetch";
-    const uint64_t job = cluster->current_job_id();
-    std::vector<std::string> runs;
-    auto spill_and_restore = [&]() -> Status {
-      for (size_t p = 0; p < in_n; ++p) {
-        auto& src = buckets[p][t];
-        if (src.NumRows() == 0) continue;
-        std::string path = sm->RunPath(job, tag, t, runs.size());
-        TRANCE_RETURN_NOT_OK(sm->WriteBlockRun(path, src, c));
-        src = PartitionBlock(in.schema);
-        runs.push_back(std::move(path));
-      }
-      // One merge pass: streaming the runs in write order restores the
-      // exact source-order concatenation. ReadRunIntoBlock appends each
-      // column's values one at a time, as the in-memory concatenation does,
-      // so the restored block's footprint equals the never-spilled one.
-      for (const std::string& path : runs) {
-        TRANCE_RETURN_NOT_OK(sm->ReadRunIntoBlock(path, &out[t], c));
-      }
-      return Status::OK();
-    };
-    Status s = spill_and_restore();
-    // Success or failure, the runs leave the disk and the budget.
-    for (const std::string& path : runs) sm->RemoveRun(path);
-    TRANCE_RETURN_NOT_OK(s);
-    c->spill_merge_passes += 1;
-    return Status::OK();
-  };
-
-  TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      stage->op + ".shuffle_fetch", n, stage,
-      [&](size_t t) {
-        if (spill_on && routed[t] > cap) {
-          spill_errs[t] = spill_fetch_target(t);
-          return;
-        }
+  Dataset out = Dataset::Empty(in.schema, n);
+  TRANCE_RETURN_NOT_OK(RunPartitionTasks(
+      cluster, stage->op + ".shuffle_fetch", stage, &out,
+      [&](size_t t, StageStats*) {
         for (size_t p = 0; p < in_n; ++p) {
-          const auto& src = buckets[p][t];
+          const PartitionBlock& src = buckets[p][t];
           const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) out[t].AppendRowFrom(src, i);
+          for (size_t i = 0; i < rows; ++i) out.parts[t].AppendRowFrom(src, i);
         }
-      },
-      nullptr));
-  TRANCE_RETURN_NOT_OK(FirstError(spill_errs));
-  for (size_t t = 0; t < n; ++t) {
-    const StageStats& c = spill_slots[t];
-    if (c.spill_runs == 0 && c.spill_merge_passes == 0) continue;
-    NoteSpill(cluster, stage, stage->op + ".shuffle_fetch", t, routed[t], c);
-  }
-  stage->columnar_bytes += Footprint(out);
+      }));
 
   for (uint64_t b : recv) {
     if (b > stage->max_partition_recv_bytes) {
@@ -223,28 +152,17 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
         .U64("partitions", n)
         .Emit();
   }
-  return out;
+  return std::move(out.parts);
 }
 
-/// Shuffle path of operators that group/join on `key_cols`: reuses the input
-/// partitions (zero movement) when the guarantee already holds, otherwise
-/// hash-shuffles.
+/// Shuffle path of operators that group/join on `key_cols`: hands back the
+/// input partitions (zero movement) when the guarantee already holds,
+/// otherwise hash-shuffles.
 StatusOr<std::vector<PartitionBlock>> ShuffleOrReuse(
     Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
     StageStats* stage) {
-  if (!in.partitioning.IsHashOn(key_cols)) {
-    return ShuffleByKey(cluster, in, key_cols, stage);
-  }
-  std::vector<PartitionBlock> out = in.parts;
-  // Keyed-input spill: on the reuse path no shuffle bounds the partitions,
-  // so an oversized keyed-build input spills to block runs here and streams
-  // back in the original order — the downstream index build then inserts
-  // the identical row sequence (same hash_* stats, same group emission
-  // order).
-  StatusOr<size_t> spilled = SpillOverCap(
-      cluster, stage, stage->op + ".keyed_input", in.schema, &out);
-  TRANCE_RETURN_NOT_OK(spilled.status());
-  return out;
+  if (in.partitioning.IsHashOn(key_cols)) return in.parts;
+  return ShuffleByKey(cluster, in, key_cols, stage);
 }
 
 /// Output schema of a join: left columns then right columns, right-side

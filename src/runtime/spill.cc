@@ -113,13 +113,6 @@ Status EnsureParentDir(const std::string& path) {
 
 }  // namespace
 
-Status SpillManager::WriteBlockRun(const std::string& path,
-                                   const column::PartitionBlock& block,
-                                   StageStats* c) {
-  std::string payload;
-  return WriteRangeRun(path, block, 0, block.NumRows(), &payload, c);
-}
-
 Status SpillManager::WriteRangeRun(const std::string& path,
                                    const column::PartitionBlock& block,
                                    size_t begin, size_t end,

@@ -10,18 +10,15 @@
 // The Thrill external-memory-channel design: bounded runs, sequential I/O,
 // merge by fixed run order.
 //
-// Three spill sites use it (all gated by ExecOptions::enable_spill):
-//   - ShuffleByKey fetch targets over the cap spill their received buckets to
-//     one run per source partition and stream-merge them in source order;
-//   - keyed builds (join/cogroup/nest/reduce-by-key/dedup) spill oversized
-//     reused inputs to runs and build from the restored blocks;
-//   - detail::FinishStage spills any stage-output partition over the memory
-//     cap, which is what lets the memory check pass instead of failing.
+// One site spills (gated by ExecOptions::enable_spill): the stage barrier,
+// detail::FinishStage, spills every stage-output partition over the memory
+// cap — exactly the partitions the memory check would fail with spilling
+// off — which is what lets that check pass instead.
 //
 // Spill cost is reported only through the spill-only StageStats counters
 // (spill_bytes_written / spill_bytes_read / spill_runs / spill_merge_passes),
-// which the manager writes into a caller's per-site slot; all are exactly 0
-// when nothing spills.
+// which the manager writes into the caller's per-partition slot; all are
+// exactly 0 when nothing spills.
 #ifndef TRANCE_RUNTIME_SPILL_H_
 #define TRANCE_RUNTIME_SPILL_H_
 
@@ -57,10 +54,10 @@ struct SpillConfig {
   uint64_t max_spill_bytes = 0;
 };
 
-/// Owns one spill directory: deterministic run naming, run write/read
-/// helpers, and byte-budget accounting. Write/read methods are thread-safe
-/// (concurrent fetch tasks spill distinct targets); the run *names* are a
-/// pure function of (job, tag, partition, run), never of thread timing.
+/// Owns one spill directory: deterministic run naming, the spill-and-restore
+/// of one block, and byte-budget accounting. Its methods are thread-safe;
+/// the run *names* are a pure function of (job, tag, partition, run), never
+/// of thread timing.
 class SpillManager {
  public:
   explicit SpillManager(SpillConfig config);
@@ -75,22 +72,7 @@ class SpillManager {
   std::string RunPath(uint64_t job, const std::string& tag, size_t partition,
                       size_t run) const;
 
-  /// Writes one run file holding a columnar block (one block record).
-  /// Charges the file's bytes against the budget before the file exists,
-  /// and into c's spill_bytes_written and spill_runs once it is written; on
-  /// any error nothing of the run stays on disk or in the budget.
-  Status WriteBlockRun(const std::string& path,
-                       const column::PartitionBlock& block, StageStats* c);
-  /// Streams a run back into a resident block, adding the bytes read to
-  /// c's spill_bytes_read. The decoder appends into the typed columns one
-  /// value at a time, so the block's footprint matches a never-spilled
-  /// block of the same rows.
-  Status ReadRunIntoBlock(const std::string& path,
-                          column::PartitionBlock* out, StageStats* c);
-  /// Deletes a restored run and releases its budget.
-  void RemoveRun(const std::string& path);
-
-  /// The one-call spill site: cuts *block's row sequence into
+  /// The one-call spill: cuts *block's row sequence into
   /// max_run_bytes-bounded ranges (by RowBytesAt), serializes each range
   /// straight from the block as one block record run, resets *block to an
   /// empty schema-typed block, then restores the identical row sequence via
@@ -111,11 +93,22 @@ class SpillManager {
   /// Charges `bytes` against the budget; fails with ResourceExhausted when
   /// the budget would overflow.
   Status AccountRun(const std::string& path, uint64_t bytes);
-  /// Writes rows [begin, end) of `block` as one run (see WriteBlockRun);
-  /// `payload` is scratch space reused across runs.
+  /// Writes rows [begin, end) of `block` as one run file holding one block
+  /// record; `payload` is scratch space reused across runs. Charges the
+  /// file's bytes against the budget before the file exists, and into c's
+  /// spill_bytes_written and spill_runs once it is written; on any error
+  /// nothing of the run stays on disk or in the budget.
   Status WriteRangeRun(const std::string& path,
                        const column::PartitionBlock& block, size_t begin,
                        size_t end, std::string* payload, StageStats* c);
+  /// Streams a run back into a resident block, adding the bytes read to
+  /// c's spill_bytes_read. The decoder appends into the typed columns one
+  /// value at a time, so the block's footprint matches a never-spilled
+  /// block of the same rows.
+  Status ReadRunIntoBlock(const std::string& path,
+                          column::PartitionBlock* out, StageStats* c);
+  /// Deletes a run and releases its budget.
+  void RemoveRun(const std::string& path);
 
   SpillConfig config_;
   std::string root_;

@@ -30,43 +30,6 @@ Status RunPartitionTasks(Cluster* cluster, const std::string& name,
   return Status::OK();
 }
 
-void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
-               size_t partition, uint64_t partition_bytes,
-               const StageStats& spilled) {
-  FoldStage(spilled, stage);
-  obs::EventLog& log = obs::GlobalEventLog();
-  if (!log.enabled()) return;
-  obs::Event(&log, "spill")
-      .U64("job", cluster->current_job_id())
-      .Str("op", op)
-      .U64("partition", partition)
-      .U64("partition_bytes", partition_bytes)
-      .U64("bytes_written", spilled.spill_bytes_written)
-      .U64("bytes_read", spilled.spill_bytes_read)
-      .U64("runs", spilled.spill_runs)
-      .U64("merge_passes", spilled.spill_merge_passes)
-      .Emit();
-}
-
-StatusOr<size_t> SpillOverCap(Cluster* cluster, StageStats* stage,
-                              const std::string& tag, const Schema& schema,
-                              std::vector<column::PartitionBlock>* parts) {
-  size_t spilled = 0;
-  if (!cluster->spill_enabled()) return spilled;
-  const uint64_t cap = cluster->config().partition_memory_cap;
-  for (size_t p = 0; p < parts->size(); ++p) {
-    const uint64_t bytes = (*parts)[p].TotalRowBytes();
-    if (bytes <= cap) continue;
-    StageStats slot;
-    // Blocks round-trip as columnar serde records and come back resident.
-    TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
-        cluster->current_job_id(), tag, p, schema, &(*parts)[p], &slot));
-    ++spilled;
-    NoteSpill(cluster, stage, tag, p, bytes, slot);
-  }
-  return spilled;
-}
-
 void SetWork(StageStats* stage, size_t n,
              const std::function<uint64_t(size_t)>& work_of) {
   stage->partition_work_bytes.assign(n, 0);
@@ -86,16 +49,44 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   for (uint64_t b : part_bytes) {
     if (b > stage.mem_high_water_bytes) stage.mem_high_water_bytes = b;
   }
-  // Out-of-core fallback: partitions whose output footprint crosses the
-  // memory cap are written to disk runs and streamed back, turning what the
-  // memory check below would fail into a slow-but-correct stage. The
-  // recorded peak bytes are untouched, keeping mem_high_water /
-  // peak_partition_bytes bit-identical to an uncapped run.
-  StatusOr<size_t> spilled =
-      SpillOverCap(cluster, &stage, name, result->schema, &result->parts);
+  // The one spill site (runtime/spill.h): with spilling on, every partition
+  // the memory check below would fail is written to disk runs tagged with
+  // the stage name and streamed back, the same rows in the same order,
+  // turning the paper's FAIL into a slow-but-correct stage. Driver-side and
+  // in partition order, so the spill counters and events are
+  // thread-count-invariant. The recorded peak bytes are untouched, keeping
+  // mem_high_water / peak_partition_bytes bit-identical to an uncapped run.
+  size_t spilled = 0;
+  auto spill_over_cap = [&]() -> Status {
+    if (!cluster->spill_enabled()) return Status::OK();
+    const uint64_t cap = cluster->config().partition_memory_cap;
+    for (size_t p = 0; p < part_bytes.size(); ++p) {
+      if (part_bytes[p] <= cap) continue;
+      StageStats slot;
+      TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
+          cluster->current_job_id(), name, p, result->schema,
+          &result->parts[p], &slot));
+      ++spilled;
+      FoldStage(slot, &stage);
+      obs::EventLog& log = obs::GlobalEventLog();
+      if (!log.enabled()) continue;
+      obs::Event(&log, "spill")
+          .U64("job", cluster->current_job_id())
+          .Str("op", name)
+          .U64("partition", p)
+          .U64("partition_bytes", part_bytes[p])
+          .U64("bytes_written", slot.spill_bytes_written)
+          .U64("bytes_read", slot.spill_bytes_read)
+          .U64("runs", slot.spill_runs)
+          .U64("merge_passes", slot.spill_merge_passes)
+          .Emit();
+    }
+    return Status::OK();
+  };
+  const Status spill = spill_over_cap();
   cluster->RecordStage(std::move(stage));
-  TRANCE_RETURN_NOT_OK(spilled.status());
-  return cluster->CheckMemoryBytes(part_bytes, name, *spilled);
+  TRANCE_RETURN_NOT_OK(spill);
+  return cluster->CheckMemoryBytes(part_bytes, name, spilled);
 }
 
 }  // namespace detail

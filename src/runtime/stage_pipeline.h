@@ -1,9 +1,10 @@
 // Stage execution: the partition-task runner and barrier every stage that
 // builds a Dataset shares (detail::RunPartitionTasks and FinishStage — the
-// keyed operators of runtime/ops.cc and RunStagePipeline; only the shuffle's
-// two phases, whose buckets are not a Dataset, call
-// Cluster::RunRecoverableTasks themselves), and fused narrow-stage
-// execution.
+// keyed operators of runtime/ops.cc, the shuffle's fetch phase and
+// RunStagePipeline; only the shuffle's map phase, whose buckets are not a
+// Dataset, calls Cluster::RunRecoverableTasks itself), and fused
+// narrow-stage execution. FinishStage is the one place a partition spills:
+// exactly where the memory cap would fail it with spilling off.
 //
 // A RowTransform is one partition-local ("narrow") operator expressed as a
 // reusable row-level rewrite: map, filter, unnest, outer-unnest or
@@ -108,23 +109,6 @@ Status RunPartitionTasks(Cluster* cluster, const std::string& name,
                          StageStats* stage, Dataset* out,
                          const PartitionTask& task);
 
-/// Folds one partition's spill slot (the spill_* fields the SpillManager
-/// wrote) into the stage and emits its spill event. Driver-side only
-/// (post-barrier or sequential loops), in partition order, so spill counters
-/// and the event sequence are thread-count-invariant.
-void NoteSpill(Cluster* cluster, StageStats* stage, const std::string& op,
-               size_t partition, uint64_t partition_bytes,
-               const StageStats& spilled);
-
-/// With spilling on, writes every block of `parts` (typed by `schema`) whose
-/// byte total is over the memory cap to a disk run tagged `tag` and streams
-/// it back, the same rows in the same order (runtime/spill.h), noting each
-/// spill into `stage`. Driver-side, in partition order. Returns how many
-/// blocks spilled.
-StatusOr<size_t> SpillOverCap(Cluster* cluster, StageStats* stage,
-                              const std::string& tag, const Schema& schema,
-                              std::vector<column::PartitionBlock>* parts);
-
 /// Sets the stage's per-partition work histogram to work_of(p) for p in
 /// [0, n), and its total and max. Called after the stage's barriers, so
 /// work_of reads finished blocks.
@@ -133,8 +117,11 @@ void SetWork(StageStats* stage, size_t n,
 
 /// Stage barrier shared by the bulk operators and the fused-stage runner:
 /// finalizes row counts, stamps the memory high-water mark from the result
-/// blocks' byte totals, spills partitions over the cap, records the stage
-/// and enforces the per-partition cap.
+/// blocks' byte totals, records the stage and enforces the per-partition
+/// cap. With spilling on, each partition over the cap is first written to
+/// disk runs tagged `name` and streamed back, the same rows in the same
+/// order (runtime/spill.h), in partition order; its spill counters fold
+/// into the stage and a `spill` event names it.
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    const std::string& name);
 }  // namespace detail

@@ -6,8 +6,10 @@
 // pre-existing JobStats counter bit-identical to an uncapped run — at 1, 4,
 // and 8 threads, on both compilation routes. Spill cost appears only in the
 // spill-only counters (and EXPLAIN ANALYZE / JSON export), which are exactly
-// 0 when nothing spills. Plus SpillManager unit coverage: deterministic run
-// naming, order-preserving spill-and-restore, and the spill byte budget.
+// 0 when nothing spills. A run spills exactly when the same run with spilling
+// off FAILs: the stage barrier is the one spill site. Plus SpillManager unit
+// coverage: deterministic run naming, order-preserving spill-and-restore,
+// and the spill byte budget.
 #include "runtime/spill.h"
 
 #include <gtest/gtest.h>
@@ -194,41 +196,55 @@ void ExpectZeroSpill(const JobStats& s) {
   EXPECT_EQ(s.totals().spill_merge_passes, 0u);
 }
 
-class SpillSuiteTest : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
+// The narrow Fig-7 query kinds.
+enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
 
-  StatusOr<nrc::Program> Query(Kind kind, int depth) {
-    switch (kind) {
-      case kFlatToNested:
-        return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-      case kNestedToNested:
-        return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-      case kNestedToFlat:
-        return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-    }
-    return Status::Internal("bad kind");
-  }
+const char* KindName(Kind kind) {
+  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
+                                 "nested_to_flat"};
+  return kKinds[kind];
+}
 
-  std::map<std::string, Value> Inputs(Kind kind, int depth) {
-    tpch::TpchConfig cfg;
-    cfg.scale = 0.0005;
-    auto values = TpchValues(tpch::Generate(cfg));
-    if (kind == kFlatToNested) return values;
-    auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-    nrc::Interpreter interp;
-    auto nested = interp.EvalProgram(prep, values);
-    TRANCE_CHECK(nested.ok(), "nested input prep");
-    return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
+StatusOr<nrc::Program> Query(Kind kind, int depth) {
+  switch (kind) {
+    case kFlatToNested:
+      return tpch::FlatToNested(depth, tpch::Width::kNarrow);
+    case kNestedToNested:
+      return tpch::NestedToNested(depth, tpch::Width::kNarrow);
+    case kNestedToFlat:
+      return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
   }
-};
+  return Status::Internal("bad kind");
+}
+
+/// The flat TPC-H tables at scale 0.0005.
+std::map<std::string, Value> FlatInputs() {
+  tpch::TpchConfig cfg;
+  cfg.scale = 0.0005;
+  return TpchValues(tpch::Generate(cfg));
+}
+
+/// The inputs of Query(kind, depth): the flat tables, or for nested input
+/// the flat-to-nested result at that depth (COP) and Part.
+std::map<std::string, Value> Inputs(Kind kind, int depth,
+                                    const std::map<std::string, Value>& flat) {
+  if (kind == kFlatToNested) return flat;
+  auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
+  nrc::Interpreter interp;
+  auto nested = interp.EvalProgram(prep, flat);
+  TRANCE_CHECK(nested.ok(), "nested input prep");
+  return {{"COP", nested->at("Q")}, {"Part", flat.at("Part")}};
+}
+
+class SpillSuiteTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   auto [k, depth] = GetParam();
   Kind kind = static_cast<Kind>(k);
   auto q = Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = Inputs(kind, depth, FlatInputs());
 
   // The paper's FAIL cell: the tiny cap hard-fails without spilling.
   ModeRun fail = RunStandardMode(*q, values, 1, kTinyCap, false);
@@ -283,7 +299,7 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
   Kind kind = static_cast<Kind>(k);
   auto q = Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = Inputs(kind, depth, FlatInputs());
 
   ShreddedModeRun uncapped = RunShreddedMode(*q, values, 1, 0, true);
   ASSERT_TRUE(uncapped.ok) << uncapped.status.ToString();
@@ -311,10 +327,8 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
 
 std::string SpillParamName(
     const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
-         std::to_string(std::get<1>(info.param));
+  return std::string(KindName(static_cast<Kind>(std::get<0>(info.param)))) +
+         "_depth" + std::to_string(std::get<1>(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig7NarrowSuite, SpillSuiteTest,
@@ -327,9 +341,7 @@ INSTANTIATE_TEST_SUITE_P(Fig7NarrowSuite, SpillSuiteTest,
 TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
   auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  tpch::TpchConfig cfg;
-  cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
+  auto values = FlatInputs();
 
   ModeRun forced = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(forced.ok) << forced.status.ToString();
@@ -360,9 +372,7 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   // resident; the capped run completes through disk at 1 and 4 threads.
   auto q = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  tpch::TpchConfig cfg;
-  cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
+  auto values = FlatInputs();
 
   ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
   ASSERT_TRUE(col.ok) << col.status.ToString();
@@ -372,16 +382,45 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   ASSERT_TRUE(col4.ok) << col4.status.ToString();
 }
 
-TEST(SpillRuntimeTest, FailedFetchSpillRemovesItsRuns) {
-  // Every row shares one key, so one shuffle target receives all four
-  // source buckets: above the memory cap, while each source partition stays
-  // below it. The target's fetch-side spill writes one run per bucket
-  // until the budget refuses one; the failed spill must leave no run on
-  // disk or in the budget.
+TEST(SpillRuntimeTest, SpillsExactlyWhenTheCapWouldFail) {
+  // Spilling happens only where the memory cap is enforced: across the
+  // narrow Fig-7 suite under three caps, the spill-on run completes, and it
+  // writes spill runs exactly when its spill-off twin FAILs.
+  const auto flat = FlatInputs();
+  for (int depth = 0; depth <= 3; ++depth) {
+    // Both nested-input kinds read the same nested input.
+    const auto nested = Inputs(kNestedToNested, depth, flat);
+    for (Kind kind : {kFlatToNested, kNestedToNested, kNestedToFlat}) {
+      auto q = Query(kind, depth);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      const auto& values = kind == kFlatToNested ? flat : nested;
+      for (uint64_t cap : {4ull << 10, 32ull << 10, 128ull << 10}) {
+        SCOPED_TRACE(std::string(KindName(kind)) + " depth " +
+                     std::to_string(depth) + " cap " + std::to_string(cap));
+        ModeRun on = RunStandardMode(*q, values, 1, cap, true);
+        ASSERT_TRUE(on.ok) << on.status.ToString();
+        ModeRun off = RunStandardMode(*q, values, 1, cap, false);
+        EXPECT_TRUE(off.ok || off.status.IsResourceExhausted())
+            << off.status.ToString();
+        EXPECT_EQ(on.stats.totals().spill_runs > 0, !off.ok)
+            << on.stats.totals().spill_runs << " spill runs; spill off: "
+            << off.status.ToString();
+      }
+    }
+  }
+}
+
+TEST(SpillRuntimeTest, FailedStageSpillRemovesItsRuns) {
+  // Every row shares one key, so the shuffle sends all of them to one
+  // partition: above the memory cap, while each source partition stays
+  // below it. The stage barrier spills that partition in 2 KiB runs until
+  // the budget refuses one; the failed spill must leave no run on disk or
+  // in the budget.
   runtime::ClusterConfig cfg = Config(1, 0);
   cfg.num_partitions = 4;
   cfg.partition_memory_cap = 12ull << 10;
   cfg.spill.dir = ::testing::TempDir();
+  cfg.spill.max_run_bytes = 2ull << 10;
   cfg.spill.max_spill_bytes = 6ull << 10;
   runtime::Cluster cluster(cfg);
   std::vector<Row> rows;
@@ -397,7 +436,7 @@ TEST(SpillRuntimeTest, FailedFetchSpillRemovesItsRuns) {
   auto out = runtime::Repartition(&cluster, *src, {0}, "regroup");
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsResourceExhausted()) << out.status().ToString();
-  EXPECT_NE(out.status().ToString().find("shuffle_fetch"), std::string::npos)
+  EXPECT_NE(out.status().ToString().find("regroup"), std::string::npos)
       << out.status().ToString();
   runtime::spill::SpillManager* m = cluster.spill_manager();
   EXPECT_GT(m->total_runs(), 0u);
@@ -411,9 +450,7 @@ TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
   // bytes, and the configured cap.
   auto q = tpch::FlatToNested(1, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  tpch::TpchConfig cfg;
-  cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
+  auto values = FlatInputs();
   ModeRun fail = RunStandardMode(*q, values, 1, kTinyCap, false);
   ASSERT_FALSE(fail.ok);
   std::string msg = fail.status.ToString();
@@ -575,47 +612,19 @@ TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
   EXPECT_EQ(c.spill_runs, 5u);
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
-}
 
-TEST(SpillManagerTest, RemoveRunReleasesBudget) {
-  runtime::spill::SpillConfig cfg;
-  cfg.dir = ::testing::TempDir();
-  cfg.max_spill_bytes = 16ull << 10;
-  runtime::spill::SpillManager m(cfg);
-  runtime::column::PartitionBlock block = MakeBlock(50, "r-");
-  runtime::StageStats c;
-  std::string path = m.RunPath(3, "budget", 0, 0);
-  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
-  EXPECT_GT(m.on_disk_bytes(), 0u);
-  // A second identical run would fit or not — irrelevant; removing the first
-  // must return the budget to zero either way.
-  m.RemoveRun(path);
+  // The released budget takes the same rows again: the block's first 80
+  // rows, which would not fit beside the failed call's runs, spill and
+  // restore within the budget, and their runs leave it in turn.
+  runtime::column::PartitionBlock again = MakeBlock(80, "value-");
+  runtime::StageStats c2;
+  s = m.SpillAndRestoreBlock(5, "stage(z)", 1, RowsSchema(), &again, &c2);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(c.spill_bytes_written + c2.spill_bytes_written,
+            cfg.max_spill_bytes);
+  ExpectBlockRows(again, MakeRows(80, "value-"));
   EXPECT_EQ(m.on_disk_bytes(), 0u);
-  // With the budget released the same run can be written again.
-  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
-  m.RemoveRun(path);
-}
-
-TEST(SpillManagerTest, BlockRunsRoundTripThroughReadRun) {
-  // Every column kind with NULLs: the restore appends typed cells through
-  // the typed appends and variant cells through Append, and each keeps the
-  // block's byte total.
-  runtime::spill::SpillConfig cfg;
-  cfg.dir = ::testing::TempDir();
-  runtime::spill::SpillManager m(cfg);
-  const std::vector<Row> rows = MakeAllKindsRows(64);
-  runtime::column::PartitionBlock block =
-      runtime::column::PartitionBlock::FromRows(AllKindsSchema(), rows);
-
-  runtime::StageStats c;
-  std::string path = m.RunPath(4, "blocks", 1, 0);
-  ASSERT_TRUE(m.WriteBlockRun(path, block, &c).ok());
-  runtime::column::PartitionBlock back(AllKindsSchema());
-  ASSERT_TRUE(m.ReadRunIntoBlock(path, &back, &c).ok());
-  m.RemoveRun(path);
-
-  ExpectBlockRows(back, rows);
-  EXPECT_EQ(c.spill_bytes_read, c.spill_bytes_written);
+  EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
 }
 
 }  // namespace
