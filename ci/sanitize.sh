@@ -14,10 +14,11 @@
 # suites (labels `metrics` and `events`), the skew-module suite (label
 # `skew` — heavy-key sets, skew-aware join and BagToDict), the operator
 # suite (label `ops` — the keyed loops that read typed key and value cells
-# and assemble their output column by column) and the determinism suite
-# (label `parallel` — every bulk operator at several thread counts and
-# under injected faults, whose recovery discards and rebuilds blocks) under
-# the sanitizers.
+# and assemble their output column by column), the exec-layer suite (label
+# `exec` — compiled scalar closures index a block's columns at a row) and
+# the determinism suite (label `parallel` — every bulk operator at several
+# thread counts and under injected faults, whose recovery discards and
+# rebuilds blocks) under the sanitizers.
 # TRANCE_WERROR keeps the build warning-clean. A listed label that matches
 # no test fails the script, so the sanitized set cannot shrink silently.
 #
@@ -30,7 +31,7 @@ BUILD_DIR="${1:-build-sanitize}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
-LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops)
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
 cmake --build "$BUILD_DIR" --target trance_tests -j"$(nproc)"

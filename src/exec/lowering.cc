@@ -16,10 +16,8 @@ using plan::NestAgg;
 using plan::PlanNode;
 using plan::PlanPtr;
 using runtime::Dataset;
-using runtime::Field;
 using runtime::JoinType;
 using runtime::Partitioning;
-using runtime::Row;
 using runtime::Schema;
 using skew::SkewTriple;
 
@@ -165,20 +163,23 @@ StatusOr<std::string> Executor::ExecuteProgram(
 
 /// One fusible narrow operator chain accumulated over a materialized input.
 /// `chain` runs over the light component and, when it holds rows, the heavy
-/// one; `schema` / partitionings / `heavy_keys` track what the chain's output
-/// will look like.
+/// one; the last transform's schema, the partitionings and `heavy_keys`
+/// track what the chain's output will look like.
 struct Executor::Pending {
   SkewTriple input;
   std::vector<runtime::RowTransform> chain;
-  Schema schema;
   Partitioning light_part;
   Partitioning heavy_part;
   std::optional<skew::HeavyKeySet> heavy_keys;
+
+  /// Schema of the rows the chain emits (the input's when it is empty).
+  Schema schema() const {
+    return chain.empty() ? input.schema() : chain.back().schema;
+  }
 };
 
 Executor::Pending Executor::PendingFromTriple(SkewTriple t) {
   Pending pd;
-  pd.schema = t.schema();
   pd.light_part = t.light.partitioning;
   pd.heavy_part = t.heavy.partitioning;
   pd.heavy_keys = t.heavy_keys;
@@ -199,18 +200,18 @@ StatusOr<SkewTriple> Executor::Flush(Pending pd) {
       ops.size() == 1 ? ops[0] : "fused(" + Join(ops, "+") + ")";
   SkewTriple out;
   TRANCE_ASSIGN_OR_RETURN(
-      out.light, runtime::RunStagePipeline(cluster_, pd.input.light, pd.schema,
-                                           pd.chain, pd.light_part, base));
+      out.light, runtime::RunStagePipeline(cluster_, pd.input.light, pd.chain,
+                                           pd.light_part, base));
   if (pd.input.heavy.NumRows() == 0) {
     // No heavy rows, no heavy stage: the heavy component stays empty, typed
     // with the chain's output schema.
-    out.heavy = Dataset::Empty(pd.schema, pd.input.heavy.NumPartitions(),
-                               pd.heavy_part);
+    out.heavy = Dataset::Empty(pd.chain.back().schema,
+                               pd.input.heavy.NumPartitions(), pd.heavy_part);
   } else {
     TRANCE_ASSIGN_OR_RETURN(
         out.heavy,
-        runtime::RunStagePipeline(cluster_, pd.input.heavy, pd.schema,
-                                  pd.chain, pd.heavy_part, base + ".h"));
+        runtime::RunStagePipeline(cluster_, pd.input.heavy, pd.chain,
+                                  pd.heavy_part, base + ".h"));
   }
   out.heavy_keys = std::move(pd.heavy_keys);
   return out;
@@ -249,6 +250,8 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
   const std::string scope = obs::StageScopeName(scope_var_, next_node_id_++);
   TRANCE_ASSIGN_OR_RETURN(Pending pd, ExecPending(p->child()));
 
+  // The schema of the rows this node's transform reads.
+  const Schema in = pd.schema();
   auto add = [&pd, &scope](runtime::RowTransform t) {
     t.scope = scope;
     pd.chain.push_back(std::move(t));
@@ -256,63 +259,56 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
 
   switch (p->kind()) {
     case K::kSelect: {
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), pd.schema));
-      add(runtime::RowTransform::Filter("select", std::move(pred)));
+      TRANCE_ASSIGN_OR_RETURN(auto pred, CompilePredicate(p->cond(), in));
+      add(runtime::RowTransform::Filter("select", in, std::move(pred)));
       return pd;
     }
 
     case K::kOuterSelect: {
-      TRANCE_ASSIGN_OR_RETURN(auto pred,
-                              CompilePredicate(p->cond(), pd.schema));
+      TRANCE_ASSIGN_OR_RETURN(auto pred, CompilePredicate(p->cond(), in));
       // Failing rows keep only the grouping-prefix columns; everything else
       // goes NULL so the enclosing Gammas treat the row as a miss.
-      std::vector<bool> keep(pd.schema.size(), false);
+      std::vector<bool> keep(in.size(), false);
       for (const auto& name : p->keep_cols()) {
-        TRANCE_ASSIGN_OR_RETURN(int i, pd.schema.Require(name));
+        TRANCE_ASSIGN_OR_RETURN(int i, in.Require(name));
         keep[static_cast<size_t>(i)] = true;
       }
-      runtime::MapFn fn = [pred, keep](const Row& r) {
-        if (pred(r)) return r;
-        Row out = r;
-        for (size_t i = 0; i < out.fields.size(); ++i) {
-          if (!keep[i]) out.fields[i] = Field::Null();
-        }
-        return out;
-      };
-      add(runtime::RowTransform::Map("outer_select", std::move(fn)));
+      add(runtime::RowTransform::OuterSelect("outer_select", in,
+                                             std::move(pred),
+                                             std::move(keep)));
       return pd;
     }
 
     case K::kProject:
     case K::kExtend: {
+      // Extend copies every input column, then adds the computed ones. A
+      // bare column reference is a typed copy; anything else is compiled.
       const bool extend = p->kind() == K::kExtend;
-      std::vector<ScalarFn> fns;
+      std::vector<runtime::RowTransform::OutCol> cols;
       Schema out_schema;
-      if (extend) out_schema = pd.schema;
-      for (const auto& c : p->columns()) {
-        TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(c.expr, pd.schema));
-        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t,
-                                ScalarResultType(c.expr, pd.schema));
-        fns.push_back(std::move(f));
-        out_schema.Append({c.name, t});
+      if (extend) {
+        out_schema = in;
+        for (size_t i = 0; i < in.size(); ++i) {
+          cols.push_back({static_cast<int>(i), nullptr});
+        }
       }
-      runtime::MapFn map = [fns, extend](const Row& r) {
-        Row out;
-        out.fields.reserve((extend ? r.fields.size() : 0) + fns.size());
-        if (extend) out.fields = r.fields;
-        for (const auto& f : fns) out.fields.push_back(f(r));
-        return out;
-      };
+      for (const auto& c : p->columns()) {
+        TRANCE_ASSIGN_OR_RETURN(nrc::TypePtr t, ScalarResultType(c.expr, in));
+        out_schema.Append({c.name, t});
+        if (c.expr->kind() == nrc::Expr::Kind::kVarRef) {
+          TRANCE_ASSIGN_OR_RETURN(int src, in.Require(c.expr->var_name()));
+          cols.push_back({src, nullptr});
+        } else {
+          TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(c.expr, in));
+          cols.push_back({-1, std::move(f)});
+        }
+      }
       if (!extend) {
-        pd.light_part =
-            ProjectPartitioning(pd.light_part, p->columns(), pd.schema);
-        pd.heavy_part =
-            ProjectPartitioning(pd.heavy_part, p->columns(), pd.schema);
+        pd.light_part = ProjectPartitioning(pd.light_part, p->columns(), in);
+        pd.heavy_part = ProjectPartitioning(pd.heavy_part, p->columns(), in);
         if (pd.heavy_keys.has_value()) {
           Partitioning mapped = ProjectPartitioning(
-              Partitioning::Hash(pd.heavy_keys->key_cols), p->columns(),
-              pd.schema);
+              Partitioning::Hash(pd.heavy_keys->key_cols), p->columns(), in);
           if (mapped.kind == Partitioning::Kind::kHash) {
             pd.heavy_keys->key_cols = mapped.key_cols;
           } else {
@@ -320,15 +316,15 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
           }
         }
       }
-      add(runtime::RowTransform::Map(extend ? "extend" : "project",
-                                     std::move(map)));
-      pd.schema = std::move(out_schema);
+      add(runtime::RowTransform::Project(extend ? "extend" : "project",
+                                         std::move(out_schema),
+                                         std::move(cols)));
       return pd;
     }
 
     case K::kUnnest: {
-      TRANCE_ASSIGN_OR_RETURN(int bag, pd.schema.Require(p->bag_col()));
-      const nrc::TypePtr& bag_t = pd.schema.col(static_cast<size_t>(bag)).type;
+      TRANCE_ASSIGN_OR_RETURN(int bag, in.Require(p->bag_col()));
+      const nrc::TypePtr& bag_t = in.col(static_cast<size_t>(bag)).type;
       if (!bag_t->is_bag()) {
         return Status::TypeError("unnest over non-bag column " + p->bag_col());
       }
@@ -342,18 +338,15 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
       }
       const std::string id_attr = p->outer() ? p->unnest_id_attr() : "";
       TRANCE_ASSIGN_OR_RETURN(Schema out_schema,
-                              runtime::UnnestedSchema(pd.schema, bag, id_attr));
+                              runtime::UnnestedSchema(in, bag, id_attr));
       RenameTail(&out_schema, inner_names.size(), inner_names);
       if (p->outer()) {
-        const bool with_id = !id_attr.empty();
-        size_t inner_width = out_schema.size() - (with_id ? 1 : 0) -
-                             (pd.schema.size() - 1);
-        add(runtime::RowTransform::OuterUnnest("unnest", bag, with_id,
-                                               inner_width));
+        add(runtime::RowTransform::OuterUnnest(
+            "unnest", std::move(out_schema), bag, !id_attr.empty()));
       } else {
-        add(runtime::RowTransform::Unnest("unnest", bag));
+        add(runtime::RowTransform::Unnest("unnest", std::move(out_schema),
+                                          bag));
       }
-      pd.schema = std::move(out_schema);
       pd.light_part = Partitioning::None();
       pd.heavy_part = Partitioning::None();
       // Unnest removes the bag column: recorded heavy-key positions after it
@@ -367,8 +360,10 @@ StatusOr<Executor::Pending> Executor::ExecPendingNarrow(
         // Merging an empty heavy component is a no-op, so add-index fuses:
         // ids come from per-partition counters over the light rows in
         // order.
-        add(runtime::RowTransform::AddIndex("add_index"));
-        pd.schema.Append({p->id_attr(), nrc::Type::Int()});
+        Schema out_schema = in;
+        out_schema.Append({p->id_attr(), nrc::Type::Int()});
+        add(runtime::RowTransform::AddIndex("add_index",
+                                            std::move(out_schema)));
         pd.heavy_part = Partitioning::None();
         pd.heavy_keys = std::nullopt;
         return pd;

@@ -29,11 +29,12 @@ struct ExecOptions {
   bool map_side_combine = true;
   /// Fuse chains of consecutive partition-local plan operators (select,
   /// outer-select, project, extend, unnest, add-index) into single stages
-  /// that stream rows through the whole chain without materializing
-  /// intermediate Datasets — the Spark/Tungsten narrow-stage pipelining the
-  /// paper's generated bulk programs assume. Off = one stage per operator
-  /// (each runs at once as a one-transform chain), for ablations. Results
-  /// and stats are bit-identical either way, modulo stage count.
+  /// that run batches of input rows block to block through the whole chain
+  /// without materializing intermediate Datasets — the Spark/Tungsten
+  /// narrow-stage pipelining the paper's generated bulk programs assume.
+  /// Off = one stage per operator (each runs at once as a one-transform
+  /// chain), for ablations. Results and stats are bit-identical either way,
+  /// modulo stage count.
   bool enable_stage_fusion = true;
   /// Spill partitions that cross the memory threshold to disk runs
   /// (runtime/spill.h, format in docs/STORAGE.md) and stream them back,

@@ -178,29 +178,29 @@ StatusOr<runtime::Dataset> UnshredRun(Executor* executor,
         runtime::CoGroup(cluster, parent, dict, {attr_col}, {label_col},
                          value_cols, "_unshred_bag",
                          "unshred(" + it->path + ")"));
-    // Replace the label column by the bag, in place.
+    // Replace the label column by the bag, in place: a projection of
+    // column copies.
     runtime::Schema out_schema;
-    std::vector<size_t> keep;
-    for (size_t i = 0; i + 1 < cg.schema.size(); ++i) {
-      if (static_cast<int>(i) == attr_col) {
-        out_schema.Append({it->attr, cg.schema.col(cg.schema.size() - 1).type});
-        keep.push_back(cg.schema.size() - 1);
+    std::vector<runtime::RowTransform::OutCol> cols;
+    const int bag_col = static_cast<int>(cg.schema.size()) - 1;
+    for (int i = 0; i < bag_col; ++i) {
+      if (i == attr_col) {
+        out_schema.Append(
+            {it->attr, cg.schema.col(static_cast<size_t>(bag_col)).type});
+        cols.push_back({bag_col, nullptr});
       } else {
-        out_schema.Append(cg.schema.col(i));
-        keep.push_back(i);
+        out_schema.Append(cg.schema.col(static_cast<size_t>(i)));
+        cols.push_back({i, nullptr});
       }
     }
+    const std::string name = "unshred_project(" + it->path + ")";
     TRANCE_ASSIGN_OR_RETURN(
         runtime::Dataset replaced,
-        runtime::MapRows(
-            cluster, cg, out_schema,
-            [keep](const runtime::Row& r) {
-              runtime::Row out;
-              out.fields.reserve(keep.size());
-              for (size_t i : keep) out.fields.push_back(r.fields[i]);
-              return out;
-            },
-            "unshred_project(" + it->path + ")"));
+        runtime::RunStagePipeline(
+            cluster, cg,
+            {runtime::RowTransform::Project(name, std::move(out_schema),
+                                            std::move(cols))},
+            runtime::Partitioning::None(), name));
     ds_map[it->parent_path] = std::move(replaced);
   }
   return ds_map[""];

@@ -11,7 +11,7 @@ using nrc::Expr;
 using nrc::ExprPtr;
 using nrc::TypePtr;
 using runtime::Field;
-using runtime::Row;
+using Block = runtime::column::PartitionBlock;
 
 /// Resolves a column of `schema` for nrc::ScalarExprType.
 nrc::ColumnTypeFn SchemaColumnType(const runtime::Schema& schema) {
@@ -42,12 +42,13 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
           f = Field::Bool(std::get<bool>(c.v));
           break;
       }
-      return ScalarFn([f](const Row&) { return f; });
+      return ScalarFn([f](const Block&, size_t) { return f; });
     }
     case K::kVarRef: {
       TRANCE_ASSIGN_OR_RETURN(int idx, schema.Require(e->var_name()));
       size_t i = static_cast<size_t>(idx);
-      return ScalarFn([i](const Row& r) { return r.fields[i]; });
+      return ScalarFn(
+          [i](const Block& b, size_t row) { return b.FieldAt(row, i); });
     }
     case K::kPrimOp: {
       TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
@@ -56,8 +57,9 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
                               nrc::ScalarExprType(e, SchemaColumnType(schema)));
       const bool int_result = t->scalar_kind() == nrc::ScalarKind::kInt;
       nrc::PrimOpKind op = e->prim_op();
-      return ScalarFn([a, b, op, int_result](const Row& r) -> Field {
-        Field fa = a(r), fb = b(r);
+      return ScalarFn([a, b, op, int_result](const Block& blk,
+                                             size_t row) -> Field {
+        Field fa = a(blk, row), fb = b(blk, row);
         if (fa.is_null() || fb.is_null()) return Field::Null();
         double x = fa.AsNumber(), y = fb.AsNumber();
         double v = 0;
@@ -84,8 +86,8 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
       TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
       TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
       nrc::CmpOpKind op = e->cmp_op();
-      return ScalarFn([a, b, op](const Row& r) -> Field {
-        Field fa = a(r), fb = b(r);
+      return ScalarFn([a, b, op](const Block& blk, size_t row) -> Field {
+        Field fa = a(blk, row), fb = b(blk, row);
         if (fa.is_null() || fb.is_null()) return Field::Bool(false);
         switch (op) {
           case nrc::CmpOpKind::kEq:
@@ -108,19 +110,19 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
       TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
       TRANCE_ASSIGN_OR_RETURN(ScalarFn b, Compile(e->child(1), schema));
       bool is_and = e->bool_op() == nrc::BoolOpKind::kAnd;
-      return ScalarFn([a, b, is_and](const Row& r) -> Field {
-        Field fa = a(r);
+      return ScalarFn([a, b, is_and](const Block& blk, size_t row) -> Field {
+        Field fa = a(blk, row);
         bool va = fa.is_bool() && fa.AsBool();
         if (is_and && !va) return Field::Bool(false);
         if (!is_and && va) return Field::Bool(true);
-        Field fb = b(r);
+        Field fb = b(blk, row);
         return Field::Bool(fb.is_bool() && fb.AsBool());
       });
     }
     case K::kNot: {
       TRANCE_ASSIGN_OR_RETURN(ScalarFn a, Compile(e->child(0), schema));
-      return ScalarFn([a](const Row& r) -> Field {
-        Field fa = a(r);
+      return ScalarFn([a](const Block& blk, size_t row) -> Field {
+        Field fa = a(blk, row);
         return Field::Bool(!(fa.is_bool() && fa.AsBool()));
       });
     }
@@ -130,10 +132,10 @@ StatusOr<ScalarFn> Compile(const ExprPtr& e, const runtime::Schema& schema) {
         TRANCE_ASSIGN_OR_RETURN(ScalarFn pf, Compile(p.expr, schema));
         params.emplace_back(p.name, pf);
       }
-      return ScalarFn([params](const Row& r) -> Field {
+      return ScalarFn([params](const Block& blk, size_t row) -> Field {
         std::vector<std::pair<std::string, Field>> vals;
         vals.reserve(params.size());
-        for (const auto& [n, f] : params) vals.emplace_back(n, f(r));
+        for (const auto& [n, f] : params) vals.emplace_back(n, f(blk, row));
         return runtime::MakeLabel(std::move(vals));
       });
     }
@@ -155,14 +157,13 @@ StatusOr<nrc::TypePtr> ScalarResultType(const nrc::ExprPtr& e,
   return nrc::ScalarExprType(e, SchemaColumnType(schema));
 }
 
-StatusOr<std::function<bool(const runtime::Row&)>> CompilePredicate(
-    const nrc::ExprPtr& e, const runtime::Schema& schema) {
+StatusOr<PredicateFn> CompilePredicate(const nrc::ExprPtr& e,
+                                       const runtime::Schema& schema) {
   TRANCE_ASSIGN_OR_RETURN(ScalarFn f, CompileScalar(e, schema));
-  return std::function<bool(const runtime::Row&)>(
-      [f](const runtime::Row& r) {
-        runtime::Field v = f(r);
-        return v.is_bool() && v.AsBool();
-      });
+  return PredicateFn([f](const Block& blk, size_t row) {
+    Field v = f(blk, row);
+    return v.is_bool() && v.AsBool();
+  });
 }
 
 }  // namespace exec

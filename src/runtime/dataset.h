@@ -8,11 +8,10 @@
 // that went in — so everything that sizes, hashes, or materializes rows sees
 // the values a row vector would hold. A block keeps its byte total as rows
 // are appended, so only the block knows how many bytes a partition holds.
-// No partition is ever held as a row vector: keyed operators read typed
-// cells and build their output column by column, rows are materialized only
-// transiently (a narrow chain's input row) and as nest and cogroup bag
-// members, and row vectors exist only at the bridge to the interpreter and
-// when a result is collected.
+// No partition is ever held as a row vector: keyed operators and narrow
+// chains read typed cells and build their output column by column, rows are
+// materialized only as nest and cogroup bag members, and row vectors exist
+// only at the bridge to the interpreter and when a result is collected.
 #ifndef TRANCE_RUNTIME_DATASET_H_
 #define TRANCE_RUNTIME_DATASET_H_
 

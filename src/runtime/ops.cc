@@ -323,14 +323,6 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
   return ds;
 }
 
-StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
-                          Schema out_schema, const MapFn& fn,
-                          const std::string& name) {
-  return RunStagePipeline(cluster, in, std::move(out_schema),
-                          {RowTransform::Map(name, fn)}, Partitioning::None(),
-                          name);
-}
-
 StatusOr<Dataset> Repartition(Cluster* cluster, const Dataset& in,
                               std::vector<int> key_cols,
                               const std::string& name) {
@@ -556,9 +548,9 @@ StatusOr<Dataset> AddIndexColumn(Cluster* cluster, const Dataset& in,
                                  const std::string& name) {
   Schema out_schema = in.schema;
   out_schema.Append({id_col_name, nrc::Type::Int()});
-  return RunStagePipeline(cluster, in, std::move(out_schema),
-                          {RowTransform::AddIndex(name)}, in.partitioning,
-                          name);
+  return RunStagePipeline(cluster, in,
+                          {RowTransform::AddIndex(name, std::move(out_schema))},
+                          in.partitioning, name);
 }
 
 StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,

@@ -9,7 +9,6 @@
 #ifndef TRANCE_RUNTIME_OPS_H_
 #define TRANCE_RUNTIME_OPS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,10 +20,9 @@
 namespace trance {
 namespace runtime {
 
-// MapFn / PredFn live in runtime/stage_pipeline.h: the narrow
-// operators below (MapRows, AddIndexColumn) are single-transform chains of
-// the fused-stage runner, so the fused and standalone paths share one
-// implementation. Other narrow operators run as RowTransform chains.
+// Narrow operators run as RowTransform chains of the fused-stage runner
+// (runtime/stage_pipeline.h); AddIndexColumn below is a single-transform
+// chain, so the fused and standalone paths share one implementation.
 
 enum class JoinType { kInner, kLeftOuter };
 
@@ -43,11 +41,6 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
                                     std::vector<Row> rows,
                                     std::vector<int> key_cols,
                                     const std::string& name);
-
-/// Row-wise map; the output carries no partitioning guarantee.
-StatusOr<Dataset> MapRows(Cluster* cluster, const Dataset& in,
-                          Schema out_schema, const MapFn& fn,
-                          const std::string& name);
 
 /// Hash-shuffles `in` on `key_cols`. No-op (zero movement) when the guarantee
 /// already holds.

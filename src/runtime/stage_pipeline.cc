@@ -93,12 +93,16 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
 
 namespace {
 
+using column::AnyColumn;
+using column::PartitionBlock;
+
 /// Whether this transform, as the last of its chain, charges its emitted
 /// rows as work (filter and add-index charge input only / nothing; the
 /// others charge input + output).
 bool ChargesEmitted(RowTransform::Kind k) {
   switch (k) {
-    case RowTransform::Kind::kMap:
+    case RowTransform::Kind::kProject:
+    case RowTransform::Kind::kOuterSelect:
     case RowTransform::Kind::kUnnest:
     case RowTransform::Kind::kOuterUnnest:
       return true;
@@ -109,52 +113,191 @@ bool ChargesEmitted(RowTransform::Kind k) {
   return false;
 }
 
+/// Takes the next id of partition p's counter `uid`: the partition in the
+/// high bits, the counter in the low ones (outer-unnest and add-index share
+/// the scheme).
+int64_t NextId(size_t p, int64_t* uid) {
+  return (static_cast<int64_t>(p) << 40) | (*uid)++;
+}
+
+/// Unnest and outer-unnest: lists the (outer row, bag member or none, id)
+/// triples of rows [begin, end), then fills each output column from them.
+void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
+                 size_t begin, size_t end, size_t p, int64_t* uid,
+                 PartitionBlock* dst) {
+  const bool outer = t.kind == RowTransform::Kind::kOuterUnnest;
+  const size_t bag_col = static_cast<size_t>(t.bag_col);
+  const AnyColumn& bags = src.col(bag_col);
+  TRANCE_CHECK(bags.kind() == AnyColumn::Kind::kVariant,
+               "unnest: bag column is not a variant column");
+  const size_t id_cols = t.with_id ? 1 : 0;
+  const size_t outer_width = src.NumCols() - 1;
+  const size_t inner_width = dst->NumCols() - id_cols - outer_width;
+
+  struct Emit {
+    size_t row;
+    const Row* member;  // nullptr: an outer-unnest's NULL-padded row
+    int64_t id;
+  };
+  std::vector<Emit> emits;
+  for (size_t i = begin; i < end; ++i) {
+    const int64_t id = outer ? NextId(p, uid) : 0;
+    const Field& bag = bags.variants()[i];
+    const std::vector<Row>* members =
+        bag.is_bag() && bag.AsBag() != nullptr && !bag.AsBag()->empty()
+            ? bag.AsBag().get()
+            : nullptr;
+    if (members == nullptr) {
+      if (outer) emits.push_back({i, nullptr, id});
+      continue;
+    }
+    for (const Row& m : *members) {
+      TRANCE_CHECK(m.fields.size() == inner_width,
+                   "unnest: bag member of " + std::to_string(m.fields.size()) +
+                       " fields, element schema of " +
+                       std::to_string(inner_width));
+      emits.push_back({i, &m, id});
+    }
+  }
+  dst->AppendColumns(emits.size(), [&](size_t c, AnyColumn* col) {
+    if (c < id_cols) {
+      for (const Emit& e : emits) col->AppendInt64(e.id);
+    } else if (c < id_cols + outer_width) {
+      const size_t k = c - id_cols;
+      const AnyColumn& from = src.col(k < bag_col ? k : k + 1);
+      for (const Emit& e : emits) col->AppendFrom(from, e.row);
+    } else {
+      const size_t j = c - id_cols - outer_width;
+      for (const Emit& e : emits) {
+        if (e.member == nullptr) {
+          col->AppendNull();
+        } else {
+          col->Append(e.member->fields[j]);
+        }
+      }
+    }
+  });
+}
+
+/// Applies `t` to rows [begin, end) of `src`, appending its output rows to
+/// `dst`, a block of t.schema. `uid` is t's id counter in partition p.
+void Apply(const RowTransform& t, const PartitionBlock& src, size_t begin,
+           size_t end, size_t p, int64_t* uid, PartitionBlock* dst) {
+  const size_t n = end - begin;
+  switch (t.kind) {
+    case RowTransform::Kind::kProject:
+      dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
+        const RowTransform::OutCol& oc = t.cols[c];
+        if (oc.src >= 0) {
+          const AnyColumn& from = src.col(static_cast<size_t>(oc.src));
+          for (size_t i = begin; i < end; ++i) col->AppendFrom(from, i);
+        } else {
+          for (size_t i = begin; i < end; ++i) col->Append(oc.fn(src, i));
+        }
+      });
+      break;
+    case RowTransform::Kind::kFilter:
+      for (size_t i = begin; i < end; ++i) {
+        if (t.pred(src, i)) dst->AppendRowFrom(src, i);
+      }
+      break;
+    case RowTransform::Kind::kOuterSelect: {
+      std::vector<uint8_t> pass(n);
+      for (size_t i = begin; i < end; ++i) pass[i - begin] = t.pred(src, i);
+      dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
+        const AnyColumn& from = src.col(c);
+        for (size_t i = begin; i < end; ++i) {
+          if (t.keep[c] || pass[i - begin]) {
+            col->AppendFrom(from, i);
+          } else {
+            col->AppendNull();
+          }
+        }
+      });
+      break;
+    }
+    case RowTransform::Kind::kUnnest:
+    case RowTransform::Kind::kOuterUnnest:
+      ApplyUnnest(t, src, begin, end, p, uid, dst);
+      break;
+    case RowTransform::Kind::kAddIndex: {
+      const size_t width = src.NumCols();
+      dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
+        if (c < width) {
+          for (size_t i = begin; i < end; ++i) col->AppendFrom(src.col(c), i);
+        } else {
+          for (size_t i = begin; i < end; ++i) col->AppendInt64(NextId(p, uid));
+        }
+      });
+      break;
+    }
+  }
+}
+
 }  // namespace
 
-RowTransform RowTransform::Map(std::string op, MapFn fn) {
+RowTransform RowTransform::Project(std::string op, Schema schema,
+                                   std::vector<OutCol> cols) {
   RowTransform t;
-  t.kind = Kind::kMap;
+  t.kind = Kind::kProject;
   t.op = std::move(op);
-  t.map = std::move(fn);
+  t.schema = std::move(schema);
+  t.cols = std::move(cols);
   return t;
 }
 
-RowTransform RowTransform::Filter(std::string op, PredFn fn) {
+RowTransform RowTransform::Filter(std::string op, Schema schema,
+                                  PredicateFn pred) {
   RowTransform t;
   t.kind = Kind::kFilter;
   t.op = std::move(op);
-  t.pred = std::move(fn);
+  t.schema = std::move(schema);
+  t.pred = std::move(pred);
   return t;
 }
 
-RowTransform RowTransform::Unnest(std::string op, int bag_col) {
+RowTransform RowTransform::OuterSelect(std::string op, Schema schema,
+                                       PredicateFn pred,
+                                       std::vector<bool> keep) {
+  RowTransform t;
+  t.kind = Kind::kOuterSelect;
+  t.op = std::move(op);
+  t.schema = std::move(schema);
+  t.pred = std::move(pred);
+  t.keep = std::move(keep);
+  return t;
+}
+
+RowTransform RowTransform::Unnest(std::string op, Schema schema,
+                                  int bag_col) {
   RowTransform t;
   t.kind = Kind::kUnnest;
   t.op = std::move(op);
+  t.schema = std::move(schema);
   t.bag_col = bag_col;
   return t;
 }
 
-RowTransform RowTransform::OuterUnnest(std::string op, int bag_col,
-                                       bool with_id, size_t inner_width) {
+RowTransform RowTransform::OuterUnnest(std::string op, Schema schema,
+                                       int bag_col, bool with_id) {
   RowTransform t;
   t.kind = Kind::kOuterUnnest;
   t.op = std::move(op);
+  t.schema = std::move(schema);
   t.bag_col = bag_col;
   t.with_id = with_id;
-  t.inner_width = inner_width;
   return t;
 }
 
-RowTransform RowTransform::AddIndex(std::string op) {
+RowTransform RowTransform::AddIndex(std::string op, Schema schema) {
   RowTransform t;
   t.kind = Kind::kAddIndex;
   t.op = std::move(op);
+  t.schema = std::move(schema);
   return t;
 }
 
 StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
-                                   Schema out_schema,
                                    const std::vector<RowTransform>& chain,
                                    Partitioning out_partitioning,
                                    const std::string& stage_name) {
@@ -174,104 +317,47 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   const bool charge_final = ChargesEmitted(chain.back().kind);
 
   const size_t nparts = in.NumPartitions();
-  Dataset out = Dataset::Empty(std::move(out_schema), nparts,
+  Dataset out = Dataset::Empty(chain.back().schema, nparts,
                                std::move(out_partitioning));
 
   // Per-partition emitted-row counts, merged in partition order after the
   // barrier (bit-identical stats at any thread count).
   std::vector<std::vector<uint64_t>> transform_rows(nparts);
 
-  // The chain scans the input block and appends emitted rows straight into
-  // the output partition's resident block. Each input row materializes
-  // transiently to feed the chain; intermediate rows are sized as they pass,
-  // and work charges are read off the input and output blocks' byte totals
-  // after the barrier.
-
   auto task = [&](size_t p, StageStats* slot) {
     // Per-partition id counters reproduce the standalone operators' uid
     // scheme exactly: ids depend only on the partition and the row order,
-    // both of which fusion preserves. They and the row counts start from
-    // zero in every attempt, so a recovery re-execution recounts them.
+    // both of which fusion and batching preserve. They and the row counts
+    // start from zero in every attempt, so a recovery re-execution recounts
+    // them, and carry across the attempt's batches.
     std::vector<int64_t> uid(len, 0);
     std::vector<uint64_t>& t_rows = transform_rows[p];
     t_rows.assign(len, 0);
 
-    std::function<void(size_t, const Row&)> feed = [&](size_t i,
-                                                       const Row& row) {
-      const RowTransform& t = chain[i];
-      auto emit = [&](Row r) {
-        ++t_rows[i];
-        if (i + 1 == len) {
-          out.parts[p].AppendRow(r);
-        } else {
-          slot->intermediate_bytes_avoided += RowDeepSize(r);
-          feed(i + 1, r);
-        }
-      };
-      switch (t.kind) {
-        case RowTransform::Kind::kMap:
-          emit(t.map(row));
-          break;
-        case RowTransform::Kind::kFilter:
-          if (t.pred(row)) emit(row);
-          break;
-        case RowTransform::Kind::kUnnest: {
-          const Field& bag = row.fields[static_cast<size_t>(t.bag_col)];
-          if (!bag.is_bag() || bag.AsBag() == nullptr) break;
-          for (const auto& inner : *bag.AsBag()) {
-            Row r;
-            r.fields.reserve(row.fields.size() - 1 + inner.fields.size());
-            for (size_t c = 0; c < row.fields.size(); ++c) {
-              if (static_cast<int>(c) == t.bag_col) continue;
-              r.fields.push_back(row.fields[c]);
-            }
-            for (const auto& f : inner.fields) r.fields.push_back(f);
-            emit(std::move(r));
-          }
-          break;
-        }
-        case RowTransform::Kind::kOuterUnnest: {
-          int64_t u = (static_cast<int64_t>(p) << 40) | uid[i]++;
-          const Field& bag = row.fields[static_cast<size_t>(t.bag_col)];
-          auto emit_inner = [&](const Row* inner) {
-            Row r;
-            r.fields.reserve((t.with_id ? 1 : 0) + row.fields.size() - 1 +
-                             t.inner_width);
-            if (t.with_id) r.fields.push_back(Field::Int(u));
-            for (size_t c = 0; c < row.fields.size(); ++c) {
-              if (static_cast<int>(c) == t.bag_col) continue;
-              r.fields.push_back(row.fields[c]);
-            }
-            if (inner != nullptr) {
-              for (const auto& f : inner->fields) r.fields.push_back(f);
-            } else {
-              for (size_t k = 0; k < t.inner_width; ++k) {
-                r.fields.push_back(Field::Null());
-              }
-            }
-            emit(std::move(r));
-          };
-          if (!bag.is_bag() || bag.AsBag() == nullptr || bag.AsBag()->empty()) {
-            emit_inner(nullptr);
-          } else {
-            for (const auto& inner : *bag.AsBag()) emit_inner(&inner);
-          }
-          break;
-        }
-        case RowTransform::Kind::kAddIndex: {
-          Row r = row;
-          r.fields.push_back(
-              Field::Int((static_cast<int64_t>(p) << 40) | uid[i]++));
-          emit(std::move(r));
-          break;
-        }
-      }
-    };
-
-    const column::PartitionBlock& in_block = in.parts[p];
+    const PartitionBlock& in_block = in.parts[p];
     const size_t n = in_block.NumRows();
-    for (size_t i = 0; i < n; ++i) {
-      feed(0, in_block.RowAt(i));  // transient: feeds the chain, then dies
+    for (size_t b = 0; b < n; b += kChainBatchRows) {
+      // Transform 0 reads the batch's rows of the input block; transform i
+      // > 0 reads all of `cur`, its predecessor's output. A non-final
+      // transform writes a fresh `next` block, which lives for this batch;
+      // the last one appends to the output partition.
+      const PartitionBlock* src = &in_block;
+      size_t begin = b, end = std::min(n, b + kChainBatchRows);
+      PartitionBlock cur, next;
+      for (size_t i = 0; i < len; ++i) {
+        const bool last = i + 1 == len;
+        if (!last) next = PartitionBlock(chain[i].schema);
+        PartitionBlock* dst = last ? &out.parts[p] : &next;
+        const size_t before = dst->NumRows();
+        Apply(chain[i], *src, begin, end, p, &uid[i], dst);
+        t_rows[i] += dst->NumRows() - before;
+        if (last) break;
+        slot->intermediate_bytes_avoided += next.TotalRowBytes();
+        std::swap(cur, next);
+        src = &cur;
+        begin = 0;
+        end = cur.NumRows();
+      }
     }
   };
 

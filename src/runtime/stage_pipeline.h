@@ -7,18 +7,22 @@
 // exactly where the memory cap would fail it with spilling off.
 //
 // A RowTransform is one partition-local ("narrow") operator expressed as a
-// reusable row-level rewrite: map, filter, unnest, outer-unnest or
-// add-index. RunStagePipeline runs a *chain* of transforms as one stage:
-// every input row is fed through the whole chain in a single per-partition
-// pass, so nothing between two narrow operators is ever materialized as a
-// Dataset — only the chain's final output is. This mirrors how Spark fuses
+// block-to-block rewrite: project, filter, outer-select, unnest,
+// outer-unnest or add-index. RunStagePipeline runs a *chain* of transforms as
+// one stage: each partition's input block is cut into batches of
+// kChainBatchRows rows, and each batch runs through the whole chain, every
+// transform reading its input block and appending to its output block
+// column by column. Pass-through columns are typed cell copies; only
+// computed scalars read cells, and only the cells they reference. A
+// non-final transform's output block lives for one batch; only the chain's
+// final output is materialized as a Dataset. This mirrors how Spark fuses
 // narrow dependencies into one pipelined stage (only shuffle boundaries
 // materialize), which the paper's generated bulk programs rely on.
 //
 // Every narrow operator runs through this runner: unfused execution (and
-// the MapRows / AddIndexColumn helpers in runtime/ops.h) runs
-// single-transform chains, so fused and unfused stages share one
-// implementation and one stats discipline.
+// the AddIndexColumn helper in runtime/ops.h) runs single-transform chains,
+// so fused and unfused stages share one implementation and one stats
+// discipline.
 //
 // Stats contract:
 //  - A single-transform chain records one StageStats named after the
@@ -26,19 +30,20 @@
 //    no `fused_transforms`.
 //  - A multi-transform chain records ONE StageStats whose work charge is the
 //    input footprint plus the final transform's emitted bytes; the bytes the
-//    unfused pipeline would have materialized between transforms are summed
-//    into `intermediate_bytes_avoided`, and each transform reports its own
+//    unfused pipeline would have materialized between transforms (the byte
+//    totals of the per-batch intermediate blocks) are summed into
+//    `intermediate_bytes_avoided`, and each transform reports its own
 //    emitted-row count in `fused_transforms` (EXPLAIN ANALYZE expands these
 //    back into one line per plan operator).
 //  - Work charges are read off the input and output blocks' byte totals
 //    after the stage barrier; the other accounting lands in the runner's
 //    per-partition slots, merged in partition order after the barrier, so
 //    outputs and stats are identical at any thread count. Per-partition uid
-//    counters make the ids of outer-unnest and add-index transforms
-//    identical fused or unfused.
+//    counters, which carry across batches, make the ids of outer-unnest and
+//    add-index transforms identical fused or unfused.
 //  - The memory cap is enforced against the fused chain's peak — the final
-//    output partitions, the only rows the chain holds at once (intermediate
-//    rows stream through one at a time).
+//    output partitions; an intermediate block holds one batch's rows and is
+//    never charged.
 #ifndef TRANCE_RUNTIME_STAGE_PIPELINE_H_
 #define TRANCE_RUNTIME_STAGE_PIPELINE_H_
 
@@ -53,41 +58,69 @@
 namespace trance {
 namespace runtime {
 
-using MapFn = std::function<Row(const Row&)>;
-using PredFn = std::function<bool(const Row&)>;
+/// A compiled scalar evaluated at one row of a block (exec/scalar_compiler);
+/// it reads only the cells it references.
+using ScalarFn =
+    std::function<Field(const column::PartitionBlock&, size_t row)>;
+/// A compiled predicate at one row of a block; NULL counts as false.
+using PredicateFn =
+    std::function<bool(const column::PartitionBlock&, size_t row)>;
 
-/// One narrow operator as a row-level rewrite, runnable standalone or fused.
+/// Input rows a fused chain runs through all of its transforms at once.
+constexpr size_t kChainBatchRows = 1024;
+
+/// One narrow operator as a block-to-block rewrite, runnable standalone or
+/// fused.
 struct RowTransform {
-  enum class Kind { kMap, kFilter, kUnnest, kOuterUnnest, kAddIndex };
+  enum class Kind {
+    kProject,
+    kFilter,
+    kOuterSelect,
+    kUnnest,
+    kOuterUnnest,
+    kAddIndex
+  };
 
-  Kind kind = Kind::kMap;
+  /// One output column of a projection: a typed copy of input column `src`,
+  /// or, when `src` is negative, the compiled scalar `fn`.
+  struct OutCol {
+    int src = -1;
+    ScalarFn fn;
+  };
+
+  Kind kind = Kind::kProject;
   /// Display name of the operator (e.g. "select", "project"): the
   /// fused_transforms entry of a multi-transform chain. The lowering also
   /// builds stage names from it (a heavy-component stage adds ".h").
   std::string op;
   /// Plan-node attribution for EXPLAIN ANALYZE; empty outside plan execution.
   std::string scope;
+  /// Schema of the rows this transform emits.
+  Schema schema;
 
-  MapFn map;            // kMap
-  PredFn pred;          // kFilter
-  int bag_col = -1;     // kUnnest / kOuterUnnest
-  bool with_id = false;     // kOuterUnnest: prepend a unique id column
-  size_t inner_width = 0;   // kOuterUnnest: NULL pad width for empty bags
+  std::vector<OutCol> cols;  // kProject: one per output column
+  PredicateFn pred;          // kFilter / kOuterSelect
+  std::vector<bool> keep;    // kOuterSelect: columns a failing row keeps
+  int bag_col = -1;          // kUnnest / kOuterUnnest
+  bool with_id = false;      // kOuterUnnest: prepend a unique id column
 
-  static RowTransform Map(std::string op, MapFn fn);
-  static RowTransform Filter(std::string op, PredFn fn);
-  static RowTransform Unnest(std::string op, int bag_col);
-  static RowTransform OuterUnnest(std::string op, int bag_col, bool with_id,
-                                  size_t inner_width);
-  static RowTransform AddIndex(std::string op);
+  static RowTransform Project(std::string op, Schema schema,
+                              std::vector<OutCol> cols);
+  static RowTransform Filter(std::string op, Schema schema, PredicateFn pred);
+  /// Rows failing `pred` keep the `keep` columns and go NULL elsewhere.
+  static RowTransform OuterSelect(std::string op, Schema schema,
+                                  PredicateFn pred, std::vector<bool> keep);
+  static RowTransform Unnest(std::string op, Schema schema, int bag_col);
+  static RowTransform OuterUnnest(std::string op, Schema schema, int bag_col,
+                                  bool with_id);
+  static RowTransform AddIndex(std::string op, Schema schema);
 };
 
-/// Runs `chain` (non-empty) over `in` as one fused stage. `out_schema` is the
-/// schema after the whole chain; `out_partitioning` the guarantee the caller
-/// derived for the chain's output. `stage_name` is the recorded op and the
-/// name memory-cap failures report.
+/// Runs `chain` (non-empty) over `in` as one fused stage; the output takes
+/// the last transform's schema. `out_partitioning` is the guarantee the
+/// caller derived for the chain's output. `stage_name` is the recorded op
+/// and the name memory-cap failures report.
 StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
-                                   Schema out_schema,
                                    const std::vector<RowTransform>& chain,
                                    Partitioning out_partitioning,
                                    const std::string& stage_name);

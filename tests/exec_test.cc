@@ -33,21 +33,26 @@ Schema TestSchema() {
                  {"flag", Type::Bool()}});
 }
 
+/// Evaluates a compiled scalar on `r` as the only row of a block.
+Field EvalOn(const exec::ScalarFn& f, const Schema& schema, const Row& r) {
+  return f(runtime::column::PartitionBlock::FromRows(schema, {r}), 0);
+}
+
 TEST(ScalarCompilerTest, ArithmeticAndTypes) {
   Schema schema = TestSchema();
   auto f = CompileScalar(Mul(Add(V("a"), I(1)), V("b")), schema);
   ASSERT_TRUE(f.ok()) << f.status().ToString();
   Row r({Field::Int(3), Field::Real(2.5), Field::Str("x"),
          Field::Bool(true)});
-  EXPECT_DOUBLE_EQ((*f)(r).AsReal(), 10.0);
+  EXPECT_DOUBLE_EQ(EvalOn(*f, schema, r).AsReal(), 10.0);
   auto t = ScalarResultType(Mul(Add(V("a"), I(1)), V("b")), schema);
   ASSERT_TRUE(t.ok());
   EXPECT_EQ((*t)->scalar_kind(), nrc::ScalarKind::kReal);
   // Int-only arithmetic stays integral; division always real.
   auto g = CompileScalar(Add(V("a"), I(2)), schema);
-  EXPECT_TRUE((*g)(r).is_int());
+  EXPECT_TRUE(EvalOn(*g, schema, r).is_int());
   auto d = CompileScalar(Div(V("a"), I(2)), schema);
-  EXPECT_TRUE((*d)(r).is_real());
+  EXPECT_TRUE(EvalOn(*d, schema, r).is_real());
 }
 
 TEST(ScalarCompilerTest, NullPropagation) {
@@ -55,15 +60,15 @@ TEST(ScalarCompilerTest, NullPropagation) {
   Row null_row({Field::Null(), Field::Null(), Field::Null(), Field::Null()});
   // Arithmetic with NULL is NULL; comparisons with NULL are false.
   auto f = CompileScalar(Add(V("a"), I(1)), schema);
-  EXPECT_TRUE((*f)(null_row).is_null());
+  EXPECT_TRUE(EvalOn(*f, schema, null_row).is_null());
   auto c = CompileScalar(Eq(V("a"), I(0)), schema);
-  EXPECT_FALSE((*c)(null_row).AsBool());
+  EXPECT_FALSE(EvalOn(*c, schema, null_row).AsBool());
   auto lt = CompileScalar(Lt(V("b"), R(1.0)), schema);
-  EXPECT_FALSE((*lt)(null_row).AsBool());
+  EXPECT_FALSE(EvalOn(*lt, schema, null_row).AsBool());
   // Division by zero yields NULL, not a crash.
   Row r({Field::Int(1), Field::Real(0.0), Field::Str(""), Field::Bool(false)});
   auto dz = CompileScalar(Div(V("a"), V("b")), schema);
-  EXPECT_TRUE((*dz)(r).is_null());
+  EXPECT_TRUE(EvalOn(*dz, schema, r).is_null());
 }
 
 TEST(ScalarCompilerTest, MissingColumnFails) {
@@ -81,9 +86,50 @@ TEST(ScalarCompilerTest, NewLabelBuildsRuntimeLabels) {
   Row r2({Field::Int(7), Field::Real(9), Field::Str("x"), Field::Bool(false)});
   // Labels with equal captured values compare equal regardless of other
   // columns.
-  EXPECT_EQ((*f)(r1), (*f)(r2));
+  EXPECT_EQ(EvalOn(*f, schema, r1), EvalOn(*f, schema, r2));
   Row r3({Field::Int(8), Field::Real(0), Field::Str("x"), Field::Bool(true)});
-  EXPECT_NE((*f)(r1), (*f)(r3));
+  EXPECT_NE(EvalOn(*f, schema, r1), EvalOn(*f, schema, r3));
+}
+
+// A compiled closure evaluated at row i of a block reads row i's cells: every
+// expression below has a different value at row 0 than at row 2.
+TEST(ScalarCompilerTest, ReadsItsOwnRow) {
+  Schema schema(
+      {{"a", Type::Int()}, {"d", Type::Date()}, {"s", Type::String()}});
+  const auto block = runtime::column::PartitionBlock::FromRows(
+      schema, {Row({Field::Int(5), Field::Int(100), Field::Str("alpha")}),
+               Row({Field::Int(7), Field::Int(200), Field::Str("beta")}),
+               Row({Field::Null(), Field::Int(300), Field::Str("gamma")}),
+               Row({Field::Int(9), Field::Int(400), Field::Str("delta")})});
+  auto at = [&](const nrc::ExprPtr& e, size_t row) {
+    auto f = CompileScalar(e, schema);
+    EXPECT_TRUE(f.ok()) << f.status().ToString();
+    return f.ok() ? (*f)(block, row) : Field::Null();
+  };
+  // Arithmetic: NULL at row 2 (the NULL int), a value elsewhere.
+  EXPECT_TRUE(at(Add(V("a"), I(1)), 2).is_null());
+  EXPECT_EQ(at(Add(V("a"), I(1)), 0), Field::Int(6));
+  EXPECT_EQ(at(Mul(V("a"), I(2)), 3), Field::Int(18));
+  // Comparisons over the date (variant) and string columns.
+  EXPECT_EQ(at(Eq(V("d"), I(300)), 2), Field::Bool(true));
+  EXPECT_EQ(at(Eq(V("s"), S("gamma")), 2), Field::Bool(true));
+  EXPECT_EQ(at(Eq(V("s"), S("gamma")), 0), Field::Bool(false));
+  EXPECT_EQ(at(Lt(V("a"), I(10)), 2), Field::Bool(false));
+  EXPECT_EQ(at(Lt(V("a"), I(10)), 0), Field::Bool(true));
+  // Boolean operators.
+  EXPECT_EQ(at(And(Eq(V("s"), S("gamma")), Gt(V("d"), I(250))), 2),
+            Field::Bool(true));
+  EXPECT_EQ(at(Expr::Not(Eq(V("a"), I(5))), 2), Field::Bool(true));
+  EXPECT_EQ(at(Expr::Not(Eq(V("a"), I(5))), 0), Field::Bool(false));
+  // Column reads and labels.
+  EXPECT_EQ(at(V("s"), 2), Field::Str("gamma"));
+  const auto label =
+      Expr::NewLabel({{"k", V("a")}, {"d", V("d")}, {"t", V("s")}});
+  EXPECT_EQ(at(label, 2),
+            runtime::MakeLabel({{"k", Field::Null()},
+                                {"d", Field::Int(300)},
+                                {"t", Field::Str("gamma")}}));
+  EXPECT_NE(at(label, 2), at(label, 0));
 }
 
 TEST(BridgeTest, RowValueRoundTripFlat) {

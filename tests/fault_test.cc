@@ -15,17 +15,18 @@
 
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
-#include "nrc/interp.h"
+#include "fig7_suite.h"
 #include "runtime/cluster.h"
 #include "runtime/fault.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 
 namespace trance {
 namespace {
 
+using fig7_suite::Config;
+using fig7_suite::ExpectSameRows;
+using fig7_suite::ExpectSameShreddedRows;
 using nrc::Value;
 using runtime::Dataset;
 using runtime::FaultConfig;
@@ -104,13 +105,6 @@ TEST(FaultInjectorTest, BackoffIsBoundedAndMonotone) {
 
 // --- End-to-end recovery equivalence -------------------------------------
 
-runtime::ClusterConfig Config(int num_threads) {
-  runtime::ClusterConfig c;
-  c.num_partitions = 8;
-  c.num_threads = num_threads;
-  return c;
-}
-
 /// Fault schedule used by the recovery suite: every other task attempt
 /// faults on average, at most 2 faults per task, budget 4 — recovery is
 /// guaranteed to succeed (budget >= max_faults_per_task).
@@ -120,24 +114,6 @@ runtime::ClusterConfig FaultedConfig(int num_threads) {
   c.faults.max_faults_per_task = 2;
   c.faults.max_task_retries = 4;
   return c;
-}
-
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
-    }
-  }
 }
 
 /// The fault schedule itself must be deterministic: two runs with the same
@@ -164,18 +140,6 @@ void ExpectSameFaultTelemetry(const JobStats& a, const JobStats& b) {
       EXPECT_EQ(sa.fault_events[e].kind, sb.fault_events[e].kind);
     }
   }
-}
-
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
 }
 
 struct StandardRun {
@@ -237,52 +201,14 @@ ShreddedRunResult RunShreddedWith(const nrc::Program& q,
   return r;
 }
 
-void ExpectSameShreddedRows(const exec::ShreddedRun& a,
-                            const exec::ShreddedRun& b) {
-  ExpectSameRows(a.top, b.top);
-  ASSERT_EQ(a.dicts.size(), b.dicts.size());
-  for (size_t i = 0; i < a.dicts.size(); ++i) {
-    SCOPED_TRACE("dict " + a.dicts[i].first);
-    EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
-    ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
-  }
-}
-
-class FaultSuiteTest : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
-
-  StatusOr<nrc::Program> Query(Kind kind, int depth) {
-    switch (kind) {
-      case kFlatToNested:
-        return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-      case kNestedToNested:
-        return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-      case kNestedToFlat:
-        return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-    }
-    return Status::Internal("bad kind");
-  }
-
-  std::map<std::string, Value> Inputs(Kind kind, int depth) {
-    tpch::TpchConfig cfg;
-    cfg.scale = 0.0005;
-    auto values = TpchValues(tpch::Generate(cfg));
-    if (kind == kFlatToNested) return values;
-    auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-    nrc::Interpreter interp;
-    auto nested = interp.EvalProgram(prep, values);
-    TRANCE_CHECK(nested.ok(), "nested input prep");
-    return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
-  }
-};
+class FaultSuiteTest
+    : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
 TEST_P(FaultSuiteTest, StandardRouteRecoveryIsTransparent) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
   StandardRun clean = RunStandardWith(*q, values, Config(1));
   StandardRun faulted1 = RunStandardWith(*q, values, FaultedConfig(1));
@@ -312,11 +238,10 @@ TEST_P(FaultSuiteTest, StandardRouteRecoveryIsTransparent) {
 }
 
 TEST_P(FaultSuiteTest, ShreddedRouteRecoveryIsTransparent) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
   ShreddedRunResult clean = RunShreddedWith(*q, values, Config(1));
   ShreddedRunResult faulted1 = RunShreddedWith(*q, values, FaultedConfig(1));
@@ -330,19 +255,11 @@ TEST_P(FaultSuiteTest, ShreddedRouteRecoveryIsTransparent) {
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
 }
 
-std::string FaultParamName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
-         std::to_string(std::get<1>(info.param));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Fig7NarrowSuite, FaultSuiteTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(0, 1, 2, 3, 4)),
-    FaultParamName);
+    fig7_suite::ParamName);
 
 // --- Escalation and attribution ------------------------------------------
 

@@ -141,6 +141,12 @@ inline void ExpectSameShreddedRows(const exec::ShreddedRun& a,
 
 enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
 
+inline const char* KindName(int kind) {
+  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
+                                 "nested_to_flat"};
+  return kKinds[kind];
+}
+
 inline StatusOr<nrc::Program> Query(int kind, int depth) {
   switch (kind) {
     case kFlatToNested:
@@ -153,28 +159,32 @@ inline StatusOr<nrc::Program> Query(int kind, int depth) {
   return Status::Internal("bad kind");
 }
 
-/// The query's inputs at scale 0.0005: the flat TPC-H tables, or for the
-/// nested-to-* kinds the nested COP relation (built by the interpreter)
-/// plus Part.
-inline std::map<std::string, nrc::Value> Inputs(int kind, int depth) {
+/// The flat TPC-H tables at scale 0.0005.
+inline std::map<std::string, nrc::Value> FlatInputs() {
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
-  auto values = TpchValues(tpch::Generate(cfg));
-  if (kind == kFlatToNested) return values;
+  return TpchValues(tpch::Generate(cfg));
+}
+
+/// The query's inputs: the flat tables `flat`, or for the nested-to-* kinds
+/// the nested COP relation (the flat-to-nested query of the same depth,
+/// evaluated by the interpreter) plus Part.
+inline std::map<std::string, nrc::Value> Inputs(
+    int kind, int depth,
+    const std::map<std::string, nrc::Value>& flat = FlatInputs()) {
+  if (kind == kFlatToNested) return flat;
   auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
   nrc::Interpreter interp;
-  auto nested = interp.EvalProgram(prep, values);
+  auto nested = interp.EvalProgram(prep, flat);
   TRANCE_CHECK(nested.ok(), "nested input prep");
-  return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
+  return {{"COP", nested->at("Q")}, {"Part", flat.at("Part")}};
 }
 
 /// Parameters are (kind, depth).
 using SuiteParam = std::tuple<int, int>;
 
 inline std::string ParamName(const ::testing::TestParamInfo<SuiteParam>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
+  return std::string(KindName(std::get<0>(info.param))) + "_depth" +
          std::to_string(std::get<1>(info.param));
 }
 

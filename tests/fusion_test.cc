@@ -5,8 +5,10 @@
 // strategy — it changes how many stages run, never what they compute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,17 +16,20 @@
 
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
-#include "nrc/interp.h"
+#include "exec/scalar_compiler.h"
+#include "fig7_suite.h"
+#include "nrc/builder.h"
 #include "obs/explain.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 
 namespace trance {
 namespace {
 
+using fig7_suite::Config;
+using fig7_suite::ExpectSameRows;
+using fig7_suite::ExpectSameShreddedRows;
 using nrc::Value;
 using runtime::Dataset;
 using runtime::JobStats;
@@ -32,31 +37,6 @@ using runtime::Row;
 using runtime::StageStats;
 using stats_testing::ExpectSameStats;
 using stats_testing::IsHeavyStage;
-
-runtime::ClusterConfig Config(int num_threads) {
-  runtime::ClusterConfig c;
-  c.num_partitions = 8;
-  c.num_threads = num_threads;
-  return c;
-}
-
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
-    }
-  }
-}
 
 /// (operator label, rows) pairs extracted from EXPLAIN ANALYZE, in tree
 /// order. The per-operator row counts must not depend on the fusion mode.
@@ -75,18 +55,6 @@ std::vector<std::pair<std::string, long long>> ExplainRowCounts(
     out.emplace_back(std::move(label), rows);
   }
   return out;
-}
-
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
 }
 
 struct StandardModeRun {
@@ -165,54 +133,17 @@ void ExpectNoHeavyStages(const JobStats& stats) {
   }
 }
 
-void ExpectSameShreddedRows(const exec::ShreddedRun& a,
-                            const exec::ShreddedRun& b) {
-  ExpectSameRows(a.top, b.top);
-  ASSERT_EQ(a.dicts.size(), b.dicts.size());
-  for (size_t i = 0; i < a.dicts.size(); ++i) {
-    SCOPED_TRACE("dict " + a.dicts[i].first);
-    EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
-    ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
-  }
-}
-
-class FusionSuiteTest : public ::testing::TestWithParam<std::tuple<int, int>> {
- protected:
-  /// The three Fig-7 narrow-suite query kinds; nested-input kinds prepare
-  /// COP by interpreting the flat-to-nested query of the same depth.
-  enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
-
-  StatusOr<nrc::Program> Query(Kind kind, int depth) {
-    switch (kind) {
-      case kFlatToNested:
-        return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-      case kNestedToNested:
-        return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-      case kNestedToFlat:
-        return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-    }
-    return Status::Internal("bad kind");
-  }
-
-  std::map<std::string, Value> Inputs(Kind kind, int depth) {
-    tpch::TpchConfig cfg;
-    cfg.scale = 0.0005;
-    auto values = TpchValues(tpch::Generate(cfg));
-    if (kind == kFlatToNested) return values;
-    auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-    nrc::Interpreter interp;
-    auto nested = interp.EvalProgram(prep, values);
-    TRANCE_CHECK(nested.ok(), "nested input prep");
-    return {{"COP", nested->at("Q")}, {"Part", values.at("Part")}};
-  }
-};
+/// The three Fig-7 narrow-suite query kinds at depths 0-4; nested-input
+/// kinds prepare COP by interpreting the flat-to-nested query of the same
+/// depth.
+class FusionSuiteTest
+    : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
 TEST_P(FusionSuiteTest, StandardRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
   StandardModeRun on1 = RunStandardMode(*q, values, true, 1);
   StandardModeRun on4 = RunStandardMode(*q, values, true, 4);
@@ -246,11 +177,10 @@ TEST_P(FusionSuiteTest, StandardRouteOnOffIdentical) {
 }
 
 TEST_P(FusionSuiteTest, ShreddedRouteOnOffIdentical) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
-  auto q = Query(kind, depth);
+  auto [kind, depth] = GetParam();
+  auto q = fig7_suite::Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth);
+  auto values = fig7_suite::Inputs(kind, depth);
 
   ShreddedModeRun on1 = RunShreddedMode(*q, values, true, 1);
   ShreddedModeRun on4 = RunShreddedMode(*q, values, true, 4);
@@ -276,19 +206,186 @@ TEST_P(FusionSuiteTest, ShreddedRouteOnOffIdentical) {
   EXPECT_EQ(off1.stats.totals().intermediate_bytes_avoided, 0u);
 }
 
-std::string FusionParamName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return std::string(kKinds[std::get<0>(info.param)]) + "_depth" +
-         std::to_string(std::get<1>(info.param));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Fig7NarrowSuite, FusionSuiteTest,
     ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(0, 1, 2, 3, 4)),
-    FusionParamName);
+    fig7_suite::ParamName);
+
+// --- One chain across batch boundaries ------------------------------------
+
+using runtime::Field;
+using runtime::RowTransform;
+using runtime::Schema;
+using runtime::column::PartitionBlock;
+
+constexpr size_t kBatchPartitions = 4;
+// Two full batches and a partial third in every partition (the source deals
+// rows round-robin).
+constexpr size_t kBatchRowsPerPartition =
+    2 * runtime::kChainBatchRows + runtime::kChainBatchRows / 2 + 37;
+
+/// Row i: key i, a string, and a bag of i % 4 (x, y) members.
+Schema BatchSourceSchema() {
+  return Schema({{"k", nrc::Type::Int()},
+                 {"s", nrc::Type::String()},
+                 {"items", nrc::Type::Bag(nrc::Type::Tuple(
+                               {{"x", nrc::Type::Int()},
+                                {"y", nrc::Type::String()}}))}});
+}
+
+std::vector<Row> BatchSourceRows() {
+  std::vector<Row> rows;
+  for (int64_t i = 0;
+       i < static_cast<int64_t>(kBatchPartitions * kBatchRowsPerPartition);
+       ++i) {
+    std::vector<Row> items;
+    for (int64_t j = 0; j < i % 4; ++j) {
+      items.push_back(
+          Row({Field::Int(i + j), Field::Str("y" + std::to_string(j))}));
+    }
+    rows.push_back(Row({Field::Int(i), Field::Str("s" + std::to_string(i)),
+                        Field::Bag(std::move(items))}));
+  }
+  return rows;
+}
+
+/// outer-unnest with id -> filter -> outer-select -> extend -> add-index.
+std::vector<RowTransform> BatchChain(const Schema& in) {
+  Schema unnested = runtime::UnnestedSchema(in, 2, "uid").ValueOrDie();
+  std::vector<RowTransform> chain;
+  chain.push_back(RowTransform::OuterUnnest("unnest", unnested, 2,
+                                            /*with_id=*/true));
+  chain.push_back(RowTransform::Filter(
+      "select", unnested, [](const PartitionBlock& b, size_t i) {
+        return b.col(1).ints()[i] % 7 != 3;
+      }));
+  using namespace nrc::dsl;
+  // Member j of row k has x = k + j: the first member of each bag fails.
+  auto pred = exec::CompilePredicate(Gt(V("x"), V("k")), unnested).ValueOrDie();
+  std::vector<bool> keep(unnested.size(), false);
+  keep[0] = keep[1] = true;  // uid, k
+  chain.push_back(
+      RowTransform::OuterSelect("outer_select", unnested, pred, keep));
+  Schema extended = unnested;
+  extended.Append({"kx", nrc::Type::Int()});
+  std::vector<RowTransform::OutCol> cols;
+  for (size_t c = 0; c < unnested.size(); ++c) {
+    cols.push_back({static_cast<int>(c), nullptr});
+  }
+  cols.push_back(
+      {-1, exec::CompileScalar(Add(Mul(V("k"), I(10)), V("x")), unnested)
+               .ValueOrDie()});
+  chain.push_back(RowTransform::Project("extend", extended, std::move(cols)));
+  Schema indexed = extended;
+  indexed.Append({"id", nrc::Type::Int()});
+  chain.push_back(RowTransform::AddIndex("add_index", indexed));
+  return chain;
+}
+
+struct ChainRun {
+  Dataset src;
+  /// Fused: the chain's output alone. Unfused: every transform's output.
+  std::vector<Dataset> outs;
+  JobStats stats;
+};
+
+ChainRun RunBatchChain(bool fused, int threads, double fault_rate) {
+  runtime::ClusterConfig c = Config(threads);
+  c.num_partitions = kBatchPartitions;
+  c.faults.fault_rate = fault_rate;
+  runtime::Cluster cluster(c);
+  ChainRun r;
+  r.src = runtime::Source(&cluster, BatchSourceSchema(), BatchSourceRows(),
+                          "nested")
+              .ValueOrDie();
+  const std::vector<RowTransform> chain = BatchChain(r.src.schema);
+  if (fused) {
+    r.outs.push_back(runtime::RunStagePipeline(&cluster, r.src, chain,
+                                               runtime::Partitioning::None(),
+                                               "fused")
+                         .ValueOrDie());
+  } else {
+    for (const RowTransform& t : chain) {
+      const Dataset& in = r.outs.empty() ? r.src : r.outs.back();
+      r.outs.push_back(runtime::RunStagePipeline(
+                           &cluster, in, {t}, runtime::Partitioning::None(),
+                           t.op)
+                           .ValueOrDie());
+    }
+  }
+  r.stats = cluster.stats();
+  return r;
+}
+
+// A fused chain runs each partition in batches of kChainBatchRows input
+// rows. Its rows, ids and per-transform counts must equal those of the same
+// transforms run one stage each, and the ids must number every row of a
+// partition once, across all of its batches.
+TEST(FusionTest, ChainAcrossBatchesMatchesUnfused) {
+  const ChainRun fused = RunBatchChain(true, 1, 0.0);
+  const ChainRun unfused = RunBatchChain(false, 1, 0.0);
+  ASSERT_EQ(unfused.outs.size(), 5u);
+  ExpectSameRows(fused.outs.back(), unfused.outs.back());
+
+  const StageStats& stage = fused.stats.stages().back();
+  ASSERT_EQ(stage.fused_transforms.size(), 5u);
+  uint64_t intermediate = 0;
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(stage.fused_transforms[i].rows_out, unfused.outs[i].NumRows())
+        << stage.fused_transforms[i].op;
+    if (i + 1 < 5) intermediate += unfused.outs[i].DeepSizeBytes();
+  }
+  EXPECT_EQ(stage.intermediate_bytes_avoided, intermediate);
+
+  // Counted from the generator, not the runner: outer-unnest emits one row
+  // per bag member and one per empty bag, for every input row.
+  uint64_t unnested = 0;
+  for (size_t i = 0; i < kBatchPartitions * kBatchRowsPerPartition; ++i) {
+    unnested += std::max<size_t>(1, i % 4);
+  }
+  EXPECT_EQ(stage.fused_transforms[0].rows_out, unnested);
+
+  for (size_t p = 0; p < kBatchPartitions; ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    const int64_t base = static_cast<int64_t>(p) << 40;
+    // Outer-unnest numbers each input row once: ids base .. base + n - 1.
+    const size_t n = fused.src.PartitionRowCount(p);
+    ASSERT_EQ(n, kBatchRowsPerPartition);
+    std::set<int64_t> uids;
+    const PartitionBlock& u = unfused.outs[0].parts[p];
+    for (size_t i = 0; i < u.NumRows(); ++i) uids.insert(u.col(0).ints()[i]);
+    ASSERT_EQ(uids.size(), n);
+    EXPECT_EQ(*uids.begin(), base);
+    EXPECT_EQ(*uids.rbegin(), base + static_cast<int64_t>(n) - 1);
+    // Add-index numbers each of its input rows once, in order.
+    const PartitionBlock& out = fused.outs.back().parts[p];
+    const size_t id_col = out.NumCols() - 1;
+    for (size_t i = 0; i < out.NumRows(); ++i) {
+      ASSERT_EQ(out.col(id_col).ints()[i], base + static_cast<int64_t>(i))
+          << "row " << i;
+    }
+  }
+
+  // The same at 4 threads, and with faults injected and recovered.
+  for (bool f : {true, false}) {
+    SCOPED_TRACE(f ? "fused" : "unfused");
+    const ChainRun& base = f ? fused : unfused;
+    const ChainRun threaded = RunBatchChain(f, 4, 0.0);
+    ExpectSameRows(base.outs.back(), threaded.outs.back());
+    ExpectSameStats(base.stats, threaded.stats);
+    const ChainRun faulted = RunBatchChain(f, 4, 1.0);
+    uint64_t crashes = 0;
+    for (const StageStats& s : faulted.stats.stages()) {
+      for (const auto& e : s.fault_events) {
+        if (e.kind == runtime::FaultKind::kWorkerCrash) ++crashes;
+      }
+    }
+    EXPECT_GT(crashes, 0u);
+    ExpectSameRows(base.outs.back(), faulted.outs.back());
+    ExpectSameStats(base.stats, faulted.stats, runtime::StatGroup::kFaults);
+  }
+}
 
 }  // namespace
 }  // namespace trance

@@ -369,9 +369,9 @@ TEST(BagKeyTest, DistinctKeepsOneRowPerMultiset) {
       RunOnBagKeys([](runtime::Cluster* c, const Dataset& r, const Dataset&) {
         // Dedup R's key column alone: K1/K1p and K6/K6p are one key each.
         runtime::Schema keys({r.schema.col(0)});
-        StatusOr<Dataset> k = runtime::MapRows(
-            c, r, keys, [](const Row& row) { return Row({row.fields[0]}); },
-            "keys");
+        StatusOr<Dataset> k = runtime::RunStagePipeline(
+            c, r, {runtime::RowTransform::Project("keys", keys, {{0, nullptr}})},
+            runtime::Partitioning::None(), "keys");
         if (!k.ok()) return k;
         return runtime::Distinct(c, *k, "dedup");
       });

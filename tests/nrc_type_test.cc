@@ -266,7 +266,8 @@ TEST(TypecheckTest, ArithmeticFollowsTheSharedRule) {
         runtime::Row row(
             {a_real ? runtime::Field::Real(6) : runtime::Field::Int(6),
              b_real ? runtime::Field::Real(4) : runtime::Field::Int(4)});
-        const runtime::Field f = (*fn)(row);
+        const runtime::Field f =
+            (*fn)(runtime::column::PartitionBlock::FromRows(schema, {row}), 0);
         EXPECT_EQ(f.is_real(), real);
         EXPECT_EQ(f.is_int(), !real);
       }

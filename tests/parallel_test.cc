@@ -23,6 +23,7 @@ namespace trance {
 namespace runtime {
 namespace {
 
+using fig7_suite::ExpectSameRows;
 using stats_testing::ExpectSameStats;
 using stats_testing::IsHeavyStage;
 
@@ -30,24 +31,6 @@ using stats_testing::IsHeavyStage;
 // exercise the pool (oversubscribed on small machines, which is fine — the
 // contract is independence from the thread count, not from the core count).
 const int kThreadCounts[] = {1, 4, 8};
-
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
-    }
-  }
-}
 
 ClusterConfig Config(int num_threads, double fault_rate = 0.0) {
   ClusterConfig c;
@@ -83,11 +66,11 @@ struct OpsRun {
 };
 
 /// One narrow transform run as its own stage (the unfused operator form).
-StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in, Schema out,
+StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in,
                             RowTransform t) {
   const std::string name = t.op;
-  return RunStagePipeline(cluster, in, std::move(out), {std::move(t)},
-                          Partitioning::None(), name);
+  return RunStagePipeline(cluster, in, {std::move(t)}, Partitioning::None(),
+                          name);
 }
 
 OpsRun RunAllOps(int num_threads, double fault_rate = 0.0) {
@@ -106,31 +89,42 @@ OpsRun RunAllOps(int num_threads, double fault_rate = 0.0) {
 
   Schema mapped_schema(
       {{"k", nrc::Type::Int()}, {"v2", nrc::Type::Int()}});
-  const Dataset& mapped = keep(MapRows(
-      &cluster, src, mapped_schema,
-      [](const Row& r) {
-        return Row({r.fields[0], Field::Int(r.fields[1].AsInt() * 3)});
-      },
-      "map"));
+  const Dataset& mapped = keep(RunNarrow(
+      &cluster, src,
+      RowTransform::Project(
+          "map", mapped_schema,
+          {{0, nullptr},
+           {-1, [](const column::PartitionBlock& b, size_t i) {
+              return Field::Int(b.col(1).ints()[i] * 3);
+            }}})));
   const Dataset& filtered = keep(RunNarrow(
-      &cluster, mapped, mapped_schema,
-      RowTransform::Filter("filter", [](const Row& r) {
-        return r.fields[1].AsInt() % 2 == 0;
-      })));
-  // A fused map + unnest chain fans each row out into its value and, for
-  // keys divisible by 3, a second row (k, -1): duplicate keys for the
+      &cluster, mapped,
+      RowTransform::Filter("filter", mapped_schema,
+                           [](const column::PartitionBlock& b, size_t i) {
+                             return b.col(1).ints()[i] % 2 == 0;
+                           })));
+  // A fused project + unnest chain fans each row out into its value and,
+  // for keys divisible by 3, a second row (k, -1): duplicate keys for the
   // repartition and dedup below.
+  Schema fan_schema(
+      {{"k", nrc::Type::Int()},
+       {"vs", nrc::Type::Bag(nrc::Type::Tuple({{"v", nrc::Type::Int()}}))}});
   const Dataset& flat = keep(RunStagePipeline(
-      &cluster, filtered, KvSchema(),
-      {RowTransform::Map("fan_out",
-                         [](const Row& r) {
-                           std::vector<Row> vs{Row({r.fields[1]})};
-                           if (r.fields[0].AsInt() % 3 == 0) {
-                             vs.push_back(Row({Field::Int(-1)}));
-                           }
-                           return Row({r.fields[0], Field::Bag(std::move(vs))});
-                         }),
-       RowTransform::Unnest("unnest_fan_out", 1)},
+      &cluster, filtered,
+      {RowTransform::Project(
+           "fan_out", fan_schema,
+           {{0, nullptr},
+            {-1,
+             [](const column::PartitionBlock& b, size_t i) {
+               std::vector<Row> vs{Row({Field::Int(b.col(1).ints()[i])})};
+               if (b.col(0).ints()[i] % 3 == 0) {
+                 vs.push_back(Row({Field::Int(-1)}));
+               }
+               return Field::Bag(std::move(vs));
+             }}}),
+       RowTransform::Unnest("unnest_fan_out",
+                            UnnestedSchema(fan_schema, 1, "").ValueOrDie(),
+                            1)},
       Partitioning::None(), "fan_out"));
   const Dataset& parted = keep(Repartition(&cluster, flat, {0}, "repart"));
   keep(Repartition(&cluster, parted, {0}, "repart_noop"));
@@ -151,14 +145,17 @@ OpsRun RunAllOps(int num_threads, double fault_rate = 0.0) {
 
   int bag_col = nested.schema.IndexOf("vs");
   EXPECT_GE(bag_col, 0);
-  keep(RunNarrow(&cluster, nested,
-                 UnnestedSchema(nested.schema, bag_col, "").ValueOrDie(),
-                 RowTransform::Unnest("unnest", bag_col)));
-  keep(RunNarrow(&cluster, nested,
-                 UnnestedSchema(nested.schema, bag_col, "uid").ValueOrDie(),
-                 RowTransform::OuterUnnest("outer_unnest", bag_col,
-                                           /*with_id=*/true,
-                                           /*inner_width=*/1)));
+  keep(RunNarrow(
+      &cluster, nested,
+      RowTransform::Unnest(
+          "unnest", UnnestedSchema(nested.schema, bag_col, "").ValueOrDie(),
+          bag_col)));
+  keep(RunNarrow(
+      &cluster, nested,
+      RowTransform::OuterUnnest(
+          "outer_unnest",
+          UnnestedSchema(nested.schema, bag_col, "uid").ValueOrDie(), bag_col,
+          /*with_id=*/true)));
 
   keep(UnionAll(&cluster, src, src2, "union"));
   keep(Distinct(&cluster, flat, "distinct"));

@@ -23,11 +23,11 @@ std::vector<Row> KvRows(std::vector<std::pair<int64_t, int64_t>> kv) {
 }
 
 /// One narrow transform run as its own stage (the unfused operator form).
-StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in, Schema out,
+StatusOr<Dataset> RunNarrow(Cluster* cluster, const Dataset& in,
                             RowTransform t) {
   const std::string name = t.op;
-  return RunStagePipeline(cluster, in, std::move(out), {std::move(t)},
-                          Partitioning::None(), name);
+  return RunStagePipeline(cluster, in, {std::move(t)}, Partitioning::None(),
+                          name);
 }
 
 TEST(FieldTest, EqualityAndHash) {
@@ -380,10 +380,10 @@ TEST(OpsTest, UnnestFlattens) {
   rows.push_back(Row({Field::Int(2), Field::Bag(std::vector<Row>{})}));
   auto ds =
       Source(&cluster, nested_schema, std::move(rows), "in").ValueOrDie();
-  auto flat = RunNarrow(&cluster, ds,
-                        UnnestedSchema(ds.schema, 1, "").ValueOrDie(),
-                        RowTransform::Unnest("unnest", 1))
-                  .ValueOrDie();
+  Schema out = UnnestedSchema(ds.schema, 1, "").ValueOrDie();
+  auto flat =
+      RunNarrow(&cluster, ds, RowTransform::Unnest("unnest", std::move(out), 1))
+          .ValueOrDie();
   EXPECT_EQ(flat.NumRows(), 2u);  // empty bag disappears
   EXPECT_EQ(flat.schema.size(), 2u);
   EXPECT_EQ(flat.schema.col(1).name, "x");
@@ -401,10 +401,10 @@ TEST(OpsTest, OuterUnnestKeepsEmptyAndAddsIds) {
   rows.push_back(Row({Field::Int(2), Field::Bag(std::vector<Row>{})}));
   auto ds =
       Source(&cluster, nested_schema, std::move(rows), "in").ValueOrDie();
+  Schema out = UnnestedSchema(ds.schema, 1, "uid").ValueOrDie();
   auto flat = RunNarrow(&cluster, ds,
-                        UnnestedSchema(ds.schema, 1, "uid").ValueOrDie(),
-                        RowTransform::OuterUnnest("ou", 1, /*with_id=*/true,
-                                                  /*inner_width=*/1))
+                        RowTransform::OuterUnnest("ou", std::move(out), 1,
+                                                  /*with_id=*/true))
                   .ValueOrDie();
   EXPECT_EQ(flat.NumRows(), 3u);
   EXPECT_EQ(flat.schema.col(0).name, "uid");
@@ -583,10 +583,10 @@ TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   Schema s({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
   auto ds = Source(&cluster, s, std::move(rows), "in");
   ASSERT_TRUE(ds.ok()) << "inputs are exempt from the cap";
-  auto filtered = RunNarrow(&cluster, *ds, s,
-                            RowTransform::Filter("copy", [](const Row&) {
-                              return true;
-                            }));
+  auto filtered = RunNarrow(
+      &cluster, *ds,
+      RowTransform::Filter("copy", s, [](const column::PartitionBlock&,
+                                         size_t) { return true; }));
   ASSERT_FALSE(filtered.ok());
   EXPECT_TRUE(filtered.status().IsResourceExhausted());
 }

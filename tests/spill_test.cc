@@ -22,18 +22,26 @@
 
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
-#include "nrc/interp.h"
+#include "fig7_suite.h"
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
-#include "tpch/generator.h"
-#include "tpch/queries.h"
 
 namespace trance {
 namespace {
 
+using fig7_suite::ExpectSameRows;
+using fig7_suite::ExpectSameShreddedRows;
+using fig7_suite::FlatInputs;
+using fig7_suite::Inputs;
+using fig7_suite::Kind;
+using fig7_suite::KindName;
+using fig7_suite::kFlatToNested;
+using fig7_suite::kNestedToFlat;
+using fig7_suite::kNestedToNested;
+using fig7_suite::Query;
 using nrc::Value;
 using runtime::Dataset;
 using runtime::JobStats;
@@ -53,36 +61,6 @@ runtime::ClusterConfig Config(int num_threads, uint64_t cap) {
   c.num_threads = num_threads;
   if (cap > 0) c.partition_memory_cap = cap;
   return c;
-}
-
-void ExpectSameRows(const Dataset& a, const Dataset& b) {
-  ASSERT_EQ(a.NumPartitions(), b.NumPartitions());
-  for (size_t p = 0; p < a.NumPartitions(); ++p) {
-    ASSERT_EQ(a.PartitionRowCount(p), b.PartitionRowCount(p))
-        << "partition " << p;
-    for (size_t i = 0; i < a.PartitionRowCount(p); ++i) {
-      const Row ra = a.RowAt(p, i);
-      const Row rb = b.RowAt(p, i);
-      ASSERT_EQ(ra.fields.size(), rb.fields.size())
-          << "partition " << p << " row " << i;
-      for (size_t f = 0; f < ra.fields.size(); ++f) {
-        EXPECT_EQ(ra.fields[f], rb.fields[f])
-            << "partition " << p << " row " << i << " field " << f;
-      }
-    }
-  }
-}
-
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
 }
 
 struct ModeRun {
@@ -168,17 +146,6 @@ ShreddedModeRun RunShreddedMode(const nrc::Program& q,
   return r;
 }
 
-void ExpectSameShreddedRows(const exec::ShreddedRun& a,
-                            const exec::ShreddedRun& b) {
-  ExpectSameRows(a.top, b.top);
-  ASSERT_EQ(a.dicts.size(), b.dicts.size());
-  for (size_t i = 0; i < a.dicts.size(); ++i) {
-    SCOPED_TRACE("dict " + a.dicts[i].first);
-    EXPECT_EQ(a.dicts[i].first, b.dicts[i].first);
-    ExpectSameRows(a.dicts[i].second, b.dicts[i].second);
-  }
-}
-
 size_t RegularFilesUnder(const std::string& dir) {
   size_t files = 0;
   std::error_code ec;
@@ -196,55 +163,14 @@ void ExpectZeroSpill(const JobStats& s) {
   EXPECT_EQ(s.totals().spill_merge_passes, 0u);
 }
 
-// The narrow Fig-7 query kinds.
-enum Kind { kFlatToNested = 0, kNestedToNested = 1, kNestedToFlat = 2 };
-
-const char* KindName(Kind kind) {
-  static const char* kKinds[] = {"flat_to_nested", "nested_to_nested",
-                                 "nested_to_flat"};
-  return kKinds[kind];
-}
-
-StatusOr<nrc::Program> Query(Kind kind, int depth) {
-  switch (kind) {
-    case kFlatToNested:
-      return tpch::FlatToNested(depth, tpch::Width::kNarrow);
-    case kNestedToNested:
-      return tpch::NestedToNested(depth, tpch::Width::kNarrow);
-    case kNestedToFlat:
-      return tpch::NestedToFlat(depth, tpch::Width::kNarrow);
-  }
-  return Status::Internal("bad kind");
-}
-
-/// The flat TPC-H tables at scale 0.0005.
-std::map<std::string, Value> FlatInputs() {
-  tpch::TpchConfig cfg;
-  cfg.scale = 0.0005;
-  return TpchValues(tpch::Generate(cfg));
-}
-
-/// The inputs of Query(kind, depth): the flat tables, or for nested input
-/// the flat-to-nested result at that depth (COP) and Part.
-std::map<std::string, Value> Inputs(Kind kind, int depth,
-                                    const std::map<std::string, Value>& flat) {
-  if (kind == kFlatToNested) return flat;
-  auto prep = tpch::FlatToNested(depth, tpch::Width::kNarrow).ValueOrDie();
-  nrc::Interpreter interp;
-  auto nested = interp.EvalProgram(prep, flat);
-  TRANCE_CHECK(nested.ok(), "nested input prep");
-  return {{"COP", nested->at("Q")}, {"Part", flat.at("Part")}};
-}
-
 class SpillSuiteTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
 TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
+  auto [kind, depth] = GetParam();
   auto q = Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth, FlatInputs());
+  auto values = Inputs(kind, depth);
 
   // The paper's FAIL cell: the tiny cap hard-fails without spilling.
   ModeRun fail = RunStandardMode(*q, values, 1, kTinyCap, false);
@@ -295,11 +221,10 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
 }
 
 TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
-  auto [k, depth] = GetParam();
-  Kind kind = static_cast<Kind>(k);
+  auto [kind, depth] = GetParam();
   auto q = Query(kind, depth);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = Inputs(kind, depth, FlatInputs());
+  auto values = Inputs(kind, depth);
 
   ShreddedModeRun uncapped = RunShreddedMode(*q, values, 1, 0, true);
   ASSERT_TRUE(uncapped.ok) << uncapped.status.ToString();
@@ -325,16 +250,10 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
             spill8.stats.totals().spill_bytes_written);
 }
 
-std::string SpillParamName(
-    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-  return std::string(KindName(static_cast<Kind>(std::get<0>(info.param)))) +
-         "_depth" + std::to_string(std::get<1>(info.param));
-}
-
 INSTANTIATE_TEST_SUITE_P(Fig7NarrowSuite, SpillSuiteTest,
                          ::testing::Combine(::testing::Values(0, 1, 2),
                                             ::testing::Values(0, 2)),
-                         SpillParamName);
+                         fig7_suite::ParamName);
 
 // --- observability plumbing ----------------------------------------------
 
