@@ -163,8 +163,6 @@ std::vector<RunResult> RunFig7(const Fig7Config& cfg) {
           } else {
             if (nested.standard.has_value()) {
               executor.Register("COP", *nested.standard);
-              // The Part side also needs its shredded alias for SparkSQL? No:
-              // standard/sparksql read plain names.
             } else {
               setup = Status::ResourceExhausted("input materialization: " +
                                                 nested.standard_fail);

@@ -18,7 +18,9 @@
 # `exec` — compiled scalar closures index a block's columns at a row) and
 # the determinism suite (label `parallel` — every bulk operator at several
 # thread counts and under injected faults, whose recovery discards and
-# rebuilds blocks) under the sanitizers.
+# rebuilds blocks) and the compiler suites (label `compile` — NRC typing,
+# unnesting, plan optimization and shredding, whose passes rebuild shared
+# expression and plan nodes) under the sanitizers.
 # TRANCE_WERROR keeps the build warning-clean. A listed label that matches
 # no test fails the script, so the sanitized set cannot shrink silently.
 #
@@ -31,7 +33,7 @@ BUILD_DIR="${1:-build-sanitize}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
-LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec)
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec compile)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
 cmake --build "$BUILD_DIR" --target trance_tests -j"$(nproc)"

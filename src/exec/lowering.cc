@@ -107,10 +107,6 @@ StatusOr<Dataset> Executor::GetDataset(const std::string& name) {
   return skew::MergeTriple(cluster_, t, name);
 }
 
-StatusOr<SkewTriple> Executor::Execute(const plan::PlanPtr& p) {
-  return Exec(p);
-}
-
 StatusOr<Dataset> Executor::ExecuteToDataset(const plan::PlanPtr& p) {
   TRANCE_ASSIGN_OR_RETURN(SkewTriple t, Exec(p));
   return skew::MergeTriple(cluster_, t, "result");

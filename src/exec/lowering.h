@@ -62,16 +62,12 @@ class Executor {
   void Register(const std::string& name, runtime::Dataset ds) {
     registry_[name] = skew::SkewTriple::AllLight(std::move(ds));
   }
-  void RegisterTriple(const std::string& name, skew::SkewTriple t) {
-    registry_[name] = std::move(t);
-  }
   bool Has(const std::string& name) const { return registry_.count(name) > 0; }
   StatusOr<skew::SkewTriple> Get(const std::string& name) const;
   /// Fetches a registered dataset, merging its components.
   StatusOr<runtime::Dataset> GetDataset(const std::string& name);
 
   /// Executes one plan.
-  StatusOr<skew::SkewTriple> Execute(const plan::PlanPtr& p);
   StatusOr<runtime::Dataset> ExecuteToDataset(const plan::PlanPtr& p);
 
   /// Executes every assignment, registering each result under its variable;

@@ -287,40 +287,57 @@ const std::vector<std::string>& Expr::values() const {
   return values_;
 }
 
+std::vector<ExprPtr> Expr::SubExprs() const {
+  if (kind_ != Kind::kTupleCtor && kind_ != Kind::kNewLabel) return children_;
+  std::vector<ExprPtr> subs;
+  subs.reserve(fields_.size());
+  for (const auto& f : fields_) subs.push_back(f.expr);
+  return subs;
+}
+
+bool Expr::InBinderScope(size_t i) const {
+  switch (kind_) {
+    case Kind::kForUnion:
+    case Kind::kLet:
+    case Kind::kMatchLabel:
+      return i == 1;
+    case Kind::kLambda:
+      return i == 0;
+    default:
+      return false;
+  }
+}
+
+ExprPtr Expr::WithSubExprs(const ExprPtr& e, std::vector<ExprPtr> subs) {
+  const bool named =
+      e->kind_ == Kind::kTupleCtor || e->kind_ == Kind::kNewLabel;
+  TRANCE_CHECK(
+      subs.size() == (named ? e->fields_.size() : e->children_.size()),
+      "WithSubExprs arity");
+  if (subs.empty()) return e;
+  for (const auto& s : subs) TRANCE_CHECK(s != nullptr, "WithSubExprs(null)");
+  auto n = std::shared_ptr<Expr>(new Expr(*e));
+  if (named) {
+    for (size_t i = 0; i < subs.size(); ++i) {
+      n->fields_[i].expr = std::move(subs[i]);
+    }
+  } else {
+    n->children_ = std::move(subs);
+  }
+  return n;
+}
+
 void Expr::CollectFreeVars(std::set<std::string>* bound,
                            std::set<std::string>* out) const {
-  switch (kind_) {
-    case Kind::kVarRef:
-      if (bound->find(name_) == bound->end()) out->insert(name_);
-      return;
-    case Kind::kForUnion:
-    case Kind::kLet: {
-      children_[0]->CollectFreeVars(bound, out);
-      bool inserted = bound->insert(name_).second;
-      children_[1]->CollectFreeVars(bound, out);
-      if (inserted) bound->erase(name_);
-      return;
-    }
-    case Kind::kLambda: {
-      bool inserted = bound->insert(name_).second;
-      children_[0]->CollectFreeVars(bound, out);
-      if (inserted) bound->erase(name_);
-      return;
-    }
-    case Kind::kMatchLabel: {
-      children_[0]->CollectFreeVars(bound, out);
-      bool inserted = bound->insert(name_).second;
-      children_[1]->CollectFreeVars(bound, out);
-      if (inserted) bound->erase(name_);
-      return;
-    }
-    case Kind::kTupleCtor:
-    case Kind::kNewLabel:
-      for (const auto& f : fields_) f.expr->CollectFreeVars(bound, out);
-      return;
-    default:
-      for (const auto& c : children_) c->CollectFreeVars(bound, out);
-      return;
+  if (kind_ == Kind::kVarRef) {
+    if (bound->find(name_) == bound->end()) out->insert(name_);
+    return;
+  }
+  const std::vector<ExprPtr> subs = SubExprs();
+  for (size_t i = 0; i < subs.size(); ++i) {
+    const bool inserted = InBinderScope(i) && bound->insert(name_).second;
+    subs[i]->CollectFreeVars(bound, out);
+    if (inserted) bound->erase(name_);
   }
 }
 
@@ -333,106 +350,16 @@ std::set<std::string> Expr::FreeVars() const {
 namespace {
 ExprPtr SubstituteImpl(const ExprPtr& e, const std::string& var,
                        const ExprPtr& replacement) {
-  using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kVarRef:
-      return e->var_name() == var ? replacement : e;
-    case K::kConst:
-    case K::kEmptyBag:
-      return e;
-    case K::kForUnion: {
-      ExprPtr domain = SubstituteImpl(e->child(0), var, replacement);
-      ExprPtr body = e->var_name() == var
-                         ? e->child(1)
-                         : SubstituteImpl(e->child(1), var, replacement);
-      return Expr::ForUnion(e->var_name(), domain, body);
-    }
-    case K::kLet: {
-      ExprPtr value = SubstituteImpl(e->child(0), var, replacement);
-      ExprPtr body = e->var_name() == var
-                         ? e->child(1)
-                         : SubstituteImpl(e->child(1), var, replacement);
-      return Expr::Let(e->var_name(), value, body);
-    }
-    case K::kLambda: {
-      if (e->var_name() == var) return e;
-      return Expr::Lambda(e->var_name(),
-                          SubstituteImpl(e->child(0), var, replacement));
-    }
-    case K::kMatchLabel: {
-      ExprPtr label = SubstituteImpl(e->child(0), var, replacement);
-      ExprPtr body = e->var_name() == var
-                         ? e->child(1)
-                         : SubstituteImpl(e->child(1), var, replacement);
-      return Expr::MatchLabel(label, e->var_name(), body,
-                              e->match_param_type());
-    }
-    case K::kTupleCtor:
-    case K::kNewLabel: {
-      std::vector<NamedExpr> fields;
-      fields.reserve(e->fields().size());
-      for (const auto& f : e->fields()) {
-        fields.push_back({f.name, SubstituteImpl(f.expr, var, replacement)});
-      }
-      return e->kind() == K::kTupleCtor ? Expr::Tuple(std::move(fields))
-                                        : Expr::NewLabel(std::move(fields));
-    }
-    case K::kProj:
-      return Expr::Proj(SubstituteImpl(e->child(0), var, replacement),
-                        e->attr());
-    case K::kSingleton:
-      return Expr::Singleton(SubstituteImpl(e->child(0), var, replacement));
-    case K::kGet:
-      return Expr::Get(SubstituteImpl(e->child(0), var, replacement));
-    case K::kUnion:
-      return Expr::Union(SubstituteImpl(e->child(0), var, replacement),
-                         SubstituteImpl(e->child(1), var, replacement));
-    case K::kIfThen: {
-      ExprPtr cond = SubstituteImpl(e->child(0), var, replacement);
-      ExprPtr then_e = SubstituteImpl(e->child(1), var, replacement);
-      ExprPtr else_e = e->num_children() == 3
-                           ? SubstituteImpl(e->child(2), var, replacement)
-                           : nullptr;
-      return Expr::IfThen(cond, then_e, else_e);
-    }
-    case K::kPrimOp:
-      return Expr::PrimOp(e->prim_op(),
-                          SubstituteImpl(e->child(0), var, replacement),
-                          SubstituteImpl(e->child(1), var, replacement));
-    case K::kCmp:
-      return Expr::Cmp(e->cmp_op(),
-                       SubstituteImpl(e->child(0), var, replacement),
-                       SubstituteImpl(e->child(1), var, replacement));
-    case K::kBoolOp:
-      return Expr::BoolOp(e->bool_op(),
-                          SubstituteImpl(e->child(0), var, replacement),
-                          SubstituteImpl(e->child(1), var, replacement));
-    case K::kNot:
-      return Expr::Not(SubstituteImpl(e->child(0), var, replacement));
-    case K::kDedup:
-      return Expr::Dedup(SubstituteImpl(e->child(0), var, replacement));
-    case K::kGroupBy:
-      return Expr::GroupBy(e->keys(),
-                           SubstituteImpl(e->child(0), var, replacement),
-                           e->attr());
-    case K::kSumBy:
-      return Expr::SumBy(e->keys(), e->values(),
-                         SubstituteImpl(e->child(0), var, replacement));
-    case K::kLookup:
-      return Expr::Lookup(SubstituteImpl(e->child(0), var, replacement),
-                          SubstituteImpl(e->child(1), var, replacement));
-    case K::kMatLookup:
-      return Expr::MatLookup(SubstituteImpl(e->child(0), var, replacement),
-                             SubstituteImpl(e->child(1), var, replacement));
-    case K::kDictTreeUnion:
-      return Expr::DictTreeUnion(
-          SubstituteImpl(e->child(0), var, replacement),
-          SubstituteImpl(e->child(1), var, replacement));
-    case K::kBagToDict:
-      return Expr::BagToDict(SubstituteImpl(e->child(0), var, replacement));
+  if (e->kind() == Expr::Kind::kVarRef) {
+    return e->var_name() == var ? replacement : e;
   }
-  TRANCE_CHECK(false, "unreachable in Substitute");
-  return e;
+  std::vector<ExprPtr> subs = e->SubExprs();
+  for (size_t i = 0; i < subs.size(); ++i) {
+    // A binder that rebinds `var` shadows it in its scope.
+    if (e->InBinderScope(i) && e->var_name() == var) continue;
+    subs[i] = SubstituteImpl(subs[i], var, replacement);
+  }
+  return Expr::WithSubExprs(e, std::move(subs));
 }
 }  // namespace
 

@@ -145,6 +145,22 @@ class Expr {
   /// Free variables of this expression.
   std::set<std::string> FreeVars() const;
 
+  // --- Shape: the one place a node's sub-expressions and binder are known.
+  // A pass handles the kinds it rewrites and sends every other node through
+  // SubExprs / InBinderScope / WithSubExprs instead of listing factories.
+
+  /// The sub-expressions in order: the field expressions of a tuple
+  /// constructor or NewLabel, otherwise the children.
+  std::vector<ExprPtr> SubExprs() const;
+  /// True if sub-expression `i` is in the scope of the variable this node
+  /// binds (`var_name()`): child 1 of for, let and match, child 0 of a
+  /// lambda.
+  bool InBinderScope(size_t i) const;
+  /// A fresh copy of `e` over `subs` (one per `e->SubExprs()`, same order)
+  /// with every other attribute kept. A node without sub-expressions has
+  /// nothing to rebuild and is returned as is.
+  static ExprPtr WithSubExprs(const ExprPtr& e, std::vector<ExprPtr> subs);
+
   /// Structural helpers used across compilation stages.
   bool IsComprehension() const {
     return kind_ == Kind::kForUnion || kind_ == Kind::kIfThen ||

@@ -17,14 +17,7 @@ void ExprColumnRefs(const ExprPtr& e, std::set<std::string>* out) {
     out->insert(e->var_name());
     return;
   }
-  if (e->kind() == Expr::Kind::kNewLabel ||
-      e->kind() == Expr::Kind::kTupleCtor) {
-    for (const auto& f : e->fields()) ExprColumnRefs(f.expr, out);
-    return;
-  }
-  for (size_t i = 0; i < e->num_children(); ++i) {
-    ExprColumnRefs(e->child(i), out);
-  }
+  for (const auto& sub : e->SubExprs()) ExprColumnRefs(sub, out);
 }
 
 }  // namespace
@@ -136,9 +129,11 @@ bool IsNeeded(const Needed& needed, const std::string& col) {
 StatusOr<PlanPtr> Prune(const PlanPtr& plan, const Needed& needed,
                         const nrc::TypeEnv& env) {
   using K = PlanNode::Kind;
+  // Project and Extend drop the columns no ancestor reads. Every other node
+  // keeps its attributes: work out the columns each child must still
+  // produce, prune the children and rebuild over them.
+  std::vector<Needed> below(plan->num_children());
   switch (plan->kind()) {
-    case K::kScan:
-      return plan;
     case K::kProject: {
       std::vector<NamedColumnExpr> cols;
       std::set<std::string> child_needed;
@@ -168,124 +163,93 @@ StatusOr<PlanPtr> Prune(const PlanPtr& plan, const Needed& needed,
       return PlanNode::Extend(child, std::move(cols));
     }
     case K::kSelect:
-    case K::kOuterSelect: {
-      Needed child_needed = needed;
-      if (child_needed.has_value()) {
-        ExprColumnRefs(plan->cond(), &*child_needed);
-        if (plan->kind() == K::kOuterSelect) {
-          for (const auto& c : plan->keep_cols()) child_needed->insert(c);
-        }
-      }
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child,
-                              Prune(plan->child(0), child_needed, env));
-      if (plan->kind() == K::kOuterSelect) {
-        return PlanNode::OuterSelect(child, plan->cond(), plan->keep_cols());
-      }
-      return PlanNode::Select(child, plan->cond());
-    }
-    case K::kJoin: {
-      Needed child_needed = needed;
-      if (child_needed.has_value()) {
-        for (const auto& k : plan->left_keys()) child_needed->insert(k);
-        for (const auto& k : plan->right_keys()) child_needed->insert(k);
-      }
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr l, Prune(plan->child(0), child_needed, env));
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr r, Prune(plan->child(1), child_needed, env));
-      PlanPtr join = PlanNode::Join(l, r, plan->left_keys(),
-                                    plan->right_keys(), plan->outer());
-      // Narrow the join output so dead columns do not ride through later
-      // shuffles (labels and carried attributes of finished levels).
+    case K::kOuterSelect:
+      below[0] = needed;
       if (needed.has_value()) {
-        auto names_or = OutputNames(join, env);
-        if (names_or.ok()) {
-          std::vector<NamedColumnExpr> cols;
-          bool narrowed = false;
-          for (const auto& n : *names_or) {
-            if (needed->count(n)) {
-              cols.push_back({n, Expr::Var(n)});
-            } else if (n.size() > 2 && n.substr(n.size() - 2) == ".*") {
-              return join;  // opaque unnest outputs: skip narrowing
-            } else {
-              narrowed = true;
-            }
-          }
-          if (narrowed && !cols.empty()) {
-            return PlanNode::Project(join, std::move(cols));
-          }
+        ExprColumnRefs(plan->cond(), &*below[0]);
+        if (plan->kind() == K::kOuterSelect) {
+          for (const auto& c : plan->keep_cols()) below[0]->insert(c);
         }
       }
-      return join;
-    }
-    case K::kUnnest: {
-      Needed child_needed = needed;
-      if (child_needed.has_value()) {
+      break;
+    case K::kJoin:
+      below[0] = needed;
+      if (needed.has_value()) {
+        for (const auto& k : plan->left_keys()) below[0]->insert(k);
+        for (const auto& k : plan->right_keys()) below[0]->insert(k);
+      }
+      below[1] = below[0];
+      break;
+    case K::kUnnest:
+      if (needed.has_value()) {
         // Inner columns "<alias>.<attr>" come from the bag; strip them and
         // require the bag column itself.
         std::set<std::string> filtered;
-        for (const auto& c : *child_needed) {
+        for (const auto& c : *needed) {
           if (c.rfind(plan->alias() + ".", 0) != 0 && c != plan->alias()) {
             filtered.insert(c);
           }
         }
         filtered.insert(plan->bag_col());
-        child_needed = std::move(filtered);
+        below[0] = std::move(filtered);
       }
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child,
-                              Prune(plan->child(0), child_needed, env));
-      return PlanNode::Unnest(child, plan->bag_col(), plan->alias(),
-                              plan->outer(), plan->unnest_id_attr());
-    }
-    case K::kAddIndex: {
-      Needed child_needed = needed;
-      if (child_needed.has_value()) child_needed->erase(plan->id_attr());
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child,
-                              Prune(plan->child(0), child_needed, env));
-      return PlanNode::AddIndex(child, plan->id_attr());
-    }
+      break;
+    case K::kAddIndex:
+      below[0] = needed;
+      if (needed.has_value()) below[0]->erase(plan->id_attr());
+      break;
     case K::kNest: {
-      std::set<std::string> child_needed;
-      for (const auto& k : plan->keys()) child_needed.insert(k);
-      for (const auto& v : plan->values()) child_needed.insert(v);
+      std::set<std::string> cols(plan->keys().begin(), plan->keys().end());
+      cols.insert(plan->values().begin(), plan->values().end());
       if (!plan->nest_indicator().empty()) {
-        child_needed.insert(plan->nest_indicator());
+        cols.insert(plan->nest_indicator());
       }
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child,
-                              Prune(plan->child(0), Needed(child_needed), env));
-      return PlanNode::Nest(child, plan->agg(), plan->keys(), plan->values(),
-                            plan->value_names(), plan->out_attr(),
-                            plan->nest_indicator());
-    }
-    case K::kDedup: {
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child, Prune(plan->child(0), needed, env));
-      return PlanNode::Dedup(child);
-    }
-    case K::kUnionAll: {
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr a, Prune(plan->child(0), needed, env));
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr b, Prune(plan->child(1), needed, env));
-      return PlanNode::UnionAll(a, b);
+      below[0] = std::move(cols);
+      break;
     }
     case K::kCoGroup: {
-      Needed child_needed = needed;
-      if (child_needed.has_value()) {
-        child_needed->erase(plan->out_attr());
-        for (const auto& k : plan->left_keys()) child_needed->insert(k);
+      below[0] = needed;
+      if (needed.has_value()) {
+        below[0]->erase(plan->out_attr());
+        for (const auto& k : plan->left_keys()) below[0]->insert(k);
       }
-      std::set<std::string> right_needed;
-      for (const auto& k : plan->right_keys()) right_needed.insert(k);
-      for (const auto& v : plan->values()) right_needed.insert(v);
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr l, Prune(plan->child(0), child_needed, env));
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr r,
-                              Prune(plan->child(1), Needed(right_needed), env));
-      return PlanNode::CoGroup(l, r, plan->left_keys(), plan->right_keys(),
-                               plan->values(), plan->value_names(),
-                               plan->out_attr());
+      std::set<std::string> right(plan->right_keys().begin(),
+                                  plan->right_keys().end());
+      right.insert(plan->values().begin(), plan->values().end());
+      below[1] = std::move(right);
+      break;
     }
-    case K::kBagToDict: {
-      TRANCE_ASSIGN_OR_RETURN(PlanPtr child, Prune(plan->child(0), needed, env));
-      return PlanNode::BagToDict(child, plan->label_col());
+    default:  // scan, dedup, union and bag-to-dict pass `needed` through
+      below.assign(plan->num_children(), needed);
+      break;
+  }
+  std::vector<PlanPtr> kids;
+  for (size_t i = 0; i < plan->num_children(); ++i) {
+    TRANCE_ASSIGN_OR_RETURN(PlanPtr k, Prune(plan->child(i), below[i], env));
+    kids.push_back(std::move(k));
+  }
+  PlanPtr node = PlanNode::WithChildren(plan, std::move(kids));
+  if (plan->kind() != K::kJoin || !needed.has_value()) return node;
+
+  // Narrow the join output so dead columns do not ride through later
+  // shuffles (labels and carried attributes of finished levels).
+  auto names_or = OutputNames(node, env);
+  if (!names_or.ok()) return node;
+  std::vector<NamedColumnExpr> cols;
+  bool narrowed = false;
+  for (const auto& n : *names_or) {
+    if (needed->count(n)) {
+      cols.push_back({n, Expr::Var(n)});
+    } else if (n.size() > 2 && n.substr(n.size() - 2) == ".*") {
+      return node;  // opaque unnest outputs: skip narrowing
+    } else {
+      narrowed = true;
     }
   }
-  return Status::Internal("unhandled plan kind in Prune");
+  if (narrowed && !cols.empty()) {
+    return PlanNode::Project(node, std::move(cols));
+  }
+  return node;
 }
 
 /// Join+nest -> cogroup fusion: Gamma-union directly over a left outer join
@@ -300,81 +264,44 @@ StatusOr<PlanPtr> FuseCoGroups(const PlanPtr& plan, const nrc::TypeEnv& env) {
     TRANCE_ASSIGN_OR_RETURN(PlanPtr k, FuseCoGroups(plan->child(i), env));
     kids.push_back(k);
   }
-  auto rebuild = [&]() -> PlanPtr {
-    switch (plan->kind()) {
-      case K::kSelect:
-        return PlanNode::Select(kids[0], plan->cond());
-      case K::kOuterSelect:
-        return PlanNode::OuterSelect(kids[0], plan->cond(),
-                                     plan->keep_cols());
-      case K::kProject:
-        return PlanNode::Project(kids[0], plan->columns());
-      case K::kExtend:
-        return PlanNode::Extend(kids[0], plan->columns());
-      case K::kJoin:
-        return PlanNode::Join(kids[0], kids[1], plan->left_keys(),
-                              plan->right_keys(), plan->outer());
-      case K::kUnnest:
-        return PlanNode::Unnest(kids[0], plan->bag_col(), plan->alias(),
-                                plan->outer(), plan->unnest_id_attr());
-      case K::kAddIndex:
-        return PlanNode::AddIndex(kids[0], plan->id_attr());
-      case K::kNest:
-        return PlanNode::Nest(kids[0], plan->agg(), plan->keys(),
-                              plan->values(), plan->value_names(),
-                              plan->out_attr(), plan->nest_indicator());
-      case K::kDedup:
-        return PlanNode::Dedup(kids[0]);
-      case K::kUnionAll:
-        return PlanNode::UnionAll(kids[0], kids[1]);
-      case K::kCoGroup:
-        return PlanNode::CoGroup(kids[0], kids[1], plan->left_keys(),
-                                 plan->right_keys(), plan->values(),
-                                 plan->value_names(), plan->out_attr());
-      case K::kBagToDict:
-        return PlanNode::BagToDict(kids[0], plan->label_col());
-      case K::kScan:
-        return plan;
-    }
-    return plan;
-  };
+  PlanPtr node = PlanNode::WithChildren(plan, std::move(kids));
 
-  if (plan->kind() != K::kNest || plan->agg() != NestAgg::kBagUnion ||
-      kids[0]->kind() != K::kJoin || !kids[0]->outer()) {
-    return rebuild();
+  if (node->kind() != K::kNest || node->agg() != NestAgg::kBagUnion ||
+      node->child(0)->kind() != K::kJoin || !node->child(0)->outer()) {
+    return node;
   }
-  const PlanPtr& join = kids[0];
+  const PlanPtr& join = node->child(0);
   // Soundness: a cogroup emits one row per *left row*, a Gamma one row per
   // *key group*. They only coincide when the join's left rows are unique on
   // the grouping keys — guaranteed when the left side just attached a unique
   // id that is part of the keys.
   if (join->child(0)->kind() != K::kAddIndex ||
-      std::find(plan->keys().begin(), plan->keys().end(),
-                join->child(0)->id_attr()) == plan->keys().end()) {
-    return rebuild();
+      std::find(node->keys().begin(), node->keys().end(),
+                join->child(0)->id_attr()) == node->keys().end()) {
+    return node;
   }
   auto left_names_or = OutputNames(join->child(0), env);
   auto right_names_or = OutputNames(join->child(1), env);
-  if (!left_names_or.ok() || !right_names_or.ok()) return rebuild();
+  if (!left_names_or.ok() || !right_names_or.ok()) return node;
   std::set<std::string> left_names(left_names_or->begin(),
                                    left_names_or->end());
   std::set<std::string> right_names(right_names_or->begin(),
                                     right_names_or->end());
-  for (const auto& v : plan->values()) {
-    if (right_names.count(v) == 0) return rebuild();
+  for (const auto& v : node->values()) {
+    if (right_names.count(v) == 0) return node;
   }
-  for (const auto& k : plan->keys()) {
-    if (left_names.count(k) == 0) return rebuild();
+  for (const auto& k : node->keys()) {
+    if (left_names.count(k) == 0) return node;
   }
   // The cogroup keeps all left columns; a narrowing Project restores the
   // Gamma's exact output (keys + bag).
   PlanPtr cg = PlanNode::CoGroup(join->child(0), join->child(1),
                                  join->left_keys(), join->right_keys(),
-                                 plan->values(), plan->value_names(),
-                                 plan->out_attr());
+                                 node->values(), node->value_names(),
+                                 node->out_attr());
   std::vector<NamedColumnExpr> cols;
-  for (const auto& k : plan->keys()) cols.push_back({k, Expr::Var(k)});
-  cols.push_back({plan->out_attr(), Expr::Var(plan->out_attr())});
+  for (const auto& k : node->keys()) cols.push_back({k, Expr::Var(k)});
+  cols.push_back({node->out_attr(), Expr::Var(node->out_attr())});
   return PlanNode::Project(cg, std::move(cols));
 }
 
@@ -394,87 +321,45 @@ StatusOr<PlanPtr> PushAggPastJoin(const PlanPtr& plan,
     TRANCE_ASSIGN_OR_RETURN(PlanPtr k, PushAggPastJoin(plan->child(i), env));
     kids.push_back(k);
   }
-  auto rebuild = [&]() -> PlanPtr {
-    if (kids.empty()) return plan;
-    switch (plan->kind()) {
-      case K::kSelect:
-        return PlanNode::Select(kids[0], plan->cond());
-      case K::kOuterSelect:
-        return PlanNode::OuterSelect(kids[0], plan->cond(),
-                                     plan->keep_cols());
-      case K::kProject:
-        return PlanNode::Project(kids[0], plan->columns());
-      case K::kExtend:
-        return PlanNode::Extend(kids[0], plan->columns());
-      case K::kJoin:
-        return PlanNode::Join(kids[0], kids[1], plan->left_keys(),
-                              plan->right_keys(), plan->outer());
-      case K::kUnnest:
-        return PlanNode::Unnest(kids[0], plan->bag_col(), plan->alias(),
-                                plan->outer(), plan->unnest_id_attr());
-      case K::kAddIndex:
-        return PlanNode::AddIndex(kids[0], plan->id_attr());
-      case K::kNest:
-        return PlanNode::Nest(kids[0], plan->agg(), plan->keys(),
-                              plan->values(), plan->value_names(),
-                              plan->out_attr(), plan->nest_indicator());
-      case K::kDedup:
-        return PlanNode::Dedup(kids[0]);
-      case K::kUnionAll:
-        return PlanNode::UnionAll(kids[0], kids[1]);
-      case K::kCoGroup:
-        return PlanNode::CoGroup(kids[0], kids[1], plan->left_keys(),
-                                 plan->right_keys(), plan->values(),
-                                 plan->value_names(), plan->out_attr());
-      case K::kBagToDict:
-        return PlanNode::BagToDict(kids[0], plan->label_col());
-      case K::kScan:
-        return plan;
-    }
-    return plan;
-  };
+  PlanPtr node = PlanNode::WithChildren(plan, std::move(kids));
 
-  if (plan->kind() != K::kNest || plan->agg() != NestAgg::kSum ||
-      plan->values().size() != 1) {
-    return rebuild();
+  if (node->kind() != K::kNest || node->agg() != NestAgg::kSum ||
+      node->values().size() != 1) {
+    return node;
   }
   // Peel an optional single-column Extend computing the summed value.
-  PlanPtr below = kids.empty() ? plan->child(0) : kids[0];
-  ExprPtr value_expr = Expr::Var(plan->values()[0]);
+  const PlanPtr& below = node->child(0);
+  ExprPtr value_expr = Expr::Var(node->values()[0]);
   PlanPtr join = below;
-  std::vector<NamedColumnExpr> extend_cols;
   if (below->kind() == K::kExtend) {
     bool defines = false;
     for (const auto& c : below->columns()) {
-      if (c.name == plan->values()[0]) {
+      if (c.name == node->values()[0]) {
         defines = true;
         value_expr = c.expr;
       }
     }
-    if (!defines || below->columns().size() != 1) return rebuild();
-    extend_cols = below->columns();
+    if (!defines || below->columns().size() != 1) return node;
     join = below->child(0);
   }
-  if (join->kind() != K::kJoin) return rebuild();
+  if (join->kind() != K::kJoin) return node;
 
   auto left_names_or = OutputNames(join->child(0), env);
   auto right_names_or = OutputNames(join->child(1), env);
-  if (!left_names_or.ok() || !right_names_or.ok()) return rebuild();
+  if (!left_names_or.ok() || !right_names_or.ok()) return node;
   std::set<std::string> left_names(left_names_or->begin(),
                                    left_names_or->end());
   std::set<std::string> right_names(right_names_or->begin(),
                                     right_names_or->end());
   for (const auto& n : *left_names_or) {
-    if (n.size() > 2 && n.substr(n.size() - 2) == ".*") return rebuild();
+    if (n.size() > 2 && n.substr(n.size() - 2) == ".*") return node;
   }
 
   // The summed value: a left column, or left-column * right-column.
   std::string left_factor;
-  bool direct = false;
   if (value_expr->kind() == nrc::Expr::Kind::kVarRef &&
       left_names.count(value_expr->var_name())) {
     left_factor = value_expr->var_name();
-    direct = true;
   } else if (value_expr->kind() == nrc::Expr::Kind::kPrimOp &&
              value_expr->prim_op() == nrc::PrimOpKind::kMul) {
     const ExprPtr& a = value_expr->child(0);
@@ -486,17 +371,17 @@ StatusOr<PlanPtr> PushAggPastJoin(const PlanPtr& plan,
       left_factor = a->var_name();
     }
   }
-  if (left_factor.empty()) return rebuild();
+  if (left_factor.empty()) return node;
   // Join keys must be plain left columns; group keys split cleanly.
   for (const auto& k : join->left_keys()) {
-    if (!left_names.count(k)) return rebuild();
+    if (!left_names.count(k)) return node;
   }
   std::vector<std::string> partial_keys;
-  for (const auto& k : plan->keys()) {
+  for (const auto& k : node->keys()) {
     if (left_names.count(k)) {
       partial_keys.push_back(k);
     } else if (!right_names.count(k)) {
-      return rebuild();
+      return node;
     }
   }
   for (const auto& k : join->left_keys()) {
@@ -506,18 +391,13 @@ StatusOr<PlanPtr> PushAggPastJoin(const PlanPtr& plan,
     }
   }
 
+  // Partial sums on the left, then the same join, Extend and Nest+ above.
   PlanPtr partial = PlanNode::Nest(join->child(0), NestAgg::kSum,
                                    partial_keys, {left_factor},
                                    {left_factor}, "");
-  PlanPtr new_join =
-      PlanNode::Join(partial, join->child(1), join->left_keys(),
-                     join->right_keys(), join->outer());
-  PlanPtr top = new_join;
-  if (!extend_cols.empty()) top = PlanNode::Extend(top, extend_cols);
-  return PlanNode::Nest(top, NestAgg::kSum, plan->keys(), plan->values(),
-                        plan->value_names(), plan->out_attr(),
-                        plan->nest_indicator());
-  (void)direct;
+  PlanPtr top = PlanNode::WithChildren(join, {partial, join->child(1)});
+  if (below != join) top = PlanNode::WithChildren(below, {top});
+  return PlanNode::WithChildren(node, {top});
 }
 
 }  // namespace

@@ -135,6 +135,15 @@ PlanPtr PlanNode::BagToDict(PlanPtr child, std::string label_col) {
   return n;
 }
 
+PlanPtr PlanNode::WithChildren(const PlanPtr& p, std::vector<PlanPtr> kids) {
+  TRANCE_CHECK(kids.size() == p->children_.size(), "WithChildren arity");
+  if (kids.empty()) return p;
+  for (const auto& k : kids) TRANCE_CHECK(k != nullptr, "WithChildren(null)");
+  auto n = std::shared_ptr<PlanNode>(new PlanNode(*p));
+  n->children_ = std::move(kids);
+  return n;
+}
+
 #undef MAKE
 
 }  // namespace plan

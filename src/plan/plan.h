@@ -101,6 +101,10 @@ class PlanNode {
                          std::vector<std::string> value_names,
                          std::string out_attr);
   static PlanPtr BagToDict(PlanPtr child, std::string label_col);
+  /// A fresh copy of `p` over `kids` (one per child, same order) with every
+  /// other attribute kept: the one rebuild a pass uses for a node it does not
+  /// change. A scan has nothing to rebuild and is returned as is.
+  static PlanPtr WithChildren(const PlanPtr& p, std::vector<PlanPtr> kids);
 
   Kind kind() const { return kind_; }
   size_t num_children() const { return children_.size(); }

@@ -23,80 +23,14 @@ Status NotSupported(const std::string& what) {
 
 /// Inlines all let bindings (Normalize, Fig. 5 line 3).
 ExprPtr InlineLets(const ExprPtr& e) {
-  using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kLet: {
-      ExprPtr value = InlineLets(e->child(0));
-      ExprPtr body = InlineLets(e->child(1));
-      return nrc::Substitute(body, e->var_name(), value);
-    }
-    case K::kConst:
-    case K::kVarRef:
-    case K::kEmptyBag:
-      return e;
-    case K::kForUnion:
-      return Expr::ForUnion(e->var_name(), InlineLets(e->child(0)),
-                            InlineLets(e->child(1)));
-    case K::kLambda:
-      return Expr::Lambda(e->var_name(), InlineLets(e->child(0)));
-    case K::kMatchLabel:
-      return Expr::MatchLabel(InlineLets(e->child(0)), e->var_name(),
-                              InlineLets(e->child(1)), e->match_param_type());
-    case K::kTupleCtor:
-    case K::kNewLabel: {
-      std::vector<nrc::NamedExpr> fields;
-      for (const auto& f : e->fields()) {
-        fields.push_back({f.name, InlineLets(f.expr)});
-      }
-      return e->kind() == K::kTupleCtor ? Expr::Tuple(std::move(fields))
-                                        : Expr::NewLabel(std::move(fields));
-    }
-    default: {
-      // Uniform reconstruction through the child-list factories.
-      std::vector<ExprPtr> kids;
-      for (size_t i = 0; i < e->num_children(); ++i) {
-        kids.push_back(InlineLets(e->child(i)));
-      }
-      switch (e->kind()) {
-        case K::kProj:
-          return Expr::Proj(kids[0], e->attr());
-        case K::kSingleton:
-          return Expr::Singleton(kids[0]);
-        case K::kGet:
-          return Expr::Get(kids[0]);
-        case K::kUnion:
-          return Expr::Union(kids[0], kids[1]);
-        case K::kIfThen:
-          return Expr::IfThen(kids[0], kids[1],
-                              kids.size() == 3 ? kids[2] : nullptr);
-        case K::kPrimOp:
-          return Expr::PrimOp(e->prim_op(), kids[0], kids[1]);
-        case K::kCmp:
-          return Expr::Cmp(e->cmp_op(), kids[0], kids[1]);
-        case K::kBoolOp:
-          return Expr::BoolOp(e->bool_op(), kids[0], kids[1]);
-        case K::kNot:
-          return Expr::Not(kids[0]);
-        case K::kDedup:
-          return Expr::Dedup(kids[0]);
-        case K::kGroupBy:
-          return Expr::GroupBy(e->keys(), kids[0], e->attr());
-        case K::kSumBy:
-          return Expr::SumBy(e->keys(), e->values(), kids[0]);
-        case K::kLookup:
-          return Expr::Lookup(kids[0], kids[1]);
-        case K::kMatLookup:
-          return Expr::MatLookup(kids[0], kids[1]);
-        case K::kDictTreeUnion:
-          return Expr::DictTreeUnion(kids[0], kids[1]);
-        case K::kBagToDict:
-          return Expr::BagToDict(kids[0]);
-        default:
-          TRANCE_CHECK(false, "unreachable InlineLets");
-          return e;
-      }
-    }
+  if (e->kind() == Expr::Kind::kLet) {
+    ExprPtr value = InlineLets(e->child(0));
+    ExprPtr body = InlineLets(e->child(1));
+    return nrc::Substitute(body, e->var_name(), value);
   }
+  std::vector<ExprPtr> subs = e->SubExprs();
+  for (auto& sub : subs) sub = InlineLets(sub);
+  return Expr::WithSubExprs(e, std::move(subs));
 }
 
 /// Variable binding inside the flattened pipeline.
@@ -249,11 +183,9 @@ bool Compiler::IsBagExpr(const ExprPtr& e, const Ctx& ctx) {
     case K::kIfThen:
       return IsBagExpr(e->child(1), ctx);
     case K::kVarRef: {
+      // Only relations are bags; comprehension variables never are.
       auto it = env_.find(e->var_name());
-      if (it != env_.end()) return it->second->is_bag();
-      auto v = ctx.vars.find(e->var_name());
-      return v != ctx.vars.end() && !v->second.is_tuple &&
-             false;  // scalar-bound vars are not bags
+      return it != env_.end() && it->second->is_bag();
     }
     case K::kProj: {
       if (e->child(0)->kind() == K::kVarRef) {
@@ -299,32 +231,16 @@ StatusOr<ExprPtr> Compiler::RewriteScalar(const ExprPtr& e, const Ctx& ctx) {
       }
       return NotSupported("projection base is not a bound tuple variable");
     }
-    case K::kPrimOp: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr a, RewriteScalar(e->child(0), ctx));
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr b, RewriteScalar(e->child(1), ctx));
-      return Expr::PrimOp(e->prim_op(), a, b);
-    }
-    case K::kCmp: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr a, RewriteScalar(e->child(0), ctx));
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr b, RewriteScalar(e->child(1), ctx));
-      return Expr::Cmp(e->cmp_op(), a, b);
-    }
-    case K::kBoolOp: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr a, RewriteScalar(e->child(0), ctx));
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr b, RewriteScalar(e->child(1), ctx));
-      return Expr::BoolOp(e->bool_op(), a, b);
-    }
-    case K::kNot: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr a, RewriteScalar(e->child(0), ctx));
-      return Expr::Not(a);
-    }
+    case K::kPrimOp:
+    case K::kCmp:
+    case K::kBoolOp:
+    case K::kNot:
     case K::kNewLabel: {
-      std::vector<nrc::NamedExpr> params;
-      for (const auto& p : e->fields()) {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr pe, RewriteScalar(p.expr, ctx));
-        params.push_back({p.name, pe});
+      std::vector<ExprPtr> subs = e->SubExprs();
+      for (auto& sub : subs) {
+        TRANCE_ASSIGN_OR_RETURN(sub, RewriteScalar(sub, ctx));
       }
-      return Expr::NewLabel(std::move(params));
+      return Expr::WithSubExprs(e, std::move(subs));
     }
     default:
       return NotSupported("scalar expression kind in plan pipeline");

@@ -153,7 +153,6 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
   };
   for (size_t p = 0; p < partition_bytes.size(); ++p) {
     uint64_t b = partition_bytes[p];
-    stats_.NotePeakPartitionBytes(b);
     if (b > peak) {
       peak = b;
       peak_partition = p;

@@ -17,6 +17,17 @@ int VariantRank(const Field& f) {
   if (f.is_label()) return 5;
   return 6;
 }
+
+/// Lexicographic row order under FieldLess: the canonical sort of bag
+/// contents in operator== and FieldLess.
+bool RowLess(const Row& a, const Row& b) {
+  size_t n = std::min(a.fields.size(), b.fields.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (FieldLess(a.fields[i], b.fields[i])) return true;
+    if (FieldLess(b.fields[i], a.fields[i])) return false;
+  }
+  return a.fields.size() < b.fields.size();
+}
 }  // namespace
 
 uint64_t Field::Hash() const {
@@ -205,27 +216,6 @@ bool RowEquals(const Row& a, const Row& b) {
     if (!(a.fields[i] == b.fields[i])) return false;
   }
   return true;
-}
-
-bool RowEqualsOn(const Row& a, const Row& b, const std::vector<int>& cols_a,
-                 const std::vector<int>& cols_b) {
-  TRANCE_CHECK(cols_a.size() == cols_b.size(), "RowEqualsOn: arity mismatch");
-  for (size_t i = 0; i < cols_a.size(); ++i) {
-    if (!(a.fields[static_cast<size_t>(cols_a[i])] ==
-          b.fields[static_cast<size_t>(cols_b[i])])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool RowLess(const Row& a, const Row& b) {
-  size_t n = std::min(a.fields.size(), b.fields.size());
-  for (size_t i = 0; i < n; ++i) {
-    if (FieldLess(a.fields[i], b.fields[i])) return true;
-    if (FieldLess(b.fields[i], a.fields[i])) return false;
-  }
-  return a.fields.size() < b.fields.size();
 }
 
 uint64_t RowDeepSize(const Row& r) {

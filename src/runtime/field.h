@@ -109,9 +109,6 @@ Field MakeLabel(std::vector<std::pair<std::string, Field>> params);
 uint64_t RowHash(const Row& r);
 uint64_t RowHashOn(const Row& r, const std::vector<int>& cols);
 bool RowEquals(const Row& a, const Row& b);
-bool RowEqualsOn(const Row& a, const Row& b, const std::vector<int>& cols_a,
-                 const std::vector<int>& cols_b);
-bool RowLess(const Row& a, const Row& b);
 uint64_t RowDeepSize(const Row& r);
 std::string RowToString(const Row& r);
 

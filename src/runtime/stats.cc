@@ -46,7 +46,7 @@ std::string JobStats::ToString() const {
   os << "JobStats{stages=" << stages_.size()
      << ", shuffle=" << FormatBytes(t.shuffle_bytes)
      << ", max_stage_shuffle=" << FormatBytes(max_stage_shuffle_)
-     << ", peak_partition=" << FormatBytes(peak_partition_bytes_)
+     << ", peak_partition=" << FormatBytes(t.mem_high_water_bytes)
      << ", max_partition_recv=" << FormatBytes(t.max_partition_recv_bytes)
      << ", max_partition_work=" << FormatBytes(t.max_partition_work_bytes)
      << ", straggler=" << FormatDouble(sk.worst_imbalance, 2) << "x"

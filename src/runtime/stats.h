@@ -367,17 +367,16 @@ class JobStats {
     stages_.push_back(std::move(s));
   }
 
-  void NotePeakPartitionBytes(uint64_t b) {
-    if (b > peak_partition_bytes_) peak_partition_bytes_ = b;
-  }
-
   const std::vector<StageStats>& stages() const { return stages_; }
   /// Every kStatFields field folded over the stages with its row's
   /// aggregation (the non-table members stay empty).
   const StageStats& totals() const { return totals_; }
   /// The largest single-stage shuffle ("max data shuffle" in Section 6).
   uint64_t max_stage_shuffle_bytes() const { return max_stage_shuffle_; }
-  uint64_t peak_partition_bytes() const { return peak_partition_bytes_; }
+  /// The largest partition any stage emitted (the memory checks' peak).
+  uint64_t peak_partition_bytes() const {
+    return totals_.mem_high_water_bytes;
+  }
   /// Stages that ran a fused chain of narrow transforms.
   uint64_t fused_stages() const { return fused_stages_; }
 
@@ -392,7 +391,6 @@ class JobStats {
   std::vector<StageStats> stages_;
   StageStats totals_;
   uint64_t max_stage_shuffle_ = 0;
-  uint64_t peak_partition_bytes_ = 0;
   uint64_t fused_stages_ = 0;
 };
 

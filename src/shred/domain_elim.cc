@@ -73,43 +73,9 @@ class Simplifier {
   StatusOr<ExprPtr> Simp(const ExprPtr& e) {
     using K = Expr::Kind;
     switch (e->kind()) {
-      case K::kConst:
-      case K::kVarRef:
-      case K::kEmptyBag:
-        return e;
       case K::kLet: {
         TRANCE_ASSIGN_OR_RETURN(ExprPtr v, Simp(e->child(0)));
         return Simp(nrc::Substitute(e->child(1), e->var_name(), v));
-      }
-      case K::kProj: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr base, Simp(e->child(0)));
-        if (base->kind() == K::kTupleCtor) {
-          for (const auto& f : base->fields()) {
-            if (f.name == e->attr()) return f.expr;
-          }
-          return Status::KeyError("projection " + e->attr() +
-                                  " missing from tuple constructor");
-        }
-        return Expr::Proj(base, e->attr());
-      }
-      case K::kGet: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr inner, Simp(e->child(0)));
-        if (inner->kind() == K::kSingleton) return inner->child(0);
-        return Expr::Get(inner);
-      }
-      case K::kLookup: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr dict, Simp(e->child(0)));
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr lbl, Simp(e->child(1)));
-        if (dict->kind() == K::kLambda) {
-          return Simp(nrc::Substitute(dict->child(0), dict->var_name(), lbl));
-        }
-        std::string base, path;
-        bool is_fun = false;
-        if (resolver_.Resolve(dict, &base, &path, &is_fun) && is_fun) {
-          return Expr::MatLookup(Expr::Var(resolver_.MatName(base, path)),
-                                 lbl);
-        }
-        return Expr::Lookup(dict, lbl);
       }
       case K::kMatchLabel: {
         TRANCE_ASSIGN_OR_RETURN(ExprPtr lbl, Simp(e->child(0)));
@@ -121,68 +87,46 @@ class Simplifier {
                                       Expr::Tuple(std::move(params))));
         }
         TRANCE_ASSIGN_OR_RETURN(ExprPtr body, Simp(e->child(1)));
-        return Expr::MatchLabel(lbl, e->var_name(), body,
-                                e->match_param_type());
+        return Expr::WithSubExprs(e, {lbl, body});
       }
-      case K::kForUnion: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr dom, Simp(e->child(0)));
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr body, Simp(e->child(1)));
-        return Expr::ForUnion(e->var_name(), dom, body);
-      }
-      case K::kLambda: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr body, Simp(e->child(0)));
-        return Expr::Lambda(e->var_name(), body);
-      }
-      case K::kTupleCtor:
-      case K::kNewLabel: {
-        std::vector<nrc::NamedExpr> fields;
-        for (const auto& f : e->fields()) {
-          TRANCE_ASSIGN_OR_RETURN(ExprPtr fe, Simp(f.expr));
-          fields.push_back({f.name, fe});
-        }
-        return e->kind() == K::kTupleCtor
-                   ? Expr::Tuple(std::move(fields))
-                   : Expr::NewLabel(std::move(fields));
-      }
-      default: {
-        std::vector<ExprPtr> kids;
-        for (size_t i = 0; i < e->num_children(); ++i) {
-          TRANCE_ASSIGN_OR_RETURN(ExprPtr k, Simp(e->child(i)));
-          kids.push_back(k);
-        }
-        switch (e->kind()) {
-          case K::kSingleton:
-            return Expr::Singleton(kids[0]);
-          case K::kUnion:
-            return Expr::Union(kids[0], kids[1]);
-          case K::kIfThen:
-            return Expr::IfThen(kids[0], kids[1],
-                                kids.size() == 3 ? kids[2] : nullptr);
-          case K::kPrimOp:
-            return Expr::PrimOp(e->prim_op(), kids[0], kids[1]);
-          case K::kCmp:
-            return Expr::Cmp(e->cmp_op(), kids[0], kids[1]);
-          case K::kBoolOp:
-            return Expr::BoolOp(e->bool_op(), kids[0], kids[1]);
-          case K::kNot:
-            return Expr::Not(kids[0]);
-          case K::kDedup:
-            return Expr::Dedup(kids[0]);
-          case K::kGroupBy:
-            return Expr::GroupBy(e->keys(), kids[0], e->attr());
-          case K::kSumBy:
-            return Expr::SumBy(e->keys(), e->values(), kids[0]);
-          case K::kMatLookup:
-            return Expr::MatLookup(kids[0], kids[1]);
-          case K::kDictTreeUnion:
-            return Expr::DictTreeUnion(kids[0], kids[1]);
-          case K::kBagToDict:
-            return Expr::BagToDict(kids[0]);
-          default:
-            return Status::Internal("unhandled node in SimplifyShredded");
-        }
-      }
+      default:
+        break;
     }
+    std::vector<ExprPtr> subs = e->SubExprs();
+    for (auto& sub : subs) {
+      TRANCE_ASSIGN_OR_RETURN(sub, Simp(sub));
+    }
+    switch (e->kind()) {
+      case K::kProj:
+        if (subs[0]->kind() == K::kTupleCtor) {
+          for (const auto& f : subs[0]->fields()) {
+            if (f.name == e->attr()) return f.expr;
+          }
+          return Status::KeyError("projection " + e->attr() +
+                                  " missing from tuple constructor");
+        }
+        break;
+      case K::kGet:
+        if (subs[0]->kind() == K::kSingleton) return subs[0]->child(0);
+        break;
+      case K::kLookup: {
+        const ExprPtr& dict = subs[0];
+        if (dict->kind() == K::kLambda) {
+          return Simp(
+              nrc::Substitute(dict->child(0), dict->var_name(), subs[1]));
+        }
+        std::string base, path;
+        bool is_fun = false;
+        if (resolver_.Resolve(dict, &base, &path, &is_fun) && is_fun) {
+          return Expr::MatLookup(Expr::Var(resolver_.MatName(base, path)),
+                                 subs[1]);
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    return Expr::WithSubExprs(e, std::move(subs));
   }
 
  private:
@@ -202,25 +146,10 @@ void CollectMatchAttrs(const ExprPtr& e, const std::string& m,
     ++*other_refs;  // whole-variable reference: rules do not apply
     return;
   }
-  if ((e->kind() == K::kForUnion || e->kind() == K::kLet ||
-       e->kind() == K::kLambda) &&
-      e->var_name() == m) {
-    // Shadowed below; domain still counts.
-    CollectMatchAttrs(e->child(0), m, attrs, other_refs);
-    return;
-  }
-  if (e->kind() == K::kMatchLabel && e->var_name() == m) {
-    CollectMatchAttrs(e->child(0), m, attrs, other_refs);
-    return;
-  }
-  if (e->kind() == K::kTupleCtor || e->kind() == K::kNewLabel) {
-    for (const auto& f : e->fields()) {
-      CollectMatchAttrs(f.expr, m, attrs, other_refs);
-    }
-    return;
-  }
-  for (size_t i = 0; i < e->num_children(); ++i) {
-    CollectMatchAttrs(e->child(i), m, attrs, other_refs);
+  const std::vector<ExprPtr> subs = e->SubExprs();
+  for (size_t i = 0; i < subs.size(); ++i) {
+    if (e->InBinderScope(i) && e->var_name() == m) continue;  // shadowed
+    CollectMatchAttrs(subs[i], m, attrs, other_refs);
   }
 }
 
@@ -277,27 +206,20 @@ StatusOr<ExprPtr> PrependLabel(const ExprPtr& e, const ExprPtr& label_expr,
                                const TypePtr& flat_elem) {
   using K = Expr::Kind;
   switch (e->kind()) {
-    case K::kForUnion: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr body,
-                              PrependLabel(e->child(1), label_expr, flat_elem));
-      return Expr::ForUnion(e->var_name(), e->child(0), body);
-    }
-    case K::kIfThen: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr t,
-                              PrependLabel(e->child(1), label_expr, flat_elem));
-      if (e->num_children() == 3) {
-        TRANCE_ASSIGN_OR_RETURN(
-            ExprPtr f, PrependLabel(e->child(2), label_expr, flat_elem));
-        return Expr::IfThen(e->child(0), t, f);
+    case K::kForUnion:
+    case K::kIfThen:
+    case K::kUnion:
+    case K::kDedup: {
+      // Tag the bag-valued sub-expressions: all but a generator's domain or
+      // a condition.
+      std::vector<ExprPtr> subs = e->SubExprs();
+      const size_t first =
+          e->kind() == K::kForUnion || e->kind() == K::kIfThen ? 1 : 0;
+      for (size_t i = first; i < subs.size(); ++i) {
+        TRANCE_ASSIGN_OR_RETURN(subs[i],
+                                PrependLabel(subs[i], label_expr, flat_elem));
       }
-      return Expr::IfThen(e->child(0), t);
-    }
-    case K::kUnion: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr a,
-                              PrependLabel(e->child(0), label_expr, flat_elem));
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr b,
-                              PrependLabel(e->child(1), label_expr, flat_elem));
-      return Expr::Union(a, b);
+      return Expr::WithSubExprs(e, std::move(subs));
     }
     case K::kSingleton: {
       const ExprPtr& inner = e->child(0);
@@ -313,11 +235,6 @@ StatusOr<ExprPtr> PrependLabel(const ExprPtr& e, const ExprPtr& label_expr,
     case K::kEmptyBag: {
       TRANCE_ASSIGN_OR_RETURN(TypePtr rel, RelationalDictType(flat_elem));
       return Expr::EmptyBag(rel);
-    }
-    case K::kDedup: {
-      TRANCE_ASSIGN_OR_RETURN(ExprPtr inner,
-                              PrependLabel(e->child(0), label_expr, flat_elem));
-      return Expr::Dedup(inner);
     }
     default:
       return Status::NotImplemented(

@@ -69,69 +69,35 @@ class GroupByDesugarer {
         return Expr::ForUnion(d, domain,
                               Expr::Singleton(Expr::Tuple(head)));
       }
-      case K::kForUnion: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr dom, Rewrite(e->child(0), env));
-        nrc::Typechecker tc;
-        TRANCE_ASSIGN_OR_RETURN(TypePtr dt, tc.Check(dom, env));
-        TypeEnv inner = env;
-        if (dt->is_bag()) inner[e->var_name()] = dt->element();
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr body, Rewrite(e->child(1), inner));
-        return Expr::ForUnion(e->var_name(), dom, body);
-      }
+      case K::kForUnion:
       case K::kLet: {
-        TRANCE_ASSIGN_OR_RETURN(ExprPtr v, Rewrite(e->child(0), env));
+        // The body sees the bound variable at the type of the rewritten
+        // domain's elements or of the let value.
+        TRANCE_ASSIGN_OR_RETURN(ExprPtr bound, Rewrite(e->child(0), env));
         nrc::Typechecker tc;
-        TRANCE_ASSIGN_OR_RETURN(TypePtr vt, tc.Check(v, env));
+        TRANCE_ASSIGN_OR_RETURN(TypePtr t, tc.Check(bound, env));
         TypeEnv inner = env;
-        inner[e->var_name()] = vt;
+        if (e->kind() == K::kLet) {
+          inner[e->var_name()] = t;
+        } else if (t->is_bag()) {
+          inner[e->var_name()] = t->element();
+        }
         TRANCE_ASSIGN_OR_RETURN(ExprPtr body, Rewrite(e->child(1), inner));
-        return Expr::Let(e->var_name(), v, body);
+        return Expr::WithSubExprs(e, {bound, body});
       }
-      case K::kTupleCtor:
-      case K::kNewLabel: {
-        std::vector<nrc::NamedExpr> fields;
-        for (const auto& f : e->fields()) {
-          TRANCE_ASSIGN_OR_RETURN(ExprPtr fe, Rewrite(f.expr, env));
-          fields.push_back({f.name, fe});
-        }
-        return e->kind() == K::kTupleCtor ? Expr::Tuple(std::move(fields))
-                                          : Expr::NewLabel(std::move(fields));
-      }
+      case K::kLookup:
+      case K::kMatLookup:
+      case K::kLambda:
+      case K::kMatchLabel:
+      case K::kDictTreeUnion:
+      case K::kBagToDict:
+        return Status::NotImplemented("expression kind in groupBy desugaring");
       default: {
-        if (e->num_children() == 0) return e;
-        std::vector<ExprPtr> kids;
-        for (size_t i = 0; i < e->num_children(); ++i) {
-          TRANCE_ASSIGN_OR_RETURN(ExprPtr k, Rewrite(e->child(i), env));
-          kids.push_back(k);
+        std::vector<ExprPtr> subs = e->SubExprs();
+        for (auto& sub : subs) {
+          TRANCE_ASSIGN_OR_RETURN(sub, Rewrite(sub, env));
         }
-        switch (e->kind()) {
-          case K::kProj:
-            return Expr::Proj(kids[0], e->attr());
-          case K::kSingleton:
-            return Expr::Singleton(kids[0]);
-          case K::kGet:
-            return Expr::Get(kids[0]);
-          case K::kUnion:
-            return Expr::Union(kids[0], kids[1]);
-          case K::kIfThen:
-            return Expr::IfThen(kids[0], kids[1],
-                                kids.size() == 3 ? kids[2] : nullptr);
-          case K::kPrimOp:
-            return Expr::PrimOp(e->prim_op(), kids[0], kids[1]);
-          case K::kCmp:
-            return Expr::Cmp(e->cmp_op(), kids[0], kids[1]);
-          case K::kBoolOp:
-            return Expr::BoolOp(e->bool_op(), kids[0], kids[1]);
-          case K::kNot:
-            return Expr::Not(kids[0]);
-          case K::kDedup:
-            return Expr::Dedup(kids[0]);
-          case K::kSumBy:
-            return Expr::SumBy(e->keys(), e->values(), kids[0]);
-          default:
-            return Status::NotImplemented(
-                "expression kind in groupBy desugaring");
-        }
+        return Expr::WithSubExprs(e, std::move(subs));
       }
     }
   }
@@ -153,62 +119,34 @@ void CollectFlatRefs(const ExprPtr& e,
                      std::set<std::string>* bound,
                      std::map<std::string, FlatRef>* out) {
   using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kProj: {
-      const ExprPtr& base = e->child(0);
-      if (base->kind() == K::kVarRef && bound->count(base->var_name()) == 0) {
-        auto it = flat_env.find(base->var_name());
-        if (it != flat_env.end() && it->second->is_tuple()) {
-          auto ft = it->second->FieldType(e->attr());
-          if (ft.ok() && ((*ft)->is_scalar() || (*ft)->is_label())) {
-            std::string pname = base->var_name() + "." + e->attr();
-            out->emplace(pname, FlatRef{pname, e, *ft});
-            return;
-          }
+  if (e->kind() == K::kProj) {
+    const ExprPtr& base = e->child(0);
+    if (base->kind() == K::kVarRef && bound->count(base->var_name()) == 0) {
+      auto it = flat_env.find(base->var_name());
+      if (it != flat_env.end() && it->second->is_tuple()) {
+        auto ft = it->second->FieldType(e->attr());
+        if (ft.ok() && ((*ft)->is_scalar() || (*ft)->is_label())) {
+          std::string pname = base->var_name() + "." + e->attr();
+          out->emplace(pname, FlatRef{pname, e, *ft});
+          return;
         }
       }
-      CollectFlatRefs(base, flat_env, bound, out);
-      return;
     }
-    case K::kVarRef: {
-      if (bound->count(e->var_name())) return;
-      auto it = flat_env.find(e->var_name());
-      if (it != flat_env.end() &&
-          (it->second->is_scalar() || it->second->is_label())) {
-        out->emplace(e->var_name(), FlatRef{e->var_name(), e, it->second});
-      }
-      return;
+  } else if (e->kind() == K::kVarRef) {
+    if (bound->count(e->var_name())) return;
+    auto it = flat_env.find(e->var_name());
+    if (it != flat_env.end() &&
+        (it->second->is_scalar() || it->second->is_label())) {
+      out->emplace(e->var_name(), FlatRef{e->var_name(), e, it->second});
     }
-    case K::kForUnion:
-    case K::kLet: {
-      CollectFlatRefs(e->child(0), flat_env, bound, out);
-      bool inserted = bound->insert(e->var_name()).second;
-      CollectFlatRefs(e->child(1), flat_env, bound, out);
-      if (inserted) bound->erase(e->var_name());
-      return;
-    }
-    case K::kLambda:
-    case K::kMatchLabel: {
-      if (e->kind() == K::kMatchLabel) {
-        CollectFlatRefs(e->child(0), flat_env, bound, out);
-      }
-      bool inserted = bound->insert(e->var_name()).second;
-      CollectFlatRefs(e->child(e->kind() == K::kMatchLabel ? 1 : 0), flat_env,
-                      bound, out);
-      if (inserted) bound->erase(e->var_name());
-      return;
-    }
-    case K::kTupleCtor:
-    case K::kNewLabel:
-      for (const auto& f : e->fields()) {
-        CollectFlatRefs(f.expr, flat_env, bound, out);
-      }
-      return;
-    default:
-      for (size_t i = 0; i < e->num_children(); ++i) {
-        CollectFlatRefs(e->child(i), flat_env, bound, out);
-      }
-      return;
+    return;
+  }
+  const std::vector<ExprPtr> subs = e->SubExprs();
+  for (size_t i = 0; i < subs.size(); ++i) {
+    const bool inserted =
+        e->InBinderScope(i) && bound->insert(e->var_name()).second;
+    CollectFlatRefs(subs[i], flat_env, bound, out);
+    if (inserted) bound->erase(e->var_name());
   }
 }
 
@@ -218,108 +156,26 @@ ExprPtr RewriteToMatchVar(const ExprPtr& e,
                           const std::string& match_var,
                           std::set<std::string>* bound) {
   using K = Expr::Kind;
-  switch (e->kind()) {
-    case K::kProj: {
-      const ExprPtr& base = e->child(0);
-      if (base->kind() == K::kVarRef && bound->count(base->var_name()) == 0) {
-        std::string pname = base->var_name() + "." + e->attr();
-        if (refs.count(pname)) {
-          return Expr::Proj(Expr::Var(match_var), pname);
-        }
-      }
-      return Expr::Proj(RewriteToMatchVar(base, refs, match_var, bound),
-                        e->attr());
+  if (e->kind() == K::kProj) {
+    const ExprPtr& base = e->child(0);
+    if (base->kind() == K::kVarRef && bound->count(base->var_name()) == 0) {
+      std::string pname = base->var_name() + "." + e->attr();
+      if (refs.count(pname)) return Expr::Proj(Expr::Var(match_var), pname);
     }
-    case K::kVarRef: {
-      if (bound->count(e->var_name()) == 0 && refs.count(e->var_name())) {
-        return Expr::Proj(Expr::Var(match_var), e->var_name());
-      }
-      return e;
+  } else if (e->kind() == K::kVarRef) {
+    if (bound->count(e->var_name()) == 0 && refs.count(e->var_name())) {
+      return Expr::Proj(Expr::Var(match_var), e->var_name());
     }
-    case K::kConst:
-    case K::kEmptyBag:
-      return e;
-    case K::kForUnion: {
-      ExprPtr dom = RewriteToMatchVar(e->child(0), refs, match_var, bound);
-      bool inserted = bound->insert(e->var_name()).second;
-      ExprPtr body = RewriteToMatchVar(e->child(1), refs, match_var, bound);
-      if (inserted) bound->erase(e->var_name());
-      return Expr::ForUnion(e->var_name(), dom, body);
-    }
-    case K::kLet: {
-      ExprPtr v = RewriteToMatchVar(e->child(0), refs, match_var, bound);
-      bool inserted = bound->insert(e->var_name()).second;
-      ExprPtr body = RewriteToMatchVar(e->child(1), refs, match_var, bound);
-      if (inserted) bound->erase(e->var_name());
-      return Expr::Let(e->var_name(), v, body);
-    }
-    case K::kLambda: {
-      bool inserted = bound->insert(e->var_name()).second;
-      ExprPtr body = RewriteToMatchVar(e->child(0), refs, match_var, bound);
-      if (inserted) bound->erase(e->var_name());
-      return Expr::Lambda(e->var_name(), body);
-    }
-    case K::kMatchLabel: {
-      ExprPtr lbl = RewriteToMatchVar(e->child(0), refs, match_var, bound);
-      bool inserted = bound->insert(e->var_name()).second;
-      ExprPtr body = RewriteToMatchVar(e->child(1), refs, match_var, bound);
-      if (inserted) bound->erase(e->var_name());
-      return Expr::MatchLabel(lbl, e->var_name(), body,
-                              e->match_param_type());
-    }
-    case K::kTupleCtor:
-    case K::kNewLabel: {
-      std::vector<nrc::NamedExpr> fields;
-      for (const auto& f : e->fields()) {
-        fields.push_back(
-            {f.name, RewriteToMatchVar(f.expr, refs, match_var, bound)});
-      }
-      return e->kind() == K::kTupleCtor ? Expr::Tuple(std::move(fields))
-                                        : Expr::NewLabel(std::move(fields));
-    }
-    default: {
-      std::vector<ExprPtr> kids;
-      for (size_t i = 0; i < e->num_children(); ++i) {
-        kids.push_back(RewriteToMatchVar(e->child(i), refs, match_var, bound));
-      }
-      switch (e->kind()) {
-        case K::kSingleton:
-          return Expr::Singleton(kids[0]);
-        case K::kGet:
-          return Expr::Get(kids[0]);
-        case K::kUnion:
-          return Expr::Union(kids[0], kids[1]);
-        case K::kIfThen:
-          return Expr::IfThen(kids[0], kids[1],
-                              kids.size() == 3 ? kids[2] : nullptr);
-        case K::kPrimOp:
-          return Expr::PrimOp(e->prim_op(), kids[0], kids[1]);
-        case K::kCmp:
-          return Expr::Cmp(e->cmp_op(), kids[0], kids[1]);
-        case K::kBoolOp:
-          return Expr::BoolOp(e->bool_op(), kids[0], kids[1]);
-        case K::kNot:
-          return Expr::Not(kids[0]);
-        case K::kDedup:
-          return Expr::Dedup(kids[0]);
-        case K::kGroupBy:
-          return Expr::GroupBy(e->keys(), kids[0], e->attr());
-        case K::kSumBy:
-          return Expr::SumBy(e->keys(), e->values(), kids[0]);
-        case K::kLookup:
-          return Expr::Lookup(kids[0], kids[1]);
-        case K::kMatLookup:
-          return Expr::MatLookup(kids[0], kids[1]);
-        case K::kDictTreeUnion:
-          return Expr::DictTreeUnion(kids[0], kids[1]);
-        case K::kBagToDict:
-          return Expr::BagToDict(kids[0]);
-        default:
-          TRANCE_CHECK(false, "unreachable RewriteToMatchVar");
-          return e;
-      }
-    }
+    return e;
   }
+  std::vector<ExprPtr> subs = e->SubExprs();
+  for (size_t i = 0; i < subs.size(); ++i) {
+    const bool inserted =
+        e->InBinderScope(i) && bound->insert(e->var_name()).second;
+    subs[i] = RewriteToMatchVar(subs[i], refs, match_var, bound);
+    if (inserted) bound->erase(e->var_name());
+  }
+  return Expr::WithSubExprs(e, std::move(subs));
 }
 
 }  // namespace

@@ -247,8 +247,7 @@ StatusOr<nrc::Program> NestedToFlat(int depth, Width width) {
                                          levels[i - 1].bag_attr);
     comp = Expr::ForUnion("x" + std::to_string(i), domain, comp);
   }
-  p.assignments.push_back(
-      {"Q", Expr::SumBy(inner->keys(), inner->values(), comp)});
+  p.assignments.push_back({"Q", Expr::WithSubExprs(inner, {comp})});
   return p;
 }
 

@@ -3,6 +3,8 @@
 // typing rule the typechecker, the plan compiler and both evaluators share.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "exec/scalar_compiler.h"
 #include "nrc/builder.h"
 #include "nrc/expr.h"
@@ -108,6 +110,162 @@ TEST(ExprTest, SubstituteRespectsBinding) {
   auto fv = sub->FreeVars();
   EXPECT_TRUE(fv.count("R"));
   EXPECT_FALSE(fv.count("x"));
+}
+
+/// Expects `r` to carry every attribute of `e` that is not a sub-expression,
+/// read through the accessors its kind allows.
+void ExpectSameAttrs(const ExprPtr& r, const ExprPtr& e) {
+  using K = Expr::Kind;
+  ASSERT_EQ(r->kind(), e->kind());
+  ASSERT_EQ(r->num_children(), e->num_children());
+  switch (e->kind()) {
+    case K::kConst:
+      EXPECT_EQ(r->const_value().kind, e->const_value().kind);
+      EXPECT_TRUE(r->const_value().v == e->const_value().v);
+      break;
+    case K::kVarRef:
+    case K::kForUnion:
+    case K::kLet:
+    case K::kLambda:
+      EXPECT_EQ(r->var_name(), e->var_name());
+      break;
+    case K::kMatchLabel:
+      EXPECT_EQ(r->var_name(), e->var_name());
+      EXPECT_EQ(r->match_param_type(), e->match_param_type());
+      break;
+    case K::kProj:
+      EXPECT_EQ(r->attr(), e->attr());
+      break;
+    case K::kTupleCtor:
+    case K::kNewLabel:
+      ASSERT_EQ(r->fields().size(), e->fields().size());
+      for (size_t i = 0; i < e->fields().size(); ++i) {
+        EXPECT_EQ(r->fields()[i].name, e->fields()[i].name);
+      }
+      break;
+    case K::kEmptyBag:
+      EXPECT_EQ(r->declared_type(), e->declared_type());
+      break;
+    case K::kPrimOp:
+      EXPECT_EQ(r->prim_op(), e->prim_op());
+      break;
+    case K::kCmp:
+      EXPECT_EQ(r->cmp_op(), e->cmp_op());
+      break;
+    case K::kBoolOp:
+      EXPECT_EQ(r->bool_op(), e->bool_op());
+      break;
+    case K::kGroupBy:
+      EXPECT_EQ(r->attr(), e->attr());
+      EXPECT_EQ(r->keys(), e->keys());
+      break;
+    case K::kSumBy:
+      EXPECT_EQ(r->keys(), e->keys());
+      EXPECT_EQ(r->values(), e->values());
+      break;
+    default:  // sub-expressions only
+      break;
+  }
+}
+
+TEST(ExprTest, EveryKindRebuildsOverItsSubExprs) {
+  using K = Expr::Kind;
+  ExprPtr a = Expr::Var("a"), b = Expr::Var("b"), c = Expr::Var("c");
+  // Attributes off their defaults, so a rebuild that drops one shows.
+  const std::vector<ExprPtr> nodes = {
+      Expr::Const(ConstValue::Str("s")),
+      Expr::Var("x"),
+      Expr::Proj(a, "f"),
+      Expr::Tuple({{"f", a}, {"g", b}}),
+      Expr::EmptyBag(BagTu({{"f", Type::Int()}})),
+      Expr::Singleton(a),
+      Expr::Get(a),
+      Expr::ForUnion("x", a, b),
+      Expr::Union(a, b),
+      Expr::Let("x", a, b),
+      Expr::IfThen(a, b, c),
+      Expr::PrimOp(PrimOpKind::kMul, a, b),
+      Expr::Cmp(CmpOpKind::kLe, a, b),
+      Expr::BoolOp(BoolOpKind::kOr, a, b),
+      Expr::Not(a),
+      Expr::Dedup(a),
+      Expr::GroupBy({"k"}, a, "grp"),
+      Expr::SumBy({"k"}, {"v", "w"}, a),
+      Expr::NewLabel({{"p", a}, {"q", b}}),
+      Expr::MatchLabel(a, "m", b, Tu({{"p", Type::Int()}})),
+      Expr::Lookup(a, b),
+      Expr::MatLookup(a, b),
+      Expr::Lambda("l", a),
+      Expr::DictTreeUnion(a, b),
+      Expr::BagToDict(a),
+  };
+  std::set<K> kinds;
+  for (const ExprPtr& e : nodes) {
+    SCOPED_TRACE(PrintExpr(e));
+    kinds.insert(e->kind());
+    const std::vector<ExprPtr> subs = e->SubExprs();
+    const size_t width = e->kind() == K::kTupleCtor ||
+                                 e->kind() == K::kNewLabel
+                             ? e->fields().size()
+                             : e->num_children();
+    ASSERT_EQ(subs.size(), width);
+
+    // Over its own sub-expressions: a fresh node (a leaf is returned as
+    // is) that prints the same and keeps every attribute.
+    ExprPtr same = Expr::WithSubExprs(e, subs);
+    EXPECT_EQ(same == e, subs.empty());
+    EXPECT_EQ(PrintExpr(same), PrintExpr(e));
+    ExpectSameAttrs(same, e);
+
+    // Over new sub-expressions: each lands in its own slot, in order.
+    std::vector<ExprPtr> fresh;
+    for (size_t i = 0; i < subs.size(); ++i) {
+      fresh.push_back(Expr::Var("n" + std::to_string(i)));
+    }
+    ExprPtr moved = Expr::WithSubExprs(e, fresh);
+    ExpectSameAttrs(moved, e);
+    EXPECT_EQ(moved->SubExprs(), fresh);
+
+    // The binder rule: for, let and match scope child 1, a lambda child 0.
+    for (size_t i = 0; i < subs.size(); ++i) {
+      const bool scoped =
+          ((e->kind() == K::kForUnion || e->kind() == K::kLet ||
+            e->kind() == K::kMatchLabel) &&
+           i == 1) ||
+          (e->kind() == K::kLambda && i == 0);
+      EXPECT_EQ(e->InBinderScope(i), scoped) << "sub-expression " << i;
+    }
+  }
+  EXPECT_EQ(kinds.size(), 25u);
+}
+
+TEST(ExprTest, SubstituteAndFreeVarsRespectEveryBinder) {
+  using namespace dsl;
+  ExprPtr r = V("R");
+  struct Case {
+    ExprPtr e;           // mentions x inside and outside a binder's scope
+    bool x_free;         // FreeVars contains x
+    std::string after;   // Substitute(e, x, R), printed
+  };
+  const std::vector<Case> cases = {
+      {Expr::Let("x", V("x"), V("x")), true,
+       PrintExpr(Expr::Let("x", r, V("x")))},
+      {Expr::Lambda("x", V("x")), false, PrintExpr(Expr::Lambda("x", V("x")))},
+      {Expr::MatchLabel(V("x"), "x", V("x")), true,
+       PrintExpr(Expr::MatchLabel(r, "x", V("x")))},
+      {For("x", V("x"), Sng(V("x"))), true, PrintExpr(For("x", r, Sng(V("x"))))},
+      // A binder of another variable leaves x free in its scope.
+      {Expr::Lambda("y", V("x")), true, PrintExpr(Expr::Lambda("y", r))},
+      {Expr::MatchLabel(V("y"), "y", V("x")), true,
+       PrintExpr(Expr::MatchLabel(V("y"), "y", r))},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(PrintExpr(c.e));
+    EXPECT_EQ(c.e->FreeVars().count("x") > 0, c.x_free);
+    ExprPtr sub = Substitute(c.e, "x", r);
+    EXPECT_EQ(PrintExpr(sub), c.after);
+    EXPECT_EQ(sub->FreeVars().count("x"), 0u);
+  }
 }
 
 TEST(TypecheckTest, RunningExampleTypes) {

@@ -1,8 +1,10 @@
-// Tests for the unnesting stage's plan structure and the optimizer rules:
-// join detection, outer-variant selection at nested levels, cogroup fusion,
-// column pruning (including join-output narrowing), aggregation pushdown,
-// and OuterSelect lowering semantics.
+// Tests for the plan rebuild primitive, the unnesting stage's plan
+// structure and the optimizer rules: join detection, outer-variant selection
+// at nested levels, cogroup fusion, column pruning (including join-output
+// narrowing), aggregation pushdown, and OuterSelect lowering semantics.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "exec/pipeline.h"
 #include "nrc/builder.h"
@@ -34,6 +36,82 @@ int CountKind(const PlanPtr& p, PlanNode::Kind kind) {
 nrc::TypeEnv FlatEnv() {
   return {{"R", BagTu({{"k", Type::Int()}, {"a", Type::Int()}})},
           {"S", BagTu({{"k", Type::Int()}, {"b", Type::Int()}})}};
+}
+
+/// Expects `r` to carry every attribute of `p` except its children.
+void ExpectSameAttrs(const PlanPtr& r, const PlanPtr& p) {
+  EXPECT_EQ(r->kind(), p->kind());
+  EXPECT_EQ(r->num_children(), p->num_children());
+  EXPECT_EQ(r->relation(), p->relation());
+  EXPECT_EQ(r->out_attr(), p->out_attr());
+  EXPECT_EQ(r->id_attr(), p->id_attr());
+  EXPECT_EQ(r->label_col(), p->label_col());
+  EXPECT_EQ(r->bag_col(), p->bag_col());
+  EXPECT_EQ(r->alias(), p->alias());
+  EXPECT_EQ(r->unnest_id_attr(), p->unnest_id_attr());
+  EXPECT_EQ(r->nest_indicator(), p->nest_indicator());
+  EXPECT_EQ(r->outer(), p->outer());
+  EXPECT_EQ(r->cond(), p->cond());
+  EXPECT_EQ(r->keep_cols(), p->keep_cols());
+  ASSERT_EQ(r->columns().size(), p->columns().size());
+  for (size_t i = 0; i < p->columns().size(); ++i) {
+    EXPECT_EQ(r->columns()[i].name, p->columns()[i].name);
+    EXPECT_EQ(r->columns()[i].expr, p->columns()[i].expr);
+  }
+  EXPECT_EQ(r->left_keys(), p->left_keys());
+  EXPECT_EQ(r->right_keys(), p->right_keys());
+  EXPECT_EQ(r->keys(), p->keys());
+  EXPECT_EQ(r->values(), p->values());
+  EXPECT_EQ(r->value_names(), p->value_names());
+  EXPECT_EQ(r->agg(), p->agg());
+}
+
+TEST(PlanNodeTest, EveryKindRebuildsOverItsChildren) {
+  PlanPtr r = PlanNode::Scan("R"), s = PlanNode::Scan("S");
+  ExprPtr cond = Eq(V("a"), V("b"));
+  // Attributes off their defaults, so a rebuild that drops one shows.
+  const std::vector<PlanPtr> nodes = {
+      r,
+      PlanNode::Select(r, cond),
+      PlanNode::OuterSelect(r, cond, {"a"}),
+      PlanNode::Project(r, {{"x", V("a")}}),
+      PlanNode::Extend(r, {{"y", V("b")}}),
+      PlanNode::Join(r, s, {"a"}, {"b"}, true),
+      PlanNode::Unnest(r, "bag", "u", true, "_id"),
+      PlanNode::AddIndex(r, "_uid"),
+      PlanNode::Nest(r, plan::NestAgg::kSum, {"k"}, {"v"}, {"w"}, "out",
+                     "ind"),
+      PlanNode::Dedup(r),
+      PlanNode::UnionAll(r, s),
+      PlanNode::CoGroup(r, s, {"a"}, {"b"}, {"v"}, {"w"}, "grp"),
+      PlanNode::BagToDict(r, "label"),
+  };
+  std::set<PlanNode::Kind> kinds;
+  for (const PlanPtr& p : nodes) {
+    SCOPED_TRACE(plan::PrintPlan(p));
+    kinds.insert(p->kind());
+    std::vector<PlanPtr> kids;
+    for (size_t i = 0; i < p->num_children(); ++i) kids.push_back(p->child(i));
+
+    // Over its own children: a fresh node (a scan is returned as is) that
+    // prints the same and keeps every attribute.
+    PlanPtr same = PlanNode::WithChildren(p, kids);
+    EXPECT_EQ(same == p, kids.empty());
+    EXPECT_EQ(plan::PrintPlan(same), plan::PrintPlan(p));
+    ExpectSameAttrs(same, p);
+
+    // Over new children: each lands in its own slot, in order.
+    std::vector<PlanPtr> fresh;
+    for (size_t i = 0; i < kids.size(); ++i) {
+      fresh.push_back(PlanNode::Scan("T" + std::to_string(i)));
+    }
+    PlanPtr moved = PlanNode::WithChildren(p, fresh);
+    ExpectSameAttrs(moved, p);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(moved->child(i), fresh[i]);
+    }
+  }
+  EXPECT_EQ(kinds.size(), 13u);
 }
 
 TEST(UnnestTest, JoinDetectedFromEqualityFilter) {

@@ -591,6 +591,40 @@ TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   EXPECT_TRUE(filtered.status().IsResourceExhausted());
 }
 
+TEST(OpsTest, PeakPartitionBytesCoversTheFailedStage) {
+  // With spilling off the memory check fails at the first partition over
+  // the cap; the reported peak is still the largest partition the stage
+  // emitted, here the one after it.
+  ClusterConfig cfg{.num_partitions = 2, .partition_memory_cap = 512};
+  Cluster cluster(cfg);
+  cluster.set_spill_enabled(false);
+  std::vector<Row> rows;
+  for (int i = 0; i < 100; ++i) {
+    // Round-robin placement: partition 1 receives the longer strings.
+    const size_t len = i % 2 == 0 ? 64 : 128;
+    rows.push_back(Row({Field::Int(i), Field::Str(std::string(len, 'x'))}));
+  }
+  Schema s({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
+  auto ds = Source(&cluster, s, std::move(rows), "in");
+  ASSERT_TRUE(ds.ok());
+  const std::vector<uint64_t> bytes = ds->PartitionBytes();
+  ASSERT_EQ(bytes.size(), 2u);
+  ASSERT_GT(bytes[0], cfg.partition_memory_cap);
+  ASSERT_GT(bytes[1], bytes[0]);
+  cluster.stats().Reset();
+  auto copied = RunNarrow(
+      &cluster, *ds,
+      RowTransform::Filter("copy", s, [](const column::PartitionBlock&,
+                                         size_t) { return true; }));
+  ASSERT_TRUE(copied.status().IsResourceExhausted());
+  EXPECT_NE(copied.status().ToString().find("partition 0 holds"),
+            std::string::npos)
+      << copied.status().ToString();
+  EXPECT_EQ(cluster.stats().peak_partition_bytes(), bytes[1]);
+  EXPECT_EQ(cluster.stats().peak_partition_bytes(),
+            cluster.stats().totals().mem_high_water_bytes);
+}
+
 TEST(OpsTest, SkewedKeysOverloadOnePartitionInStats) {
   // One heavy key: max receive bytes should dominate total/num_partitions.
   Cluster cluster(ClusterConfig{.num_partitions = 8});
