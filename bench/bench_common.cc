@@ -7,6 +7,7 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "util/file.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
 
@@ -236,15 +237,14 @@ Status WriteBenchReport(const std::string& bench_name,
   }
   w.EndObject();
   std::string metrics_path = BenchOutPath("BENCH_" + bench_name + ".json");
-  TRANCE_RETURN_NOT_OK(obs::WriteFile(metrics_path, w.str()));
+  TRANCE_RETURN_NOT_OK(WriteFile(metrics_path, w.str()));
   std::printf("wrote %s\n", metrics_path.c_str());
 
   obs::Tracer& tracer = obs::Tracer::Global();
   if (tracer.enabled()) {
     std::string trace_path =
         BenchOutPath("BENCH_" + bench_name + "_trace.json");
-    TRANCE_RETURN_NOT_OK(
-        obs::WriteFile(trace_path, tracer.ToChromeTraceJson()));
+    TRANCE_RETURN_NOT_OK(WriteFile(trace_path, tracer.ToChromeTraceJson()));
     std::printf("wrote %s\n", trace_path.c_str());
   }
   return Status::OK();

@@ -28,12 +28,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
 #include "runtime/stats.h"
+#include "util/file.h"
 
 namespace {
 
@@ -272,13 +272,9 @@ int CheckEvents(const char* path) {
 }
 
 trance::StatusOr<JsonValue> LoadReport(const char* path) {
-  std::ifstream in(path);
-  if (!in) {
-    return trance::Status::Invalid(std::string("cannot open ") + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return trance::obs::ParseJson(buf.str());
+  std::string text;
+  TRANCE_RETURN_NOT_OK(trance::ReadFile(path, &text));
+  return trance::obs::ParseJson(text);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "runtime/serde.h"
 #include "shred/value_shredder.h"
 #include "skew/skew.h"
+#include "util/file.h"
 #include "util/random.h"
 
 namespace trance {
@@ -397,57 +398,51 @@ column::PartitionBlock SerdeBenchBlock(int64_t n, uint64_t seed) {
   return column::PartitionBlock::FromRows(SerdeBenchSchema(), rows);
 }
 
-/// Serde write throughput: serialize the block into a run file through
-/// BlockFileWriter::WriteBlock (bytes/s is the number to watch;
-/// docs/STORAGE.md format).
+/// Serde write throughput: serialize the block into one buffer
+/// (AppendFileHeader + AppendBlockRecord) and write it as a run file with
+/// one WriteFile call (bytes/s is the number to watch; docs/STORAGE.md
+/// format).
 void BM_SerdeWrite(benchmark::State& state) {
   const column::PartitionBlock block =
       SerdeBenchBlock(state.range(0), 11);
   const std::string path = SerdeBenchPath();
-  uint64_t bytes = 0;
+  std::string file;
   for (auto _ : state) {
-    serde::BlockFileWriter writer;
-    TRANCE_CHECK(writer.Open(path).ok(), "serde bench open");
-    TRANCE_CHECK(writer.WriteBlock(block).ok(), "serde bench write");
-    TRANCE_CHECK(writer.Close().ok(), "serde bench close");
-    bytes = writer.bytes_written();
-    benchmark::DoNotOptimize(bytes);
+    file.clear();
+    serde::AppendFileHeader(&file);
+    serde::AppendBlockRecord(block, 0, block.NumRows(), &file);
+    TRANCE_CHECK(WriteFile(path, file).ok(), "serde bench write");
+    benchmark::DoNotOptimize(file.data());
+    benchmark::ClobberMemory();
   }
   std::remove(path.c_str());
-  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(file.size()));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SerdeWrite)->Arg(65536);
 
-/// Serde read throughput: decode the same run file back into a fresh block
-/// through BlockFileReader::ReadBatchInto.
+/// Serde read throughput: read the same run file back with one ReadFile
+/// call and decode it into a fresh block through ReadBlockFile.
 void BM_SerdeRead(benchmark::State& state) {
   const std::string path = SerdeBenchPath();
-  {
-    serde::BlockFileWriter writer;
-    TRANCE_CHECK(writer.Open(path).ok(), "serde bench open");
-    TRANCE_CHECK(writer.WriteBlock(SerdeBenchBlock(state.range(0), 12)).ok(),
-                 "serde bench write");
-    TRANCE_CHECK(writer.Close().ok(), "serde bench close");
-  }
-  uint64_t bytes = 0;
+  const column::PartitionBlock block = SerdeBenchBlock(state.range(0), 12);
+  std::string file;
+  serde::AppendFileHeader(&file);
+  serde::AppendBlockRecord(block, 0, block.NumRows(), &file);
+  TRANCE_CHECK(WriteFile(path, file).ok(), "serde bench write");
   for (auto _ : state) {
-    serde::BlockFileReader reader;
-    TRANCE_CHECK(reader.Open(path).ok(), "serde bench open");
+    TRANCE_CHECK(ReadFile(path, &file).ok(), "serde bench read");
     column::PartitionBlock back(SerdeBenchSchema());
-    for (;;) {
-      auto more = reader.ReadBatchInto(&back);
-      TRANCE_CHECK(more.ok(), "serde bench read");
-      if (!more.value()) break;
-    }
+    TRANCE_CHECK(serde::ReadBlockFile(file, path, &back).ok(),
+                 "serde bench decode");
     TRANCE_CHECK(back.NumRows() == static_cast<size_t>(state.range(0)),
                  "serde bench row count");
-    bytes = reader.bytes_read();
-    TRANCE_CHECK(reader.Close().ok(), "serde bench close");
     benchmark::DoNotOptimize(back);
   }
   std::remove(path.c_str());
-  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(file.size()));
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SerdeRead)->Arg(65536);

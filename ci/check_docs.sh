@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate, run by ci/sanitize.sh and ci/tsan.sh (or
-# standalone). Five checks:
+# standalone). Six checks:
 #
 #  1. Markdown link check: every relative link target referenced from the
 #     top-level docs and docs/*.md must exist in the tree (external http(s)
@@ -29,6 +29,10 @@
 #     src/runtime/serde.cc; and every checksum vector in its reference-vector
 #     table (a row whose first cell is a quoted input), and the checksum
 #     bytes of its worked example, must appear in tests/serde_test.cc.
+#  6. Code names: every backticked qualified C++ name in the documentation
+#     (`A::B`, `a::b::C` or `A::B()`) must have each of its `::` parts appear
+#     as a word somewhere in src/, bench/, tests/ or examples/, so a doc that
+#     still names a deleted class or function fails.
 #
 # Usage: ci/check_docs.sh
 set -euo pipefail
@@ -219,8 +223,27 @@ elif ! grep -qiF "$example_sum" tests/serde_test.cc; then
   fail=1
 fi
 
+# --- 6. qualified code names in the docs must exist in the code ----------
+CODE_DIRS=(src bench tests examples)
+names=0
+while IFS=: read -r doc name; do
+  names=$((names + 1))
+  for part in $(sed -E 's/\(\)$//; s/::/ /g' <<<"$name"); do
+    if ! grep -rqw -- "$part" "${CODE_DIRS[@]}"; then
+      echo "STALE CODE NAME in $doc: \`$name\` — '$part' is not a word" \
+        "anywhere in ${CODE_DIRS[*]}"
+      fail=1
+    fi
+  done
+done < <(grep -oHE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+(\(\))?`' \
+           "${DOCS[@]}" | tr -d '`' | sort -u)
+if [ "$names" -eq 0 ]; then
+  echo "NO CODE NAMES: no backticked qualified name found in ${DOCS[*]}"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + option tables + statistic table + storage spec and its code tables)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + option tables + statistic table + storage spec and its code tables + code names in $names doc/name pairs)"

@@ -11,6 +11,7 @@
 #include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
+#include "util/file.h"
 
 using namespace trance;
 
@@ -80,8 +81,7 @@ Status Run() {
   }
 
   const char* trace_path = "explain_analyze_trace.json";
-  TRANCE_RETURN_NOT_OK(
-      obs::WriteFile(trace_path, tracer.ToChromeTraceJson()));
+  TRANCE_RETURN_NOT_OK(WriteFile(trace_path, tracer.ToChromeTraceJson()));
   std::printf("wrote %s (%zu events) — open in chrome://tracing\n",
               trace_path, tracer.events().size());
   return Status::OK();

@@ -1,7 +1,5 @@
 #include "obs/export.h"
 
-#include <fstream>
-
 #include "obs/histogram.h"
 #include "util/strings.h"
 
@@ -158,15 +156,6 @@ void AppendJobStagesToTrace(const runtime::JobStats& stats, Tracer* tracer,
     if (!s.scope.empty()) ev.args.emplace_back("scope", s.scope);
     tracer->AddCompleteEvent(std::move(ev));
   }
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return Status::Invalid("cannot open " + path + " for writing");
-  f << content;
-  f.close();
-  if (!f) return Status::Invalid("short write to " + path);
-  return Status::OK();
 }
 
 }  // namespace obs

@@ -9,7 +9,6 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "runtime/stats.h"
-#include "util/status.h"
 
 namespace trance {
 namespace obs {
@@ -31,9 +30,6 @@ std::string JobStatsToJson(const runtime::JobStats& stats);
 /// benchmark run name). No-op when the tracer is disabled.
 void AppendJobStagesToTrace(const runtime::JobStats& stats, Tracer* tracer,
                             const std::string& prefix = "", int tid = 1);
-
-/// Writes `content` to `path` (overwrite).
-Status WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace obs
 }  // namespace trance

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <thread>
 
 #include "obs/json.h"
 
@@ -12,14 +10,6 @@ namespace trance {
 namespace obs {
 
 namespace {
-
-// Shard index for the calling thread: hash of thread id, stable per thread.
-int ThisThreadShard() {
-  static thread_local const int shard = static_cast<int>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      Counter::kShards);
-  return shard;
-}
 
 // %.17g keeps doubles round-trippable; matches JsonWriter::Number.
 std::string FormatDouble(double v) {
@@ -57,19 +47,11 @@ const char* MetricKindName(MetricKind k) {
 
 // ---------------------------------------------------------------- Counter
 
-void Counter::Add(uint64_t v) {
-  shards_[ThisThreadShard()].v.fetch_add(v, std::memory_order_relaxed);
-}
+void Counter::Add(uint64_t v) { v_.fetch_add(v, std::memory_order_relaxed); }
 
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
+uint64_t Counter::Value() const { return v_.load(std::memory_order_relaxed); }
 
-void Counter::Reset() {
-  for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
+void Counter::Reset() { v_.store(0, std::memory_order_relaxed); }
 
 // ------------------------------------------------------------------ Gauge
 

@@ -16,16 +16,18 @@
 // is the documentation row in docs/METRICS.md, which CI enforces.
 //
 // Thread model:
-//  - Counter::Add is the hot-path update: a relaxed atomic add on a
-//    thread-sharded slot (no contention between pool workers), safe from any
-//    thread. Totals are exact because uint64 addition is commutative.
+//  - Every current publisher runs on the driver, after a stage's barrier or
+//    under the cluster mutex (stage publication, memory checks, the fault
+//    recovery merge, shuffle and broadcast bookkeeping, fused-stage
+//    publication, program execution), so updates do not contend.
+//  - Counter::Add is one relaxed atomic add, safe from any thread. Totals
+//    are exact because uint64 addition is commutative.
 //  - Gauge and Histogram updates are atomic (CAS loops) and safe from any
 //    thread, but DOUBLE accumulation order is not commutative — modules that
-//    need deterministic values only update them from driver-sequential code
-//    (stage barriers), which is where all current publishers run. This is
-//    the registry half of the determinism contract in docs/ARCHITECTURE.md
-//    ("Telemetry"): integer counters may be updated from workers, floating
-//    point only from the driver.
+//    need deterministic values only update them from driver-sequential code.
+//    This is the registry half of the determinism contract in
+//    docs/ARCHITECTURE.md ("Telemetry"): integer counters may be updated from
+//    workers, floating point only from the driver.
 //  - GetCounter/GetGauge/GetHistogram and Snapshot take the registry mutex;
 //    handles returned are stable for the registry's lifetime, so hot loops
 //    look a metric up once and keep the pointer.
@@ -60,12 +62,9 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 const char* MetricKindName(MetricKind k);
 
-/// Monotone integer counter with thread-sharded slots: Add() from pool
-/// workers never contends on one cache line, Value() folds the shards.
+/// Monotone integer counter: one relaxed atomic, exact from any thread.
 class Counter {
  public:
-  static constexpr int kShards = 16;
-
   void Add(uint64_t v);
   void Increment() { Add(1); }
   uint64_t Value() const;
@@ -75,10 +74,7 @@ class Counter {
   Counter() = default;
   void Reset();
 
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> v{0};
-  };
-  Shard shards_[kShards];
+  std::atomic<uint64_t> v_{0};
 };
 
 /// Floating-point gauge with set / add / monotone-max update modes (Add is

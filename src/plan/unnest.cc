@@ -144,7 +144,7 @@ class Compiler {
   Status AddGenerator(const Qualifier& gen, std::vector<Qualifier>* quals,
                       size_t gen_index, Ctx* ctx, bool outer);
   StatusOr<LevelOut> ProcessHead(const ExprPtr& head, Ctx ctx,
-                                 std::vector<std::string> G, bool outer);
+                                 std::vector<std::string> G);
 
   /// Rewrites an NRC scalar expression over comprehension variables into a
   /// plan expression over pipeline columns.
@@ -455,9 +455,7 @@ Status Compiler::ProcessQualifiers(std::vector<Qualifier>* quals, Ctx* ctx,
 
 StatusOr<Compiler::LevelOut> Compiler::ProcessHead(const ExprPtr& head,
                                                    Ctx ctx,
-                                                   std::vector<std::string> G,
-                                                   bool outer) {
-  (void)outer;  // nesting decisions key off G; kept for symmetry
+                                                   std::vector<std::string> G) {
   using K = Expr::Kind;
   if (head->kind() != K::kSingleton ||
       head->child(0)->kind() != K::kTupleCtor) {
@@ -630,8 +628,7 @@ StatusOr<Compiler::LevelOut> Compiler::CompileComp(const ExprPtr& e, Ctx ctx,
     }
   }
   TRANCE_ASSIGN_OR_RETURN(LevelOut out,
-                          ProcessHead(head, std::move(ctx), std::move(G),
-                                      outer));
+                          ProcessHead(head, std::move(ctx), std::move(G)));
   out.indicator = indicator;
   return out;
 }

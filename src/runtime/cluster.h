@@ -84,8 +84,8 @@ class Cluster {
   /// Per-cluster metric registry. Stage recording, memory checks and fault
   /// recovery publish into it alongside (never instead of) JobStats, so a
   /// metric registered here shows up in every exposition surface without
-  /// further plumbing (see src/obs/metrics.h). Always on — updates are
-  /// sharded atomics, cheap enough to leave unconditional.
+  /// further plumbing (see src/obs/metrics.h). Always on — every update is
+  /// one driver-side atomic add, cheap enough to leave unconditional.
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
 

@@ -1,16 +1,16 @@
 // Columnar partition blocks: schema-typed column storage under the operators.
 //
 // A PartitionBlock stores one Dataset partition as typed columns instead of
-// std::vector<Row> of variant Fields: int64/double/uint8 values live in
-// contiguous ColumnVector<T> arrays, strings in a shared char arena with
-// offsets, and label-, bag- and date-typed cells in a variant column of
-// whole Fields. Every column carries a null bitmap.
+// std::vector<Row> of variant Fields: int64/double/uint8 values (dates are
+// int64 day numbers) live in contiguous ColumnVector<T> arrays, strings in a
+// shared char arena with offsets, and label- and bag-typed cells in a
+// variant column of whole Fields. Every column carries a null bitmap.
 //
 // The declared schema is authoritative. A column's kind is fixed when the
 // block is built, every row has the schema's width, and a typed column holds
 // only NULL or values of its kind. Inside the engine a row that breaks its
 // schema is a compiler bug and fails a TRANCE_CHECK; rows from outside are
-// checked where they enter (runtime::Source, serde::BlockFileReader) and
+// checked where they enter (runtime::Source, serde::ReadBlockFile) and
 // rejected with a Status.
 //
 // Blocks are lossless: RowAt / ToRows reproduce the exact Field values that
@@ -115,25 +115,26 @@ class NullBitmap {
   bool any_ = false;
 };
 
-/// One schema column in typed form. Int, real, bool and string columns use
-/// the flat representations above and hold only NULL or values of their
-/// kind; label-, bag- and date-typed columns, and columns with no declared
+/// One schema column in typed form. Int, date, real, bool and string
+/// columns use the flat representations above and hold only NULL or values
+/// of their kind; label- and bag-typed columns, and columns with no declared
 /// type, are variant columns of whole Fields that accept any value. The
 /// kind never changes after construction.
 class AnyColumn {
  public:
   enum class Kind { kInt64, kReal, kBool, kString, kVariant };
 
-  /// Storage kind for a declared NRC column type. Label, bag, tuple, dict,
-  /// and date columns, and a missing type, are variant.
+  /// Storage kind for a declared NRC column type. A date is an int64 day
+  /// number. Label, bag, tuple and dict columns, and a missing type, are
+  /// variant.
   static Kind KindForType(const nrc::TypePtr& type) {
     if (type == nullptr || !type->is_scalar()) return Kind::kVariant;
     switch (type->scalar_kind()) {
-      case nrc::ScalarKind::kInt: return Kind::kInt64;
+      case nrc::ScalarKind::kInt:
+      case nrc::ScalarKind::kDate: return Kind::kInt64;
       case nrc::ScalarKind::kReal: return Kind::kReal;
       case nrc::ScalarKind::kBool: return Kind::kBool;
       case nrc::ScalarKind::kString: return Kind::kString;
-      case nrc::ScalarKind::kDate: return Kind::kVariant;
     }
     return Kind::kVariant;
   }

@@ -569,19 +569,21 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     out_schema.Append(in.schema.col(static_cast<size_t>(c)));
   }
   // Sums read the typed arrays, so each value column must be declared int
-  // or real; an int column sums into an int column, a real one into a real.
+  // or real (the typechecker's sumBy rule: a date column is stored as int64
+  // but is not numeric); an int column sums into an int column, a real one
+  // into a real.
   std::vector<bool> is_int;
   for (int c : value_cols) {
     const auto& col = in.schema.col(static_cast<size_t>(c));
-    const auto kind = AnyColumn::KindForType(col.type);
-    if (kind != AnyColumn::Kind::kInt64 && kind != AnyColumn::Kind::kReal) {
+    if (col.type == nullptr || !col.type->is_numeric()) {
       return Status::TypeError(
           name + ": value column " + std::to_string(c) + " '" + col.name +
           "' is " + (col.type == nullptr ? "untyped" : col.type->ToString()) +
           ", not int or real");
     }
     out_schema.Append(col);
-    is_int.push_back(kind == AnyColumn::Kind::kInt64);
+    is_int.push_back(AnyColumn::KindForType(col.type) ==
+                     AnyColumn::Kind::kInt64);
   }
 
   std::vector<int> partial_keys;

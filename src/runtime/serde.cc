@@ -1,14 +1,8 @@
 #include "runtime/serde.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <cstring>
-#include <limits>
 
 namespace trance {
 namespace runtime {
@@ -33,10 +27,6 @@ constexpr uint8_t kColReal = 1;
 constexpr uint8_t kColBool = 2;
 constexpr uint8_t kColString = 3;
 constexpr uint8_t kColVariant = 4;
-
-std::string Errno(const std::string& what, const std::string& path) {
-  return what + " '" + path + "': " + std::strerror(errno);
-}
 
 // --- little-endian primitive append/parse --------------------------------
 // The format is defined little-endian; memcpy of the native representation
@@ -133,145 +123,6 @@ uint64_t Xxh64(const void* data, size_t n) {
   h *= kPrime3;
   h ^= h >> 32;
   return h;
-}
-
-// --- BufferedFileWriter --------------------------------------------------
-
-BufferedFileWriter::~BufferedFileWriter() {
-  if (fd_ >= 0) Close().ok();  // best effort; errors surfaced via Close()
-}
-
-Status BufferedFileWriter::Open(const std::string& path,
-                                size_t buffer_bytes) {
-  if (fd_ >= 0) return Status::Internal("serde: writer already open");
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) return Status::Internal(Errno("serde: cannot create", path));
-  path_ = path;
-  buf_.assign(buffer_bytes > 0 ? buffer_bytes : 1, 0);
-  used_ = 0;
-  bytes_written_ = 0;
-  return Status::OK();
-}
-
-Status BufferedFileWriter::Append(const void* data, size_t n) {
-  if (fd_ < 0) return Status::Internal("serde: write on closed file");
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    if (used_ == buf_.size()) {
-      Status s = Flush();
-      if (!s.ok()) return s;
-    }
-    size_t take = std::min(n, buf_.size() - used_);
-    std::memcpy(buf_.data() + used_, p, take);
-    used_ += take;
-    p += take;
-    n -= take;
-    bytes_written_ += take;
-  }
-  return Status::OK();
-}
-
-Status BufferedFileWriter::Flush() {
-  size_t off = 0;
-  while (off < used_) {
-    ssize_t w = ::write(fd_, buf_.data() + off, used_ - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("serde: write failed on", path_));
-    }
-    off += static_cast<size_t>(w);
-  }
-  used_ = 0;
-  return Status::OK();
-}
-
-Status BufferedFileWriter::Close() {
-  if (fd_ < 0) return Status::OK();
-  Status s = Flush();
-  if (::close(fd_) != 0 && s.ok()) {
-    s = Status::Internal(Errno("serde: close failed on", path_));
-  }
-  fd_ = -1;
-  return s;
-}
-
-// --- BufferedFileReader --------------------------------------------------
-
-BufferedFileReader::~BufferedFileReader() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status BufferedFileReader::Open(const std::string& path,
-                                size_t buffer_bytes) {
-  if (fd_ >= 0) return Status::Internal("serde: reader already open");
-  fd_ = ::open(path.c_str(), O_RDONLY);
-  if (fd_ < 0) return Status::Internal(Errno("serde: cannot open", path));
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) {
-    Status s = Status::Internal(Errno("serde: cannot stat", path));
-    ::close(fd_);
-    fd_ = -1;
-    return s;
-  }
-  file_size_ = static_cast<uint64_t>(st.st_size);
-  path_ = path;
-  buf_.assign(buffer_bytes > 0 ? buffer_bytes : 1, 0);
-  used_ = pos_ = 0;
-  bytes_read_ = 0;
-  return Status::OK();
-}
-
-Status BufferedFileReader::Refill() {
-  pos_ = used_ = 0;
-  for (;;) {
-    ssize_t r = ::read(fd_, buf_.data(), buf_.size());
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("serde: read failed on", path_));
-    }
-    used_ = static_cast<size_t>(r);
-    return Status::OK();
-  }
-}
-
-Status BufferedFileReader::Read(void* dst, size_t n) {
-  if (fd_ < 0) return Status::Internal("serde: read on closed file");
-  char* p = static_cast<char*>(dst);
-  while (n > 0) {
-    if (pos_ == used_) {
-      Status s = Refill();
-      if (!s.ok()) return s;
-      if (used_ == 0) {
-        return Status::Invalid("serde: truncated file '" + path_ + "' (" +
-                               std::to_string(n) + " bytes missing)");
-      }
-    }
-    size_t take = std::min(n, used_ - pos_);
-    std::memcpy(p, buf_.data() + pos_, take);
-    pos_ += take;
-    p += take;
-    n -= take;
-    bytes_read_ += take;
-  }
-  return Status::OK();
-}
-
-StatusOr<bool> BufferedFileReader::AtEof() {
-  if (fd_ < 0) return Status::Internal("serde: AtEof on closed file");
-  if (pos_ < used_) return false;
-  Status s = Refill();
-  if (!s.ok()) return s;
-  return used_ == 0;
-}
-
-Status BufferedFileReader::Close() {
-  if (fd_ < 0) return Status::OK();
-  Status s = Status::OK();
-  if (::close(fd_) != 0) {
-    s = Status::Internal(Errno("serde: close failed on", path_));
-  }
-  fd_ = -1;
-  return s;
 }
 
 // --- field / row codecs --------------------------------------------------
@@ -690,42 +541,54 @@ void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
 
 }  // namespace
 
-// --- file-level writer / reader ------------------------------------------
+// --- file-level codec ----------------------------------------------------
 
-Status BlockFileWriter::Open(const std::string& path, size_t buffer_bytes) {
-  TRANCE_RETURN_NOT_OK(out_.Open(path, buffer_bytes));
-  std::string header;
-  AppendU32(kMagic, &header);
-  AppendPod<uint16_t>(kFormatVersion, &header);
-  AppendPod<uint16_t>(0, &header);  // flags, reserved
-  return out_.Append(header.data(), header.size());
+void AppendFileHeader(std::string* file) {
+  AppendU32(kMagic, file);
+  AppendPod<uint16_t>(kFormatVersion, file);
+  AppendPod<uint16_t>(0, file);  // flags, reserved
 }
 
-Status BlockFileWriter::WriteBlockPayload(const std::string& payload) {
-  std::string head;
-  AppendU8(kRecordBlock, &head);
-  AppendU64(payload.size(), &head);
-  const uint64_t sum = Xxh64(payload.data(), payload.size());
-  TRANCE_RETURN_NOT_OK(out_.Append(head.data(), head.size()));
-  TRANCE_RETURN_NOT_OK(out_.Append(payload.data(), payload.size()));
-  return out_.Append(&sum, sizeof(sum));
+void AppendBlockRecord(const column::PartitionBlock& block, size_t begin,
+                       size_t end, std::string* file) {
+  AppendU8(kRecordBlock, file);
+  const size_t len_at = file->size();
+  AppendU64(0, file);  // payload_len, patched once the payload is in place
+  const size_t payload_at = file->size();
+  AppendBlockPayload(block, begin, end, file);
+  const uint64_t len = file->size() - payload_at;
+  std::memcpy(file->data() + len_at, &len, sizeof(len));
+  AppendU64(Xxh64(file->data() + payload_at, len), file);
 }
 
-Status BlockFileWriter::WriteBlock(const column::PartitionBlock& block) {
-  std::string payload;
-  AppendBlockPayload(block, 0, block.NumRows(), &payload);
-  return WriteBlockPayload(payload);
+namespace {
+
+/// Reads one header or frame field at *pos; the file ending inside it is a
+/// truncated file, naming the bytes missing from the field.
+template <typename T>
+Status TakeField(std::string_view file, const std::string& path, size_t* pos,
+                 T* out) {
+  const size_t left = file.size() - *pos;
+  if (left < sizeof(T)) {
+    return Status::Invalid("serde: truncated file '" + path + "' (" +
+                           std::to_string(sizeof(T) - left) +
+                           " bytes missing)");
+  }
+  std::memcpy(out, file.data() + *pos, sizeof(T));
+  *pos += sizeof(T);
+  return Status::OK();
 }
 
-Status BlockFileWriter::Close() { return out_.Close(); }
+}  // namespace
 
-Status BlockFileReader::Open(const std::string& path, size_t buffer_bytes) {
-  TRANCE_RETURN_NOT_OK(in_.Open(path, buffer_bytes));
+Status ReadBlockFile(std::string_view file, const std::string& path,
+                     column::PartitionBlock* out) {
+  size_t pos = 0;
   uint32_t magic = 0;
   uint16_t version = 0, flags = 0;
-  TRANCE_RETURN_NOT_OK(in_.Read(&magic, sizeof(magic)));
-  TRANCE_RETURN_NOT_OK(in_.Read(&version, sizeof(version)));
-  TRANCE_RETURN_NOT_OK(in_.Read(&flags, sizeof(flags)));
+  TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &magic));
+  TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &version));
+  TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &flags));
   if (magic != kMagic) {
     return Status::Invalid("serde: bad magic in '" + path +
                            "' (not a trance block file)");
@@ -736,61 +599,49 @@ Status BlockFileReader::Open(const std::string& path, size_t buffer_bytes) {
                            "' (this reader speaks version " +
                            std::to_string(kFormatVersion) + ")");
   }
+  while (pos < file.size()) {
+    uint8_t kind = 0;
+    uint64_t payload_len = 0;
+    TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &kind));
+    TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &payload_len));
+    if (payload_len > (uint64_t{1} << 40)) {
+      return Status::Invalid("serde: implausible record length " +
+                             std::to_string(payload_len) +
+                             " (corrupt frame)");
+    }
+    // Validate the length against the bytes the file holds (payload +
+    // trailer) before anything reads the payload.
+    const uint64_t remaining = file.size() - pos;
+    if (payload_len + sizeof(uint64_t) > remaining) {
+      return Status::Invalid(
+          "serde: truncated record: frame claims " +
+          std::to_string(payload_len) + " payload bytes with only " +
+          std::to_string(remaining) + " bytes left in the file");
+    }
+    const char* payload = file.data() + pos;
+    const size_t size = static_cast<size_t>(payload_len);
+    pos += size;
+    uint64_t stored_sum = 0;
+    TRANCE_RETURN_NOT_OK(TakeField(file, path, &pos, &stored_sum));
+    const uint64_t actual_sum = Xxh64(payload, size);
+    if (stored_sum != actual_sum) {
+      return Status::Invalid("serde: checksum mismatch (stored " +
+                             std::to_string(stored_sum) + ", computed " +
+                             std::to_string(actual_sum) + "): corrupt record");
+    }
+    if (kind != kRecordBlock) {
+      return Status::Invalid("serde: unknown record kind " +
+                             std::to_string(static_cast<int>(kind)));
+    }
+    BlockRecord rec;
+    TRANCE_RETURN_NOT_OK(ParseBlockRecord(payload, size, &rec));
+    TRANCE_RETURN_NOT_OK(CheckRecordFits(rec, *out));
+    out->AppendColumns(rec.rows, [&](size_t c, column::AnyColumn* col) {
+      AppendSection(rec.cols[c], rec.rows, col);
+    });
+  }
   return Status::OK();
 }
-
-StatusOr<bool> BlockFileReader::ReadRecord(uint8_t* kind) {
-  TRANCE_ASSIGN_OR_RETURN(bool eof, in_.AtEof());
-  if (eof) return false;
-  uint64_t payload_len = 0;
-  TRANCE_RETURN_NOT_OK(in_.Read(kind, sizeof(*kind)));
-  TRANCE_RETURN_NOT_OK(in_.Read(&payload_len, sizeof(payload_len)));
-  if (payload_len > (uint64_t{1} << 40)) {
-    return Status::Invalid("serde: implausible record length " +
-                           std::to_string(payload_len) + " (corrupt frame)");
-  }
-  // Validate against what the file can actually hold (payload + trailer)
-  // BEFORE allocating: a corrupt length must produce a clean Status, not a
-  // giant allocation.
-  uint64_t remaining = in_.file_size() - in_.bytes_read();
-  if (payload_len + sizeof(uint64_t) > remaining) {
-    return Status::Invalid(
-        "serde: truncated record: frame claims " +
-        std::to_string(payload_len) + " payload bytes with only " +
-        std::to_string(remaining) + " bytes left in the file");
-  }
-  payload_.resize(static_cast<size_t>(payload_len));
-  TRANCE_RETURN_NOT_OK(in_.Read(payload_.data(), payload_.size()));
-  uint64_t stored_sum = 0;
-  TRANCE_RETURN_NOT_OK(in_.Read(&stored_sum, sizeof(stored_sum)));
-  uint64_t actual_sum = Xxh64(payload_.data(), payload_.size());
-  if (stored_sum != actual_sum) {
-    return Status::Invalid("serde: checksum mismatch (stored " +
-                           std::to_string(stored_sum) + ", computed " +
-                           std::to_string(actual_sum) + "): corrupt record");
-  }
-  return true;
-}
-
-StatusOr<bool> BlockFileReader::ReadBatchInto(column::PartitionBlock* out) {
-  uint8_t kind = 0;
-  TRANCE_ASSIGN_OR_RETURN(bool more, ReadRecord(&kind));
-  if (!more) return false;
-  if (kind != kRecordBlock) {
-    return Status::Invalid("serde: unknown record kind " +
-                           std::to_string(static_cast<int>(kind)));
-  }
-  BlockRecord rec;
-  TRANCE_RETURN_NOT_OK(
-      ParseBlockRecord(payload_.data(), payload_.size(), &rec));
-  TRANCE_RETURN_NOT_OK(CheckRecordFits(rec, *out));
-  out->AppendColumns(rec.rows, [&](size_t c, column::AnyColumn* col) {
-    AppendSection(rec.cols[c], rec.rows, col);
-  });
-  return true;
-}
-
-Status BlockFileReader::Close() { return in_.Close(); }
 
 }  // namespace serde
 }  // namespace runtime

@@ -1,13 +1,15 @@
-// Binary partition serialization: a versioned, length-prefixed on-disk
-// format for PartitionBlock over buffered file reader/writer classes.
+// Binary partition serialization: a versioned, length-prefixed byte codec
+// for PartitionBlock. The codec works on in-memory buffers only; a caller
+// that wants a file writes and reads the whole buffer with util/file.h.
 //
-// This is the spill format of runtime/spill.h and the ROADMAP's persistent
-// dataset/dictionary cache format. The byte-level wire layout — magic,
-// version, record framing, per-column encodings, null bitmaps, the recursive
-// field encoding of variant cells (labels, bags), and the checksum — is
-// specified in docs/STORAGE.md precisely enough to write an independent
-// reader; this header is the implementation of that spec and must not drift
-// from it (ci/check_docs.sh + tests/serde_test.cc).
+// This is the spill format of runtime/spill.h: a run file is the header
+// and one block record, built in one string and written with one call. The
+// byte-level wire layout — magic, version, record framing, per-column
+// encodings, null bitmaps, the recursive field encoding of variant cells
+// (labels, bags), and the checksum — is specified in docs/STORAGE.md
+// precisely enough to write an independent reader; this header is the
+// implementation of that spec and must not drift from it
+// (ci/check_docs.sh + tests/serde_test.cc).
 //
 // Round-trip contract: every Field value a block holds — NULL, int64, real
 // (exact IEEE bit pattern, NaNs included), string, bool, label
@@ -17,16 +19,15 @@
 // block, return a clean Status (never crash, never append part of a
 // record).
 //
-// Idiom: RaftKeeper's NativeBlockInputStream over
-// ReadBufferFromFileDescriptor / WriteBufferFromFileDescriptor, and Thrill's
-// external-memory block files: typed column bytes go from the block to the
-// file and back without passing through rows.
+// Idiom: Thrill's external-memory block files, which move whole blocks to
+// and from disk: typed column bytes go from the block to the buffer and
+// back without passing through rows.
 #ifndef TRANCE_RUNTIME_SERDE_H_
 #define TRANCE_RUNTIME_SERDE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "runtime/column.h"
 #include "runtime/field.h"
@@ -49,131 +50,32 @@ inline constexpr uint16_t kFormatVersion = 3;
 /// rejects it as an unknown record kind.
 inline constexpr uint8_t kRecordBlock = 2;
 
-/// Fixed sizes of the layout: the file header, and the frame around each
-/// record payload (kind byte, payload length, checksum trailer).
-inline constexpr uint64_t kFileHeaderBytes = 8;
-inline constexpr uint64_t kRecordFrameBytes = 17;
-
 /// XXH64 with seed 0 over the record payload; the record trailer. Exposed
 /// so tests and independent readers can recompute it.
 uint64_t Xxh64(const void* data, size_t n);
 
-/// Buffered file writer over a POSIX descriptor (write(2) behind an
-/// app-side buffer). Append never short-writes: it either buffers/flushes
-/// all n bytes or returns a Status naming the path and errno.
-class BufferedFileWriter {
- public:
-  BufferedFileWriter() = default;
-  ~BufferedFileWriter();
-  BufferedFileWriter(const BufferedFileWriter&) = delete;
-  BufferedFileWriter& operator=(const BufferedFileWriter&) = delete;
+/// Appends the 8-byte file header (magic, version, flags 0) to *file.
+void AppendFileHeader(std::string* file);
 
-  Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
-  Status Append(const void* data, size_t n);
-  Status Flush();
-  /// Flushes and closes; safe to call twice. The destructor closes too but
-  /// swallows errors, so callers that care must Close() explicitly.
-  Status Close();
+/// Appends one block record holding rows [begin, end) of `block` to *file:
+/// the frame head, the payload built in place by AppendBlockPayload, the
+/// payload length patched into the head, then the XXH64 trailer.
+void AppendBlockRecord(const column::PartitionBlock& block, size_t begin,
+                       size_t end, std::string* file);
 
-  bool is_open() const { return fd_ >= 0; }
-  /// Bytes handed to Append so far (buffered or flushed).
-  uint64_t bytes_written() const { return bytes_written_; }
-
- private:
-  int fd_ = -1;
-  std::string path_;
-  std::vector<char> buf_;
-  size_t used_ = 0;
-  uint64_t bytes_written_ = 0;
-};
-
-/// Buffered file reader over a POSIX descriptor. Read is exact-or-error:
-/// fewer than n bytes available is a truncation Status, except through
-/// AtEof() which peeks cleanly at a record boundary.
-class BufferedFileReader {
- public:
-  BufferedFileReader() = default;
-  ~BufferedFileReader();
-  BufferedFileReader(const BufferedFileReader&) = delete;
-  BufferedFileReader& operator=(const BufferedFileReader&) = delete;
-
-  Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
-  Status Read(void* dst, size_t n);
-  /// True iff no byte remains (refills the buffer to decide).
-  StatusOr<bool> AtEof();
-  Status Close();
-
-  bool is_open() const { return fd_ >= 0; }
-  uint64_t bytes_read() const { return bytes_read_; }
-  /// Total file size, captured at Open. Lets record readers reject a
-  /// corrupt length field before allocating for it.
-  uint64_t file_size() const { return file_size_; }
-
- private:
-  Status Refill();
-
-  int fd_ = -1;
-  std::string path_;
-  std::vector<char> buf_;
-  size_t used_ = 0;  // valid bytes in buf_
-  size_t pos_ = 0;   // next unread byte in buf_
-  uint64_t bytes_read_ = 0;
-  uint64_t file_size_ = 0;
-};
-
-/// Writes one block file: [file header][record]*. One writer per file.
-class BlockFileWriter {
- public:
-  BlockFileWriter() = default;
-
-  /// Creates/truncates `path` and writes the file header.
-  Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
-
-  /// Appends one block record holding the whole block, column by column.
-  Status WriteBlock(const column::PartitionBlock& block);
-
-  /// Appends one block record around a payload AppendBlockPayload built:
-  /// the frame head, the payload and the checksum go to the buffered file
-  /// without an intermediate frame copy.
-  Status WriteBlockPayload(const std::string& payload);
-
-  Status Close();
-  uint64_t bytes_written() const { return out_.bytes_written(); }
-
- private:
-  BufferedFileWriter out_;
-};
-
-/// Reads a block file record by record into resident blocks.
-class BlockFileReader {
- public:
-  BlockFileReader() = default;
-
-  /// Opens `path` and validates magic + version.
-  Status Open(const std::string& path, size_t buffer_bytes = 64 * 1024);
-
-  /// Decodes the next record straight into *out's typed columns: int, real
-  /// and bool values and string bytes go from the payload into the column
-  /// arrays and the string arena; only variant cells parse Fields. The whole
-  /// record — lengths, column kinds, string offsets, trailing bytes, and its
-  /// column count and kinds against *out's — is validated before the first
-  /// append, so an error leaves *out unchanged. Cells are appended one at a
-  /// time in row order, so the restored block's ByteFootprint equals that
-  /// of a block built by appending the written rows. Returns false cleanly
-  /// at end of file.
-  StatusOr<bool> ReadBatchInto(column::PartitionBlock* out);
-
-  Status Close();
-  uint64_t bytes_read() const { return in_.bytes_read(); }
-
- private:
-  /// Reads one record frame into kind + payload_, validating length and
-  /// checksum. Returns false cleanly at end of file.
-  StatusOr<bool> ReadRecord(uint8_t* kind);
-
-  BufferedFileReader in_;
-  std::string payload_;
-};
+/// Decodes a whole block file, header first, then each record in file
+/// order straight into *out's typed columns: int, real and bool values and
+/// string bytes go from the payload into the column arrays and the string
+/// arena; only variant cells parse Fields. Each record — its frame, lengths,
+/// checksum, column kinds, string offsets, trailing bytes, and its column
+/// count and kinds against *out's — is validated (docs/STORAGE.md
+/// "Validation order") before any of its rows is appended, so a record that
+/// fails leaves *out as the records before it left it. Cells are appended
+/// one at a time in row order, so the restored block's ByteFootprint equals
+/// that of a block built by appending the written rows. `path` names the
+/// file in the header and truncation messages.
+Status ReadBlockFile(std::string_view file, const std::string& path,
+                     column::PartitionBlock* out);
 
 // Payload codecs, exposed for tests and for embedding records in other
 // containers. AppendField/ParseField implement the recursive tagged field

@@ -2,11 +2,12 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <vector>
 
 #include "runtime/serde.h"
+#include "util/file.h"
 #include "util/strings.h"
 
 namespace trance {
@@ -16,9 +17,6 @@ namespace spill {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Buffer size of the serde file reader and writer.
-constexpr size_t kIoBufferBytes = 64 * 1024;
 
 /// Process-wide manager sequence; keeps concurrent clusters (tests run many)
 /// in disjoint directories while staying deterministic per process.
@@ -95,7 +93,6 @@ Status SpillManager::AccountRun(const std::string& path, uint64_t bytes) {
         " already on disk > budget " + FormatBytes(config_.max_spill_bytes));
   }
   on_disk_bytes_ += bytes;
-  file_bytes_[path] = bytes;
   return Status::OK();
 }
 
@@ -113,59 +110,10 @@ Status EnsureParentDir(const std::string& path) {
 
 }  // namespace
 
-Status SpillManager::WriteRangeRun(const std::string& path,
-                                   const column::PartitionBlock& block,
-                                   size_t begin, size_t end,
-                                   std::string* payload, StageStats* c) {
-  payload->clear();
-  serde::AppendBlockPayload(block, begin, end, payload);
-  // The file's size is known before it exists: charge the budget first, so
-  // a run the budget refuses never reaches the disk.
-  const uint64_t bytes =
-      serde::kFileHeaderBytes + serde::kRecordFrameBytes + payload->size();
-  TRANCE_RETURN_NOT_OK(AccountRun(path, bytes));
+void SpillManager::RemoveRun(const std::string& path, uint64_t bytes) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    root_created_ = true;
-  }
-  Status s = EnsureParentDir(path);
-  serde::BlockFileWriter writer;
-  if (s.ok()) s = writer.Open(path, kIoBufferBytes);
-  if (s.ok()) s = writer.WriteBlockPayload(*payload);
-  if (s.ok()) s = writer.Close();
-  if (!s.ok()) {
-    RemoveRun(path);
-    return s;
-  }
-  total_runs_.fetch_add(1);
-  c->spill_bytes_written += bytes;
-  c->spill_runs += 1;
-  return Status::OK();
-}
-
-Status SpillManager::ReadRunIntoBlock(const std::string& path,
-                                      column::PartitionBlock* out,
-                                      StageStats* c) {
-  serde::BlockFileReader reader;
-  TRANCE_RETURN_NOT_OK(reader.Open(path, kIoBufferBytes));
-  for (;;) {
-    TRANCE_ASSIGN_OR_RETURN(bool more, reader.ReadBatchInto(out));
-    if (!more) break;
-  }
-  uint64_t bytes = reader.bytes_read();
-  TRANCE_RETURN_NOT_OK(reader.Close());
-  c->spill_bytes_read += bytes;
-  return Status::OK();
-}
-
-void SpillManager::RemoveRun(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = file_bytes_.find(path);
-    if (it != file_bytes_.end()) {
-      on_disk_bytes_ -= std::min(on_disk_bytes_, it->second);
-      file_bytes_.erase(it);
-    }
+    on_disk_bytes_ -= bytes;
   }
   std::error_code ec;
   fs::remove(path, ec);
@@ -176,12 +124,30 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                                           const Schema& schema,
                                           column::PartitionBlock* block,
                                           StageStats* c) {
-  std::vector<std::string> runs;
-  std::string payload;
+  struct Run {
+    std::string path;
+    uint64_t bytes;
+  };
+  std::vector<Run> runs;  // charged runs; the cleanup below removes each
+  std::string file;       // one run file at a time, reused
   auto write_run = [&](size_t begin, size_t end) -> Status {
-    std::string path = RunPath(job, tag, partition, runs.size());
-    TRANCE_RETURN_NOT_OK(WriteRangeRun(path, *block, begin, end, &payload, c));
-    runs.push_back(std::move(path));
+    file.clear();
+    serde::AppendFileHeader(&file);
+    serde::AppendBlockRecord(*block, begin, end, &file);
+    Run run{RunPath(job, tag, partition, runs.size()), file.size()};
+    // The file's size is known before it exists: charge the budget first,
+    // so a run the budget refuses never reaches the disk.
+    TRANCE_RETURN_NOT_OK(AccountRun(run.path, run.bytes));
+    runs.push_back(run);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      root_created_ = true;
+    }
+    TRANCE_RETURN_NOT_OK(EnsureParentDir(run.path));
+    TRANCE_RETURN_NOT_OK(WriteFile(run.path, file));
+    total_runs_.fetch_add(1);
+    c->spill_bytes_written += run.bytes;
+    c->spill_runs += 1;
     return Status::OK();
   };
   auto spill_and_restore = [&]() -> Status {
@@ -201,15 +167,19 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
     }
     if (begin < n || runs.empty()) TRANCE_RETURN_NOT_OK(write_run(begin, n));
     *block = column::PartitionBlock(schema);
-    // Phase 2: one merge pass — restore the runs in run order into the
-    // fresh block.
-    for (const std::string& path : runs) {
-      TRANCE_RETURN_NOT_OK(ReadRunIntoBlock(path, block, c));
+    // Phase 2: one merge pass — read each run whole and decode it into the
+    // fresh block's typed columns, in run order. The decoder appends one
+    // value at a time, so the block's footprint matches a never-spilled
+    // block of the same rows.
+    for (const Run& run : runs) {
+      TRANCE_RETURN_NOT_OK(ReadFile(run.path, &file));
+      TRANCE_RETURN_NOT_OK(serde::ReadBlockFile(file, run.path, block));
+      c->spill_bytes_read += file.size();
     }
     return Status::OK();
   };
   Status s = spill_and_restore();
-  for (const std::string& path : runs) RemoveRun(path);
+  for (const Run& run : runs) RemoveRun(run.path, run.bytes);
   TRANCE_RETURN_NOT_OK(s);
   c->spill_merge_passes += 1;
   return Status::OK();

@@ -2,13 +2,15 @@
 //
 // A SpillManager (one per Cluster) turns the paper's FAIL cells into
 // slow-but-correct runs: when a partition's working set crosses the
-// cluster's partition_memory_cap, its block is written as columnar block
-// records to length-prefixed, checksummed run files (docs/STORAGE.md) in a
-// per-manager temp directory, then streamed back in deterministic run order
-// — so the restored row sequence, and therefore every pre-existing stat
-// computed from it, is bit-identical to the in-memory path.
-// The Thrill external-memory-channel design: bounded runs, sequential I/O,
-// merge by fixed run order.
+// cluster's partition_memory_cap, its block is cut into row ranges, and
+// each range becomes one run file — the file header and one columnar block
+// record (length-prefixed, checksummed; docs/STORAGE.md), built in one
+// buffer and written with one call — in a per-manager temp directory. The
+// runs are then read back, one call each, in deterministic run order, so
+// the restored row sequence, and therefore every pre-existing stat computed
+// from it, is bit-identical to the in-memory path. The Thrill
+// external-memory design: bounded runs moved to and from disk as whole
+// blocks, merged in fixed run order.
 //
 // One site spills (gated by ExecOptions::enable_spill): the stage barrier,
 // detail::FinishStage, spills every stage-output partition over the memory
@@ -26,8 +28,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "runtime/column.h"
 #include "runtime/schema.h"
@@ -73,12 +73,14 @@ class SpillManager {
                       size_t run) const;
 
   /// The one-call spill: cuts *block's row sequence into
-  /// max_run_bytes-bounded ranges (by RowBytesAt), serializes each range
-  /// straight from the block as one block record run, resets *block to an
-  /// empty schema-typed block, then restores the identical row sequence via
-  /// ReadRunIntoBlock. Counts one merge pass in c's spill_merge_passes.
-  /// Success or failure, the runs it wrote are removed and their budget
-  /// released before it returns.
+  /// max_run_bytes-bounded ranges (by RowBytesAt) and writes each range as
+  /// one run file, serialized straight from the block into one reused
+  /// buffer whose size is charged against the budget before the file
+  /// exists; then resets *block to an empty schema-typed block and restores
+  /// the identical row sequence by reading and decoding each run in order.
+  /// Counts one merge pass in c's spill_merge_passes. Success or failure,
+  /// the runs it wrote are removed and their budget released before it
+  /// returns; a failed write leaves *block as it was.
   Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
                               size_t partition, const Schema& schema,
                               column::PartitionBlock* block, StageStats* c);
@@ -90,30 +92,15 @@ class SpillManager {
   const std::string& root_dir() const { return root_; }
 
  private:
-  /// Charges `bytes` against the budget; fails with ResourceExhausted when
-  /// the budget would overflow.
+  /// Charges a run of `bytes` at `path` against the budget; fails with
+  /// ResourceExhausted when the budget would overflow.
   Status AccountRun(const std::string& path, uint64_t bytes);
-  /// Writes rows [begin, end) of `block` as one run file holding one block
-  /// record; `payload` is scratch space reused across runs. Charges the
-  /// file's bytes against the budget before the file exists, and into c's
-  /// spill_bytes_written and spill_runs once it is written; on any error
-  /// nothing of the run stays on disk or in the budget.
-  Status WriteRangeRun(const std::string& path,
-                       const column::PartitionBlock& block, size_t begin,
-                       size_t end, std::string* payload, StageStats* c);
-  /// Streams a run back into a resident block, adding the bytes read to
-  /// c's spill_bytes_read. The decoder appends into the typed columns one
-  /// value at a time, so the block's footprint matches a never-spilled
-  /// block of the same rows.
-  Status ReadRunIntoBlock(const std::string& path,
-                          column::PartitionBlock* out, StageStats* c);
-  /// Deletes a run and releases its budget.
-  void RemoveRun(const std::string& path);
+  /// Deletes a run and releases the `bytes` it was charged.
+  void RemoveRun(const std::string& path, uint64_t bytes);
 
   SpillConfig config_;
   std::string root_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, uint64_t> file_bytes_;
   uint64_t on_disk_bytes_ = 0;
   bool root_created_ = false;
   std::atomic<uint64_t> total_runs_{0};

@@ -224,7 +224,7 @@ StatusOr<nrc::ExprPtr> SymbolicShredder::EmptyDictTree(
 }
 
 StatusOr<SymbolicShredder::FD> SymbolicShredder::MakeLabelAndDict(
-    const ExprPtr& body_f, const ExprPtr& body_d) {
+    const ExprPtr& body_f) {
   std::map<std::string, FlatRef> refs;
   std::set<std::string> bound;
   CollectFlatRefs(body_f, flat_env_, &bound, &refs);
@@ -246,7 +246,6 @@ StatusOr<SymbolicShredder::FD> SymbolicShredder::MakeLabelAndDict(
   FD out;
   out.f = Expr::NewLabel(std::move(params));
   out.d = fun;
-  (void)body_d;
   return out;
 }
 
@@ -281,7 +280,7 @@ StatusOr<SymbolicShredder::FD> SymbolicShredder::ShredImpl(const ExprPtr& e) {
         TRANCE_ASSIGN_OR_RETURN(TypePtr ft, src_types_.Check(f.expr, src_env_));
         TRANCE_ASSIGN_OR_RETURN(FD sub, ShredImpl(f.expr));
         if (ft->is_bag()) {
-          TRANCE_ASSIGN_OR_RETURN(FD lab, MakeLabelAndDict(sub.f, sub.d));
+          TRANCE_ASSIGN_OR_RETURN(FD lab, MakeLabelAndDict(sub.f));
           flat_fields.push_back({f.name, lab.f});
           dict_fields.push_back({f.name + "fun", lab.d});
           dict_fields.push_back({f.name + "child", Expr::Singleton(sub.d)});

@@ -66,8 +66,7 @@ class SymbolicShredder {
 
   /// Builds the NewLabel / lambda-with-match pair for a bag-valued tuple
   /// attribute whose shredded body is `body_f`.
-  StatusOr<FD> MakeLabelAndDict(const nrc::ExprPtr& body_f,
-                                const nrc::ExprPtr& body_d);
+  StatusOr<FD> MakeLabelAndDict(const nrc::ExprPtr& body_f);
 
   nrc::TypeEnv src_env_;                        // source-variable types
   std::map<std::string, VarMapping> mapping_;   // source var -> names

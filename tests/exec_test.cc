@@ -110,7 +110,7 @@ TEST(ScalarCompilerTest, ReadsItsOwnRow) {
   EXPECT_TRUE(at(Add(V("a"), I(1)), 2).is_null());
   EXPECT_EQ(at(Add(V("a"), I(1)), 0), Field::Int(6));
   EXPECT_EQ(at(Mul(V("a"), I(2)), 3), Field::Int(18));
-  // Comparisons over the date (variant) and string columns.
+  // Comparisons over the date (int64) and string columns.
   EXPECT_EQ(at(Eq(V("d"), I(300)), 2), Field::Bool(true));
   EXPECT_EQ(at(Eq(V("s"), S("gamma")), 2), Field::Bool(true));
   EXPECT_EQ(at(Eq(V("s"), S("gamma")), 0), Field::Bool(false));

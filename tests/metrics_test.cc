@@ -1,4 +1,4 @@
-// MetricRegistry: typed handles, thread-sharded counter exactness, snapshot
+// MetricRegistry: typed handles, concurrent counter exactness, snapshot
 // ordering, Prometheus/JSON exposition, reset semantics — and the contract
 // that the registry's values agree with JobStats on real query runs and are
 // bit-identical at any thread count. Also checks that every row of the
@@ -50,7 +50,7 @@ TEST(MetricRegistryTest, FindOrCreateReturnsStableHandles) {
   EXPECT_EQ(blue->Value(), 2u);
 }
 
-TEST(MetricRegistryTest, ConcurrentShardedAddsAreExact) {
+TEST(MetricRegistryTest, ConcurrentAddsAreExact) {
   MetricRegistry reg;
   obs::Counter* c = reg.GetCounter("hot_total", "concurrently bumped");
   constexpr int kThreads = 8;

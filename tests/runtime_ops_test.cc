@@ -534,6 +534,8 @@ TEST(OpsTest, NonNumericSumColumnsAreRejected) {
   const std::vector<Case> cases = {
       {nrc::Type::String(), Field::Str("a"), nrc::Type::String()->ToString()},
       {nrc::Type::Bool(), Field::Bool(true), nrc::Type::Bool()->ToString()},
+      // A date column is stored as int64 but does not sum.
+      {nrc::Type::Date(), Field::Int(9000), nrc::Type::Date()->ToString()},
       {bag, Field::Bag(std::vector<Row>{Row({Field::Int(1)})}),
        bag->ToString()},
       {nullptr, Field::Int(1), "untyped"},

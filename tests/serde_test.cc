@@ -1,4 +1,5 @@
 // Binary spill-format round-trip and corruption tests (ctest label `serde`).
+// They run over in-memory byte strings: the codec never touches a file.
 //
 // The runtime/serde.h wire format (docs/STORAGE.md) must round-trip every
 // Field value bit-exactly — nulls, int64 extremes, exact IEEE doubles (NaN
@@ -17,9 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <random>
 #include <string>
@@ -34,10 +33,6 @@ namespace runtime {
 namespace {
 
 namespace serde = ::trance::runtime::serde;
-
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/trance_serde_" + name + ".trs";
-}
 
 // Field equality that is stricter than operator== where the format promises
 // more: reals compare by bit pattern (NaN payloads and -0.0 vs 0.0 survive
@@ -155,29 +150,48 @@ Field RandomField(std::mt19937_64* rng, int depth) {
   }
 }
 
-/// Reads every record of `path` into *block; returns the first non-OK
-/// status, or OK if the file parses end to end. Must never crash, whatever
-/// the bytes. `records`, when non-null, receives the record count.
-Status ReadInto(const std::string& path, column::PartitionBlock* block,
-                size_t* records = nullptr) {
-  serde::BlockFileReader reader;
-  Status open = reader.Open(path);
-  if (!open.ok()) return open;
-  for (;;) {
-    auto more = reader.ReadBatchInto(block);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    if (records != nullptr) ++*records;
+/// A block file holding the header and one block record per block, in
+/// order.
+std::string FileOf(const std::vector<column::PartitionBlock>& blocks) {
+  std::string file;
+  serde::AppendFileHeader(&file);
+  for (const column::PartitionBlock& b : blocks) {
+    serde::AppendBlockRecord(b, 0, b.NumRows(), &file);
   }
-  return reader.Close();
+  return file;
 }
 
-/// Reads every record of `path` into one block of `schema` and returns its
-/// rows.
-std::vector<Row> ReadAll(const std::string& path, const Schema& schema,
+/// The records of a well-formed block file, each as its framed bytes (kind,
+/// length, payload, checksum), found by walking the framing of
+/// docs/STORAGE.md independently of the decoder.
+std::vector<std::string> RecordsOf(const std::string& file) {
+  std::vector<std::string> records;
+  for (size_t pos = 8; pos < file.size();) {
+    uint64_t len = 0;
+    std::memcpy(&len, file.data() + pos + 1, sizeof(len));
+    const size_t framed = 1 + 8 + static_cast<size_t>(len) + 8;
+    records.push_back(file.substr(pos, framed));
+    pos += framed;
+  }
+  return records;
+}
+
+/// Decodes every record of `file` into *block; returns the first non-OK
+/// status, or OK if the file parses end to end. Must never crash, whatever
+/// the bytes. `records`, when non-null, receives the record count.
+Status ReadInto(const std::string& file, column::PartitionBlock* block,
+                size_t* records = nullptr) {
+  Status s = serde::ReadBlockFile(file, "test.trs", block);
+  if (s.ok() && records != nullptr) *records = RecordsOf(file).size();
+  return s;
+}
+
+/// Decodes every record of `file` into one block of `schema` and returns
+/// its rows.
+std::vector<Row> ReadAll(const std::string& file, const Schema& schema,
                          size_t* records = nullptr) {
   column::PartitionBlock block(schema);
-  Status s = ReadInto(path, &block, records);
+  Status s = ReadInto(file, &block, records);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return block.ToRows();
 }
@@ -224,29 +238,19 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
   Schema typed(typed_cols), variant(variant_cols);
   std::vector<Row> rows{r};
 
-  std::string path = TestPath("scalars");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(
-      writer.WriteBlock(column::PartitionBlock::FromRows(typed, rows)).ok());
-  ASSERT_TRUE(
-      writer.WriteBlock(column::PartitionBlock::FromRows(variant, rows)).ok());
-  ASSERT_TRUE(writer.Close().ok());
-
-  serde::BlockFileReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
+  const std::string file =
+      FileOf({column::PartitionBlock::FromRows(typed, rows),
+              column::PartitionBlock::FromRows(variant, rows)});
+  const std::vector<std::string> records = RecordsOf(file);
+  ASSERT_EQ(records.size(), 2u);  // exactly the two records
   column::PartitionBlock typed_back(typed), variant_back(variant);
-  for (column::PartitionBlock* back : {&typed_back, &variant_back}) {
-    auto more = reader.ReadBatchInto(back);
-    ASSERT_TRUE(more.ok()) << more.status().ToString();
-    ASSERT_TRUE(more.value());
+  column::PartitionBlock* backs[] = {&typed_back, &variant_back};
+  for (size_t i = 0; i < 2; ++i) {
+    Status s = ReadInto(file.substr(0, 8) + records[i], backs[i]);
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
-  auto more = reader.ReadBatchInto(&variant_back);
-  ASSERT_TRUE(more.ok()) << more.status().ToString();
-  EXPECT_FALSE(more.value());  // exactly the two records
   ExpectRowsBitEq(rows, typed_back.ToRows());
   ExpectRowsBitEq(rows, variant_back.ToRows());
-  std::remove(path.c_str());
 }
 
 TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
@@ -270,14 +274,8 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
                  {"nl", nrc::Type::Label()},
                  {"ng", BagOfInts()}});
 
-  std::string path = TestPath("recursive");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(
-      writer.WriteBlock(column::PartitionBlock::FromRows(schema, rows)).ok());
-  ASSERT_TRUE(writer.Close().ok());
-
-  std::vector<Row> back = ReadAll(path, schema);
+  std::vector<Row> back =
+      ReadAll(FileOf({column::PartitionBlock::FromRows(schema, rows)}), schema);
   ASSERT_EQ(back.size(), 1u);
   // A null LabelPtr comes back as an empty label; a null BagPtr as an empty
   // bag — value-equal under operator== either way.
@@ -285,7 +283,6 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
   EXPECT_TRUE(rows[0].fields[1] == back[0].fields[1]);
   EXPECT_TRUE(back[0].fields[2].is_label());
   EXPECT_TRUE(back[0].fields[3].is_bag());
-  std::remove(path.c_str());
 }
 
 /// A random cell for a column of `type_code`: 0 int, 1 real, 2 string,
@@ -323,39 +320,25 @@ TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
       for (int code : codes) r.fields.push_back(RandomCell(&rng, code));
       rows.push_back(std::move(r));
     }
-    std::string path = TestPath("random" + std::to_string(seed));
-    serde::BlockFileWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
     // Split into several records to exercise framing.
     size_t half = rows.size() / 2;
     std::vector<Row> first(rows.begin(), rows.begin() + half);
     std::vector<Row> second(rows.begin() + half, rows.end());
-    ASSERT_TRUE(
-        writer.WriteBlock(column::PartitionBlock::FromRows(schema, first))
-            .ok());
-    ASSERT_TRUE(
-        writer.WriteBlock(column::PartitionBlock::FromRows(schema, second))
-            .ok());
-    uint64_t written = writer.bytes_written();
-    ASSERT_TRUE(writer.Close().ok());
+    const std::string file =
+        FileOf({column::PartitionBlock::FromRows(schema, first),
+                column::PartitionBlock::FromRows(schema, second)});
 
-    serde::BlockFileReader reader;
-    ASSERT_TRUE(reader.Open(path).ok());
     column::PartitionBlock back(schema);
-    for (;;) {
-      auto more = reader.ReadBatchInto(&back);
-      ASSERT_TRUE(more.ok()) << "seed " << seed << ": "
-                             << more.status().ToString();
-      if (!more.value()) break;
-    }
-    // A full scan consumes exactly the bytes the writer produced.
-    EXPECT_EQ(reader.bytes_read(), written) << "seed " << seed;
-    ASSERT_TRUE(reader.Close().ok());
+    Status s = ReadInto(file, &back);
+    ASSERT_TRUE(s.ok()) << "seed " << seed << ": " << s.ToString();
+    // The decoder consumed every byte the writer produced: one byte more
+    // after the last record is a truncated frame, not ignored.
+    column::PartitionBlock scratch(schema);
+    EXPECT_FALSE(ReadInto(file + '\0', &scratch).ok()) << "seed " << seed;
     ExpectRowsBitEq(rows, back.ToRows());
     EXPECT_EQ(back.ByteFootprint(),
               column::PartitionBlock::FromRows(schema, rows).ByteFootprint())
         << "seed " << seed;
-    std::remove(path.c_str());
   }
 }
 
@@ -380,60 +363,34 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
   }
   column::PartitionBlock block = column::PartitionBlock::FromRows(schema, rows);
 
-  std::string path = TestPath("block");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.WriteBlock(block).ok());
-  ASSERT_TRUE(writer.Close().ok());
-
   size_t records = 0;
-  std::vector<Row> back = ReadAll(path, schema, &records);
+  std::vector<Row> back = ReadAll(FileOf({block}), schema, &records);
   EXPECT_EQ(records, 1u);
   // The materialized rows must match what the in-memory block materializes.
   std::vector<Row> expected;
   block.AppendRowsTo(&expected);
   ExpectRowsBitEq(expected, back);
-  std::remove(path.c_str());
 }
 
 TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
   // Several block records in one file decode into one block in file order.
   Schema schema({{"k", nrc::Type::Int()}});
 
-  std::string path = TestPath("mixed");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer
-                  .WriteBlock(column::PartitionBlock::FromRows(
-                      schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}))
-                  .ok());
-  ASSERT_TRUE(writer
-                  .WriteBlock(column::PartitionBlock::FromRows(
-                      schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}}))
-                  .ok());
-  ASSERT_TRUE(writer.Close().ok());
+  const std::string file = FileOf(
+      {column::PartitionBlock::FromRows(
+           schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}),
+       column::PartitionBlock::FromRows(
+           schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}})});
 
   size_t records = 0;
-  std::vector<Row> back = ReadAll(path, schema, &records);
+  std::vector<Row> back = ReadAll(file, schema, &records);
   EXPECT_EQ(records, 2u);
   ExpectRowsBitEq({Row{{Field::Int(10)}}, Row{{Field::Int(20)}},
                    Row{{Field::Int(50)}}, Row{{Field::Int(60)}}},
                   back);
-  std::remove(path.c_str());
 }
 
 // --- corruption / truncation ----------------------------------------------
-
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void DumpFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 Schema SampleSchema() {
   return Schema({{"i", nrc::Type::Int()},
@@ -443,32 +400,24 @@ Schema SampleSchema() {
                  {"g", BagOfInts()}});
 }
 
-Status TryReadAll(const std::string& path) {
+Status TryReadAll(const std::string& file) {
   column::PartitionBlock block(SampleSchema());
-  return ReadInto(path, &block);
+  return ReadInto(file, &block);
 }
 
-std::string WriteSampleFile(const std::string& name) {
+std::string SampleFile() {
   std::vector<Row> rows;
   rows.push_back(Row{{Field::Int(42), Field::Str("hello"), Field::Bool(true),
                       Field::Real(3.25), Field::Null()}});
   rows.push_back(Row{{Field::Int(-1), Field::Str(""), Field::Bool(false),
                       Field::Real(-0.5),
                       Field::Bag({Row{{Field::Int(9)}}})}});
-  std::string path = TestPath(name);
-  serde::BlockFileWriter writer;
-  EXPECT_TRUE(writer.Open(path).ok());
-  EXPECT_TRUE(
-      writer.WriteBlock(column::PartitionBlock::FromRows(SampleSchema(), rows))
-          .ok());
-  EXPECT_TRUE(writer.Close().ok());
-  return path;
+  return FileOf({column::PartitionBlock::FromRows(SampleSchema(), rows)});
 }
 
-/// Writes a file holding one record of `kind` around `payload`, with a
-/// valid header and checksum, so the decoder sees the payload's lies.
-std::string WriteRawRecord(const std::string& name, uint8_t kind,
-                           const std::string& payload) {
+/// A file holding one record of `kind` around `payload`, with a valid
+/// header and checksum, so the decoder sees the payload's lies.
+std::string RawRecordFile(uint8_t kind, const std::string& payload) {
   std::string bytes;
   uint32_t magic = serde::kMagic;
   uint16_t version = serde::kFormatVersion, flags = 0;
@@ -481,19 +430,14 @@ std::string WriteRawRecord(const std::string& name, uint8_t kind,
   bytes.append(reinterpret_cast<const char*>(&len), 8);
   bytes.append(payload);
   bytes.append(reinterpret_cast<const char*>(&sum), 8);
-  std::string path = TestPath(name);
-  DumpFile(path, bytes);
-  return path;
+  return bytes;
 }
 
 TEST(SerdeCorruptionTest, TruncationAtEveryByteIsCleanlyRejected) {
-  std::string path = WriteSampleFile("trunc");
-  std::string bytes = SlurpFile(path);
+  std::string bytes = SampleFile();
   ASSERT_GT(bytes.size(), 8u);
-  std::string tpath = TestPath("trunc_cut");
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    DumpFile(tpath, bytes.substr(0, cut));
-    Status s = TryReadAll(tpath);
+    Status s = TryReadAll(bytes.substr(0, cut));
     if (cut == 8) {
       // The one valid prefix: a bare header is a legal empty file.
       EXPECT_TRUE(s.ok()) << s.ToString();
@@ -503,75 +447,56 @@ TEST(SerdeCorruptionTest, TruncationAtEveryByteIsCleanlyRejected) {
     // load-bearing, so even a cut at a frame boundary loses the checksum.
     EXPECT_FALSE(s.ok()) << "prefix of " << cut << " bytes parsed";
   }
-  std::remove(path.c_str());
-  std::remove(tpath.c_str());
 }
 
 TEST(SerdeCorruptionTest, SingleByteFlipsNeverCrashAndMostlyFail) {
-  std::string path = WriteSampleFile("flip");
-  std::string bytes = SlurpFile(path);
-  std::string fpath = TestPath("flip_one");
+  std::string bytes = SampleFile();
   size_t rejected = 0;
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupt = bytes;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x5a);
-    DumpFile(fpath, corrupt);
-    Status s = TryReadAll(fpath);  // must not crash; usually must fail
+    Status s = TryReadAll(corrupt);  // must not crash; usually must fail
     if (!s.ok()) ++rejected;
   }
   // The checksum covers the payload and the header is validated, so nearly
   // every flip is caught. (Flips inside the length field can produce a
   // shorter-but-self-consistent frame only by checksum collision.)
   EXPECT_GE(rejected, bytes.size() - 2) << "of " << bytes.size();
-  std::remove(path.c_str());
-  std::remove(fpath.c_str());
 }
 
 TEST(SerdeCorruptionTest, ChecksumTamperNamesTheMismatch) {
-  std::string path = WriteSampleFile("sum");
-  std::string bytes = SlurpFile(path);
+  std::string bytes = SampleFile();
   bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0xff);
-  DumpFile(path, bytes);
-  Status s = TryReadAll(path);
+  Status s = TryReadAll(bytes);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("checksum mismatch"), std::string::npos)
       << s.ToString();
-  std::remove(path.c_str());
 }
 
 TEST(SerdeCorruptionTest, BadMagicIsNotATranceFile) {
-  std::string path = TestPath("magic");
-  DumpFile(path, "JUNKJUNKJUNKJUNK");
-  Status s = TryReadAll(path);
+  Status s = TryReadAll("JUNKJUNKJUNKJUNK");
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("bad magic"), std::string::npos) << s.ToString();
-  std::remove(path.c_str());
 }
 
 TEST(SerdeCorruptionTest, FutureVersionIsRejectedByName) {
-  std::string path = WriteSampleFile("version");
-  std::string bytes = SlurpFile(path);
+  std::string bytes = SampleFile();
   // Bump the version halfword (offset 4) to kFormatVersion + 1.
   uint16_t future = serde::kFormatVersion + 1;
   std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  DumpFile(path, bytes);
-  Status s = TryReadAll(path);
+  Status s = TryReadAll(bytes);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("unsupported format version 4"),
             std::string::npos)
       << s.ToString();
-  std::remove(path.c_str());
 }
 
 TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
   auto read_raw = [](uint8_t kind, const std::string& payload) {
-    std::string path = WriteRawRecord("lie", kind, payload);
-    Status s = TryReadAll(path);
-    std::remove(path.c_str());
-    return s;
+    return TryReadAll(RawRecordFile(kind, payload));
   };
 
   // Unknown record kinds, the retired row batch (kind 1) among them.
@@ -693,9 +618,7 @@ TEST(SerdeCorruptionTest, StructuralLiesLeaveTheBlockUnchanged) {
     column::PartitionBlock block =
         column::PartitionBlock::FromRows(schema, resident);
     const uint64_t footprint = block.ByteFootprint();
-    std::string path = WriteRawRecord("partial", serde::kRecordBlock, lie);
-    Status s = ReadInto(path, &block);
-    std::remove(path.c_str());
+    Status s = ReadInto(RawRecordFile(serde::kRecordBlock, lie), &block);
     ASSERT_FALSE(s.ok());
     EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
     EXPECT_NE(s.ToString().find(problem), std::string::npos) << s.ToString();
@@ -706,7 +629,6 @@ TEST(SerdeCorruptionTest, StructuralLiesLeaveTheBlockUnchanged) {
 }
 
 TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
-  std::string path = TestPath("len");
   std::string bytes;
   // Valid header...
   uint32_t magic = serde::kMagic;
@@ -718,27 +640,23 @@ TEST(SerdeCorruptionTest, ImplausibleRecordLengthIsRejected) {
   bytes.push_back(static_cast<char>(serde::kRecordBlock));
   uint64_t lie = uint64_t{1} << 50;
   bytes.append(reinterpret_cast<const char*>(&lie), 8);
-  DumpFile(path, bytes);
-  Status s = TryReadAll(path);
+  Status s = TryReadAll(bytes);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
   EXPECT_NE(s.ToString().find("implausible record length"), std::string::npos)
       << s.ToString();
-  std::remove(path.c_str());
 }
 
 TEST(SerdeFormatTest, HeaderBytesMatchTheSpec) {
   // docs/STORAGE.md promises the first 8 on-disk bytes: "TRNB", version 3
   // little-endian, flags 0.
-  std::string path = WriteSampleFile("header");
-  std::string bytes = SlurpFile(path);
+  std::string bytes = SampleFile();
   ASSERT_GE(bytes.size(), 8u);
   EXPECT_EQ(bytes.substr(0, 4), "TRNB");
   EXPECT_EQ(static_cast<uint8_t>(bytes[4]), 3);
   EXPECT_EQ(static_cast<uint8_t>(bytes[5]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[6]), 0);
   EXPECT_EQ(static_cast<uint8_t>(bytes[7]), 0);
-  std::remove(path.c_str());
 }
 
 TEST(SerdeFormatTest, WorkedExampleMatchesTheSpec) {
@@ -769,16 +687,8 @@ TEST(SerdeFormatTest, WorkedExampleMatchesTheSpec) {
   ASSERT_EQ(expected.size(), 73u);
 
   Schema schema({{"s", nrc::Type::String()}});
-  std::string path = TestPath("worked_example");
-  serde::BlockFileWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer
-                  .WriteBlock(column::PartitionBlock::FromRows(
-                      schema, {Row{{Field::Str("ab")}}, Row{{Field::Null()}}}))
-                  .ok());
-  ASSERT_TRUE(writer.Close().ok());
-  const std::string bytes = SlurpFile(path);
-  std::remove(path.c_str());
+  const std::string bytes = FileOf({column::PartitionBlock::FromRows(
+      schema, {Row{{Field::Str("ab")}}, Row{{Field::Null()}}})});
   ASSERT_EQ(bytes.size(), expected.size());
   for (size_t i = 0; i < bytes.size(); ++i) {
     EXPECT_EQ(static_cast<uint8_t>(bytes[i]), static_cast<uint8_t>(expected[i]))

@@ -9,11 +9,13 @@
 // 0 when nothing spills. A run spills exactly when the same run with spilling
 // off FAILs: the stage barrier is the one spill site. Plus SpillManager unit
 // coverage: deterministic run naming, order-preserving spill-and-restore,
-// and the spill byte budget.
+// the spill byte budget, and an I/O failure that surfaces as a Status.
 #include "runtime/spill.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -28,6 +30,7 @@
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
+#include "util/file.h"
 
 namespace trance {
 namespace {
@@ -544,6 +547,57 @@ TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
   ExpectBlockRows(again, MakeRows(80, "value-"));
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
+}
+
+TEST(SpillManagerTest, UnwritableRunDirectoryFailsCleanly) {
+  // SpillConfig::dir sits under a regular file, so no run directory can be
+  // created (ENOTDIR, even as root). The failed spill is a Status naming the
+  // run, not a loss: nothing stays charged and the block keeps its rows. A
+  // capped stage on such a cluster returns that Status from its barrier.
+  const std::string not_a_dir = ::testing::TempDir() +
+                                "/trance-spill-not-a-dir-" +
+                                std::to_string(::getpid());
+  ASSERT_TRUE(WriteFile(not_a_dir, "a regular file").ok());
+  runtime::spill::SpillConfig cfg;
+  cfg.dir = not_a_dir + "/spill";
+  runtime::spill::SpillManager m(cfg);
+  runtime::column::PartitionBlock block = MakeBlock(100, "kept-");
+  runtime::StageStats c;
+  Status s =
+      m.SpillAndRestoreBlock(3, "stage(w)", 0, RowsSchema(), &block, &c);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find(m.RunPath(3, "stage(w)", 0, 0)),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(m.on_disk_bytes(), 0u);
+  EXPECT_EQ(c.spill_runs, 0u);
+  ExpectBlockRows(block, MakeRows(100, "kept-"));
+
+  // One key, so the shuffle sends every row to one partition, over the cap.
+  runtime::ClusterConfig ccfg = Config(1, 0);
+  ccfg.num_partitions = 4;
+  ccfg.partition_memory_cap = 12ull << 10;
+  ccfg.spill.dir = cfg.dir;
+  runtime::Cluster cluster(ccfg);
+  std::vector<Row> rows;
+  for (int i = 0; i < 400; ++i) {
+    rows.push_back(
+        Row{{Field::Int(0), Field::Str("value-" + std::to_string(i))}});
+  }
+  runtime::Schema schema(
+      {{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
+  auto src = runtime::Source(&cluster, schema, std::move(rows), "src");
+  ASSERT_TRUE(src.ok()) << src.status().ToString();
+  auto out = runtime::Repartition(&cluster, *src, {0}, "regroup");
+  ASSERT_FALSE(out.ok());
+  const std::string msg = out.status().ToString();
+  EXPECT_FALSE(out.status().IsResourceExhausted()) << msg;
+  EXPECT_NE(msg.find(cluster.spill_manager()->root_dir() + "/job"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("/regroup-p"), std::string::npos) << msg;
+  EXPECT_EQ(cluster.spill_manager()->on_disk_bytes(), 0u);
+  std::remove(not_a_dir.c_str());
 }
 
 }  // namespace
