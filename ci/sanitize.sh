@@ -18,9 +18,12 @@
 # `exec` — compiled scalar closures index a block's columns at a row) and
 # the determinism suite (label `parallel` — every bulk operator at several
 # thread counts and under injected faults, whose recovery discards and
-# rebuilds blocks) and the compiler suites (label `compile` — NRC typing,
+# rebuilds blocks), the compiler suites (label `compile` — NRC typing,
 # unnesting, plan optimization and shredding, whose passes rebuild shared
-# expression and plan nodes) under the sanitizers.
+# expression and plan nodes) and the end-to-end workload suite (label
+# `workloads` — the TPC-H and biomedical generators' nested bags driven
+# through every route and checked against the interpreter) under the
+# sanitizers.
 # TRANCE_WERROR keeps the build warning-clean. A listed label that matches
 # no test fails the script, so the sanitized set cannot shrink silently.
 #
@@ -33,7 +36,7 @@ BUILD_DIR="${1:-build-sanitize}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
-LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec compile)
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec compile workloads)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
 cmake --build "$BUILD_DIR" --target trance_tests -j"$(nproc)"

@@ -110,9 +110,8 @@ StatusOr<Value> FieldToValue(const Field& f, const TypePtr& type) {
   if (type != nullptr && type->is_bag()) {
     if (!f.is_bag()) return Status::TypeError("expected bag field");
     TRANCE_ASSIGN_OR_RETURN(Schema inner, Schema::FromBagType(type));
-    std::vector<Row> rows = f.AsBag() == nullptr ? std::vector<Row>{}
-                                                 : *f.AsBag();
-    return RowsToValue(rows, inner);
+    if (f.AsBag() == nullptr) return RowsToValue({}, inner);
+    return RowsToValue(f.AsBag()->rows(), inner);
   }
   if (f.is_int()) {
     return Value::Int(f.AsInt());
@@ -123,7 +122,7 @@ StatusOr<Value> FieldToValue(const Field& f, const TypePtr& type) {
   if (f.is_label()) {
     std::vector<std::pair<std::string, Value>> params;
     if (f.AsLabel() != nullptr) {
-      for (const auto& [n, pf] : f.AsLabel()->params) {
+      for (const auto& [n, pf] : f.AsLabel()->params()) {
         TRANCE_ASSIGN_OR_RETURN(Value pv, FieldToValue(pf, nullptr));
         params.emplace_back(n, pv);
       }

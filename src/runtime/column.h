@@ -190,7 +190,8 @@ class AnyColumn {
 
   /// Bytes that Field accounting (Field::DeepSize) would charge for cell i.
   /// Matches field.cc exactly: 8 for null/int/real/bool, 32 + length for
-  /// strings, DeepSize of the stored Field for variant cells.
+  /// strings, DeepSize of the stored Field for variant cells (a label's or
+  /// bag's stored size, never a walk).
   uint64_t CellBytes(size_t i) const;
   /// CellBytes summed over every cell, kept as a running total by each
   /// append.
@@ -225,10 +226,18 @@ class AnyColumn {
 /// from another block, or from an existing std::vector<Row>. Every row has
 /// the schema's width and every cell is accepted by its column; anything
 /// else fails a TRANCE_CHECK.
+///
+/// Move-only: a block is filled once by the stage that builds it and then
+/// published as a shared, immutable partition (runtime/dataset.h), so a
+/// deep copy is never needed and does not compile.
 class PartitionBlock {
  public:
   PartitionBlock() = default;
   explicit PartitionBlock(const Schema& schema);
+  PartitionBlock(const PartitionBlock&) = delete;
+  PartitionBlock& operator=(const PartitionBlock&) = delete;
+  PartitionBlock(PartitionBlock&&) = default;
+  PartitionBlock& operator=(PartitionBlock&&) = default;
 
   static PartitionBlock FromRows(const Schema& schema,
                                  const std::vector<Row>& rows);

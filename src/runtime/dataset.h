@@ -12,11 +12,20 @@
 // chains read typed cells and build their output column by column, rows are
 // materialized only as nest and cogroup bag members, and row vectors exist
 // only at the bridge to the interpreter and when a result is collected.
+//
+// Partitions are immutable and shared. A stage fills fresh blocks and then
+// publishes them (Publish, Dataset::FromBlocks); from then on a block is
+// held through a BlockPtr and never changes. Copying a Dataset copies
+// pointers, so a scan, a merge of an all-light skew triple and a shuffle
+// that reuses its input's partitioning hand on the same blocks. A stage that
+// would change a partition (the spill-and-restore at the stage barrier)
+// builds a new block and swaps the pointer.
 #ifndef TRANCE_RUNTIME_DATASET_H_
 #define TRANCE_RUNTIME_DATASET_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -56,40 +65,67 @@ struct Partitioning {
   }
 };
 
+/// A published partition: shared, and never changed again.
+using BlockPtr = std::shared_ptr<const column::PartitionBlock>;
+
+/// Publishes a freshly built block.
+inline BlockPtr Publish(column::PartitionBlock block) {
+  return std::make_shared<const column::PartitionBlock>(std::move(block));
+}
+
+/// `n` empty blocks typed by `schema`, for a stage to fill and publish.
+inline std::vector<column::PartitionBlock> EmptyBlocks(const Schema& schema,
+                                                       size_t n) {
+  std::vector<column::PartitionBlock> blocks;
+  blocks.reserve(n);
+  for (size_t p = 0; p < n; ++p) blocks.emplace_back(schema);
+  return blocks;
+}
+
 struct Dataset {
   Schema schema;
-  /// One resident typed block per partition.
-  std::vector<column::PartitionBlock> parts;
+  /// One resident typed block per partition, shared with every copy of the
+  /// dataset.
+  std::vector<BlockPtr> parts;
   Partitioning partitioning;
 
-  /// A dataset of `n` empty partitions typed by `schema`.
+  /// A dataset of `n` empty partitions typed by `schema`; they share one
+  /// empty block.
   static Dataset Empty(Schema schema, size_t n,
                        Partitioning partitioning = Partitioning::None()) {
     Dataset d;
-    d.parts.assign(n, column::PartitionBlock(schema));
+    d.parts.assign(n, Publish(column::PartitionBlock(schema)));
+    d.schema = std::move(schema);
+    d.partitioning = std::move(partitioning);
+    return d;
+  }
+  /// A dataset of freshly built blocks, one per partition, published.
+  static Dataset FromBlocks(Schema schema,
+                            std::vector<column::PartitionBlock> blocks,
+                            Partitioning partitioning = Partitioning::None()) {
+    Dataset d;
+    d.parts.reserve(blocks.size());
+    for (auto& b : blocks) d.parts.push_back(Publish(std::move(b)));
     d.schema = std::move(schema);
     d.partitioning = std::move(partitioning);
     return d;
   }
 
   size_t NumPartitions() const { return parts.size(); }
-  size_t PartitionRowCount(size_t p) const { return parts[p].NumRows(); }
-  Row RowAt(size_t p, size_t i) const { return parts[p].RowAt(i); }
+  size_t PartitionRowCount(size_t p) const { return parts[p]->NumRows(); }
+  Row RowAt(size_t p, size_t i) const { return parts[p]->RowAt(i); }
   /// Partition p as a row vector (a copy; tests and result inspection).
-  std::vector<Row> PartitionRows(size_t p) const { return parts[p].ToRows(); }
-  /// Resets partition p to an empty schema-typed block (the reset of a
-  /// discarded task attempt).
-  void ClearPartition(size_t p) { parts[p] = column::PartitionBlock(schema); }
+  std::vector<Row> PartitionRows(size_t p) const { return parts[p]->ToRows(); }
 
   size_t NumRows() const {
     size_t n = 0;
-    for (const auto& b : parts) n += b.NumRows();
+    for (const auto& b : parts) n += b->NumRows();
     return n;
   }
   /// Total deep-size footprint of every partition.
   uint64_t DeepSizeBytes() const {
     uint64_t s = 0;
-    for (const auto& b : parts) s += b.TotalRowBytes();
+    for (const auto& b : parts) s += b->TotalRowBytes();
     return s;
   }
   /// Byte footprint of each partition: the blocks' running Field accounting
@@ -97,7 +133,7 @@ struct Dataset {
   std::vector<uint64_t> PartitionBytes() const {
     std::vector<uint64_t> out;
     out.reserve(parts.size());
-    for (const auto& b : parts) out.push_back(b.TotalRowBytes());
+    for (const auto& b : parts) out.push_back(b->TotalRowBytes());
     return out;
   }
   /// All rows gathered into one vector, in partition order (result
@@ -105,9 +141,7 @@ struct Dataset {
   std::vector<Row> Collect() const {
     std::vector<Row> out;
     out.reserve(NumRows());
-    for (const auto& b : parts) {
-      for (size_t r = 0; r < b.NumRows(); ++r) out.push_back(b.RowAt(r));
-    }
+    for (const auto& b : parts) b->AppendRowsTo(&out);
     return out;
   }
 };

@@ -47,20 +47,8 @@ uint64_t Field::Hash() const {
 
 uint64_t Field::DeepSize() const {
   if (is_string()) return 32 + AsString().size();
-  if (is_label()) {
-    uint64_t s = 16;
-    if (AsLabel() != nullptr) {
-      for (const auto& [n, f] : AsLabel()->params) s += 8 + f.DeepSize();
-    }
-    return s;
-  }
-  if (is_bag()) {
-    uint64_t s = 32;
-    if (AsBag() != nullptr) {
-      for (const auto& r : *AsBag()) s += RowDeepSize(r);
-    }
-    return s;
-  }
+  if (is_label()) return AsLabel() == nullptr ? 16 : AsLabel()->DeepSize();
+  if (is_bag()) return AsBag() == nullptr ? 32 : AsBag()->DeepSize();
   return 8;
 }
 
@@ -73,7 +61,7 @@ std::string Field::ToString() const {
   if (is_label()) {
     if (AsLabel() == nullptr) return "Label()";
     std::vector<std::string> parts;
-    for (const auto& [n, f] : AsLabel()->params) {
+    for (const auto& [n, f] : AsLabel()->params()) {
       parts.push_back(n + "=" + f.ToString());
     }
     return "Label(" + Join(parts, ",") + ")";
@@ -108,7 +96,7 @@ bool operator==(const Field& a, const Field& b) {
   if (ba == bb) return true;
   if (ba == nullptr || bb == nullptr) return false;
   if (ba->size() != bb->size()) return false;
-  std::vector<Row> sa = *ba, sb = *bb;
+  std::vector<Row> sa = ba->rows(), sb = bb->rows();
   std::sort(sa.begin(), sa.end(), RowLess);
   std::sort(sb.begin(), sb.end(), RowLess);
   for (size_t i = 0; i < sa.size(); ++i) {
@@ -137,8 +125,8 @@ bool FieldLess(const Field& a, const Field& b) {
     if (a.AsLabel() == nullptr || b.AsLabel() == nullptr) {
       return a.AsLabel() == nullptr && b.AsLabel() != nullptr;
     }
-    const auto& pa = a.AsLabel()->params;
-    const auto& pb = b.AsLabel()->params;
+    const auto& pa = a.AsLabel()->params();
+    const auto& pb = b.AsLabel()->params();
     size_t n = std::min(pa.size(), pb.size());
     for (size_t i = 0; i < n; ++i) {
       if (pa[i].first != pb[i].first) return pa[i].first < pb[i].first;
@@ -151,8 +139,8 @@ bool FieldLess(const Field& a, const Field& b) {
   if (a.AsBag() == nullptr || b.AsBag() == nullptr) {
     return a.AsBag() == nullptr && b.AsBag() != nullptr;
   }
-  std::vector<Row> sa = *a.AsBag();
-  std::vector<Row> sb = *b.AsBag();
+  std::vector<Row> sa = a.AsBag()->rows();
+  std::vector<Row> sb = b.AsBag()->rows();
   std::sort(sa.begin(), sa.end(), RowLess);
   std::sort(sb.begin(), sb.end(), RowLess);
   size_t n = std::min(sa.size(), sb.size());
@@ -163,20 +151,24 @@ bool FieldLess(const Field& a, const Field& b) {
   return sa.size() < sb.size();
 }
 
-uint64_t RtLabel::Hash() const {
-  uint64_t h = 0x1AB;
-  for (const auto& [n, f] : params) {
-    h = HashCombine(h, HashString(n));
-    h = HashCombine(h, f.Hash());
+RtBag::RtBag(std::vector<Row> rows) : rows_(std::move(rows)), deep_size_(32) {
+  for (const auto& r : rows_) deep_size_ += RowDeepSize(r);
+}
+
+RtLabel::RtLabel(Params params)
+    : params_(std::move(params)), hash_(0x1AB), deep_size_(16) {
+  for (const auto& [n, f] : params_) {
+    hash_ = HashCombine(hash_, HashString(n));
+    hash_ = HashCombine(hash_, f.Hash());
+    deep_size_ += 8 + f.DeepSize();
   }
-  return h;
 }
 
 bool operator==(const RtLabel& a, const RtLabel& b) {
-  if (a.params.size() != b.params.size()) return false;
-  for (size_t i = 0; i < a.params.size(); ++i) {
-    if (a.params[i].first != b.params[i].first) return false;
-    if (!(a.params[i].second == b.params[i].second)) return false;
+  if (a.params_.size() != b.params_.size()) return false;
+  for (size_t i = 0; i < a.params_.size(); ++i) {
+    if (a.params_[i].first != b.params_[i].first) return false;
+    if (!(a.params_[i].second == b.params_[i].second)) return false;
   }
   return true;
 }
@@ -185,9 +177,7 @@ Field MakeLabel(std::vector<std::pair<std::string, Field>> params) {
   if (params.size() == 1 && params[0].second.is_label()) {
     return params[0].second;
   }
-  auto l = std::make_shared<RtLabel>();
-  l->params = std::move(params);
-  return Field::Label(std::move(l));
+  return Field::Label(std::make_shared<const RtLabel>(std::move(params)));
 }
 
 uint64_t RowHash(const Row& r) {

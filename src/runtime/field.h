@@ -9,7 +9,10 @@
 //
 // Memory accounting (DeepSize) includes nested bag contents, so a partition
 // holding few rows with enormous inner collections correctly saturates the
-// simulated worker memory.
+// simulated worker memory. Labels and bags are immutable and shared: each
+// carries its deep size (and a label its hash), computed once at
+// construction, so sizing or hashing a nested cell reads a stored value
+// instead of walking its members.
 #ifndef TRANCE_RUNTIME_FIELD_H_
 #define TRANCE_RUNTIME_FIELD_H_
 
@@ -36,9 +39,31 @@ struct Row {
   explicit Row(std::vector<Field> f) : fields(std::move(f)) {}
 };
 
-struct RtLabel;
+class RtLabel;
 using LabelPtr = std::shared_ptr<const RtLabel>;
-using BagPtr = std::shared_ptr<const std::vector<Row>>;
+
+/// Runtime bag: an immutable multiset of rows that knows its deep size.
+/// Iterable like the row vector it wraps.
+class RtBag {
+ public:
+  explicit RtBag(std::vector<Row> rows);
+
+  const std::vector<Row>& rows() const { return rows_; }
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
+  const Row& operator[](size_t i) const { return rows_[i]; }
+  std::vector<Row>::const_iterator begin() const { return rows_.begin(); }
+  std::vector<Row>::const_iterator end() const { return rows_.end(); }
+
+  /// Field::DeepSize of the bag: 32 plus each member's RowDeepSize, computed
+  /// once at construction.
+  uint64_t DeepSize() const { return deep_size_; }
+
+ private:
+  std::vector<Row> rows_;
+  uint64_t deep_size_;
+};
+using BagPtr = std::shared_ptr<const RtBag>;
 
 /// One cell of a row.
 class Field {
@@ -55,7 +80,7 @@ class Field {
   static Field Label(LabelPtr l) { return Field(Repr(std::move(l))); }
   static Field Bag(BagPtr b) { return Field(Repr(std::move(b))); }
   static Field Bag(std::vector<Row> rows) {
-    return Bag(std::make_shared<const std::vector<Row>>(std::move(rows)));
+    return Bag(std::make_shared<const RtBag>(std::move(rows)));
   }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(repr_); }
@@ -76,8 +101,10 @@ class Field {
     return is_int() ? static_cast<double>(AsInt()) : AsReal();
   }
 
+  /// A bag's hash walks its members; a label's is stored.
   uint64_t Hash() const;
-  /// Approximate in-memory footprint in bytes, recursing into bags/labels.
+  /// Approximate in-memory footprint in bytes, nested bag and label contents
+  /// included; a bag's or label's is computed once at construction.
   uint64_t DeepSize() const;
   std::string ToString() const;
 
@@ -95,12 +122,26 @@ bool FieldLess(const Field& a, const Field& b);
 
 /// Runtime label: named captured flat parameters with structural identity;
 /// mirrors nrc::LabelValue (including the single-label collapse rule, applied
-/// by MakeLabel).
-struct RtLabel {
-  std::vector<std::pair<std::string, Field>> params;
+/// by MakeLabel). Immutable: its hash and deep size are computed once at
+/// construction.
+class RtLabel {
+ public:
+  using Params = std::vector<std::pair<std::string, Field>>;
 
-  uint64_t Hash() const;
+  explicit RtLabel(Params params);
+
+  const Params& params() const { return params_; }
+  uint64_t Hash() const { return hash_; }
+  /// Field::DeepSize of the label: 16 plus 8 and the value's DeepSize per
+  /// parameter.
+  uint64_t DeepSize() const { return deep_size_; }
+
   friend bool operator==(const RtLabel& a, const RtLabel& b);
+
+ private:
+  Params params_;
+  uint64_t hash_;
+  uint64_t deep_size_;
 };
 
 /// Creates a label field; collapses NewLabel over a single label parameter.

@@ -84,8 +84,8 @@ void EncodeField(const Field& f, std::string* out) {
       return;
     }
     out->push_back(static_cast<char>(kLabel));
-    PutU32(out, static_cast<uint32_t>(l->params.size()));
-    for (const auto& [name, param] : l->params) {
+    PutU32(out, static_cast<uint32_t>(l->params().size()));
+    for (const auto& [name, param] : l->params()) {
       PutU32(out, static_cast<uint32_t>(name.size()));
       out->append(name);
       EncodeField(param, out);

@@ -55,7 +55,7 @@ uint64_t Footprint(const std::vector<PartitionBlock>& blocks) {
 
 /// Hash-shuffles `in` to num_partitions buckets keyed on key_cols, recording
 /// exact cross-partition movement into `stage`, and returns the shuffled
-/// partitions. Two-phase and partition-parallel:
+/// partitions, published. Two-phase and partition-parallel:
 ///   1. each input partition routes its rows by target partition into its
 ///      own bucket blocks;
 ///   2. each target partition concatenates its buckets in fixed
@@ -75,8 +75,9 @@ uint64_t Footprint(const std::vector<PartitionBlock>& blocks) {
 /// crash fault re-runs them after discarding the partition's buckets.
 /// Phase 2 (fetch side) only reads the buckets, so it runs through
 /// RunPartitionTasks like every stage that builds a Dataset: a crashed
-/// attempt's output block is discarded and the retry re-fetches.
-StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
+/// attempt's output block is replaced by an empty one and the retry
+/// re-fetches.
+StatusOr<std::vector<BlockPtr>> ShuffleByKey(
     Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
     StageStats* stage) {
   const size_t n = static_cast<size_t>(cluster->num_partitions());
@@ -87,8 +88,8 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
       stage->op + ".shuffle_map", in_n, stage,
       [&](size_t p) {
         std::vector<PartitionBlock>& b = buckets[p];
-        b.assign(n, PartitionBlock(in.schema));
-        const PartitionBlock& src = in.parts[p];
+        b = EmptyBlocks(in.schema, n);
+        const PartitionBlock& src = *in.parts[p];
         const size_t rows = src.NumRows();
         for (size_t i = 0; i < rows; ++i) {
           size_t target = static_cast<size_t>(
@@ -119,11 +120,11 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
   Dataset out = Dataset::Empty(in.schema, n);
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
       cluster, stage->op + ".shuffle_fetch", stage, &out,
-      [&](size_t t, StageStats*) {
+      [&](size_t t, PartitionBlock* dst, StageStats*) {
         for (size_t p = 0; p < in_n; ++p) {
           const PartitionBlock& src = buckets[p][t];
           const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) out.parts[t].AppendRowFrom(src, i);
+          for (size_t i = 0; i < rows; ++i) dst->AppendRowFrom(src, i);
         }
       }));
 
@@ -155,10 +156,10 @@ StatusOr<std::vector<PartitionBlock>> ShuffleByKey(
   return std::move(out.parts);
 }
 
-/// Shuffle path of operators that group/join on `key_cols`: hands back the
+/// Shuffle path of operators that group/join on `key_cols`: shares the
 /// input partitions (zero movement) when the guarantee already holds,
 /// otherwise hash-shuffles.
-StatusOr<std::vector<PartitionBlock>> ShuffleOrReuse(
+StatusOr<std::vector<BlockPtr>> ShuffleOrReuse(
     Cluster* cluster, const Dataset& in, const std::vector<int>& key_cols,
     StageStats* stage) {
   if (in.partitioning.IsHashOn(key_cols)) return in.parts;
@@ -282,15 +283,16 @@ StatusOr<Dataset> Source(Cluster* cluster, Schema schema,
   // schema and appends it to its round-robin partition block, so downstream
   // stages start from columns. Driver-sequential, so the footprint charge is
   // thread-count-invariant.
-  Dataset ds = Dataset::Empty(std::move(schema), n);
+  std::vector<PartitionBlock> blocks = EmptyBlocks(schema, n);
   for (size_t i = 0; i < rows.size(); ++i) {
-    PartitionBlock& block = ds.parts[i % n];
-    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, rows[i], ds.schema, block));
+    PartitionBlock& block = blocks[i % n];
+    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, rows[i], schema, block));
     block.AppendRow(rows[i]);
   }
   StageStats stage;
   stage.op = op;
-  stage.columnar_bytes = Footprint(ds.parts);
+  stage.columnar_bytes = Footprint(blocks);
+  Dataset ds = Dataset::FromBlocks(std::move(schema), std::move(blocks));
   // Inputs are pre-cached ("runtime starts after caching all inputs"): they
   // are not charged against the per-partition memory cap.
   stage.rows_in = ds.NumRows();
@@ -306,17 +308,18 @@ StatusOr<Dataset> SourcePartitioned(Cluster* cluster, Schema schema,
   const size_t n = static_cast<size_t>(cluster->num_partitions());
   const std::string op = "source_partitioned(" + name + ")";
   TRANCE_RETURN_NOT_OK(CheckColumns(op, "key", key_cols, schema));
-  Dataset ds = Dataset::Empty(std::move(schema), n);
+  std::vector<PartitionBlock> blocks = EmptyBlocks(schema, n);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
-    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, row, ds.schema, ds.parts[0]));
+    TRANCE_RETURN_NOT_OK(CheckSourceRow(op, i, row, schema, blocks[0]));
     int target = cluster->PartitionOf(RowHashOn(row, key_cols));
-    ds.parts[static_cast<size_t>(target)].AppendRow(row);
+    blocks[static_cast<size_t>(target)].AppendRow(row);
   }
-  ds.partitioning = Partitioning::Hash(std::move(key_cols));
   StageStats stage;
   stage.op = op;
-  stage.columnar_bytes = Footprint(ds.parts);
+  stage.columnar_bytes = Footprint(blocks);
+  Dataset ds = Dataset::FromBlocks(std::move(schema), std::move(blocks),
+                                   Partitioning::Hash(std::move(key_cols)));
   stage.rows_in = ds.NumRows();
   stage.rows_out = ds.NumRows();
   cluster->RecordStage(std::move(stage));
@@ -332,12 +335,12 @@ StatusOr<Dataset> Repartition(Cluster* cluster, const Dataset& in,
   stage.rows_in = in.NumRows();
   Dataset out;
   out.schema = in.schema;
-  // The shuffled partitions ARE the output — blocks stay resident.
+  // The shuffled (or shared) partitions ARE the output.
   TRANCE_ASSIGN_OR_RETURN(out.parts,
                           ShuffleOrReuse(cluster, in, key_cols, &stage));
   out.partitioning = Partitioning::Hash(std::move(key_cols));
   SetWork(&stage, out.NumPartitions(),
-          [&](size_t p) { return out.parts[p].TotalRowBytes(); });
+          [&](size_t p) { return out.parts[p]->TotalRowBytes(); });
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
   return out;
 }
@@ -352,21 +355,21 @@ StatusOr<Dataset> HashJoin(Cluster* cluster, const Dataset& left,
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> lsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> lsp,
                           ShuffleOrReuse(cluster, left, left_keys, &stage));
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> rsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> rsp,
                           ShuffleOrReuse(cluster, right, right_keys, &stage));
 
   const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
-      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
-        LocalJoin(lsp[p], rsp[p], left_keys, right_keys, type, &out.parts[p],
-                  ks);
+      cluster, name, &stage, &out,
+      [&](size_t p, PartitionBlock* dst, StageStats* ks) {
+        LocalJoin(*lsp[p], *rsp[p], left_keys, right_keys, type, dst, ks);
       }));
   SetWork(&stage, nparts, [&](size_t p) {
-    return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
-           out.parts[p].TotalRowBytes();
+    return lsp[p]->TotalRowBytes() + rsp[p]->TotalRowBytes() +
+           out.parts[p]->TotalRowBytes();
   });
   out.partitioning = Partitioning::Hash(std::move(left_keys));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
@@ -390,7 +393,7 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   // byte totals give the movement accounting and the send histogram.
   PartitionBlock bcast(right.schema);
   for (const auto& part : right.parts) {
-    for (size_t i = 0; i < part.NumRows(); ++i) bcast.AppendRowFrom(part, i);
+    for (size_t i = 0; i < part->NumRows(); ++i) bcast.AppendRowFrom(*part, i);
   }
   stage.columnar_bytes += bcast.ByteFootprint();
   const uint64_t bcast_bytes = bcast.TotalRowBytes();
@@ -424,7 +427,7 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   {
     std::vector<uint64_t> send(right.NumPartitions(), 0);
     for (size_t p = 0; p < right.NumPartitions(); ++p) {
-      send[p] = right.parts[p].TotalRowBytes() * n;
+      send[p] = right.parts[p]->TotalRowBytes() * n;
     }
     AccumulateHistogram(&stage.partition_send_bytes, send);
   }
@@ -432,13 +435,13 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   const size_t nparts = left.NumPartitions();
   Dataset out = Dataset::Empty(JoinSchema(left.schema, right.schema), nparts);
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
-      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
-        LocalJoin(left.parts[p], bcast, left_keys, right_keys, type,
-                  &out.parts[p], ks);
+      cluster, name, &stage, &out,
+      [&](size_t p, PartitionBlock* dst, StageStats* ks) {
+        LocalJoin(*left.parts[p], bcast, left_keys, right_keys, type, dst, ks);
       }));
   SetWork(&stage, nparts, [&](size_t p) {
-    return left.parts[p].TotalRowBytes() + bcast_bytes +
-           out.parts[p].TotalRowBytes();
+    return left.parts[p]->TotalRowBytes() + bcast_bytes +
+           out.parts[p]->TotalRowBytes();
   });
   // Left rows did not move: the left guarantee (if any) is preserved.
   out.partitioning = left.partitioning;
@@ -467,7 +470,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
   StageStats stage;
   stage.op = name;
   stage.rows_in = in.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> sp,
                           ShuffleOrReuse(cluster, in, key_cols, &stage));
 
   Schema out_schema;
@@ -484,10 +487,10 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
 
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  auto nest_task = [&](size_t p, StageStats* slot) {
+  auto nest_task = [&](size_t p, PartitionBlock* dst, StageStats* slot) {
     // Groups are (the row that created the group, members), in first-seen
     // order; members project straight from the block's arenas.
-    const PartitionBlock& src = sp[p];
+    const PartitionBlock& src = *sp[p];
     std::vector<size_t> first;              // per group: its first row
     std::vector<std::vector<Row>> members;  // per group: its bag
     std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
@@ -520,7 +523,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     ks.key_encode_bytes += enc.bytes_encoded();
     flat_hash::NoteTableStats(index, &ks);
     // Key cells copy column-wise from each group's first row.
-    out.parts[p].AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
+    dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
       if (c < key_cols.size()) {
         const AnyColumn& from = src.col(static_cast<size_t>(key_cols[c]));
         for (size_t i : first) col->AppendFrom(from, i);
@@ -532,7 +535,7 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
   TRANCE_RETURN_NOT_OK(
       RunPartitionTasks(cluster, name, &stage, &out, nest_task));
   SetWork(&stage, nparts, [&](size_t p) {
-    return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+    return sp[p]->TotalRowBytes() + out.parts[p]->TotalRowBytes();
   });
   std::vector<int> out_keys;
   for (int i = 0; i < static_cast<int>(key_cols.size()); ++i) {
@@ -666,8 +669,8 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
   if (map_side_combine) {
     TRANCE_RETURN_NOT_OK(RunPartitionTasks(
         cluster, name + ".combine", &stage, &partial,
-        [&](size_t p, StageStats* ks) {
-          aggregate(in.parts[p], false, ks, &partial.parts[p]);
+        [&](size_t p, PartitionBlock* dst, StageStats* ks) {
+          aggregate(*in.parts[p], false, ks, dst);
         }));
   } else {
     // Reshape rows to (key, value) layout without combining: every cell
@@ -677,10 +680,10 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     reshape.insert(reshape.end(), value_cols.begin(), value_cols.end());
     TRANCE_RETURN_NOT_OK(RunPartitionTasks(
         cluster, name + ".reshape", &stage, &partial,
-        [&](size_t p, StageStats*) {
-          const PartitionBlock& src = in.parts[p];
+        [&](size_t p, PartitionBlock* dst, StageStats*) {
+          const PartitionBlock& src = *in.parts[p];
           const size_t rows = src.NumRows();
-          partial.parts[p].AppendColumns(rows, [&](size_t c, AnyColumn* col) {
+          dst->AppendColumns(rows, [&](size_t c, AnyColumn* col) {
             const AnyColumn& from = src.col(static_cast<size_t>(reshape[c]));
             for (size_t i = 0; i < rows; ++i) col->AppendFrom(from, i);
           });
@@ -690,22 +693,25 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
                              ? Partitioning::Hash(partial_keys)
                              : Partitioning::None();
 
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> sp,
                           ShuffleOrReuse(cluster, partial, partial_keys,
                                          &stage));
 
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
-      cluster, name, &stage, &out, [&](size_t p, StageStats* ks) {
-        aggregate(sp[p], true, ks, &out.parts[p]);
+      cluster, name, &stage, &out,
+      [&](size_t p, PartitionBlock* dst, StageStats* ks) {
+        aggregate(*sp[p], true, ks, dst);
       }));
   // The pre-shuffle pass charges its input (and, combining, its partial
   // rows); the final pass charges its input and output.
   SetWork(&stage, in_parts, [&](size_t p) {
-    uint64_t w = in.parts[p].TotalRowBytes();
-    if (map_side_combine) w += partial.parts[p].TotalRowBytes();
-    if (p < nparts) w += sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+    uint64_t w = in.parts[p]->TotalRowBytes();
+    if (map_side_combine) w += partial.parts[p]->TotalRowBytes();
+    if (p < nparts) {
+      w += sp[p]->TotalRowBytes() + out.parts[p]->TotalRowBytes();
+    }
     return w;
   });
   out.partitioning = Partitioning::Hash(partial_keys);
@@ -760,13 +766,13 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
   stage.op = name;
   stage.rows_in = a.NumRows() + b.NumRows();
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
-      cluster, name, &stage, &out, [&](size_t p, StageStats*) {
-        PartitionBlock& dst = out.parts[p];
+      cluster, name, &stage, &out,
+      [&](size_t p, PartitionBlock* dst, StageStats*) {
         for (const Dataset* d : {&a, &b}) {
           if (p >= d->NumPartitions()) continue;
-          const PartitionBlock& src = d->parts[p];
+          const PartitionBlock& src = *d->parts[p];
           const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) dst.AppendRowFrom(src, i);
+          for (size_t i = 0; i < rows; ++i) dst->AppendRowFrom(src, i);
         }
       }));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
@@ -782,19 +788,19 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   for (int i = 0; i < static_cast<int>(in.schema.size()); ++i) {
     all_cols.push_back(i);
   }
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> sp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> sp,
                           ShuffleOrReuse(cluster, in, all_cols, &stage));
   const size_t nparts = sp.size();
   Dataset out = Dataset::Empty(in.schema, nparts);
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
-      cluster, name, &stage, &out, [&](size_t p, StageStats* slot) {
+      cluster, name, &stage, &out,
+      [&](size_t p, PartitionBlock* dst, StageStats* slot) {
         // The membership test encodes every column straight off the block
         // and probes without materializing; the first occurrence of each
         // key copies column-to-column into the output block. Per-key
         // duplicate counts (the chain stat) live densely beside the index.
         StageStats& ks = *slot;
-        const PartitionBlock& src = sp[p];
-        PartitionBlock& dst = out.parts[p];
+        const PartitionBlock& src = *sp[p];
         FlatKeyIndex seen;
         std::vector<uint64_t> counts;
         key_codec::KeyEncoder enc;
@@ -805,7 +811,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
             counts.push_back(1);
             ks.hash_build_rows++;
             ks.hash_max_chain = std::max<uint64_t>(ks.hash_max_chain, 1);
-            dst.AppendRowFrom(src, i);
+            dst->AppendRowFrom(src, i);
           } else {
             ks.hash_probe_hits++;
             ks.hash_max_chain = std::max(ks.hash_max_chain, ++counts[gi]);
@@ -815,7 +821,7 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
         flat_hash::NoteTableStats(seen, &ks);
       }));
   SetWork(&stage, nparts, [&](size_t p) {
-    return sp[p].TotalRowBytes() + out.parts[p].TotalRowBytes();
+    return sp[p]->TotalRowBytes() + out.parts[p]->TotalRowBytes();
   });
   out.partitioning = Partitioning::Hash(std::move(all_cols));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
@@ -836,9 +842,9 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   StageStats stage;
   stage.op = name;
   stage.rows_in = left.NumRows() + right.NumRows();
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> lsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> lsp,
                           ShuffleOrReuse(cluster, left, left_keys, &stage));
-  TRANCE_ASSIGN_OR_RETURN(std::vector<PartitionBlock> rsp,
+  TRANCE_ASSIGN_OR_RETURN(std::vector<BlockPtr> rsp,
                           ShuffleOrReuse(cluster, right, right_keys, &stage));
 
   Schema out_schema = left.schema;
@@ -852,10 +858,10 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
 
   const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
-  auto cogroup_task = [&](size_t p, StageStats* slot) {
+  auto cogroup_task = [&](size_t p, PartitionBlock* dst, StageStats* slot) {
     StageStats& ks = *slot;
-    const PartitionBlock& lb = lsp[p];
-    const PartitionBlock& rb = rsp[p];
+    const PartitionBlock& lb = *lsp[p];
+    const PartitionBlock& rb = *rsp[p];
     FlatKeyIndex built;
     std::vector<std::vector<Row>> chains;  // dense index -> right projections
     key_codec::KeyEncoder enc;
@@ -890,9 +896,9 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
     // The left row copies column-wise; the bag cell follows it. Bags are
     // immutable, so left rows with the same key share one.
     const size_t lw = lb.NumCols();
-    const BagPtr empty = std::make_shared<const std::vector<Row>>();
+    const BagPtr empty = std::make_shared<const RtBag>(std::vector<Row>());
     std::vector<BagPtr> bags(chains.size());
-    out.parts[p].AppendColumns(lrows, [&](size_t c, AnyColumn* col) {
+    dst->AppendColumns(lrows, [&](size_t c, AnyColumn* col) {
       if (c < lw) {
         const AnyColumn& from = lb.col(c);
         for (size_t j = 0; j < lrows; ++j) col->AppendFrom(from, j);
@@ -904,8 +910,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
           continue;
         }
         if (bags[gi] == nullptr) {
-          bags[gi] = std::make_shared<const std::vector<Row>>(
-              std::move(chains[gi]));
+          bags[gi] = std::make_shared<const RtBag>(std::move(chains[gi]));
         }
         col->Append(Field::Bag(bags[gi]));
       }
@@ -914,8 +919,8 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   TRANCE_RETURN_NOT_OK(
       RunPartitionTasks(cluster, name, &stage, &out, cogroup_task));
   SetWork(&stage, nparts, [&](size_t p) {
-    return lsp[p].TotalRowBytes() + rsp[p].TotalRowBytes() +
-           out.parts[p].TotalRowBytes();
+    return lsp[p]->TotalRowBytes() + rsp[p]->TotalRowBytes() +
+           out.parts[p]->TotalRowBytes();
   });
   out.partitioning = Partitioning::Hash(std::move(left_keys));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));

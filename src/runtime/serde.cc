@@ -154,8 +154,8 @@ void AppendField(const Field& f, std::string* out) {
       AppendU32(0, out);
       return;
     }
-    AppendU32(static_cast<uint32_t>(l->params.size()), out);
-    for (const auto& [name, value] : l->params) {
+    AppendU32(static_cast<uint32_t>(l->params().size()), out);
+    for (const auto& [name, value] : l->params()) {
       AppendU32(static_cast<uint32_t>(name.size()), out);
       out->append(name);
       AppendField(value, out);
@@ -180,7 +180,9 @@ Status ParseRow(const char* data, size_t size, size_t* pos, Row* out) {
   uint32_t nfields = 0;
   TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &nfields, "row width"));
   out->fields.clear();
-  out->fields.reserve(nfields);
+  // Every field takes at least its tag byte: a corrupt width must not OOM
+  // before the truncation checks reject it.
+  out->fields.reserve(std::min<size_t>(nfields, size - *pos));
   for (uint32_t i = 0; i < nfields; ++i) {
     Field f;
     TRANCE_RETURN_NOT_OK(ParseField(data, size, pos, &f));
@@ -229,8 +231,9 @@ Status ParseField(const char* data, size_t size, size_t* pos, Field* out) {
     case kFieldLabel: {
       uint32_t nparams = 0;
       TRANCE_RETURN_NOT_OK(ParsePod(data, size, pos, &nparams, "label arity"));
-      auto label = std::make_shared<RtLabel>();
-      label->params.reserve(nparams);
+      RtLabel::Params params;
+      // Every parameter takes at least its name length and a tag byte.
+      params.reserve(std::min<size_t>(nparams, (size - *pos) / 5));
       for (uint32_t i = 0; i < nparams; ++i) {
         uint32_t name_len = 0;
         TRANCE_RETURN_NOT_OK(
@@ -240,9 +243,9 @@ Status ParseField(const char* data, size_t size, size_t* pos, Field* out) {
         *pos += name_len;
         Field value;
         TRANCE_RETURN_NOT_OK(ParseField(data, size, pos, &value));
-        label->params.emplace_back(std::move(name), std::move(value));
+        params.emplace_back(std::move(name), std::move(value));
       }
-      *out = Field::Label(std::move(label));
+      *out = Field::Label(std::make_shared<const RtLabel>(std::move(params)));
       return Status::OK();
     }
     case kFieldBag: {

@@ -119,11 +119,9 @@ void SpillManager::RemoveRun(const std::string& path, uint64_t bytes) {
   fs::remove(path, ec);
 }
 
-Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
-                                          size_t partition,
-                                          const Schema& schema,
-                                          column::PartitionBlock* block,
-                                          StageStats* c) {
+StatusOr<column::PartitionBlock> SpillManager::SpillAndRestoreBlock(
+    uint64_t job, const std::string& tag, size_t partition,
+    const Schema& schema, const column::PartitionBlock& block, StageStats* c) {
   struct Run {
     std::string path;
     uint64_t bytes;
@@ -133,7 +131,7 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
   auto write_run = [&](size_t begin, size_t end) -> Status {
     file.clear();
     serde::AppendFileHeader(&file);
-    serde::AppendBlockRecord(*block, begin, end, &file);
+    serde::AppendBlockRecord(block, begin, end, &file);
     Run run{RunPath(job, tag, partition, runs.size()), file.size()};
     // The file's size is known before it exists: charge the budget first,
     // so a run the budget refuses never reaches the disk.
@@ -150,15 +148,15 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
     c->spill_runs += 1;
     return Status::OK();
   };
+  column::PartitionBlock restored(schema);
   auto spill_and_restore = [&]() -> Status {
     // Phase 1: a run ends at the row whose RowBytesAt brings it to
-    // max_run_bytes; each range is serialized straight from the block. The
-    // block is released wholesale after the last run lands.
-    const size_t n = block->NumRows();
+    // max_run_bytes; each range is serialized straight from the block.
+    const size_t n = block.NumRows();
     size_t begin = 0;
     uint64_t run_bytes = 0;
     for (size_t i = 0; i < n; ++i) {
-      run_bytes += block->RowBytesAt(i);
+      run_bytes += block.RowBytesAt(i);
       if (run_bytes >= config_.max_run_bytes) {
         TRANCE_RETURN_NOT_OK(write_run(begin, i + 1));
         begin = i + 1;
@@ -166,14 +164,13 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
       }
     }
     if (begin < n || runs.empty()) TRANCE_RETURN_NOT_OK(write_run(begin, n));
-    *block = column::PartitionBlock(schema);
     // Phase 2: one merge pass — read each run whole and decode it into the
-    // fresh block's typed columns, in run order. The decoder appends one
+    // new block's typed columns, in run order. The decoder appends one
     // value at a time, so the block's footprint matches a never-spilled
     // block of the same rows.
     for (const Run& run : runs) {
       TRANCE_RETURN_NOT_OK(ReadFile(run.path, &file));
-      TRANCE_RETURN_NOT_OK(serde::ReadBlockFile(file, run.path, block));
+      TRANCE_RETURN_NOT_OK(serde::ReadBlockFile(file, run.path, &restored));
       c->spill_bytes_read += file.size();
     }
     return Status::OK();
@@ -182,7 +179,7 @@ Status SpillManager::SpillAndRestoreBlock(uint64_t job, const std::string& tag,
   for (const Run& run : runs) RemoveRun(run.path, run.bytes);
   TRANCE_RETURN_NOT_OK(s);
   c->spill_merge_passes += 1;
-  return Status::OK();
+  return restored;
 }
 
 }  // namespace spill

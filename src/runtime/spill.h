@@ -72,18 +72,19 @@ class SpillManager {
   std::string RunPath(uint64_t job, const std::string& tag, size_t partition,
                       size_t run) const;
 
-  /// The one-call spill: cuts *block's row sequence into
+  /// The one-call spill: cuts `block`'s row sequence into
   /// max_run_bytes-bounded ranges (by RowBytesAt) and writes each range as
   /// one run file, serialized straight from the block into one reused
   /// buffer whose size is charged against the budget before the file
-  /// exists; then resets *block to an empty schema-typed block and restores
-  /// the identical row sequence by reading and decoding each run in order.
-  /// Counts one merge pass in c's spill_merge_passes. Success or failure,
-  /// the runs it wrote are removed and their budget released before it
-  /// returns; a failed write leaves *block as it was.
-  Status SpillAndRestoreBlock(uint64_t job, const std::string& tag,
-                              size_t partition, const Schema& schema,
-                              column::PartitionBlock* block, StageStats* c);
+  /// exists; then restores the identical row sequence into a new
+  /// schema-typed block, reading and decoding each run in order, and
+  /// returns it. `block` itself is never changed: it may be shared. Counts
+  /// one merge pass in c's spill_merge_passes. Success or failure, the runs
+  /// it wrote are removed and their budget released before it returns.
+  StatusOr<column::PartitionBlock> SpillAndRestoreBlock(
+      uint64_t job, const std::string& tag, size_t partition,
+      const Schema& schema, const column::PartitionBlock& block,
+      StageStats* c);
 
   /// Run files written over the manager's lifetime (monotonic; the budget
   /// is tracked separately).

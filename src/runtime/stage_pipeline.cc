@@ -13,19 +13,21 @@ Status RunPartitionTasks(Cluster* cluster, const std::string& name,
                          StageStats* stage, Dataset* out,
                          const PartitionTask& task) {
   const size_t n = out->NumPartitions();
+  std::vector<column::PartitionBlock> blocks = EmptyBlocks(out->schema, n);
   std::vector<StageStats> slots(n);
   // A crashed attempt is re-executed from the stage's input partitions,
-  // which no task mutates, so discarding its block and slot is the whole
-  // of lineage recovery.
+  // which are immutable, so replacing its block with an empty one and
+  // discarding its slot is the whole of lineage recovery.
   TRANCE_RETURN_NOT_OK(cluster->RunRecoverableTasks(
-      name, n, stage, [&](size_t p) { task(p, &slots[p]); },
+      name, n, stage, [&](size_t p) { task(p, &blocks[p], &slots[p]); },
       [&](size_t p) {
-        out->ClearPartition(p);
+        blocks[p] = column::PartitionBlock(out->schema);
         slots[p] = StageStats{};
       }));
   for (size_t p = 0; p < n; ++p) {
     FoldStage(slots[p], stage);
-    stage->columnar_bytes += out->parts[p].ByteFootprint();
+    stage->columnar_bytes += blocks[p].ByteFootprint();
+    out->parts[p] = Publish(std::move(blocks[p]));
   }
   return Status::OK();
 }
@@ -51,10 +53,11 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   }
   // The one spill site (runtime/spill.h): with spilling on, every partition
   // the memory check below would fail is written to disk runs tagged with
-  // the stage name and streamed back, the same rows in the same order,
-  // turning the paper's FAIL into a slow-but-correct stage. Driver-side and
-  // in partition order, so the spill counters and events are
-  // thread-count-invariant. The recorded peak bytes are untouched, keeping
+  // the stage name and streamed back into a new block, the same rows in the
+  // same order, turning the paper's FAIL into a slow-but-correct stage. The
+  // new block replaces the partition's; the old one may be shared with the
+  // stage's input and is left as it was. Driver-side and in partition
+  // order, so the spill counters and events are thread-count-invariant. The recorded peak bytes are untouched, keeping
   // mem_high_water / peak_partition_bytes bit-identical to an uncapped run.
   size_t spilled = 0;
   auto spill_over_cap = [&]() -> Status {
@@ -63,9 +66,12 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= cap) continue;
       StageStats slot;
-      TRANCE_RETURN_NOT_OK(cluster->spill_manager()->SpillAndRestoreBlock(
-          cluster->current_job_id(), name, p, result->schema,
-          &result->parts[p], &slot));
+      TRANCE_ASSIGN_OR_RETURN(
+          column::PartitionBlock restored,
+          cluster->spill_manager()->SpillAndRestoreBlock(
+              cluster->current_job_id(), name, p, result->schema,
+              *result->parts[p], &slot));
+      result->parts[p] = Publish(std::move(restored));
       ++spilled;
       FoldStage(slot, &stage);
       obs::EventLog& log = obs::GlobalEventLog();
@@ -143,7 +149,7 @@ void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
   for (size_t i = begin; i < end; ++i) {
     const int64_t id = outer ? NextId(p, uid) : 0;
     const Field& bag = bags.variants()[i];
-    const std::vector<Row>* members =
+    const RtBag* members =
         bag.is_bag() && bag.AsBag() != nullptr && !bag.AsBag()->empty()
             ? bag.AsBag().get()
             : nullptr;
@@ -324,7 +330,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   // barrier (bit-identical stats at any thread count).
   std::vector<std::vector<uint64_t>> transform_rows(nparts);
 
-  auto task = [&](size_t p, StageStats* slot) {
+  auto task = [&](size_t p, PartitionBlock* out_block, StageStats* slot) {
     // Per-partition id counters reproduce the standalone operators' uid
     // scheme exactly: ids depend only on the partition and the row order,
     // both of which fusion and batching preserve. They and the row counts
@@ -334,7 +340,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
     std::vector<uint64_t>& t_rows = transform_rows[p];
     t_rows.assign(len, 0);
 
-    const PartitionBlock& in_block = in.parts[p];
+    const PartitionBlock& in_block = *in.parts[p];
     const size_t n = in_block.NumRows();
     for (size_t b = 0; b < n; b += kChainBatchRows) {
       // Transform 0 reads the batch's rows of the input block; transform i
@@ -347,7 +353,7 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
       for (size_t i = 0; i < len; ++i) {
         const bool last = i + 1 == len;
         if (!last) next = PartitionBlock(chain[i].schema);
-        PartitionBlock* dst = last ? &out.parts[p] : &next;
+        PartitionBlock* dst = last ? out_block : &next;
         const size_t before = dst->NumRows();
         Apply(chain[i], *src, begin, end, p, &uid[i], dst);
         t_rows[i] += dst->NumRows() - before;
@@ -372,8 +378,8 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
   stage.rows_in = in.NumRows();
   if (charge_input || charge_final) {
     detail::SetWork(&stage, nparts, [&](size_t p) {
-      return (charge_input ? in.parts[p].TotalRowBytes() : 0) +
-             (charge_final ? out.parts[p].TotalRowBytes() : 0);
+      return (charge_input ? in.parts[p]->TotalRowBytes() : 0) +
+             (charge_final ? out.parts[p]->TotalRowBytes() : 0);
     });
   }
   if (len > 1) {

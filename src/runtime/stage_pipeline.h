@@ -126,18 +126,22 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
                                    const std::string& stage_name);
 
 namespace detail {
-/// One partition's task of a Dataset-building stage: task(p, slot) appends
-/// partition p's rows to the output's block p and writes its telemetry into
+/// One partition's task of a Dataset-building stage: task(p, block, slot)
+/// appends partition p's rows to `block`, a fresh block of the output's
+/// schema that only this task touches, and writes its telemetry into
 /// `slot`, a StageStats of its own.
-using PartitionTask = std::function<void(size_t, StageStats*)>;
+using PartitionTask =
+    std::function<void(size_t, column::PartitionBlock*, StageStats*)>;
 
-/// Runs task(p, slot) for every partition p of `out` through the cluster's
-/// recovery loop, which appends injected faults to `stage` and names `name`
-/// when a task exhausts its retries. A crashed attempt's block and slot are
-/// discarded before the retry. After the barrier the slots fold into `stage`
-/// in partition order (FoldStage) and the blocks' ByteFootprint is added to
-/// columnar_bytes, so outputs and stats are identical at any thread count
-/// and with or without recovered faults.
+/// Runs task(p, block, slot) for every partition p of `out` through the
+/// cluster's recovery loop, which appends injected faults to `stage` and
+/// names `name` when a task exhausts its retries. A crashed attempt's block
+/// is replaced by an empty one and its slot discarded before the retry.
+/// After the barrier the blocks are published as out->parts, the slots fold
+/// into `stage` in partition order (FoldStage) and the blocks' ByteFootprint
+/// is added to columnar_bytes, so outputs and stats are identical at any
+/// thread count and with or without recovered faults. `out` brings the
+/// schema and partition count.
 Status RunPartitionTasks(Cluster* cluster, const std::string& name,
                          StageStats* stage, Dataset* out,
                          const PartitionTask& task);
@@ -152,9 +156,11 @@ void SetWork(StageStats* stage, size_t n,
 /// finalizes row counts, stamps the memory high-water mark from the result
 /// blocks' byte totals, records the stage and enforces the per-partition
 /// cap. With spilling on, each partition over the cap is first written to
-/// disk runs tagged `name` and streamed back, the same rows in the same
-/// order (runtime/spill.h), in partition order; its spill counters fold
-/// into the stage and a `spill` event names it.
+/// disk runs tagged `name` and streamed back into a new block, the same rows
+/// in the same order (runtime/spill.h), in partition order, which replaces
+/// the partition's block in *result (a block shared with the stage's input
+/// stays as it was); its spill counters fold into the stage and a `spill`
+/// event names it.
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    const std::string& name);
 }  // namespace detail

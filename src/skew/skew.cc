@@ -68,7 +68,7 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
   stage.op = "heavy_keys";
   key_codec::KeyEncoder enc;  // encodes once per sampled row
   for (size_t p = 0; p < in.NumPartitions(); ++p) {
-    const PartitionBlock& part = in.parts[p];
+    const PartitionBlock& part = *in.parts[p];
     const size_t part_rows = part.NumRows();
     // Per-partition sample frequencies, keyed by the sampled rows' encoded
     // keys (read straight from the block; unsampled rows are never read).
@@ -122,24 +122,26 @@ StatusOr<SkewTriple> SplitByHeavyKeys(Cluster* cluster, const Dataset& in,
   HeavyKeySet hk = known.has_value()
                        ? std::move(*known)
                        : DetectHeavyKeys(cluster, in, key_cols);
-  SkewTriple out;
-  out.light = Dataset::Empty(in.schema, in.NumPartitions(), in.partitioning);
-  out.heavy = Dataset::Empty(in.schema, in.NumPartitions());
+  const size_t n = in.NumPartitions();
+  std::vector<PartitionBlock> light = runtime::EmptyBlocks(in.schema, n);
+  std::vector<PartitionBlock> heavy = runtime::EmptyBlocks(in.schema, n);
   StageStats stage;
   stage.op = name + ".split";
   // Rows route column-to-column into the light or heavy block of their
   // partition; the key probe encodes straight from the input block.
-  for (size_t p = 0; p < in.NumPartitions(); ++p) {
-    const PartitionBlock& src = in.parts[p];
+  for (size_t p = 0; p < n; ++p) {
+    const PartitionBlock& src = *in.parts[p];
     const size_t part_rows = src.NumRows();
     for (size_t i = 0; i < part_rows; ++i) {
       ++stage.rows_in;
-      Dataset& dst = hk.IsHeavyAt(src, i, key_cols) ? out.heavy : out.light;
-      dst.parts[p].AppendRowFrom(src, i);
+      const bool is_heavy = hk.IsHeavyAt(src, i, key_cols);
+      (is_heavy ? heavy[p] : light[p]).AppendRowFrom(src, i);
     }
-    stage.columnar_bytes += out.light.parts[p].ByteFootprint() +
-                            out.heavy.parts[p].ByteFootprint();
+    stage.columnar_bytes += light[p].ByteFootprint() + heavy[p].ByteFootprint();
   }
+  SkewTriple out;
+  out.light = Dataset::FromBlocks(in.schema, std::move(light), in.partitioning);
+  out.heavy = Dataset::FromBlocks(in.schema, std::move(heavy));
   stage.rows_out = stage.rows_in;
   stage.heavy_key_count = hk.size();
   cluster->RecordStage(std::move(stage));

@@ -63,7 +63,8 @@ struct SkewTriple {
 };
 
 /// Merges light and heavy back into one dataset (partition-wise concat; no
-/// shuffle).
+/// shuffle). With an empty heavy component it returns the light component,
+/// whose blocks are shared, not copied.
 StatusOr<runtime::Dataset> MergeTriple(runtime::Cluster* cluster,
                                        const SkewTriple& t,
                                        const std::string& name);

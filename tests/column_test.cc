@@ -524,13 +524,14 @@ TEST(PartitioningTest, IsHashOnHandlesPermutationsAndDuplicates) {
 }
 
 Dataset MakeDataset(Rng* rng, size_t nparts, size_t rows_per) {
-  Dataset d = Dataset::Empty(MixedSchema(), nparts);
+  const Schema schema = MixedSchema();
+  std::vector<PartitionBlock> blocks = runtime::EmptyBlocks(schema, nparts);
   for (size_t p = 0; p < nparts; ++p) {
-    for (const Row& r : RandomRows(rng, rows_per, d.schema.size())) {
-      d.parts[p].AppendRow(r);
+    for (const Row& r : RandomRows(rng, rows_per, schema.size())) {
+      blocks[p].AppendRow(r);
     }
   }
-  return d;
+  return Dataset::FromBlocks(schema, std::move(blocks));
 }
 
 TEST(DatasetTest, CollectIsThreadCountInvariant) {
@@ -559,13 +560,14 @@ TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
   Rng rng(11);
   Schema schema = MixedSchema();
   const size_t nparts = 5;
-  Dataset d = Dataset::Empty(schema, nparts);
+  std::vector<PartitionBlock> blocks = runtime::EmptyBlocks(schema, nparts);
   std::vector<std::vector<Row>> rows(nparts);
   for (size_t p = 0; p < nparts; ++p) {
     // Partition 2 stays empty on purpose.
     if (p != 2) rows[p] = RandomRows(&rng, 60 + 10 * p, schema.size());
-    for (const Row& r : rows[p]) d.parts[p].AppendRow(r);
+    for (const Row& r : rows[p]) blocks[p].AppendRow(r);
   }
+  Dataset d = Dataset::FromBlocks(schema, std::move(blocks));
   std::vector<Row> all;
   for (size_t p = 0; p < nparts; ++p) {
     SCOPED_TRACE("partition " + std::to_string(p));
@@ -578,13 +580,13 @@ TEST(PartitionStoreTest, RowsBlocksRoundTrip) {
   }
   EXPECT_EQ(d.NumRows(), all.size());
   ExpectRowsEqual(d.Collect(), all);
-  // Clearing a partition resets it to an empty schema-typed block, whose
-  // byte total starts again from zero.
+  // Replacing a partition's block with an empty schema-typed one resets it:
+  // its byte total starts again from zero.
   for (size_t p = 0; p < nparts; ++p) {
-    d.ClearPartition(p);
+    d.parts[p] = runtime::Publish(PartitionBlock(schema));
     EXPECT_EQ(d.PartitionRowCount(p), 0u);
-    EXPECT_EQ(d.parts[p].NumCols(), schema.size());
-    EXPECT_EQ(d.parts[p].TotalRowBytes(), 0u);
+    EXPECT_EQ(d.parts[p]->NumCols(), schema.size());
+    EXPECT_EQ(d.parts[p]->TotalRowBytes(), 0u);
   }
   EXPECT_EQ(d.DeepSizeBytes(), 0u);
 }
@@ -597,19 +599,20 @@ TEST(PartitionStoreTest, ByteAccountingParityBlockVsRow) {
   Rng rng(12);
   Schema schema = MixedSchema();
   const size_t nparts = 6;
-  Dataset d = Dataset::Empty(schema, nparts);
+  std::vector<PartitionBlock> blocks = runtime::EmptyBlocks(schema, nparts);
   std::vector<uint64_t> row_bytes(nparts, 0);
   uint64_t total = 0;
   for (size_t p = 0; p < nparts; ++p) {
     const std::vector<Row> rows =
         RandomRows(&rng, 40 + 17 * p, schema.size());
     for (const Row& r : rows) {
-      d.parts[p].AppendRow(r);
+      blocks[p].AppendRow(r);
       row_bytes[p] += runtime::RowDeepSize(r);
     }
-    ExpectByteTotals(d.parts[p], rows);
+    ExpectByteTotals(blocks[p], rows);
     total += row_bytes[p];
   }
+  Dataset d = Dataset::FromBlocks(schema, std::move(blocks));
   EXPECT_EQ(d.PartitionBytes(), row_bytes);
   EXPECT_EQ(d.DeepSizeBytes(), total);
 }
@@ -621,7 +624,8 @@ TEST(DatasetTest, ToBlocksFromBlocksRoundTrips) {
   Dataset d = MakeDataset(&rng, 5, 80);
   Dataset back = Dataset::Empty(d.schema, d.NumPartitions());
   for (size_t p = 0; p < d.NumPartitions(); ++p) {
-    back.parts[p] = PartitionBlock::FromRows(d.schema, d.PartitionRows(p));
+    back.parts[p] = runtime::Publish(
+        PartitionBlock::FromRows(d.schema, d.PartitionRows(p)));
   }
   ExpectRowsEqual(back.Collect(), d.Collect());
   EXPECT_EQ(back.PartitionBytes(), d.PartitionBytes());

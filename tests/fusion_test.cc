@@ -353,13 +353,13 @@ TEST(FusionTest, ChainAcrossBatchesMatchesUnfused) {
     const size_t n = fused.src.PartitionRowCount(p);
     ASSERT_EQ(n, kBatchRowsPerPartition);
     std::set<int64_t> uids;
-    const PartitionBlock& u = unfused.outs[0].parts[p];
+    const PartitionBlock& u = *unfused.outs[0].parts[p];
     for (size_t i = 0; i < u.NumRows(); ++i) uids.insert(u.col(0).ints()[i]);
     ASSERT_EQ(uids.size(), n);
     EXPECT_EQ(*uids.begin(), base);
     EXPECT_EQ(*uids.rbegin(), base + static_cast<int64_t>(n) - 1);
     // Add-index numbers each of its input rows once, in order.
-    const PartitionBlock& out = fused.outs.back().parts[p];
+    const PartitionBlock& out = *fused.outs.back().parts[p];
     const size_t id_col = out.NumCols() - 1;
     for (size_t i = 0; i < out.NumRows(); ++i) {
       ASSERT_EQ(out.col(id_col).ints()[i], base + static_cast<int64_t>(i))

@@ -125,7 +125,8 @@ Field RandomBag(Rng* rng, int depth) {
 Field Permuted(const Field& f) {
   if (!f.is_bag() || f.AsBag() == nullptr) return f;
   std::vector<Row> elems;
-  for (auto it = f.AsBag()->rbegin(); it != f.AsBag()->rend(); ++it) {
+  const std::vector<Row>& members = f.AsBag()->rows();
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
     Row r;
     for (const Field& ef : it->fields) r.fields.push_back(Permuted(ef));
     elems.push_back(std::move(r));

@@ -1,9 +1,16 @@
 // Unit tests for the distributed runtime simulator: partitioning guarantees,
-// exact shuffle accounting, joins, nest/aggregate, unnest, memory caps.
+// exact shuffle accounting, joins, nest/aggregate, unnest, memory caps, the
+// summaries labels and bags store, and partition sharing.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <type_traits>
+
+#include "exec/lowering.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
+#include "runtime/serde.h"
+#include "skew/skew.h"
 
 namespace trance {
 namespace runtime {
@@ -68,6 +75,322 @@ TEST(FieldTest, DeepSizeCountsNestedBags) {
   Field deep = Field::Bag(
       {Row({Field::Str(std::string(100, 'x'))}), Row({Field::Int(2)})});
   EXPECT_GT(deep.DeepSize(), shallow.DeepSize() + 100);
+}
+
+// --- Stored summaries -------------------------------------------------------
+//
+// A label stores its hash and deep size, a bag its deep size, all computed
+// at construction. The reference below is the recursive walk Field::DeepSize
+// and RtLabel::Hash made before they were stored: it recomputes every nested
+// value from scratch, so a stale or miscomputed summary anywhere shows.
+
+uint64_t WalkDeepSize(const Field& f);
+uint64_t WalkHash(const Field& f);
+
+uint64_t WalkRowDeepSize(const Row& r) {
+  uint64_t s = 8;
+  for (const Field& f : r.fields) s += WalkDeepSize(f);
+  return s;
+}
+
+uint64_t WalkDeepSize(const Field& f) {
+  if (f.is_string()) return 32 + f.AsString().size();
+  if (f.is_label()) {
+    uint64_t s = 16;
+    if (f.AsLabel() != nullptr) {
+      for (const auto& [n, v] : f.AsLabel()->params()) s += 8 + WalkDeepSize(v);
+    }
+    return s;
+  }
+  if (f.is_bag()) {
+    uint64_t s = 32;
+    if (f.AsBag() != nullptr) {
+      for (const Row& r : *f.AsBag()) s += WalkRowDeepSize(r);
+    }
+    return s;
+  }
+  return 8;
+}
+
+uint64_t WalkRowHash(const Row& r) {
+  uint64_t h = 0x5EED;
+  for (const Field& f : r.fields) h = HashCombine(h, WalkHash(f));
+  return h;
+}
+
+uint64_t WalkHash(const Field& f) {
+  if (f.is_label()) {
+    uint64_t h = 0x1AB;
+    if (f.AsLabel() != nullptr) {
+      for (const auto& [n, v] : f.AsLabel()->params()) {
+        h = HashCombine(h, HashString(n));
+        h = HashCombine(h, WalkHash(v));
+      }
+    }
+    return h;
+  }
+  if (f.is_bag()) {
+    uint64_t h = 0xBA6;
+    if (f.AsBag() != nullptr) {
+      for (const Row& r : *f.AsBag()) h += Mix64(WalkRowHash(r));
+    }
+    return Mix64(h);
+  }
+  return f.Hash();  // scalars store nothing
+}
+
+/// Checks `f`'s summaries, and those of every label and bag inside it,
+/// against the walk.
+void ExpectSummariesMatchWalk(const Field& f, const std::string& at) {
+  EXPECT_EQ(f.DeepSize(), WalkDeepSize(f)) << at << ": " << f.ToString();
+  EXPECT_EQ(f.Hash(), WalkHash(f)) << at << ": " << f.ToString();
+  if (f.is_label() && f.AsLabel() != nullptr) {
+    for (const auto& [n, v] : f.AsLabel()->params()) {
+      ExpectSummariesMatchWalk(v, at + "." + n);
+    }
+  }
+  if (f.is_bag() && f.AsBag() != nullptr) {
+    for (size_t i = 0; i < f.AsBag()->size(); ++i) {
+      const Row& r = (*f.AsBag())[i];
+      for (size_t c = 0; c < r.fields.size(); ++c) {
+        ExpectSummariesMatchWalk(r.fields[c], at + "[" + std::to_string(i) +
+                                                  "][" + std::to_string(c) +
+                                                  "]");
+      }
+    }
+  }
+}
+
+/// A random nested value built with Field::Bag and MakeLabel: scalars, NULL,
+/// null and empty bags, bags of rows holding labels and bags, labels over
+/// scalars and labels, and single-label labels that MakeLabel collapses.
+Field RandomNested(std::mt19937_64* rng, int depth) {
+  const int kind = static_cast<int>((*rng)() % (depth > 0 ? 10 : 5));
+  switch (kind) {
+    case 0: return Field::Null();
+    case 1: return Field::Int(static_cast<int64_t>((*rng)() % 1000) - 500);
+    case 2: return Field::Real(static_cast<double>((*rng)() % 1000) / 8.0);
+    case 3:
+      return Field::Str(
+          std::string((*rng)() % 20, static_cast<char>('a' + (*rng)() % 26)));
+    case 4: return Field::Bool(((*rng)() & 1) != 0);
+    case 5: return Field::Bag(BagPtr(nullptr));
+    case 6: {  // a label over 0-3 parameters
+      std::vector<std::pair<std::string, Field>> params;
+      const size_t n = (*rng)() % 4;
+      for (size_t i = 0; i < n; ++i) {
+        params.emplace_back("p" + std::to_string(i),
+                            RandomNested(rng, depth - 1));
+      }
+      return MakeLabel(std::move(params));
+    }
+    case 7: {  // one label parameter: collapses to the inner label
+      Field inner = MakeLabel({{"id", Field::Int(static_cast<int64_t>(
+                                           (*rng)() % 100))},
+                               {"s", RandomNested(rng, 0)}});
+      return MakeLabel({{"x", inner}});
+    }
+    default: {  // a bag of 0-4 rows, each 1-3 nested fields
+      std::vector<Row> rows;
+      const size_t n = (*rng)() % 5;
+      const size_t width = 1 + (*rng)() % 3;
+      for (size_t i = 0; i < n; ++i) {
+        Row r;
+        for (size_t c = 0; c < width; ++c) {
+          r.fields.push_back(RandomNested(rng, depth - 1));
+        }
+        rows.push_back(std::move(r));
+      }
+      return Field::Bag(std::move(rows));
+    }
+  }
+}
+
+TEST(FieldTest, StoredSummariesMatchAFreshWalk) {
+  // One value computed by hand: a bag of two rows, (1, "ab") and
+  // (Label(id=5)). Row 1: 8 + 8 + (32 + 2) = 50. Row 2: 8 + (16 + 8 + 8) =
+  // 40. The bag: 32 + 50 + 40 = 122.
+  const Field label = MakeLabel({{"id", Field::Int(5)}});
+  EXPECT_EQ(label.DeepSize(), 32u);
+  EXPECT_EQ(label.Hash(),
+            HashCombine(HashCombine(0x1AB, HashString("id")),
+                        Field::Int(5).Hash()));
+  const Field bag =
+      Field::Bag({Row({Field::Int(1), Field::Str("ab")}), Row({label})});
+  EXPECT_EQ(bag.DeepSize(), 122u);
+  ExpectSummariesMatchWalk(bag, "hand");
+
+  // NULL, empty and nested bags, labels inside bags, and the collapse.
+  const Field empty = Field::Bag(std::vector<Row>{});
+  const Field null_bag = Field::Bag(BagPtr(nullptr));
+  const Field null_label = Field::Label(LabelPtr(nullptr));
+  EXPECT_EQ(empty.DeepSize(), 32u);
+  EXPECT_EQ(null_bag.DeepSize(), 32u);
+  EXPECT_EQ(null_label.DeepSize(), 16u);
+  EXPECT_EQ(null_label.Hash(), 0x1ABu);
+  const Field nested = Field::Bag(
+      {Row({empty, null_bag, null_label}), Row({bag, label, Field::Null()})});
+  ExpectSummariesMatchWalk(nested, "nested");
+  const Field collapsed = MakeLabel({{"x", label}});
+  EXPECT_EQ(collapsed.AsLabel(), label.AsLabel());
+  ExpectSummariesMatchWalk(MakeLabel({{"bag", nested}, {"l", label}}),
+                           "label over a bag");
+
+  // Randomized values, as built and after a serde round trip (the decoder
+  // builds labels and bags itself and never collapses).
+  std::mt19937_64 rng(26);
+  for (int i = 0; i < 300; ++i) {
+    const std::string at = "value " + std::to_string(i);
+    const Field f = RandomNested(&rng, 4);
+    ExpectSummariesMatchWalk(f, at);
+    std::string bytes;
+    serde::AppendField(f, &bytes);
+    size_t pos = 0;
+    Field back;
+    ASSERT_TRUE(serde::ParseField(bytes.data(), bytes.size(), &pos, &back).ok())
+        << at;
+    ExpectSummariesMatchWalk(back, at + " after serde");
+  }
+}
+
+TEST(FieldTest, OperatorBuiltBagsStoreTheirSummaries) {
+  // NestGroup and CoGroup build their bags from rows of label and bag
+  // cells; CoGroup's left rows with the same key share one bag. Every bag
+  // cell's summaries, and the blocks' byte totals, equal a fresh walk.
+  Cluster cluster(ClusterConfig{.num_partitions = 3});
+  const nrc::TypePtr bag_t =
+      nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}));
+  const Schema nested_schema({{"k", nrc::Type::Int()},
+                              {"l", nrc::Type::Label()},
+                              {"b", bag_t}});
+  std::mt19937_64 rng(7);
+  std::vector<Row> rows;
+  for (int i = 0; i < 60; ++i) {
+    Field l = MakeLabel({{"i", Field::Int(i)}, {"v", RandomNested(&rng, 2)}});
+    rows.push_back(Row({Field::Int(i % 7), l, RandomNested(&rng, 3)}));
+  }
+  rows.push_back(Row({Field::Int(3), Field::Null(), Field::Null()}));
+  auto walk_bytes = [](const Dataset& d) {
+    uint64_t s = 0;
+    for (const Row& r : d.Collect()) s += WalkRowDeepSize(r);
+    return s;
+  };
+
+  const Dataset in =
+      Source(&cluster, nested_schema, rows, "in").ValueOrDie();
+  const Dataset nested =
+      NestGroup(&cluster, in, {0}, {1, 2}, "g", "nest").ValueOrDie();
+  ASSERT_EQ(nested.NumRows(), 7u);
+  for (const Row& r : nested.Collect()) {
+    ExpectSummariesMatchWalk(r.fields[1], "nest key " + r.fields[0].ToString());
+  }
+  EXPECT_EQ(nested.DeepSizeBytes(), walk_bytes(nested));
+
+  const Dataset left =
+      Source(&cluster, KvSchema(),
+             KvRows({{1, 10}, {1, 11}, {2, 20}, {3, 30}, {9, 90}}), "l")
+          .ValueOrDie();
+  const Dataset cg =
+      CoGroup(&cluster, left, in, {0}, {0}, {1, 2}, "m", "cogroup")
+          .ValueOrDie();
+  ASSERT_EQ(cg.NumRows(), 5u);
+  const RtBag* key1 = nullptr;
+  for (const Row& r : cg.Collect()) {
+    const Field& b = r.fields[2];
+    ExpectSummariesMatchWalk(b, "cogroup key " + r.fields[0].ToString());
+    if (r.fields[0].AsInt() == 1) {
+      if (key1 == nullptr) key1 = b.AsBag().get();
+      EXPECT_EQ(b.AsBag().get(), key1) << "same key, same bag";
+    }
+    if (r.fields[0].AsInt() == 9) {
+      EXPECT_TRUE(b.AsBag()->empty());
+    }
+  }
+  EXPECT_NE(key1, nullptr);
+  EXPECT_EQ(cg.DeepSizeBytes(), walk_bytes(cg));
+}
+
+// --- Shared partitions ------------------------------------------------------
+
+static_assert(!std::is_copy_constructible_v<column::PartitionBlock>,
+              "a partition block is built once and shared, never copied");
+
+TEST(PartitionSharingTest, ScansAndAllLightMergesShareTheRegisteredBlocks) {
+  Cluster cluster(ClusterConfig{.num_partitions = 4});
+  const Dataset in =
+      Source(&cluster, KvSchema(), KvRows({{1, 1}, {2, 2}, {3, 3}, {4, 4}}),
+             "in")
+          .ValueOrDie();
+  exec::Executor ex(&cluster, {});
+  ex.Register("in", in);
+
+  const skew::SkewTriple t = ex.Get("in").ValueOrDie();
+  const Dataset got = ex.GetDataset("in").ValueOrDie();
+  const Dataset merged = skew::MergeTriple(&cluster, t, "m").ValueOrDie();
+  ASSERT_EQ(got.NumPartitions(), in.NumPartitions());
+  ASSERT_EQ(merged.NumPartitions(), in.NumPartitions());
+  for (size_t p = 0; p < in.NumPartitions(); ++p) {
+    EXPECT_EQ(t.light.parts[p], in.parts[p]) << "partition " << p;
+    EXPECT_EQ(got.parts[p], in.parts[p]) << "partition " << p;
+    EXPECT_EQ(merged.parts[p], in.parts[p]) << "partition " << p;
+  }
+}
+
+TEST(PartitionSharingTest, SpillOnTheReusePathLeavesTheSharedInputAlone) {
+  // The input is hash-partitioned on k already, so Repartition on k moves
+  // nothing and shares the input's blocks. Key 0 puts one partition over
+  // the cap: the barrier spills it and swaps in a restored block, while the
+  // other partitions stay shared and the input keeps its blocks untouched.
+  ClusterConfig cfg{.num_partitions = 4, .partition_memory_cap = 4096};
+  cfg.spill.dir = ::testing::TempDir();
+  Cluster cluster(cfg);
+  const Schema schema({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
+  std::vector<Row> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back(Row({Field::Int(0), Field::Str(std::string(40, 'x'))}));
+  }
+  for (int k = 1; k <= 12; ++k) {
+    rows.push_back(Row({Field::Int(k), Field::Str("small")}));
+  }
+  const Dataset in =
+      SourcePartitioned(&cluster, schema, rows, {0}, "in").ValueOrDie();
+  const std::vector<BlockPtr> blocks = in.parts;
+  std::vector<std::vector<Row>> in_rows;
+  std::vector<uint64_t> footprints;
+  for (size_t p = 0; p < in.NumPartitions(); ++p) {
+    in_rows.push_back(in.PartitionRows(p));
+    footprints.push_back(in.parts[p]->ByteFootprint());
+  }
+
+  const Dataset out = Repartition(&cluster, in, {0}, "regroup").ValueOrDie();
+  EXPECT_EQ(cluster.stats().stages().back().shuffle_bytes, 0u);
+  EXPECT_GT(cluster.stats().totals().spill_runs, 0u);
+  size_t spilled = 0, shared = 0;
+  for (size_t p = 0; p < in.NumPartitions(); ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    if (in.parts[p]->TotalRowBytes() > cfg.partition_memory_cap) {
+      ++spilled;
+      EXPECT_NE(out.parts[p], in.parts[p]) << "a spilled partition is fresh";
+    } else {
+      ++shared;
+      EXPECT_EQ(out.parts[p], in.parts[p]) << "the rest are shared";
+    }
+    const std::vector<Row> out_rows = out.PartitionRows(p);
+    ASSERT_EQ(out_rows.size(), in_rows[p].size());
+    for (size_t i = 0; i < out_rows.size(); ++i) {
+      EXPECT_TRUE(RowEquals(out_rows[i], in_rows[p][i])) << "row " << i;
+    }
+    // The input is as it was: same block, same rows, same footprint.
+    EXPECT_EQ(in.parts[p], blocks[p]);
+    EXPECT_EQ(in.parts[p]->ByteFootprint(), footprints[p]);
+    const std::vector<Row> now = in.PartitionRows(p);
+    ASSERT_EQ(now.size(), in_rows[p].size());
+    for (size_t i = 0; i < now.size(); ++i) {
+      EXPECT_TRUE(RowEquals(now[i], in_rows[p][i])) << "row " << i;
+    }
+  }
+  EXPECT_EQ(spilled, 1u);
+  EXPECT_GT(shared, 0u);
 }
 
 TEST(OpsTest, SourceDistributesRoundRobin) {

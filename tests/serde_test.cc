@@ -54,8 +54,8 @@ void ExpectFieldBitEq(const Field& a, const Field& b, const std::string& at) {
   }
   if (a.is_label() && b.is_label() && a.AsLabel() != nullptr &&
       b.AsLabel() != nullptr) {
-    const auto& pa = a.AsLabel()->params;
-    const auto& pb = b.AsLabel()->params;
+    const auto& pa = a.AsLabel()->params();
+    const auto& pb = b.AsLabel()->params();
     ASSERT_EQ(pa.size(), pb.size()) << at;
     for (size_t i = 0; i < pa.size(); ++i) {
       EXPECT_EQ(pa[i].first, pb[i].first) << at;
@@ -131,13 +131,13 @@ Field RandomField(std::mt19937_64* rng, int depth) {
     case 4:
       return Field::Bool(((*rng)() & 1) != 0);
     case 5: {
-      auto label = std::make_shared<RtLabel>();
+      RtLabel::Params params;
       size_t n = (*rng)() % 3;
       for (size_t i = 0; i < n; ++i) {
-        label->params.emplace_back("p" + std::to_string(i),
-                                   RandomField(rng, depth - 1));
+        params.emplace_back("p" + std::to_string(i),
+                            RandomField(rng, depth - 1));
       }
-      return Field::Label(std::move(label));
+      return Field::Label(std::make_shared<const RtLabel>(std::move(params)));
     }
     default: {
       std::vector<Row> rows;
@@ -152,12 +152,11 @@ Field RandomField(std::mt19937_64* rng, int depth) {
 
 /// A block file holding the header and one block record per block, in
 /// order.
-std::string FileOf(const std::vector<column::PartitionBlock>& blocks) {
+template <typename... Blocks>
+std::string FileOf(const Blocks&... blocks) {
   std::string file;
   serde::AppendFileHeader(&file);
-  for (const column::PartitionBlock& b : blocks) {
-    serde::AppendBlockRecord(b, 0, b.NumRows(), &file);
-  }
+  (serde::AppendBlockRecord(blocks, 0, blocks.NumRows(), &file), ...);
   return file;
 }
 
@@ -239,8 +238,8 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
   std::vector<Row> rows{r};
 
   const std::string file =
-      FileOf({column::PartitionBlock::FromRows(typed, rows),
-              column::PartitionBlock::FromRows(variant, rows)});
+      FileOf(column::PartitionBlock::FromRows(typed, rows),
+             column::PartitionBlock::FromRows(variant, rows));
   const std::vector<std::string> records = RecordsOf(file);
   ASSERT_EQ(records.size(), 2u);  // exactly the two records
   column::PartitionBlock typed_back(typed), variant_back(variant);
@@ -254,11 +253,11 @@ TEST(SerdeRoundTripTest, ScalarExtremes) {
 }
 
 TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
-  auto inner = std::make_shared<RtLabel>();
-  inner->params.emplace_back("k", Field::Int(7));
-  auto outer = std::make_shared<RtLabel>();
-  outer->params.emplace_back("nested", Field::Label(inner));
-  outer->params.emplace_back("s", Field::Str("label-param"));
+  auto inner = std::make_shared<const RtLabel>(
+      RtLabel::Params{{"k", Field::Int(7)}});
+  auto outer = std::make_shared<const RtLabel>(
+      RtLabel::Params{{"nested", Field::Label(inner)},
+                      {"s", Field::Str("label-param")}});
 
   std::vector<Row> bag_inner;
   bag_inner.push_back(Row{{Field::Int(1), Field::Str("a")}});
@@ -275,7 +274,7 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
                  {"ng", BagOfInts()}});
 
   std::vector<Row> back =
-      ReadAll(FileOf({column::PartitionBlock::FromRows(schema, rows)}), schema);
+      ReadAll(FileOf(column::PartitionBlock::FromRows(schema, rows)), schema);
   ASSERT_EQ(back.size(), 1u);
   // A null LabelPtr comes back as an empty label; a null BagPtr as an empty
   // bag — value-equal under operator== either way.
@@ -325,8 +324,8 @@ TEST(SerdeRoundTripTest, RandomRowBatchesManySeeds) {
     std::vector<Row> first(rows.begin(), rows.begin() + half);
     std::vector<Row> second(rows.begin() + half, rows.end());
     const std::string file =
-        FileOf({column::PartitionBlock::FromRows(schema, first),
-                column::PartitionBlock::FromRows(schema, second)});
+        FileOf(column::PartitionBlock::FromRows(schema, first),
+               column::PartitionBlock::FromRows(schema, second));
 
     column::PartitionBlock back(schema);
     Status s = ReadInto(file, &back);
@@ -364,7 +363,7 @@ TEST(SerdeRoundTripTest, TypedBlockWithNullsAndVariants) {
   column::PartitionBlock block = column::PartitionBlock::FromRows(schema, rows);
 
   size_t records = 0;
-  std::vector<Row> back = ReadAll(FileOf({block}), schema, &records);
+  std::vector<Row> back = ReadAll(FileOf(block), schema, &records);
   EXPECT_EQ(records, 1u);
   // The materialized rows must match what the in-memory block materializes.
   std::vector<Row> expected;
@@ -377,10 +376,10 @@ TEST(SerdeRoundTripTest, MixedRecordKindsInOneFile) {
   Schema schema({{"k", nrc::Type::Int()}});
 
   const std::string file = FileOf(
-      {column::PartitionBlock::FromRows(
-           schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}),
-       column::PartitionBlock::FromRows(
-           schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}})});
+      column::PartitionBlock::FromRows(
+          schema, {Row{{Field::Int(10)}}, Row{{Field::Int(20)}}}),
+      column::PartitionBlock::FromRows(
+          schema, {Row{{Field::Int(50)}}, Row{{Field::Int(60)}}}));
 
   size_t records = 0;
   std::vector<Row> back = ReadAll(file, schema, &records);
@@ -412,7 +411,7 @@ std::string SampleFile() {
   rows.push_back(Row{{Field::Int(-1), Field::Str(""), Field::Bool(false),
                       Field::Real(-0.5),
                       Field::Bag({Row{{Field::Int(9)}}})}});
-  return FileOf({column::PartitionBlock::FromRows(SampleSchema(), rows)});
+  return FileOf(column::PartitionBlock::FromRows(SampleSchema(), rows));
 }
 
 /// A file holding one record of `kind` around `payload`, with a valid
@@ -536,6 +535,21 @@ TEST(SerdeCorruptionTest, PayloadParserRejectsStructuralLies) {
   Field f;
   s = serde::ParseField(huge_bag.data(), huge_bag.size(), &pos, &f);
   EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
+  // So must a label arity, or a bag member's width, far past the payload.
+  const uint32_t lie32 = 0xFFFFFFFFu;
+  std::string huge_label;
+  huge_label.push_back('\x05');  // label tag
+  huge_label.append(reinterpret_cast<const char*>(&lie32), sizeof(lie32));
+  std::string wide_member;
+  wide_member.push_back('\x06');  // bag tag, one member
+  const uint64_t one = 1;
+  wide_member.append(reinterpret_cast<const char*>(&one), sizeof(one));
+  wide_member.append(reinterpret_cast<const char*>(&lie32), sizeof(lie32));
+  for (const std::string& lie_field : {huge_label, wide_member}) {
+    pos = 0;
+    s = serde::ParseField(lie_field.data(), lie_field.size(), &pos, &f);
+    EXPECT_TRUE(s.code() == StatusCode::kInvalidArgument) << s.ToString();
+  }
 
   // Non-monotonic string offsets in a block column.
   Schema strings({{"s", nrc::Type::String()}});
@@ -687,8 +701,8 @@ TEST(SerdeFormatTest, WorkedExampleMatchesTheSpec) {
   ASSERT_EQ(expected.size(), 73u);
 
   Schema schema({{"s", nrc::Type::String()}});
-  const std::string bytes = FileOf({column::PartitionBlock::FromRows(
-      schema, {Row{{Field::Str("ab")}}, Row{{Field::Null()}}})});
+  const std::string bytes = FileOf(column::PartitionBlock::FromRows(
+      schema, {Row{{Field::Str("ab")}}, Row{{Field::Null()}}}));
   ASSERT_EQ(bytes.size(), expected.size());
   for (size_t i = 0; i < bytes.size(); ++i) {
     EXPECT_EQ(static_cast<uint8_t>(bytes[i]), static_cast<uint8_t>(expected[i]))

@@ -480,16 +480,17 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
       runtime::column::PartitionBlock::FromRows(AllKindsSchema(),
                                                 MakeAllKindsRows(500));
   runtime::StageStats c;
-  Status s =
-      m.SpillAndRestoreBlock(1, "stage(x)", 0, AllKindsSchema(), &block, &c);
-  ASSERT_TRUE(s.ok()) << s.ToString();
+  auto restored =
+      m.SpillAndRestoreBlock(1, "stage(x)", 0, AllKindsSchema(), block, &c);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
-  ExpectBlockRows(block, MakeAllKindsRows(500));
+  ExpectBlockRows(*restored, MakeAllKindsRows(500));
+  ExpectBlockRows(block, MakeAllKindsRows(500));  // the input is untouched
   // The restore appends one value at a time per column, so the block's own
   // footprint is that of a block built the same way without spilling.
   runtime::column::PartitionBlock appended(AllKindsSchema());
   for (const Row& r : MakeAllKindsRows(500)) appended.AppendRow(r);
-  EXPECT_EQ(block.ByteFootprint(), appended.ByteFootprint());
+  EXPECT_EQ(restored->ByteFootprint(), appended.ByteFootprint());
   EXPECT_GT(c.spill_runs, 1u);  // max_run_bytes forced a split
   EXPECT_EQ(c.spill_merge_passes, 1u);
   EXPECT_GT(c.spill_bytes_written, 0u);
@@ -507,7 +508,8 @@ TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
   runtime::column::PartitionBlock block = MakeBlock(100, "big-");
   runtime::StageStats c;
   Status s =
-      m.SpillAndRestoreBlock(2, "stage(y)", 0, RowsSchema(), &block, &c);
+      m.SpillAndRestoreBlock(2, "stage(y)", 0, RowsSchema(), block, &c)
+          .status();
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
   EXPECT_NE(s.ToString().find("spill byte budget exhausted"),
@@ -528,7 +530,8 @@ TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
   runtime::column::PartitionBlock block = MakeBlock(500, "value-");
   runtime::StageStats c;
   Status s =
-      m.SpillAndRestoreBlock(5, "stage(z)", 0, RowsSchema(), &block, &c);
+      m.SpillAndRestoreBlock(5, "stage(z)", 0, RowsSchema(), block, &c)
+          .status();
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
   EXPECT_EQ(c.spill_runs, 5u);
@@ -540,11 +543,12 @@ TEST(SpillManagerTest, FailedSpillRemovesItsRuns) {
   // restore within the budget, and their runs leave it in turn.
   runtime::column::PartitionBlock again = MakeBlock(80, "value-");
   runtime::StageStats c2;
-  s = m.SpillAndRestoreBlock(5, "stage(z)", 1, RowsSchema(), &again, &c2);
-  ASSERT_TRUE(s.ok()) << s.ToString();
+  auto restored =
+      m.SpillAndRestoreBlock(5, "stage(z)", 1, RowsSchema(), again, &c2);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_GT(c.spill_bytes_written + c2.spill_bytes_written,
             cfg.max_spill_bytes);
-  ExpectBlockRows(again, MakeRows(80, "value-"));
+  ExpectBlockRows(*restored, MakeRows(80, "value-"));
   EXPECT_EQ(m.on_disk_bytes(), 0u);
   EXPECT_EQ(RegularFilesUnder(m.root_dir()), 0u) << "under " << m.root_dir();
 }
@@ -564,7 +568,8 @@ TEST(SpillManagerTest, UnwritableRunDirectoryFailsCleanly) {
   runtime::column::PartitionBlock block = MakeBlock(100, "kept-");
   runtime::StageStats c;
   Status s =
-      m.SpillAndRestoreBlock(3, "stage(w)", 0, RowsSchema(), &block, &c);
+      m.SpillAndRestoreBlock(3, "stage(w)", 0, RowsSchema(), block, &c)
+          .status();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find(m.RunPath(3, "stage(w)", 0, 0)),
             std::string::npos)
