@@ -20,10 +20,13 @@
 # thread counts and under injected faults, whose recovery discards and
 # rebuilds blocks), the compiler suites (label `compile` — NRC typing,
 # unnesting, plan optimization and shredding, whose passes rebuild shared
-# expression and plan nodes) and the end-to-end workload suite (label
+# expression and plan nodes), the end-to-end workload suite (label
 # `workloads` — the TPC-H and biomedical generators' nested bags driven
-# through every route and checked against the interpreter) under the
-# sanitizers.
+# through every route and checked against the interpreter), the
+# interpreter's own suite (label `oracle` — the reference every route is
+# checked against walks nested values recursively) and the utility suite
+# (label `util` — Status, the printers, the RNG and the Zipf sampler) under
+# the sanitizers.
 # TRANCE_WERROR keeps the build warning-clean. A listed label that matches
 # no test fails the script, so the sanitized set cannot shrink silently.
 #
@@ -36,7 +39,7 @@ BUILD_DIR="${1:-build-sanitize}"
 ci/check_docs.sh
 ci/bench_smoke.sh
 
-LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec compile workloads)
+LABELS=(parallel obs fusion faults keys flathash metrics events columnar serde spill skew ops exec compile workloads oracle util)
 
 cmake -B "$BUILD_DIR" -S . -DTRANCE_SANITIZE=ON -DTRANCE_WERROR=ON
 cmake --build "$BUILD_DIR" --target trance_tests -j"$(nproc)"

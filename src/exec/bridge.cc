@@ -110,7 +110,6 @@ StatusOr<Value> FieldToValue(const Field& f, const TypePtr& type) {
   if (type != nullptr && type->is_bag()) {
     if (!f.is_bag()) return Status::TypeError("expected bag field");
     TRANCE_ASSIGN_OR_RETURN(Schema inner, Schema::FromBagType(type));
-    if (f.AsBag() == nullptr) return RowsToValue({}, inner);
     return RowsToValue(f.AsBag()->rows(), inner);
   }
   if (f.is_int()) {
@@ -121,11 +120,9 @@ StatusOr<Value> FieldToValue(const Field& f, const TypePtr& type) {
   if (f.is_bool()) return Value::Bool(f.AsBool());
   if (f.is_label()) {
     std::vector<std::pair<std::string, Value>> params;
-    if (f.AsLabel() != nullptr) {
-      for (const auto& [n, pf] : f.AsLabel()->params()) {
-        TRANCE_ASSIGN_OR_RETURN(Value pv, FieldToValue(pf, nullptr));
-        params.emplace_back(n, pv);
-      }
+    for (const auto& [n, pf] : f.AsLabel()->params()) {
+      TRANCE_ASSIGN_OR_RETURN(Value pv, FieldToValue(pf, nullptr));
+      params.emplace_back(n, pv);
     }
     return Value::Label(std::move(params));
   }

@@ -92,12 +92,6 @@ struct NodeStats {
   }
 };
 
-std::string FormatStat(const runtime::StatField& f, const StageStats& s) {
-  if (f.unit == runtime::StatUnit::kBytes) return FormatBytes(s.*f.u64);
-  if (f.f64 != nullptr) return FormatDouble(s.*f.f64, 3) + "s";
-  return std::to_string(s.*f.u64);
-}
-
 /// The one clause printer: appends ` ht(build=.. hits=.. chain=..)`,
 /// ` key_bytes=..` and the like for each group in `groups` with a nonzero
 /// field in `s`, in group order, tokens in table order.
@@ -171,6 +165,12 @@ void Walk(const plan::PlanPtr& p, const std::string& var, int depth,
 
 std::string StageScopeName(const std::string& var, int node_index) {
   return var + "#" + std::to_string(node_index);
+}
+
+std::string FormatStat(const runtime::StatField& f, const StageStats& s) {
+  if (f.unit == runtime::StatUnit::kBytes) return FormatBytes(s.*f.u64);
+  if (f.f64 != nullptr) return FormatDouble(s.*f.f64, 3) + "s";
+  return std::to_string(s.*f.u64);
 }
 
 std::string ExplainAnalyze(const plan::PlanProgram& program,

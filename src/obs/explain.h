@@ -22,6 +22,11 @@ namespace obs {
 /// numbering exactly.
 std::string StageScopeName(const std::string& var, int node_index);
 
+/// A statistic of stage `s` as EXPLAIN ANALYZE prints it: bytes humanized,
+/// simulated seconds with an `s` suffix, counts bare.
+std::string FormatStat(const runtime::StatField& f,
+                       const runtime::StageStats& s);
+
 /// Renders the per-assignment plan trees with per-operator runtime stats
 /// joined on, a section for stages recorded outside plan execution
 /// (sources, unshredding, heavy-key sampling of merged inputs), and a job

@@ -1,5 +1,6 @@
 #include "obs/export.h"
 
+#include "obs/explain.h"
 #include "obs/histogram.h"
 #include "util/strings.h"
 
@@ -145,14 +146,20 @@ void AppendJobStagesToTrace(const runtime::JobStats& stats, Tracer* tracer,
     ev.ts_us = s.wall_start_us;
     ev.dur_us = s.wall_dur_us;
     ev.tid = tid;
-    ev.args.emplace_back("rows_in", std::to_string(s.rows_in));
-    ev.args.emplace_back("rows_out", std::to_string(s.rows_out));
-    ev.args.emplace_back("shuffle", FormatBytes(s.shuffle_bytes));
+    // The table rows the stage's JSON object carries, formatted as EXPLAIN
+    // formats them; the wall-clock row is the event's own duration.
+    const uint32_t shown = runtime::ShownStatGroups(s);
+    for (const runtime::StatField& f : runtime::kStatFields) {
+      if (!(shown & runtime::StatGroupBit(f.group)) ||
+          f.cls == runtime::StatClass::kWall) {
+        continue;
+      }
+      ev.args.emplace_back(f.key, FormatStat(f, s));
+    }
     ev.args.emplace_back("movement",
                          runtime::DataMovementName(s.movement));
     ev.args.emplace_back("straggler",
                          FormatDouble(s.ImbalanceFactor(), 2) + "x");
-    ev.args.emplace_back("sim_seconds", FormatDouble(s.sim_seconds, 4));
     if (!s.scope.empty()) ev.args.emplace_back("scope", s.scope);
     tracer->AddCompleteEvent(std::move(ev));
   }

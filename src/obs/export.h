@@ -25,9 +25,11 @@ void WriteJobStats(const runtime::JobStats& stats, JsonWriter* w);
 std::string JobStatsToJson(const runtime::JobStats& stats);
 
 /// Appends every recorded stage as a complete trace event on track `tid`
-/// (wall timestamps stamped by Cluster::RecordStage), with rows/shuffle/
-/// straggler metadata in args. `prefix` namespaces stage names (e.g. the
-/// benchmark run name). No-op when the tracer is disabled.
+/// (wall timestamps stamped by Cluster::RecordStage). Its args are the
+/// statistic-table rows the stage's JSON object carries, formatted as
+/// EXPLAIN ANALYZE formats them, plus movement, straggler and scope.
+/// `prefix` namespaces stage names (e.g. the benchmark run name). No-op
+/// when the tracer is disabled.
 void AppendJobStagesToTrace(const runtime::JobStats& stats, Tracer* tracer,
                             const std::string& prefix = "", int tid = 1);
 

@@ -78,23 +78,30 @@ void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
                     {1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0})
       ->Observe(s.ImbalanceFactor());
 
-  // Event-log half: one stage_finish per stage; heavy-key decisions get
-  // their own event so skew handling is visible without parsing stages.
+  // Event-log half: one stage_finish per stage, carrying the table rows the
+  // stage's stages[] JSON object carries (a group's keys when any of them is
+  // nonzero; wall-clock rows as wall_ fields); heavy-key decisions get their
+  // own event so skew handling is visible without parsing stages.
   obs::EventLog& log = obs::GlobalEventLog();
   if (!log.enabled()) return;
-  obs::Event(&log, "stage_finish")
-      .U64("job", job_id_)
+  obs::Event finish(&log, "stage_finish");
+  finish.U64("job", job_id_)
       .U64("stage", stage_index)
       .Str("op", s.op)
       .Str("scope", s.scope)
-      .Str("movement", DataMovementName(s.movement))
-      .U64("rows_in", s.rows_in)
-      .U64("rows_out", s.rows_out)
-      .U64("shuffle_bytes", s.shuffle_bytes)
-      .U64("injected_faults", s.injected_faults)
-      .F64("sim_seconds", s.sim_seconds)
-      .Wall("dur_us", s.wall_dur_us)
-      .Emit();
+      .Str("movement", DataMovementName(s.movement));
+  const uint32_t shown = ShownStatGroups(s);
+  for (const StatField& f : kStatFields) {
+    if (!(shown & StatGroupBit(f.group))) continue;
+    if (f.cls == StatClass::kWall) {
+      finish.Wall(f.key, f.AsDouble(s));
+    } else if (f.u64 != nullptr) {
+      finish.U64(f.key, s.*f.u64);
+    } else {
+      finish.F64(f.key, s.*f.f64);
+    }
+  }
+  finish.Emit();
   if (s.heavy_key_count > 0) {
     obs::Event(&log, "heavy_keys")
         .U64("job", job_id_)

@@ -36,19 +36,17 @@ uint64_t Field::Hash() const {
   if (is_real()) return HashDouble(AsReal());
   if (is_string()) return HashString(AsString());
   if (is_bool()) return Mix64(AsBool() ? 0xB001u : 0xB000u);
-  if (is_label()) return AsLabel() == nullptr ? 0x1AB : AsLabel()->Hash();
+  if (is_label()) return AsLabel()->Hash();
   // Bag: order-insensitive.
   uint64_t h = 0xBA6;
-  if (AsBag() != nullptr) {
-    for (const auto& r : *AsBag()) h += Mix64(RowHash(r));
-  }
+  for (const auto& r : *AsBag()) h += Mix64(RowHash(r));
   return Mix64(h);
 }
 
 uint64_t Field::DeepSize() const {
   if (is_string()) return 32 + AsString().size();
-  if (is_label()) return AsLabel() == nullptr ? 16 : AsLabel()->DeepSize();
-  if (is_bag()) return AsBag() == nullptr ? 32 : AsBag()->DeepSize();
+  if (is_label()) return AsLabel()->DeepSize();
+  if (is_bag()) return AsBag()->DeepSize();
   return 8;
 }
 
@@ -59,7 +57,6 @@ std::string Field::ToString() const {
   if (is_string()) return "\"" + AsString() + "\"";
   if (is_bool()) return AsBool() ? "true" : "false";
   if (is_label()) {
-    if (AsLabel() == nullptr) return "Label()";
     std::vector<std::string> parts;
     for (const auto& [n, f] : AsLabel()->params()) {
       parts.push_back(n + "=" + f.ToString());
@@ -67,9 +64,7 @@ std::string Field::ToString() const {
     return "Label(" + Join(parts, ",") + ")";
   }
   std::vector<std::string> parts;
-  if (AsBag() != nullptr) {
-    for (const auto& r : *AsBag()) parts.push_back(RowToString(r));
-  }
+  for (const auto& r : *AsBag()) parts.push_back(RowToString(r));
   return "{" + Join(parts, ", ") + "}";
 }
 
@@ -86,15 +81,12 @@ bool operator==(const Field& a, const Field& b) {
   if (a.is_string()) return a.AsString() == b.AsString();
   if (a.is_bool()) return a.AsBool() == b.AsBool();
   if (a.is_label()) {
-    if (a.AsLabel() == b.AsLabel()) return true;
-    if (a.AsLabel() == nullptr || b.AsLabel() == nullptr) return false;
-    return *a.AsLabel() == *b.AsLabel();
+    return a.AsLabel() == b.AsLabel() || *a.AsLabel() == *b.AsLabel();
   }
   // Bags: multiset equality via canonical sort.
   const auto& ba = a.AsBag();
   const auto& bb = b.AsBag();
   if (ba == bb) return true;
-  if (ba == nullptr || bb == nullptr) return false;
   if (ba->size() != bb->size()) return false;
   std::vector<Row> sa = ba->rows(), sb = bb->rows();
   std::sort(sa.begin(), sa.end(), RowLess);
@@ -118,13 +110,7 @@ bool FieldLess(const Field& a, const Field& b) {
   if (a.is_real()) return a.AsReal() < b.AsReal();
   if (a.is_string()) return a.AsString() < b.AsString();
   if (a.is_bool()) return a.AsBool() < b.AsBool();
-  // A null label or bag differs from every non-null one under operator==
-  // (the empty one included), so it sorts first; treating it as empty here
-  // would make the bag sort in operator== pair up unequal elements.
   if (a.is_label()) {
-    if (a.AsLabel() == nullptr || b.AsLabel() == nullptr) {
-      return a.AsLabel() == nullptr && b.AsLabel() != nullptr;
-    }
     const auto& pa = a.AsLabel()->params();
     const auto& pb = b.AsLabel()->params();
     size_t n = std::min(pa.size(), pb.size());
@@ -136,9 +122,6 @@ bool FieldLess(const Field& a, const Field& b) {
     return pa.size() < pb.size();
   }
   // Bags: compare canonically sorted contents.
-  if (a.AsBag() == nullptr || b.AsBag() == nullptr) {
-    return a.AsBag() == nullptr && b.AsBag() != nullptr;
-  }
   std::vector<Row> sa = a.AsBag()->rows();
   std::vector<Row> sb = b.AsBag()->rows();
   std::sort(sa.begin(), sa.end(), RowLess);

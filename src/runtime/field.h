@@ -77,8 +77,15 @@ class Field {
   static Field Real(double v) { return Field(Repr(v)); }
   static Field Str(std::string v) { return Field(Repr(std::move(v))); }
   static Field Bool(bool v) { return Field(Repr(v)); }
-  static Field Label(LabelPtr l) { return Field(Repr(std::move(l))); }
-  static Field Bag(BagPtr b) { return Field(Repr(std::move(b))); }
+  /// A label or bag cell always holds an object; NULL is Field::Null().
+  static Field Label(LabelPtr l) {
+    TRANCE_CHECK(l != nullptr, "Field::Label of a null pointer");
+    return Field(Repr(std::move(l)));
+  }
+  static Field Bag(BagPtr b) {
+    TRANCE_CHECK(b != nullptr, "Field::Bag of a null pointer");
+    return Field(Repr(std::move(b)));
+  }
   static Field Bag(std::vector<Row> rows) {
     return Bag(std::make_shared<const RtBag>(std::move(rows)));
   }

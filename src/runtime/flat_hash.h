@@ -25,10 +25,13 @@
 // reduce accumulators, dedup counts, the skew layer's heavy-key set) with
 // values living in caller-side vectors. Because callers never iterate the
 // table itself, internal ordering is unobservable and results stay
-// a pure function of the insertion sequence.
+// a pure function of the insertion sequence. The keyed operators reach it
+// through KeyTable (below), which encodes the keys and counts the stage's
+// keyed telemetry; the heavy-key set uses the bare index for membership.
 #ifndef TRANCE_RUNTIME_FLAT_HASH_H_
 #define TRANCE_RUNTIME_FLAT_HASH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -185,17 +188,69 @@ class FlatKeyIndex {
   mutable uint64_t max_probe_ = 0;
 };
 
-/// Folds one finished table's telemetry into the hash_table_bytes,
-/// hash_resizes and hash_probe_len_max fields of a task's stats slot (folded
-/// per partition in slot order after the stage barrier, like every keyed
-/// counter).
-inline void NoteTableStats(const FlatKeyIndex& idx, StageStats* ks) {
-  ks->hash_table_bytes += idx.table_bytes();
-  ks->hash_resizes += idx.resizes();
-  if (idx.max_probe_len() > ks->hash_probe_len_max) {
-    ks->hash_probe_len_max = idx.max_probe_len();
+/// A task-local keyed table: the one implementation of the keyed operators'
+/// encode -> find-or-insert -> count protocol (join and cogroup builds and
+/// probes, nest, reduce-by-key, dedup and heavy-key sampling). It owns a
+/// FlatKeyIndex, the KeyEncoder that feeds it and each group's row count,
+/// and it is the one writer of the seven keyed counters of the task's stats
+/// slot: Add and Find count build rows, probe hits and the longest chain as
+/// they go, and the destructor adds the encoded key bytes and the table's
+/// footprint, resizes and longest probe, so no operator can forget them.
+/// Slots are folded per partition in slot order after the stage barrier,
+/// like every task-local counter.
+class KeyTable {
+ public:
+  /// `expected` pre-sizes the index (a join sizes it for its build side).
+  explicit KeyTable(StageStats* stats, size_t expected = 0)
+      : stats_(stats), index_(expected) {}
+  KeyTable(const KeyTable&) = delete;
+  KeyTable& operator=(const KeyTable&) = delete;
+  ~KeyTable() {
+    stats_->key_encode_bytes += enc_.bytes_encoded();
+    stats_->hash_table_bytes += index_.table_bytes();
+    stats_->hash_resizes += index_.resizes();
+    stats_->hash_probe_len_max =
+        std::max(stats_->hash_probe_len_max, index_.max_probe_len());
   }
-}
+
+  /// Adds row i of `block`, keyed on its `cols` cells: returns the key's
+  /// dense group and whether this row opened it. An opening row is a build
+  /// row, any other a probe hit; either way the group's row count grows.
+  std::pair<uint32_t, bool> Add(const column::PartitionBlock& block, size_t i,
+                                const std::vector<int>& cols) {
+    auto [g, opened] = index_.FindOrInsert(enc_.EncodeAt(block, i, cols));
+    if (opened) {
+      rows_.push_back(0);
+      stats_->hash_build_rows++;
+    } else {
+      stats_->hash_probe_hits++;
+    }
+    stats_->hash_max_chain = std::max(stats_->hash_max_chain, ++rows_[g]);
+    return {g, opened};
+  }
+
+  /// The group of row i's `cols` key, or FlatKeyIndex::kNotFound; a found
+  /// key is a probe hit.
+  uint32_t Find(const column::PartitionBlock& block, size_t i,
+                const std::vector<int>& cols) {
+    const uint32_t g = index_.Find(enc_.EncodeAt(block, i, cols));
+    if (g != FlatKeyIndex::kNotFound) stats_->hash_probe_hits++;
+    return g;
+  }
+
+  /// Number of groups.
+  size_t size() const { return index_.size(); }
+  /// Rows added under group g.
+  uint64_t rows(uint32_t g) const { return rows_[g]; }
+  /// Group g's encoded key (a view valid for the table's lifetime).
+  key_codec::EncodedKeyRef KeyAt(uint32_t g) const { return index_.KeyAt(g); }
+
+ private:
+  StageStats* stats_;
+  FlatKeyIndex index_;
+  key_codec::KeyEncoder enc_;
+  std::vector<uint64_t> rows_;  // group -> rows added
+};
 
 }  // namespace flat_hash
 }  // namespace runtime

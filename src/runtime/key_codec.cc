@@ -12,7 +12,9 @@ namespace {
 // One tag byte per field. Tags also separate the int/real/bool/string type
 // lattice: Field::operator== calls Int(1) and Real(1.0) equal, but their
 // Field::Hash values differ, so they are different keys — distinct tags
-// keep them apart.
+// keep them apart. 0x06 and 0x08 are retired (they tagged a label or bag
+// cell holding no object, which a Field can no longer be), and the other
+// tags keep their numbers, so no key's bytes change.
 enum Tag : unsigned char {
   kNull = 0x00,
   kInt = 0x01,
@@ -20,9 +22,7 @@ enum Tag : unsigned char {
   kString = 0x03,
   kBool = 0x04,
   kLabel = 0x05,
-  kNullLabel = 0x06,  // LabelPtr that is nullptr (hash 0x1AB, != empty label)
   kBag = 0x07,
-  kNullBag = 0x08,  // BagPtr that is nullptr (!= empty bag under operator==)
 };
 
 void PutU32(std::string* out, uint32_t v) {
@@ -79,10 +79,6 @@ void EncodeField(const Field& f, std::string* out) {
     PutBool(out, f.AsBool());
   } else if (f.is_label()) {
     const LabelPtr& l = f.AsLabel();
-    if (l == nullptr) {
-      out->push_back(static_cast<char>(kNullLabel));
-      return;
-    }
     out->push_back(static_cast<char>(kLabel));
     PutU32(out, static_cast<uint32_t>(l->params().size()));
     for (const auto& [name, param] : l->params()) {
@@ -95,10 +91,6 @@ void EncodeField(const Field& f, std::string* out) {
     // encodings sorted bytewise, each u32-length-prefixed, after a u32
     // element count — so element order never reaches the bytes.
     const BagPtr& b = f.AsBag();
-    if (b == nullptr) {
-      out->push_back(static_cast<char>(kNullBag));
-      return;
-    }
     std::vector<std::string> elems;
     elems.reserve(b->size());
     for (const Row& r : *b) {
@@ -139,13 +131,6 @@ EncodedKeyRef KeyEncoder::EncodeAt(const column::PartitionBlock& block,
                                    size_t i, const std::vector<int>& cols) {
   Begin();
   for (int c : cols) AppendCell(block.col(static_cast<size_t>(c)), i);
-  return Finish();
-}
-
-EncodedKeyRef KeyEncoder::EncodeRowAt(const column::PartitionBlock& block,
-                                      size_t i) {
-  Begin();
-  for (size_t c = 0; c < block.NumCols(); ++c) AppendCell(block.col(c), i);
   return Finish();
 }
 

@@ -76,10 +76,6 @@ class KeyEncoder {
   EncodedKeyRef EncodeAt(const column::PartitionBlock& block, size_t i,
                          const std::vector<int>& cols);
 
-  /// Encodes every cell of row i of a partition block, as EncodeAt does;
-  /// identical to EncodeRow(block.RowAt(i)).
-  EncodedKeyRef EncodeRowAt(const column::PartitionBlock& block, size_t i);
-
   /// Incremental per-field API: Begin() resets the scratch buffer,
   /// Append(field) encodes one key column, Finish() seals and returns the
   /// view. The byte layout and hash are identical to Encode(row, cols) over

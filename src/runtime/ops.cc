@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "runtime/flat_hash.h"
-#include "runtime/key_codec.h"
 #include "util/hash.h"
 
 namespace trance {
@@ -14,6 +13,7 @@ namespace {
 using column::AnyColumn;
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
+using flat_hash::KeyTable;
 // Partition-task runner, stage barrier and work histogram shared with the
 // fused-stage runner.
 using detail::FinishStage;
@@ -178,51 +178,42 @@ Schema JoinSchema(const Schema& l, const Schema& r) {
   return out;
 }
 
+/// The group of row i's `cols` key in `table`, or kNotFound when the key
+/// holds a NULL: a join or cogroup matches no NULL key.
+uint32_t FindNonNull(KeyTable* table, const PartitionBlock& b, size_t i,
+                     const std::vector<int>& cols) {
+  return HasNullKeyAt(b, i, cols) ? FlatKeyIndex::kNotFound
+                                  : table->Find(b, i, cols);
+}
+
 /// Partition-local hash join of `left` against the build block `right`,
 /// appending the output rows to `out`; keyed telemetry goes to *ks. The
-/// flat table is keyed by compact binary keys encoded straight from the
-/// blocks' arenas (one arena append per distinct key, no per-probe
-/// allocation) and maps each key to a dense chain of row offsets into the
-/// build block. Each output pair is copied column by column from the two
-/// blocks; a left-outer miss gets NULL in every right column.
+/// table maps each key to a dense chain of row offsets into the build block
+/// and is pre-sized for the build side. Each output pair is copied column by
+/// column from the two blocks; a left-outer miss gets NULL in every right
+/// column.
 void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
                const std::vector<int>& lk, const std::vector<int>& rk,
                JoinType type, PartitionBlock* out, StageStats* ks) {
   const size_t rn = right.NumRows();
-  FlatKeyIndex built(rn);
+  KeyTable built(ks, rn);
   std::vector<std::vector<uint32_t>> chains;
   chains.reserve(rn);
-  key_codec::KeyEncoder enc;
   for (size_t i = 0; i < rn; ++i) {
     if (HasNullKeyAt(right, i, rk)) continue;
-    auto [gi, inserted] = built.FindOrInsert(enc.EncodeAt(right, i, rk));
-    if (inserted) {
-      chains.emplace_back();
-      ks->hash_build_rows++;
-    } else {
-      ks->hash_probe_hits++;
-    }
+    auto [gi, opened] = built.Add(right, i, rk);
+    if (opened) chains.emplace_back();
     chains[gi].push_back(static_cast<uint32_t>(i));
-    ks->hash_max_chain =
-        std::max<uint64_t>(ks->hash_max_chain, chains[gi].size());
   }
   const size_t ln = left.NumRows();
   for (size_t j = 0; j < ln; ++j) {
-    bool matched = false;
-    if (!HasNullKeyAt(left, j, lk)) {
-      uint32_t gi = built.Find(enc.EncodeAt(left, j, lk));
-      if (gi != FlatKeyIndex::kNotFound) {
-        matched = true;
-        ks->hash_probe_hits++;
-        for (uint32_t ri : chains[gi]) out->AppendPairFrom(left, j, &right, ri);
-      }
-    }
-    if (!matched && type == JoinType::kLeftOuter) {
+    const uint32_t gi = FindNonNull(&built, left, j, lk);
+    if (gi != FlatKeyIndex::kNotFound) {
+      for (uint32_t ri : chains[gi]) out->AppendPairFrom(left, j, &right, ri);
+    } else if (type == JoinType::kLeftOuter) {
       out->AppendPairFrom(left, j, nullptr, 0);
     }
   }
-  ks->key_encode_bytes += enc.bytes_encoded();
-  flat_hash::NoteTableStats(built, ks);
 }
 
 /// Checks row i of source `op` before it enters `block`, a block of `schema`:
@@ -493,22 +484,14 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     const PartitionBlock& src = *sp[p];
     std::vector<size_t> first;              // per group: its first row
     std::vector<std::vector<Row>> members;  // per group: its bag
-    std::vector<uint64_t> group_rows;  // rows mapped per group (chain stat)
-    StageStats& ks = *slot;
-    FlatKeyIndex index;
-    key_codec::KeyEncoder enc;
+    KeyTable groups(slot);
     const size_t rows = src.NumRows();
     for (size_t i = 0; i < rows; ++i) {
-      auto [gi, inserted] = index.FindOrInsert(enc.EncodeAt(src, i, key_cols));
-      if (inserted) {
+      auto [gi, opened] = groups.Add(src, i, key_cols);
+      if (opened) {
         first.push_back(i);
         members.emplace_back();
-        group_rows.push_back(0);
-        ks.hash_build_rows++;
-      } else {
-        ks.hash_probe_hits++;
       }
-      ks.hash_max_chain = std::max(ks.hash_max_chain, ++group_rows[gi]);
       // NULL-to-empty-bag cast: a miss row marks a key with no inner
       // elements (outer join/unnest miss); it creates the group only.
       bool miss = !miss_cols.empty();
@@ -520,8 +503,6 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       }
       if (!miss) members[gi].push_back(Row(FieldsAt(src, i, value_cols)));
     }
-    ks.key_encode_bytes += enc.bytes_encoded();
-    flat_hash::NoteTableStats(index, &ks);
     // Key cells copy column-wise from each group's first row.
     dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
       if (c < key_cols.size()) {
@@ -614,22 +595,15 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     std::vector<size_t> first;  // per group: its first row
     std::vector<double> sums;   // group g's sums at [g * nv, (g + 1) * nv)
     std::vector<bool> seen;     // per group: some row contributed
-    std::vector<uint64_t> group_rows;
-    FlatKeyIndex index;
-    key_codec::KeyEncoder enc;
+    KeyTable groups(ks);
     const size_t rows = src.NumRows();
     for (size_t i = 0; i < rows; ++i) {
-      auto [gi, inserted] = index.FindOrInsert(enc.EncodeAt(src, i, cols));
-      if (inserted) {
+      auto [gi, opened] = groups.Add(src, i, cols);
+      if (opened) {
         first.push_back(i);
         sums.resize(sums.size() + nv, 0.0);
         seen.push_back(false);
-        group_rows.push_back(0);
-        ks->hash_build_rows++;
-      } else {
-        ks->hash_probe_hits++;
       }
-      ks->hash_max_chain = std::max(ks->hash_max_chain, ++group_rows[gi]);
       bool all_null = nv > 0;
       for (const AnyColumn* v : vals) {
         if (!v->IsNull(i)) all_null = false;
@@ -643,8 +617,6 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
         acc[vi] += is_int[vi] ? static_cast<double>(v.ints()[i]) : v.reals()[i];
       }
     }
-    ks->key_encode_bytes += enc.bytes_encoded();
-    flat_hash::NoteTableStats(index, ks);
     dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
       if (c < nk) {
         const AnyColumn& from = src.col(static_cast<size_t>(cols[c]));
@@ -795,30 +767,14 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
       cluster, name, &stage, &out,
       [&](size_t p, PartitionBlock* dst, StageStats* slot) {
-        // The membership test encodes every column straight off the block
-        // and probes without materializing; the first occurrence of each
-        // key copies column-to-column into the output block. Per-key
-        // duplicate counts (the chain stat) live densely beside the index.
-        StageStats& ks = *slot;
+        // The row is its own key: the first occurrence of each key copies
+        // column-to-column into the output block.
         const PartitionBlock& src = *sp[p];
-        FlatKeyIndex seen;
-        std::vector<uint64_t> counts;
-        key_codec::KeyEncoder enc;
+        KeyTable seen(slot);
         const size_t rows = src.NumRows();
         for (size_t i = 0; i < rows; ++i) {
-          auto [gi, inserted] = seen.FindOrInsert(enc.EncodeRowAt(src, i));
-          if (inserted) {
-            counts.push_back(1);
-            ks.hash_build_rows++;
-            ks.hash_max_chain = std::max<uint64_t>(ks.hash_max_chain, 1);
-            dst->AppendRowFrom(src, i);
-          } else {
-            ks.hash_probe_hits++;
-            ks.hash_max_chain = std::max(ks.hash_max_chain, ++counts[gi]);
-          }
+          if (seen.Add(src, i, all_cols).second) dst->AppendRowFrom(src, i);
         }
-        ks.key_encode_bytes += enc.bytes_encoded();
-        flat_hash::NoteTableStats(seen, &ks);
       }));
   SetWork(&stage, nparts, [&](size_t p) {
     return sp[p]->TotalRowBytes() + out.parts[p]->TotalRowBytes();
@@ -859,40 +815,24 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
   const size_t nparts = lsp.size();
   Dataset out = Dataset::Empty(std::move(out_schema), nparts);
   auto cogroup_task = [&](size_t p, PartitionBlock* dst, StageStats* slot) {
-    StageStats& ks = *slot;
     const PartitionBlock& lb = *lsp[p];
     const PartitionBlock& rb = *rsp[p];
-    FlatKeyIndex built;
+    KeyTable built(slot);
     std::vector<std::vector<Row>> chains;  // dense index -> right projections
-    key_codec::KeyEncoder enc;
     const size_t rrows = rb.NumRows();
     for (size_t i = 0; i < rrows; ++i) {
       if (HasNullKeyAt(rb, i, right_keys)) continue;
-      auto [gi, inserted] = built.FindOrInsert(enc.EncodeAt(rb, i, right_keys));
-      if (inserted) {
-        chains.emplace_back();
-        ks.hash_build_rows++;
-      } else {
-        ks.hash_probe_hits++;
-      }
+      auto [gi, opened] = built.Add(rb, i, right_keys);
+      if (opened) chains.emplace_back();
       // The bag member projects straight from the block's arenas.
       chains[gi].push_back(Row(FieldsAt(rb, i, right_value_cols)));
-      ks.hash_max_chain =
-          std::max<uint64_t>(ks.hash_max_chain, chains[gi].size());
     }
     // Each left row's match chain, or kNotFound for a miss (an empty bag).
     const size_t lrows = lb.NumRows();
-    std::vector<uint32_t> matches(lrows, FlatKeyIndex::kNotFound);
+    std::vector<uint32_t> matches(lrows);
     for (size_t j = 0; j < lrows; ++j) {
-      if (HasNullKeyAt(lb, j, left_keys)) continue;
-      uint32_t gi = built.Find(enc.EncodeAt(lb, j, left_keys));
-      if (gi != FlatKeyIndex::kNotFound) {
-        ks.hash_probe_hits++;
-        matches[j] = gi;
-      }
+      matches[j] = FindNonNull(&built, lb, j, left_keys);
     }
-    ks.key_encode_bytes += enc.bytes_encoded();
-    flat_hash::NoteTableStats(built, &ks);
     // The left row copies column-wise; the bag cell follows it. Bags are
     // immutable, so left rows with the same key share one.
     const size_t lw = lb.NumCols();

@@ -150,10 +150,6 @@ void AppendField(const Field& f, std::string* out) {
   } else if (f.is_label()) {
     AppendU8(kFieldLabel, out);
     const LabelPtr& l = f.AsLabel();
-    if (l == nullptr) {
-      AppendU32(0, out);
-      return;
-    }
     AppendU32(static_cast<uint32_t>(l->params().size()), out);
     for (const auto& [name, value] : l->params()) {
       AppendU32(static_cast<uint32_t>(name.size()), out);
@@ -163,13 +159,10 @@ void AppendField(const Field& f, std::string* out) {
   } else {  // bag
     AppendU8(kFieldBag, out);
     const BagPtr& b = f.AsBag();
-    uint64_t n = b == nullptr ? 0 : b->size();
-    AppendU64(n, out);
-    if (b != nullptr) {
-      for (const Row& r : *b) {
-        AppendU32(static_cast<uint32_t>(r.fields.size()), out);
-        for (const Field& ff : r.fields) AppendField(ff, out);
-      }
+    AppendU64(b->size(), out);
+    for (const Row& r : *b) {
+      AppendU32(static_cast<uint32_t>(r.fields.size()), out);
+      for (const Field& ff : r.fields) AppendField(ff, out);
     }
   }
 }

@@ -53,12 +53,13 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   }
   // The one spill site (runtime/spill.h): with spilling on, every partition
   // the memory check below would fail is written to disk runs tagged with
-  // the stage name and streamed back into a new block, the same rows in the
+  // the stage name and read back into a new block, the same rows in the
   // same order, turning the paper's FAIL into a slow-but-correct stage. The
   // new block replaces the partition's; the old one may be shared with the
   // stage's input and is left as it was. Driver-side and in partition
-  // order, so the spill counters and events are thread-count-invariant. The recorded peak bytes are untouched, keeping
-  // mem_high_water / peak_partition_bytes bit-identical to an uncapped run.
+  // order, so the spill counters and events are thread-count-invariant. The
+  // recorded peak bytes are untouched, keeping mem_high_water /
+  // peak_partition_bytes bit-identical to an uncapped run.
   size_t spilled = 0;
   auto spill_over_cap = [&]() -> Status {
     if (!cluster->spill_enabled()) return Status::OK();
@@ -149,15 +150,11 @@ void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
   for (size_t i = begin; i < end; ++i) {
     const int64_t id = outer ? NextId(p, uid) : 0;
     const Field& bag = bags.variants()[i];
-    const RtBag* members =
-        bag.is_bag() && bag.AsBag() != nullptr && !bag.AsBag()->empty()
-            ? bag.AsBag().get()
-            : nullptr;
-    if (members == nullptr) {
+    if (!bag.is_bag() || bag.AsBag()->empty()) {
       if (outer) emits.push_back({i, nullptr, id});
       continue;
     }
-    for (const Row& m : *members) {
+    for (const Row& m : *bag.AsBag()) {
       TRANCE_CHECK(m.fields.size() == inner_width,
                    "unnest: bag member of " + std::to_string(m.fields.size()) +
                        " fields, element schema of " +

@@ -90,9 +90,10 @@ struct StageStats {
   /// Columnar-block telemetry (runtime/column.h): footprint of the typed
   /// partition blocks this stage built.
   uint64_t columnar_bytes = 0;
-  /// Out-of-core spill telemetry (runtime/spill.h): bytes written to /
-  /// streamed back from run files, run files produced, and stream-merge
-  /// passes over them. All four are exactly 0 when nothing spills (and
+  /// Out-of-core spill telemetry (runtime/spill.h): bytes written to and
+  /// read back from run files (each run is one write and one whole-file
+  /// read), run files produced, and restores (one per spilled partition,
+  /// reading its runs in order). All four are exactly 0 when nothing spills (and
   /// always when ExecOptions::enable_spill is off); spilling never changes
   /// any pre-existing field — spill cost flows through these channels only.
   uint64_t spill_bytes_written = 0;
@@ -312,12 +313,12 @@ inline constexpr StatField kStatFields[] = {
      "bytes written to spill run files", kSpill, "w"},
     {"spill_bytes_read", &StageStats::spill_bytes_read, kSum, kExact, kBytes,
      kJobBench, "trance_spill_bytes_read_total",
-     "bytes streamed back from spill run files", kSpill, "r"},
+     "bytes read back from spill run files", kSpill, "r"},
     {"spill_runs", &StageStats::spill_runs, kSum, kExact, kCount, kJobBench,
      "trance_spill_runs_total", "spill run files produced", kSpill, "runs"},
     {"spill_merge_passes", &StageStats::spill_merge_passes, kSum, kExact,
      kCount, kJobBench, "trance_spill_merge_passes_total",
-     "stream-merge passes over spill runs", kSpill, "merges"},
+     "restores of spilled partitions from their runs", kSpill, "merges"},
     {"injected_faults", &StageStats::injected_faults, kSum, kExact, kCount,
      kJobBench, nullptr, nullptr, kFaults, "faults"},
     {"retries", &StageStats::retries, kSum, kExact, kCount, kJobBench, nullptr,

@@ -1,7 +1,5 @@
 #include "skew/skew.h"
 
-#include <algorithm>
-
 #include "util/hash.h"
 
 namespace trance {
@@ -66,14 +64,13 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
   if (stride == 0) stride = 1;
   StageStats stage;
   stage.op = "heavy_keys";
-  key_codec::KeyEncoder enc;  // encodes once per sampled row
   for (size_t p = 0; p < in.NumPartitions(); ++p) {
     const PartitionBlock& part = *in.parts[p];
     const size_t part_rows = part.NumRows();
-    // Per-partition sample frequencies, keyed by the sampled rows' encoded
-    // keys (read straight from the block; unsampled rows are never read).
-    FlatKeyIndex idx;
-    std::vector<size_t> cnt;  // dense index -> sample frequency
+    // Per-partition sample frequencies (each group's row count), keyed by
+    // the sampled rows' encoded keys (read straight from the block;
+    // unsampled rows are never read).
+    runtime::flat_hash::KeyTable sample(&stage);
     size_t sampled = 0;
     for (size_t i = 0; i < part_rows; ++i) {
       if (Mix64((static_cast<uint64_t>(p) << 32) ^ i ^ cfg.seed) % stride !=
@@ -82,31 +79,19 @@ HeavyKeySet DetectHeavyKeys(Cluster* cluster, const Dataset& in,
       }
       ++sampled;
       stage.rows_in++;
-      auto [gi, inserted] = idx.FindOrInsert(enc.EncodeAt(part, i, key_cols));
-      if (inserted) {
-        cnt.push_back(0);
-        stage.hash_build_rows++;
-      } else {
-        stage.hash_probe_hits++;
-      }
-      stage.hash_max_chain =
-          std::max<uint64_t>(stage.hash_max_chain, ++cnt[gi]);
+      sample.Add(part, i, key_cols);
     }
-    runtime::flat_hash::NoteTableStats(idx, &stage);
     if (sampled == 0) continue;
     size_t cutoff = static_cast<size_t>(cfg.heavy_key_threshold *
                                         static_cast<double>(sampled));
     if (cutoff < 2) cutoff = 2;
-    for (size_t gi = 0; gi < idx.size(); ++gi) {
-      if (cnt[gi] >= cutoff) {
-        out.keys.FindOrInsert(idx.KeyAt(static_cast<uint32_t>(gi)));
-      }
+    for (uint32_t gi = 0; gi < sample.size(); ++gi) {
+      if (sample.rows(gi) >= cutoff) out.keys.FindOrInsert(sample.KeyAt(gi));
     }
   }
   // The sampling pass is cheap but not free; account a small stage. The
   // heavy-key set itself is tiny (<= 100/threshold keys per partition) and is
   // broadcast to all workers.
-  stage.key_encode_bytes = enc.bytes_encoded();
   stage.shuffle_bytes =
       out.size() * 16 * static_cast<uint64_t>(cluster->num_partitions());
   stage.heavy_key_count = out.size();

@@ -15,8 +15,9 @@
 // the column.
 //
 // Part 2 — the satellite APIs: the column-wise KeyEncoder
-// Begin/Append/Finish, EncodeAt (repeated and permuted key lists included)
-// and EncodeRowAt produce byte- and hash-identical keys to the row encoder;
+// Begin/Append/Finish and EncodeAt (the full-row key and repeated and
+// permuted key lists included) produce byte- and hash-identical keys to the
+// row encoder;
 // Schema::FromBagType rejects null and non-bag types with its documented
 // TypeError and Schema::Require names the missing column and the schema;
 // Partitioning::IsHashOn handles permutations and duplicate column lists on
@@ -438,15 +439,16 @@ TEST(KeyEncoderColumnTest, IncrementalMatchesEncode) {
   EXPECT_EQ(incremental.bytes_encoded(), whole.bytes_encoded());
   EXPECT_EQ(from_block.bytes_encoded(), whole.bytes_encoded());
 
-  // The other block entry points match the row encoder as well: the
-  // full-row key (Distinct's) and a repeated, permuted key list.
+  // EncodeAt matches the row encoder on the full-row key (Distinct's, every
+  // column in order) and on a repeated, permuted key list.
+  ASSERT_EQ(cols.size(), schema.size());
   const std::vector<int> permuted{3, 0, 3, 1};
   key_codec::KeyEncoder row_whole, row_block, perm_whole, perm_block;
   for (size_t i = 0; i < rows.size(); ++i) {
     SCOPED_TRACE("row " + std::to_string(i));
     key_codec::EncodedKey want_row =
         key_codec::Materialize(row_whole.EncodeRow(rows[i]));
-    key_codec::EncodedKeyRef got_row = row_block.EncodeRowAt(block, i);
+    key_codec::EncodedKeyRef got_row = row_block.EncodeAt(block, i, cols);
     EXPECT_EQ(got_row.hash, want_row.hash);
     EXPECT_EQ(std::string(got_row.bytes), want_row.bytes);
     key_codec::EncodedKey want_perm =

@@ -1,7 +1,8 @@
 // EventLog: builder rendering, ring bounding + drop counter, the file sink,
 // and the determinism contract on real runs — event content (minus `wall_`
-// fields) is bit-identical at 1/4/8 threads, and enabling the log does not
-// perturb JobStats.
+// fields) is bit-identical at 1/4/8 threads, each stage_finish carries the
+// statistic-table keys of its stage's stages[] JSON object, and enabling the
+// log does not perturb JobStats.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 
 #include "exec/pipeline.h"
 #include "obs/event_log.h"
+#include "obs/export.h"
 #include "obs/json.h"
 #include "runtime/cluster.h"
 #include "shred/shredded_type.h"
@@ -168,6 +170,9 @@ std::map<std::string, std::string> ParsedWithoutWall(const std::string& line) {
 
 struct LoggedRun {
   std::vector<std::map<std::string, std::string>> events;
+  /// Per stage: the non-wall statistic-table keys of its stages[] object in
+  /// the job-stats JSON.
+  std::vector<std::set<std::string>> stage_stat_keys;
   std::string stats_debug;
   uint64_t shuffle_bytes = 0;
   size_t stages = 0;
@@ -197,6 +202,21 @@ LoggedRun RunWithLog(int num_threads, bool log_enabled) {
     r.events.push_back(ParsedWithoutWall(line));
   }
   const runtime::JobStats& stats = cluster.stats();
+  std::set<std::string> table_keys;
+  for (const runtime::StatField& f : runtime::kStatFields) {
+    if (f.cls != runtime::StatClass::kWall) table_keys.insert(f.key);
+  }
+  auto json = obs::ParseJson(obs::JobStatsToJson(stats));
+  EXPECT_TRUE(json.ok());
+  if (json.ok()) {
+    for (const obs::JsonValue& stage : json->Find("stages")->arr) {
+      std::set<std::string> keys;
+      for (const auto& [key, val] : stage.obj) {
+        if (table_keys.count(key)) keys.insert(key);
+      }
+      r.stage_stat_keys.push_back(std::move(keys));
+    }
+  }
   r.shuffle_bytes = stats.totals().shuffle_bytes;
   r.stages = stats.stages().size();
   r.sim_seconds = stats.totals().sim_seconds;
@@ -219,17 +239,32 @@ TEST(EventLogIntegrationTest, RealRunEmitsWellFormedLifecycleEvents) {
   EXPECT_TRUE(types.count("s:job_finish"));
   EXPECT_TRUE(types.count("s:stage_finish"));
   EXPECT_TRUE(types.count("s:shuffle"));
-  // Every stage_finish carries the join keys and core measures.
+  // Every stage_finish carries the join keys and the measures of its
+  // stage's stages[] object: the same statistic-table keys, no more.
+  ASSERT_EQ(r.stage_stat_keys.size(), r.stages);
   size_t stage_finishes = 0;
+  bool keyed_stage = false;
   for (const auto& ev : r.events) {
     if (ev.at("type") != "s:stage_finish") continue;
-    ++stage_finishes;
-    for (const char* key : {"job", "stage", "op", "rows_in", "rows_out",
-                            "shuffle_bytes", "sim_seconds"}) {
-      EXPECT_TRUE(ev.count(key)) << "stage_finish missing " << key;
+    EXPECT_EQ(ev.at("stage"), "n:" + std::to_string(stage_finishes));
+    std::set<std::string> keys;
+    for (const auto& [key, val] : ev) keys.insert(key);
+    for (const char* key : {"type", "job", "stage", "op", "scope", "movement"}) {
+      EXPECT_EQ(keys.erase(key), 1u) << "stage_finish missing " << key;
     }
+    for (const char* key : {"rows_in", "rows_out", "shuffle_bytes",
+                            "sim_seconds"}) {
+      EXPECT_TRUE(keys.count(key)) << "stage_finish missing " << key;
+    }
+    if (keys.count("hash_build_rows")) keyed_stage = true;
+    if (stage_finishes < r.stages) {
+      EXPECT_EQ(keys, r.stage_stat_keys[stage_finishes])
+          << "stage " << stage_finishes << " " << ev.at("op");
+    }
+    ++stage_finishes;
   }
   EXPECT_EQ(stage_finishes, r.stages);
+  EXPECT_TRUE(keyed_stage);
   // job_finish reports ok and the count of stages that ran inside the job
   // (Source registration stages run before job_start, under job id 0, so
   // they are excluded from the delta but still present as stage_finish).

@@ -7,7 +7,9 @@
 // (identical 64-bit hash, different bytes) stay distinct; the empty key
 // (zero-length bytes) is a valid key; dense indices are stable for the
 // table's lifetime (erase-less semantics) and KeyAt round-trips every
-// inserted key byte-exactly through arena growth.
+// inserted key byte-exactly through arena growth. KeyTable, the keyed
+// operators' table, writes exactly the seven keyed counters that the same
+// Add/Find sequence run by hand on a FlatKeyIndex and a KeyEncoder yields.
 //
 // Part 2 — every Fig-7 narrow-suite query, through both compilation routes,
 // produces identical per-partition rows (hence identical placement) and
@@ -18,6 +20,7 @@
 // flow into EXPLAIN ANALYZE ("flat(tbl=") and the JSON export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -38,6 +41,7 @@ using runtime::Row;
 using runtime::StageStats;
 namespace key_codec = runtime::key_codec;
 using runtime::flat_hash::FlatKeyIndex;
+using runtime::flat_hash::KeyTable;
 
 // --- Part 1: table properties -------------------------------------------
 
@@ -215,6 +219,125 @@ TEST(FlatHashTest, ArenaStressOddLengthsManyResizes) {
     EXPECT_EQ(idx.Find(View(MakeKey(SplitMix64(i * 2654435761ull), bytes))),
               i);
   }
+}
+
+/// The bag {x: a, x: b} (order as given).
+Field PairBag(int64_t a, int64_t b) {
+  return Field::Bag({Row({Field::Int(a)}), Row({Field::Int(b)})});
+}
+
+runtime::Schema KeyedSchema() {
+  return runtime::Schema(
+      {{"k", nrc::Type::Int()},
+       {"b", nrc::Type::Bag(nrc::Type::Tuple({{"x", nrc::Type::Int()}}))}});
+}
+
+/// A (k: int, b: bag) block keyed on both columns: rows 0-47 hold 16 keys
+/// (k = i % 16, NULL for 5; the bag {i % 16, 1} in alternating element
+/// order), three rows each; rows 48-52 pair k = 0, 1, 2, 3, 0 with a NULL
+/// bag (four keys); rows 53-56 repeat key 7, which ends with 7 rows. That
+/// is 20 keys, more than a 16-slot table holds at 3/4 load.
+runtime::column::PartitionBlock KeyedBlock() {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 48; ++i) {
+    const int64_t k = i % 16;
+    rows.push_back(Row({k == 5 ? Field::Null() : Field::Int(k),
+                        i % 2 == 0 ? PairBag(k, 1) : PairBag(1, k)}));
+  }
+  for (int64_t k : {0, 1, 2, 3, 0}) {
+    rows.push_back(Row({Field::Int(k), Field::Null()}));
+  }
+  for (int i = 0; i < 4; ++i) {
+    rows.push_back(Row({Field::Int(7), PairBag(7, 1)}));
+  }
+  return runtime::column::PartitionBlock::FromRows(KeyedSchema(), rows);
+}
+
+TEST(KeyTableTest, CountersMatchTheHandWrittenLoop) {
+  const runtime::column::PartitionBlock block = KeyedBlock();
+  const std::vector<int> cols{0, 1};
+  // Probes: rows 0-15 (one per bag key, all hits) and rows whose k is
+  // shifted out of the key domain (misses).
+  std::vector<Row> probe_rows;
+  for (size_t i = 0; i < 16; ++i) probe_rows.push_back(block.RowAt(i));
+  for (int64_t k = 100; k < 104; ++k) {
+    probe_rows.push_back(Row({Field::Int(k), PairBag(k, 1)}));
+  }
+  const runtime::column::PartitionBlock probes =
+      runtime::column::PartitionBlock::FromRows(KeyedSchema(), probe_rows);
+
+  // The parent's loop, by hand: encode, find-or-insert, count.
+  StageStats want;
+  std::vector<std::pair<uint32_t, bool>> want_adds;
+  std::vector<uint32_t> want_finds;
+  {
+    FlatKeyIndex idx;
+    key_codec::KeyEncoder enc;
+    std::vector<uint64_t> group_rows;
+    for (size_t i = 0; i < block.NumRows(); ++i) {
+      auto [g, inserted] = idx.FindOrInsert(enc.EncodeAt(block, i, cols));
+      if (inserted) {
+        group_rows.push_back(0);
+        want.hash_build_rows++;
+      } else {
+        want.hash_probe_hits++;
+      }
+      want.hash_max_chain = std::max(want.hash_max_chain, ++group_rows[g]);
+      want_adds.emplace_back(g, inserted);
+    }
+    for (size_t j = 0; j < probes.NumRows(); ++j) {
+      const uint32_t g = idx.Find(enc.EncodeAt(probes, j, cols));
+      if (g != FlatKeyIndex::kNotFound) want.hash_probe_hits++;
+      want_finds.push_back(g);
+    }
+    want.key_encode_bytes = enc.bytes_encoded();
+    want.hash_table_bytes = idx.table_bytes();
+    want.hash_resizes = idx.resizes();
+    want.hash_probe_len_max = idx.max_probe_len();
+  }
+
+  StageStats got;
+  {
+    KeyTable table(&got);
+    for (size_t i = 0; i < block.NumRows(); ++i) {
+      EXPECT_EQ(table.Add(block, i, cols), want_adds[i]) << "add " << i;
+    }
+    for (size_t j = 0; j < probes.NumRows(); ++j) {
+      EXPECT_EQ(table.Find(probes, j, cols), want_finds[j]) << "find " << j;
+    }
+    EXPECT_EQ(table.size(), 20u);
+    EXPECT_EQ(table.rows(want_adds[7].first), 7u);
+    // The table-level counters land when the table goes away.
+    EXPECT_EQ(got.key_encode_bytes, 0u);
+    EXPECT_EQ(got.hash_table_bytes, 0u);
+  }
+  // 20 keys; 37 repeated adds and 16 found probes; key 7 holds 7 rows.
+  EXPECT_EQ(want.hash_build_rows, 20u);
+  EXPECT_EQ(want.hash_probe_hits, 37u + 16u);
+  EXPECT_EQ(want.hash_max_chain, 7u);
+  EXPECT_GE(want.hash_resizes, 1u);
+  EXPECT_EQ(got.hash_build_rows, want.hash_build_rows);
+  EXPECT_EQ(got.hash_probe_hits, want.hash_probe_hits);
+  EXPECT_EQ(got.hash_max_chain, want.hash_max_chain);
+  EXPECT_EQ(got.key_encode_bytes, want.key_encode_bytes);
+  EXPECT_EQ(got.hash_table_bytes, want.hash_table_bytes);
+  EXPECT_EQ(got.hash_resizes, want.hash_resizes);
+  EXPECT_EQ(got.hash_probe_len_max, want.hash_probe_len_max);
+
+  // A second table on the same slot (as the heavy-key sampler runs one per
+  // partition) adds its sums and keeps the larger maxima.
+  {
+    KeyTable again(&got);
+    for (size_t i = 0; i < block.NumRows(); ++i) again.Add(block, i, cols);
+    for (size_t j = 0; j < probes.NumRows(); ++j) again.Find(probes, j, cols);
+  }
+  EXPECT_EQ(got.hash_build_rows, 2 * want.hash_build_rows);
+  EXPECT_EQ(got.hash_probe_hits, 2 * want.hash_probe_hits);
+  EXPECT_EQ(got.key_encode_bytes, 2 * want.key_encode_bytes);
+  EXPECT_EQ(got.hash_table_bytes, 2 * want.hash_table_bytes);
+  EXPECT_EQ(got.hash_resizes, 2 * want.hash_resizes);
+  EXPECT_EQ(got.hash_max_chain, want.hash_max_chain);
+  EXPECT_EQ(got.hash_probe_len_max, want.hash_probe_len_max);
 }
 
 // --- Part 2: the Fig-7 suite with partition parallelism on and off -------

@@ -1,13 +1,14 @@
 // Encoded-key codec tests (ctest label `keys`).
 //
 // Part 1 — codec properties: on randomized field values (NULLs, int/real
-// numeric edges, empty strings, nested and collapsed labels, null, empty
-// and nested bags) the binary encoding's byte equality coincides with the
-// legacy container identity (Field::operator== AND Field::Hash per column),
-// and the encoder's hash equals RowHashOn (so the commutative,
+// numeric edges, empty strings, nested and collapsed labels, empty and
+// nested bags, NULL in bag positions) the binary encoding's byte equality
+// coincides with the
+// legacy container identity (Field::operator== AND Field::Hash per
+// column), and the encoder's hash equals RowHashOn (so the commutative,
 // order-insensitive guarantee survives — permuted key columns hash and
 // place identically). Bags encode canonically: element order never matters,
-// multiplicity, Int-vs-Real elements and null-vs-empty always do.
+// multiplicity, Int-vs-Real elements and NULL-vs-empty always do.
 //
 // Part 2 — bag-valued keys end to end: Distinct, NestGroup, SumAggregate,
 // HashJoin and CoGroup keyed on a bag column produce the hand-computed
@@ -37,7 +38,6 @@
 namespace trance {
 namespace {
 
-using runtime::BagPtr;
 using runtime::Dataset;
 using runtime::Field;
 using runtime::Row;
@@ -88,11 +88,11 @@ Field RandomField(Rng* rng, int depth) {
   }
 }
 
-/// A null, empty, or small bag of one- or two-field rows. Elements come
+/// NULL, or an empty or small bag of one- or two-field rows. Elements come
 /// from a tiny domain (0/1 as Int or Real, "", NULL, nested bags) so equal,
 /// permuted, and Int-vs-Real-differing bags are all common.
 Field RandomBag(Rng* rng, int depth) {
-  if (rng->UniformRange(0, 7) == 0) return Field::Bag(BagPtr(nullptr));
+  if (rng->UniformRange(0, 7) == 0) return Field::Null();
   std::vector<Row> elems;
   for (int64_t i = 0, n = rng->UniformRange(0, 3); i < n; ++i) {
     Row r;
@@ -123,7 +123,7 @@ Field RandomBag(Rng* rng, int depth) {
 /// The same runtime value with every bag's elements (recursively) in
 /// reversed order: operator== and Field::Hash treat it as the same value.
 Field Permuted(const Field& f) {
-  if (!f.is_bag() || f.AsBag() == nullptr) return f;
+  if (!f.is_bag()) return f;
   std::vector<Row> elems;
   const std::vector<Row>& members = f.AsBag()->rows();
   for (auto it = members.rbegin(); it != members.rend(); ++it) {
@@ -219,10 +219,10 @@ TEST(KeyCodecTest, SignedZeroMergesNullLabelStaysDistinct) {
   // 0.0 == -0.0 and their hashes agree.
   EXPECT_EQ(pos.bytes, enc.Encode(Row({Field::Real(-0.0)}), {0}).bytes);
 
-  // A null label pointer and a label with zero captured params are distinct
-  // runtime values (distinct hashes) and must not merge.
+  // NULL in a label column and a label with zero captured params are
+  // distinct runtime values (distinct hashes) and must not merge.
   key_codec::EncodedKey null_label =
-      key_codec::Materialize(enc.Encode(Row({Field::Label(nullptr)}), {0}));
+      key_codec::Materialize(enc.Encode(Row({Field::Null()}), {0}));
   EXPECT_NE(null_label.bytes,
             enc.Encode(Row({runtime::MakeLabel({})}), {0}).bytes);
 }
@@ -241,19 +241,22 @@ Field IntBag(std::vector<int64_t> xs) {
 
 TEST(KeyCodecTest, BagEncodingIsCanonical) {
   // Element order never reaches the bytes; multiplicity, element type, and
-  // null-vs-empty always do (each mirrors Field::operator== plus
+  // NULL-vs-empty always do (each mirrors Field::operator== plus
   // Field::Hash).
   EXPECT_EQ(KeyBytes(IntBag({1, 2, 3})), KeyBytes(IntBag({3, 1, 2})));
   EXPECT_NE(KeyBytes(IntBag({1, 2})), KeyBytes(IntBag({1, 1, 2})));
   EXPECT_NE(KeyBytes(IntBag({1})),
             KeyBytes(Field::Bag({Row({Field::Real(1.0)})})));
-  EXPECT_NE(KeyBytes(IntBag({})), KeyBytes(Field::Bag(BagPtr(nullptr))));
-  // Nested bags canonicalize at every level.
+  EXPECT_NE(KeyBytes(IntBag({})), KeyBytes(Field::Null()));
+  // Nested bags canonicalize at every level; a NULL inner bag and an empty
+  // one stay distinct.
   Field nested_a = Field::Bag({Row({IntBag({1, 2})}), Row({IntBag({})})});
   Field nested_b = Field::Bag({Row({IntBag({})}), Row({IntBag({2, 1})})});
   EXPECT_EQ(KeyBytes(nested_a), KeyBytes(nested_b));
   EXPECT_NE(KeyBytes(nested_a),
             KeyBytes(Field::Bag({Row({IntBag({1, 2})}), Row({IntBag({0})})})));
+  EXPECT_NE(KeyBytes(nested_a), KeyBytes(Field::Bag({Row({IntBag({1, 2})}),
+                                                    Row({Field::Null()})})));
   // A bag is never confused with the flat value it contains.
   EXPECT_NE(KeyBytes(IntBag({1})), KeyBytes(Field::Int(1)));
 }
@@ -261,8 +264,8 @@ TEST(KeyCodecTest, BagEncodingIsCanonical) {
 // --- Part 2: bag-valued keys end to end -----------------------------------
 
 /// A canonical rendering that is strict where Field::operator== is lenient:
-/// Int and Real cells render differently, a null bag differs from an empty
-/// one, and bag elements are sorted so element order does not matter.
+/// Int and Real cells render differently, and bag elements are sorted so
+/// element order does not matter.
 std::string Canon(const Row& r);
 
 std::string Canon(const Field& f) {
@@ -272,7 +275,6 @@ std::string Canon(const Field& f) {
   if (f.is_string()) return "s'" + f.AsString() + "'";
   if (f.is_bool()) return f.AsBool() ? "T" : "F";
   if (f.is_label()) return "L" + f.ToString();
-  if (f.AsBag() == nullptr) return "nullbag";
   std::vector<std::string> elems;
   for (const Row& r : *f.AsBag()) elems.push_back(Canon(r));
   std::sort(elems.begin(), elems.end());
@@ -300,13 +302,14 @@ void ExpectSameMultiset(const std::vector<Row>& actual,
 
 // The key domain: K1 and K1p differ only in element order (one key); K2
 // adds a duplicate element; K3 holds Real(1.0) where K1 holds Int(1); K4 is
-// empty and K5 a null bag (two keys); K6 and K6p nest K1 and K1p (one key).
+// empty and K5 a one-element bag (two keys; not NULL, which a join or
+// cogroup never matches); K6 and K6p nest K1 and K1p (one key).
 Field K1() { return IntBag({1, 2}); }
 Field K1p() { return IntBag({2, 1}); }
 Field K2() { return IntBag({1, 1, 2}); }
 Field K3() { return Field::Bag({Row({Field::Real(1.0)}), Row({Field::Int(2)})}); }
 Field K4() { return IntBag({}); }
-Field K5() { return Field::Bag(BagPtr(nullptr)); }
+Field K5() { return IntBag({2}); }
 Field K6() { return Field::Bag({Row({K1()}), Row({K4()})}); }
 Field K6p() { return Field::Bag({Row({K4()}), Row({K1p()})}); }
 
@@ -514,12 +517,14 @@ TEST(KeyCodecRuntimeTest, DistinctOnOffIdenticalAndCounted) {
   fig7_suite::ExpectSameStats(seq_stats, par_stats);
   EXPECT_EQ(seq_out.NumRows(), 100u);
   // The dedup stage is the last recorded; 100 distinct keys built, 900
-  // duplicate membership hits, 10 rows per key.
+  // duplicate membership hits, 10 rows per key. Every row's key is an int
+  // (9 bytes) and a string (5 bytes and "v0".."v99"): 10 keys of 16 bytes
+  // and 90 of 17, each encoded 10 times.
   const StageStats& stage = seq_stats.stages().back();
   EXPECT_EQ(stage.hash_build_rows, 100u);
   EXPECT_EQ(stage.hash_probe_hits, 900u);
   EXPECT_EQ(stage.hash_max_chain, 10u);
-  EXPECT_GT(stage.key_encode_bytes, 0u);
+  EXPECT_EQ(stage.key_encode_bytes, 10u * (10 * 16 + 90 * 17));
 }
 
 TEST(KeyCodecRuntimeTest, CountersVisibleInJsonAndExplain) {

@@ -331,6 +331,44 @@ TEST(TracerTest, ChromeTraceJsonRoundTrip) {
   EXPECT_EQ(events->arr[0].Find("args")->Find("note")->str, "a\\b");
 }
 
+TEST(TracerTest, StageArgsFollowTheStatTable) {
+  // A stage's trace args are the statistic-table rows its JSON object
+  // carries, formatted as EXPLAIN formats them: a shown group's keys appear
+  // (zeros included), a zero group's do not, and the wall-clock row is the
+  // event's own duration.
+  runtime::StageStats s;
+  s.op = "join";
+  s.scope = "Q#1";
+  s.rows_in = 10;
+  s.shuffle_bytes = 2048;
+  s.hash_build_rows = 3;
+  s.sim_seconds = 0.25;
+  s.wall_dur_us = 7;
+  runtime::JobStats stats;
+  stats.AddStage(s);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  obs::AppendJobStagesToTrace(stats, &tracer, "run");
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "run/join");
+  EXPECT_EQ(events[0].dur_us, 7);
+  const std::map<std::string, std::string> args(events[0].args.begin(),
+                                                events[0].args.end());
+  EXPECT_EQ(args.size(), events[0].args.size()) << "a key appears twice";
+  EXPECT_EQ(args.at("rows_in"), "10");
+  EXPECT_EQ(args.at("shuffle_bytes"), "2.0 KB");
+  EXPECT_EQ(args.at("hash_build_rows"), "3");
+  EXPECT_EQ(args.at("hash_probe_hits"), "0");
+  EXPECT_EQ(args.at("sim_seconds"), "0.250s");
+  EXPECT_EQ(args.at("movement"), "local");
+  EXPECT_EQ(args.at("straggler"), "1.00x");
+  EXPECT_EQ(args.at("scope"), "Q#1");
+  EXPECT_EQ(args.count("spill_runs"), 0u);
+  EXPECT_EQ(args.count("hash_table_bytes"), 0u);
+  EXPECT_EQ(args.count("wall_dur_us"), 0u);
+}
+
 // --- EXPLAIN ANALYZE on real runs ----------------------------------------
 
 Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {

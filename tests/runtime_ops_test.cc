@@ -61,13 +61,23 @@ TEST(FieldTest, BagMultisetEquality) {
   Field b = Field::Bag({Row({Field::Int(2)}), Row({Field::Int(1)})});
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
-  // A null and an empty inner bag are different elements, in either order.
-  Field null_bag = Field::Bag(BagPtr(nullptr));
+  // A NULL and an empty inner bag are different elements, in either order.
   Field empty_bag = Field::Bag(std::vector<Row>{});
-  Field c = Field::Bag({Row({null_bag}), Row({empty_bag})});
-  Field d = Field::Bag({Row({empty_bag}), Row({null_bag})});
+  Field c = Field::Bag({Row({Field::Null()}), Row({empty_bag})});
+  Field d = Field::Bag({Row({empty_bag}), Row({Field::Null()})});
   EXPECT_EQ(c, d);
+  EXPECT_EQ(c.Hash(), d.Hash());
   EXPECT_NE(c, Field::Bag({Row({empty_bag}), Row({empty_bag})}));
+  EXPECT_NE(empty_bag, Field::Null());
+}
+
+TEST(FieldDeathTest, LabelAndBagCellsHoldAnObject) {
+  // NULL has one form, Field::Null(): a label or bag cell of a null pointer
+  // is a bug at the site that builds it. Thread-safe style: the ops label
+  // also runs under TSan.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(Field::Label(nullptr), "Field::Label of a null pointer");
+  EXPECT_DEATH(Field::Bag(BagPtr()), "Field::Bag of a null pointer");
 }
 
 TEST(FieldTest, DeepSizeCountsNestedBags) {
@@ -97,16 +107,12 @@ uint64_t WalkDeepSize(const Field& f) {
   if (f.is_string()) return 32 + f.AsString().size();
   if (f.is_label()) {
     uint64_t s = 16;
-    if (f.AsLabel() != nullptr) {
-      for (const auto& [n, v] : f.AsLabel()->params()) s += 8 + WalkDeepSize(v);
-    }
+    for (const auto& [n, v] : f.AsLabel()->params()) s += 8 + WalkDeepSize(v);
     return s;
   }
   if (f.is_bag()) {
     uint64_t s = 32;
-    if (f.AsBag() != nullptr) {
-      for (const Row& r : *f.AsBag()) s += WalkRowDeepSize(r);
-    }
+    for (const Row& r : *f.AsBag()) s += WalkRowDeepSize(r);
     return s;
   }
   return 8;
@@ -121,19 +127,15 @@ uint64_t WalkRowHash(const Row& r) {
 uint64_t WalkHash(const Field& f) {
   if (f.is_label()) {
     uint64_t h = 0x1AB;
-    if (f.AsLabel() != nullptr) {
-      for (const auto& [n, v] : f.AsLabel()->params()) {
-        h = HashCombine(h, HashString(n));
-        h = HashCombine(h, WalkHash(v));
-      }
+    for (const auto& [n, v] : f.AsLabel()->params()) {
+      h = HashCombine(h, HashString(n));
+      h = HashCombine(h, WalkHash(v));
     }
     return h;
   }
   if (f.is_bag()) {
     uint64_t h = 0xBA6;
-    if (f.AsBag() != nullptr) {
-      for (const Row& r : *f.AsBag()) h += Mix64(WalkRowHash(r));
-    }
+    for (const Row& r : *f.AsBag()) h += Mix64(WalkRowHash(r));
     return Mix64(h);
   }
   return f.Hash();  // scalars store nothing
@@ -144,12 +146,12 @@ uint64_t WalkHash(const Field& f) {
 void ExpectSummariesMatchWalk(const Field& f, const std::string& at) {
   EXPECT_EQ(f.DeepSize(), WalkDeepSize(f)) << at << ": " << f.ToString();
   EXPECT_EQ(f.Hash(), WalkHash(f)) << at << ": " << f.ToString();
-  if (f.is_label() && f.AsLabel() != nullptr) {
+  if (f.is_label()) {
     for (const auto& [n, v] : f.AsLabel()->params()) {
       ExpectSummariesMatchWalk(v, at + "." + n);
     }
   }
-  if (f.is_bag() && f.AsBag() != nullptr) {
+  if (f.is_bag()) {
     for (size_t i = 0; i < f.AsBag()->size(); ++i) {
       const Row& r = (*f.AsBag())[i];
       for (size_t c = 0; c < r.fields.size(); ++c) {
@@ -161,9 +163,10 @@ void ExpectSummariesMatchWalk(const Field& f, const std::string& at) {
   }
 }
 
-/// A random nested value built with Field::Bag and MakeLabel: scalars, NULL,
-/// null and empty bags, bags of rows holding labels and bags, labels over
-/// scalars and labels, and single-label labels that MakeLabel collapses.
+/// A random nested value built with Field::Bag and MakeLabel: scalars, NULL
+/// (also where a bag would go), empty bags, bags of rows holding labels and
+/// bags, labels over scalars and labels, and single-label labels that
+/// MakeLabel collapses.
 Field RandomNested(std::mt19937_64* rng, int depth) {
   const int kind = static_cast<int>((*rng)() % (depth > 0 ? 10 : 5));
   switch (kind) {
@@ -174,7 +177,7 @@ Field RandomNested(std::mt19937_64* rng, int depth) {
       return Field::Str(
           std::string((*rng)() % 20, static_cast<char>('a' + (*rng)() % 26)));
     case 4: return Field::Bool(((*rng)() & 1) != 0);
-    case 5: return Field::Bag(BagPtr(nullptr));
+    case 5: return Field::Null();
     case 6: {  // a label over 0-3 parameters
       std::vector<std::pair<std::string, Field>> params;
       const size_t n = (*rng)() % 4;
@@ -220,16 +223,17 @@ TEST(FieldTest, StoredSummariesMatchAFreshWalk) {
   EXPECT_EQ(bag.DeepSize(), 122u);
   ExpectSummariesMatchWalk(bag, "hand");
 
-  // NULL, empty and nested bags, labels inside bags, and the collapse.
+  // NULL, empty and nested bags, empty labels and labels inside bags, and
+  // the collapse.
   const Field empty = Field::Bag(std::vector<Row>{});
-  const Field null_bag = Field::Bag(BagPtr(nullptr));
-  const Field null_label = Field::Label(LabelPtr(nullptr));
+  const Field empty_label = MakeLabel({});
   EXPECT_EQ(empty.DeepSize(), 32u);
-  EXPECT_EQ(null_bag.DeepSize(), 32u);
-  EXPECT_EQ(null_label.DeepSize(), 16u);
-  EXPECT_EQ(null_label.Hash(), 0x1ABu);
-  const Field nested = Field::Bag(
-      {Row({empty, null_bag, null_label}), Row({bag, label, Field::Null()})});
+  EXPECT_EQ(Field::Null().DeepSize(), 8u);
+  EXPECT_EQ(empty_label.DeepSize(), 16u);
+  EXPECT_EQ(empty_label.Hash(), 0x1ABu);
+  const Field nested =
+      Field::Bag({Row({empty, Field::Null(), empty_label}),
+                  Row({bag, label, Field::Null()})});
   ExpectSummariesMatchWalk(nested, "nested");
   const Field collapsed = MakeLabel({{"x", label}});
   EXPECT_EQ(collapsed.AsLabel(), label.AsLabel());

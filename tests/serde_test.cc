@@ -52,8 +52,7 @@ void ExpectFieldBitEq(const Field& a, const Field& b, const std::string& at) {
     EXPECT_EQ(a.AsInt(), b.AsInt()) << at;
     return;
   }
-  if (a.is_label() && b.is_label() && a.AsLabel() != nullptr &&
-      b.AsLabel() != nullptr) {
+  if (a.is_label() && b.is_label()) {
     const auto& pa = a.AsLabel()->params();
     const auto& pb = b.AsLabel()->params();
     ASSERT_EQ(pa.size(), pb.size()) << at;
@@ -64,7 +63,7 @@ void ExpectFieldBitEq(const Field& a, const Field& b, const std::string& at) {
     }
     return;
   }
-  if (a.is_bag() && b.is_bag() && a.AsBag() != nullptr && b.AsBag() != nullptr) {
+  if (a.is_bag() && b.is_bag()) {
     const auto& ra = *a.AsBag();
     const auto& rb = *b.AsBag();
     ASSERT_EQ(ra.size(), rb.size()) << at;
@@ -265,23 +264,29 @@ TEST(SerdeRoundTripTest, RecursiveLabelsAndBags) {
   std::vector<Row> bag_outer;
   bag_outer.push_back(Row{{Field::Bag(bag_inner), Field::Bool(true)}});
 
+  // Row 0 holds nested cells; row 1 NULL in both columns; row 2 an empty
+  // label and an empty bag, which are not NULL.
   std::vector<Row> rows;
-  rows.push_back(Row{{Field::Label(outer), Field::Bag(bag_outer),
-                      Field::Label(nullptr), Field::Bag(std::vector<Row>{})}});
-  Schema schema({{"l", nrc::Type::Label()},
-                 {"g", BagOfInts()},
-                 {"nl", nrc::Type::Label()},
-                 {"ng", BagOfInts()}});
+  rows.push_back(Row{{Field::Label(outer), Field::Bag(bag_outer)}});
+  rows.push_back(Row{{Field::Null(), Field::Null()}});
+  rows.push_back(Row{{MakeLabel({}), Field::Bag(std::vector<Row>{})}});
+  Schema schema({{"l", nrc::Type::Label()}, {"g", BagOfInts()}});
 
   std::vector<Row> back =
       ReadAll(FileOf(column::PartitionBlock::FromRows(schema, rows)), schema);
-  ASSERT_EQ(back.size(), 1u);
-  // A null LabelPtr comes back as an empty label; a null BagPtr as an empty
-  // bag — value-equal under operator== either way.
-  EXPECT_TRUE(rows[0].fields[0] == back[0].fields[0]);
-  EXPECT_TRUE(rows[0].fields[1] == back[0].fields[1]);
-  EXPECT_TRUE(back[0].fields[2].is_label());
-  EXPECT_TRUE(back[0].fields[3].is_bag());
+  ASSERT_EQ(back.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_TRUE(rows[i].fields[c] == back[i].fields[c])
+          << "row " << i << " column " << c << ": "
+          << back[i].fields[c].ToString();
+    }
+  }
+  EXPECT_TRUE(back[1].fields[0].is_null());
+  EXPECT_TRUE(back[1].fields[1].is_null());
+  EXPECT_FALSE(back[2].fields[0] == back[1].fields[0]);
+  EXPECT_FALSE(back[2].fields[1] == back[1].fields[1]);
+  ExpectRowsBitEq(rows, back);
 }
 
 /// A random cell for a column of `type_code`: 0 int, 1 real, 2 string,

@@ -500,6 +500,51 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
   EXPECT_EQ(m.total_runs(), c.spill_runs);
 }
 
+TEST(SpillManagerTest, NullEmptyAndNestedCellsSurviveASpill) {
+  // Label and bag columns holding NULL, empty and nested cells (NULL and
+  // empty inside the nesting too) come back equal under operator==, and
+  // NULL stays distinct from empty.
+  runtime::spill::SpillConfig cfg;
+  cfg.dir = ::testing::TempDir();
+  runtime::spill::SpillManager m(cfg);
+  const nrc::TypePtr inner_t =
+      nrc::Type::Bag(nrc::Type::Tuple({{"y", nrc::Type::Int()}}));
+  const runtime::Schema schema(
+      {{"l", nrc::Type::Label()},
+       {"g", nrc::Type::Bag(nrc::Type::Tuple(
+                 {{"x", nrc::Type::Int()}, {"inner", inner_t}}))}});
+  const Field empty_bag = Field::Bag(std::vector<Row>{});
+  const Field inner = Field::Bag({Row({Field::Int(3)}), Row({Field::Null()})});
+  const Field nested_bag =
+      Field::Bag({Row({Field::Int(1), empty_bag}),
+                  Row({Field::Int(2), Field::Null()}),
+                  Row({Field::Null(), inner})});
+  const Field nested_label = runtime::MakeLabel(
+      {{"id", Field::Int(1)},
+       {"in", runtime::MakeLabel({{"k", Field::Str("a")},
+                                  {"n", Field::Null()},
+                                  {"e", runtime::MakeLabel({})}})},
+       {"b", nested_bag}});
+  const std::vector<Row> rows = {
+      Row({Field::Null(), Field::Null()}),
+      Row({runtime::MakeLabel({}), empty_bag}),
+      Row({nested_label, nested_bag}),
+      Row({nested_label, Field::Bag({Row({Field::Null(), empty_bag})})}),
+  };
+  runtime::StageStats c;
+  auto restored = m.SpillAndRestoreBlock(
+      1, "stage(cells)", 0, schema,
+      runtime::column::PartitionBlock::FromRows(schema, rows), &c);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_GT(c.spill_runs, 0u);
+  ExpectBlockRows(*restored, rows);
+  EXPECT_TRUE(restored->IsNull(0, 0));
+  EXPECT_TRUE(restored->IsNull(0, 1));
+  EXPECT_FALSE(restored->IsNull(1, 0));
+  EXPECT_FALSE(restored->IsNull(1, 1));
+  EXPECT_NE(restored->FieldAt(1, 1), Field::Null());
+}
+
 TEST(SpillManagerTest, ByteBudgetExhaustionNamesBudgetAndUsage) {
   runtime::spill::SpillConfig cfg;
   cfg.dir = ::testing::TempDir();
