@@ -73,24 +73,6 @@ runtime::ClusterConfig BenchClusterConfig(int num_partitions,
   return c;
 }
 
-Status RegisterTable(exec::Executor* executor, const tpch::Table& table,
-                     const std::string& name) {
-  TRANCE_ASSIGN_OR_RETURN(
-      runtime::Dataset ds,
-      runtime::Source(executor->cluster(), table.schema, table.rows, name));
-  executor->Register(name, std::move(ds));
-  return Status::OK();
-}
-
-Status RegisterShreddedRun(exec::Executor* executor, const std::string& name,
-                           const exec::ShreddedRun& run) {
-  executor->Register(shred::FlatInputName(name), run.top);
-  for (const auto& [path, ds] : run.dicts) {
-    executor->Register(shred::DictInputName(name, path), ds);
-  }
-  return Status::OK();
-}
-
 RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
                    const std::function<Status()>& body) {
   RunResult r;
@@ -112,6 +94,125 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
   r.ok = st.ok();
   if (!st.ok()) r.fail_reason = st.ToString();
   obs::AppendJobStagesToTrace(stats, tracer, name);
+  return r;
+}
+
+namespace {
+
+const tpch::Table* TableNamed(const tpch::TpchData& d,
+                              const std::string& name) {
+  const std::pair<const char*, const tpch::Table*> tables[] = {
+      {"Region", &d.region},     {"Nation", &d.nation},
+      {"Customer", &d.customer}, {"Orders", &d.orders},
+      {"Lineitem", &d.lineitem}, {"Part", &d.part}};
+  for (const auto& [n, t] : tables) {
+    if (name == n) return t;
+  }
+  return nullptr;
+}
+
+/// Registers the inputs `program` reads in the form the standard or the
+/// shredded route reads: a TPC-H table through Source (a flat table is its
+/// own shredded form, X_F), COP from `nested`.
+Status RegisterTpchInputs(exec::Executor* executor,
+                          const nrc::Program& program,
+                          const tpch::TpchData& data,
+                          const NestedInput& nested, bool shredded) {
+  for (const nrc::InputDecl& in : program.inputs) {
+    if (in.name == "COP") {
+      if (shredded && nested.shredded.has_value()) {
+        exec::RegisterShreddedRun(executor, in.name, *nested.shredded);
+      } else if (!shredded && nested.standard.has_value()) {
+        executor->Register(in.name, *nested.standard);
+      } else {
+        return Status::ResourceExhausted(
+            "input materialization: " +
+            (shredded ? nested.shredded_fail : nested.standard_fail));
+      }
+      continue;
+    }
+    const tpch::Table* table = TableNamed(data, in.name);
+    if (table == nullptr) return Status::KeyError("no TPC-H table " + in.name);
+    const std::string name = shredded ? shred::FlatInputName(in.name) : in.name;
+    TRANCE_ASSIGN_OR_RETURN(
+        runtime::Dataset ds,
+        runtime::Source(executor->cluster(), table->schema, table->rows, name));
+    executor->Register(name, std::move(ds));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+NestedInput PrepareNestedInput(const tpch::TpchData& data, int depth,
+                               tpch::Width width,
+                               const runtime::ClusterConfig& config) {
+  NestedInput out;
+  const nrc::Program prep = tpch::FlatToNested(depth, width).ValueOrDie();
+  const exec::PipelineOptions options;
+  {
+    runtime::Cluster cluster(config);
+    exec::Executor executor(&cluster, options.exec);
+    Status st = RegisterTpchInputs(&executor, prep, data, out, false);
+    TRANCE_CHECK(st.ok(), st.ToString());
+    auto ds = exec::RunStandard(prep, &executor, options);
+    if (ds.ok()) {
+      out.standard = std::move(ds).value();
+    } else {
+      out.standard_fail = ds.status().ToString();
+    }
+  }
+  {
+    runtime::Cluster cluster(config);
+    exec::Executor executor(&cluster, options.exec);
+    Status st = RegisterTpchInputs(&executor, prep, data, out, true);
+    TRANCE_CHECK(st.ok(), st.ToString());
+    auto run = exec::RunShredded(prep, &executor, options);
+    if (run.ok()) {
+      out.shredded = std::move(run).value();
+    } else {
+      out.shredded_fail = run.status().ToString();
+    }
+  }
+  return out;
+}
+
+RunResult RunTpchCell(const std::string& name, const tpch::TpchData& data,
+                      const NestedInput& nested, const nrc::Program& program,
+                      Strategy strategy, const runtime::ClusterConfig& config,
+                      const exec::PipelineOptions& options,
+                      shred::MaterializeMode mode) {
+  runtime::Cluster cluster(config);
+  exec::Executor executor(&cluster, options.exec);
+  Status setup = RegisterTpchInputs(&executor, program, data, nested,
+                                    IsShredded(strategy));
+  if (!setup.ok()) {
+    RunResult r;
+    r.name = name;
+    r.fail_reason = setup.ToString();
+    return r;
+  }
+  size_t out_rows = 0;
+  RunResult r = TimedRun(name, &cluster, [&]() -> Status {
+    if (!IsShredded(strategy)) {
+      TRANCE_ASSIGN_OR_RETURN(runtime::Dataset out,
+                              exec::RunStandard(program, &executor, options));
+      out_rows = out.NumRows();
+      return Status::OK();
+    }
+    TRANCE_ASSIGN_OR_RETURN(
+        exec::ShreddedRun run,
+        exec::RunShredded(program, &executor, options, mode));
+    if (!WantsUnshred(strategy)) {
+      out_rows = run.top.NumRows();
+      return Status::OK();
+    }
+    TRANCE_ASSIGN_OR_RETURN(runtime::Dataset out,
+                            exec::UnshredRun(&executor, run));
+    out_rows = out.NumRows();
+    return Status::OK();
+  });
+  r.out_rows = out_rows;
   return r;
 }
 

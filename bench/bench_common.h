@@ -1,6 +1,7 @@
 // Shared harness for the figure/table benchmarks: strategy definitions,
 // timed execution with FAIL capture (simulated worker memory saturation),
-// dataset preparation for all compilation routes, and table rendering.
+// the TPC-H cell runner (input preparation and registration for every
+// compilation route, then one timed run), and table rendering.
 //
 // Reported quantities per run:
 //   wall   — actual wall-clock of the in-process execution;
@@ -14,6 +15,7 @@
 #define TRANCE_BENCH_BENCH_COMMON_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "obs/metrics.h"
 #include "runtime/cluster.h"
 #include "tpch/generator.h"
+#include "tpch/queries.h"
 
 namespace trance {
 namespace bench {
@@ -68,19 +71,41 @@ runtime::ClusterConfig BenchClusterConfig(int num_partitions,
                                           uint64_t partition_memory_cap,
                                           uint64_t broadcast_threshold);
 
-/// Registers a TPC-H table as an input dataset (untimed; the paper reports
-/// runtime "after caching all inputs").
-Status RegisterTable(exec::Executor* executor, const tpch::Table& table,
-                     const std::string& name);
-
-/// Registers a previously computed shredded run as shredded input `name`
-/// (name_F + name_D_<path>).
-Status RegisterShreddedRun(exec::Executor* executor, const std::string& name,
-                           const exec::ShreddedRun& run);
-
 /// Times `body` on a fresh stats scope of `cluster`; captures FAIL.
 RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
                    const std::function<Status()>& body);
+
+// --- TPC-H cells ---------------------------------------------------------
+
+/// The nested relation COP a nested-to-* TPC-H query reads, built by the
+/// flat-to-nested query of the same depth on each route (untimed; the paper
+/// reports runtime "after caching all inputs"). A form whose preparation
+/// FAILed holds its reason instead, and every cell reading it FAILs.
+struct NestedInput {
+  std::optional<runtime::Dataset> standard;
+  std::string standard_fail;
+  std::optional<exec::ShreddedRun> shredded;
+  std::string shredded_fail;
+};
+
+/// Prepares COP from `data` with tpch::FlatToNested(depth, width) on both
+/// routes, each on a fresh cluster built from `config`.
+NestedInput PrepareNestedInput(const tpch::TpchData& data, int depth,
+                               tpch::Width width,
+                               const runtime::ClusterConfig& config);
+
+/// Runs one TPC-H cell on a fresh cluster built from `config`: registers the
+/// tables `program` reads, and COP from `nested` if it reads COP, in the
+/// form `strategy`'s route reads (untimed), then times `program` on that
+/// route (standard; shredded, output left shredded; or shredded then
+/// unshredded) with `options` and materialization `mode`. A COP form that
+/// failed to prepare fails the cell without running it.
+RunResult RunTpchCell(const std::string& name, const tpch::TpchData& data,
+                      const NestedInput& nested, const nrc::Program& program,
+                      Strategy strategy, const runtime::ClusterConfig& config,
+                      const exec::PipelineOptions& options,
+                      shred::MaterializeMode mode =
+                          shred::MaterializeMode::kDomainElimination);
 
 /// Renders results as an aligned table.
 void PrintHeader(const std::string& title);

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -66,10 +67,14 @@ bool NearlyEqual(double a, double b) {
   return std::fabs(a - b) <= 1e-9 * scale;
 }
 
-const JsonValue* FindRun(const JsonValue& runs, const std::string& name) {
+/// The `nth` (0-based) run named `name`. A report may repeat a name (the
+/// shuffle table runs the Fig-7 suite twice, narrow then wide), so the k-th
+/// run of a name in one report matches the k-th run of it in the other.
+const JsonValue* FindRun(const JsonValue& runs, const std::string& name,
+                         int nth) {
   for (const JsonValue& r : runs.arr) {
     const JsonValue* n = r.Find("name");
-    if (n != nullptr && n->str == name) return &r;
+    if (n != nullptr && n->str == name && nth-- == 0) return &r;
   }
   return nullptr;
 }
@@ -333,19 +338,24 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "reports lack a runs array\n");
     return 2;
   }
+  std::map<std::string, int> seen;
   for (const JsonValue& br : bruns->arr) {
     const JsonValue* n = br.Find("name");
     if (n == nullptr) continue;
-    const JsonValue* cr = FindRun(*cruns, n->str);
+    const int nth = seen[n->str]++;
+    const std::string label =
+        nth == 0 ? n->str : n->str + " #" + std::to_string(nth + 1);
+    const JsonValue* cr = FindRun(*cruns, n->str, nth);
     if (cr == nullptr) {
-      st.Fail(n->str + ": run missing from candidate");
+      st.Fail(label + ": run missing from candidate");
       continue;
     }
-    DiffValue(&st, n->str, Policy::kExact, &br, cr);
+    DiffValue(&st, label, Policy::kExact, &br, cr);
   }
+  seen.clear();
   for (const JsonValue& cr : cruns->arr) {
     const JsonValue* n = cr.Find("name");
-    if (n != nullptr && FindRun(*bruns, n->str) == nullptr) {
+    if (n != nullptr && FindRun(*bruns, n->str, seen[n->str]++) == nullptr) {
       st.Fail(n->str + ": run not in baseline (refresh baselines, see "
               "EXPERIMENTS.md)");
     }

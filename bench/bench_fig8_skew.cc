@@ -3,11 +3,8 @@
 // seven strategies: UNSHRED / SHRED / STANDARD, their skew-aware variants,
 // and SPARKSQL. Expected shape: skew-aware SHRED degrades gracefully while
 // the flattening methods crash at higher skew.
-#include <optional>
-
 #include "bench_common.h"
 #include "tpch/queries.h"
-#include "util/strings.h"
 
 namespace trance {
 namespace bench {
@@ -17,115 +14,29 @@ constexpr int kDepth = 2;
 constexpr double kScale = 0.004;
 constexpr uint64_t kCap = 1100ull << 10;
 
-Status RegisterFlat(exec::Executor* executor, const tpch::TpchData& d) {
-  for (const auto& [t, n] :
-       std::initializer_list<std::pair<const tpch::Table*, const char*>>{
-           {&d.customer, "Customer"},
-           {&d.orders, "Orders"},
-           {&d.lineitem, "Lineitem"},
-           {&d.part, "Part"}}) {
-    TRANCE_RETURN_NOT_OK(RegisterTable(executor, *t, n));
-    TRANCE_RETURN_NOT_OK(
-        RegisterTable(executor, *t, shred::FlatInputName(n)));
-  }
-  return Status::OK();
-}
-
 void RunSkewFactor(int skew_factor, std::vector<RunResult>* all) {
   tpch::TpchConfig tcfg;
   tcfg.scale = kScale;
   tcfg.skew = static_cast<double>(skew_factor);
   tpch::TpchData data = tpch::Generate(tcfg);
-  auto prep = tpch::FlatToNested(kDepth, tpch::Width::kNarrow).ValueOrDie();
   auto query = tpch::NestedToNested(kDepth, tpch::Width::kNarrow).ValueOrDie();
-
-  // Untimed input materialization, per route.
-  std::optional<runtime::Dataset> nested_std;
-  std::string std_fail;
-  {
-    runtime::Cluster c(BenchClusterConfig(8, kCap, 48 << 10));
-    exec::Executor e(&c, {});
-    TRANCE_CHECK(RegisterFlat(&e, data).ok(), "register");
-    auto ds = exec::RunStandard(prep, &e, {});
-    if (ds.ok()) {
-      nested_std = std::move(ds).value();
-    } else {
-      std_fail = ds.status().ToString();
-    }
-  }
-  std::optional<exec::ShreddedRun> nested_shred;
-  std::string shred_fail;
-  {
-    runtime::Cluster c(BenchClusterConfig(8, kCap, 48 << 10));
-    exec::Executor e(&c, {});
-    TRANCE_CHECK(RegisterFlat(&e, data).ok(), "register");
-    auto run = exec::RunShredded(prep, &e, {});
-    if (run.ok()) {
-      nested_shred = std::move(run).value();
-    } else {
-      shred_fail = run.status().ToString();
-    }
-  }
+  const runtime::ClusterConfig cluster = BenchClusterConfig(8, kCap, 48 << 10);
+  const NestedInput nested =
+      PrepareNestedInput(data, kDepth, tpch::Width::kNarrow, cluster);
 
   const Strategy kStrategies[] = {
       Strategy::kSparkSql,   Strategy::kStandard, Strategy::kStandardSkew,
       Strategy::kShred,      Strategy::kShredSkew, Strategy::kUnshred,
       Strategy::kUnshredSkew};
   for (Strategy s : kStrategies) {
-    std::string name = "skew" + std::to_string(skew_factor) + " " +
-                       StrategyName(s);
-    runtime::Cluster cluster(BenchClusterConfig(8, kCap, 48 << 10));
-    exec::Executor executor(&cluster, OptionsFor(s).exec);
-    Status setup = RegisterFlat(&executor, data);
-    if (setup.ok()) {
-      if (IsShredded(s)) {
-        setup = nested_shred.has_value()
-                    ? RegisterShreddedRun(&executor, "COP", *nested_shred)
-                    : Status::ResourceExhausted("input materialization: " +
-                                                shred_fail);
-      } else {
-        if (nested_std.has_value()) {
-          executor.Register("COP", *nested_std);
-        } else {
-          setup = Status::ResourceExhausted("input materialization: " +
-                                            std_fail);
-        }
-      }
-    }
     // Section 6: aggregation pushing benefits the skew-unaware methods
     // (collapsing duplicated heavy values diminishes skew); the skew-aware
     // ones instead maintain the distribution of heavy keys.
     exec::PipelineOptions opts = OptionsFor(s);
     if (!IsSkewAware(s)) opts.optimizer.enable_agg_pushdown = true;
-    RunResult r;
-    if (!setup.ok()) {
-      r.name = name;
-      r.ok = false;
-      r.fail_reason = setup.ToString();
-    } else {
-      size_t out_rows = 0;
-      r = TimedRun(name, &cluster, [&]() -> Status {
-        if (IsShredded(s)) {
-          TRANCE_ASSIGN_OR_RETURN(
-              exec::ShreddedRun run,
-              exec::RunShredded(query, &executor, opts));
-          if (WantsUnshred(s)) {
-            TRANCE_ASSIGN_OR_RETURN(runtime::Dataset out,
-                                    exec::UnshredRun(&executor, run));
-            out_rows = out.NumRows();
-          } else {
-            out_rows = run.top.NumRows();
-          }
-          return Status::OK();
-        }
-        TRANCE_ASSIGN_OR_RETURN(
-            runtime::Dataset out,
-            exec::RunStandard(query, &executor, opts));
-        out_rows = out.NumRows();
-        return Status::OK();
-      });
-      r.out_rows = out_rows;
-    }
+    RunResult r = RunTpchCell(
+        "skew" + std::to_string(skew_factor) + " " + StrategyName(s), data,
+        nested, query, s, cluster, opts);
     PrintResult(r);
     all->push_back(std::move(r));
   }

@@ -42,24 +42,13 @@ Status RegisterBase(exec::Executor* executor, const biomed::BiomedData& d) {
   return Status::OK();
 }
 
-/// Shreds a nested input via an identity query on the shredded route
-/// (untimed preparation).
+/// Registers nested input `name`, already registered in standard form, in
+/// shredded form too (untimed): the value shredder over the dataset's rows.
+/// Each call takes the next label seed, 50,000,000 apart, so no two inputs
+/// share a label.
 Status RegisterShreddedNestedInput(exec::Executor* executor,
                                    const std::string& name,
                                    const nrc::TypePtr& type) {
-  // Identity program: N <= for x in <name> union {<all attrs>}.
-  nrc::Program identity;
-  identity.inputs.push_back({name, type});
-  std::vector<nrc::NamedExpr> fields;
-  for (const auto& f : type->element()->fields()) {
-    fields.push_back({f.name, nrc::Expr::Proj(nrc::Expr::Var("x"), f.name)});
-  }
-  identity.assignments.push_back(
-      {"N", nrc::Expr::ForUnion(
-                "x", nrc::Expr::Var(name),
-                nrc::Expr::Singleton(nrc::Expr::Tuple(fields)))});
-  // The shredded route needs the *input* itself shredded: do it via the
-  // value shredder over the dataset rows.
   TRANCE_ASSIGN_OR_RETURN(runtime::Dataset ds, executor->GetDataset(name));
   TRANCE_ASSIGN_OR_RETURN(nrc::Value v,
                           exec::RowsToValue(ds.Collect(), ds.schema));
@@ -116,8 +105,7 @@ std::vector<RunResult> RunDataset(const char* label,
               exec::RunShredded(program, &executor, OptionsFor(s)));
           // The next step consumes the shredded output directly (Section 6:
           // an aggregation pipeline never needs to reassociate dictionaries).
-          TRANCE_RETURN_NOT_OK(
-              RegisterShreddedRun(&executor, out_var, run));
+          exec::RegisterShreddedRun(&executor, out_var, run);
           out_rows = run.top.NumRows();
           return Status::OK();
         }

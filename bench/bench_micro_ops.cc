@@ -477,19 +477,18 @@ BENCHMARK(BM_ValueUnshred)->Arg(100);
 // use a 64 KiB per-partition memory cap — under every operator's output
 // partitions, so the stage barrier spills them through runtime/spill.h run
 // files — while the .spill_off runs use the default (effectively unlimited)
-// cap with ExecOptions-level spilling disabled. Stats transparency is
-// asserted in-binary: rows, movement stats, simulated time and keyed
-// counters are bit-identical across the pair, the forced runs report
-// spill_* > 0, and the off runs report exactly 0. Results land in
+// cap with spilling disabled (ClusterConfig::enable_spill). Stats
+// transparency is asserted in-binary: rows, movement stats, simulated time
+// and keyed counters are bit-identical across the pair, the forced runs
+// report spill_* > 0, and the off runs report exactly 0. Results land in
 // BENCH_micro_spill.json.
 Status RunSpillAblation() {
   std::vector<bench::RunResult> results;
   const int64_t n = 200000;
   for (bool forced : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8};
+    ClusterConfig cfg{.num_partitions = 8, .enable_spill = forced};
     if (forced) cfg.partition_memory_cap = 64ull << 10;
     Cluster cluster(cfg);
-    cluster.set_spill_enabled(forced);
     const std::string suffix = forced ? ".spill_forced" : ".spill_off";
 
     Dataset dup = MakeDup(&cluster, n, n / 16, 6);

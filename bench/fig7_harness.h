@@ -20,11 +20,6 @@ struct Fig7Config {
   int max_depth = 4;
   /// Thread budget forwarded to ClusterConfig::num_threads (0 = auto).
   int num_threads = 0;
-  /// Forwarded to ExecOptions::enable_spill for every route (PR 9). With
-  /// spilling on, a run over the memory cap completes through disk runs
-  /// (spill_* counters > 0) instead of FAILing; results and all
-  /// pre-existing stats stay bit-identical to an uncapped run.
-  bool enable_spill = true;
 };
 
 /// Runs the whole Figure-7 suite and prints the result table. Returns the

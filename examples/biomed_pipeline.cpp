@@ -57,11 +57,7 @@ Status Run() {
     cluster.stats().Reset();
     TRANCE_ASSIGN_OR_RETURN(exec::ShreddedRun run,
                             exec::RunShredded(program, &executor, {}));
-    std::string var = "Step" + std::to_string(step);
-    executor.Register(shred::FlatInputName(var), run.top);
-    for (const auto& [path, ds] : run.dicts) {
-      executor.Register(shred::DictInputName(var, path), ds);
-    }
+    exec::RegisterShreddedRun(&executor, "Step" + std::to_string(step), run);
     std::printf("Step%d: top=%zu rows", step, run.top.NumRows());
     for (const auto& [path, ds] : run.dicts) {
       std::printf(", dict[%s]=%zu rows", path.c_str(), ds.NumRows());

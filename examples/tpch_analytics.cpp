@@ -70,10 +70,7 @@ Status Run() {
   TRANCE_RETURN_NOT_OK(RegisterAll(&sh_exec, data));
   TRANCE_ASSIGN_OR_RETURN(exec::ShreddedRun nested_sh,
                           exec::RunShredded(build_nested, &sh_exec, {}));
-  sh_exec.Register(shred::FlatInputName("COP"), nested_sh.top);
-  for (const auto& [path, ds] : nested_sh.dicts) {
-    sh_exec.Register(shred::DictInputName("COP", path), ds);
-  }
+  exec::RegisterShreddedRun(&sh_exec, "COP", nested_sh);
   sh_cluster.stats().Reset();
   Stopwatch w2;
   TRANCE_ASSIGN_OR_RETURN(exec::ShreddedRun flat_sh,

@@ -36,27 +36,13 @@ struct ExecOptions {
   /// chain), for ablations. Results and stats are bit-identical either way,
   /// modulo stage count.
   bool enable_stage_fusion = true;
-  /// Spill partitions that cross the memory threshold to disk runs
-  /// (runtime/spill.h, format in docs/STORAGE.md) and stream them back,
-  /// instead of hard-failing with ResourceExhausted — the historical FAIL
-  /// behavior, kept under `false` for ablations and paper-faithful FAIL
-  /// cells. Rows, placement, shuffle bytes, and all pre-existing stats are
-  /// bit-identical between a capped spilling run and an uncapped run
-  /// (tests/spill_test.cc); only the spill-only counters
-  /// (spill_bytes_written/spill_bytes_read/spill_runs/spill_merge_passes)
-  /// differ (exactly 0 when off or when nothing spills).
-  bool enable_spill = true;
 };
 
 /// Executes plans against named datasets registered on a cluster.
 class Executor {
  public:
   Executor(runtime::Cluster* cluster, ExecOptions options)
-      : cluster_(cluster), options_(options) {
-    // The spill policy lives on the cluster so the runtime operators see it
-    // without threading options through every call.
-    cluster_->set_spill_enabled(options_.enable_spill);
-  }
+      : cluster_(cluster), options_(options) {}
 
   /// Registers an input (or intermediate) dataset under `name`.
   void Register(const std::string& name, runtime::Dataset ds) {

@@ -67,6 +67,26 @@ StatusOr<runtime::Dataset> ValueToDataset(runtime::Cluster* cluster,
 
 }  // namespace
 
+Status RegisterInputs(Executor* executor, const nrc::Program& program,
+                      const std::map<std::string, nrc::Value>& values,
+                      bool shredded) {
+  for (size_t k = 0; k < program.inputs.size(); ++k) {
+    const nrc::InputDecl& in = program.inputs[k];
+    auto v = values.find(in.name);
+    if (v == values.end()) return Status::Invalid("missing input " + in.name);
+    if (shredded) {
+      TRANCE_RETURN_NOT_OK(RegisterShreddedInput(
+          executor, in.name, in.type, v->second, shred::InputLabelSeed(k)));
+      continue;
+    }
+    TRANCE_ASSIGN_OR_RETURN(
+        runtime::Dataset ds,
+        ValueToDataset(executor->cluster(), v->second, in.type, in.name));
+    executor->Register(in.name, std::move(ds));
+  }
+  return Status::OK();
+}
+
 Status RegisterShreddedInput(Executor* executor, const std::string& name,
                              const nrc::TypePtr& type, const nrc::Value& value,
                              int64_t label_seed) {
@@ -99,6 +119,14 @@ Status RegisterShreddedInput(Executor* executor, const std::string& name,
     executor->Register(dict_name, std::move(ds));
   }
   return Status::OK();
+}
+
+void RegisterShreddedRun(Executor* executor, const std::string& name,
+                         const ShreddedRun& run) {
+  executor->Register(shred::FlatInputName(name), run.top);
+  for (const auto& [path, ds] : run.dicts) {
+    executor->Register(shred::DictInputName(name, path), ds);
+  }
 }
 
 StatusOr<ShreddedRun> RunShredded(const nrc::Program& program,
@@ -212,14 +240,8 @@ StatusOr<nrc::Value> RunShreddedOnValues(
     runtime::Cluster* cluster, const PipelineOptions& options,
     shred::MaterializeMode mode) {
   Executor executor(cluster, options.exec);
-  int64_t seed = 0;
-  for (const auto& in : program.inputs) {
-    auto v = inputs.find(in.name);
-    if (v == inputs.end()) return Status::Invalid("missing input " + in.name);
-    TRANCE_RETURN_NOT_OK(RegisterShreddedInput(&executor, in.name, in.type,
-                                               v->second, seed));
-    seed += 1000000;
-  }
+  TRANCE_RETURN_NOT_OK(
+      RegisterInputs(&executor, program, inputs, /*shredded=*/true));
   TRANCE_ASSIGN_OR_RETURN(ShreddedRun run,
                           RunShredded(program, &executor, options, mode));
   TRANCE_ASSIGN_OR_RETURN(runtime::Dataset nested, UnshredRun(&executor, run));
@@ -231,20 +253,8 @@ StatusOr<nrc::Value> RunStandardOnValues(
     const std::map<std::string, nrc::Value>& inputs,
     runtime::Cluster* cluster, const PipelineOptions& options) {
   Executor executor(cluster, options.exec);
-  for (const auto& in : program.inputs) {
-    auto v = inputs.find(in.name);
-    if (v == inputs.end()) {
-      return Status::Invalid("missing input " + in.name);
-    }
-    TRANCE_ASSIGN_OR_RETURN(runtime::Schema schema,
-                            runtime::Schema::FromBagType(in.type));
-    TRANCE_ASSIGN_OR_RETURN(std::vector<runtime::Row> rows,
-                            ValueToRows(v->second, schema));
-    TRANCE_ASSIGN_OR_RETURN(
-        runtime::Dataset ds,
-        runtime::Source(cluster, schema, std::move(rows), in.name));
-    executor.Register(in.name, std::move(ds));
-  }
+  TRANCE_RETURN_NOT_OK(
+      RegisterInputs(&executor, program, inputs, /*shredded=*/false));
   TRANCE_ASSIGN_OR_RETURN(runtime::Dataset result,
                           RunStandard(program, &executor, options));
   return RowsToValue(result.Collect(), result.schema);

@@ -44,6 +44,15 @@ StatusOr<runtime::Dataset> RunStandard(const nrc::Program& program,
                                        plan::PlanProgram* compiled_out =
                                            nullptr);
 
+/// Registers `program`'s inputs from `values` (one nested value per input
+/// name). Standard form: each value goes through ValueToRows and Source under
+/// the input's name. Shredded form (`shredded`): RegisterShreddedInput, the
+/// k-th input shredded with label seed shred::InputLabelSeed(k). A missing
+/// input, or a value that does not fit its declared type, is an error Status.
+Status RegisterInputs(Executor* executor, const nrc::Program& program,
+                      const std::map<std::string, nrc::Value>& values,
+                      bool shredded);
+
 /// Convenience for tests: feeds nested nrc::Values as inputs, runs the
 /// standard route on a fresh executor over `cluster`, and converts the
 /// result back to a nested value.
@@ -68,6 +77,12 @@ struct ShreddedRun {
 Status RegisterShreddedInput(Executor* executor, const std::string& name,
                              const nrc::TypePtr& type, const nrc::Value& value,
                              int64_t label_seed);
+
+/// Registers a shredded run's output as the shredded input `name` (its top
+/// bag as name_F, each dictionary as name_D_<path>), so a later program on
+/// the shredded route reads it without unshredding.
+void RegisterShreddedRun(Executor* executor, const std::string& name,
+                         const ShreddedRun& run);
 
 /// Shreds + materializes `program` (Section 4), compiles the materialized
 /// assignments through the same unnesting/optimization stages, and executes

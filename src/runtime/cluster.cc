@@ -164,7 +164,7 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
       peak = b;
       peak_partition = p;
     }
-    if (b > config_.partition_memory_cap && !spill_enabled_) {
+    if (b > config_.partition_memory_cap && !config_.enable_spill) {
       // Name the stage, the plan-node scope, the partition, and the exact
       // observed/configured byte counts so EXPLAIN ANALYZE readers and test
       // failures can attribute the saturation without a debugger.

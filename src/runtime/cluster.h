@@ -30,6 +30,16 @@ struct ClusterConfig {
   /// to memory saturation of a node"), or, with spilling on, where the stage
   /// barrier spills the partition instead.
   uint64_t partition_memory_cap = 256ull << 20;
+  /// Spill partitions over the memory cap to disk runs (runtime/spill.h,
+  /// format in docs/STORAGE.md) and stream them back, instead of
+  /// hard-failing with ResourceExhausted: the historical FAIL behavior, kept
+  /// under `false` for ablations and paper-faithful FAIL cells. Rows,
+  /// placement, shuffle bytes and every other statistic are bit-identical
+  /// between a capped spilling run and an uncapped run
+  /// (tests/spill_test.cc); only the spill counters (spill_bytes_written,
+  /// spill_bytes_read, spill_runs, spill_merge_passes) differ, and they are
+  /// exactly 0 when off or when nothing spills.
+  bool enable_spill = true;
   /// Collections smaller than this may be broadcast (paper: Spark broadcasts
   /// anything under 10MB).
   uint64_t broadcast_threshold = 10ull << 20;
@@ -56,8 +66,8 @@ struct ClusterConfig {
   /// a fault-free run.
   FaultConfig faults{};
   /// Out-of-core spill knobs (runtime/spill.h, docs/STORAGE.md). Whether the
-  /// stage barrier spills at all is the executor's ExecOptions::enable_spill;
-  /// this configures where runs go and how they are bounded once it does.
+  /// stage barrier spills at all is `enable_spill`; this configures where
+  /// runs go and how they are bounded once it does.
   spill::SpillConfig spill{};
 };
 
@@ -168,17 +178,6 @@ class Cluster {
                             static_cast<uint64_t>(config_.num_partitions));
   }
 
-  /// Whether partitions over the memory cap spill to disk runs
-  /// (runtime/spill.h, default) instead of hard-failing with
-  /// ResourceExhausted — the historical FAIL behavior. Set by the executor
-  /// from ExecOptions::enable_spill; results, placement, and every
-  /// pre-existing stat are bit-identical between a capped spilling run and
-  /// an uncapped run (tests/spill_test.cc) — only the spill-only counters
-  /// (spill_bytes_written / spill_bytes_read / spill_runs /
-  /// spill_merge_passes) differ (0 when off or when nothing spills).
-  bool spill_enabled() const { return spill_enabled_; }
-  void set_spill_enabled(bool on) { spill_enabled_ = on; }
-
   /// The cluster's spill manager (created lazily on first use so clusters
   /// that never spill never touch the filesystem). The stage barrier
   /// (detail::FinishStage), the one spill site, writes its runs through it.
@@ -207,7 +206,6 @@ class Cluster {
 
   ClusterConfig config_;
   int num_threads_;
-  bool spill_enabled_ = true;
   FaultInjector injector_;
   /// Lazily created by spill_manager() under mu_.
   std::unique_ptr<spill::SpillManager> spill_manager_;

@@ -12,7 +12,7 @@
 // external-memory design: bounded runs moved to and from disk as whole
 // blocks, merged in fixed run order.
 //
-// One site spills (gated by ExecOptions::enable_spill): the stage barrier,
+// One site spills (gated by ClusterConfig::enable_spill): the stage barrier,
 // detail::FinishStage, spills every stage-output partition over the memory
 // cap — exactly the partitions the memory check would fail with spilling
 // off — which is what lets that check pass instead.

@@ -62,7 +62,7 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   // peak_partition_bytes bit-identical to an uncapped run.
   size_t spilled = 0;
   auto spill_over_cap = [&]() -> Status {
-    if (!cluster->spill_enabled()) return Status::OK();
+    if (!cluster->config().enable_spill) return Status::OK();
     const uint64_t cap = cluster->config().partition_memory_cap;
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= cap) continue;

@@ -94,7 +94,7 @@ struct StageStats {
   /// read back from run files (each run is one write and one whole-file
   /// read), run files produced, and restores (one per spilled partition,
   /// reading its runs in order). All four are exactly 0 when nothing spills (and
-  /// always when ExecOptions::enable_spill is off); spilling never changes
+  /// always when ClusterConfig::enable_spill is off); spilling never changes
   /// any pre-existing field — spill cost flows through these channels only.
   uint64_t spill_bytes_written = 0;
   uint64_t spill_bytes_read = 0;

@@ -176,6 +176,10 @@ StatusOr<ShreddedValue> ShredValue(const Value& bag, const TypePtr& bag_type,
   return out;
 }
 
+int64_t InputLabelSeed(size_t input_index) {
+  return static_cast<int64_t>(input_index) * 1000000;
+}
+
 StatusOr<Value> UnshredValue(const ShreddedValue& shredded,
                              const TypePtr& bag_type) {
   if (bag_type == nullptr || !bag_type->is_bag()) {

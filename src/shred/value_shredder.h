@@ -38,6 +38,12 @@ StatusOr<ShreddedValue> ShredValue(const nrc::Value& bag,
                                    const nrc::TypePtr& bag_type,
                                    int64_t label_seed = 0);
 
+/// The label seed of a program's `input_index`-th input (declaration order):
+/// 1,000,000 ids per input, so inputs of up to a million inner bags each get
+/// disjoint labels. Query shredding is correct only while every label names
+/// exactly one inner bag.
+int64_t InputLabelSeed(size_t input_index);
+
 /// Rebuilds the nested bag from a shredded representation (relational
 /// dictionaries).
 StatusOr<nrc::Value> UnshredValue(const ShreddedValue& shredded,

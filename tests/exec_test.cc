@@ -4,13 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "exec/bridge.h"
 #include "exec/lowering.h"
+#include "exec/pipeline.h"
 #include "exec/scalar_compiler.h"
+#include "fig7_suite.h"
 #include "nrc/builder.h"
 #include "plan/plan.h"
+#include "shred/shredded_type.h"
 #include "util/random.h"
 
 namespace trance {
@@ -21,6 +27,7 @@ using exec::CompileScalar;
 using exec::ScalarResultType;
 using nrc::Expr;
 using nrc::Type;
+using nrc::TypePtr;
 using nrc::Value;
 using runtime::Field;
 using runtime::Row;
@@ -241,6 +248,162 @@ TEST(ExecutorTest, MissingRelationIsKeyError) {
   auto out = ex.ExecuteToDataset(plan::PlanNode::Scan("ghost"));
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kKeyError);
+}
+
+// --- The input loader (exec::RegisterInputs) -----------------------------
+
+TypePtr FlatInputType() {
+  return Type::Bag(Type::Tuple({{"a", Type::Int()}, {"s", Type::String()}}));
+}
+
+TypePtr NestedInputType() {
+  return Type::Bag(Type::Tuple(
+      {{"k", Type::Int()},
+       {"items", Type::Bag(Type::Tuple(
+                     {{"x", Type::Int()}, {"y", Type::String()}}))}}));
+}
+
+/// A flat input F, then a nested input N: N is the program's second input,
+/// so its labels come from the second input's seed.
+nrc::Program LoaderProgram() {
+  nrc::Program p;
+  p.inputs.push_back({"F", FlatInputType()});
+  p.inputs.push_back({"N", NestedInputType()});
+  return p;
+}
+
+std::map<std::string, Value> LoaderValues() {
+  std::vector<Value> flat;
+  for (int64_t i = 0; i < 7; ++i) {
+    flat.push_back(Value::Tuple(
+        {{"a", Value::Int(i)}, {"s", Value::Str("s" + std::to_string(i))}}));
+  }
+  std::vector<Value> nested;
+  for (int64_t k = 0; k < 9; ++k) {
+    std::vector<Value> items;  // k % 3 members; row 0's bag is empty
+    for (int64_t j = 0; j < k % 3; ++j) {
+      items.push_back(Value::Tuple(
+          {{"x", Value::Int(k * 10 + j)}, {"y", Value::Str("y")}}));
+    }
+    nested.push_back(
+        Value::Tuple({{"k", Value::Int(k)}, {"items", Value::Bag(items)}}));
+  }
+  return {{"F", Value::Bag(flat)}, {"N", Value::Bag(nested)}};
+}
+
+runtime::ClusterConfig LoaderCluster() {
+  return runtime::ClusterConfig{.num_partitions = 3};
+}
+
+/// Same schema and partitioning guarantee, and the same rows (labels
+/// included) in the same partitions.
+void ExpectSameDataset(const runtime::Dataset& want,
+                       const runtime::Dataset& got) {
+  EXPECT_EQ(want.schema.ToString(), got.schema.ToString());
+  EXPECT_EQ(want.partitioning.key_cols, got.partitioning.key_cols);
+  fig7_suite::ExpectSameRows(want, got);
+}
+
+/// The names the shredded form of `program`'s inputs registers under.
+std::vector<std::string> ShreddedNames(const nrc::Program& program) {
+  std::vector<std::string> names;
+  for (const nrc::InputDecl& in : program.inputs) {
+    names.push_back(shred::FlatInputName(in.name));
+    for (const shred::DictEntry& e :
+         shred::DictTreeWalk(in.type).ValueOrDie()) {
+      names.push_back(shred::DictInputName(in.name, e.path));
+    }
+  }
+  return names;
+}
+
+TEST(RegisterInputsTest, StandardFormIsValueToRowsThroughSource) {
+  const nrc::Program program = LoaderProgram();
+  const auto values = LoaderValues();
+  runtime::Cluster cluster(LoaderCluster());
+  exec::Executor executor(&cluster, {});
+  Status st = exec::RegisterInputs(&executor, program, values, false);
+  ASSERT_TRUE(st.ok()) << st;
+
+  runtime::Cluster ref(LoaderCluster());
+  for (const nrc::InputDecl& in : program.inputs) {
+    SCOPED_TRACE(in.name);
+    const Schema schema = Schema::FromBagType(in.type).ValueOrDie();
+    auto rows = exec::ValueToRows(values.at(in.name), schema).ValueOrDie();
+    const runtime::Dataset want =
+        runtime::Source(&ref, schema, std::move(rows), in.name).ValueOrDie();
+    auto got = executor.GetDataset(in.name);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameDataset(want, *got);
+  }
+  for (const std::string& name : ShreddedNames(program)) {
+    EXPECT_FALSE(executor.Has(name)) << name;
+  }
+  // The registration is the sources' stages, nothing more.
+  EXPECT_EQ(cluster.stats().stages().size(), program.inputs.size());
+}
+
+TEST(RegisterInputsTest, ShreddedFormMatchesRegisterShreddedInput) {
+  const nrc::Program program = LoaderProgram();
+  const auto values = LoaderValues();
+  runtime::Cluster cluster(LoaderCluster());
+  exec::Executor executor(&cluster, {});
+  Status st = exec::RegisterInputs(&executor, program, values, true);
+  ASSERT_TRUE(st.ok()) << st;
+
+  // The k-th input is shredded with label seed k * 1,000,000.
+  runtime::Cluster ref_cluster(LoaderCluster());
+  exec::Executor ref(&ref_cluster, {});
+  ASSERT_TRUE(exec::RegisterShreddedInput(&ref, "F", FlatInputType(),
+                                          values.at("F"), 0)
+                  .ok());
+  ASSERT_TRUE(exec::RegisterShreddedInput(&ref, "N", NestedInputType(),
+                                          values.at("N"), 1'000'000)
+                  .ok());
+  const std::vector<std::string> names = ShreddedNames(program);
+  ASSERT_EQ(names.size(), 3u);  // F_F, N_F and N's one dictionary
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    auto want = ref.GetDataset(name);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = executor.GetDataset(name);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ExpectSameDataset(*want, *got);
+  }
+  EXPECT_FALSE(executor.Has("F"));
+  EXPECT_FALSE(executor.Has("N"));
+  EXPECT_EQ(cluster.stats().stages().size(),
+            ref_cluster.stats().stages().size());
+}
+
+TEST(RegisterInputsTest, IllTypedValueIsAStatus) {
+  const nrc::Program program = LoaderProgram();
+  for (bool shredded : {false, true}) {
+    SCOPED_TRACE(shredded ? "shredded" : "standard");
+    // A string in F's int column.
+    auto bad_flat = LoaderValues();
+    bad_flat["F"] = Value::Bag({Value::Tuple(
+        {{"a", Value::Str("not an int")}, {"s", Value::Str("s")}})});
+    // An int where N declares a bag.
+    auto bad_nested = LoaderValues();
+    bad_nested["N"] = Value::Bag(
+        {Value::Tuple({{"k", Value::Int(1)}, {"items", Value::Int(2)}})});
+    for (const auto* values : {&bad_flat, &bad_nested}) {
+      runtime::Cluster cluster(LoaderCluster());
+      exec::Executor executor(&cluster, {});
+      Status st = exec::RegisterInputs(&executor, program, *values, shredded);
+      EXPECT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), StatusCode::kTypeError) << st;
+    }
+    // A missing input is Invalid and names the input.
+    runtime::Cluster cluster(LoaderCluster());
+    exec::Executor executor(&cluster, {});
+    Status st = exec::RegisterInputs(&executor, program,
+                                     {{"F", LoaderValues().at("F")}},
+                                     shredded);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(st.ToString().find("missing input N"), std::string::npos) << st;
+  }
 }
 
 }  // namespace

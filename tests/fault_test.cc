@@ -7,14 +7,10 @@
 // ResourceExhausted naming the failing stage.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "exec/bridge.h"
-#include "exec/pipeline.h"
 #include "fig7_suite.h"
 #include "runtime/cluster.h"
 #include "runtime/fault.h"
@@ -27,8 +23,10 @@ namespace {
 using fig7_suite::Config;
 using fig7_suite::ExpectSameRows;
 using fig7_suite::ExpectSameShreddedRows;
-using nrc::Value;
-using runtime::Dataset;
+using fig7_suite::RunShredded;
+using fig7_suite::RunStandard;
+using fig7_suite::ShreddedRun;
+using fig7_suite::StandardRun;
 using runtime::FaultConfig;
 using runtime::FaultInjector;
 using runtime::FaultKind;
@@ -142,65 +140,6 @@ void ExpectSameFaultTelemetry(const JobStats& a, const JobStats& b) {
   }
 }
 
-struct StandardRun {
-  Dataset out;
-  JobStats stats;
-};
-
-StandardRun RunStandardWith(const nrc::Program& q,
-                            const std::map<std::string, Value>& values,
-                            const runtime::ClusterConfig& config) {
-  runtime::Cluster cluster(config);
-  exec::PipelineOptions opts;
-  exec::Executor executor(&cluster, opts.exec);
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name)
-                  .ValueOrDie();
-    executor.Register(in.name, std::move(ds));
-  }
-  StandardRun r;
-  auto out = exec::RunStandard(q, &executor, opts);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (out.ok()) r.out = std::move(out).value();
-  r.stats = cluster.stats();
-  return r;
-}
-
-struct ShreddedRunResult {
-  exec::ShreddedRun run;
-  JobStats stats;
-};
-
-ShreddedRunResult RunShreddedWith(const nrc::Program& q,
-                                  const std::map<std::string, Value>& values,
-                                  const runtime::ClusterConfig& config) {
-  runtime::Cluster cluster(config);
-  exec::PipelineOptions opts;
-  exec::Executor executor(&cluster, opts.exec);
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    TRANCE_CHECK(
-        exec::RegisterShreddedInput(&executor, in.name, in.type, v->second,
-                                    seed)
-            .ok(),
-        "register shredded input");
-    seed += 1000000;
-  }
-  ShreddedRunResult r;
-  auto run = exec::RunShredded(q, &executor, opts,
-                               shred::MaterializeMode::kDomainElimination);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) r.run = std::move(run).value();
-  r.stats = cluster.stats();
-  return r;
-}
-
 class FaultSuiteTest
     : public ::testing::TestWithParam<fig7_suite::SuiteParam> {};
 
@@ -210,10 +149,13 @@ TEST_P(FaultSuiteTest, StandardRouteRecoveryIsTransparent) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  StandardRun clean = RunStandardWith(*q, values, Config(1));
-  StandardRun faulted1 = RunStandardWith(*q, values, FaultedConfig(1));
-  StandardRun faulted4 = RunStandardWith(*q, values, FaultedConfig(4));
-  StandardRun repeat1 = RunStandardWith(*q, values, FaultedConfig(1));
+  StandardRun clean = RunStandard(*q, values, Config(1));
+  StandardRun faulted1 = RunStandard(*q, values, FaultedConfig(1));
+  StandardRun faulted4 = RunStandard(*q, values, FaultedConfig(4));
+  StandardRun repeat1 = RunStandard(*q, values, FaultedConfig(1));
+  for (const StandardRun* r : {&clean, &faulted1, &faulted4, &repeat1}) {
+    ASSERT_TRUE(r->ok()) << r->status;
+  }
 
   // Faults were actually injected and recovered from.
   EXPECT_GT(faulted1.stats.totals().injected_faults, 0u);
@@ -243,14 +185,17 @@ TEST_P(FaultSuiteTest, ShreddedRouteRecoveryIsTransparent) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  ShreddedRunResult clean = RunShreddedWith(*q, values, Config(1));
-  ShreddedRunResult faulted1 = RunShreddedWith(*q, values, FaultedConfig(1));
-  ShreddedRunResult faulted4 = RunShreddedWith(*q, values, FaultedConfig(4));
+  ShreddedRun clean = RunShredded(*q, values, Config(1));
+  ShreddedRun faulted1 = RunShredded(*q, values, FaultedConfig(1));
+  ShreddedRun faulted4 = RunShredded(*q, values, FaultedConfig(4));
+  for (const ShreddedRun* r : {&clean, &faulted1, &faulted4}) {
+    ASSERT_TRUE(r->ok()) << r->status;
+  }
 
   EXPECT_GT(faulted1.stats.totals().injected_faults, 0u);
-  ExpectSameShreddedRows(clean.run, faulted1.run);
+  ExpectSameShreddedRows(clean.out, faulted1.out);
   ExpectSameStats(clean.stats, faulted1.stats, StatGroup::kFaults);
-  ExpectSameShreddedRows(faulted1.run, faulted4.run);
+  ExpectSameShreddedRows(faulted1.out, faulted4.out);
   ExpectSameStats(faulted1.stats, faulted4.stats, StatGroup::kFaults);
   ExpectSameFaultTelemetry(faulted1.stats, faulted4.stats);
 }
@@ -323,10 +268,10 @@ TEST(FaultRecoveryTest, MemoryCapMessageNamesStageAndPartition) {
   runtime::ClusterConfig c;
   c.num_partitions = 4;
   c.partition_memory_cap = 1;  // everything saturates
-  runtime::Cluster cluster(c);
   // Spilling (on by default) would mask the saturation; this test is about
   // the historical hard-failure message, so force the pre-spill behavior.
-  cluster.set_spill_enabled(false);
+  c.enable_spill = false;
+  runtime::Cluster cluster(c);
   runtime::Dataset in = SmallSource(&cluster);
   auto out = runtime::Repartition(&cluster, in, {0}, "repart(small)");
   ASSERT_FALSE(out.ok());

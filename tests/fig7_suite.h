@@ -1,7 +1,9 @@
 // Shared fixture for the Fig-7 narrow-suite tests: builds each query kind
 // at a given depth with its inputs, runs it through the standard or the
-// shredded route on a fresh cluster, and compares two runs row by row
-// (partition placement included) and stat by stat (stats_testing.h).
+// shredded route on a fresh cluster (the one route runner of the test
+// suites: any cluster configuration and executor options), and compares two
+// runs row by row (partition placement included) and stat by stat
+// (stats_testing.h).
 #ifndef TRANCE_TESTS_FIG7_SUITE_H_
 #define TRANCE_TESTS_FIG7_SUITE_H_
 
@@ -65,67 +67,72 @@ inline std::map<std::string, nrc::Value> TpchValues(const tpch::TpchData& d) {
           {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
 }
 
-struct StandardRun {
-  runtime::Dataset out;
+/// One run of a compilation route on its own cluster: a failed run keeps its
+/// Status and the stats recorded until it failed; a successful one has its
+/// output and the EXPLAIN ANALYZE of the plans it executed.
+template <typename Out>
+struct RouteRun {
+  Status status;
+  Out out;
   runtime::JobStats stats;
   std::string explain;
+  bool ok() const { return status.ok(); }
 };
+using StandardRun = RouteRun<runtime::Dataset>;
+using ShreddedRun = RouteRun<exec::ShreddedRun>;
 
-inline StandardRun RunStandard(const nrc::Program& q,
-                               const std::map<std::string, nrc::Value>& values,
-                               int threads) {
-  runtime::Cluster cluster(Config(threads));
+/// Registers `values` as `q`'s inputs on a fresh cluster built from
+/// `config` (exec::RegisterInputs, in the form the route reads) and runs
+/// `route`. Input and run failures come back in `status`, never as aborts.
+template <typename Out, typename Route>
+RouteRun<Out> RunRoute(const nrc::Program& q,
+                       const std::map<std::string, nrc::Value>& values,
+                       const runtime::ClusterConfig& config,
+                       const exec::ExecOptions& exec_options, bool shredded,
+                       const Route& route) {
+  runtime::Cluster cluster(config);
   exec::PipelineOptions opts;
+  opts.exec = exec_options;
   exec::Executor executor(&cluster, opts.exec);
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name)
-                  .ValueOrDie();
-    executor.Register(in.name, std::move(ds));
-  }
+  RouteRun<Out> r;
   plan::PlanProgram compiled;
-  StandardRun r;
-  auto out = exec::RunStandard(q, &executor, opts, &compiled);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (out.ok()) r.out = std::move(out).value();
+  r.status = exec::RegisterInputs(&executor, q, values, shredded);
+  if (r.ok()) {
+    StatusOr<Out> out = route(&executor, opts, &compiled);
+    r.status = out.status();
+    if (out.ok()) r.out = std::move(out).value();
+  }
   r.stats = cluster.stats();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
+  if (r.ok()) r.explain = obs::ExplainAnalyze(compiled, r.stats);
   return r;
 }
 
-struct ShreddedRun {
-  exec::ShreddedRun run;
-  runtime::JobStats stats;
-};
+/// The standard route (Section 3).
+inline StandardRun RunStandard(const nrc::Program& q,
+                               const std::map<std::string, nrc::Value>& values,
+                               const runtime::ClusterConfig& config,
+                               const exec::ExecOptions& exec_options = {}) {
+  return RunRoute<runtime::Dataset>(
+      q, values, config, exec_options, /*shredded=*/false,
+      [&q](exec::Executor* e, const exec::PipelineOptions& o,
+           plan::PlanProgram* compiled) {
+        return exec::RunStandard(q, e, o, compiled);
+      });
+}
 
+/// The shredded route (Section 4), output left shredded.
 inline ShreddedRun RunShredded(const nrc::Program& q,
                                const std::map<std::string, nrc::Value>& values,
-                               int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  exec::Executor executor(&cluster, opts.exec);
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    TRANCE_CHECK(exec::RegisterShreddedInput(&executor, in.name, in.type,
-                                             v->second, seed)
-                     .ok(),
-                 "register shredded input");
-    seed += 1000000;
-  }
-  plan::PlanProgram compiled;
-  ShreddedRun r;
-  auto run = exec::RunShredded(q, &executor, opts,
-                               shred::MaterializeMode::kDomainElimination,
-                               &compiled);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) r.run = std::move(run).value();
-  r.stats = cluster.stats();
-  return r;
+                               const runtime::ClusterConfig& config,
+                               const exec::ExecOptions& exec_options = {}) {
+  return RunRoute<exec::ShreddedRun>(
+      q, values, config, exec_options, /*shredded=*/true,
+      [&q](exec::Executor* e, const exec::PipelineOptions& o,
+           plan::PlanProgram* compiled) {
+        return exec::RunShredded(q, e, o,
+                                 shred::MaterializeMode::kDomainElimination,
+                                 compiled);
+      });
 }
 
 inline void ExpectSameShreddedRows(const exec::ShreddedRun& a,

@@ -351,10 +351,14 @@ TEST_P(FlatHashSuiteTest, StandardRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  fig7_suite::StandardRun seq = fig7_suite::RunStandard(*q, values, 1);
+  fig7_suite::StandardRun seq =
+      fig7_suite::RunStandard(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(seq.ok()) << seq.status;
   for (int threads : {4, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    fig7_suite::StandardRun par = fig7_suite::RunStandard(*q, values, threads);
+    fig7_suite::StandardRun par =
+        fig7_suite::RunStandard(*q, values, fig7_suite::Config(threads));
+    ASSERT_TRUE(par.ok()) << par.status;
     fig7_suite::ExpectSameRows(seq.out, par.out);
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
@@ -369,11 +373,15 @@ TEST_P(FlatHashSuiteTest, ShreddedRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  fig7_suite::ShreddedRun seq = fig7_suite::RunShredded(*q, values, 1);
+  fig7_suite::ShreddedRun seq =
+      fig7_suite::RunShredded(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(seq.ok()) << seq.status;
   for (int threads : {4, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    fig7_suite::ShreddedRun par = fig7_suite::RunShredded(*q, values, threads);
-    fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
+    fig7_suite::ShreddedRun par =
+        fig7_suite::RunShredded(*q, values, fig7_suite::Config(threads));
+    ASSERT_TRUE(par.ok()) << par.status;
+    fig7_suite::ExpectSameShreddedRows(seq.out, par.out);
     fig7_suite::ExpectSameStats(seq.stats, par.stats);
   }
   EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
@@ -423,7 +431,9 @@ TEST(FlatHashRuntimeTest, CountersVisibleInJsonAndExplain) {
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
   auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
-  fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
+  fig7_suite::StandardRun r =
+      fig7_suite::RunStandard(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(r.ok()) << r.status;
   EXPECT_GT(r.stats.totals().hash_table_bytes, 0u);
 
   std::string json = obs::JobStatsToJson(r.stats);

@@ -7,19 +7,16 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "exec/bridge.h"
 #include "exec/pipeline.h"
 #include "exec/scalar_compiler.h"
 #include "fig7_suite.h"
 #include "nrc/builder.h"
-#include "obs/explain.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
 #include "stats_testing.h"
@@ -30,7 +27,10 @@ namespace {
 using fig7_suite::Config;
 using fig7_suite::ExpectSameRows;
 using fig7_suite::ExpectSameShreddedRows;
-using nrc::Value;
+using fig7_suite::RunShredded;
+using fig7_suite::RunStandard;
+using fig7_suite::ShreddedRun;
+using fig7_suite::StandardRun;
 using runtime::Dataset;
 using runtime::JobStats;
 using runtime::Row;
@@ -57,72 +57,11 @@ std::vector<std::pair<std::string, long long>> ExplainRowCounts(
   return out;
 }
 
-struct StandardModeRun {
-  Dataset out;
-  JobStats stats;
-  std::string explain;
-};
-
-StandardModeRun RunStandardMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool fusion, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_stage_fusion = fusion;
-  exec::Executor executor(&cluster, opts.exec);
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name)
-                  .ValueOrDie();
-    executor.Register(in.name, std::move(ds));
-  }
-  plan::PlanProgram compiled;
-  StandardModeRun r;
-  auto out = exec::RunStandard(q, &executor, opts, &compiled);
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-  if (out.ok()) r.out = std::move(out).value();
-  r.stats = cluster.stats();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
-  return r;
-}
-
-struct ShreddedModeRun {
-  exec::ShreddedRun run;
-  JobStats stats;
-  std::string explain;
-};
-
-ShreddedModeRun RunShreddedMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                bool fusion, int threads) {
-  runtime::Cluster cluster(Config(threads));
-  exec::PipelineOptions opts;
-  opts.exec.enable_stage_fusion = fusion;
-  exec::Executor executor(&cluster, opts.exec);
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    TRANCE_CHECK(
-        exec::RegisterShreddedInput(&executor, in.name, in.type, v->second,
-                                    seed)
-            .ok(),
-        "register shredded input");
-    seed += 1000000;
-  }
-  plan::PlanProgram compiled;
-  ShreddedModeRun r;
-  auto run = exec::RunShredded(q, &executor, opts,
-                               shred::MaterializeMode::kDomainElimination,
-                               &compiled);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  if (run.ok()) r.run = std::move(run).value();
-  r.stats = cluster.stats();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
-  return r;
+/// Executor options with stage fusion on or off.
+exec::ExecOptions Fusion(bool on) {
+  exec::ExecOptions o;
+  o.enable_stage_fusion = on;
+  return o;
 }
 
 /// The skew-unaware route never holds heavy rows, so it records no stage
@@ -145,10 +84,13 @@ TEST_P(FusionSuiteTest, StandardRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  StandardModeRun on1 = RunStandardMode(*q, values, true, 1);
-  StandardModeRun on4 = RunStandardMode(*q, values, true, 4);
-  StandardModeRun off1 = RunStandardMode(*q, values, false, 1);
-  StandardModeRun off4 = RunStandardMode(*q, values, false, 4);
+  StandardRun on1 = RunStandard(*q, values, Config(1), Fusion(true));
+  StandardRun on4 = RunStandard(*q, values, Config(4), Fusion(true));
+  StandardRun off1 = RunStandard(*q, values, Config(1), Fusion(false));
+  StandardRun off4 = RunStandard(*q, values, Config(4), Fusion(false));
+  for (const StandardRun* r : {&on1, &on4, &off1, &off4}) {
+    ASSERT_TRUE(r->ok()) << r->status;
+  }
 
   // Each mode keeps the thread-count-independence contract in full.
   ExpectSameRows(on1.out, on4.out);
@@ -182,17 +124,20 @@ TEST_P(FusionSuiteTest, ShreddedRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  ShreddedModeRun on1 = RunShreddedMode(*q, values, true, 1);
-  ShreddedModeRun on4 = RunShreddedMode(*q, values, true, 4);
-  ShreddedModeRun off1 = RunShreddedMode(*q, values, false, 1);
-  ShreddedModeRun off4 = RunShreddedMode(*q, values, false, 4);
+  ShreddedRun on1 = RunShredded(*q, values, Config(1), Fusion(true));
+  ShreddedRun on4 = RunShredded(*q, values, Config(4), Fusion(true));
+  ShreddedRun off1 = RunShredded(*q, values, Config(1), Fusion(false));
+  ShreddedRun off4 = RunShredded(*q, values, Config(4), Fusion(false));
+  for (const ShreddedRun* r : {&on1, &on4, &off1, &off4}) {
+    ASSERT_TRUE(r->ok()) << r->status;
+  }
 
-  ExpectSameShreddedRows(on1.run, on4.run);
+  ExpectSameShreddedRows(on1.out, on4.out);
   ExpectSameStats(on1.stats, on4.stats);
-  ExpectSameShreddedRows(off1.run, off4.run);
+  ExpectSameShreddedRows(off1.out, off4.out);
   ExpectSameStats(off1.stats, off4.stats);
 
-  ExpectSameShreddedRows(on1.run, off1.run);
+  ExpectSameShreddedRows(on1.out, off1.out);
   EXPECT_EQ(on1.stats.totals().shuffle_bytes,
             off1.stats.totals().shuffle_bytes);
   EXPECT_EQ(on1.stats.max_stage_shuffle_bytes(),

@@ -462,8 +462,12 @@ TEST_P(KeyCodecSuiteTest, StandardRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  fig7_suite::StandardRun seq = fig7_suite::RunStandard(*q, values, 1);
-  fig7_suite::StandardRun par = fig7_suite::RunStandard(*q, values, 4);
+  fig7_suite::StandardRun seq =
+      fig7_suite::RunStandard(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(seq.ok()) << seq.status;
+  fig7_suite::StandardRun par =
+      fig7_suite::RunStandard(*q, values, fig7_suite::Config(4));
+  ASSERT_TRUE(par.ok()) << par.status;
   // Identical rows in identical partitions (placement) and identical
   // stats, the keyed counters and encode bytes included.
   fig7_suite::ExpectSameRows(seq.out, par.out);
@@ -479,9 +483,13 @@ TEST_P(KeyCodecSuiteTest, ShreddedRouteOnOffIdentical) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = fig7_suite::Inputs(kind, depth);
 
-  fig7_suite::ShreddedRun seq = fig7_suite::RunShredded(*q, values, 1);
-  fig7_suite::ShreddedRun par = fig7_suite::RunShredded(*q, values, 4);
-  fig7_suite::ExpectSameShreddedRows(seq.run, par.run);
+  fig7_suite::ShreddedRun seq =
+      fig7_suite::RunShredded(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(seq.ok()) << seq.status;
+  fig7_suite::ShreddedRun par =
+      fig7_suite::RunShredded(*q, values, fig7_suite::Config(4));
+  ASSERT_TRUE(par.ok()) << par.status;
+  fig7_suite::ExpectSameShreddedRows(seq.out, par.out);
   fig7_suite::ExpectSameStats(seq.stats, par.stats);
   EXPECT_EQ(seq.stats.totals().hash_build_rows > 0,
             seq.stats.totals().key_encode_bytes > 0);
@@ -533,7 +541,9 @@ TEST(KeyCodecRuntimeTest, CountersVisibleInJsonAndExplain) {
   tpch::TpchConfig cfg;
   cfg.scale = 0.0005;
   auto values = fig7_suite::TpchValues(tpch::Generate(cfg));
-  fig7_suite::StandardRun r = fig7_suite::RunStandard(*q, values, 1);
+  fig7_suite::StandardRun r =
+      fig7_suite::RunStandard(*q, values, fig7_suite::Config(1));
+  ASSERT_TRUE(r.ok()) << r.status;
   EXPECT_GT(r.stats.totals().hash_build_rows, 0u);
   EXPECT_GT(r.stats.totals().key_encode_bytes, 0u);
 

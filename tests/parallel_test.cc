@@ -201,83 +201,48 @@ TEST(ParallelDeterminismTest, AllBulkOperatorsRecoverFromFaults) {
 
 // --- Full Figure-7 query through both compilation routes ------------------
 
-Status RegisterTpch(exec::Executor* executor, const tpch::TpchData& d) {
-  struct Entry {
-    const tpch::Table* t;
-    const char* name;
-  };
-  for (const Entry& e :
-       {Entry{&d.region, "Region"}, Entry{&d.nation, "Nation"},
-        Entry{&d.customer, "Customer"}, Entry{&d.orders, "Orders"},
-        Entry{&d.lineitem, "Lineitem"}, Entry{&d.part, "Part"}}) {
-    TRANCE_ASSIGN_OR_RETURN(
-        Dataset ds,
-        Source(executor->cluster(), e.t->schema, e.t->rows, e.name));
-    executor->Register(e.name, std::move(ds));
-    TRANCE_ASSIGN_OR_RETURN(Dataset shredded,
-                            Source(executor->cluster(), e.t->schema,
-                                   e.t->rows, shred::FlatInputName(e.name)));
-    executor->Register(shred::FlatInputName(e.name), std::move(shredded));
-  }
-  return Status::OK();
-}
-
-tpch::TpchData SmallTpch() {
+std::map<std::string, nrc::Value> SmallTpch() {
   tpch::TpchConfig cfg;
   cfg.scale = 0.002;
-  return tpch::Generate(cfg);
+  return fig7_suite::TpchValues(tpch::Generate(cfg));
 }
 
 TEST(ParallelDeterminismTest, Fig7StandardRoute) {
-  tpch::TpchData data = SmallTpch();
+  const auto values = SmallTpch();
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
 
-  Dataset baseline;
-  JobStats baseline_stats;
+  fig7_suite::StandardRun baseline;
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    Cluster cluster(Config(threads));
-    exec::Executor executor(&cluster, {});
-    ASSERT_TRUE(RegisterTpch(&executor, data).ok());
-    auto out = exec::RunStandard(*program, &executor, {});
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    fig7_suite::StandardRun run =
+        fig7_suite::RunStandard(*program, values, Config(threads));
+    ASSERT_TRUE(run.ok()) << run.status;
     if (threads == 1) {
-      baseline = std::move(out).value();
-      baseline_stats = cluster.stats();
+      baseline = std::move(run);
     } else {
-      ExpectSameRows(baseline, *out);
-      ExpectSameStats(baseline_stats, cluster.stats());
+      ExpectSameRows(baseline.out, run.out);
+      ExpectSameStats(baseline.stats, run.stats);
     }
   }
 }
 
 TEST(ParallelDeterminismTest, Fig7ShreddedRoute) {
-  tpch::TpchData data = SmallTpch();
+  const auto values = SmallTpch();
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
 
-  exec::ShreddedRun baseline;
-  JobStats baseline_stats;
+  fig7_suite::ShreddedRun baseline;
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    Cluster cluster(Config(threads));
-    exec::Executor executor(&cluster, {});
-    ASSERT_TRUE(RegisterTpch(&executor, data).ok());
-    auto run = exec::RunShredded(*program, &executor, {});
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    fig7_suite::ShreddedRun run =
+        fig7_suite::RunShredded(*program, values, Config(threads));
+    ASSERT_TRUE(run.ok()) << run.status;
     if (threads == 1) {
-      baseline = std::move(run).value();
-      baseline_stats = cluster.stats();
+      baseline = std::move(run);
     } else {
-      ExpectSameRows(baseline.top, run->top);
-      ASSERT_EQ(baseline.dicts.size(), run->dicts.size());
-      for (size_t i = 0; i < baseline.dicts.size(); ++i) {
-        SCOPED_TRACE("dict " + baseline.dicts[i].first);
-        EXPECT_EQ(baseline.dicts[i].first, run->dicts[i].first);
-        ExpectSameRows(baseline.dicts[i].second, run->dicts[i].second);
-      }
-      ExpectSameStats(baseline_stats, cluster.stats());
+      fig7_suite::ExpectSameShreddedRows(baseline.out, run.out);
+      ExpectSameStats(baseline.stats, run.stats);
     }
   }
 }
@@ -300,43 +265,27 @@ TEST(ParallelDeterminismTest, SkewAwareShreddedRoute) {
   ASSERT_TRUE(nested.ok()) << nested.status().ToString();
   tables["COP"] = nested->at(prep->result().var);
 
-  exec::PipelineOptions opts;
-  opts.exec.skew_aware = true;
-  exec::ShreddedRun baseline;
-  JobStats baseline_stats;
+  exec::ExecOptions skew;
+  skew.skew_aware = true;
+  fig7_suite::ShreddedRun baseline;
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    Cluster cluster(Config(threads));
-    exec::Executor executor(&cluster, opts.exec);
-    int64_t seed = 0;
-    for (const auto& in : program->inputs) {
-      ASSERT_TRUE(exec::RegisterShreddedInput(&executor, in.name, in.type,
-                                              tables.at(in.name), seed)
-                      .ok());
-      seed += 1000000;
-    }
-    auto run = exec::RunShredded(*program, &executor, opts);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    fig7_suite::ShreddedRun run =
+        fig7_suite::RunShredded(*program, tables, Config(threads), skew);
+    ASSERT_TRUE(run.ok()) << run.status;
     // Heavy stages run only over heavy rows.
     size_t heavy_stages = 0;
-    for (const StageStats& s : cluster.stats().stages()) {
+    for (const StageStats& s : run.stats.stages()) {
       if (!IsHeavyStage(s)) continue;
       ++heavy_stages;
       EXPECT_GT(s.rows_in, 0u) << s.op;
     }
     EXPECT_GT(heavy_stages, 0u);
     if (threads == 1) {
-      baseline = std::move(run).value();
-      baseline_stats = cluster.stats();
+      baseline = std::move(run);
     } else {
-      ExpectSameRows(baseline.top, run->top);
-      ASSERT_EQ(baseline.dicts.size(), run->dicts.size());
-      for (size_t i = 0; i < baseline.dicts.size(); ++i) {
-        SCOPED_TRACE("dict " + baseline.dicts[i].first);
-        EXPECT_EQ(baseline.dicts[i].first, run->dicts[i].first);
-        ExpectSameRows(baseline.dicts[i].second, run->dicts[i].second);
-      }
-      ExpectSameStats(baseline_stats, cluster.stats());
+      fig7_suite::ExpectSameShreddedRows(baseline.out, run.out);
+      ExpectSameStats(baseline.stats, run.stats);
     }
   }
 }

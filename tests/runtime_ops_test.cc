@@ -900,11 +900,12 @@ TEST(OpsTest, NonNumericSumColumnsAreRejected) {
 TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
   // Inputs are exempt (pre-cached), but the first real operator over them
   // must hit the cap.
-  ClusterConfig cfg{.num_partitions = 2, .partition_memory_cap = 512};
-  Cluster cluster(cfg);
   // Spilling (on by default) would turn this overflow into disk runs and
   // succeed; this test is about the historical hard failure.
-  cluster.set_spill_enabled(false);
+  ClusterConfig cfg{.num_partitions = 2,
+                    .partition_memory_cap = 512,
+                    .enable_spill = false};
+  Cluster cluster(cfg);
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) {
     rows.push_back(Row({Field::Int(i), Field::Str(std::string(64, 'x'))}));
@@ -924,9 +925,10 @@ TEST(OpsTest, PeakPartitionBytesCoversTheFailedStage) {
   // With spilling off the memory check fails at the first partition over
   // the cap; the reported peak is still the largest partition the stage
   // emitted, here the one after it.
-  ClusterConfig cfg{.num_partitions = 2, .partition_memory_cap = 512};
+  ClusterConfig cfg{.num_partitions = 2,
+                    .partition_memory_cap = 512,
+                    .enable_spill = false};
   Cluster cluster(cfg);
-  cluster.set_spill_enabled(false);
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) {
     // Round-robin placement: partition 1 receives the longer strings.

@@ -188,6 +188,26 @@ TEST(ValueShredderTest, PairRelationalConversions) {
 
 // --- Materialized shredded programs on the interpreter ---------------------
 
+/// `program`'s inputs in shredded form, as interpreter inputs (X_F and
+/// X_D_<path>): the k-th input shredded with label seed
+/// shred::InputLabelSeed(k), as exec::RegisterInputs shreds it.
+StatusOr<std::map<std::string, Value>> ShreddedInputs(
+    const Program& program, const std::map<std::string, Value>& inputs) {
+  std::map<std::string, Value> out;
+  for (size_t k = 0; k < program.inputs.size(); ++k) {
+    const nrc::InputDecl& in = program.inputs[k];
+    TRANCE_ASSIGN_OR_RETURN(
+        shred::ShreddedValue sv,
+        shred::ShredValue(inputs.at(in.name), in.type,
+                          shred::InputLabelSeed(k)));
+    out[shred::FlatInputName(in.name)] = std::move(sv.flat);
+    for (auto& [path, dict] : sv.dicts) {
+      out[shred::DictInputName(in.name, path)] = std::move(dict);
+    }
+  }
+  return out;
+}
+
 /// Runs the source program on the oracle; shreds+materializes; runs the
 /// materialized program on the interpreter over shredded inputs; unshreds
 /// and compares.
@@ -202,19 +222,10 @@ void ExpectShreddedAgreement(const Program& program,
   auto mat = shred::ShredAndMaterialize(program, mode);
   ASSERT_TRUE(mat.ok()) << mat.status().ToString();
 
-  std::map<std::string, Value> shredded_inputs;
-  int64_t seed = 0;
-  for (const auto& in : program.inputs) {
-    auto sv = shred::ShredValue(inputs.at(in.name), in.type, seed);
-    seed += 1000000;
-    ASSERT_TRUE(sv.ok()) << sv.status().ToString();
-    shredded_inputs[shred::FlatInputName(in.name)] = sv->flat;
-    for (const auto& [path, dict] : sv->dicts) {
-      shredded_inputs[shred::DictInputName(in.name, path)] = dict;
-    }
-  }
+  auto shredded_inputs = ShreddedInputs(program, inputs);
+  ASSERT_TRUE(shredded_inputs.ok()) << shredded_inputs.status().ToString();
   nrc::Interpreter interp2;
-  auto result = interp2.EvalProgram(mat->program, shredded_inputs);
+  auto result = interp2.EvalProgram(mat->program, *shredded_inputs);
   ASSERT_TRUE(result.ok()) << result.status().ToString() << "\n"
                            << nrc::PrintProgram(mat->program);
 
@@ -338,19 +349,10 @@ TEST(MaterializeTest, NestedToFlatHasNoDicts) {
                                       {"Part", MakePart()}};
   auto oracle = interp.EvalProgram(p, inputs);
   ASSERT_TRUE(oracle.ok());
-  std::map<std::string, Value> shredded_inputs;
-  int64_t seed = 0;
-  for (const auto& in : p.inputs) {
-    auto sv = shred::ShredValue(inputs.at(in.name), in.type, seed);
-    seed += 1000000;
-    ASSERT_TRUE(sv.ok());
-    shredded_inputs[shred::FlatInputName(in.name)] = sv->flat;
-    for (const auto& [path, dict] : sv->dicts) {
-      shredded_inputs[shred::DictInputName(in.name, path)] = dict;
-    }
-  }
+  auto shredded_inputs = ShreddedInputs(p, inputs);
+  ASSERT_TRUE(shredded_inputs.ok()) << shredded_inputs.status().ToString();
   nrc::Interpreter interp2;
-  auto got = interp2.EvalProgram(mat->program, shredded_inputs);
+  auto got = interp2.EvalProgram(mat->program, *shredded_inputs);
   ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n"
                         << nrc::PrintProgram(mat->program);
   EXPECT_TRUE(DeepBagEquals(got->at(mat->top_var), oracle->at("Q")));

@@ -2,7 +2,7 @@
 //
 // The acceptance contract of runtime/spill.h: a Fig-7 query that hard-fails
 // with ResourceExhausted under a reduced partition_memory_cap completes when
-// ExecOptions::enable_spill is on, with rows, placement, and every
+// ClusterConfig::enable_spill is on, with rows, placement, and every
 // pre-existing JobStats counter bit-identical to an uncapped run — at 1, 4,
 // and 8 threads, on both compilation routes. Spill cost appears only in the
 // spill-only counters (and EXPLAIN ANALYZE / JSON export), which are exactly
@@ -17,15 +17,10 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "exec/bridge.h"
-#include "exec/pipeline.h"
 #include "fig7_suite.h"
-#include "obs/explain.h"
 #include "obs/export.h"
 #include "runtime/cluster.h"
 #include "runtime/ops.h"
@@ -45,8 +40,10 @@ using fig7_suite::kFlatToNested;
 using fig7_suite::kNestedToFlat;
 using fig7_suite::kNestedToNested;
 using fig7_suite::Query;
-using nrc::Value;
-using runtime::Dataset;
+using fig7_suite::RunShredded;
+using fig7_suite::RunStandard;
+using fig7_suite::ShreddedRun;
+using fig7_suite::StandardRun;
 using runtime::JobStats;
 using runtime::Row;
 using runtime::StatGroup;
@@ -58,95 +55,15 @@ using runtime::Field;
 // spill-on capped run must actually hit the disk.
 constexpr uint64_t kTinyCap = 4ull << 10;
 
-runtime::ClusterConfig Config(int num_threads, uint64_t cap) {
+/// The suite's cluster at `num_threads`, with memory cap `cap` (0: the
+/// default) and spilling on or off.
+runtime::ClusterConfig Config(int num_threads, uint64_t cap, bool spill) {
   runtime::ClusterConfig c;
   c.num_partitions = 8;
   c.num_threads = num_threads;
   if (cap > 0) c.partition_memory_cap = cap;
+  c.enable_spill = spill;
   return c;
-}
-
-struct ModeRun {
-  bool ok = false;
-  Status status = Status::OK();
-  Dataset out;
-  JobStats stats;
-  std::string explain;
-};
-
-/// Runs the standard route with a configurable cap and spill flag, without
-/// aborting on failure (capped spill-off runs are SUPPOSED to fail).
-ModeRun RunStandardMode(const nrc::Program& q,
-                        const std::map<std::string, Value>& values,
-                        int threads, uint64_t cap, bool spill) {
-  runtime::Cluster cluster(Config(threads, cap));
-  exec::PipelineOptions opts;
-  opts.exec.enable_spill = spill;
-  exec::Executor executor(&cluster, opts.exec);
-  ModeRun r;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    auto schema = runtime::Schema::FromBagType(in.type).ValueOrDie();
-    auto rows = exec::ValueToRows(v->second, schema).ValueOrDie();
-    auto ds = runtime::Source(&cluster, schema, std::move(rows), in.name);
-    if (!ds.ok()) {
-      r.status = ds.status();
-      r.stats = cluster.stats();
-      return r;
-    }
-    executor.Register(in.name, std::move(ds).value());
-  }
-  plan::PlanProgram compiled;
-  auto out = exec::RunStandard(q, &executor, opts, &compiled);
-  r.stats = cluster.stats();
-  if (!out.ok()) {
-    r.status = out.status();
-    return r;
-  }
-  r.ok = true;
-  r.out = std::move(out).value();
-  r.explain = obs::ExplainAnalyze(compiled, r.stats);
-  return r;
-}
-
-struct ShreddedModeRun {
-  bool ok = false;
-  Status status = Status::OK();
-  exec::ShreddedRun run;
-  JobStats stats;
-};
-
-ShreddedModeRun RunShreddedMode(const nrc::Program& q,
-                                const std::map<std::string, Value>& values,
-                                int threads, uint64_t cap, bool spill) {
-  runtime::Cluster cluster(Config(threads, cap));
-  exec::PipelineOptions opts;
-  opts.exec.enable_spill = spill;
-  exec::Executor executor(&cluster, opts.exec);
-  ShreddedModeRun r;
-  int64_t seed = 0;
-  for (const auto& in : q.inputs) {
-    auto v = values.find(in.name);
-    TRANCE_CHECK(v != values.end(), "missing input");
-    Status reg = exec::RegisterShreddedInput(&executor, in.name, in.type,
-                                             v->second, seed);
-    if (!reg.ok()) {
-      r.status = reg;
-      r.stats = cluster.stats();
-      return r;
-    }
-    seed += 1000000;
-  }
-  auto run = exec::RunShredded(q, &executor, opts);
-  r.stats = cluster.stats();
-  if (!run.ok()) {
-    r.status = run.status();
-    return r;
-  }
-  r.ok = true;
-  r.run = std::move(run).value();
-  return r;
 }
 
 size_t RegularFilesUnder(const std::string& dir) {
@@ -176,18 +93,18 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   auto values = Inputs(kind, depth);
 
   // The paper's FAIL cell: the tiny cap hard-fails without spilling.
-  ModeRun fail = RunStandardMode(*q, values, 1, kTinyCap, false);
-  ASSERT_FALSE(fail.ok);
+  StandardRun fail = RunStandard(*q, values, Config(1, kTinyCap, false));
+  ASSERT_FALSE(fail.ok());
   EXPECT_TRUE(fail.status.IsResourceExhausted()) << fail.status.ToString();
   EXPECT_NE(fail.status.ToString().find("worker memory saturated"),
             std::string::npos)
       << fail.status.ToString();
 
   // The same cap with spilling on completes...
-  ModeRun uncapped = RunStandardMode(*q, values, 1, 0, true);
-  ASSERT_TRUE(uncapped.ok) << uncapped.status.ToString();
-  ModeRun spill1 = RunStandardMode(*q, values, 1, kTinyCap, true);
-  ASSERT_TRUE(spill1.ok) << spill1.status.ToString();
+  StandardRun uncapped = RunStandard(*q, values, Config(1, 0, true));
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status.ToString();
+  StandardRun spill1 = RunStandard(*q, values, Config(1, kTinyCap, true));
+  ASSERT_TRUE(spill1.ok()) << spill1.status.ToString();
 
   // ...with identical rows in identical partitions and identical
   // pre-existing stats, and real spill traffic.
@@ -203,10 +120,10 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
 
   // Thread-count invariance covers the spill counters too: spill decisions
   // are byte-threshold-driven and folded in partition order.
-  ModeRun spill4 = RunStandardMode(*q, values, 4, kTinyCap, true);
-  ModeRun spill8 = RunStandardMode(*q, values, 8, kTinyCap, true);
-  ASSERT_TRUE(spill4.ok) << spill4.status.ToString();
-  ASSERT_TRUE(spill8.ok) << spill8.status.ToString();
+  StandardRun spill4 = RunStandard(*q, values, Config(4, kTinyCap, true));
+  StandardRun spill8 = RunStandard(*q, values, Config(8, kTinyCap, true));
+  ASSERT_TRUE(spill4.ok()) << spill4.status.ToString();
+  ASSERT_TRUE(spill8.ok()) << spill8.status.ToString();
   ExpectSameRows(spill1.out, spill4.out);
   ExpectSameRows(spill1.out, spill8.out);
   ExpectSameStats(spill1.stats, spill4.stats);
@@ -229,22 +146,22 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = Inputs(kind, depth);
 
-  ShreddedModeRun uncapped = RunShreddedMode(*q, values, 1, 0, true);
-  ASSERT_TRUE(uncapped.ok) << uncapped.status.ToString();
-  ShreddedModeRun spill1 = RunShreddedMode(*q, values, 1, kTinyCap, true);
-  ASSERT_TRUE(spill1.ok) << spill1.status.ToString();
-  ShreddedModeRun spill4 = RunShreddedMode(*q, values, 4, kTinyCap, true);
-  ASSERT_TRUE(spill4.ok) << spill4.status.ToString();
-  ShreddedModeRun spill8 = RunShreddedMode(*q, values, 8, kTinyCap, true);
-  ASSERT_TRUE(spill8.ok) << spill8.status.ToString();
+  ShreddedRun uncapped = RunShredded(*q, values, Config(1, 0, true));
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status.ToString();
+  ShreddedRun spill1 = RunShredded(*q, values, Config(1, kTinyCap, true));
+  ASSERT_TRUE(spill1.ok()) << spill1.status.ToString();
+  ShreddedRun spill4 = RunShredded(*q, values, Config(4, kTinyCap, true));
+  ASSERT_TRUE(spill4.ok()) << spill4.status.ToString();
+  ShreddedRun spill8 = RunShredded(*q, values, Config(8, kTinyCap, true));
+  ASSERT_TRUE(spill8.ok()) << spill8.status.ToString();
 
-  ExpectSameShreddedRows(uncapped.run, spill1.run);
+  ExpectSameShreddedRows(uncapped.out, spill1.out);
   ExpectSameStats(uncapped.stats, spill1.stats, StatGroup::kSpill);
   EXPECT_GT(spill1.stats.totals().spill_runs, 0u);
   ExpectZeroSpill(uncapped.stats);
 
-  ExpectSameShreddedRows(spill1.run, spill4.run);
-  ExpectSameShreddedRows(spill1.run, spill8.run);
+  ExpectSameShreddedRows(spill1.out, spill4.out);
+  ExpectSameShreddedRows(spill1.out, spill8.out);
   ExpectSameStats(spill1.stats, spill4.stats);
   ExpectSameStats(spill1.stats, spill8.stats);
   EXPECT_EQ(spill1.stats.totals().spill_bytes_written,
@@ -265,8 +182,8 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = FlatInputs();
 
-  ModeRun forced = RunStandardMode(*q, values, 1, kTinyCap, true);
-  ASSERT_TRUE(forced.ok) << forced.status.ToString();
+  StandardRun forced = RunStandard(*q, values, Config(1, kTinyCap, true));
+  ASSERT_TRUE(forced.ok()) << forced.status.ToString();
   EXPECT_GT(forced.stats.totals().spill_bytes_written, 0u);
 
   std::string json = obs::JobStatsToJson(forced.stats);
@@ -280,8 +197,8 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 
   // Unforced: no spill clause in EXPLAIN, but the JSON totals still carry
   // the (zero) keys so bench_diff can gate on them.
-  ModeRun easy = RunStandardMode(*q, values, 1, 0, true);
-  ASSERT_TRUE(easy.ok) << easy.status.ToString();
+  StandardRun easy = RunStandard(*q, values, Config(1, 0, true));
+  ASSERT_TRUE(easy.ok()) << easy.status.ToString();
   ExpectZeroSpill(easy.stats);
   EXPECT_EQ(easy.explain.find(" spill("), std::string::npos) << easy.explain;
   std::string easy_json = obs::JobStatsToJson(easy.stats);
@@ -296,12 +213,12 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = FlatInputs();
 
-  ModeRun col = RunStandardMode(*q, values, 1, kTinyCap, true);
-  ASSERT_TRUE(col.ok) << col.status.ToString();
+  StandardRun col = RunStandard(*q, values, Config(1, kTinyCap, true));
+  ASSERT_TRUE(col.ok()) << col.status.ToString();
   EXPECT_GT(col.stats.totals().spill_runs, 0u);
 
-  ModeRun col4 = RunStandardMode(*q, values, 4, kTinyCap, true);
-  ASSERT_TRUE(col4.ok) << col4.status.ToString();
+  StandardRun col4 = RunStandard(*q, values, Config(4, kTinyCap, true));
+  ASSERT_TRUE(col4.ok()) << col4.status.ToString();
 }
 
 TEST(SpillRuntimeTest, SpillsExactlyWhenTheCapWouldFail) {
@@ -319,12 +236,12 @@ TEST(SpillRuntimeTest, SpillsExactlyWhenTheCapWouldFail) {
       for (uint64_t cap : {4ull << 10, 32ull << 10, 128ull << 10}) {
         SCOPED_TRACE(std::string(KindName(kind)) + " depth " +
                      std::to_string(depth) + " cap " + std::to_string(cap));
-        ModeRun on = RunStandardMode(*q, values, 1, cap, true);
-        ASSERT_TRUE(on.ok) << on.status.ToString();
-        ModeRun off = RunStandardMode(*q, values, 1, cap, false);
-        EXPECT_TRUE(off.ok || off.status.IsResourceExhausted())
+        StandardRun on = RunStandard(*q, values, Config(1, cap, true));
+        ASSERT_TRUE(on.ok()) << on.status.ToString();
+        StandardRun off = RunStandard(*q, values, Config(1, cap, false));
+        EXPECT_TRUE(off.ok() || off.status.IsResourceExhausted())
             << off.status.ToString();
-        EXPECT_EQ(on.stats.totals().spill_runs > 0, !off.ok)
+        EXPECT_EQ(on.stats.totals().spill_runs > 0, !off.ok())
             << on.stats.totals().spill_runs << " spill runs; spill off: "
             << off.status.ToString();
       }
@@ -338,7 +255,7 @@ TEST(SpillRuntimeTest, FailedStageSpillRemovesItsRuns) {
   // below it. The stage barrier spills that partition in 2 KiB runs until
   // the budget refuses one; the failed spill must leave no run on disk or
   // in the budget.
-  runtime::ClusterConfig cfg = Config(1, 0);
+  runtime::ClusterConfig cfg = Config(1, 0, true);
   cfg.num_partitions = 4;
   cfg.partition_memory_cap = 12ull << 10;
   cfg.spill.dir = ::testing::TempDir();
@@ -373,8 +290,8 @@ TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
   auto q = tpch::FlatToNested(1, tpch::Width::kNarrow);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = FlatInputs();
-  ModeRun fail = RunStandardMode(*q, values, 1, kTinyCap, false);
-  ASSERT_FALSE(fail.ok);
+  StandardRun fail = RunStandard(*q, values, Config(1, kTinyCap, false));
+  ASSERT_FALSE(fail.ok());
   std::string msg = fail.status.ToString();
   EXPECT_TRUE(fail.status.IsResourceExhausted()) << msg;
   EXPECT_NE(msg.find("worker memory saturated in"), std::string::npos) << msg;
@@ -624,7 +541,7 @@ TEST(SpillManagerTest, UnwritableRunDirectoryFailsCleanly) {
   ExpectBlockRows(block, MakeRows(100, "kept-"));
 
   // One key, so the shuffle sends every row to one partition, over the cap.
-  runtime::ClusterConfig ccfg = Config(1, 0);
+  runtime::ClusterConfig ccfg = Config(1, 0, true);
   ccfg.num_partitions = 4;
   ccfg.partition_memory_cap = 12ull << 10;
   ccfg.spill.dir = cfg.dir;
