@@ -6,6 +6,7 @@
 
 #include "obs/export.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/file.h"
 #include "util/stopwatch.h"
@@ -49,11 +50,9 @@ bool WantsUnshred(Strategy s) {
 }
 
 exec::PipelineOptions OptionsFor(Strategy s) {
-  exec::PipelineOptions o;
-  if (s == Strategy::kSparkSql) {
-    // Section 6: SparkSQL does not perform the cogroup optimization.
-    o.optimizer.enable_cogroup = false;
-  }
+  exec::PipelineOptions o = s == Strategy::kSparkSql
+                                ? exec::PipelineOptions::SparkSql()
+                                : exec::PipelineOptions{};
   if (IsSkewAware(s)) {
     o.exec.skew_aware = true;
   }
@@ -79,7 +78,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
   r.name = name;
   r.num_threads = cluster->num_threads();
   cluster->stats().Reset();
-  cluster->metrics().Reset();
   obs::Tracer* tracer = &obs::Tracer::Global();
   Status st;
   {
@@ -90,7 +88,6 @@ RunResult TimedRun(const std::string& name, runtime::Cluster* cluster,
   }
   const auto& stats = cluster->stats();
   r.stats = stats;
-  r.metrics = cluster->metrics().Snapshot();
   r.ok = st.ok();
   if (!st.ok()) r.fail_reason = st.ToString();
   obs::AppendJobStagesToTrace(stats, tracer, name);
@@ -314,10 +311,9 @@ Status WriteBenchReport(const std::string& bench_name,
     w.Uint(r.out_rows);
     w.Key("job");
     obs::WriteJobStats(r.stats, &w);
-    // Generic registry dump: one loop, any registered metric — the bench
-    // report never needs a per-metric edit.
+    // The metric series, read off the run's JobStats.
     w.Key("metrics");
-    obs::MetricRegistry::WriteSamplesJson(r.metrics, &w);
+    obs::WriteMetricsJson(r.stats.Snapshot(), &w);
     w.EndObject();
   }
   w.EndArray();

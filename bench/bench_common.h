@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "exec/pipeline.h"
-#include "obs/metrics.h"
 #include "runtime/cluster.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -38,13 +37,9 @@ struct RunResult {
   double wall_s = 0;
   size_t out_rows = 0;
   /// Full per-stage telemetry of the run; every statistic is read from
-  /// here (`stats.totals()` for job totals, see runtime/stats.h).
+  /// here (`stats.totals()` for job totals, `stats.Snapshot()` for the
+  /// report's `metrics` object; see runtime/stats.h).
   runtime::JobStats stats;
-  /// Snapshot of the cluster's metric registry at the end of the run.
-  /// Serialized generically into the report's per-run `metrics` object, so
-  /// a metric registered anywhere in the runtime appears in BENCH_*.json
-  /// with no bench-side edits.
-  std::vector<obs::MetricSample> metrics;
 };
 
 /// The evaluation strategies of Section 6.

@@ -3,10 +3,10 @@
 //
 //   - correctness-adjacent invariants (row counts, shuffle bytes, hash and
 //     fusion counters, fault telemetry, every stage of the `job` object, the
-//     whole `metrics` registry dump) are deterministic for a given workload,
-//     so ANY difference is a hard failure — either a real regression or a
-//     behavior change that needs a deliberate baseline refresh (see
-//     EXPERIMENTS.md);
+//     whole `metrics` object of series) are deterministic for a given
+//     workload, so ANY difference is a hard failure — either a real
+//     regression or a behavior change that needs a deliberate baseline
+//     refresh (see EXPERIMENTS.md);
 //   - simulated times compare with a tiny relative tolerance (they are
 //     deterministic doubles; the tolerance only absorbs serialization);
 //   - wall-clock times only soft-warn, and only in the slower direction —
@@ -87,7 +87,7 @@ enum class Policy {
               // baseline * max_wall_ratio
   kInfo,      // machine-dependent (thread budget, stage wall time): never
               // compared
-  kRegistry,  // the `metrics` dump: every series deterministic, compared
+  kSeries,    // the `metrics` object: every series deterministic, compared
               // like kSimTime; a candidate-only series warns (new metric)
 };
 
@@ -117,8 +117,8 @@ Policy KeyPolicy(const std::string& key) {
       key == "num_threads") {
     return Policy::kInfo;
   }
-  // The registry holds no wall-clock metrics, so every series must match.
-  if (key == "metrics") return Policy::kRegistry;
+  // No metric series is a wall-clock value, so every series must match.
+  if (key == "metrics") return Policy::kSeries;
   return Policy::kExact;
 }
 
@@ -128,7 +128,7 @@ double AsNumber(const JsonValue& v) {
 }
 
 /// Compares one value under `policy`. Objects recurse key by key: inside
-/// `metrics` every series keeps kRegistry, elsewhere each key takes its
+/// `metrics` every series keeps kSeries, elsewhere each key takes its
 /// KeyPolicy. Arrays compare element by element (stages match by index),
 /// strings exactly.
 void DiffValue(DiffState* st, const std::string& label, Policy policy,
@@ -149,7 +149,7 @@ void DiffValue(DiffState* st, const std::string& label, Policy policy,
   }
   if (base->is_object()) {
     auto key_policy = [&](const std::string& key) {
-      return policy == Policy::kRegistry ? policy : KeyPolicy(key);
+      return policy == Policy::kSeries ? policy : KeyPolicy(key);
     };
     for (const auto& [key, bval] : base->obj) {
       DiffValue(st, label + "." + key, key_policy(key), &bval,
@@ -157,7 +157,7 @@ void DiffValue(DiffState* st, const std::string& label, Policy policy,
     }
     for (const auto& [key, cval] : cand->obj) {
       if (base->Find(key) != nullptr) continue;
-      if (policy == Policy::kRegistry) {
+      if (policy == Policy::kSeries) {
         st->Warn(label + "." + key +
                  ": new metric not in baseline (refresh baselines, see "
                  "EXPERIMENTS.md)");
@@ -195,7 +195,7 @@ void DiffValue(DiffState* st, const std::string& label, Policy policy,
       }
       break;
     case Policy::kSimTime:
-    case Policy::kRegistry:
+    case Policy::kSeries:
       if (!NearlyEqual(b, c)) {
         st->Fail(label + ": baseline=" + FmtNum(b) + " candidate=" + FmtNum(c));
       }

@@ -32,6 +32,14 @@ uint64_t TotalShuffle(const RunResult& r) {
   return r.stats.totals().shuffle_bytes;
 }
 
+/// `runs` with every name prefixed by `prefix`: the narrow and wide Fig-7
+/// passes name their runs alike, and the report needs unique names.
+std::vector<RunResult> Prefixed(std::vector<RunResult> runs,
+                                const std::string& prefix) {
+  for (RunResult& r : runs) r.name = prefix + r.name;
+  return runs;
+}
+
 void Compare(const char* label, const std::vector<RunResult>& rs,
              const std::string& a, const std::string& b, RunMetric metric) {
   const RunResult* ra = Find(rs, a);
@@ -58,33 +66,32 @@ int main() {
   Fig7Config narrow;
   narrow.width = tpch::Width::kNarrow;
   narrow.partition_memory_cap = 64ull << 20;  // uncapped: measure volumes
-  auto nruns = RunFig7(narrow);
+  std::vector<RunResult> all = Prefixed(RunFig7(narrow), "narrow/");
   Fig7Config wide = narrow;
   wide.width = tpch::Width::kWide;
-  auto wruns = RunFig7(wide);
+  std::vector<RunResult> wruns = Prefixed(RunFig7(wide), "wide/");
+  all.insert(all.end(), wruns.begin(), wruns.end());
 
   std::printf("\n=== Shuffle comparisons (Section 6 text) ===\n");
-  Compare("flat-to-nested wide d2: STANDARD vs SHRED (max stage)", wruns,
-          "flat_to_nested d2 STANDARD", "flat_to_nested d2 SHRED",
+  Compare("flat-to-nested wide d2: STANDARD vs SHRED (max stage)", all,
+          "wide/flat_to_nested d2 STANDARD", "wide/flat_to_nested d2 SHRED",
           MaxStageShuffle);
-  Compare("flat-to-nested wide d4: STANDARD vs SHRED (max stage)", wruns,
-          "flat_to_nested d4 STANDARD", "flat_to_nested d4 SHRED",
+  Compare("flat-to-nested wide d4: STANDARD vs SHRED (max stage)", all,
+          "wide/flat_to_nested d4 STANDARD", "wide/flat_to_nested d4 SHRED",
           MaxStageShuffle);
-  Compare("nested-to-nested narrow d2: STANDARD vs SHRED (total)", nruns,
-          "nested_to_nested d2 STANDARD", "nested_to_nested d2 SHRED",
+  Compare("nested-to-nested narrow d2: STANDARD vs SHRED (total)", all,
+          "narrow/nested_to_nested d2 STANDARD",
+          "narrow/nested_to_nested d2 SHRED", TotalShuffle);
+  Compare("nested-to-nested wide d2: STANDARD vs SHRED (total)", all,
+          "wide/nested_to_nested d2 STANDARD", "wide/nested_to_nested d2 SHRED",
           TotalShuffle);
-  Compare("nested-to-nested wide d2: STANDARD vs SHRED (total)", wruns,
-          "nested_to_nested d2 STANDARD", "nested_to_nested d2 SHRED",
-          TotalShuffle);
-  Compare("nested-to-flat wide d2: STANDARD vs SHRED (total)", wruns,
-          "nested_to_flat d2 STANDARD", "nested_to_flat d2 SHRED",
+  Compare("nested-to-flat wide d2: STANDARD vs SHRED (total)", all,
+          "wide/nested_to_flat d2 STANDARD", "wide/nested_to_flat d2 SHRED",
           TotalShuffle);
   std::printf(
       "\n(skew join shuffle reductions: see bench_fig8_skew — SHRED vs "
       "SHRED_SKEW at skew 2 and 4)\n");
 
-  std::vector<RunResult> all = nruns;
-  all.insert(all.end(), wruns.begin(), wruns.end());
   TRANCE_CHECK(WriteBenchReport("shuffle_table", all).ok(), "bench report");
   return 0;
 }

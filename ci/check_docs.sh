@@ -19,9 +19,13 @@
 #     flag cannot linger anywhere in the docs.
 #  4. Statistic table: every uint64_t field of runtime::StageStats must have
 #     a kStatFields row (&StageStats::<field>) in src/runtime/stats.h, and
-#     every row's JSON key and registry series must be a backtick token in
-#     docs/METRICS.md. (ci/bench_smoke.sh only sees the keys a smoke run
-#     happens to emit; this check sees every row.)
+#     every row's JSON key must be a backtick token in docs/METRICS.md.
+#     Metric series both ways: every "trance_..." string literal in src/ (a
+#     table row's series or a series JobStats::Snapshot derives) must be a
+#     backtick token in docs/METRICS.md, and every trance_... row of its
+#     series table must be such a literal in src/, so a dropped series' row
+#     fails. (ci/bench_smoke.sh only sees the keys a smoke run happens to
+#     emit; this check sees every row and series.)
 #  5. Storage spec: the `version` value in the file-header table of
 #     docs/STORAGE.md must equal kFormatVersion in src/runtime/serde.h; the
 #     codes and names of its column-kind table must equal the kCol*
@@ -153,15 +157,29 @@ done < <(awk '/^struct StageStats \{/ { s = 1; next } s && /^};/ { s = 0 } s' \
            awk '{ print $2 }')
 while IFS= read -r tok; do
   if ! grep -qF "\`$tok\`" docs/METRICS.md; then
-    echo "UNDOCUMENTED STATISTIC: $tok (a kStatFields key or series in" \
-      "$STATS_H) is not a backtick token in docs/METRICS.md"
+    echo "UNDOCUMENTED STATISTIC: $tok (a kStatFields key in $STATS_H) is" \
+      "not a backtick token in docs/METRICS.md"
     fail=1
   fi
-done < <({
-  grep -oE '\{"[A-Za-z0-9_]+", &StageStats::' <<<"$table" |
-    sed -E 's/^\{"//; s/",.*$//'
-  grep -oE '"trance_[A-Za-z0-9_]+"' <<<"$table" | tr -d '"'
-} | sort -u)
+done < <(grep -oE '\{"[A-Za-z0-9_]+", &StageStats::' <<<"$table" |
+           sed -E 's/^\{"//; s/",.*$//' | sort -u)
+src_series=$(grep -rhoE '"trance_[A-Za-z0-9_]+"' src | tr -d '"' | sort -u)
+[ -n "$src_series" ] || { echo "NO METRIC SERIES: no \"trance_...\" literal in src/"; fail=1; }
+for tok in $src_series; do
+  if ! grep -qF "\`$tok\`" docs/METRICS.md; then
+    echo "UNDOCUMENTED SERIES: $tok (a string literal in src/) is not a" \
+      "backtick token in docs/METRICS.md"
+    fail=1
+  fi
+done
+doc_series=$(sed -nE 's/^\| `(trance_[A-Za-z0-9_]+)` \|.*/\1/p' docs/METRICS.md |
+  sort -u)
+[ -n "$doc_series" ] || { echo "NO SERIES TABLE: no trance_ row in docs/METRICS.md"; fail=1; }
+for tok in $(comm -23 <(echo "$doc_series") <(echo "$src_series")); do
+  echo "STALE SERIES ROW: docs/METRICS.md has a row for $tok, which is no" \
+    "\"$tok\" string literal in src/"
+  fail=1
+done
 
 # --- 5. the storage spec vs the serde code and tests ----------------------
 STORAGE=docs/STORAGE.md
@@ -246,4 +264,4 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
   exit 1
 fi
-echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + option tables + statistic table + storage spec and its code tables + code names in $names doc/name pairs)"
+echo "check_docs: OK (${#DOCS[@]} docs, links + option-struct coverage both ways + option tables + statistic table + metric series both ways + storage spec and its code tables + code names in $names doc/name pairs)"

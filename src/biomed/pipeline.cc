@@ -29,10 +29,6 @@ TypePtr GeneScoreType() {
   return BagTu({{"gene", Type::Int()}, {"score", Type::Real()}});
 }
 
-TypePtr HubScoreType() {
-  return BagTu({{"gene", Type::Int()}, {"hub", Type::Real()}});
-}
-
 /// Step1 body: flatten BN2 with per-level joins, aggregate, regroup.
 ExprPtr Step1Expr(const std::string& bn2) {
   return For(
@@ -136,21 +132,6 @@ nrc::Program E2EProgram() {
   p.assignments.push_back({"Step4", Step4Expr("Step3")});
   p.assignments.push_back({"Step5", Step5Expr("Step4")});
   return p;
-}
-
-StatusOr<nrc::TypePtr> StepOutputType(int step) {
-  switch (step) {
-    case 1:
-    case 2:
-    case 3:
-      return SampleGenesType();
-    case 4:
-      return GeneScoreType();
-    case 5:
-      return HubScoreType();
-    default:
-      return Status::Invalid("step must be in [1, 5]");
-  }
 }
 
 StatusOr<nrc::Program> StepProgram(int step) {

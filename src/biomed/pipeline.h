@@ -29,9 +29,6 @@ nrc::Program E2EProgram();
 /// Used by the benchmark harness to time steps individually.
 StatusOr<nrc::Program> StepProgram(int step);
 
-/// Output type of step `step` (1-based).
-StatusOr<nrc::TypePtr> StepOutputType(int step);
-
 }  // namespace biomed
 }  // namespace trance
 

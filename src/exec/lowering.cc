@@ -126,9 +126,6 @@ StatusOr<std::string> Executor::ExecuteProgram(
         .U64("assignments", program.assignments.size())
         .Emit();
   }
-  cluster_->metrics()
-      .GetCounter("trance_jobs_total", "plan programs executed")
-      ->Increment();
   auto finish = [&](const char* status) {
     if (!log.enabled()) return;
     obs::Event(&log, "job_finish")

@@ -161,13 +161,6 @@ class Expr {
   /// nothing to rebuild and is returned as is.
   static ExprPtr WithSubExprs(const ExprPtr& e, std::vector<ExprPtr> subs);
 
-  /// Structural helpers used across compilation stages.
-  bool IsComprehension() const {
-    return kind_ == Kind::kForUnion || kind_ == Kind::kIfThen ||
-           kind_ == Kind::kSingleton || kind_ == Kind::kUnion ||
-           kind_ == Kind::kEmptyBag;
-  }
-
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
 

@@ -156,8 +156,8 @@ bool operator==(const Value& a, const Value& b) {
     return true;
   }
   if (a.is_bag()) {
-    // Bag equality at this level is *sequence* equality; use BagEquals /
-    // DeepBagEquals for multiset semantics.
+    // Bag equality at this level is *sequence* equality; use DeepBagEquals
+    // for multiset semantics.
     const auto& ea = a.AsBag().elems;
     const auto& eb = b.AsBag().elems;
     if (ea.size() != eb.size()) return false;
@@ -244,12 +244,6 @@ Value Canonicalize(const Value& v) {
     return Value::Bag(std::move(elems));
   }
   return v;
-}
-
-bool BagEquals(const Value& a, const Value& b) {
-  TRANCE_CHECK(a.is_bag() && b.is_bag(), "BagEquals on non-bags");
-  if (a.AsBag().elems.size() != b.AsBag().elems.size()) return false;
-  return Canonicalize(a) == Canonicalize(b);
 }
 
 bool DeepBagEquals(const Value& a, const Value& b) {

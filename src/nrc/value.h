@@ -151,8 +151,6 @@ bool operator==(const Value& a, const Value& b);
 inline bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 bool ValueLess(const Value& a, const Value& b);
 
-/// Multiset equality of two bags (sorts canonical copies).
-bool BagEquals(const Value& a, const Value& b);
 /// Recursive multiset-aware equality: bags compare as multisets at every
 /// nesting level. This is the equality the oracle tests use.
 bool DeepBagEquals(const Value& a, const Value& b);

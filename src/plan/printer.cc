@@ -84,13 +84,5 @@ std::string PrintPlan(const PlanPtr& plan) {
   return os.str();
 }
 
-std::string PrintPlanProgram(const PlanProgram& program) {
-  std::ostringstream os;
-  for (const auto& a : program.assignments) {
-    os << a.var << " <=\n" << PrintPlan(a.plan) << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace plan
 }  // namespace trance

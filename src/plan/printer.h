@@ -15,7 +15,6 @@ namespace plan {
 std::string NodeLabel(const PlanPtr& plan);
 
 std::string PrintPlan(const PlanPtr& plan);
-std::string PrintPlanProgram(const PlanProgram& program);
 
 }  // namespace plan
 }  // namespace trance

@@ -44,42 +44,13 @@ void Cluster::RecordStage(StageStats s) {
   if (s.wall_start_us > now_us) s.wall_start_us = now_us;
   s.wall_dur_us = now_us - s.wall_start_us;
   last_stage_end_us_ = now_us;
-  PublishStage(stats_.stages().size(), s);
+  LogStage(stats_.stages().size(), s);
   stats_.AddStage(std::move(s));
 }
 
-void Cluster::PublishStage(size_t stage_index, const StageStats& s) {
-  // Registry half: one series per kStatFields row that names one, from this
-  // one site (stats.h). Integer sums are counters; maxima are SetMax gauges;
-  // doubles are Add gauges (driver-sequential here, so the floating-point
-  // order — and hence the value — is deterministic). The three series after
-  // the loop are derived from the stage rather than read off one field.
-  for (const StatField& f : kStatFields) {
-    if (f.series == nullptr) continue;
-    if (f.agg == StatAgg::kMax) {
-      metrics_.GetGauge(f.series, f.help)->SetMax(f.AsDouble(s));
-    } else if (f.f64 != nullptr) {
-      metrics_.GetGauge(f.series, f.help)->Add(s.*f.f64);
-    } else {
-      metrics_.GetCounter(f.series, f.help)->Add(s.*f.u64);
-    }
-  }
-  metrics_
-      .GetCounter("trance_stages_total", "stages recorded, by data movement",
-                  {{"movement", DataMovementName(s.movement)}})
-      ->Increment();
-  metrics_
-      .GetGauge("trance_max_stage_shuffle_bytes",
-                "largest single-stage shuffle")
-      ->SetMax(static_cast<double>(s.shuffle_bytes));
-  metrics_
-      .GetHistogram("trance_stage_imbalance",
-                    "per-stage straggler factor (max/mean worker load)",
-                    {1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0})
-      ->Observe(s.ImbalanceFactor());
-
-  // Event-log half: one stage_finish per stage, carrying the table rows the
-  // stage's stages[] JSON object carries (a group's keys when any of them is
+void Cluster::LogStage(size_t stage_index, const StageStats& s) {
+  // One stage_finish per stage, carrying the table rows the stage's
+  // stages[] JSON object carries (a group's keys when any of them is
   // nonzero; wall-clock rows as wall_ fields); heavy-key decisions get their
   // own event so skew handling is visible without parsing stages.
   obs::EventLog& log = obs::GlobalEventLog();
@@ -127,24 +98,11 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t peak = 0;
   size_t peak_partition = 0;
-  // Publishes the check's outcome into the registry and event log; shared by
-  // the pass and fail exits so every check is visible either way. The event
-  // names the observed peak (value and partition) next to the configured cap
-  // so spill-vs-fail decisions are debuggable from logs alone.
-  auto publish = [&](bool ok) {
-    metrics_
-        .GetCounter("trance_memory_checks_total", "per-stage memory-cap checks")
-        ->Increment();
-    if (!ok) {
-      metrics_
-          .GetCounter("trance_memory_check_failures_total",
-                      "memory-cap checks that exceeded the cap")
-          ->Increment();
-    }
-    metrics_
-        .GetGauge("trance_peak_partition_bytes",
-                  "largest partition footprint seen by memory checks")
-        ->SetMax(static_cast<double>(peak));
+  // Logs the check's outcome; shared by the pass and fail exits so every
+  // check is visible either way. The event names the observed peak (value
+  // and partition) next to the configured cap so spill-vs-fail decisions are
+  // debuggable from logs alone.
+  auto log_check = [&](bool ok) {
     obs::EventLog& log = obs::GlobalEventLog();
     if (!log.enabled()) return;
     obs::Event(&log, "memory_check")
@@ -170,7 +128,7 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
       // failures can attribute the saturation without a debugger.
       std::string where = "stage '" + op + "'";
       if (!scope_stack_.empty()) where += " (scope " + scope_stack_.back() + ")";
-      publish(false);
+      log_check(false);
       return Status::ResourceExhausted(
           "worker memory saturated in " + where + ": partition " +
           std::to_string(p) + " holds " + FormatBytes(b) + " (" +
@@ -179,7 +137,7 @@ Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
           std::to_string(config_.partition_memory_cap) + " bytes)");
     }
   }
-  publish(true);
+  log_check(true);
   return Status::OK();
 }
 
@@ -218,7 +176,7 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
       }
     }
   });
-  // Driver-side merge in slot order: stats, metrics and events all come out
+  // Driver-side merge in slot order: stats and events both come out
   // thread-count-invariant because nothing here depends on worker timing.
   obs::EventLog& log = obs::GlobalEventLog();
   uint64_t total = 0;
@@ -232,7 +190,6 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
     for (size_t a = 0; a < faults[p].size(); ++a) {
       stage->fault_events.push_back({static_cast<uint32_t>(p),
                                      static_cast<uint32_t>(a), faults[p][a]});
-      PublishFaultInjected(&metrics_, faults[p][a]);
       if (log.enabled()) {
         obs::Event(&log, "fault")
             .U64("job", job_id_)
@@ -266,10 +223,6 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
         ", retry budget " + std::to_string(budget) + ")");
   }
   stage->retries += total;  // every injected fault was followed by a retry
-  metrics_
-      .GetCounter("trance_task_retries_total",
-                  "task re-executions performed by fault recovery")
-      ->Add(total);
   return Status::OK();
 }
 

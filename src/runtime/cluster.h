@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/event_log.h"
-#include "obs/metrics.h"
 #include "runtime/fault.h"
 #include "runtime/spill.h"
 #include "runtime/stats.h"
@@ -91,13 +90,9 @@ class Cluster {
   JobStats& stats() { return stats_; }
   const JobStats& stats() const { return stats_; }
 
-  /// Per-cluster metric registry. Stage recording, memory checks and fault
-  /// recovery publish into it alongside (never instead of) JobStats, so a
-  /// metric registered here shows up in every exposition surface without
-  /// further plumbing (see src/obs/metrics.h). Always on — every update is
-  /// one driver-side atomic add, cheap enough to leave unconditional.
-  obs::MetricRegistry& metrics() { return metrics_; }
-  const obs::MetricRegistry& metrics() const { return metrics_; }
+  /// The same JobStats as stats(), whose Snapshot() gives the metric
+  /// series. Kept for perfbench/driver.cc; everything else calls stats().
+  JobStats& metrics() { return stats_; }
 
   /// Starts a new job (one executed program): bumps the id that tags every
   /// event this cluster emits. Per-cluster — not process-global — so the id
@@ -199,17 +194,15 @@ class Cluster {
   }
 
  private:
-  /// Publishes one finished stage into metrics_ and the event log; called
-  /// from RecordStage under mu_ (driver-sequential, so event order is
-  /// thread-count-invariant).
-  void PublishStage(size_t stage_index, const StageStats& s);
+  /// Logs one finished stage to the event log; called from RecordStage
+  /// under mu_ (driver-sequential, so event order is thread-count-invariant).
+  void LogStage(size_t stage_index, const StageStats& s);
 
   ClusterConfig config_;
   int num_threads_;
   FaultInjector injector_;
   /// Lazily created by spill_manager() under mu_.
   std::unique_ptr<spill::SpillManager> spill_manager_;
-  obs::MetricRegistry metrics_;
   /// Event-log job tag; mutated by BeginJob from the driver only.
   uint64_t job_id_ = 0;
   /// Driver-side stage sequence number feeding the fault injector. Stages

@@ -2,19 +2,10 @@
 
 #include <iterator>
 
-#include "obs/metrics.h"
 #include "util/hash.h"
 
 namespace trance {
 namespace runtime {
-
-void PublishFaultInjected(obs::MetricRegistry* metrics, FaultKind kind) {
-  metrics
-      ->GetCounter("trance_faults_injected_total",
-                   "faults injected by the seeded injector, by kind",
-                   {{"kind", FaultKindName(kind)}})
-      ->Increment();
-}
 
 const char* FaultKindName(FaultKind k) {
   switch (k) {

@@ -34,10 +34,6 @@
 #include <cstdint>
 
 namespace trance {
-namespace obs {
-class MetricRegistry;
-}  // namespace obs
-
 namespace runtime {
 
 enum class FaultKind : uint8_t {
@@ -48,11 +44,6 @@ enum class FaultKind : uint8_t {
 };
 
 const char* FaultKindName(FaultKind k);
-
-/// Bumps `trance_faults_injected_total{kind=...}` for one injected fault.
-/// Lives here (not in cluster.cc) so the fault module owns its metric's
-/// name, labels and help text; called from the recovery merge loop.
-void PublishFaultInjected(obs::MetricRegistry* metrics, FaultKind kind);
 
 /// Fault-injection + recovery knobs, embedded in ClusterConfig as `faults`.
 struct FaultConfig {

@@ -136,12 +136,8 @@ StatusOr<std::vector<BlockPtr>> ShuffleByKey(
   stage->movement = DataMovement::kShuffle;
   AccumulateHistogram(&stage->partition_recv_bytes, recv);
   AccumulateHistogram(&stage->partition_send_bytes, send);
-  // Driver-side (post-barrier) publication of what this shuffle moved; the
-  // bytes also reach the registry via RecordStage, rows only exist here.
-  cluster->metrics()
-      .GetCounter("trance_shuffle_rows_total",
-                  "rows that changed partition in shuffles")
-      ->Add(moved_rows);
+  // Driver-side (post-barrier) log of what this shuffle moved; the bytes
+  // are the stage's shuffle_bytes, the rows are only logged here.
   obs::EventLog& log = obs::GlobalEventLog();
   if (log.enabled()) {
     obs::Event(&log, "shuffle")
@@ -393,10 +389,6 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   stage.max_partition_recv_bytes =
       std::max(stage.max_partition_recv_bytes, bcast_bytes);
   stage.movement = DataMovement::kBroadcast;
-  cluster->metrics()
-      .GetCounter("trance_broadcast_bytes_total",
-                  "bytes replicated to every partition by broadcasts")
-      ->Add(bcast_bytes * n);
   {
     obs::EventLog& log = obs::GlobalEventLog();
     if (log.enabled()) {

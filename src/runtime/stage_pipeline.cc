@@ -388,20 +388,6 @@ StatusOr<Dataset> RunStagePipeline(Cluster* cluster, const Dataset& in,
         stage.fused_transforms[i].rows_out += transform_rows[p][i];
       }
     }
-    obs::MetricRegistry& metrics = cluster->metrics();
-    metrics
-        .GetCounter("trance_fused_stages_total",
-                    "stages that ran a fused chain of narrow transforms")
-        ->Increment();
-    metrics
-        .GetCounter("trance_intermediate_bytes_avoided_total",
-                    "bytes fusion kept from materializing between transforms")
-        ->Add(stage.intermediate_bytes_avoided);
-    metrics
-        .GetHistogram("trance_fused_chain_length",
-                      "narrow transforms per fused stage",
-                      {1.0, 2.0, 3.0, 4.0, 6.0, 8.0})
-        ->Observe(static_cast<double>(len));
   }
   TRANCE_RETURN_NOT_OK(
       detail::FinishStage(cluster, std::move(stage), &out, stage_name));

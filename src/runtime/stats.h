@@ -12,8 +12,9 @@
 // work histograms, the broadcast-vs-shuffle decision, the heavy-key count
 // from the skew sampler, and a memory high-water mark. The statistic table
 // (kStatFields, below) describes every scalar field once; JobStats folds the
-// stages into job totals with it, and src/obs turns both into EXPLAIN
-// ANALYZE reports, JSON, percentile summaries and Chrome trace exports.
+// stages into job totals with it and reads its metric series off them
+// (JobStats::Snapshot), and src/obs turns both into EXPLAIN ANALYZE reports,
+// JSON, percentile summaries and Chrome trace exports.
 #ifndef TRANCE_RUNTIME_STATS_H_
 #define TRANCE_RUNTIME_STATS_H_
 
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/fault.h"
 
 namespace trance {
@@ -132,12 +134,12 @@ struct StageStats {
 // --- The statistic table ---------------------------------------------------
 //
 // Each scalar StageStats field is described once, by one row of kStatFields:
-// its JSON key, how a job folds it over stages, its registry series, its
-// determinism class and its EXPLAIN ANALYZE clause. JobStats totals,
-// Cluster::PublishStage, obs::WriteJobStats, EXPLAIN ANALYZE, the bench
-// report's per-run scalars and bench_diff's policies all loop over the
-// table. StageStats stays a plain counters struct; the table only describes
-// it.
+// its JSON key, how a job folds it over stages, its metric series, its
+// determinism class and its EXPLAIN ANALYZE clause. JobStats totals and
+// metric series, the stage_finish event, obs::WriteJobStats, EXPLAIN
+// ANALYZE, the bench report's per-run scalars and bench_diff's policies all
+// loop over the table. StageStats stays a plain counters struct; the table
+// only describes it.
 
 /// How a job folds a field over its stages.
 enum class StatAgg : uint8_t { kSum, kMax };
@@ -210,21 +212,20 @@ struct StatField {
   StatClass cls;
   StatUnit unit;
   uint8_t outputs;     // StatOutput bits
-  const char* series;  // registry series, or nullptr
-  const char* help;    // registry help text
+  const char* series;  // metric series (JobStats::Snapshot), or nullptr
   StatGroup group;
   const char* token;  // EXPLAIN token within the group, or nullptr
 
   constexpr StatField(const char* k, uint64_t StageStats::*m, StatAgg a,
                       StatClass c, StatUnit u, uint8_t o, const char* s,
-                      const char* h, StatGroup g, const char* t)
+                      StatGroup g, const char* t)
       : key(k), u64(m), agg(a), cls(c), unit(u), outputs(o), series(s),
-        help(h), group(g), token(t) {}
+        group(g), token(t) {}
   constexpr StatField(const char* k, double StageStats::*m, StatAgg a,
                       StatClass c, StatUnit u, uint8_t o, const char* s,
-                      const char* h, StatGroup g, const char* t)
+                      StatGroup g, const char* t)
       : key(k), f64(m), agg(a), cls(c), unit(u), outputs(o), series(s),
-        help(h), group(g), token(t) {}
+        group(g), token(t) {}
 
   bool IsZero(const StageStats& s) const {
     return u64 != nullptr ? s.*u64 == 0 : s.*f64 == 0;
@@ -254,83 +255,66 @@ inline constexpr uint8_t kJob = kOutJobTotals;
 inline constexpr uint8_t kJobBench = kOutJobTotals | kOutBenchRun;
 
 // Columns: JSON key and field; job aggregation; class; unit; outputs;
-// registry series and help; EXPLAIN group and token. Rows follow StageStats
-// order, which is also the key order of the JSON objects and the token order
-// inside a clause. A max row publishes a SetMax gauge, a double row an Add
-// gauge, any other row a counter. Three series belong to events rather than
-// stages and are published there: trance_fused_stages_total and
-// trance_intermediate_bytes_avoided_total (fused stages, stage_pipeline.cc)
-// and trance_task_retries_total (the recovery loop, cluster.cc).
+// metric series; EXPLAIN group and token. Rows follow StageStats order,
+// which is also the key order of the JSON objects and the token order
+// inside a clause. JobStats::Snapshot() reads a row's series off totals():
+// a max row or a double row is a gauge, any other row a counter. A wall row
+// never has a series, so every series is deterministic.
 inline constexpr StatField kStatFields[] = {
     {"rows_in", &StageStats::rows_in, kSum, kExact, kCount, 0,
-     "trance_rows_in_total", "rows consumed by stages", kNone, nullptr},
+     "trance_rows_in_total", kNone, nullptr},
     {"rows_out", &StageStats::rows_out, kSum, kExact, kCount, 0,
-     "trance_rows_out_total", "rows produced by stages", kNone, nullptr},
+     "trance_rows_out_total", kNone, nullptr},
     {"shuffle_bytes", &StageStats::shuffle_bytes, kSum, kExact, kBytes,
-     kJobBench, "trance_shuffle_bytes_total", "bytes moved between partitions",
-     kNone, nullptr},
+     kJobBench, "trance_shuffle_bytes_total", kNone, nullptr},
     {"max_partition_recv_bytes", &StageStats::max_partition_recv_bytes, kMax,
-     kExact, kBytes, kJob, nullptr, nullptr, kNone, nullptr},
+     kExact, kBytes, kJob, nullptr, kNone, nullptr},
     {"max_partition_work_bytes", &StageStats::max_partition_work_bytes, kMax,
-     kExact, kBytes, kJob, nullptr, nullptr, kNone, nullptr},
+     kExact, kBytes, kJob, nullptr, kNone, nullptr},
     {"total_work_bytes", &StageStats::total_work_bytes, kSum, kExact, kBytes, 0,
-     "trance_work_bytes_total", "bytes processed by workers", kNone, nullptr},
+     "trance_work_bytes_total", kNone, nullptr},
     {"mem_high_water_bytes", &StageStats::mem_high_water_bytes, kMax, kExact,
-     kBytes, 0, "trance_mem_high_water_bytes",
-     "largest stage-output partition footprint", kNone, nullptr},
+     kBytes, 0, "trance_peak_partition_bytes", kNone, nullptr},
     {"heavy_key_count", &StageStats::heavy_key_count, kSum, kExact, kCount,
-     kJob, "trance_heavy_keys_total", "keys flagged by the skew sampler",
-     kHeavyKeys, "heavy_keys"},
+     kJob, "trance_heavy_keys_total", kHeavyKeys, "heavy_keys"},
     {"intermediate_bytes_avoided", &StageStats::intermediate_bytes_avoided,
-     kSum, kExact, kBytes, kJobBench, nullptr, nullptr, kFusion, "avoided"},
+     kSum, kExact, kBytes, kJobBench, "trance_intermediate_bytes_avoided_total",
+     kFusion, "avoided"},
     {"key_encode_bytes", &StageStats::key_encode_bytes, kSum, kExact, kBytes,
-     kJobBench, "trance_key_encode_bytes_total",
-     "binary key bytes produced by the key codec", kKeyBytes, "key_bytes"},
+     kJobBench, "trance_key_encode_bytes_total", kKeyBytes, "key_bytes"},
     {"hash_build_rows", &StageStats::hash_build_rows, kSum, kExact, kCount,
-     kJobBench, "trance_hash_build_rows_total",
-     "rows inserted into keyed hash structures", kHashTable, "build"},
+     kJobBench, "trance_hash_build_rows_total", kHashTable, "build"},
     {"hash_probe_hits", &StageStats::hash_probe_hits, kSum, kExact, kCount,
-     kJobBench, "trance_hash_probe_hits_total",
-     "keyed lookups that found an existing key", kHashTable, "hits"},
+     kJobBench, "trance_hash_probe_hits_total", kHashTable, "hits"},
     {"hash_max_chain", &StageStats::hash_max_chain, kMax, kExact, kCount,
-     kJobBench, "trance_hash_max_chain",
-     "max input rows mapped to a single key", kHashTable, "chain"},
+     kJobBench, "trance_hash_max_chain", kHashTable, "chain"},
     {"hash_table_bytes", &StageStats::hash_table_bytes, kSum, kExact, kBytes,
-     kJobBench, "trance_hash_table_bytes_total",
-     "flat hash-table footprint built by keyed operators", kFlatTable, "tbl"},
+     kJobBench, "trance_hash_table_bytes_total", kFlatTable, "tbl"},
     {"hash_resizes", &StageStats::hash_resizes, kSum, kExact, kCount,
-     kJobBench, "trance_hash_resizes_total",
-     "flat hash-table slot-array doublings", kFlatTable, "resizes"},
+     kJobBench, "trance_hash_resizes_total", kFlatTable, "resizes"},
     {"hash_probe_len_max", &StageStats::hash_probe_len_max, kMax, kExact,
-     kCount, kJobBench, "trance_hash_probe_len_max",
-     "longest open-addressing probe sequence", kFlatTable, "probe"},
+     kCount, kJobBench, "trance_hash_probe_len_max", kFlatTable, "probe"},
     {"columnar_bytes", &StageStats::columnar_bytes, kSum, kExact, kBytes,
-     kJobBench, "trance_columnar_bytes_total",
-     "typed partition-block footprint built by operators", kColumnar,
-     "blocks"},
+     kJobBench, "trance_columnar_bytes_total", kColumnar, "blocks"},
     {"spill_bytes_written", &StageStats::spill_bytes_written, kSum, kExact,
-     kBytes, kJobBench, "trance_spill_bytes_written_total",
-     "bytes written to spill run files", kSpill, "w"},
+     kBytes, kJobBench, "trance_spill_bytes_written_total", kSpill, "w"},
     {"spill_bytes_read", &StageStats::spill_bytes_read, kSum, kExact, kBytes,
-     kJobBench, "trance_spill_bytes_read_total",
-     "bytes read back from spill run files", kSpill, "r"},
+     kJobBench, "trance_spill_bytes_read_total", kSpill, "r"},
     {"spill_runs", &StageStats::spill_runs, kSum, kExact, kCount, kJobBench,
-     "trance_spill_runs_total", "spill run files produced", kSpill, "runs"},
+     "trance_spill_runs_total", kSpill, "runs"},
     {"spill_merge_passes", &StageStats::spill_merge_passes, kSum, kExact,
-     kCount, kJobBench, "trance_spill_merge_passes_total",
-     "restores of spilled partitions from their runs", kSpill, "merges"},
+     kCount, kJobBench, "trance_spill_merge_passes_total", kSpill, "merges"},
     {"injected_faults", &StageStats::injected_faults, kSum, kExact, kCount,
-     kJobBench, nullptr, nullptr, kFaults, "faults"},
-    {"retries", &StageStats::retries, kSum, kExact, kCount, kJobBench, nullptr,
-     nullptr, kFaults, "retries"},
+     kJobBench, nullptr, kFaults, "faults"},
+    {"retries", &StageStats::retries, kSum, kExact, kCount, kJobBench,
+     "trance_task_retries_total", kFaults, "retries"},
     {"recovery_sim_seconds", &StageStats::recovery_sim_seconds, kSum, kSim,
-     kSimSeconds, kJobBench, "trance_recovery_sim_seconds_total",
-     "accumulated simulated recovery time", kFaults, "recovery"},
+     kSimSeconds, kJobBench, "trance_recovery_sim_seconds_total", kFaults,
+     "recovery"},
     {"sim_seconds", &StageStats::sim_seconds, kSum, kSim, kSimSeconds,
-     kJobBench, "trance_sim_seconds_total", "accumulated simulated job time",
-     kNone, nullptr},
+     kJobBench, "trance_sim_seconds_total", kNone, nullptr},
     {"wall_dur_us", &StageStats::wall_dur_us, kSum, kWall, kMicros, 0, nullptr,
-     nullptr, kNone, nullptr},
+     kNone, nullptr},
 };
 }  // namespace stat_rows
 using stat_rows::kStatFields;
@@ -383,6 +367,19 @@ class JobStats {
 
   /// The worst-imbalance stage.
   StragglerSummary straggler() const;
+
+  /// The job's metric series, sorted by name and labels, derived from the
+  /// stages when called (docs/METRICS.md lists each series and its source):
+  ///  - one per kStatFields row that names a series, always present, with
+  ///    the row's totals() value;
+  ///  - trance_stages_total{movement}, trance_fused_stages_total,
+  ///    trance_broadcast_bytes_total (shuffle bytes of broadcast stages) and
+  ///    trance_faults_injected_total{kind} (from fault_events), each only
+  ///    when nonzero;
+  ///  - trance_max_stage_shuffle_bytes and the trance_stage_imbalance
+  ///    histogram once a stage was recorded, and the
+  ///    trance_fused_chain_length histogram once a fused stage was.
+  std::vector<obs::MetricSample> Snapshot() const;
 
   void Reset() { *this = JobStats(); }
 

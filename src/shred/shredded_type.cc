@@ -86,11 +86,6 @@ StatusOr<TypePtr> RelationalDictType(const TypePtr& flat_elem) {
   return Type::Bag(Type::Tuple(std::move(fields)));
 }
 
-StatusOr<TypePtr> PairDictType(const TypePtr& flat_elem) {
-  return Type::Bag(Type::Tuple(
-      {{"label", Type::Label()}, {"value", Type::Bag(flat_elem)}}));
-}
-
 std::string FlatInputName(const std::string& name) { return name + "_F"; }
 
 std::string DictInputName(const std::string& name, const std::string& path) {

@@ -50,9 +50,6 @@ StatusOr<std::vector<DictEntry>> DictTreeWalk(const nrc::TypePtr& bag_type);
 /// (scalar elements surface as a single "_value" column).
 StatusOr<nrc::TypePtr> RelationalDictType(const nrc::TypePtr& flat_elem);
 
-/// The interpreter-level pair representation: Bag(<label, value: Bag(F)>).
-StatusOr<nrc::TypePtr> PairDictType(const nrc::TypePtr& flat_elem);
-
 /// Conventional names for the shredded inputs of relation `name`.
 std::string FlatInputName(const std::string& name);
 std::string DictInputName(const std::string& name, const std::string& path);

@@ -103,24 +103,6 @@ runtime::Schema PartSchema() {
                  {"p_comment", Type::String()}});
 }
 
-runtime::Schema SupplierSchema() {
-  return Schema({{"s_suppkey", Type::Int()},
-                 {"s_name", Type::String()},
-                 {"s_address", Type::String()},
-                 {"s_nationkey", Type::Int()},
-                 {"s_phone", Type::String()},
-                 {"s_acctbal", Type::Real()},
-                 {"s_comment", Type::String()}});
-}
-
-runtime::Schema PartsuppSchema() {
-  return Schema({{"ps_partkey", Type::Int()},
-                 {"ps_suppkey", Type::Int()},
-                 {"ps_availqty", Type::Int()},
-                 {"ps_supplycost", Type::Real()},
-                 {"ps_comment", Type::String()}});
-}
-
 TpchData Generate(const TpchConfig& config) {
   Rng rng(config.seed);
   TpchData d;
@@ -131,8 +113,8 @@ TpchData Generate(const TpchConfig& config) {
   const int64_t n_lineitem =
       std::max<int64_t>(16, static_cast<int64_t>(6000000 * sf));
   const int64_t n_part = std::max<int64_t>(4, static_cast<int64_t>(200000 * sf));
+  // Bounds l_suppkey (the supplier table itself is not generated).
   const int64_t n_supp = std::max<int64_t>(2, static_cast<int64_t>(10000 * sf));
-  const int64_t n_partsupp = n_part * 4;
 
   d.region.schema = RegionSchema();
   for (int64_t i = 0; i < 5; ++i) {
@@ -221,30 +203,6 @@ TpchData Generate(const TpchConfig& config) {
         Field::Int(rng.UniformRange(1, 50)),
         Field::Str(Pick(&rng, kContainers)),
         Field::Real(900.0 + (static_cast<double>(i % 1000) / 10.0)),
-        Field::Str(Comment(&rng)),
-    }));
-  }
-
-  d.supplier.schema = SupplierSchema();
-  for (int64_t i = 0; i < n_supp; ++i) {
-    d.supplier.rows.push_back(Row({
-        Field::Int(i),
-        Field::Str("Supplier#" + std::to_string(i)),
-        Field::Str(rng.NextString(10)),
-        Field::Int(rng.UniformRange(0, 24)),
-        Field::Str(rng.NextString(10)),
-        Field::Real(rng.UniformReal(-999.99, 9999.99)),
-        Field::Str(Comment(&rng)),
-    }));
-  }
-
-  d.partsupp.schema = PartsuppSchema();
-  for (int64_t i = 0; i < n_partsupp; ++i) {
-    d.partsupp.rows.push_back(Row({
-        Field::Int(i % n_part),
-        Field::Int(rng.UniformRange(0, n_supp - 1)),
-        Field::Int(rng.UniformRange(1, 9999)),
-        Field::Real(rng.UniformReal(1.0, 1000.0)),
         Field::Str(Comment(&rng)),
     }));
   }

@@ -1,8 +1,8 @@
 // TPC-H data generator with a Zipfian skew knob (the paper's skewed TPC-H
-// generator [43]): seeded, in-memory, producing runtime rows for all eight
-// tables. Skew factor 0 draws foreign keys uniformly (the standard
-// generator); higher factors concentrate order ownership and part usage on
-// few heavy keys ("skew factor 4 gives the greatest skew").
+// generator [43]): seeded, in-memory, producing runtime rows for the six
+// tables the query suite reads. Skew factor 0 draws foreign keys uniformly
+// (the standard generator); higher factors concentrate order ownership and
+// part usage on few heavy keys ("skew factor 4 gives the greatest skew").
 #ifndef TRANCE_TPCH_GENERATOR_H_
 #define TRANCE_TPCH_GENERATOR_H_
 
@@ -32,7 +32,8 @@ struct Table {
   std::vector<runtime::Row> rows;
 };
 
-/// The eight TPC-H tables.
+/// The TPC-H tables the queries read (supplier and partsupp are not
+/// generated).
 struct TpchData {
   Table region;
   Table nation;
@@ -40,8 +41,6 @@ struct TpchData {
   Table orders;
   Table lineitem;
   Table part;
-  Table supplier;
-  Table partsupp;
 };
 
 /// Generates all tables for `config`.
@@ -54,8 +53,6 @@ runtime::Schema CustomerSchema();
 runtime::Schema OrdersSchema();
 runtime::Schema LineitemSchema();
 runtime::Schema PartSchema();
-runtime::Schema SupplierSchema();
-runtime::Schema PartsuppSchema();
 
 }  // namespace tpch
 }  // namespace trance

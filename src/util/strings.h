@@ -2,7 +2,7 @@
 #ifndef TRANCE_UTIL_STRINGS_H_
 #define TRANCE_UTIL_STRINGS_H_
 
-#include <sstream>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,14 +10,6 @@ namespace trance {
 
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
-/// printf-like formatting into std::string for simple cases.
-template <typename... Args>
-std::string StrCat(const Args&... args) {
-  std::ostringstream os;
-  (os << ... << args);
-  return os.str();
-}
 
 /// Fixed-point formatting with `digits` decimals.
 std::string FormatDouble(double v, int digits = 2);

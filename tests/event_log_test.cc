@@ -12,12 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "fig7_suite.h"
 #include "obs/event_log.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "runtime/cluster.h"
-#include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -119,23 +118,6 @@ TEST(EventLogTest, FileSinkAppendsJsonl) {
 
 // --- Determinism contract on real runs -----------------------------------
 
-Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {
-  struct E {
-    const tpch::Table* t;
-    const char* n;
-  };
-  for (const E& e : {E{&d.region, "Region"}, E{&d.nation, "Nation"},
-                     E{&d.customer, "Customer"}, E{&d.orders, "Orders"},
-                     E{&d.lineitem, "Lineitem"}, E{&d.part, "Part"}}) {
-    TRANCE_ASSIGN_OR_RETURN(
-        runtime::Dataset ds,
-        runtime::Source(executor->cluster(), e.t->schema, e.t->rows, e.n));
-    executor->Register(e.n, ds);
-    executor->Register(shred::FlatInputName(e.n), std::move(ds));
-  }
-  return Status::OK();
-}
-
 /// Strips every `"wall_*":<number>` field from a JSONL line by re-rendering
 /// it without those keys (parse → filter → stable key order as emitted is
 /// lost, so compare via the parsed map instead).
@@ -185,23 +167,20 @@ LoggedRun RunWithLog(int num_threads, bool log_enabled) {
   log.Enable(log_enabled);
   tpch::TpchConfig tcfg;
   tcfg.scale = 0.002;
-  tpch::TpchData data = tpch::Generate(tcfg);
   runtime::ClusterConfig ccfg;
   ccfg.num_partitions = 4;
   ccfg.num_threads = num_threads;
-  runtime::Cluster cluster(ccfg);
-  exec::Executor executor(&cluster, {});
-  EXPECT_TRUE(RegisterTables(&executor, data).ok());
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   EXPECT_TRUE(program.ok());
-  auto out = exec::RunStandard(program.value(), &executor, {});
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  fig7_suite::StandardRun run = fig7_suite::RunStandard(
+      program.value(), fig7_suite::TpchValues(tpch::Generate(tcfg)), ccfg);
+  EXPECT_TRUE(run.ok()) << run.status.ToString();
 
   LoggedRun r;
   for (const std::string& line : log.Lines()) {
     r.events.push_back(ParsedWithoutWall(line));
   }
-  const runtime::JobStats& stats = cluster.stats();
+  const runtime::JobStats& stats = run.stats;
   std::set<std::string> table_keys;
   for (const runtime::StatField& f : runtime::kStatFields) {
     if (f.cls != runtime::StatClass::kWall) table_keys.insert(f.key);

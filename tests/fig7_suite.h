@@ -16,6 +16,7 @@
 
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
+#include "field_printing.h"
 #include "nrc/interp.h"
 #include "obs/explain.h"
 #include "runtime/cluster.h"
@@ -63,18 +64,18 @@ inline std::map<std::string, nrc::Value> TpchValues(const tpch::TpchData& d) {
   };
   return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
           {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
+          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)}};
 }
 
 /// One run of a compilation route on its own cluster: a failed run keeps its
 /// Status and the stats recorded until it failed; a successful one has its
-/// output and the EXPLAIN ANALYZE of the plans it executed.
+/// output, the plans it executed and their EXPLAIN ANALYZE.
 template <typename Out>
 struct RouteRun {
   Status status;
   Out out;
   runtime::JobStats stats;
+  plan::PlanProgram compiled;
   std::string explain;
   bool ok() const { return status.ok(); }
 };
@@ -95,15 +96,14 @@ RouteRun<Out> RunRoute(const nrc::Program& q,
   opts.exec = exec_options;
   exec::Executor executor(&cluster, opts.exec);
   RouteRun<Out> r;
-  plan::PlanProgram compiled;
   r.status = exec::RegisterInputs(&executor, q, values, shredded);
   if (r.ok()) {
-    StatusOr<Out> out = route(&executor, opts, &compiled);
+    StatusOr<Out> out = route(&executor, opts, &r.compiled);
     r.status = out.status();
     if (out.ok()) r.out = std::move(out).value();
   }
   r.stats = cluster.stats();
-  if (r.ok()) r.explain = obs::ExplainAnalyze(compiled, r.stats);
+  if (r.ok()) r.explain = obs::ExplainAnalyze(r.compiled, r.stats);
   return r;
 }
 

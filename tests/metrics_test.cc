@@ -1,22 +1,25 @@
-// MetricRegistry: typed handles, concurrent counter exactness, snapshot
-// ordering, Prometheus/JSON exposition, reset semantics — and the contract
-// that the registry's values agree with JobStats on real query runs and are
-// bit-identical at any thread count. Also checks that every row of the
-// statistic table (runtime/stats.h) reaches every output it declares.
+// JobStats::Snapshot(): the metric series derived from a job's stages. The
+// table series are the job totals (sums, maxima and stage-order double
+// sums); the stage-list series (movement labels, broadcast bytes, injected
+// faults by kind, the two histograms) match the stages they are read from;
+// the snapshot is sorted and renders as the bench report's JSON. On real
+// query runs the series agree with JobStats and are identical at any thread
+// count. Also checks that every row of the statistic table (runtime/stats.h)
+// reaches every output it declares.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
-#include <thread>
+#include <tuple>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "fig7_suite.h"
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/cluster.h"
-#include "shred/shredded_type.h"
+#include "runtime/ops.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 #include "util/strings.h"
@@ -25,276 +28,327 @@ namespace trance {
 namespace {
 
 using obs::MetricKind;
-using obs::MetricRegistry;
 using obs::MetricSample;
 
-// --- Registry semantics --------------------------------------------------
-
-TEST(MetricRegistryTest, FindOrCreateReturnsStableHandles) {
-  MetricRegistry reg;
-  obs::Counter* a = reg.GetCounter("requests_total", "requests");
-  obs::Counter* b = reg.GetCounter("requests_total", "requests");
-  EXPECT_EQ(a, b);
-  a->Add(3);
-  b->Increment();
-  EXPECT_EQ(a->Value(), 4u);
-
-  // Distinct label sets are distinct series of the same family.
-  obs::Counter* red = reg.GetCounter("colored_total", "colored", {{"c", "red"}});
-  obs::Counter* blue =
-      reg.GetCounter("colored_total", "colored", {{"c", "blue"}});
-  EXPECT_NE(red, blue);
-  red->Add(1);
-  blue->Add(2);
-  EXPECT_EQ(red->Value(), 1u);
-  EXPECT_EQ(blue->Value(), 2u);
-}
-
-TEST(MetricRegistryTest, ConcurrentAddsAreExact) {
-  MetricRegistry reg;
-  obs::Counter* c = reg.GetCounter("hot_total", "concurrently bumped");
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 20000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([c] {
-      for (int i = 0; i < kAddsPerThread; ++i) c->Add(1);
-    });
+/// The snapshot keyed by exposition name.
+std::map<std::string, MetricSample> ByName(const runtime::JobStats& stats) {
+  std::map<std::string, MetricSample> out;
+  for (MetricSample& s : stats.Snapshot()) {
+    std::string key = s.ExpositionName();
+    out.emplace(std::move(key), std::move(s));
   }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(c->Value(), static_cast<uint64_t>(kThreads) * kAddsPerThread);
+  return out;
 }
 
-TEST(MetricRegistryTest, GaugeSetAddMax) {
-  MetricRegistry reg;
-  obs::Gauge* g = reg.GetGauge("level", "a gauge");
-  g->Set(2.5);
-  EXPECT_DOUBLE_EQ(g->Value(), 2.5);
-  g->Add(1.5);
-  EXPECT_DOUBLE_EQ(g->Value(), 4.0);
-  g->SetMax(3.0);  // below current: no-op
-  EXPECT_DOUBLE_EQ(g->Value(), 4.0);
-  g->SetMax(7.0);
-  EXPECT_DOUBLE_EQ(g->Value(), 7.0);
+/// A counter's or gauge's value as a double.
+double ValueOf(const MetricSample& s) {
+  return s.kind == MetricKind::kCounter ? static_cast<double>(s.counter_value)
+                                        : s.gauge_value;
 }
 
-TEST(MetricRegistryTest, HistogramBucketsSumCount) {
-  MetricRegistry reg;
-  obs::Histogram* h =
-      reg.GetHistogram("latency", "a histogram", {1.0, 2.0, 5.0});
-  h->Observe(0.5);   // bucket <=1
-  h->Observe(1.0);   // bucket <=1 (bounds are inclusive)
-  h->Observe(1.5);   // bucket <=2
-  h->Observe(10.0);  // +Inf bucket
-  std::vector<MetricSample> snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const MetricSample& s = snap[0];
-  EXPECT_EQ(s.kind, MetricKind::kHistogram);
-  ASSERT_EQ(s.bounds.size(), 3u);
-  ASSERT_EQ(s.bucket_counts.size(), 4u);
-  EXPECT_EQ(s.bucket_counts[0], 2u);
-  EXPECT_EQ(s.bucket_counts[1], 1u);
-  EXPECT_EQ(s.bucket_counts[2], 0u);
-  EXPECT_EQ(s.bucket_counts[3], 1u);
-  EXPECT_EQ(s.count, 4u);
-  EXPECT_DOUBLE_EQ(s.sum, 13.0);
+std::string SnapshotJson(const runtime::JobStats& stats) {
+  obs::JsonWriter w;
+  obs::WriteMetricsJson(stats.Snapshot(), &w);
+  return w.str();
 }
 
-TEST(MetricRegistryTest, SnapshotSortedByNameAndLabels) {
-  MetricRegistry reg;
-  reg.GetCounter("zzz_total", "z")->Add(1);
-  reg.GetCounter("aaa_total", "a")->Add(1);
-  reg.GetCounter("mmm_total", "m", {{"k", "b"}})->Add(1);
-  reg.GetCounter("mmm_total", "m", {{"k", "a"}})->Add(1);
-  std::vector<MetricSample> snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap[0].ExpositionName(), "aaa_total");
-  EXPECT_EQ(snap[1].ExpositionName(), "mmm_total{k=\"a\"}");
-  EXPECT_EQ(snap[2].ExpositionName(), "mmm_total{k=\"b\"}");
-  EXPECT_EQ(snap[3].ExpositionName(), "zzz_total");
-}
-
-TEST(MetricRegistryTest, ResetZeroesValuesKeepsRegistrations) {
-  MetricRegistry reg;
-  obs::Counter* c = reg.GetCounter("c_total", "c");
-  obs::Gauge* g = reg.GetGauge("g", "g");
-  obs::Histogram* h = reg.GetHistogram("h", "h", {1.0});
-  c->Add(5);
-  g->Set(9.0);
-  h->Observe(0.5);
-  reg.Reset();
-  EXPECT_EQ(c->Value(), 0u);
-  EXPECT_DOUBLE_EQ(g->Value(), 0.0);
-  std::vector<MetricSample> snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);  // registrations survive
-  for (const MetricSample& s : snap) {
-    EXPECT_EQ(s.counter_value, 0u);
-    EXPECT_EQ(s.count, 0u);
-  }
-  // The old handle is still live after Reset.
-  c->Add(2);
-  EXPECT_EQ(c->Value(), 2u);
-}
-
-// --- Exposition formats --------------------------------------------------
-
-TEST(MetricRegistryTest, PrometheusTextExposition) {
-  MetricRegistry reg;
-  reg.GetCounter("trance_rows_total", "rows processed")->Add(12);
-  reg.GetCounter("trance_stages_total", "stages", {{"movement", "shuffle"}})
-      ->Add(3);
-  reg.GetGauge("trance_peak", "peak bytes")->Set(1024);
-  reg.GetHistogram("trance_imbalance", "straggler factor", {1.0, 2.0})
-      ->Observe(1.5);
-  std::string text = reg.ToPrometheusText();
-  EXPECT_NE(text.find("# HELP trance_rows_total rows processed\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE trance_rows_total counter\n"), std::string::npos);
-  EXPECT_NE(text.find("trance_rows_total 12\n"), std::string::npos);
-  EXPECT_NE(text.find("trance_stages_total{movement=\"shuffle\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE trance_peak gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("trance_peak 1024\n"), std::string::npos);
-  // Histogram exposition: cumulative buckets, +Inf, _sum and _count.
-  EXPECT_NE(text.find("# TYPE trance_imbalance histogram\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("trance_imbalance_bucket{le=\"1\"} 0\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("trance_imbalance_bucket{le=\"2\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("trance_imbalance_bucket{le=\"+Inf\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("trance_imbalance_sum 1.5\n"), std::string::npos);
-  EXPECT_NE(text.find("trance_imbalance_count 1\n"), std::string::npos);
-}
-
-TEST(MetricRegistryTest, JsonExpositionParses) {
-  MetricRegistry reg;
-  reg.GetCounter("c_total", "c")->Add(7);
-  reg.GetCounter("lab_total", "l", {{"k", "v"}})->Add(2);
-  reg.GetGauge("g", "g")->Set(2.25);
-  reg.GetHistogram("h", "h", {1.0, 4.0})->Observe(3.0);
-  auto parsed = obs::ParseJson(reg.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const obs::JsonValue& v = parsed.value();
-  ASSERT_TRUE(v.is_object());
-  ASSERT_NE(v.Find("c_total"), nullptr);
-  EXPECT_DOUBLE_EQ(v.Find("c_total")->num, 7.0);
-  ASSERT_NE(v.Find("lab_total{k=\"v\"}"), nullptr);
-  EXPECT_DOUBLE_EQ(v.Find("lab_total{k=\"v\"}")->num, 2.0);
-  EXPECT_DOUBLE_EQ(v.Find("g")->num, 2.25);
-  const obs::JsonValue* h = v.Find("h");
-  ASSERT_NE(h, nullptr);
-  ASSERT_TRUE(h->is_object());
-  EXPECT_DOUBLE_EQ(h->Find("count")->num, 1.0);
-  EXPECT_DOUBLE_EQ(h->Find("sum")->num, 3.0);
-  const obs::JsonValue* buckets = h->Find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  EXPECT_DOUBLE_EQ(buckets->Find("le_1")->num, 0.0);
-  EXPECT_DOUBLE_EQ(buckets->Find("le_4")->num, 1.0);   // cumulative
-  EXPECT_DOUBLE_EQ(buckets->Find("le_inf")->num, 1.0);
-}
-
-// --- Registry vs. JobStats on real runs ----------------------------------
-
-Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {
-  struct E {
-    const tpch::Table* t;
-    const char* n;
-  };
-  for (const E& e : {E{&d.region, "Region"}, E{&d.nation, "Nation"},
-                     E{&d.customer, "Customer"}, E{&d.orders, "Orders"},
-                     E{&d.lineitem, "Lineitem"}, E{&d.part, "Part"}}) {
-    TRANCE_ASSIGN_OR_RETURN(
-        runtime::Dataset ds,
-        runtime::Source(executor->cluster(), e.t->schema, e.t->rows, e.n));
-    executor->Register(e.n, ds);
-    executor->Register(shred::FlatInputName(e.n), std::move(ds));
-  }
-  return Status::OK();
-}
-
-/// Runs the small Figure-7 standard query on a fresh cluster and returns the
-/// cluster's registry snapshot plus its JobStats-derived expectations.
-struct QueryRun {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::string prometheus;
-  runtime::StageStats totals;
-  uint64_t stages = 0;
-};
-
-QueryRun RunSmallQuery(int num_threads) {
+/// The small Figure-7 query (flat-to-nested, depth 2, narrow) on the
+/// standard route and a 4-partition cluster.
+fig7_suite::StandardRun RunSmallQuery(int num_threads,
+                                      const runtime::FaultConfig& faults = {}) {
   tpch::TpchConfig tcfg;
   tcfg.scale = 0.002;
-  tpch::TpchData data = tpch::Generate(tcfg);
   runtime::ClusterConfig ccfg;
   ccfg.num_partitions = 4;
   ccfg.num_threads = num_threads;
-  runtime::Cluster cluster(ccfg);
-  exec::Executor executor(&cluster, {});
-  EXPECT_TRUE(RegisterTables(&executor, data).ok());
+  ccfg.faults = faults;
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   EXPECT_TRUE(program.ok());
-  auto out = exec::RunStandard(program.value(), &executor, {});
-  EXPECT_TRUE(out.ok()) << out.status().ToString();
-
-  QueryRun r;
-  for (const MetricSample& s : cluster.metrics().Snapshot()) {
-    if (s.kind == MetricKind::kCounter) {
-      r.counters[s.ExpositionName()] = s.counter_value;
-    } else if (s.kind == MetricKind::kGauge) {
-      r.gauges[s.ExpositionName()] = s.gauge_value;
-    }
-  }
-  r.prometheus = cluster.metrics().ToPrometheusText();
-  r.totals = cluster.stats().totals();
-  r.stages = cluster.stats().stages().size();
-  return r;
+  fig7_suite::StandardRun run = fig7_suite::RunStandard(
+      program.value(), fig7_suite::TpchValues(tpch::Generate(tcfg)), ccfg);
+  EXPECT_TRUE(run.ok()) << run.status.ToString();
+  return run;
 }
 
+/// Per-bucket counts of `values` over `bounds`, counted independently of
+/// the snapshot: bucket i holds bounds[i-1] < v <= bounds[i], the last +Inf.
+std::vector<uint64_t> Buckets(const std::vector<double>& bounds,
+                              const std::vector<double>& values) {
+  std::vector<uint64_t> out(bounds.size() + 1, 0);
+  for (double v : values) {
+    size_t i = 0;
+    while (i < bounds.size() && v > bounds[i]) ++i;
+    ++out[i];
+  }
+  return out;
+}
+
+// --- Snapshot() ------------------------------------------------------------
+
+TEST(JobStatsSnapshotTest, TableSeriesAreTheTotals) {
+  runtime::JobStats stats;
+  const double sims[] = {0.1, 0.2, 0.3};
+  const uint64_t chains[] = {5, 9, 2};
+  double sim_sum = 0;
+  for (int i = 0; i < 3; ++i) {
+    runtime::StageStats s;
+    s.op = "s" + std::to_string(i);
+    s.shuffle_bytes = 100 * static_cast<uint64_t>(i + 1);
+    s.hash_max_chain = chains[i];
+    s.sim_seconds = sims[i];
+    stats.AddStage(s);
+    sim_sum += sims[i];
+  }
+  // The order of a double sum shows in its last bit.
+  ASSERT_NE(sim_sum, (0.3 + 0.2) + 0.1);
+
+  std::map<std::string, MetricSample> snap = ByName(stats);
+  const MetricSample& shuffle = snap.at("trance_shuffle_bytes_total");
+  EXPECT_EQ(shuffle.kind, MetricKind::kCounter);
+  EXPECT_EQ(shuffle.counter_value, 600u);
+  const MetricSample& chain = snap.at("trance_hash_max_chain");
+  EXPECT_EQ(chain.kind, MetricKind::kGauge);
+  EXPECT_EQ(chain.gauge_value, 9.0);
+  const MetricSample& sim = snap.at("trance_sim_seconds_total");
+  EXPECT_EQ(sim.kind, MetricKind::kGauge);
+  EXPECT_EQ(sim.gauge_value, sim_sum);  // summed in stage order, bit for bit
+
+  // Every row that names a series has it, zero or not: a max row or a
+  // double row as a gauge, any other as a counter. No wall row has one.
+  for (const runtime::StatField& f : runtime::kStatFields) {
+    if (f.series == nullptr) continue;
+    SCOPED_TRACE(f.series);
+    EXPECT_NE(f.cls, runtime::StatClass::kWall);
+    ASSERT_EQ(snap.count(f.series), 1u);
+    const MetricSample& s = snap.at(f.series);
+    EXPECT_EQ(s.kind, f.agg == runtime::StatAgg::kMax || f.f64 != nullptr
+                          ? MetricKind::kGauge
+                          : MetricKind::kCounter);
+    EXPECT_EQ(ValueOf(s), f.AsDouble(stats.totals()));
+  }
+  EXPECT_EQ(snap.at("trance_spill_runs_total").counter_value, 0u);
+  EXPECT_EQ(snap.at("trance_max_stage_shuffle_bytes").gauge_value, 300.0);
+}
+
+TEST(JobStatsSnapshotTest, EmptyJobHasOnlyTableSeries) {
+  size_t rows_with_series = 0;
+  for (const runtime::StatField& f : runtime::kStatFields) {
+    if (f.series != nullptr) ++rows_with_series;
+  }
+  std::vector<MetricSample> snap = runtime::JobStats().Snapshot();
+  EXPECT_EQ(snap.size(), rows_with_series);
+  for (const MetricSample& s : snap) EXPECT_EQ(ValueOf(s), 0.0) << s.name;
+}
+
+TEST(JobStatsSnapshotTest, MovementLabelsSumToStageCount) {
+  fig7_suite::StandardRun run = RunSmallQuery(1);
+  std::map<std::string, uint64_t> expected;
+  for (const runtime::StageStats& s : run.stats.stages()) {
+    ++expected[runtime::DataMovementName(s.movement)];
+  }
+  std::map<std::string, uint64_t> got;
+  uint64_t total = 0;
+  for (const MetricSample& s : run.stats.Snapshot()) {
+    if (s.name != "trance_stages_total") continue;
+    ASSERT_EQ(s.labels.size(), 1u);
+    EXPECT_EQ(s.labels[0].first, "movement");
+    EXPECT_GT(s.counter_value, 0u);  // present only when nonzero
+    got[s.labels[0].second] = s.counter_value;
+    total += s.counter_value;
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(total, run.stats.stages().size());
+  EXPECT_GE(got.size(), 2u);
+}
+
+TEST(JobStatsSnapshotTest, HistogramsMatchTheStages) {
+  fig7_suite::StandardRun run = RunSmallQuery(1);
+  ASSERT_GT(run.stats.fused_stages(), 0u);
+  std::vector<double> imbalance;
+  std::vector<double> chain_length;
+  double imbalance_sum = 0;
+  for (const runtime::StageStats& s : run.stats.stages()) {
+    imbalance.push_back(s.ImbalanceFactor());
+    imbalance_sum += s.ImbalanceFactor();
+    if (!s.fused_transforms.empty()) {
+      chain_length.push_back(static_cast<double>(s.fused_transforms.size()));
+    }
+  }
+  std::map<std::string, MetricSample> snap = ByName(run.stats);
+
+  const MetricSample& imb = snap.at("trance_stage_imbalance");
+  EXPECT_EQ(imb.kind, MetricKind::kHistogram);
+  EXPECT_EQ(imb.bounds,
+            (std::vector<double>{1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0}));
+  EXPECT_EQ(imb.count, run.stats.stages().size());
+  EXPECT_EQ(imb.sum, imbalance_sum);
+  EXPECT_EQ(imb.bucket_counts, Buckets(imb.bounds, imbalance));
+
+  const MetricSample& chain = snap.at("trance_fused_chain_length");
+  EXPECT_EQ(chain.kind, MetricKind::kHistogram);
+  EXPECT_EQ(chain.bounds, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 6.0, 8.0}));
+  EXPECT_EQ(chain.count, run.stats.fused_stages());
+  EXPECT_EQ(chain.bucket_counts, Buckets(chain.bounds, chain_length));
+  EXPECT_EQ(snap.at("trance_fused_stages_total").counter_value,
+            run.stats.fused_stages());
+}
+
+TEST(JobStatsSnapshotTest, FaultKindsMatchFaultEvents) {
+  runtime::FaultConfig faults;
+  faults.fault_rate = 0.5;
+  faults.max_faults_per_task = 2;
+  faults.max_task_retries = 4;
+  fig7_suite::StandardRun run = RunSmallQuery(1, faults);
+  std::map<std::string, uint64_t> expected;
+  for (const runtime::StageStats& s : run.stats.stages()) {
+    for (const runtime::FaultEvent& ev : s.fault_events) {
+      ++expected[runtime::FaultKindName(ev.kind)];
+    }
+  }
+  ASSERT_GE(expected.size(), 2u);
+  std::map<std::string, uint64_t> got;
+  uint64_t total = 0;
+  for (const MetricSample& s : run.stats.Snapshot()) {
+    if (s.name != "trance_faults_injected_total") continue;
+    ASSERT_EQ(s.labels.size(), 1u);
+    EXPECT_EQ(s.labels[0].first, "kind");
+    got[s.labels[0].second] = s.counter_value;
+    total += s.counter_value;
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(total, run.stats.totals().injected_faults);
+  EXPECT_EQ(ByName(run.stats).at("trance_task_retries_total").counter_value,
+            run.stats.totals().retries);
+
+  // A fault-free run has no fault series.
+  for (const MetricSample& s : RunSmallQuery(1).stats.Snapshot()) {
+    EXPECT_NE(s.name, "trance_faults_injected_total");
+  }
+}
+
+TEST(JobStatsSnapshotTest, BroadcastBytesOfABroadcastJoin) {
+  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 4});
+  const runtime::Schema kv({{"k", nrc::Type::Int()}, {"v", nrc::Type::Int()}});
+  std::vector<runtime::Row> rows;
+  for (int64_t i = 0; i < 8; ++i) {
+    rows.push_back(runtime::Row(
+        {runtime::Field::Int(i % 3), runtime::Field::Int(10 * i)}));
+  }
+  auto l = runtime::Source(&cluster, kv, rows, "l").ValueOrDie();
+  auto r = runtime::Source(&cluster, kv, rows, "r").ValueOrDie();
+  auto hash = runtime::HashJoin(&cluster, l, r, {0}, {0},
+                                runtime::JoinType::kInner, "join");
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  for (const MetricSample& s : cluster.stats().Snapshot()) {
+    EXPECT_NE(s.name, "trance_broadcast_bytes_total");
+  }
+
+  auto bcast = runtime::BroadcastJoin(&cluster, l, r, {0}, {0},
+                                      runtime::JoinType::kInner, "bjoin");
+  ASSERT_TRUE(bcast.ok()) << bcast.status().ToString();
+  const runtime::StageStats& stage = cluster.stats().stages().back();
+  ASSERT_EQ(stage.movement, runtime::DataMovement::kBroadcast);
+  ASSERT_GT(stage.shuffle_bytes, 0u);
+  std::map<std::string, MetricSample> snap = ByName(cluster.stats());
+  EXPECT_EQ(snap.at("trance_broadcast_bytes_total").counter_value,
+            stage.shuffle_bytes);
+  EXPECT_EQ(snap.at("trance_stages_total{movement=\"broadcast\"}")
+                .counter_value,
+            1u);
+}
+
+TEST(JobStatsSnapshotTest, SortedByNameAndLabels) {
+  runtime::FaultConfig faults;
+  faults.fault_rate = 0.5;
+  std::vector<MetricSample> snap = RunSmallQuery(1, faults).stats.Snapshot();
+  auto before = [](const MetricSample& a, const MetricSample& b) {
+    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+  };
+  ASSERT_GT(snap.size(), 1u);
+  for (size_t i = 1; i < snap.size(); ++i) {
+    EXPECT_TRUE(before(snap[i - 1], snap[i]))
+        << snap[i - 1].ExpositionName() << " before "
+        << snap[i].ExpositionName();
+  }
+}
+
+TEST(JobStatsSnapshotTest, JsonOfALabelledCounterAndAHistogram) {
+  std::vector<MetricSample> samples(2);
+  samples[0].name = "trance_stages_total";
+  samples[0].labels = {{"movement", "shuffle"}};
+  samples[0].counter_value = 3;
+  samples[1].name = "trance_stage_imbalance";
+  samples[1].kind = MetricKind::kHistogram;
+  samples[1].bounds = {1.0, 2.5};
+  samples[1].bucket_counts = {1, 0, 2};
+  samples[1].sum = 8.5;
+  samples[1].count = 3;
+  obs::JsonWriter w;
+  obs::WriteMetricsJson(samples, &w);
+  // Bucket counts render cumulatively.
+  EXPECT_EQ(w.str(),
+            "{\"trance_stages_total{movement=\\\"shuffle\\\"}\":3,"
+            "\"trance_stage_imbalance\":{\"count\":3,\"sum\":8.5,"
+            "\"buckets\":{\"le_1\":1,\"le_2.5\":1,\"le_inf\":3}}}");
+
+  // A real run's rendering parses, keyed by exposition name.
+  fig7_suite::StandardRun run = RunSmallQuery(1);
+  auto parsed = obs::ParseJson(SnapshotJson(run.stats));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  std::map<std::string, MetricSample> snap = ByName(run.stats);
+  const obs::JsonValue* shuffles =
+      parsed->Find("trance_stages_total{movement=\"shuffle\"}");
+  ASSERT_NE(shuffles, nullptr);
+  EXPECT_EQ(shuffles->num,
+            snap.at("trance_stages_total{movement=\"shuffle\"}").counter_value);
+  const obs::JsonValue* imb = parsed->Find("trance_stage_imbalance");
+  ASSERT_NE(imb, nullptr);
+  EXPECT_EQ(imb->Find("count")->num, run.stats.stages().size());
+  EXPECT_EQ(imb->Find("buckets")->Find("le_inf")->num,
+            run.stats.stages().size());
+}
+
+// --- Series vs. JobStats on real runs ------------------------------------
+
 TEST(MetricRegistryIntegrationTest, RegistryAgreesWithJobStats) {
-  QueryRun r = RunSmallQuery(1);
-  ASSERT_GT(r.stages, 0u);
+  fig7_suite::StandardRun run = RunSmallQuery(1);
+  const runtime::StageStats& totals = run.stats.totals();
+  ASSERT_GT(run.stats.stages().size(), 0u);
+  std::map<std::string, MetricSample> snap = ByName(run.stats);
   // Every statistic with a series: counters equal the job total exactly;
   // gauges (maxima and sim-time sums) equal it as a double.
   for (const runtime::StatField& f : runtime::kStatFields) {
     if (f.series == nullptr) continue;
     SCOPED_TRACE(f.series);
-    if (f.agg == runtime::StatAgg::kMax || f.f64 != nullptr) {
-      ASSERT_EQ(r.gauges.count(f.series), 1u);
-      EXPECT_EQ(r.gauges.at(f.series), f.AsDouble(r.totals));
-    } else {
-      ASSERT_EQ(r.counters.count(f.series), 1u);
-      EXPECT_EQ(r.counters.at(f.series), r.totals.*f.u64);
-    }
+    ASSERT_EQ(snap.count(f.series), 1u);
+    EXPECT_EQ(ValueOf(snap.at(f.series)), f.AsDouble(totals));
   }
-  EXPECT_GT(r.totals.hash_build_rows, 0u);
+  EXPECT_GT(totals.hash_build_rows, 0u);
+  EXPECT_EQ(snap.at("trance_peak_partition_bytes").gauge_value,
+            static_cast<double>(run.stats.peak_partition_bytes()));
+  EXPECT_EQ(snap.at("trance_max_stage_shuffle_bytes").gauge_value,
+            static_cast<double>(run.stats.max_stage_shuffle_bytes()));
   // Every stage is counted in exactly one movement label.
   uint64_t stages_total = 0;
-  for (const auto& [name, value] : r.counters) {
-    if (name.rfind("trance_stages_total{", 0) == 0) stages_total += value;
+  for (const auto& [name, s] : snap) {
+    if (s.name == "trance_stages_total") stages_total += s.counter_value;
   }
-  EXPECT_EQ(stages_total, r.stages);
-  EXPECT_EQ(r.counters.at("trance_jobs_total"), 1u);
-  // And the same numbers surface in the Prometheus text with no extra
-  // plumbing (spot check one).
-  EXPECT_NE(r.prometheus.find("trance_shuffle_bytes_total " +
-                              std::to_string(r.totals.shuffle_bytes) + "\n"),
-            std::string::npos)
-      << r.prometheus;
+  EXPECT_EQ(stages_total, run.stats.stages().size());
+  // And the same numbers surface in the JSON rendering (spot check one).
+  auto parsed = obs::ParseJson(SnapshotJson(run.stats));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_NE(parsed->Find("trance_shuffle_bytes_total"), nullptr);
+  EXPECT_EQ(parsed->Find("trance_shuffle_bytes_total")->num,
+            static_cast<double>(totals.shuffle_bytes));
 }
 
 TEST(MetricRegistryIntegrationTest, MetricsIdenticalAcrossThreadCounts) {
-  QueryRun base = RunSmallQuery(1);
+  const std::string base = SnapshotJson(RunSmallQuery(1).stats);
   for (int threads : {4, 8}) {
-    QueryRun r = RunSmallQuery(threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Registry content is deterministic: the whole exposition (counters,
-    // gauges, histograms) is byte-identical to the sequential run.
-    EXPECT_EQ(r.prometheus, base.prometheus);
-    EXPECT_EQ(r.counters, base.counters);
+    // Every series (counters, gauges, histograms) renders byte-identically
+    // to the sequential run.
+    EXPECT_EQ(SnapshotJson(RunSmallQuery(threads).stats), base);
   }
 }
 
@@ -325,7 +379,7 @@ bool HasTerm(const std::string& line, const std::string& token,
 
 // For each row: a fresh cluster records one synthetic stage with only that
 // field set, to a value no other row uses, and the value must surface in
-// JobStats::totals(), the row's registry series, the job JSON (the stage
+// JobStats::totals(), the row's metric series, the job JSON (the stage
 // object, and `totals` for job rows) and the EXPLAIN ANALYZE footer (rows
 // with a token). RecordStage stamps sim_seconds from the cost model (here
 // the stage overhead alone) and wall_dur_us from the clock.
@@ -366,13 +420,10 @@ TEST(StatTableTest, EveryRowReachesEveryOutput) {
 
     if (f.series != nullptr) {
       bool found = false;
-      for (const MetricSample& m : cluster.metrics().Snapshot()) {
+      for (const MetricSample& m : stats.Snapshot()) {
         if (m.name != f.series) continue;
         found = true;
-        EXPECT_EQ(m.kind == MetricKind::kCounter
-                      ? static_cast<double>(m.counter_value)
-                      : m.gauge_value,
-                  expected);
+        EXPECT_EQ(ValueOf(m), expected);
       }
       EXPECT_TRUE(found) << f.series;
     }

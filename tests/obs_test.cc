@@ -12,13 +12,12 @@
 #include <thread>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "fig7_suite.h"
 #include "obs/explain.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -371,28 +370,14 @@ TEST(TracerTest, StageArgsFollowTheStatTable) {
 
 // --- EXPLAIN ANALYZE on real runs ----------------------------------------
 
-Status RegisterTables(exec::Executor* executor, const tpch::TpchData& d) {
-  struct E {
-    const tpch::Table* t;
-    const char* n;
-  };
-  for (const E& e : {E{&d.region, "Region"}, E{&d.nation, "Nation"},
-                     E{&d.customer, "Customer"}, E{&d.orders, "Orders"},
-                     E{&d.lineitem, "Lineitem"}, E{&d.part, "Part"}}) {
-    TRANCE_ASSIGN_OR_RETURN(
-        runtime::Dataset ds,
-        runtime::Source(executor->cluster(), e.t->schema, e.t->rows, e.n));
-    executor->Register(e.n, ds);
-    executor->Register(shred::FlatInputName(e.n), std::move(ds));
-  }
-  return Status::OK();
-}
-
-tpch::TpchData SmallTpch() {
+/// The TPC-H tables at scale 0.002 as interpreter values.
+std::map<std::string, nrc::Value> SmallTpch() {
   tpch::TpchConfig cfg;
   cfg.scale = 0.002;
-  return tpch::Generate(cfg);
+  return fig7_suite::TpchValues(tpch::Generate(cfg));
 }
+
+const runtime::ClusterConfig kFourPartitions{.num_partitions = 4};
 
 /// The `rows=` EXPLAIN ANALYZE prints on the root line of assignment `var`,
 /// or -1 when there is no such line.
@@ -407,18 +392,15 @@ long long RootRows(const std::string& explain, const std::string& var) {
 }
 
 TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
-  tpch::TpchData data = SmallTpch();
-  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 4});
-  exec::Executor executor(&cluster, {});
-  ASSERT_TRUE(RegisterTables(&executor, data).ok());
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(program.ok());
-  plan::PlanProgram compiled;
-  auto out = exec::RunStandard(program.value(), &executor, {}, &compiled);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  fig7_suite::StandardRun run =
+      fig7_suite::RunStandard(program.value(), SmallTpch(), kFourPartitions);
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
+  const plan::PlanProgram& compiled = run.compiled;
   ASSERT_FALSE(compiled.assignments.empty());
 
-  std::string ex = obs::ExplainAnalyze(compiled, cluster.stats());
+  const std::string& ex = run.explain;
   EXPECT_NE(ex.find("EXPLAIN ANALYZE"), std::string::npos);
   // Per-operator stats joined onto plan lines.
   EXPECT_NE(ex.find("rows="), std::string::npos);
@@ -430,7 +412,7 @@ TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
   EXPECT_NE(ex.find("job: stages="), std::string::npos) << ex;
   // The result's root operator prints the result's row count.
   EXPECT_EQ(RootRows(ex, compiled.assignments.back().var),
-            static_cast<long long>(out->NumRows()))
+            static_cast<long long>(run.out.NumRows()))
       << ex;
 
   // Every executed plan-node scope must round-trip: no stage with a
@@ -451,7 +433,7 @@ TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
       walked.insert(obs::StageScopeName(a.var, i));
     }
   }
-  for (const auto& s : cluster.stats().stages()) {
+  for (const auto& s : run.stats.stages()) {
     if (!s.scope.empty()) {
       EXPECT_TRUE(walked.count(s.scope) > 0)
           << "stage " << s.op << " scope " << s.scope
@@ -461,20 +443,15 @@ TEST(ExplainAnalyzeTest, StandardRunShowsPerOperatorStats) {
 }
 
 TEST(ExplainAnalyzeTest, ShreddedRunShowsPerOperatorStats) {
-  tpch::TpchData data = SmallTpch();
-  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 4});
-  exec::Executor executor(&cluster, {});
-  ASSERT_TRUE(RegisterTables(&executor, data).ok());
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(program.ok());
-  plan::PlanProgram compiled;
-  auto run = exec::RunShredded(program.value(), &executor, {},
-                               shred::MaterializeMode::kDomainElimination,
-                               &compiled);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  fig7_suite::ShreddedRun shredded =
+      fig7_suite::RunShredded(program.value(), SmallTpch(), kFourPartitions);
+  ASSERT_TRUE(shredded.ok()) << shredded.status.ToString();
+  const plan::PlanProgram& compiled = shredded.compiled;
   ASSERT_FALSE(compiled.assignments.empty());
 
-  std::string ex = obs::ExplainAnalyze(compiled, cluster.stats());
+  const std::string& ex = shredded.explain;
   EXPECT_NE(ex.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(ex.find("rows="), std::string::npos);
   EXPECT_NE(ex.find("shuffle="), std::string::npos);
@@ -485,21 +462,18 @@ TEST(ExplainAnalyzeTest, ShreddedRunShowsPerOperatorStats) {
   // The root operator of the top-level assignment prints the top bag's
   // row count.
   EXPECT_EQ(RootRows(ex, program->result().var + "_F"),
-            static_cast<long long>(run->top.NumRows()))
+            static_cast<long long>(shredded.out.top.NumRows()))
       << ex;
 }
 
 TEST(ExplainAnalyzeTest, JobStatsJsonIsValid) {
-  tpch::TpchData data = SmallTpch();
-  runtime::Cluster cluster(runtime::ClusterConfig{.num_partitions = 4});
-  exec::Executor executor(&cluster, {});
-  ASSERT_TRUE(RegisterTables(&executor, data).ok());
   auto program = tpch::FlatToNested(2, tpch::Width::kNarrow);
   ASSERT_TRUE(program.ok());
-  auto out = exec::RunStandard(program.value(), &executor, {});
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  fig7_suite::StandardRun run =
+      fig7_suite::RunStandard(program.value(), SmallTpch(), kFourPartitions);
+  ASSERT_TRUE(run.ok()) << run.status.ToString();
 
-  std::string doc = obs::JobStatsToJson(cluster.stats());
+  std::string doc = obs::JobStatsToJson(run.stats);
   auto parsed = obs::ParseJson(doc);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const obs::JsonValue& v = parsed.value();

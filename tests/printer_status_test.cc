@@ -1,7 +1,9 @@
-// Tests for the pretty-printers (NRC and plan notation), Status/StatusOr
-// plumbing, and assorted utility behaviours.
+// Tests for the pretty-printers (NRC and plan notation, and the gtest
+// printers of runtime values), Status/StatusOr plumbing, and assorted
+// utility behaviours.
 #include <gtest/gtest.h>
 
+#include "field_printing.h"
 #include "nrc/builder.h"
 #include "nrc/printer.h"
 #include "plan/printer.h"
@@ -82,6 +84,15 @@ TEST(PlanPrinterTest, OperatorVocabulary) {
   EXPECT_NE(s.find("OuterJoin["), std::string::npos);
   EXPECT_NE(s.find("AddIndex["), std::string::npos);
   EXPECT_NE(s.find("NestU["), std::string::npos);
+}
+
+TEST(FieldPrintingTest, FailedComparisonsPrintValues) {
+  using runtime::Field;
+  EXPECT_EQ(::testing::PrintToString(Field::Int(42)), "42");
+  EXPECT_EQ(::testing::PrintToString(Field::Null()), "NULL");
+  EXPECT_EQ(::testing::PrintToString(
+                runtime::Row({Field::Int(1), Field::Str("a"), Field::Null()})),
+            "(1, \"a\", NULL)");
 }
 
 TEST(UtilTest, FormattingHelpers) {

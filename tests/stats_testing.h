@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "field_printing.h"
 #include "runtime/stats.h"
 
 namespace trance {

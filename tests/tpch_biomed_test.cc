@@ -7,6 +7,7 @@
 #include "biomed/pipeline.h"
 #include "exec/bridge.h"
 #include "exec/pipeline.h"
+#include "fig7_suite.h"
 #include "nrc/interp.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -14,21 +15,10 @@
 namespace trance {
 namespace {
 
+using fig7_suite::TpchValues;
 using nrc::ApproxDeepBagEquals;
 using nrc::Program;
 using nrc::Value;
-
-std::map<std::string, Value> TpchValues(const tpch::TpchData& d) {
-  auto conv = [](const tpch::Table& t) {
-    auto v = exec::RowsToValue(t.rows, t.schema);
-    TRANCE_CHECK(v.ok(), "table conversion");
-    return std::move(v).value();
-  };
-  return {{"Region", conv(d.region)},     {"Nation", conv(d.nation)},
-          {"Customer", conv(d.customer)}, {"Orders", conv(d.orders)},
-          {"Lineitem", conv(d.lineitem)}, {"Part", conv(d.part)},
-          {"Supplier", conv(d.supplier)}, {"Partsupp", conv(d.partsupp)}};
-}
 
 /// Interpreter == standard == shredded on the given program/inputs.
 void ExpectThreeWayAgreement(const Program& program,
