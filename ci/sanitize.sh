@@ -2,7 +2,10 @@
 # CI-style sanitizer pass: checks the docs for drift (ci/check_docs.sh)
 # and the bench-report schema (ci/bench_smoke.sh), then builds every test
 # binary (target trance_tests, compiled in parallel) with
-# TRANCE_SANITIZE=ON (ASan + UBSan) into its own build directory and runs
+# TRANCE_SANITIZE=ON (ASan + UBSan, where a UBSan report fails its test
+# rather than only printing, and _GLIBCXX_ASSERTIONS bounds-checks the
+# standard containers' operator[], e.g. a row list's index into a block)
+# into its own build directory and runs
 # the fast observability suite (ctest label `obs`), the stage-fusion
 # equivalence suite (label `fusion`), the fault-recovery suite (label
 # `faults`), the encoded-key suite (label `keys` — bag-key encodings

@@ -12,7 +12,97 @@ std::string Rejected(AnyColumn::Kind kind, const Field& f) {
          " column cannot hold " + f.ToString();
 }
 
+/// Reads the i-th raw host-order uint64 word at `words`, which need not be
+/// aligned.
+uint64_t WordAt(const char* words, size_t i) {
+  uint64_t w;
+  std::memcpy(&w, words + i * sizeof(w), sizeof(w));
+  return w;
+}
+
 }  // namespace
+
+void StringColumn::AppendRange(const StringColumn& src, size_t begin,
+                               size_t end) {
+  const uint64_t from = src.Begin(begin), base = chars_.size();
+  size_t cap = chars_.capacity();
+  for (size_t i = begin; i < end; ++i) {
+    cap = GrownCapacity(cap, base + (src.End(i) - from));
+  }
+  chars_.reserve(cap);
+  chars_.append(src.chars_.data() + from, src.Begin(end) - from);
+  ReserveLikePushBack(&offsets_, offsets_.size() + (end - begin));
+  for (size_t i = begin; i < end; ++i) {
+    offsets_.push_back(base + (src.End(i) - from));
+  }
+}
+
+void StringColumn::AppendGather(const StringColumn& src, const uint32_t* rows,
+                                size_t n) {
+  size_t size = chars_.size(), cap = chars_.capacity();
+  for (size_t k = 0; k < n; ++k) {
+    if (rows[k] == kNullRow) continue;
+    size += src.End(rows[k]) - src.Begin(rows[k]);
+    cap = GrownCapacity(cap, size);
+  }
+  chars_.reserve(cap);
+  ReserveLikePushBack(&offsets_, offsets_.size() + n);
+  for (size_t k = 0; k < n; ++k) {
+    Append(rows[k] == kNullRow ? std::string_view() : src.At(rows[k]));
+  }
+}
+
+void StringColumn::AppendEncoded(const char* arena, const char* ends,
+                                 size_t n) {
+  const uint64_t base = chars_.size();
+  size_t cap = chars_.capacity();
+  ReserveLikePushBack(&offsets_, offsets_.size() + n);
+  uint64_t end = 0;
+  for (size_t i = 0; i < n; ++i) {
+    end = WordAt(ends, i);
+    cap = GrownCapacity(cap, base + end);
+    offsets_.push_back(base + end);
+  }
+  chars_.reserve(cap);
+  chars_.append(arena, end);
+}
+
+void NullBitmap::AppendZeros(size_t n) {
+  size_ += n;
+  const size_t words = size_ / 64 + (size_ % 64 != 0 ? 1 : 0);
+  ReserveLikePushBack(&words_, words);
+  words_.resize(words, 0);
+}
+
+size_t NullBitmap::AppendRange(const NullBitmap& src, size_t begin,
+                               size_t end) {
+  if (!src.any_) {
+    AppendZeros(end - begin);
+    return 0;
+  }
+  size_t nulls = 0;
+  for (size_t i = begin; i < end; ++i) {
+    const bool null = src.IsNull(i);
+    nulls += null ? 1 : 0;
+    Append(null);
+  }
+  return nulls;
+}
+
+size_t NullBitmap::AppendGather(const NullBitmap& src, const uint32_t* rows,
+                                size_t n) {
+  if (!src.any_ && std::find(rows, rows + n, kNullRow) == rows + n) {
+    AppendZeros(n);
+    return 0;
+  }
+  size_t nulls = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const bool null = rows[k] == kNullRow || src.IsNull(rows[k]);
+    nulls += null ? 1 : 0;
+    Append(null);
+  }
+  return nulls;
+}
 
 const char* AnyColumn::KindName(Kind kind) {
   switch (kind) {
@@ -88,30 +178,107 @@ void AnyColumn::Append(const Field& f) {
   }
 }
 
-void AnyColumn::AppendFrom(const AnyColumn& src, size_t i) {
-  TRANCE_CHECK(kind_ == src.kind_,
-               std::string("AnyColumn::AppendFrom: ") + KindName(src.kind_) +
-                   " cell into a " + KindName(kind_) + " column");
-  bool null = src.nulls_.IsNull(i);
-  cell_bytes_ += src.CellBytes(i);
+namespace {
+
+/// TRANCE_CHECK that a bulk copy's source column has the destination's kind.
+void CheckSameKind(const char* op, AnyColumn::Kind dst, AnyColumn::Kind src) {
+  TRANCE_CHECK(dst == src, std::string("AnyColumn::") + op + ": " +
+                               AnyColumn::KindName(src) + " cells into a " +
+                               AnyColumn::KindName(dst) + " column");
+}
+
+}  // namespace
+
+void AnyColumn::AppendRange(const AnyColumn& src, size_t begin, size_t end) {
+  CheckSameKind("AppendRange", kind_, src.kind_);
+  const size_t n = end - begin;
+  const size_t nulls = nulls_.AppendRange(src.nulls_, begin, end);
   switch (kind_) {
     case Kind::kInt64:
-      ints_.Append(src.ints_[i]);
+      ints_.AppendRange(src.ints_, begin, end);
       break;
     case Kind::kReal:
-      reals_.Append(src.reals_[i]);
+      reals_.AppendRange(src.reals_, begin, end);
       break;
     case Kind::kBool:
-      bools_.Append(src.bools_[i]);
+      bools_.AppendRange(src.bools_, begin, end);
       break;
-    case Kind::kString:
-      strs_.Append(src.strs_.At(i));
-      break;
+    case Kind::kString: {
+      const uint64_t arena = strs_.Begin(strs_.size());
+      strs_.AppendRange(src.strs_, begin, end);
+      cell_bytes_ += 32 * (n - nulls) + (strs_.Begin(strs_.size()) - arena) +
+                     8 * nulls;
+      return;
+    }
     case Kind::kVariant:
-      variant_.push_back(src.variant_[i]);
-      break;
+      ReserveLikePushBack(&variant_, variant_.size() + n);
+      for (size_t i = begin; i < end; ++i) {
+        variant_.push_back(src.variant_[i]);
+        cell_bytes_ += src.variant_[i].DeepSize();
+      }
+      return;
   }
-  nulls_.Append(null);
+  cell_bytes_ += 8 * n;  // int, real and bool cells, NULL or not, charge 8
+}
+
+void AnyColumn::AppendGather(const AnyColumn& src, const uint32_t* rows,
+                             size_t n) {
+  CheckSameKind("AppendGather", kind_, src.kind_);
+  // Row lists are uint32_t: a larger source would have had its row numbers
+  // cut short where the list was built.
+  TRANCE_CHECK(src.size() < kNullRow,
+               "AnyColumn::AppendGather: a source of " +
+                   std::to_string(src.size()) + " rows is too long for a " +
+                   "uint32_t row list");
+  const size_t nulls = nulls_.AppendGather(src.nulls_, rows, n);
+  switch (kind_) {
+    case Kind::kInt64:
+      ints_.AppendGather(src.ints_, rows, n);
+      break;
+    case Kind::kReal:
+      reals_.AppendGather(src.reals_, rows, n);
+      break;
+    case Kind::kBool:
+      bools_.AppendGather(src.bools_, rows, n);
+      break;
+    case Kind::kString: {
+      const uint64_t arena = strs_.Begin(strs_.size());
+      strs_.AppendGather(src.strs_, rows, n);
+      cell_bytes_ += 32 * (n - nulls) + (strs_.Begin(strs_.size()) - arena) +
+                     8 * nulls;
+      return;
+    }
+    case Kind::kVariant:
+      ReserveLikePushBack(&variant_, variant_.size() + n);
+      for (size_t k = 0; k < n; ++k) {
+        variant_.push_back(rows[k] == kNullRow ? Field::Null()
+                                               : src.variant_[rows[k]]);
+        cell_bytes_ += variant_.back().DeepSize();
+      }
+      return;
+  }
+  cell_bytes_ += 8 * n;  // int, real and bool cells, NULL or not, charge 8
+}
+
+void AnyColumn::AppendWords(const char* words, size_t n) {
+  TRANCE_CHECK(kind_ == Kind::kInt64 || kind_ == Kind::kReal,
+               std::string("AnyColumn::AppendWords: ") + KindName(kind_) +
+                   " column");
+  if (kind_ == Kind::kInt64) {
+    ints_.AppendBytes(words, n);
+  } else {
+    reals_.AppendBytes(words, n);
+  }
+  nulls_.AppendZeros(n);
+  cell_bytes_ += 8 * n;
+}
+
+void AnyColumn::AppendStrings(const char* arena, const char* ends, size_t n) {
+  CheckSameKind("AppendStrings", kind_, Kind::kString);
+  const uint64_t before = strs_.Begin(strs_.size());
+  strs_.AppendEncoded(arena, ends, n);
+  nulls_.AppendZeros(n);
+  cell_bytes_ += 32 * n + (strs_.Begin(strs_.size()) - before);
 }
 
 Field AnyColumn::At(size_t i) const {
@@ -195,36 +362,35 @@ void PartitionBlock::AppendRow(const Row& r) {
   ++num_rows_;
 }
 
-void PartitionBlock::AppendRowFrom(const PartitionBlock& src, size_t i) {
-  TRANCE_CHECK(src.cols_.size() == cols_.size(),
-               "PartitionBlock::AppendRowFrom: row of a " +
-                   std::to_string(src.cols_.size()) +
-                   "-column block into a block of " +
-                   std::to_string(cols_.size()) + " columns");
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    cols_[c].AppendFrom(src.cols_[c], i);
-  }
-  ++num_rows_;
+namespace {
+
+/// TRANCE_CHECK that a bulk copy's source block has the destination's width
+/// (each column then checks its kind).
+void CheckSameWidth(const char* op, size_t dst, size_t src) {
+  TRANCE_CHECK(dst == src, std::string("PartitionBlock::") + op +
+                               ": rows of a " + std::to_string(src) +
+                               "-column block into a block of " +
+                               std::to_string(dst) + " columns");
 }
 
-void PartitionBlock::AppendPairFrom(const PartitionBlock& left, size_t i,
-                                    const PartitionBlock* right, size_t j) {
-  const size_t lw = left.cols_.size();
-  const size_t rw = right == nullptr ? 0 : right->cols_.size();
-  TRANCE_CHECK(right == nullptr ? lw <= cols_.size() : lw + rw == cols_.size(),
-               "PartitionBlock::AppendPairFrom: a pair of " +
-                   std::to_string(lw) + " + " + std::to_string(rw) +
-                   " columns into a block of " + std::to_string(cols_.size()) +
-                   " columns");
-  for (size_t c = 0; c < lw; ++c) cols_[c].AppendFrom(left.cols_[c], i);
-  for (size_t c = lw; c < cols_.size(); ++c) {
-    if (right == nullptr) {
-      cols_[c].AppendNull();
-    } else {
-      cols_[c].AppendFrom(right->cols_[c - lw], j);
-    }
+}  // namespace
+
+void PartitionBlock::AppendRange(const PartitionBlock& src, size_t begin,
+                                 size_t end) {
+  CheckSameWidth("AppendRange", cols_.size(), src.cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    cols_[c].AppendRange(src.cols_[c], begin, end);
   }
-  ++num_rows_;
+  num_rows_ += end - begin;
+}
+
+void PartitionBlock::AppendGather(const PartitionBlock& src,
+                                  const uint32_t* rows, size_t n) {
+  CheckSameWidth("AppendGather", cols_.size(), src.cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    cols_[c].AppendGather(src.cols_[c], rows, n);
+  }
+  num_rows_ += n;
 }
 
 Row PartitionBlock::RowAt(size_t i) const {

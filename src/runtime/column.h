@@ -23,7 +23,9 @@
 #ifndef TRANCE_RUNTIME_COLUMN_H_
 #define TRANCE_RUNTIME_COLUMN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,18 +41,70 @@ namespace trance {
 namespace runtime {
 namespace column {
 
+/// The row a row list (AppendGather) gives for a cell it appends as NULL: an
+/// outer-select's failing row, a join's left-outer miss. Row lists are
+/// uint32_t, so a block copied through one holds fewer rows than this.
+inline constexpr uint32_t kNullRow = UINT32_MAX;
+
+/// The capacity a libstdc++ std::vector or std::string of capacity `cap`
+/// holds after an append that needs `size` elements: unchanged while `size`
+/// fits, else max(size, 2 × cap). push_back therefore doubles (0 -> 1 -> 2
+/// -> ...); a string append may jump straight to a long value's size.
+///
+/// The bulk copies reserve through this rule, stepping it as their per-cell
+/// appends would have, so every array ends at the capacity one-cell appends
+/// reach and ByteFootprint (the columnar_bytes charge, a capacity
+/// footprint) does not depend on how a column was filled.
+inline size_t GrownCapacity(size_t cap, size_t size) {
+  return size <= cap ? cap : std::max(size, 2 * cap);
+}
+
+/// Reserves in `v` the capacity push_back reaches on the way to `size`
+/// elements.
+template <typename Vector>
+void ReserveLikePushBack(Vector* v, size_t size) {
+  size_t cap = v->capacity();
+  while (cap < size) cap = GrownCapacity(cap, cap + 1);
+  v->reserve(cap);
+}
+
 /// Flat typed array; the ClickHouse ColumnVector shape. T is a POD cell type.
 template <typename T>
 class ColumnVector {
  public:
   void Append(T v) { data_.push_back(v); }
+  /// Appends src's values at rows [begin, end).
+  void AppendRange(const ColumnVector& src, size_t begin, size_t end) {
+    ReserveLikePushBack(&data_, data_.size() + (end - begin));
+    data_.insert(data_.end(), src.data_.begin() + begin,
+                 src.data_.begin() + end);
+  }
+  /// Appends src's value at each of rows[0, n), or T{} for kNullRow.
+  void AppendGather(const ColumnVector& src, const uint32_t* rows, size_t n) {
+    T* out = Grow(n);
+    for (size_t k = 0; k < n; ++k) {
+      out[k] = rows[k] == kNullRow ? T{} : src.data_[rows[k]];
+    }
+  }
+  /// Appends n values held as raw host-order bytes, which need not be
+  /// aligned.
+  void AppendBytes(const char* bytes, size_t n) {
+    if (n > 0) std::memcpy(Grow(n), bytes, n * sizeof(T));
+  }
   T operator[](size_t i) const { return data_[i]; }
   size_t size() const { return data_.size(); }
   const T* data() const { return data_.data(); }
-  void Reserve(size_t n) { data_.reserve(n); }
   uint64_t ByteFootprint() const { return data_.capacity() * sizeof(T); }
 
  private:
+  /// Appends n value-initialized slots and returns the first.
+  T* Grow(size_t n) {
+    const size_t at = data_.size();
+    ReserveLikePushBack(&data_, at + n);
+    data_.resize(at + n);
+    return data_.data() + at;
+  }
+
   std::vector<T> data_;
 };
 
@@ -62,6 +116,17 @@ class StringColumn {
     chars_.append(s.data(), s.size());
     offsets_.push_back(chars_.size());
   }
+  /// Appends src's values at rows [begin, end): one arena append and the
+  /// end offsets rebased onto this arena.
+  void AppendRange(const StringColumn& src, size_t begin, size_t end);
+  /// Appends src's value at each of rows[0, n), or "" for kNullRow, after
+  /// one reserve.
+  void AppendGather(const StringColumn& src, const uint32_t* rows, size_t n);
+  /// Appends n values from an encoded section: `arena` holds their bytes
+  /// and `ends` their n end offsets into it as raw host-order uint64 words,
+  /// which need not be aligned. The caller has checked that the offsets are
+  /// monotonic and inside the arena.
+  void AppendEncoded(const char* arena, const char* ends, size_t n);
   std::string_view At(size_t i) const {
     return std::string_view(chars_.data() + Begin(i), End(i) - Begin(i));
   }
@@ -92,6 +157,14 @@ class NullBitmap {
     }
     ++size_;
   }
+  /// Appends n not-NULL bits: zero words.
+  void AppendZeros(size_t n);
+  /// Appends src's bits of rows [begin, end): zero words when src holds no
+  /// NULL, else bit by bit. Returns how many of them are NULL.
+  size_t AppendRange(const NullBitmap& src, size_t begin, size_t end);
+  /// Appends src's bit at each of rows[0, n), set for kNullRow. Returns how
+  /// many of them are NULL.
+  size_t AppendGather(const NullBitmap& src, const uint32_t* rows, size_t n);
   bool IsNull(size_t i) const {
     return (words_[i / 64] >> (i % 64)) & 1;
   }
@@ -155,9 +228,17 @@ class AnyColumn {
   /// value the column does not accept fails a TRANCE_CHECK.
   void Append(const Field& f);
 
-  /// Typed-copy append of cell i of `src`, which must be of the same kind
-  /// (TRANCE_CHECK).
-  void AppendFrom(const AnyColumn& src, size_t i);
+  // Bulk copies from `src`, a column of the same kind (TRANCE_CHECK). Each
+  // moves its cells in one typed loop, memcpy or arena append, grows
+  // cell_bytes in closed form, and reserves exactly the capacity the
+  // per-cell appends would have reached (GrownCapacity), so the column
+  // equals one built by Append(src.At(i)) and AppendNull down to
+  // ByteFootprint.
+  /// Appends src's cells at rows [begin, end).
+  void AppendRange(const AnyColumn& src, size_t begin, size_t end);
+  /// Appends src's cell at each of rows[0, n) in list order; a kNullRow
+  /// entry appends NULL.
+  void AppendGather(const AnyColumn& src, const uint32_t* rows, size_t n);
 
   // Typed appends for decoders that hold raw column values; each is valid
   // only for the matching kind. AppendNull is valid for every kind.
@@ -182,6 +263,12 @@ class AnyColumn {
     nulls_.Append(false);
     cell_bytes_ += 32 + s.size();
   }
+  /// Appends n non-NULL int64 or real cells held as raw host-order 8-byte
+  /// words, which need not be aligned; valid for int64 and real columns.
+  void AppendWords(const char* words, size_t n);
+  /// Appends n non-NULL string cells from an encoded section
+  /// (StringColumn::AppendEncoded); valid for string columns.
+  void AppendStrings(const char* arena, const char* ends, size_t n);
 
   bool IsNull(size_t i) const { return nulls_.IsNull(i); }
 
@@ -244,15 +331,13 @@ class PartitionBlock {
 
   /// Appends a row of the block's width.
   void AppendRow(const Row& r);
-  /// Column-wise copy of row i of src, a block of the same width and column
-  /// kinds.
-  void AppendRowFrom(const PartitionBlock& src, size_t i);
-  /// Appends a join's output pair column-wise: row i of `left` in the
-  /// leading columns, then row j of `right`, or NULL in every remaining
-  /// column when `right` is null (a left-outer miss). The block's columns
-  /// are left's followed by right's, kind for kind.
-  void AppendPairFrom(const PartitionBlock& left, size_t i,
-                      const PartitionBlock* right, size_t j);
+  /// Appends rows [begin, end) of src, a block of the same width and column
+  /// kinds: one AnyColumn::AppendRange per column.
+  void AppendRange(const PartitionBlock& src, size_t begin, size_t end);
+  /// Appends src's row at each of rows[0, n) in list order, a row of NULLs
+  /// for kNullRow: one AnyColumn::AppendGather per column. src has the
+  /// block's width and column kinds.
+  void AppendGather(const PartitionBlock& src, const uint32_t* rows, size_t n);
   /// Appends n rows column by column: fill(c, &column) must append exactly
   /// n cells to column c. For decoders that hold whole columns and keyed
   /// operators that emit their groups a column at a time.

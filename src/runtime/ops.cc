@@ -11,6 +11,7 @@ namespace runtime {
 namespace {
 
 using column::AnyColumn;
+using column::kNullRow;
 using column::PartitionBlock;
 using flat_hash::FlatKeyIndex;
 using flat_hash::KeyTable;
@@ -91,10 +92,14 @@ StatusOr<std::vector<BlockPtr>> ShuffleByKey(
         b = EmptyBlocks(in.schema, n);
         const PartitionBlock& src = *in.parts[p];
         const size_t rows = src.NumRows();
+        std::vector<std::vector<uint32_t>> routed(n);  // per target: its rows
         for (size_t i = 0; i < rows; ++i) {
           size_t target = static_cast<size_t>(
               cluster->PartitionOf(src.HashRowOn(i, key_cols)));
-          b[target].AppendRowFrom(src, i);
+          routed[target].push_back(static_cast<uint32_t>(i));
+        }
+        for (size_t t = 0; t < n; ++t) {
+          b[t].AppendGather(src, routed[t].data(), routed[t].size());
         }
       },
       [&](size_t p) { buckets[p].clear(); }));
@@ -123,8 +128,7 @@ StatusOr<std::vector<BlockPtr>> ShuffleByKey(
       [&](size_t t, PartitionBlock* dst, StageStats*) {
         for (size_t p = 0; p < in_n; ++p) {
           const PartitionBlock& src = buckets[p][t];
-          const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) dst->AppendRowFrom(src, i);
+          dst->AppendRange(src, 0, src.NumRows());
         }
       }));
 
@@ -185,9 +189,9 @@ uint32_t FindNonNull(KeyTable* table, const PartitionBlock& b, size_t i,
 /// Partition-local hash join of `left` against the build block `right`,
 /// appending the output rows to `out`; keyed telemetry goes to *ks. The
 /// table maps each key to a dense chain of row offsets into the build block
-/// and is pre-sized for the build side. Each output pair is copied column by
-/// column from the two blocks; a left-outer miss gets NULL in every right
-/// column.
+/// and is pre-sized for the build side. The probe lists each output pair's
+/// left and right row, kNullRow on the right for a left-outer miss, and
+/// each output column is one gather from its block.
 void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
                const std::vector<int>& lk, const std::vector<int>& rk,
                JoinType type, PartitionBlock* out, StageStats* ks) {
@@ -202,14 +206,27 @@ void LocalJoin(const PartitionBlock& left, const PartitionBlock& right,
     chains[gi].push_back(static_cast<uint32_t>(i));
   }
   const size_t ln = left.NumRows();
+  std::vector<uint32_t> lrows, rrows;
   for (size_t j = 0; j < ln; ++j) {
     const uint32_t gi = FindNonNull(&built, left, j, lk);
     if (gi != FlatKeyIndex::kNotFound) {
-      for (uint32_t ri : chains[gi]) out->AppendPairFrom(left, j, &right, ri);
+      for (uint32_t ri : chains[gi]) {
+        lrows.push_back(static_cast<uint32_t>(j));
+        rrows.push_back(ri);
+      }
     } else if (type == JoinType::kLeftOuter) {
-      out->AppendPairFrom(left, j, nullptr, 0);
+      lrows.push_back(static_cast<uint32_t>(j));
+      rrows.push_back(kNullRow);
     }
   }
+  const size_t lw = left.NumCols();
+  out->AppendColumns(lrows.size(), [&](size_t c, AnyColumn* col) {
+    if (c < lw) {
+      col->AppendGather(left.col(c), lrows.data(), lrows.size());
+    } else {
+      col->AppendGather(right.col(c - lw), rrows.data(), rrows.size());
+    }
+  });
 }
 
 /// Checks row i of source `op` before it enters `block`, a block of `schema`:
@@ -380,7 +397,7 @@ StatusOr<Dataset> BroadcastJoin(Cluster* cluster, const Dataset& left,
   // byte totals give the movement accounting and the send histogram.
   PartitionBlock bcast(right.schema);
   for (const auto& part : right.parts) {
-    for (size_t i = 0; i < part->NumRows(); ++i) bcast.AppendRowFrom(*part, i);
+    bcast.AppendRange(*part, 0, part->NumRows());
   }
   stage.columnar_bytes += bcast.ByteFootprint();
   const uint64_t bcast_bytes = bcast.TotalRowBytes();
@@ -474,14 +491,14 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
     // Groups are (the row that created the group, members), in first-seen
     // order; members project straight from the block's arenas.
     const PartitionBlock& src = *sp[p];
-    std::vector<size_t> first;              // per group: its first row
+    std::vector<uint32_t> first;            // per group: its first row
     std::vector<std::vector<Row>> members;  // per group: its bag
     KeyTable groups(slot);
     const size_t rows = src.NumRows();
     for (size_t i = 0; i < rows; ++i) {
       auto [gi, opened] = groups.Add(src, i, key_cols);
       if (opened) {
-        first.push_back(i);
+        first.push_back(static_cast<uint32_t>(i));
         members.emplace_back();
       }
       // NULL-to-empty-bag cast: a miss row marks a key with no inner
@@ -495,11 +512,11 @@ StatusOr<Dataset> NestGroup(Cluster* cluster, const Dataset& in,
       }
       if (!miss) members[gi].push_back(Row(FieldsAt(src, i, value_cols)));
     }
-    // Key cells copy column-wise from each group's first row.
+    // Key cells gather column-wise from each group's first row.
     dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
       if (c < key_cols.size()) {
-        const AnyColumn& from = src.col(static_cast<size_t>(key_cols[c]));
-        for (size_t i : first) col->AppendFrom(from, i);
+        col->AppendGather(src.col(static_cast<size_t>(key_cols[c])),
+                          first.data(), first.size());
         return;
       }
       for (auto& bag : members) col->Append(Field::Bag(std::move(bag)));
@@ -584,15 +601,15 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
                                   ? nk + vi
                                   : static_cast<size_t>(value_cols[vi])));
     }
-    std::vector<size_t> first;  // per group: its first row
-    std::vector<double> sums;   // group g's sums at [g * nv, (g + 1) * nv)
-    std::vector<bool> seen;     // per group: some row contributed
+    std::vector<uint32_t> first;  // per group: its first row
+    std::vector<double> sums;     // group g's sums at [g * nv, (g + 1) * nv)
+    std::vector<bool> seen;       // per group: some row contributed
     KeyTable groups(ks);
     const size_t rows = src.NumRows();
     for (size_t i = 0; i < rows; ++i) {
       auto [gi, opened] = groups.Add(src, i, cols);
       if (opened) {
-        first.push_back(i);
+        first.push_back(static_cast<uint32_t>(i));
         sums.resize(sums.size() + nv, 0.0);
         seen.push_back(false);
       }
@@ -611,8 +628,8 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
     }
     dst->AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
       if (c < nk) {
-        const AnyColumn& from = src.col(static_cast<size_t>(cols[c]));
-        for (size_t i : first) col->AppendFrom(from, i);
+        col->AppendGather(src.col(static_cast<size_t>(cols[c])), first.data(),
+                          first.size());
         return;
       }
       const size_t vi = c - nk;
@@ -648,8 +665,8 @@ StatusOr<Dataset> SumAggregate(Cluster* cluster, const Dataset& in,
           const PartitionBlock& src = *in.parts[p];
           const size_t rows = src.NumRows();
           dst->AppendColumns(rows, [&](size_t c, AnyColumn* col) {
-            const AnyColumn& from = src.col(static_cast<size_t>(reshape[c]));
-            for (size_t i = 0; i < rows; ++i) col->AppendFrom(from, i);
+            col->AppendRange(src.col(static_cast<size_t>(reshape[c])), 0,
+                             rows);
           });
         }));
   }
@@ -735,8 +752,7 @@ StatusOr<Dataset> UnionAll(Cluster* cluster, const Dataset& a,
         for (const Dataset* d : {&a, &b}) {
           if (p >= d->NumPartitions()) continue;
           const PartitionBlock& src = *d->parts[p];
-          const size_t rows = src.NumRows();
-          for (size_t i = 0; i < rows; ++i) dst->AppendRowFrom(src, i);
+          dst->AppendRange(src, 0, src.NumRows());
         }
       }));
   TRANCE_RETURN_NOT_OK(FinishStage(cluster, std::move(stage), &out, name));
@@ -759,14 +775,18 @@ StatusOr<Dataset> Distinct(Cluster* cluster, const Dataset& in,
   TRANCE_RETURN_NOT_OK(RunPartitionTasks(
       cluster, name, &stage, &out,
       [&](size_t p, PartitionBlock* dst, StageStats* slot) {
-        // The row is its own key: the first occurrence of each key copies
+        // The row is its own key: the first occurrences of the keys gather
         // column-to-column into the output block.
         const PartitionBlock& src = *sp[p];
         KeyTable seen(slot);
+        std::vector<uint32_t> first;
         const size_t rows = src.NumRows();
         for (size_t i = 0; i < rows; ++i) {
-          if (seen.Add(src, i, all_cols).second) dst->AppendRowFrom(src, i);
+          if (seen.Add(src, i, all_cols).second) {
+            first.push_back(static_cast<uint32_t>(i));
+          }
         }
+        dst->AppendGather(src, first.data(), first.size());
       }));
   SetWork(&stage, nparts, [&](size_t p) {
     return sp[p]->TotalRowBytes() + out.parts[p]->TotalRowBytes();
@@ -832,8 +852,7 @@ StatusOr<Dataset> CoGroup(Cluster* cluster, const Dataset& left,
     std::vector<BagPtr> bags(chains.size());
     dst->AppendColumns(lrows, [&](size_t c, AnyColumn* col) {
       if (c < lw) {
-        const AnyColumn& from = lb.col(c);
-        for (size_t j = 0; j < lrows; ++j) col->AppendFrom(from, j);
+        col->AppendRange(lb.col(c), 0, lrows);
         return;
       }
       for (uint32_t gi : matches) {

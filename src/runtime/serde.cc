@@ -501,11 +501,23 @@ Status CheckRecordFits(const BlockRecord& rec,
   return Status::OK();
 }
 
-/// Appends the n cells of one section to a column of its kind, one value at
-/// a time.
+/// Appends the n cells of one section to a column of its kind. An int, real
+/// or string section with no null bitmap is appended whole: its values are
+/// copied from the payload with memcpy, or its arena in one append with the
+/// offsets ParseBlockRecord validated shifted onto the column's. Sections
+/// with NULLs, bool sections and variant sections go one value at a time.
+/// Either way the column grows as one-cell appends would grow it.
 void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
   if (s.kind == kColVariant) {
     for (size_t i = 0; i < n; ++i) col->Append(s.cells[i]);
+    return;
+  }
+  if (s.nulls == nullptr && s.kind != kColBool) {
+    if (s.kind == kColString) {
+      col->AppendStrings(s.arena, s.values, n);
+    } else {
+      col->AppendWords(s.values, n);
+    }
     return;
   }
   // Typed cells go straight into the column arrays and the string arena,

@@ -151,23 +151,27 @@ StatusOr<column::PartitionBlock> SpillManager::SpillAndRestoreBlock(
   column::PartitionBlock restored(schema);
   auto spill_and_restore = [&]() -> Status {
     // Phase 1: a run ends at the row whose RowBytesAt brings it to
-    // max_run_bytes; each range is serialized straight from the block.
+    // max_run_bytes; each range is serialized straight from the block. A
+    // block whose byte total is under max_run_bytes is one run, so only a
+    // larger block walks its rows.
     const size_t n = block.NumRows();
     size_t begin = 0;
-    uint64_t run_bytes = 0;
-    for (size_t i = 0; i < n; ++i) {
-      run_bytes += block.RowBytesAt(i);
-      if (run_bytes >= config_.max_run_bytes) {
-        TRANCE_RETURN_NOT_OK(write_run(begin, i + 1));
-        begin = i + 1;
-        run_bytes = 0;
+    if (block.TotalRowBytes() >= config_.max_run_bytes) {
+      uint64_t run_bytes = 0;
+      for (size_t i = 0; i < n; ++i) {
+        run_bytes += block.RowBytesAt(i);
+        if (run_bytes >= config_.max_run_bytes) {
+          TRANCE_RETURN_NOT_OK(write_run(begin, i + 1));
+          begin = i + 1;
+          run_bytes = 0;
+        }
       }
     }
     if (begin < n || runs.empty()) TRANCE_RETURN_NOT_OK(write_run(begin, n));
     // Phase 2: one merge pass — read each run whole and decode it into the
-    // new block's typed columns, in run order. The decoder appends one
-    // value at a time, so the block's footprint matches a never-spilled
-    // block of the same rows.
+    // new block's typed columns, in run order. The decoder grows each
+    // column as one-cell appends would, so the block's footprint matches a
+    // never-spilled block of the same rows.
     for (const Run& run : runs) {
       TRANCE_RETURN_NOT_OK(ReadFile(run.path, &file));
       TRANCE_RETURN_NOT_OK(serde::ReadBlockFile(file, run.path, &restored));

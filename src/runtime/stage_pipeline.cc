@@ -101,6 +101,7 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
 namespace {
 
 using column::AnyColumn;
+using column::kNullRow;
 using column::PartitionBlock;
 
 /// Whether this transform, as the last of its chain, charges its emitted
@@ -142,16 +143,19 @@ void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
   const size_t inner_width = dst->NumCols() - id_cols - outer_width;
 
   struct Emit {
-    size_t row;
     const Row* member;  // nullptr: an outer-unnest's NULL-padded row
     int64_t id;
   };
   std::vector<Emit> emits;
+  std::vector<uint32_t> rows;  // per emit: its outer row
   for (size_t i = begin; i < end; ++i) {
     const int64_t id = outer ? NextId(p, uid) : 0;
     const Field& bag = bags.variants()[i];
     if (!bag.is_bag() || bag.AsBag()->empty()) {
-      if (outer) emits.push_back({i, nullptr, id});
+      if (outer) {
+        emits.push_back({nullptr, id});
+        rows.push_back(static_cast<uint32_t>(i));
+      }
       continue;
     }
     for (const Row& m : *bag.AsBag()) {
@@ -159,7 +163,8 @@ void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
                    "unnest: bag member of " + std::to_string(m.fields.size()) +
                        " fields, element schema of " +
                        std::to_string(inner_width));
-      emits.push_back({i, &m, id});
+      emits.push_back({&m, id});
+      rows.push_back(static_cast<uint32_t>(i));
     }
   }
   dst->AppendColumns(emits.size(), [&](size_t c, AnyColumn* col) {
@@ -167,8 +172,8 @@ void ApplyUnnest(const RowTransform& t, const PartitionBlock& src,
       for (const Emit& e : emits) col->AppendInt64(e.id);
     } else if (c < id_cols + outer_width) {
       const size_t k = c - id_cols;
-      const AnyColumn& from = src.col(k < bag_col ? k : k + 1);
-      for (const Emit& e : emits) col->AppendFrom(from, e.row);
+      col->AppendGather(src.col(k < bag_col ? k : k + 1), rows.data(),
+                        rows.size());
     } else {
       const size_t j = c - id_cols - outer_width;
       for (const Emit& e : emits) {
@@ -192,29 +197,31 @@ void Apply(const RowTransform& t, const PartitionBlock& src, size_t begin,
       dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
         const RowTransform::OutCol& oc = t.cols[c];
         if (oc.src >= 0) {
-          const AnyColumn& from = src.col(static_cast<size_t>(oc.src));
-          for (size_t i = begin; i < end; ++i) col->AppendFrom(from, i);
+          col->AppendRange(src.col(static_cast<size_t>(oc.src)), begin, end);
         } else {
           for (size_t i = begin; i < end; ++i) col->Append(oc.fn(src, i));
         }
       });
       break;
-    case RowTransform::Kind::kFilter:
+    case RowTransform::Kind::kFilter: {
+      std::vector<uint32_t> pass;
       for (size_t i = begin; i < end; ++i) {
-        if (t.pred(src, i)) dst->AppendRowFrom(src, i);
+        if (t.pred(src, i)) pass.push_back(static_cast<uint32_t>(i));
       }
+      dst->AppendGather(src, pass.data(), pass.size());
       break;
+    }
     case RowTransform::Kind::kOuterSelect: {
-      std::vector<uint8_t> pass(n);
-      for (size_t i = begin; i < end; ++i) pass[i - begin] = t.pred(src, i);
+      // A failing row keeps its kept columns and is NULL in the others.
+      std::vector<uint32_t> rows(n);
+      for (size_t i = begin; i < end; ++i) {
+        rows[i - begin] = t.pred(src, i) ? static_cast<uint32_t>(i) : kNullRow;
+      }
       dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
-        const AnyColumn& from = src.col(c);
-        for (size_t i = begin; i < end; ++i) {
-          if (t.keep[c] || pass[i - begin]) {
-            col->AppendFrom(from, i);
-          } else {
-            col->AppendNull();
-          }
+        if (t.keep[c]) {
+          col->AppendRange(src.col(c), begin, end);
+        } else {
+          col->AppendGather(src.col(c), rows.data(), n);
         }
       });
       break;
@@ -227,7 +234,7 @@ void Apply(const RowTransform& t, const PartitionBlock& src, size_t begin,
       const size_t width = src.NumCols();
       dst->AppendColumns(n, [&](size_t c, AnyColumn* col) {
         if (c < width) {
-          for (size_t i = begin; i < end; ++i) col->AppendFrom(src.col(c), i);
+          col->AppendRange(src.col(c), begin, end);
         } else {
           for (size_t i = begin; i < end; ++i) col->AppendInt64(NextId(p, uid));
         }

@@ -112,16 +112,20 @@ StatusOr<SkewTriple> SplitByHeavyKeys(Cluster* cluster, const Dataset& in,
   std::vector<PartitionBlock> heavy = runtime::EmptyBlocks(in.schema, n);
   StageStats stage;
   stage.op = name + ".split";
-  // Rows route column-to-column into the light or heavy block of their
-  // partition; the key probe encodes straight from the input block.
+  // Each partition lists its light and heavy rows, then gathers each list
+  // column-to-column into its block; the key probe encodes straight from
+  // the input block.
   for (size_t p = 0; p < n; ++p) {
     const PartitionBlock& src = *in.parts[p];
     const size_t part_rows = src.NumRows();
+    std::vector<uint32_t> light_rows, heavy_rows;
     for (size_t i = 0; i < part_rows; ++i) {
       ++stage.rows_in;
       const bool is_heavy = hk.IsHeavyAt(src, i, key_cols);
-      (is_heavy ? heavy[p] : light[p]).AppendRowFrom(src, i);
+      (is_heavy ? heavy_rows : light_rows).push_back(static_cast<uint32_t>(i));
     }
+    light[p].AppendGather(src, light_rows.data(), light_rows.size());
+    heavy[p].AppendGather(src, heavy_rows.data(), heavy_rows.size());
     stage.columnar_bytes += light[p].ByteFootprint() + heavy[p].ByteFootprint();
   }
   SkewTriple out;

@@ -7,10 +7,12 @@
 // its declared type gives it, and the block's accounting mirrors the row
 // path exactly: CellHash == Field::Hash, CellBytes == Field::DeepSize,
 // RowBytesAt == RowDeepSize, HashRowOn == RowHashOn, and the running
-// TotalRowBytes equals the RowDeepSize sum on every fill path. Blocks the
-// keyed operators assemble column-wise (join pairs, NULL padding,
-// AppendColumns group emission) equal the blocks AppendRow builds, down to
-// the footprint. Rows that break the schema never reach a block:
+// TotalRowBytes equals the RowDeepSize sum on every fill path. The bulk
+// copies (AppendRange, AppendGather with kNullRow) build the columns
+// per-cell appends build, down to cell_bytes and the capacity footprint,
+// and blocks the keyed operators assemble column-wise (join pairs, NULL
+// padding, AppendColumns group emission) equal the blocks AppendRow builds.
+// Rows that break the schema never reach a block:
 // runtime::Source rejects them with a Status naming the source, the row and
 // the column.
 //
@@ -62,11 +64,11 @@ Schema MixedSchema() {
 }
 
 /// A random field for column `col` of MixedSchema: a value of the column's
-/// declared type or NULL, including the hash edge cases (-0.0, empty
-/// strings). The variant bag column also draws stray strings, so variant
-/// accounting sees mixed Field kinds.
-Field RandomField(Rng* rng, size_t col) {
-  if (rng->NextBool(0.15)) return Field::Null();
+/// declared type, or NULL with probability `null_rate`, including the hash
+/// edge cases (-0.0, empty strings). The variant bag column also draws stray
+/// strings, so variant accounting sees mixed Field kinds.
+Field RandomField(Rng* rng, size_t col, double null_rate = 0.15) {
+  if (rng->NextBool(null_rate)) return Field::Null();
   switch (col) {
     case 0:
       return Field::Int(static_cast<int64_t>(rng->NextU64()));
@@ -90,12 +92,15 @@ Field RandomField(Rng* rng, size_t col) {
   }
 }
 
-std::vector<Row> RandomRows(Rng* rng, size_t n, size_t width) {
+std::vector<Row> RandomRows(Rng* rng, size_t n, size_t width,
+                            double null_rate = 0.15) {
   std::vector<Row> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     std::vector<Field> fields;
-    for (size_t c = 0; c < width; ++c) fields.push_back(RandomField(rng, c));
+    for (size_t c = 0; c < width; ++c) {
+      fields.push_back(RandomField(rng, c, null_rate));
+    }
     rows.push_back(Row(std::move(fields)));
   }
   return rows;
@@ -272,20 +277,26 @@ TEST(ColumnBlockTest, SourceRejectsCellsOfTheWrongKind) {
   }
 }
 
-TEST(ColumnBlockTest, AppendRowFromMatchesAppendRow) {
+TEST(ColumnBlockTest, BulkCopiesMatchAppendRow) {
   Schema schema = MixedSchema();
   Rng rng(77);
   std::vector<Row> rows = RandomRows(&rng, 200, schema.size());
   PartitionBlock src = PartitionBlock::FromRows(schema, rows);
-  PartitionBlock via_copy(schema);
+  PartitionBlock via_range(schema);
+  PartitionBlock via_gather(schema);
   PartitionBlock via_rows(schema);
+  std::vector<uint32_t> all;
   for (size_t i = 0; i < rows.size(); ++i) {
-    via_copy.AppendRowFrom(src, i);
+    all.push_back(static_cast<uint32_t>(i));
     via_rows.AppendRow(rows[i]);
   }
-  ExpectRowsEqual(via_copy.ToRows(), rows);
+  via_range.AppendRange(src, 0, rows.size());
+  via_gather.AppendGather(src, all.data(), all.size());
+  ExpectRowsEqual(via_range.ToRows(), rows);
+  ExpectRowsEqual(via_gather.ToRows(), rows);
   ExpectRowsEqual(via_rows.ToRows(), rows);
-  ExpectByteTotals(via_copy, rows);
+  ExpectByteTotals(via_range, rows);
+  ExpectByteTotals(via_gather, rows);
   ExpectByteTotals(via_rows, rows);
 }
 
@@ -310,12 +321,12 @@ void ExpectSameBlock(const PartitionBlock& built, const PartitionBlock& by_row,
 }
 
 TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
-  // The keyed operators build their output column by column: a join appends
-  // each pair with AppendPairFrom and NULL-pads a left-outer miss, and the
-  // aggregate, nest and cogroup emit every group through AppendColumns. Each
-  // must build the block AppendRow builds from the same rows, down to the
-  // byte totals the work charges read and the footprint columnar_bytes
-  // reads.
+  // The keyed operators build their output column by column: a join lists
+  // each pair's left and right row (kNullRow on the right for a left-outer
+  // miss) and gathers every column, and the aggregate, nest and cogroup emit
+  // every group through AppendColumns, gathering its key cells. Each must
+  // build the block AppendRow builds from the same rows, down to the byte
+  // totals the work charges read and the footprint columnar_bytes reads.
   Schema schema = MixedSchema();
   Rng rng(31);
   std::vector<Row> left_rows = RandomRows(&rng, 150, schema.size());
@@ -331,9 +342,11 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
     }
     PartitionBlock pairs(pair_schema);
     std::vector<Row> rows;
+    std::vector<uint32_t> lrows, rrows;
     for (size_t i = 0; i < left_rows.size(); ++i) {
       if (rng.NextBool(0.2)) {  // a left-outer miss
-        pairs.AppendPairFrom(left, i, nullptr, 0);
+        lrows.push_back(static_cast<uint32_t>(i));
+        rrows.push_back(runtime::column::kNullRow);
         Row r = left_rows[i];
         r.fields.resize(pair_schema.size());  // Field() is NULL
         rows.push_back(std::move(r));
@@ -341,13 +354,22 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
       }
       for (uint64_t k = 0, n = rng.Uniform(4); k < n; ++k) {
         const size_t j = rng.Uniform(right_rows.size());
-        pairs.AppendPairFrom(left, i, &right, j);
+        lrows.push_back(static_cast<uint32_t>(i));
+        rrows.push_back(static_cast<uint32_t>(j));
         Row r = left_rows[i];
         r.fields.insert(r.fields.end(), right_rows[j].fields.begin(),
                         right_rows[j].fields.end());
         rows.push_back(std::move(r));
       }
     }
+    pairs.AppendColumns(lrows.size(), [&](size_t c, AnyColumn* col) {
+      if (c < schema.size()) {
+        col->AppendGather(left.col(c), lrows.data(), lrows.size());
+      } else {
+        col->AppendGather(right.col(c - schema.size()), rrows.data(),
+                          rrows.size());
+      }
+    });
     ExpectSameBlock(pairs, PartitionBlock::FromRows(pair_schema, rows), rows);
   }
 
@@ -361,11 +383,11 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
     out.Append({"isum", nrc::Type::Int()});
     out.Append({"rsum", nrc::Type::Real()});
     out.Append({"bag", schema.col(4).type});
-    std::vector<size_t> first;
+    std::vector<uint32_t> first;
     std::vector<Row> rows;
     for (int g = 0; g < 70; ++g) {
       const size_t i = rng.Uniform(left_rows.size());
-      first.push_back(i);
+      first.push_back(static_cast<uint32_t>(i));
       Row r;
       for (int k : keys) r.fields.push_back(left_rows[i].fields[k]);
       const bool seen = !rng.NextBool(0.2);
@@ -380,11 +402,14 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
     }
     PartitionBlock groups(out);
     groups.AppendColumns(first.size(), [&](size_t c, AnyColumn* col) {
+      if (c < keys.size()) {
+        col->AppendGather(left.col(static_cast<size_t>(keys[c])), first.data(),
+                          first.size());
+        return;
+      }
       for (size_t g = 0; g < first.size(); ++g) {
         const Field& want = rows[g].fields[c];
-        if (c < keys.size()) {
-          col->AppendFrom(left.col(static_cast<size_t>(keys[c])), first[g]);
-        } else if (c == keys.size() + 2 || want.is_null()) {
+        if (c == keys.size() + 2 || want.is_null()) {
           col->Append(want);
         } else if (c == keys.size()) {
           col->AppendInt64(want.AsInt());
@@ -394,6 +419,84 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
       }
     });
     ExpectSameBlock(groups, PartitionBlock::FromRows(out, rows), rows);
+  }
+}
+
+/// `bulk` and `per_cell` hold the same cells, and each column the same
+/// cell_bytes and ByteFootprint (a capacity: equal only if the bulk copies
+/// grew every array as the per-cell appends did), as do the blocks'
+/// TotalRowBytes and ByteFootprint.
+void ExpectSameColumns(const PartitionBlock& bulk,
+                       const PartitionBlock& per_cell) {
+  ASSERT_EQ(bulk.NumRows(), per_cell.NumRows());
+  ASSERT_EQ(bulk.NumCols(), per_cell.NumCols());
+  for (size_t c = 0; c < bulk.NumCols(); ++c) {
+    SCOPED_TRACE("col " + std::to_string(c));
+    const AnyColumn& a = bulk.col(c);
+    const AnyColumn& b = per_cell.col(c);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.IsNull(i), b.IsNull(i)) << "row " << i;
+      EXPECT_EQ(a.At(i), b.At(i)) << "row " << i;
+    }
+    if (a.kind() == AnyColumn::Kind::kReal && a.size() > 0) {
+      EXPECT_EQ(std::memcmp(a.reals(), b.reals(), a.size() * sizeof(double)),
+                0);
+    }
+    EXPECT_EQ(a.cell_bytes(), b.cell_bytes());
+    EXPECT_EQ(a.ByteFootprint(), b.ByteFootprint());
+  }
+  EXPECT_EQ(bulk.TotalRowBytes(), per_cell.TotalRowBytes());
+  EXPECT_EQ(bulk.ByteFootprint(), per_cell.ByteFootprint());
+}
+
+TEST(ColumnBlockTest, BulkCopiesMatchPerCellAppends) {
+  // AppendRange and AppendGather (kNullRow included) build exactly the
+  // columns that per-cell Append(src.At(i)) and AppendNull build. Sources
+  // hold all five column kinds, with NULLs and without (the zero-word
+  // bitmap path); destinations start from a random prefix and take several
+  // copies in a row, so each copy grows arrays from a different capacity.
+  Schema schema = MixedSchema();
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const double null_rate = seed % 2 == 0 ? 0.0 : 0.15;
+    const size_t n = rng.Uniform(300);
+    PartitionBlock src = PartitionBlock::FromRows(
+        schema, RandomRows(&rng, n, schema.size(), null_rate));
+    const std::vector<Row> prefix =
+        RandomRows(&rng, rng.Uniform(130), schema.size(), null_rate);
+    PartitionBlock bulk = PartitionBlock::FromRows(schema, prefix);
+    PartitionBlock per_cell = PartitionBlock::FromRows(schema, prefix);
+    for (uint64_t op = 0, ops = 1 + rng.Uniform(4); op < ops; ++op) {
+      std::vector<uint32_t> rows;
+      if (rng.NextBool()) {
+        const size_t begin = rng.Uniform(n + 1);
+        const size_t end = begin + rng.Uniform(n - begin + 1);
+        for (size_t i = begin; i < end; ++i) {
+          rows.push_back(static_cast<uint32_t>(i));
+        }
+        bulk.AppendRange(src, begin, end);
+      } else {
+        const double miss = rng.NextBool() ? 0.0 : 0.1;
+        for (uint64_t k = 0, len = rng.Uniform(2 * n + 2); k < len; ++k) {
+          rows.push_back(n == 0 || rng.NextBool(miss)
+                             ? runtime::column::kNullRow
+                             : static_cast<uint32_t>(rng.Uniform(n)));
+        }
+        bulk.AppendGather(src, rows.data(), rows.size());
+      }
+      per_cell.AppendColumns(rows.size(), [&](size_t c, AnyColumn* col) {
+        for (uint32_t r : rows) {
+          if (r == runtime::column::kNullRow) {
+            col->AppendNull();
+          } else {
+            col->Append(src.col(c).At(r));
+          }
+        }
+      });
+    }
+    ExpectSameColumns(bulk, per_cell);
   }
 }
 
