@@ -241,6 +241,28 @@ std::string Ratio(const RunResult& num, const RunResult& den,
   return FormatDouble(v, 1) + "x";
 }
 
+bool RanStrategy(const RunResult& r, Strategy s) {
+  return r.name.ends_with(std::string(" ") + StrategyName(s));
+}
+
+void CheckRunsInMemory(const std::string& figure,
+                       const std::vector<RunResult>& results,
+                       std::initializer_list<Strategy> strategies) {
+  size_t checked = 0;
+  for (const RunResult& r : results) {
+    for (Strategy s : strategies) {
+      if (!RanStrategy(r, s)) continue;
+      const uint64_t spills = r.stats.totals().spill_runs;
+      TRANCE_CHECK(r.ok && spills == 0,
+                   figure + " shape: " + r.name +
+                       (r.ok ? " spilled " + std::to_string(spills) + " runs"
+                             : " failed: " + r.fail_reason));
+      ++checked;
+    }
+  }
+  TRANCE_CHECK(checked > 0, figure + " shape: no run to check");
+}
+
 void EnableBenchObservability() {
   obs::Tracer::Global().set_enabled(true);
   obs::Tracer::Global().Clear();

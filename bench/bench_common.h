@@ -15,6 +15,7 @@
 #define TRANCE_BENCH_BENCH_COMMON_H_
 
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -112,6 +113,20 @@ using RunMetric = uint64_t (*)(const RunResult&);
 /// Ratio helper for the shuffle-comparison tables ("n/a" on zero/FAIL).
 std::string Ratio(const RunResult& num, const RunResult& den,
                   RunMetric metric);
+
+// --- Shape checks --------------------------------------------------------
+
+/// True if run `r` ran strategy `s`: every figure names a run "<cell>
+/// <strategy name>" ("nested_to_flat d2 SHRED", "full Step2 SPARKSQL").
+bool RanStrategy(const RunResult& r, Strategy s);
+
+/// Shape check over a figure's runs: every run of one of `strategies`
+/// completed without spilling (spill_runs == 0). A run that breaks it, or a
+/// report with no run of those strategies, fails a TRANCE_CHECK naming
+/// `figure` and the run.
+void CheckRunsInMemory(const std::string& figure,
+                       const std::vector<RunResult>& results,
+                       std::initializer_list<Strategy> strategies);
 
 // --- Observability hooks -------------------------------------------------
 

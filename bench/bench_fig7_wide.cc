@@ -19,5 +19,11 @@ int main() {
   TRANCE_CHECK(
       trance::bench::WriteBenchReport("fig7_wide", results, &baseline).ok(),
       "bench report");
+  // Shape check (Section 6), on both passes: SHRED completes every query
+  // in memory.
+  for (const auto* pass : {&baseline, &results}) {
+    trance::bench::CheckRunsInMemory("fig7_wide", *pass,
+                                     {trance::bench::Strategy::kShred});
+  }
   return 0;
 }

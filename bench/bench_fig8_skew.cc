@@ -62,5 +62,12 @@ int main() {
   auto results = trance::bench::RunFig8();
   TRANCE_CHECK(trance::bench::WriteBenchReport("fig8_skew", results).ok(),
                "bench report");
+  // Shape check (Section 6): every shredded strategy completes in memory at
+  // every skew.
+  using trance::bench::Strategy;
+  trance::bench::CheckRunsInMemory(
+      "fig8_skew", results,
+      {Strategy::kShred, Strategy::kShredSkew, Strategy::kUnshred,
+       Strategy::kUnshredSkew});
   return 0;
 }

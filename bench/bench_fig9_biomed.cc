@@ -150,5 +150,17 @@ int main() {
                  std::make_move_iterator(full_results.end()));
   TRANCE_CHECK(bench::WriteBenchReport("fig9_biomed", results).ok(),
                "bench report");
+  // Shape checks (Section 6): SHRED runs the whole pipeline in memory on
+  // both datasets, and the flattening routes spill exactly at full Step2.
+  bench::CheckRunsInMemory("fig9_biomed", results, {bench::Strategy::kShred});
+  for (const bench::RunResult& r : results) {
+    const bool flattening = bench::RanStrategy(r, bench::Strategy::kStandard) ||
+                            bench::RanStrategy(r, bench::Strategy::kSparkSql);
+    const bool want_spill = flattening && r.name.starts_with("full Step2 ");
+    const uint64_t spills = r.stats.totals().spill_runs;
+    TRANCE_CHECK((spills > 0) == want_spill,
+                 "fig9_biomed shape: " + r.name + " has " +
+                     std::to_string(spills) + " spill runs");
+  }
   return 0;
 }

@@ -3,7 +3,11 @@
 # once, failing when any exits non-zero. Each binary checks its own report
 # before writing it (TRANCE_CHECK), so a harness break in any figure (a
 # route that no longer runs, a report that cannot be written) fails here
-# rather than going unseen until someone reruns that figure by hand.
+# rather than going unseen until someone reruns that figure by hand. After
+# writing its report, each Fig 7, 8 and 9 binary also checks paper shapes:
+# plain SHRED (in Fig 8 every shredded strategy) runs without spilling, and
+# in Fig 9 exactly full Step2 of STANDARD and SPARKSQL spills, so a change
+# that makes SHRED spill fails here too.
 #
 # The binaries run sequentially at TRANCE_THREADS=1 unless the caller sets
 # TRANCE_THREADS, and write BENCH_<name>.json plus its trace into

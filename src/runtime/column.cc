@@ -1,5 +1,7 @@
 #include "runtime/column.h"
 
+#include <algorithm>
+
 namespace trance {
 namespace runtime {
 namespace column {
@@ -10,6 +12,17 @@ namespace {
 std::string Rejected(AnyColumn::Kind kind, const Field& f) {
   return std::string("AnyColumn::Append: ") + AnyColumn::KindName(kind) +
          " column cannot hold " + f.ToString();
+}
+
+/// Makes room for `size` elements in `v` (a std::vector or std::string)
+/// before a copy that appends value by value: when they do not fit, the
+/// capacity steps to max(size, 2 × capacity), so the copy reallocates at
+/// most once and a column filled by many small copies (a fused chain's
+/// 1,024-row batches) a logarithmic number of times. An exact reserve would
+/// reallocate on every call.
+template <typename Array>
+void ReserveGrown(Array* v, size_t size) {
+  if (size > v->capacity()) v->reserve(std::max(size, 2 * v->capacity()));
 }
 
 /// Reads the i-th raw host-order uint64 word at `words`, which need not be
@@ -25,13 +38,8 @@ uint64_t WordAt(const char* words, size_t i) {
 void StringColumn::AppendRange(const StringColumn& src, size_t begin,
                                size_t end) {
   const uint64_t from = src.Begin(begin), base = chars_.size();
-  size_t cap = chars_.capacity();
-  for (size_t i = begin; i < end; ++i) {
-    cap = GrownCapacity(cap, base + (src.End(i) - from));
-  }
-  chars_.reserve(cap);
   chars_.append(src.chars_.data() + from, src.Begin(end) - from);
-  ReserveLikePushBack(&offsets_, offsets_.size() + (end - begin));
+  ReserveGrown(&offsets_, offsets_.size() + (end - begin));
   for (size_t i = begin; i < end; ++i) {
     offsets_.push_back(base + (src.End(i) - from));
   }
@@ -39,14 +47,12 @@ void StringColumn::AppendRange(const StringColumn& src, size_t begin,
 
 void StringColumn::AppendGather(const StringColumn& src, const uint32_t* rows,
                                 size_t n) {
-  size_t size = chars_.size(), cap = chars_.capacity();
+  size_t arena = chars_.size();
   for (size_t k = 0; k < n; ++k) {
-    if (rows[k] == kNullRow) continue;
-    size += src.End(rows[k]) - src.Begin(rows[k]);
-    cap = GrownCapacity(cap, size);
+    if (rows[k] != kNullRow) arena += src.End(rows[k]) - src.Begin(rows[k]);
   }
-  chars_.reserve(cap);
-  ReserveLikePushBack(&offsets_, offsets_.size() + n);
+  ReserveGrown(&chars_, arena);
+  ReserveGrown(&offsets_, offsets_.size() + n);
   for (size_t k = 0; k < n; ++k) {
     Append(rows[k] == kNullRow ? std::string_view() : src.At(rows[k]));
   }
@@ -55,23 +61,18 @@ void StringColumn::AppendGather(const StringColumn& src, const uint32_t* rows,
 void StringColumn::AppendEncoded(const char* arena, const char* ends,
                                  size_t n) {
   const uint64_t base = chars_.size();
-  size_t cap = chars_.capacity();
-  ReserveLikePushBack(&offsets_, offsets_.size() + n);
+  ReserveGrown(&offsets_, offsets_.size() + n);
   uint64_t end = 0;
   for (size_t i = 0; i < n; ++i) {
     end = WordAt(ends, i);
-    cap = GrownCapacity(cap, base + end);
     offsets_.push_back(base + end);
   }
-  chars_.reserve(cap);
   chars_.append(arena, end);
 }
 
 void NullBitmap::AppendZeros(size_t n) {
   size_ += n;
-  const size_t words = size_ / 64 + (size_ % 64 != 0 ? 1 : 0);
-  ReserveLikePushBack(&words_, words);
-  words_.resize(words, 0);
+  words_.resize(size_ / 64 + (size_ % 64 != 0 ? 1 : 0), 0);
 }
 
 size_t NullBitmap::AppendRange(const NullBitmap& src, size_t begin,
@@ -211,7 +212,7 @@ void AnyColumn::AppendRange(const AnyColumn& src, size_t begin, size_t end) {
       return;
     }
     case Kind::kVariant:
-      ReserveLikePushBack(&variant_, variant_.size() + n);
+      ReserveGrown(&variant_, variant_.size() + n);
       for (size_t i = begin; i < end; ++i) {
         variant_.push_back(src.variant_[i]);
         cell_bytes_ += src.variant_[i].DeepSize();
@@ -249,7 +250,7 @@ void AnyColumn::AppendGather(const AnyColumn& src, const uint32_t* rows,
       return;
     }
     case Kind::kVariant:
-      ReserveLikePushBack(&variant_, variant_.size() + n);
+      ReserveGrown(&variant_, variant_.size() + n);
       for (size_t k = 0; k < n; ++k) {
         variant_.push_back(rows[k] == kNullRow ? Field::Null()
                                                : src.variant_[rows[k]]);
@@ -334,7 +335,7 @@ uint64_t AnyColumn::ByteFootprint() const {
     case Kind::kBool: return b + bools_.ByteFootprint();
     case Kind::kString: return b + strs_.ByteFootprint();
     case Kind::kVariant:
-      return b + variant_.capacity() * sizeof(Field) + cell_bytes_;
+      return b + variant_.size() * sizeof(Field) + cell_bytes_;
   }
   return b;
 }

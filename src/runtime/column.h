@@ -23,7 +23,6 @@
 #ifndef TRANCE_RUNTIME_COLUMN_H_
 #define TRANCE_RUNTIME_COLUMN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -46,28 +45,6 @@ namespace column {
 /// uint32_t, so a block copied through one holds fewer rows than this.
 inline constexpr uint32_t kNullRow = UINT32_MAX;
 
-/// The capacity a libstdc++ std::vector or std::string of capacity `cap`
-/// holds after an append that needs `size` elements: unchanged while `size`
-/// fits, else max(size, 2 × cap). push_back therefore doubles (0 -> 1 -> 2
-/// -> ...); a string append may jump straight to a long value's size.
-///
-/// The bulk copies reserve through this rule, stepping it as their per-cell
-/// appends would have, so every array ends at the capacity one-cell appends
-/// reach and ByteFootprint (the columnar_bytes charge, a capacity
-/// footprint) does not depend on how a column was filled.
-inline size_t GrownCapacity(size_t cap, size_t size) {
-  return size <= cap ? cap : std::max(size, 2 * cap);
-}
-
-/// Reserves in `v` the capacity push_back reaches on the way to `size`
-/// elements.
-template <typename Vector>
-void ReserveLikePushBack(Vector* v, size_t size) {
-  size_t cap = v->capacity();
-  while (cap < size) cap = GrownCapacity(cap, cap + 1);
-  v->reserve(cap);
-}
-
 /// Flat typed array; the ClickHouse ColumnVector shape. T is a POD cell type.
 template <typename T>
 class ColumnVector {
@@ -75,7 +52,6 @@ class ColumnVector {
   void Append(T v) { data_.push_back(v); }
   /// Appends src's values at rows [begin, end).
   void AppendRange(const ColumnVector& src, size_t begin, size_t end) {
-    ReserveLikePushBack(&data_, data_.size() + (end - begin));
     data_.insert(data_.end(), src.data_.begin() + begin,
                  src.data_.begin() + end);
   }
@@ -94,13 +70,12 @@ class ColumnVector {
   T operator[](size_t i) const { return data_[i]; }
   size_t size() const { return data_.size(); }
   const T* data() const { return data_.data(); }
-  uint64_t ByteFootprint() const { return data_.capacity() * sizeof(T); }
+  uint64_t ByteFootprint() const { return data_.size() * sizeof(T); }
 
  private:
   /// Appends n value-initialized slots and returns the first.
   T* Grow(size_t n) {
     const size_t at = data_.size();
-    ReserveLikePushBack(&data_, at + n);
     data_.resize(at + n);
     return data_.data() + at;
   }
@@ -119,8 +94,7 @@ class StringColumn {
   /// Appends src's values at rows [begin, end): one arena append and the
   /// end offsets rebased onto this arena.
   void AppendRange(const StringColumn& src, size_t begin, size_t end);
-  /// Appends src's value at each of rows[0, n), or "" for kNullRow, after
-  /// one reserve.
+  /// Appends src's value at each of rows[0, n), or "" for kNullRow.
   void AppendGather(const StringColumn& src, const uint32_t* rows, size_t n);
   /// Appends n values from an encoded section: `arena` holds their bytes
   /// and `ends` their n end offsets into it as raw host-order uint64 words,
@@ -137,7 +111,7 @@ class StringColumn {
   const char* chars() const { return chars_.data(); }
   size_t size() const { return offsets_.size(); }
   uint64_t ByteFootprint() const {
-    return chars_.capacity() + offsets_.capacity() * sizeof(uint64_t);
+    return chars_.size() + offsets_.size() * sizeof(uint64_t);
   }
 
  private:
@@ -180,7 +154,7 @@ class NullBitmap {
   }
   bool any() const { return any_; }
   size_t size() const { return size_; }
-  uint64_t ByteFootprint() const { return words_.capacity() * sizeof(uint64_t); }
+  uint64_t ByteFootprint() const { return words_.size() * sizeof(uint64_t); }
 
  private:
   std::vector<uint64_t> words_;
@@ -229,11 +203,9 @@ class AnyColumn {
   void Append(const Field& f);
 
   // Bulk copies from `src`, a column of the same kind (TRANCE_CHECK). Each
-  // moves its cells in one typed loop, memcpy or arena append, grows
-  // cell_bytes in closed form, and reserves exactly the capacity the
-  // per-cell appends would have reached (GrownCapacity), so the column
-  // equals one built by Append(src.At(i)) and AppendNull down to
-  // ByteFootprint.
+  // moves its cells in one typed loop, memcpy or arena append and grows
+  // cell_bytes in closed form, so the column equals one built by
+  // Append(src.At(i)) and AppendNull.
   /// Appends src's cells at rows [begin, end).
   void AppendRange(const AnyColumn& src, size_t begin, size_t end);
   /// Appends src's cell at each of rows[0, n) in list order; a kNullRow
@@ -287,6 +259,10 @@ class AnyColumn {
   /// Field::Hash of cell i without materializing scalar cells.
   uint64_t CellHash(size_t i) const;
 
+  /// Bytes the column's arrays hold, never their capacity, so the figure
+  /// does not depend on how the column was filled: 8 per int or real cell,
+  /// 1 per bool, the arena plus 8 per string, 8 per null-bitmap word, and
+  /// sizeof(Field) plus the stored deep size per variant cell.
   uint64_t ByteFootprint() const;
 
   // Typed readers for tight scan loops; valid only for the matching kind.
@@ -373,8 +349,8 @@ class PartitionBlock {
   /// RowHashOn(RowAt(i), cols) without materializing scalar cells.
   uint64_t HashRowOn(size_t i, const std::vector<int>& cols) const;
 
-  /// In-memory footprint of the columnar storage itself (arena capacity, not
-  /// Field accounting); feeds the columnar_bytes counter.
+  /// Bytes the columns hold (AnyColumn::ByteFootprint summed; not Field
+  /// accounting); feeds the columnar_bytes counter.
   uint64_t ByteFootprint() const;
 
   const AnyColumn& col(size_t i) const { return cols_[i]; }

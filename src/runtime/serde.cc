@@ -506,7 +506,6 @@ Status CheckRecordFits(const BlockRecord& rec,
 /// copied from the payload with memcpy, or its arena in one append with the
 /// offsets ParseBlockRecord validated shifted onto the column's. Sections
 /// with NULLs, bool sections and variant sections go one value at a time.
-/// Either way the column grows as one-cell appends would grow it.
 void AppendSection(const ColumnSection& s, size_t n, column::AnyColumn* col) {
   if (s.kind == kColVariant) {
     for (size_t i = 0; i < n; ++i) col->Append(s.cells[i]);

@@ -72,10 +72,8 @@ void AppendBlockRecord(const column::PartitionBlock& block, size_t begin,
 /// "Validation order") before any of its rows is appended, so a record that
 /// fails leaves *out as the records before it left it. An int, real or
 /// string section with no NULL is copied whole; the others are appended one
-/// value at a time. Either way each column grows to the capacity one-cell
-/// appends reach, so the restored block's ByteFootprint equals that of a
-/// block built by appending the written rows. `path` names the file in the
-/// header and truncation messages.
+/// value at a time. `path` names the file in the header and truncation
+/// messages.
 Status ReadBlockFile(std::string_view file, const std::string& path,
                      column::PartitionBlock* out);
 

@@ -169,9 +169,7 @@ StatusOr<column::PartitionBlock> SpillManager::SpillAndRestoreBlock(
     }
     if (begin < n || runs.empty()) TRANCE_RETURN_NOT_OK(write_run(begin, n));
     // Phase 2: one merge pass — read each run whole and decode it into the
-    // new block's typed columns, in run order. The decoder grows each
-    // column as one-cell appends would, so the block's footprint matches a
-    // never-spilled block of the same rows.
+    // new block's typed columns, in run order.
     for (const Run& run : runs) {
       TRANCE_RETURN_NOT_OK(ReadFile(run.path, &file));
       TRANCE_RETURN_NOT_OK(serde::ReadBlockFile(file, run.path, &restored));

@@ -153,6 +153,15 @@ void CollectMatchAttrs(const ExprPtr& e, const std::string& m,
   }
 }
 
+/// True if `e` mentions the match variable `m`: one of its attributes or
+/// the whole variable.
+bool MentionsMatchVar(const ExprPtr& e, const std::string& m) {
+  std::set<std::string> attrs;
+  int refs = 0;
+  CollectMatchAttrs(e, m, &attrs, &refs);
+  return !attrs.empty() || refs > 0;
+}
+
 struct Qual {
   bool is_gen = false;
   std::string var;
@@ -438,10 +447,7 @@ StatusOr<EmittedDict> EmitRelationalDict(const DictLambda& lam,
       for (const auto& q : quals) {
         if (q.is_gen) {
           // Generators must not mention the match variable.
-          std::set<std::string> used;
-          int refs = 0;
-          CollectMatchAttrs(q.domain, lam.match_var, &used, &refs);
-          if (!used.empty() || refs > 0) ok = false;
+          if (MentionsMatchVar(q.domain, lam.match_var)) ok = false;
           q2.push_back(q);
           continue;
         }
@@ -455,10 +461,7 @@ StatusOr<EmittedDict> EmitRelationalDict(const DictLambda& lam,
             if (ms->kind() == K::kProj &&
                 ms->child(0)->kind() == K::kVarRef &&
                 ms->child(0)->var_name() == lam.match_var) {
-              std::set<std::string> side_used;
-              int side_refs = 0;
-              CollectMatchAttrs(side, lam.match_var, &side_used, &side_refs);
-              if (side_used.empty() && side_refs == 0 &&
+              if (!MentionsMatchVar(side, lam.match_var) &&
                   bindings.count(ms->attr()) == 0) {
                 bindings[ms->attr()] = side;
                 consumed = true;
@@ -468,20 +471,12 @@ StatusOr<EmittedDict> EmitRelationalDict(const DictLambda& lam,
         }
         if (!consumed) {
           // A residual filter may not mention the match variable.
-          std::set<std::string> used;
-          int refs = 0;
-          CollectMatchAttrs(c, lam.match_var, &used, &refs);
-          if (!used.empty() || refs > 0) ok = false;
+          if (MentionsMatchVar(c, lam.match_var)) ok = false;
           q2.push_back(q);
         }
       }
       // The head may not mention the match variable either.
-      {
-        std::set<std::string> used;
-        int refs = 0;
-        CollectMatchAttrs(head, lam.match_var, &used, &refs);
-        if (!used.empty() || refs > 0) ok = false;
-      }
+      if (MentionsMatchVar(head, lam.match_var)) ok = false;
       if (ok && bindings.size() == m_attrs.size()) {
         std::vector<nrc::NamedExpr> params;
         for (const auto& f : lam.param_type->fields()) {

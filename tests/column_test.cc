@@ -9,9 +9,11 @@
 // RowBytesAt == RowDeepSize, HashRowOn == RowHashOn, and the running
 // TotalRowBytes equals the RowDeepSize sum on every fill path. The bulk
 // copies (AppendRange, AppendGather with kNullRow) build the columns
-// per-cell appends build, down to cell_bytes and the capacity footprint,
-// and blocks the keyed operators assemble column-wise (join pairs, NULL
-// padding, AppendColumns group emission) equal the blocks AppendRow builds.
+// per-cell appends build, down to cell_bytes and the footprint; the
+// footprint is the bytes the arrays hold on every fill path, a serde round
+// trip included; and blocks the keyed operators assemble column-wise (join
+// pairs, NULL padding, AppendColumns group emission) equal the blocks
+// AppendRow builds.
 // Rows that break the schema never reach a block:
 // runtime::Source rejects them with a Status naming the source, the row and
 // the column.
@@ -40,6 +42,7 @@
 #include "runtime/key_codec.h"
 #include "runtime/ops.h"
 #include "runtime/schema.h"
+#include "runtime/serde.h"
 #include "util/random.h"
 
 namespace trance {
@@ -423,9 +426,8 @@ TEST(ColumnBlockTest, ColumnWiseAssemblyMatchesAppendRow) {
 }
 
 /// `bulk` and `per_cell` hold the same cells, and each column the same
-/// cell_bytes and ByteFootprint (a capacity: equal only if the bulk copies
-/// grew every array as the per-cell appends did), as do the blocks'
-/// TotalRowBytes and ByteFootprint.
+/// cell_bytes and ByteFootprint, as do the blocks' TotalRowBytes and
+/// ByteFootprint.
 void ExpectSameColumns(const PartitionBlock& bulk,
                        const PartitionBlock& per_cell) {
   ASSERT_EQ(bulk.NumRows(), per_cell.NumRows());
@@ -455,7 +457,7 @@ TEST(ColumnBlockTest, BulkCopiesMatchPerCellAppends) {
   // columns that per-cell Append(src.At(i)) and AppendNull build. Sources
   // hold all five column kinds, with NULLs and without (the zero-word
   // bitmap path); destinations start from a random prefix and take several
-  // copies in a row, so each copy grows arrays from a different capacity.
+  // copies in a row, so each copy appends to a partly filled column.
   Schema schema = MixedSchema();
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -497,6 +499,107 @@ TEST(ColumnBlockTest, BulkCopiesMatchPerCellAppends) {
       });
     }
     ExpectSameColumns(bulk, per_cell);
+  }
+}
+
+/// ByteFootprint of a column of `kind` holding `cells`, in closed form: 8
+/// per int or real cell, 1 per bool, the arena plus 8 per string (a NULL
+/// holds an empty one), 8 per null-bitmap word, and sizeof(Field) plus the
+/// deep size per variant cell.
+uint64_t BytesHeld(AnyColumn::Kind kind, const std::vector<Field>& cells) {
+  uint64_t bytes = 8 * ((cells.size() + 63) / 64);
+  for (const Field& f : cells) {
+    switch (kind) {
+      case AnyColumn::Kind::kInt64:
+      case AnyColumn::Kind::kReal:
+        bytes += 8;
+        break;
+      case AnyColumn::Kind::kBool:
+        bytes += 1;
+        break;
+      case AnyColumn::Kind::kString:
+        bytes += 8 + (f.is_null() ? 0 : f.AsString().size());
+        break;
+      case AnyColumn::Kind::kVariant:
+        bytes += sizeof(Field) + f.DeepSize();
+        break;
+    }
+  }
+  return bytes;
+}
+
+/// `block` holds `rows`, and each column's ByteFootprint, and the block's,
+/// is BytesHeld of its cells.
+void ExpectBytesHeld(const PartitionBlock& block,
+                     const std::vector<Row>& rows) {
+  ExpectRowsEqual(block.ToRows(), rows);
+  uint64_t total = 0;
+  for (size_t c = 0; c < block.NumCols(); ++c) {
+    const AnyColumn& col = block.col(c);
+    std::vector<Field> cells;
+    for (const Row& r : rows) cells.push_back(r.fields[c]);
+    const uint64_t want = BytesHeld(col.kind(), cells);
+    EXPECT_EQ(col.ByteFootprint(), want) << AnyColumn::KindName(col.kind());
+    total += want;
+  }
+  EXPECT_EQ(block.ByteFootprint(), total);
+}
+
+TEST(ColumnBlockTest, FootprintIsTheBytesHeld) {
+  // The footprint columnar_bytes reads counts the bytes the arrays hold,
+  // never their capacity, so every fill path gives the closed form: per-cell
+  // appends, range and gather copies (kNullRow included) in several calls
+  // onto a filled prefix, and a serde round trip (whole sections without
+  // NULLs, value by value with them). 300 rows is no power of two, so
+  // capacity slack would show in every kind.
+  Schema schema = MixedSchema();
+  for (const double null_rate : {0.0, 0.15}) {
+    SCOPED_TRACE(null_rate == 0.0 ? "without NULLs" : "with NULLs");
+    Rng rng(null_rate == 0.0 ? 5 : 6);
+    const std::vector<Row> rows =
+        RandomRows(&rng, 300, schema.size(), null_rate);
+    const PartitionBlock src = PartitionBlock::FromRows(schema, rows);
+    {
+      SCOPED_TRACE("per-cell appends");
+      ExpectBytesHeld(src, rows);
+    }
+    {
+      SCOPED_TRACE("AppendRange");
+      PartitionBlock block = PartitionBlock::FromRows(
+          schema, std::vector<Row>(rows.begin(), rows.begin() + 37));
+      block.AppendRange(src, 37, 200);
+      block.AppendRange(src, 200, rows.size());
+      ExpectBytesHeld(block, rows);
+    }
+    {
+      SCOPED_TRACE("AppendGather");
+      std::vector<uint32_t> list;
+      std::vector<Row> want;
+      for (int k = 0; k < 450; ++k) {
+        if (rng.NextBool(0.1)) {
+          list.push_back(runtime::column::kNullRow);
+          want.push_back(Row(std::vector<Field>(schema.size())));
+          continue;
+        }
+        list.push_back(static_cast<uint32_t>(rng.Uniform(rows.size())));
+        want.push_back(rows[list.back()]);
+      }
+      PartitionBlock block(schema);
+      block.AppendGather(src, list.data(), 100);
+      block.AppendGather(src, list.data() + 100, list.size() - 100);
+      ExpectBytesHeld(block, want);
+    }
+    {
+      SCOPED_TRACE("serde round trip");
+      std::string file;
+      runtime::serde::AppendFileHeader(&file);
+      runtime::serde::AppendBlockRecord(src, 0, 150, &file);
+      runtime::serde::AppendBlockRecord(src, 150, rows.size(), &file);
+      PartitionBlock back(schema);
+      const Status s = runtime::serde::ReadBlockFile(file, "test.trs", &back);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ExpectBytesHeld(back, rows);
+    }
   }
 }
 

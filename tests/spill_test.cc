@@ -403,9 +403,8 @@ TEST(SpillManagerTest, SpillAndRestorePreservesOrderAndReleasesDisk) {
 
   ExpectBlockRows(*restored, MakeAllKindsRows(500));
   ExpectBlockRows(block, MakeAllKindsRows(500));  // the input is untouched
-  // The restore grows each column as one-value appends would, so the
-  // block's own footprint is that of a block built the same way without
-  // spilling.
+  // A footprint is the bytes a block holds, so the restored block's is that
+  // of a block built from the same rows without spilling.
   runtime::column::PartitionBlock appended(AllKindsSchema());
   for (const Row& r : MakeAllKindsRows(500)) appended.AppendRow(r);
   EXPECT_EQ(restored->ByteFootprint(), appended.ByteFootprint());
