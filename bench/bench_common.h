@@ -1,5 +1,5 @@
 // Shared harness for the figure/table benchmarks: strategy definitions,
-// timed execution with FAIL capture (simulated worker memory saturation),
+// timed execution with FAIL capture (a run that returns an error Status),
 // the TPC-H cell runner (input preparation and registration for every
 // compilation route, then one timed run), and table rendering.
 //
@@ -9,8 +9,9 @@
 //            work + shuffle cost; see runtime/stats.h), the number whose
 //            *shape* reproduces the paper's figures;
 //   shuffle / max-stage shuffle / peak partition — data-movement stats.
-// A run that exhausts a worker's memory reports FAIL, like the paper's
-// missing bars.
+// A run whose partitions outgrow the memory cap spills them to disk and
+// completes with spill_runs > 0 where the paper's cluster crashed (its
+// missing bars); a run that returns an error Status reports FAIL.
 #ifndef TRANCE_BENCH_BENCH_COMMON_H_
 #define TRANCE_BENCH_BENCH_COMMON_H_
 

@@ -475,8 +475,8 @@ BENCHMARK(BM_ValueUnshred)->Arg(100);
 // build/probe, nest — for the out-of-core spill path. The .spill_forced runs
 // use a 64 KiB per-partition memory cap — under every operator's output
 // partitions, so the stage barrier spills them through runtime/spill.h run
-// files — while the .spill_off runs use the default (effectively unlimited)
-// cap with spilling disabled (ClusterConfig::enable_spill). Stats
+// files — while the .spill_off runs use the default 256 MiB cap, which no
+// partition here reaches, so nothing spills. Stats
 // transparency is asserted in-binary: rows, movement stats, simulated time
 // and keyed counters are bit-identical across the pair, the forced runs
 // report spill_* > 0, and the off runs report exactly 0. Results land in
@@ -485,7 +485,7 @@ Status RunSpillAblation() {
   std::vector<bench::RunResult> results;
   const int64_t n = 200000;
   for (bool forced : {true, false}) {
-    ClusterConfig cfg{.num_partitions = 8, .enable_spill = forced};
+    ClusterConfig cfg{.num_partitions = 8};
     if (forced) cfg.partition_memory_cap = 64ull << 10;
     Cluster cluster(cfg);
     const std::string suffix = forced ? ".spill_forced" : ".spill_off";
@@ -527,7 +527,7 @@ Status RunSpillAblation() {
   }
 
   // Stats transparency: run i (spill forced under a tiny cap) against run
-  // i + 3 (spill off, uncapped) — the acceptance pairing of the PR.
+  // i + 3 (uncapped, nothing spills).
   for (size_t i = 0; i < 3; ++i) {
     const bench::RunResult& forced = results[i];
     const bench::RunResult& off = results[i + 3];

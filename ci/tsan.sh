@@ -11,9 +11,10 @@
 # and 8 threads, the spill suite runs capped queries at those same thread
 # counts, spilling at the stage barrier between partition-parallel stages,
 # the serde suite covers the block decoder those runs restore through, the
-# telemetry suites hammer the counters and the event ring from worker
-# threads, the skew suite runs the skew-aware join and BagToDict, whose
-# heavy-key probes use per-thread scratch encoders, the operator suite
+# telemetry suites run queries at 1, 4 and 8 threads with the event log on
+# and export the tracer while spans close on another thread, the skew
+# suite runs the skew-aware join and BagToDict, whose heavy-key probes use
+# per-thread scratch encoders, the operator suite
 # drives the keyed operators' partition-parallel loops directly, the
 # exec-layer suite runs compiled scalar closures, which narrow stages share
 # across worker threads, and the workload suite runs the TPC-H and

@@ -9,7 +9,8 @@
 //   3. the shredded compilation route (symbolic shredding ->
 //      materialization -> flat plans), with unshredding.
 // Prints the program, the materialized shredded program, results, and the
-// distributed execution statistics of both routes.
+// job summary of both routes; exits 1 if either route disagrees with the
+// interpreter.
 #include <cstdio>
 #include <iostream>
 
@@ -17,6 +18,7 @@
 #include "nrc/builder.h"
 #include "nrc/interp.h"
 #include "nrc/printer.h"
+#include "obs/explain.h"
 #include "shred/materialize.h"
 
 using namespace trance;
@@ -117,9 +119,10 @@ int main() {
     std::cerr << "standard route failed: " << standard.status() << "\n";
     return 1;
   }
+  const bool standard_agrees = nrc::DeepBagEquals(*standard, oracle->at("Q"));
   std::printf("=== Standard route: agrees with interpreter: %s ===\n",
-              nrc::DeepBagEquals(*standard, oracle->at("Q")) ? "yes" : "NO");
-  std::printf("%s\n\n", cluster1.stats().ToString().c_str());
+              standard_agrees ? "yes" : "NO");
+  std::printf("%s\n\n", obs::JobSummary(cluster1.stats()).c_str());
 
   // 3. Shredded compilation route: show the materialized program, run it.
   auto mat = shred::ShredAndMaterialize(
@@ -137,8 +140,9 @@ int main() {
     std::cerr << "shredded route failed: " << shredded.status() << "\n";
     return 1;
   }
+  const bool shredded_agrees = nrc::DeepBagEquals(*shredded, oracle->at("Q"));
   std::printf("=== Shredded route: agrees with interpreter: %s ===\n",
-              nrc::DeepBagEquals(*shredded, oracle->at("Q")) ? "yes" : "NO");
-  std::printf("%s\n", cluster2.stats().ToString().c_str());
-  return 0;
+              shredded_agrees ? "yes" : "NO");
+  std::printf("%s\n", obs::JobSummary(cluster2.stats()).c_str());
+  return standard_agrees && shredded_agrees ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "exec/pipeline.h"
+#include "obs/explain.h"
 #include "shred/shredded_type.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
@@ -62,7 +63,7 @@ Status Run() {
                           exec::RunStandard(to_flat, &std_exec, {}));
   std::printf("STANDARD: %zu result rows, wall %.3fs\n  %s\n\n",
               flat_std.NumRows(), w1.ElapsedSeconds(),
-              std_cluster.stats().ToString().c_str());
+              obs::JobSummary(std_cluster.stats()).c_str());
 
   // --- Shredded route (no unshredding needed: flat output) ---
   runtime::Cluster sh_cluster(runtime::ClusterConfig{.num_partitions = 8});
@@ -77,7 +78,7 @@ Status Run() {
                           exec::RunShredded(to_flat, &sh_exec, {}));
   std::printf("SHRED: %zu result rows, wall %.3fs\n  %s\n\n",
               flat_sh.top.NumRows(), w2.ElapsedSeconds(),
-              sh_cluster.stats().ToString().c_str());
+              obs::JobSummary(sh_cluster.stats()).c_str());
 
   // Show a few result rows.
   std::printf("sample rows (name, pname, total):\n");

@@ -46,11 +46,6 @@ Event& Event::F64(const std::string& key, double value) {
   return *this;
 }
 
-Event& Event::Bool(const std::string& key, bool value) {
-  line_ += FieldKey(key) + (value ? "true" : "false");
-  return *this;
-}
-
 Event& Event::Wall(const std::string& key, double value) {
   const std::string k =
       key.rfind("wall_", 0) == 0 ? key : "wall_" + key;

@@ -46,7 +46,6 @@ class Event {
   Event& U64(const std::string& key, uint64_t value);
   Event& I64(const std::string& key, int64_t value);
   Event& F64(const std::string& key, double value);
-  Event& Bool(const std::string& key, bool value);
   /// Wall-clock field: the key is forced to carry the `wall_` prefix so
   /// consumers can strip nondeterministic fields mechanically.
   Event& Wall(const std::string& key, double value);

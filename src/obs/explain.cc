@@ -223,10 +223,16 @@ std::string ExplainAnalyze(const plan::PlanProgram& program,
     }
   }
 
-  // Job footer: fixed fields, then the same clauses as the node lines
-  // (fusion's next to fused_stages, heavy keys as a fixed field).
+  os << JobSummary(stats) << "\n";
+  return os.str();
+}
+
+std::string JobSummary(const runtime::JobStats& stats) {
+  // Fixed fields, then the same clauses as the node lines (fusion's next to
+  // fused_stages, heavy keys as a fixed field).
   const StageStats& t = stats.totals();
   runtime::StragglerSummary sk = stats.straggler();
+  std::ostringstream os;
   os << "job: stages=" << stats.stages().size();
   if (stats.fused_stages() > 0) os << " fused_stages=" << stats.fused_stages();
   AppendClauses(t, runtime::StatGroupBit(runtime::StatGroup::kFusion), &os);
@@ -243,7 +249,7 @@ std::string ExplainAnalyze(const plan::PlanProgram& program,
                     ~runtime::StatGroupBit(runtime::StatGroup::kHeavyKeys) &
                     ~runtime::StatGroupBit(runtime::StatGroup::kFusion),
                 &os);
-  os << " sim=" << FormatDouble(t.sim_seconds, 3) << "s\n";
+  os << " sim=" << FormatDouble(t.sim_seconds, 3) << "s";
   return os.str();
 }
 

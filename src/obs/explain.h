@@ -29,10 +29,16 @@ std::string FormatStat(const runtime::StatField& f,
 
 /// Renders the per-assignment plan trees with per-operator runtime stats
 /// joined on, a section for stages recorded outside plan execution
-/// (sources, unshredding, heavy-key sampling of merged inputs), and a job
-/// summary with straggler/imbalance aggregates.
+/// (sources, unshredding, heavy-key sampling of merged inputs), and the
+/// JobSummary line.
 std::string ExplainAnalyze(const plan::PlanProgram& program,
                            const runtime::JobStats& stats);
+
+/// The one-line job summary (`job: stages=.. shuffle=.. peak_partition=..
+/// straggler=..x heavy_keys=.. <clauses> sim=..s`, no trailing newline):
+/// job totals, the largest stage shuffle and partition, and the worst
+/// straggler stage.
+std::string JobSummary(const runtime::JobStats& stats);
 
 }  // namespace obs
 }  // namespace trance

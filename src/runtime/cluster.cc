@@ -1,7 +1,6 @@
 #include "runtime/cluster.h"
 
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 namespace trance {
 namespace runtime {
@@ -92,55 +91,6 @@ spill::SpillManager* Cluster::spill_manager() {
   return spill_manager_.get();
 }
 
-Status Cluster::CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
-                                 const std::string& op,
-                                 uint64_t spilled_partitions) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t peak = 0;
-  size_t peak_partition = 0;
-  // Logs the check's outcome; shared by the pass and fail exits so every
-  // check is visible either way. The event names the observed peak (value
-  // and partition) next to the configured cap so spill-vs-fail decisions are
-  // debuggable from logs alone.
-  auto log_check = [&](bool ok) {
-    obs::EventLog& log = obs::GlobalEventLog();
-    if (!log.enabled()) return;
-    obs::Event(&log, "memory_check")
-        .U64("job", job_id_)
-        .Str("op", op)
-        .U64("partitions", partition_bytes.size())
-        .U64("partition", peak_partition)
-        .U64("peak_bytes", peak)
-        .U64("cap_bytes", config_.partition_memory_cap)
-        .U64("spilled_partitions", spilled_partitions)
-        .Bool("ok", ok)
-        .Emit();
-  };
-  for (size_t p = 0; p < partition_bytes.size(); ++p) {
-    uint64_t b = partition_bytes[p];
-    if (b > peak) {
-      peak = b;
-      peak_partition = p;
-    }
-    if (b > config_.partition_memory_cap && !config_.enable_spill) {
-      // Name the stage, the plan-node scope, the partition, and the exact
-      // observed/configured byte counts so EXPLAIN ANALYZE readers and test
-      // failures can attribute the saturation without a debugger.
-      std::string where = "stage '" + op + "'";
-      if (!scope_stack_.empty()) where += " (scope " + scope_stack_.back() + ")";
-      log_check(false);
-      return Status::ResourceExhausted(
-          "worker memory saturated in " + where + ": partition " +
-          std::to_string(p) + " holds " + FormatBytes(b) + " (" +
-          std::to_string(b) + " bytes) > cap " +
-          FormatBytes(config_.partition_memory_cap) + " (" +
-          std::to_string(config_.partition_memory_cap) + " bytes)");
-    }
-  }
-  log_check(true);
-  return Status::OK();
-}
-
 Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
                                     StageStats* stage,
                                     const std::function<void(size_t)>& task,
@@ -183,10 +133,6 @@ Status Cluster::RunRecoverableTasks(const std::string& stage_name, size_t n,
   for (size_t p = 0; p < n; ++p) {
     if (faults[p].empty()) continue;
     total += faults[p].size();
-    if (stage->partition_retries.size() < n) {
-      stage->partition_retries.resize(n, 0);
-    }
-    stage->partition_retries[p] += faults[p].size();
     for (size_t a = 0; a < faults[p].size(); ++a) {
       stage->fault_events.push_back({static_cast<uint32_t>(p),
                                      static_cast<uint32_t>(a), faults[p][a]});

@@ -25,20 +25,15 @@ struct ClusterConfig {
   /// Number of partitions ("1000 partitions used for shuffling data" in the
   /// paper; scaled down with the data).
   int num_partitions = 16;
-  /// Per-partition memory cap; exceeding it is the paper's FAIL ("crashed due
-  /// to memory saturation of a node"), or, with spilling on, where the stage
-  /// barrier spills the partition instead.
+  /// Per-partition memory cap: the stage barrier spills every output
+  /// partition over it to disk runs (runtime/spill.h, format in
+  /// docs/STORAGE.md) and streams it back, where the paper's cluster FAILed
+  /// ("crashed due to memory saturation of a node"). Rows, placement,
+  /// shuffle bytes and every other statistic are bit-identical between a
+  /// capped run and an uncapped run (tests/spill_test.cc); only the spill
+  /// counters (spill_bytes_written, spill_bytes_read, spill_runs,
+  /// spill_merge_passes) differ, and they are exactly 0 when nothing spills.
   uint64_t partition_memory_cap = 256ull << 20;
-  /// Spill partitions over the memory cap to disk runs (runtime/spill.h,
-  /// format in docs/STORAGE.md) and stream them back, instead of
-  /// hard-failing with ResourceExhausted: the historical FAIL behavior, kept
-  /// under `false` for ablations and paper-faithful FAIL cells. Rows,
-  /// placement, shuffle bytes and every other statistic are bit-identical
-  /// between a capped spilling run and an uncapped run
-  /// (tests/spill_test.cc); only the spill counters (spill_bytes_written,
-  /// spill_bytes_read, spill_runs, spill_merge_passes) differ, and they are
-  /// exactly 0 when off or when nothing spills.
-  bool enable_spill = true;
   /// Collections smaller than this may be broadcast (paper: Spark broadcasts
   /// anything under 10MB).
   uint64_t broadcast_threshold = 10ull << 20;
@@ -64,14 +59,14 @@ struct ClusterConfig {
   /// retry budget, results and all non-recovery stats are bit-identical to
   /// a fault-free run.
   FaultConfig faults{};
-  /// Out-of-core spill knobs (runtime/spill.h, docs/STORAGE.md). Whether the
-  /// stage barrier spills at all is `enable_spill`; this configures where
-  /// runs go and how they are bounded once it does.
+  /// Out-of-core spill knobs (runtime/spill.h, docs/STORAGE.md): where the
+  /// runs of the partitions over `partition_memory_cap` go and how they are
+  /// bounded.
   spill::SpillConfig spill{};
 };
 
 /// Cluster state: configuration + per-job statistics. One Cluster per
-/// executing query; stage recording, scope attribution and memory checks are
+/// executing query; stage recording and scope attribution are
 /// mutex-guarded so operator internals may run partition-parallel. The
 /// stats() reference is only safe to read at stage barriers (i.e. between
 /// operator calls), which is where all callers read it.
@@ -132,9 +127,9 @@ class Cluster {
   ///     retried.
   ///
   /// Each fault is appended to stage->fault_events and counted in
-  /// stage->injected_faults / retries / partition_retries (merged in slot
-  /// order after the barrier, so fault telemetry is thread-count-invariant
-  /// too). RecordStage later converts the events into the stage's
+  /// stage->injected_faults / retries (merged in slot order after the
+  /// barrier, so fault telemetry is thread-count-invariant too).
+  /// RecordStage later converts the events into the stage's
   /// recovery_sim_seconds charge (bounded exponential backoff + discarded
   /// work), keeping sim_seconds itself fault-invariant.
   ///
@@ -152,17 +147,6 @@ class Cluster {
   /// model, stamping its wall-time interval, and attributing it to the
   /// current operator scope (if any).
   void RecordStage(StageStats s);
-
-  /// Fails with ResourceExhausted if, with spilling off, any of a stage's
-  /// per-partition byte footprints (Dataset::PartitionBytes) exceeds the
-  /// per-partition memory cap. With spilling on, the stage barrier has
-  /// already spilled every partition over the cap to disk (runtime/spill.h):
-  /// those still count toward the peak-bytes telemetry — so mem_high_water
-  /// / peak_partition_bytes match an uncapped run — but never fail the
-  /// check. `spilled_partitions` (how many spilled) goes to the event log.
-  Status CheckMemoryBytes(const std::vector<uint64_t>& partition_bytes,
-                          const std::string& op,
-                          uint64_t spilled_partitions = 0);
 
   /// Target partition of a key hash. The splitmix64 finalizer decorrelates
   /// partition assignment from low-bit structure in the key hash; the
@@ -209,8 +193,8 @@ class Cluster {
   /// start sequentially from the driver, so the sequence is deterministic
   /// for a given query + config regardless of thread count.
   std::atomic<uint64_t> next_stage_seq_{0};
-  /// Guards stats_, scope_stack_ and last_stage_end_us_ (RecordStage and
-  /// CheckMemoryBytes may be reached from concurrent helper code).
+  /// Guards stats_, scope_stack_ and last_stage_end_us_ (RecordStage may be
+  /// reached from concurrent helper code).
   mutable std::mutex mu_;
   JobStats stats_;
   std::vector<std::string> scope_stack_;

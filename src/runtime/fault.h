@@ -20,8 +20,8 @@
 //                        the task simply re-fetches and runs.
 //   kResourceExhausted — a transient memory spike (the paper's FAIL, but
 //                        recoverable): the attempt is discarded like a
-//                        crash. Distinct from a *real* cap violation, which
-//                        CheckMemory still escalates immediately.
+//                        crash. Distinct from a partition over the memory
+//                        cap, which the stage barrier spills to disk.
 //
 // Recovery (the retry loop in Cluster::RunRecoverableTasks) retries each
 // failed task with bounded exponential backoff in *simulated* time — no

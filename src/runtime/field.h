@@ -8,10 +8,10 @@
 // scalability limitation the paper's shredding attacks.
 //
 // Memory accounting (DeepSize) includes nested bag contents, so a partition
-// holding few rows with enormous inner collections correctly saturates the
-// simulated worker memory. Labels and bags are immutable and shared: each
-// carries its deep size (and a label its hash), computed once at
-// construction, so sizing or hashing a nested cell reads a stored value
+// holding few rows with enormous inner collections correctly counts against
+// the simulated worker memory cap. Labels and bags are immutable and
+// shared: each carries its deep size (and a label its hash), computed once
+// at construction, so sizing or hashing a nested cell reads a stored value
 // instead of walking its members.
 #ifndef TRANCE_RUNTIME_FIELD_H_
 #define TRANCE_RUNTIME_FIELD_H_

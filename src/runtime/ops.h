@@ -1,6 +1,7 @@
 // Bulk operators over partitioned datasets — the physical algebra the plan
 // language lowers to. Every operator records a StageStats on the cluster and
-// enforces per-partition memory caps (ResourceExhausted == the paper's FAIL).
+// spills its output partitions over the per-partition memory cap to disk
+// (runtime/spill.h), where the paper's cluster FAILed.
 //
 // Shuffle accounting is exact: a row contributes its DeepSize to
 // shuffle_bytes only when it actually moves to a different partition, so an

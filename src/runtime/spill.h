@@ -12,10 +12,9 @@
 // external-memory design: bounded runs moved to and from disk as whole
 // blocks, merged in fixed run order.
 //
-// One site spills (gated by ClusterConfig::enable_spill): the stage barrier,
-// detail::FinishStage, spills every stage-output partition over the memory
-// cap — exactly the partitions the memory check would fail with spilling
-// off — which is what lets that check pass instead.
+// One site spills: the stage barrier, detail::FinishStage, spills every
+// stage-output partition over the memory cap, the partitions the paper's
+// cluster would have crashed on.
 //
 // Spill cost is reported only through the spill-only StageStats counters
 // (spill_bytes_written / spill_bytes_read / spill_runs / spill_merge_passes),

@@ -51,18 +51,17 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   for (uint64_t b : part_bytes) {
     if (b > stage.mem_high_water_bytes) stage.mem_high_water_bytes = b;
   }
-  // The one spill site (runtime/spill.h): with spilling on, every partition
-  // the memory check below would fail is written to disk runs tagged with
-  // the stage name and read back into a new block, the same rows in the
-  // same order, turning the paper's FAIL into a slow-but-correct stage. The
-  // new block replaces the partition's; the old one may be shared with the
-  // stage's input and is left as it was. Driver-side and in partition
-  // order, so the spill counters and events are thread-count-invariant. The
-  // recorded peak bytes are untouched, keeping mem_high_water /
-  // peak_partition_bytes bit-identical to an uncapped run.
-  size_t spilled = 0;
+  // The one spill site (runtime/spill.h): every partition over the memory
+  // cap is written to disk runs tagged with the stage name and read back
+  // into a new block, the same rows in the same order, turning the paper's
+  // FAIL into a slow-but-correct stage. The new block replaces the
+  // partition's; the old one may be shared with the stage's input and is
+  // left as it was. Driver-side and in partition order, so the spill
+  // counters and events are thread-count-invariant. The recorded peak bytes
+  // are untouched, keeping mem_high_water / peak_partition_bytes
+  // bit-identical to an uncapped run. A spill that fails (the spill byte
+  // budget, an I/O error) fails the stage after it is recorded.
   auto spill_over_cap = [&]() -> Status {
-    if (!cluster->config().enable_spill) return Status::OK();
     const uint64_t cap = cluster->config().partition_memory_cap;
     for (size_t p = 0; p < part_bytes.size(); ++p) {
       if (part_bytes[p] <= cap) continue;
@@ -73,7 +72,6 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
               cluster->current_job_id(), name, p, result->schema,
               *result->parts[p], &slot));
       result->parts[p] = Publish(std::move(restored));
-      ++spilled;
       FoldStage(slot, &stage);
       obs::EventLog& log = obs::GlobalEventLog();
       if (!log.enabled()) continue;
@@ -92,8 +90,7 @@ Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
   };
   const Status spill = spill_over_cap();
   cluster->RecordStage(std::move(stage));
-  TRANCE_RETURN_NOT_OK(spill);
-  return cluster->CheckMemoryBytes(part_bytes, name, spilled);
+  return spill;
 }
 
 }  // namespace detail

@@ -4,7 +4,7 @@
 // RunStagePipeline; only the shuffle's map phase, whose buckets are not a
 // Dataset, calls Cluster::RunRecoverableTasks itself), and fused
 // narrow-stage execution. FinishStage is the one place a partition spills:
-// exactly where the memory cap would fail it with spilling off.
+// every stage-output partition over the memory cap does.
 //
 // A RowTransform is one partition-local ("narrow") operator expressed as a
 // block-to-block rewrite: project, filter, outer-select, unnest,
@@ -154,13 +154,14 @@ void SetWork(StageStats* stage, size_t n,
 
 /// Stage barrier shared by the bulk operators and the fused-stage runner:
 /// finalizes row counts, stamps the memory high-water mark from the result
-/// blocks' byte totals, records the stage and enforces the per-partition
-/// cap. With spilling on, each partition over the cap is first written to
-/// disk runs tagged `name` and streamed back into a new block, the same rows
-/// in the same order (runtime/spill.h), in partition order, which replaces
-/// the partition's block in *result (a block shared with the stage's input
-/// stays as it was); its spill counters fold into the stage and a `spill`
-/// event names it.
+/// blocks' byte totals, spills and records the stage. Each partition over
+/// the per-partition cap is written to disk runs tagged `name` and streamed
+/// back into a new block, the same rows in the same order
+/// (runtime/spill.h), in partition order, which replaces the partition's
+/// block in *result (a block shared with the stage's input stays as it
+/// was); its spill counters fold into the stage and a `spill` event names
+/// it. The only error is a failed spill (the spill byte budget, an I/O
+/// error), returned after the stage is recorded.
 Status FinishStage(Cluster* cluster, StageStats stage, Dataset* result,
                    const std::string& name);
 }  // namespace detail

@@ -95,9 +95,9 @@ struct StageStats {
   /// Out-of-core spill telemetry (runtime/spill.h): bytes written to and
   /// read back from run files (each run is one write and one whole-file
   /// read), run files produced, and restores (one per spilled partition,
-  /// reading its runs in order). All four are exactly 0 when nothing spills (and
-  /// always when ClusterConfig::enable_spill is off); spilling never changes
-  /// any pre-existing field — spill cost flows through these channels only.
+  /// reading its runs in order). All four are exactly 0 when nothing spills;
+  /// spilling never changes any pre-existing field — spill cost flows
+  /// through these channels only.
   uint64_t spill_bytes_written = 0;
   uint64_t spill_bytes_read = 0;
   uint64_t spill_runs = 0;
@@ -109,9 +109,6 @@ struct StageStats {
   std::vector<FaultEvent> fault_events;  // (partition, attempt, kind) log
   uint64_t injected_faults = 0;          // faults injected into this stage
   uint64_t retries = 0;                  // task re-executions performed
-  /// Per-task-slot retry counts (indexed like the stage's task loop; empty
-  /// when no fault hit the stage).
-  std::vector<uint64_t> partition_retries;
   /// Simulated seconds recovery cost this stage: per fault, the bounded
   /// exponential backoff plus the discarded attempt's work (crash kinds,
   /// cpu cost of the partition's work bytes) or re-fetch (fetch loss, net
@@ -358,7 +355,8 @@ class JobStats {
   const StageStats& totals() const { return totals_; }
   /// The largest single-stage shuffle ("max data shuffle" in Section 6).
   uint64_t max_stage_shuffle_bytes() const { return max_stage_shuffle_; }
-  /// The largest partition any stage emitted (the memory checks' peak).
+  /// The largest partition any stage emitted (what the memory cap is
+  /// compared with).
   uint64_t peak_partition_bytes() const {
     return totals_.mem_high_water_bytes;
   }
@@ -382,8 +380,6 @@ class JobStats {
   std::vector<obs::MetricSample> Snapshot() const;
 
   void Reset() { *this = JobStats(); }
-
-  std::string ToString() const;
 
  private:
   std::vector<StageStats> stages_;

@@ -1,10 +1,9 @@
 // Status / StatusOr: Arrow/absl-style error propagation without exceptions.
 //
 // Library code returns Status (or StatusOr<T>) for failures that are expected
-// in normal operation: malformed queries, type errors, and — centrally for
-// this system — simulated resource exhaustion (a worker running out of
-// memory, which the paper's charts report as FAIL). Invariant violations use
-// TRANCE_CHECK and abort.
+// in normal operation: malformed queries, type errors, and exhausted
+// resources (a task's retry budget, the spill byte budget). Invariant
+// violations use TRANCE_CHECK and abort.
 #ifndef TRANCE_UTIL_STATUS_H_
 #define TRANCE_UTIL_STATUS_H_
 
@@ -22,7 +21,7 @@ enum class StatusCode {
   kInvalidArgument,
   kTypeError,
   kNotImplemented,
-  kResourceExhausted,  // simulated worker memory saturation => FAIL
+  kResourceExhausted,  // retry budget or spill byte budget exhausted
   kInternal,
   kKeyError,
 };
@@ -58,8 +57,8 @@ class Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
-  /// True when the failure is the simulated out-of-memory condition the
-  /// benchmark harness reports as FAIL.
+  /// True when a budget ran out: a task's retry budget or the spill byte
+  /// budget.
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }

@@ -41,7 +41,6 @@ TEST(EventLogTest, EventRendersTypedFieldsAsJson) {
       .U64("rows", 42)
       .I64("delta", -7)
       .F64("sim", 1.5)
-      .Bool("ok", true)
       .Wall("dur_us", 123.0)
       .Emit();
   std::vector<std::string> lines = log.Lines();
@@ -55,8 +54,6 @@ TEST(EventLogTest, EventRendersTypedFieldsAsJson) {
   EXPECT_DOUBLE_EQ(v.Find("rows")->num, 42.0);
   EXPECT_DOUBLE_EQ(v.Find("delta")->num, -7.0);
   EXPECT_DOUBLE_EQ(v.Find("sim")->num, 1.5);
-  EXPECT_EQ(v.Find("ok")->kind, obs::JsonValue::Kind::kBool);
-  EXPECT_TRUE(v.Find("ok")->b);
   // Wall() forces the wall_ prefix even when the caller omits it.
   EXPECT_EQ(v.Find("dur_us"), nullptr);
   ASSERT_NE(v.Find("wall_dur_us"), nullptr);

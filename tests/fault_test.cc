@@ -129,7 +129,6 @@ void ExpectSameFaultTelemetry(const JobStats& a, const JobStats& b) {
     SCOPED_TRACE("stage " + std::to_string(i) + " (" + sa.op + ")");
     EXPECT_EQ(sa.injected_faults, sb.injected_faults);
     EXPECT_EQ(sa.retries, sb.retries);
-    EXPECT_EQ(sa.partition_retries, sb.partition_retries);
     EXPECT_DOUBLE_EQ(sa.recovery_sim_seconds, sb.recovery_sim_seconds);
     ASSERT_EQ(sa.fault_events.size(), sb.fault_events.size());
     for (size_t e = 0; e < sa.fault_events.size(); ++e) {
@@ -262,29 +261,6 @@ TEST(FaultRecoveryTest, SufficientBudgetAlwaysRecovers) {
   auto expected = runtime::Repartition(&clean, in2, {0}, "repart(small)");
   ASSERT_TRUE(expected.ok());
   ExpectSameRows(*expected, *out);
-}
-
-TEST(FaultRecoveryTest, MemoryCapMessageNamesStageAndPartition) {
-  runtime::ClusterConfig c;
-  c.num_partitions = 4;
-  c.partition_memory_cap = 1;  // everything saturates
-  // Spilling (on by default) would mask the saturation; this test is about
-  // the historical hard-failure message, so force the pre-spill behavior.
-  c.enable_spill = false;
-  runtime::Cluster cluster(c);
-  runtime::Dataset in = SmallSource(&cluster);
-  auto out = runtime::Repartition(&cluster, in, {0}, "repart(small)");
-  ASSERT_FALSE(out.ok());
-  EXPECT_TRUE(out.status().IsResourceExhausted());
-  std::string msg = out.status().ToString();
-  EXPECT_NE(msg.find("worker memory saturated in stage"), std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("repart(small)"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("partition"), std::string::npos) << msg;
-  // The message must name the configured cap and the observed bytes.
-  EXPECT_NE(msg.find("holds"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("bytes) > cap"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("(1 bytes)"), std::string::npos) << msg;
 }
 
 }  // namespace

@@ -219,7 +219,7 @@ TEST(StatsTest, ImbalanceFactorAndStragglerSummary) {
   EXPECT_EQ(sk.worst_stage, "skewed_join");
   EXPECT_EQ(job.totals().heavy_key_count, 3u);
 
-  std::string s = job.ToString();
+  std::string s = obs::JobSummary(job);
   EXPECT_NE(s.find("straggler=3.70x@skewed_join"), std::string::npos);
   EXPECT_NE(s.find("heavy_keys=3"), std::string::npos);
 }

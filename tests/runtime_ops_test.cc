@@ -897,37 +897,13 @@ TEST(OpsTest, NonNumericSumColumnsAreRejected) {
       << unnest.status().ToString();
 }
 
-TEST(OpsTest, MemoryCapTriggersResourceExhausted) {
-  // Inputs are exempt (pre-cached), but the first real operator over them
-  // must hit the cap.
-  // Spilling (on by default) would turn this overflow into disk runs and
-  // succeed; this test is about the historical hard failure.
-  ClusterConfig cfg{.num_partitions = 2,
-                    .partition_memory_cap = 512,
-                    .enable_spill = false};
-  Cluster cluster(cfg);
-  std::vector<Row> rows;
-  for (int i = 0; i < 100; ++i) {
-    rows.push_back(Row({Field::Int(i), Field::Str(std::string(64, 'x'))}));
-  }
-  Schema s({{"k", nrc::Type::Int()}, {"s", nrc::Type::String()}});
-  auto ds = Source(&cluster, s, std::move(rows), "in");
-  ASSERT_TRUE(ds.ok()) << "inputs are exempt from the cap";
-  auto filtered = RunNarrow(
-      &cluster, *ds,
-      RowTransform::Filter("copy", s, [](const column::PartitionBlock&,
-                                         size_t) { return true; }));
-  ASSERT_FALSE(filtered.ok());
-  EXPECT_TRUE(filtered.status().IsResourceExhausted());
-}
-
 TEST(OpsTest, PeakPartitionBytesCoversTheFailedStage) {
-  // With spilling off the memory check fails at the first partition over
-  // the cap; the reported peak is still the largest partition the stage
-  // emitted, here the one after it.
-  ClusterConfig cfg{.num_partitions = 2,
-                    .partition_memory_cap = 512,
-                    .enable_spill = false};
+  // Both partitions are over the cap, and the spill byte budget admits no
+  // run, so the stage fails spilling the first of them; the reported peak
+  // is still the largest partition the stage emitted, here the one after it.
+  ClusterConfig cfg{.num_partitions = 2, .partition_memory_cap = 512};
+  cfg.spill.dir = ::testing::TempDir();
+  cfg.spill.max_spill_bytes = 256;
   Cluster cluster(cfg);
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) {
@@ -947,9 +923,12 @@ TEST(OpsTest, PeakPartitionBytesCoversTheFailedStage) {
       &cluster, *ds,
       RowTransform::Filter("copy", s, [](const column::PartitionBlock&,
                                          size_t) { return true; }));
-  ASSERT_TRUE(copied.status().IsResourceExhausted());
-  EXPECT_NE(copied.status().ToString().find("partition 0 holds"),
+  ASSERT_TRUE(copied.status().IsResourceExhausted())
+      << copied.status().ToString();
+  EXPECT_NE(copied.status().ToString().find("spill byte budget exhausted"),
             std::string::npos)
+      << copied.status().ToString();
+  EXPECT_NE(copied.status().ToString().find("-p0-r0.trs"), std::string::npos)
       << copied.status().ToString();
   EXPECT_EQ(cluster.stats().peak_partition_bytes(), bytes[1]);
   EXPECT_EQ(cluster.stats().peak_partition_bytes(),

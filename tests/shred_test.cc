@@ -288,7 +288,10 @@ TEST(MaterializeTest, BaselineEmitsLabelDomains) {
   EXPECT_EQ(domains, 2);  // one per dictionary level
 }
 
-Program FlatToNestedProgram() {
+/// The flat-to-nested program with the inner comprehension's filter and
+/// head given: for c in Cust union {(cname := c.cname, orders := for o in Ord
+/// union if cond then {head})}.
+Program FlatToNestedWithInner(ExprPtr cond, ExprPtr head) {
   Program p;
   p.inputs = {
       {"Cust", BagTu({{"ck", Type::Int()}, {"cname", Type::String()}})},
@@ -297,10 +300,13 @@ Program FlatToNestedProgram() {
       {"Q", For("c", V("Cust"),
                 SngTup({{"cname", V("c.cname")},
                         {"orders",
-                         For("o", V("Ord"),
-                             If(Eq(V("o.ck"), V("c.ck")),
-                                SngTup({{"odate", V("o.odate")}})))}}))});
+                         For("o", V("Ord"), If(cond, Sng(head)))}}))});
   return p;
+}
+
+Program FlatToNestedProgram() {
+  return FlatToNestedWithInner(Eq(V("o.ck"), V("c.ck")),
+                               Tup({{"odate", V("o.odate")}}));
 }
 
 std::map<std::string, Value> FlatToNestedInputs() {
@@ -322,6 +328,58 @@ TEST(MaterializeTest, FlatToNestedUsesRule2) {
   for (const auto& a : mat->program.assignments) {
     EXPECT_EQ(a.var.find("_LD_"), std::string::npos);
   }
+}
+
+/// Orders that the residual filter and the equality of the Rule 2
+/// rejection tests below keep for some customers and drop for others.
+std::map<std::string, Value> MatchVarInputs() {
+  std::map<std::string, Value> in = FlatToNestedInputs();
+  std::vector<Value> ord;
+  for (auto [ck, odate] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 0}, {1, 5}, {2, 1}, {2, 3}, {4, 9}, {6, 2}}) {
+    ord.push_back(T2("ck", Value::Int(ck), "odate", Value::Int(odate)));
+  }
+  in["Ord"] = Value::Bag(std::move(ord));
+  return in;
+}
+
+/// Rule 2 must turn down `p`'s inner dictionary, which mentions the match
+/// variable beyond an equality that binds it: the shredded result agrees
+/// with the oracle, and the dictionary is evaluated per label of a label
+/// domain instead.
+void ExpectRule2Rejects(const Program& p) {
+  ExpectShreddedAgreement(p, MatchVarInputs(),
+                          shred::MaterializeMode::kDomainElimination);
+  auto mat =
+      shred::ShredAndMaterialize(p, shred::MaterializeMode::kDomainElimination);
+  ASSERT_TRUE(mat.ok()) << mat.status().ToString();
+  int domains = 0;
+  for (const auto& a : mat->program.assignments) {
+    if (a.var.find("_LD_") != std::string::npos) ++domains;
+  }
+  EXPECT_EQ(domains, 1) << nrc::PrintProgram(mat->program);
+}
+
+TEST(MaterializeTest, Rule2RejectsMatchVarInResidualFilter) {
+  ExpectRule2Rejects(FlatToNestedWithInner(
+      And(Eq(V("o.ck"), V("c.ck")), Gt(V("o.odate"), V("c.ck"))),
+      Tup({{"odate", V("o.odate")}})));
+}
+
+TEST(MaterializeTest, Rule2RejectsMatchVarInHead) {
+  // The head copies c.ck, the capture the equality binds: a head that
+  // copies an unbound capture such as c.cname is refused because not every
+  // capture is bound, whatever the head check says.
+  ExpectRule2Rejects(
+      FlatToNestedWithInner(Eq(V("o.ck"), V("c.ck")),
+                            Tup({{"odate", V("o.odate")}, {"ck", V("c.ck")}})));
+}
+
+TEST(MaterializeTest, Rule2RejectsMatchVarInEqualitySide) {
+  // o.ck - c.ck == c.ck: the side facing c.ck mentions it too.
+  ExpectRule2Rejects(FlatToNestedWithInner(
+      Eq(Sub(V("o.ck"), V("c.ck")), V("c.ck")),
+      Tup({{"odate", V("o.odate")}})));
 }
 
 TEST(MaterializeTest, NestedToFlatHasNoDicts) {

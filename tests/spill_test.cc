@@ -1,15 +1,15 @@
 // Out-of-core spill tests (ctest label `spill`).
 //
-// The acceptance contract of runtime/spill.h: a Fig-7 query that hard-fails
-// with ResourceExhausted under a reduced partition_memory_cap completes when
-// ClusterConfig::enable_spill is on, with rows, placement, and every
-// pre-existing JobStats counter bit-identical to an uncapped run — at 1, 4,
-// and 8 threads, on both compilation routes. Spill cost appears only in the
-// spill-only counters (and EXPLAIN ANALYZE / JSON export), which are exactly
-// 0 when nothing spills. A run spills exactly when the same run with spilling
-// off FAILs: the stage barrier is the one spill site. Plus SpillManager unit
-// coverage: deterministic run naming, order-preserving spill-and-restore,
-// the spill byte budget, and an I/O failure that surfaces as a Status.
+// The acceptance contract of runtime/spill.h: a Fig-7 query whose partitions
+// outgrow a reduced partition_memory_cap completes through disk runs, with
+// rows, placement, and every pre-existing JobStats counter bit-identical to
+// an uncapped run — at 1, 4, and 8 threads, on both compilation routes.
+// Spill cost appears only in the spill-only counters (and EXPLAIN ANALYZE /
+// JSON export), which are exactly 0 when nothing spills. A stage spills
+// exactly when its uncapped twin emits a partition over the cap: the stage
+// barrier is the one spill site. Plus SpillManager unit coverage:
+// deterministic run naming, order-preserving spill-and-restore, the spill
+// byte budget, and an I/O failure that surfaces as a Status.
 #include "runtime/spill.h"
 
 #include <gtest/gtest.h>
@@ -46,23 +46,23 @@ using fig7_suite::ShreddedRun;
 using fig7_suite::StandardRun;
 using runtime::JobStats;
 using runtime::Row;
+using runtime::StageStats;
 using runtime::StatGroup;
 using stats_testing::ExpectSameStats;
 using runtime::Field;
 
 // The forced cap: far below the working set of every suite query at scale
-// 0.0005 (partitions run tens of KB), so a spill-off capped run FAILs and a
-// spill-on capped run must actually hit the disk.
+// 0.0005 (partitions run tens of KB), so a capped run must actually hit the
+// disk.
 constexpr uint64_t kTinyCap = 4ull << 10;
 
 /// The suite's cluster at `num_threads`, with memory cap `cap` (0: the
-/// default) and spilling on or off.
-runtime::ClusterConfig Config(int num_threads, uint64_t cap, bool spill) {
+/// default).
+runtime::ClusterConfig Config(int num_threads, uint64_t cap) {
   runtime::ClusterConfig c;
   c.num_partitions = 8;
   c.num_threads = num_threads;
   if (cap > 0) c.partition_memory_cap = cap;
-  c.enable_spill = spill;
   return c;
 }
 
@@ -92,18 +92,10 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = Inputs(kind, depth);
 
-  // The paper's FAIL cell: the tiny cap hard-fails without spilling.
-  StandardRun fail = RunStandard(*q, values, Config(1, kTinyCap, false));
-  ASSERT_FALSE(fail.ok());
-  EXPECT_TRUE(fail.status.IsResourceExhausted()) << fail.status.ToString();
-  EXPECT_NE(fail.status.ToString().find("worker memory saturated"),
-            std::string::npos)
-      << fail.status.ToString();
-
-  // The same cap with spilling on completes...
-  StandardRun uncapped = RunStandard(*q, values, Config(1, 0, true));
+  StandardRun uncapped = RunStandard(*q, values, Config(1, 0));
   ASSERT_TRUE(uncapped.ok()) << uncapped.status.ToString();
-  StandardRun spill1 = RunStandard(*q, values, Config(1, kTinyCap, true));
+  // The paper's FAIL cell: under the tiny cap the run completes...
+  StandardRun spill1 = RunStandard(*q, values, Config(1, kTinyCap));
   ASSERT_TRUE(spill1.ok()) << spill1.status.ToString();
 
   // ...with identical rows in identical partitions and identical
@@ -120,8 +112,8 @@ TEST_P(SpillSuiteTest, CappedStandardRunMatchesUncapped) {
 
   // Thread-count invariance covers the spill counters too: spill decisions
   // are byte-threshold-driven and folded in partition order.
-  StandardRun spill4 = RunStandard(*q, values, Config(4, kTinyCap, true));
-  StandardRun spill8 = RunStandard(*q, values, Config(8, kTinyCap, true));
+  StandardRun spill4 = RunStandard(*q, values, Config(4, kTinyCap));
+  StandardRun spill8 = RunStandard(*q, values, Config(8, kTinyCap));
   ASSERT_TRUE(spill4.ok()) << spill4.status.ToString();
   ASSERT_TRUE(spill8.ok()) << spill8.status.ToString();
   ExpectSameRows(spill1.out, spill4.out);
@@ -146,13 +138,13 @@ TEST_P(SpillSuiteTest, CappedShreddedRunMatchesUncapped) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = Inputs(kind, depth);
 
-  ShreddedRun uncapped = RunShredded(*q, values, Config(1, 0, true));
+  ShreddedRun uncapped = RunShredded(*q, values, Config(1, 0));
   ASSERT_TRUE(uncapped.ok()) << uncapped.status.ToString();
-  ShreddedRun spill1 = RunShredded(*q, values, Config(1, kTinyCap, true));
+  ShreddedRun spill1 = RunShredded(*q, values, Config(1, kTinyCap));
   ASSERT_TRUE(spill1.ok()) << spill1.status.ToString();
-  ShreddedRun spill4 = RunShredded(*q, values, Config(4, kTinyCap, true));
+  ShreddedRun spill4 = RunShredded(*q, values, Config(4, kTinyCap));
   ASSERT_TRUE(spill4.ok()) << spill4.status.ToString();
-  ShreddedRun spill8 = RunShredded(*q, values, Config(8, kTinyCap, true));
+  ShreddedRun spill8 = RunShredded(*q, values, Config(8, kTinyCap));
   ASSERT_TRUE(spill8.ok()) << spill8.status.ToString();
 
   ExpectSameShreddedRows(uncapped.out, spill1.out);
@@ -182,7 +174,7 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = FlatInputs();
 
-  StandardRun forced = RunStandard(*q, values, Config(1, kTinyCap, true));
+  StandardRun forced = RunStandard(*q, values, Config(1, kTinyCap));
   ASSERT_TRUE(forced.ok()) << forced.status.ToString();
   EXPECT_GT(forced.stats.totals().spill_bytes_written, 0u);
 
@@ -197,7 +189,7 @@ TEST(SpillRuntimeTest, CountersVisibleInJsonAndExplain) {
 
   // Unforced: no spill clause in EXPLAIN, but the JSON totals still carry
   // the (zero) keys so bench_diff can gate on them.
-  StandardRun easy = RunStandard(*q, values, Config(1, 0, true));
+  StandardRun easy = RunStandard(*q, values, Config(1, 0));
   ASSERT_TRUE(easy.ok()) << easy.status.ToString();
   ExpectZeroSpill(easy.stats);
   EXPECT_EQ(easy.explain.find(" spill("), std::string::npos) << easy.explain;
@@ -213,18 +205,20 @@ TEST(SpillRuntimeTest, BlockResidentSpillAvoidsRowification) {
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   auto values = FlatInputs();
 
-  StandardRun col = RunStandard(*q, values, Config(1, kTinyCap, true));
+  StandardRun col = RunStandard(*q, values, Config(1, kTinyCap));
   ASSERT_TRUE(col.ok()) << col.status.ToString();
   EXPECT_GT(col.stats.totals().spill_runs, 0u);
 
-  StandardRun col4 = RunStandard(*q, values, Config(4, kTinyCap, true));
+  StandardRun col4 = RunStandard(*q, values, Config(4, kTinyCap));
   ASSERT_TRUE(col4.ok()) << col4.status.ToString();
 }
 
 TEST(SpillRuntimeTest, SpillsExactlyWhenTheCapWouldFail) {
-  // Spilling happens only where the memory cap is enforced: across the
-  // narrow Fig-7 suite under three caps, the spill-on run completes, and it
-  // writes spill runs exactly when its spill-off twin FAILs.
+  // The paper's cluster crashed on a partition over the memory cap; the
+  // stage barrier spills exactly those. Across the narrow Fig-7 suite under
+  // three caps, the capped run completes, and each of its stages writes
+  // spill runs exactly when the same stage of the uncapped run emitted a
+  // partition over the cap.
   const auto flat = FlatInputs();
   for (int depth = 0; depth <= 3; ++depth) {
     // Both nested-input kinds read the same nested input.
@@ -233,17 +227,23 @@ TEST(SpillRuntimeTest, SpillsExactlyWhenTheCapWouldFail) {
       auto q = Query(kind, depth);
       ASSERT_TRUE(q.ok()) << q.status().ToString();
       const auto& values = kind == kFlatToNested ? flat : nested;
+      StandardRun uncapped = RunStandard(*q, values, Config(1, 0));
+      ASSERT_TRUE(uncapped.ok()) << uncapped.status.ToString();
+      const std::vector<StageStats>& twins = uncapped.stats.stages();
       for (uint64_t cap : {4ull << 10, 32ull << 10, 128ull << 10}) {
         SCOPED_TRACE(std::string(KindName(kind)) + " depth " +
                      std::to_string(depth) + " cap " + std::to_string(cap));
-        StandardRun on = RunStandard(*q, values, Config(1, cap, true));
-        ASSERT_TRUE(on.ok()) << on.status.ToString();
-        StandardRun off = RunStandard(*q, values, Config(1, cap, false));
-        EXPECT_TRUE(off.ok() || off.status.IsResourceExhausted())
-            << off.status.ToString();
-        EXPECT_EQ(on.stats.totals().spill_runs > 0, !off.ok())
-            << on.stats.totals().spill_runs << " spill runs; spill off: "
-            << off.status.ToString();
+        StandardRun capped = RunStandard(*q, values, Config(1, cap));
+        ASSERT_TRUE(capped.ok()) << capped.status.ToString();
+        const std::vector<StageStats>& stages = capped.stats.stages();
+        ASSERT_EQ(stages.size(), twins.size());
+        for (size_t i = 0; i < stages.size(); ++i) {
+          EXPECT_EQ(stages[i].spill_runs > 0,
+                    twins[i].mem_high_water_bytes > cap)
+              << "stage " << i << " (" << stages[i].op << "): "
+              << stages[i].spill_runs << " spill runs, uncapped peak "
+              << twins[i].mem_high_water_bytes << " bytes";
+        }
       }
     }
   }
@@ -255,7 +255,7 @@ TEST(SpillRuntimeTest, FailedStageSpillRemovesItsRuns) {
   // below it. The stage barrier spills that partition in 2 KiB runs until
   // the budget refuses one; the failed spill must leave no run on disk or
   // in the budget.
-  runtime::ClusterConfig cfg = Config(1, 0, true);
+  runtime::ClusterConfig cfg = Config(1, 0);
   cfg.num_partitions = 4;
   cfg.partition_memory_cap = 12ull << 10;
   cfg.spill.dir = ::testing::TempDir();
@@ -281,27 +281,6 @@ TEST(SpillRuntimeTest, FailedStageSpillRemovesItsRuns) {
   EXPECT_GT(m->total_runs(), 0u);
   EXPECT_EQ(m->on_disk_bytes(), 0u);
   EXPECT_EQ(RegularFilesUnder(m->root_dir()), 0u) << "under " << m->root_dir();
-}
-
-TEST(SpillRuntimeTest, DisabledSpillKeepsHistoricalFailureShape) {
-  // enable_spill=false must reproduce the pre-spill world exactly: the
-  // ResourceExhausted message names the stage, the partition, the observed
-  // bytes, and the configured cap.
-  auto q = tpch::FlatToNested(1, tpch::Width::kNarrow);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  auto values = FlatInputs();
-  StandardRun fail = RunStandard(*q, values, Config(1, kTinyCap, false));
-  ASSERT_FALSE(fail.ok());
-  std::string msg = fail.status.ToString();
-  EXPECT_TRUE(fail.status.IsResourceExhausted()) << msg;
-  EXPECT_NE(msg.find("worker memory saturated in"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("partition"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("holds"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("bytes) > cap"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("(" + std::to_string(kTinyCap) + " bytes)"),
-            std::string::npos)
-      << msg;
-  ExpectZeroSpill(fail.stats);
 }
 
 // --- SpillManager unit tests ----------------------------------------------
@@ -541,7 +520,7 @@ TEST(SpillManagerTest, UnwritableRunDirectoryFailsCleanly) {
   ExpectBlockRows(block, MakeRows(100, "kept-"));
 
   // One key, so the shuffle sends every row to one partition, over the cap.
-  runtime::ClusterConfig ccfg = Config(1, 0, true);
+  runtime::ClusterConfig ccfg = Config(1, 0);
   ccfg.num_partitions = 4;
   ccfg.partition_memory_cap = 12ull << 10;
   ccfg.spill.dir = cfg.dir;
